@@ -213,3 +213,30 @@ func (r *ring) stealFront() (int, bool) {
 func badRingGrow(r *ring, v int) {
 	r.buf = append(r.buf, v) // want `append may grow the backing array`
 }
+
+// runRows is the shape of a diagonal-run SpMV kernel: the shifted views of
+// x are reslices of the caller's vector, so the kernel stays clean.
+//
+//vetsparse:allocfree
+func runRows(y, v, x vec, o0, o1 int) {
+	x0, x1 := x[o0:][:len(y)], x[o1:][:len(y)]
+	for i := range y {
+		s := 0.0 + v[0]*x0[i]
+		s += v[1] * x1[i]
+		y[i] = s
+		v = v[2:]
+	}
+}
+
+// badRunRows collects its shifted views in a slice built per call.
+//
+//vetsparse:allocfree
+func badRunRows(y, v, x vec, off []int) {
+	views := []vec{x[off[0]:], x[off[1]:]} // want `slice literal allocates`
+	for i := range y {
+		s := 0.0 + v[0]*views[0][i]
+		s += v[1] * views[1][i]
+		y[i] = s
+		v = v[2:]
+	}
+}

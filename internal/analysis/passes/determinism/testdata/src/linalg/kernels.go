@@ -45,6 +45,27 @@ func axpyRange(y, x []float64, a float64, lo, hi int) {
 	}
 }
 
+// goodRunRows is the shape of a diagonal-run SpMV kernel: every row starts
+// a fresh accumulator, so y[i] is the same wherever a team cuts [r0, r1).
+func goodRunRows(y, v, x0, x1 []float64, r0, r1 int) {
+	for i := r0; i < r1; i++ {
+		s := 0.0 + v[2*i]*x0[i]
+		s += v[2*i+1] * x1[i]
+		y[i] = s
+	}
+}
+
+// badRunRows carries one accumulator across the rows: y[i] then depends on
+// the first row of the range, that is on the team split.
+func badRunRows(y, v, x0, x1 []float64, r0, r1 int) {
+	s := 0.0
+	for i := r0; i < r1; i++ {
+		s += v[2*i] * x0[i]   // want `float accumulation across the whole \[r0, r1\) worker range`
+		s += v[2*i+1] * x1[i] // want `float accumulation across the whole \[r0, r1\) worker range`
+		y[i] = s
+	}
+}
+
 // phaseStep models one op of a fused-phase micro-program: operands bound at
 // build time, executed per worker range by a plan interpreter.
 type phaseStep struct {

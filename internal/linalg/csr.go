@@ -8,6 +8,12 @@ type CSR struct {
 	RowPtr     []int
 	ColIdx     []int
 	Val        []float64
+
+	// runs is the diagonal-run table of the sparsity pattern, sorted by
+	// row (see rowRun). The constructors fill it once; nothing that keeps
+	// the pattern (ShiftedOperator.Update rewrites Val only) invalidates it.
+	// A nil table is valid: every row then takes the indexed row loop.
+	runs []rowRun
 }
 
 // Builder assembles a sparse matrix by accumulating (row, col, value)
@@ -42,6 +48,14 @@ func (b *Builder) Add(r, c int, v float64) {
 func (b *Builder) Build() *CSR {
 	b.entries = countingSort(b.entries, b.rows, b.cols)
 	m := &CSR{Rows: b.rows, Cols: b.cols, RowPtr: make([]int, b.rows+1)}
+	nnz := 0
+	for i, e := range b.entries {
+		if i == 0 || e.r != b.entries[i-1].r || e.c != b.entries[i-1].c {
+			nnz++
+		}
+	}
+	m.ColIdx = make([]int, 0, nnz)
+	m.Val = make([]float64, 0, nnz)
 	for i := 0; i < len(b.entries); {
 		e := b.entries[i]
 		v := e.v
@@ -60,6 +74,7 @@ func (b *Builder) Build() *CSR {
 			m.RowPtr[r] = m.RowPtr[r-1]
 		}
 	}
+	m.runs = findRuns(m)
 	return m
 }
 
@@ -122,17 +137,59 @@ func (m *CSR) MulVec(y, x Vector, ops *Ops) {
 }
 
 // mulVecRange computes y[r] = (A*x)[r] for rows r in [r0, r1). Each output
-// row is an independent serial dot product, so any row partitioning yields
-// exactly MulVec's values.
+// row is an independent serial dot product accumulated left to right over
+// the row's stored entries, so any row partitioning yields exactly MulVec's
+// values. Rows inside a diagonal run take the index-free run kernels,
+// clipped to the range; the rows between runs take the indexed row loop.
 //
 //vetsparse:allocfree
 func (m *CSR) mulVecRange(y, x Vector, r0, r1 int) {
-	for r := r0; r < r1; r++ {
-		s := 0.0
-		for k := m.RowPtr[r]; k < m.RowPtr[r+1]; k++ {
-			s += m.Val[k] * x[m.ColIdx[k]]
+	// First run that ends after r0 (runs are sorted and disjoint).
+	lo, hi := 0, len(m.runs)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if m.runs[mid].r1 <= r0 {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
-		y[r] = s
+	}
+	r := r0
+	for i := lo; i < len(m.runs) && m.runs[i].r0 < r1; i++ {
+		run := &m.runs[i]
+		if run.r0 > r {
+			m.mulVecRows(y, x, r, run.r0)
+			r = run.r0
+		}
+		e := run.r1
+		if e > r1 {
+			e = r1
+		}
+		m.mulVecRun(y, x, run, r, e)
+		r = e
+	}
+	if r < r1 {
+		m.mulVecRows(y, x, r, r1)
+	}
+}
+
+// mulVecRows is the general row loop of mulVecRange: one indexed gather
+// per stored entry.
+//
+//vetsparse:allocfree
+func (m *CSR) mulVecRows(y, x Vector, r0, r1 int) {
+	ptr := m.RowPtr[r0 : r1+1]
+	val := m.Val
+	col := m.ColIdx[:len(val)]
+	y = y[r0:r1]
+	k := ptr[0]
+	for i := range y {
+		end := ptr[i+1]
+		s := 0.0
+		for ; k < end; k++ {
+			s += val[k] * x[col[k]]
+		}
+		y[i] = s
 	}
 }
 

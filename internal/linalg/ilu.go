@@ -11,22 +11,38 @@ import (
 // Jacobi preconditioning for advection-diffusion operators — the
 // anisotropic end grids of the sparse-grid family condition badly under
 // Jacobi, which is where ILU(0) pays off.
+//
+// The factor is stored in the order the triangular solves visit it, not in
+// row order: val[:lptr[n]] holds L's strict lower rows (unit diagonal
+// implied) in forward level-schedule order, the rest holds U's rows in
+// backward level-schedule order, each row its diagonal followed by its
+// strict upper entries; col runs parallel to val. Both sweeps therefore
+// stream val and col front to back, and neighbouring rows — independent
+// within a level — overlap their multiply-subtract and divide chains
+// instead of each waiting on the row before it. Within a row the entries
+// keep ascending column order, so every row's arithmetic is the row-major
+// solve's.
 type ILU0 struct {
-	n      int
-	rowPtr []int
-	colIdx []int
-	val    []float64 // combined L (strict lower, unit diagonal) and U
-	diag   []int     // index of the diagonal entry in each row
-	colPos []int     // scratch scatter index, kept to make Refactor allocation-free
+	n   int
+	val []float64
+	col []int32 // column of val[k]; a U row's leading (diagonal) entry names the row
+
+	// Forward position p solves row fwdRows[p] from val[lptr[p]:lptr[p+1]];
+	// backward position p solves row col[uptr[p]] from val[uptr[p]:uptr[p+1]].
+	fwdRows    []int32
+	lptr, uptr []int32
+
+	fwdPos, bwdPos []int32 // schedule positions of each row, for Refactor and factorize
+	colPos         []int32 // scratch scatter index, kept to make Refactor allocation-free
 
 	// Level schedule for the parallel triangular solves, computed once per
 	// sparsity pattern in NewILU0 (Refactor keeps it: values move, the
 	// pattern does not). Level l of the forward (backward) solve holds the
 	// rows whose longest dependency chain through the strict lower (upper)
-	// pattern has length l; rows within a level are independent.
-	fwdPtr, fwdRows []int
-	bwdPtr, bwdRows []int
-	maxWidth        int // widest level across both sweeps
+	// pattern has length l; rows within a level are independent. The
+	// pointers delimit levels in schedule positions.
+	fwdPtr, bwdPtr []int
+	maxWidth       int // widest level across both sweeps
 }
 
 // ParMinLevelRows is the smallest level width worth a parallel dispatch in
@@ -42,69 +58,63 @@ func NewILU0(a *CSR, ops *Ops) (*ILU0, error) {
 	if a.Rows != a.Cols {
 		return nil, errors.New("linalg: ILU0 needs a square matrix")
 	}
-	n := a.Rows
-	f := &ILU0{
-		n:      n,
-		rowPtr: append([]int(nil), a.RowPtr...),
-		colIdx: append([]int(nil), a.ColIdx...),
-		val:    append([]float64(nil), a.Val...),
-		diag:   make([]int, n),
-		colPos: make([]int, n),
+	if len(a.Val) > math.MaxInt32 {
+		return nil, errors.New("linalg: ILU0 matrix too large for 32-bit factor indices")
 	}
-	// Locate diagonals (column indices are sorted by the builder).
-	for i := 0; i < n; i++ {
-		f.diag[i] = -1
-		for k := f.rowPtr[i]; k < f.rowPtr[i+1]; k++ {
-			if f.colIdx[k] == i {
-				f.diag[i] = k
-				break
-			}
-		}
-		if f.diag[i] < 0 {
-			return nil, fmt.Errorf("linalg: ILU0 row %d has no diagonal entry", i)
-		}
+	f := &ILU0{n: a.Rows}
+	diag, bwdRows, err := f.buildLevels(a)
+	if err != nil {
+		return nil, err
 	}
+	f.pack(a, diag, bwdRows)
+	f.colPos = make([]int32, f.n)
 	for i := range f.colPos {
 		f.colPos[i] = -1
 	}
-	f.buildLevels()
-	if err := f.factorize(ops); err != nil {
+	if err := f.Refactor(a, ops); err != nil {
 		return nil, err
 	}
 	return f, nil
 }
 
 // buildLevels computes the forward and backward dependency level sets of
-// the pattern. Row i's forward level is 1 + max level over its strict-lower
-// neighbours (0 when it has none); the backward levels are the mirror over
-// the strict upper pattern. Rows are bucketed per level in ascending row
-// order — the order within a level is irrelevant for the solve values, the
-// rows being independent, but a fixed order keeps the schedule
-// deterministic.
-func (f *ILU0) buildLevels() {
+// a's pattern and, on the way, the index of each row's diagonal entry
+// (column indices are sorted by the builder). Row i's forward level is
+// 1 + max level over its strict-lower neighbours (0 when it has none); the
+// backward levels are the mirror over the strict upper pattern. Rows are
+// bucketed per level in ascending row order — the order within a level is
+// irrelevant for the solve values, the rows being independent, but a fixed
+// order keeps the schedule deterministic.
+func (f *ILU0) buildLevels(a *CSR) (diag []int, bwdRows []int32, err error) {
 	n := f.n
-	lev := make([]int, n)
-	maxL := 0
+	diag = make([]int, n)
+	lev := make([]int32, n)
+	maxL := int32(0)
 	for i := 0; i < n; i++ {
-		l := 0
-		for k := f.rowPtr[i]; k < f.diag[i]; k++ {
-			if d := lev[f.colIdx[k]] + 1; d > l {
+		l := int32(0)
+		k, end := a.RowPtr[i], a.RowPtr[i+1]
+		for ; k < end && a.ColIdx[k] < i; k++ {
+			if d := lev[a.ColIdx[k]] + 1; d > l {
 				l = d
 			}
 		}
+		if k == end || a.ColIdx[k] != i {
+			return nil, nil, fmt.Errorf("linalg: ILU0 row %d has no diagonal entry", i)
+		}
+		diag[i] = k
 		lev[i] = l
 		if l > maxL {
 			maxL = l
 		}
 	}
-	f.fwdPtr, f.fwdRows = bucketByLevel(lev, maxL+1)
+	f.fwdPtr, f.fwdRows = bucketByLevel(lev, int(maxL)+1)
 	// Backward levels: fill lev in decreasing row order so every strict-
 	// upper neighbour is already leveled when row i reads it.
 	maxL = 0
 	for i := n - 1; i >= 0; i-- {
-		l := 0
-		for k := f.diag[i] + 1; k < f.rowPtr[i+1]; k++ {
-			if d := lev[f.colIdx[k]] + 1; d > l {
+		l := int32(0)
+		for _, c := range a.ColIdx[diag[i]+1 : a.RowPtr[i+1]] {
+			if d := lev[c] + 1; d > l {
 				l = d
 			}
 		}
@@ -113,23 +123,20 @@ func (f *ILU0) buildLevels() {
 			maxL = l
 		}
 	}
-	f.bwdPtr, f.bwdRows = bucketByLevel(lev, maxL+1)
-	f.maxWidth = 0
-	for l := 0; l+1 < len(f.fwdPtr); l++ {
-		if w := f.fwdPtr[l+1] - f.fwdPtr[l]; w > f.maxWidth {
-			f.maxWidth = w
+	f.bwdPtr, bwdRows = bucketByLevel(lev, int(maxL)+1)
+	for _, ptr := range [][]int{f.fwdPtr, f.bwdPtr} {
+		for l := 0; l+1 < len(ptr); l++ {
+			if w := ptr[l+1] - ptr[l]; w > f.maxWidth {
+				f.maxWidth = w
+			}
 		}
 	}
-	for l := 0; l+1 < len(f.bwdPtr); l++ {
-		if w := f.bwdPtr[l+1] - f.bwdPtr[l]; w > f.maxWidth {
-			f.maxWidth = w
-		}
-	}
+	return diag, bwdRows, nil
 }
 
 // bucketByLevel groups row indices by their level with a stable counting
 // pass: ptr[l]..ptr[l+1] delimits level l's rows (ascending row order).
-func bucketByLevel(lev []int, nlev int) (ptr, rows []int) {
+func bucketByLevel(lev []int32, nlev int) (ptr []int, rows []int32) {
 	ptr = make([]int, nlev+1)
 	for _, l := range lev {
 		ptr[l+1]++
@@ -137,13 +144,53 @@ func bucketByLevel(lev []int, nlev int) (ptr, rows []int) {
 	for l := 1; l <= nlev; l++ {
 		ptr[l] += ptr[l-1]
 	}
-	rows = make([]int, len(lev))
+	rows = make([]int32, len(lev))
 	next := append([]int(nil), ptr[:nlev]...)
 	for i, l := range lev {
-		rows[next[l]] = i
+		rows[next[l]] = int32(i)
 		next[l]++
 	}
 	return ptr, rows
+}
+
+// pack lays the pattern of a out in schedule order: it fills col, the row
+// pointers and the row-to-position maps, and sizes val. Every array is
+// allocated once at its exact size.
+func (f *ILU0) pack(a *CSR, diag []int, bwdRows []int32) {
+	n, nnz := f.n, len(a.Val)
+	f.val = make([]float64, nnz)
+	f.col = make([]int32, nnz)
+	f.lptr = make([]int32, n+1)
+	f.uptr = make([]int32, n+1)
+	f.fwdPos = make([]int32, n)
+	f.bwdPos = make([]int32, n)
+	k := int32(0)
+	for p, i := range f.fwdRows {
+		f.fwdPos[i] = int32(p)
+		f.lptr[p] = k
+		k += int32(diag[i] - a.RowPtr[i])
+	}
+	f.lptr[n] = k
+	for p, i := range bwdRows {
+		f.bwdPos[i] = int32(p)
+		f.uptr[p] = k
+		k += int32(a.RowPtr[i+1] - diag[i])
+	}
+	f.uptr[n] = k
+	// Fill in row order, as Refactor does the values: the reads stream
+	// through a and the writes advance one cursor per level.
+	col, acol := f.col, a.ColIdx[:nnz]
+	for i, d := range diag {
+		kl, ku := f.lptr[f.fwdPos[i]], f.uptr[f.bwdPos[i]]
+		for k := a.RowPtr[i]; k < d; k++ {
+			col[kl] = int32(acol[k])
+			kl++
+		}
+		for k := d; k < a.RowPtr[i+1]; k++ { // sorted columns put the diagonal first
+			col[ku] = int32(acol[k])
+			ku++
+		}
+	}
 }
 
 // Refactor recomputes the factorization in place for a matrix with the
@@ -157,62 +204,75 @@ func (f *ILU0) Refactor(a *CSR, ops *Ops) error {
 	if a.Rows != f.n || a.Cols != f.n || len(a.Val) != len(f.val) {
 		return errors.New("linalg: ILU0 refactor pattern mismatch")
 	}
-	copy(f.val, a.Val)
+	// Scatter a's values into schedule order: a row's lower entries lead
+	// its CSR row, its diagonal and upper entries end it.
+	val, aval := f.val, a.Val
+	k := 0
+	for i, fp := range f.fwdPos {
+		for kl, end := f.lptr[fp], f.lptr[fp+1]; kl < end; kl++ {
+			val[kl] = aval[k]
+			k++
+		}
+		bp := f.bwdPos[i]
+		for ku, end := f.uptr[bp], f.uptr[bp+1]; ku < end; ku++ {
+			val[ku] = aval[k]
+			k++
+		}
+	}
 	return f.factorize(ops)
 }
 
 // factorize runs the IKJ elimination restricted to the existing pattern,
-// overwriting f.val (which must hold the matrix values on entry).
+// overwriting f.val (which must hold the matrix values on entry). Rows are
+// eliminated in forward schedule order: a row's pivot rows are exactly its
+// strict-lower neighbours, all in earlier levels, so each row sees the same
+// finished pivot rows — and runs the same operations — as in natural
+// order, while L streams front to back and the rows of a level overlap
+// their divisions. Every pivot row has passed its zero check by the time
+// another row divides by it; a breakdown reports the first zero pivot in
+// schedule order.
 //
 //vetsparse:allocfree
 func (f *ILU0) factorize(ops *Ops) error {
+	val, col := f.val, f.col
 	colPos := f.colPos // scatter index of row i's entries; -1 outside row i
 	var flops int64
-	for i := 0; i < f.n; i++ {
-		for k := f.rowPtr[i]; k < f.rowPtr[i+1]; k++ {
-			colPos[f.colIdx[k]] = k
+	for fp, i := range f.fwdRows {
+		bp := f.bwdPos[i]
+		l0, l1 := f.lptr[fp], f.lptr[fp+1]
+		u0, u1 := f.uptr[bp], f.uptr[bp+1]
+		for k := l0; k < l1; k++ {
+			colPos[col[k]] = k
 		}
-		for k := f.rowPtr[i]; k < f.rowPtr[i+1]; k++ {
-			j := f.colIdx[k]
-			if j >= i {
-				break // only the strict lower part eliminates
-			}
-			piv := f.val[f.diag[j]]
-			if piv == 0 {
-				f.resetColPos(i)
-				ops.Add(flops)
-				return fmt.Errorf("linalg: ILU0 zero pivot at row %d", j)
-			}
-			lij := f.val[k] / piv
-			f.val[k] = lij
+		for k := u0; k < u1; k++ {
+			colPos[col[k]] = k
+		}
+		for k := l0; k < l1; k++ { // only the strict lower part eliminates
+			jp := f.bwdPos[col[k]]
+			j0, j1 := f.uptr[jp], f.uptr[jp+1]
+			lij := val[k] / val[j0]
+			val[k] = lij
 			flops++
-			for kk := f.diag[j] + 1; kk < f.rowPtr[j+1]; kk++ {
-				if p := colPos[f.colIdx[kk]]; p >= 0 {
-					f.val[p] -= lij * f.val[kk]
+			for kk := j0 + 1; kk < j1; kk++ {
+				if p := colPos[col[kk]]; p >= 0 {
+					val[p] -= lij * val[kk]
 					flops += 2
 				}
 			}
 		}
-		for k := f.rowPtr[i]; k < f.rowPtr[i+1]; k++ {
-			colPos[f.colIdx[k]] = -1
+		for k := l0; k < l1; k++ {
+			colPos[col[k]] = -1
 		}
-		if f.val[f.diag[i]] == 0 {
+		for k := u0; k < u1; k++ {
+			colPos[col[k]] = -1
+		}
+		if val[u0] == 0 {
 			ops.Add(flops)
 			return fmt.Errorf("linalg: ILU0 zero pivot at row %d", i)
 		}
 	}
 	ops.Add(flops)
 	return nil
-}
-
-// resetColPos clears the scatter marks of row i after an early exit so the
-// scratch array is all -1 for the next factorization.
-//
-//vetsparse:allocfree
-func (f *ILU0) resetColPos(i int) {
-	for k := f.rowPtr[i]; k < f.rowPtr[i+1]; k++ {
-		f.colPos[f.colIdx[k]] = -1
-	}
 }
 
 // Solve applies the preconditioner: x = U^-1 L^-1 b. x and b may alias.
@@ -222,22 +282,8 @@ func (f *ILU0) Solve(x, b Vector, ops *Ops) {
 	if len(x) != f.n || len(b) != f.n {
 		panic("linalg: ILU0 solve dimension mismatch")
 	}
-	// Forward solve L y = b (unit diagonal), result in x.
-	for i := 0; i < f.n; i++ {
-		s := b[i]
-		for k := f.rowPtr[i]; k < f.diag[i]; k++ {
-			s -= f.val[k] * x[f.colIdx[k]]
-		}
-		x[i] = s
-	}
-	// Backward solve U x = y.
-	for i := f.n - 1; i >= 0; i-- {
-		s := x[i]
-		for k := f.diag[i] + 1; k < f.rowPtr[i+1]; k++ {
-			s -= f.val[k] * x[f.colIdx[k]]
-		}
-		x[i] = s / f.val[f.diag[i]]
-	}
+	f.forwardRows(x, b, 0, f.n)
+	f.backwardRows(x, 0, f.n)
 	ops.Add(2 * int64(len(f.val)))
 }
 
@@ -282,32 +328,43 @@ func (f *ILU0) SolveWith(t *Team, x, b Vector, ops *Ops) {
 }
 
 // forwardRows runs the unit-lower forward substitution for the schedule
-// positions [p0, p1) of fwdRows: x[i] = b[i] - L[i,:]*x.
+// positions [p0, p1): x[i] = b[i] - L[i,:]*x. The positions must respect
+// the level order: every row an entry reads is already solved.
 //
 //vetsparse:allocfree
 func (f *ILU0) forwardRows(x, b Vector, p0, p1 int) {
-	for p := p0; p < p1; p++ {
-		i := f.fwdRows[p]
+	rows := f.fwdRows[p0:p1]
+	ptr := f.lptr[p0 : p1+1]
+	val := f.val
+	col := f.col[:len(val)]
+	k := int(ptr[0])
+	for q, i := range rows {
+		end := int(ptr[q+1])
 		s := b[i]
-		for k := f.rowPtr[i]; k < f.diag[i]; k++ {
-			s -= f.val[k] * x[f.colIdx[k]]
+		for ; k < end; k++ {
+			s -= val[k] * x[col[k]]
 		}
 		x[i] = s
 	}
 }
 
 // backwardRows runs the upper backward substitution for the schedule
-// positions [p0, p1) of bwdRows: x[i] = (x[i] - U[i,i+1:]*x) / U[i,i].
+// positions [p0, p1): x[i] = (x[i] - U[i,i+1:]*x) / U[i,i].
 //
 //vetsparse:allocfree
 func (f *ILU0) backwardRows(x Vector, p0, p1 int) {
-	for p := p0; p < p1; p++ {
-		i := f.bwdRows[p]
+	ptr := f.uptr[p0 : p1+1]
+	val := f.val
+	col := f.col[:len(val)]
+	k := int(ptr[0])
+	for q := range ptr[:len(ptr)-1] {
+		end := int(ptr[q+1])
+		i, d := col[k], val[k]
 		s := x[i]
-		for k := f.diag[i] + 1; k < f.rowPtr[i+1]; k++ {
-			s -= f.val[k] * x[f.colIdx[k]]
+		for k++; k < end; k++ {
+			s -= val[k] * x[col[k]]
 		}
-		x[i] = s / f.val[f.diag[i]]
+		x[i] = s / d
 	}
 }
 

@@ -192,3 +192,173 @@ func TestPropILU0ExactTridiagonal(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// refILU0 is the row-major ILU(0) the packed factor must reproduce bit for
+// bit: IKJ elimination in natural row order on a CSR-shaped value array, and
+// triangular solves that walk the rows 0..n-1 and n-1..0.
+type refILU0 struct {
+	a     *CSR
+	val   []float64
+	diag  []int
+	flops int64
+}
+
+func newRefILU0(a *CSR) (*refILU0, error) {
+	f := &refILU0{a: a, val: append([]float64(nil), a.Val...), diag: make([]int, a.Rows)}
+	colPos := make([]int, a.Rows)
+	for i := range colPos {
+		colPos[i] = -1
+	}
+	for i := 0; i < a.Rows; i++ {
+		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+			colPos[a.ColIdx[k]] = k
+			if a.ColIdx[k] == i {
+				f.diag[i] = k
+			}
+		}
+		for k := a.RowPtr[i]; a.ColIdx[k] < i; k++ {
+			j := a.ColIdx[k]
+			lij := f.val[k] / f.val[f.diag[j]]
+			f.val[k] = lij
+			f.flops++
+			for kk := f.diag[j] + 1; kk < a.RowPtr[j+1]; kk++ {
+				if p := colPos[a.ColIdx[kk]]; p >= 0 {
+					f.val[p] -= lij * f.val[kk]
+					f.flops += 2
+				}
+			}
+		}
+		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+			colPos[a.ColIdx[k]] = -1
+		}
+		if f.val[f.diag[i]] == 0 {
+			return nil, ErrBreakdown
+		}
+	}
+	return f, nil
+}
+
+func (f *refILU0) solve(x, b Vector) {
+	a := f.a
+	for i := 0; i < a.Rows; i++ {
+		s := b[i]
+		for k := a.RowPtr[i]; k < f.diag[i]; k++ {
+			s -= f.val[k] * x[a.ColIdx[k]]
+		}
+		x[i] = s
+	}
+	for i := a.Rows - 1; i >= 0; i-- {
+		s := x[i]
+		for k := f.diag[i] + 1; k < a.RowPtr[i+1]; k++ {
+			s -= f.val[k] * x[a.ColIdx[k]]
+		}
+		x[i] = s / f.val[f.diag[i]]
+	}
+}
+
+// checkILU compares f's Solve with the row-major reference of a, with x
+// apart from b and aliasing it, and SolveWith at every team size.
+func checkILU(t *testing.T, name string, f *ILU0, a *CSR, facOps Ops, b Vector) {
+	t.Helper()
+	ref, err := newRefILU0(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if facOps.Flops != ref.flops {
+		t.Errorf("%s: factorization counted %d flops, reference %d", name, facOps.Flops, ref.flops)
+	}
+	want := NewVector(a.Rows)
+	ref.solve(want, b)
+	got := NewVector(a.Rows)
+	f.Solve(got, b, nil)
+	checkSame(t, 0, name+" Solve", got, want)
+	copy(got, b)
+	f.Solve(got, got, nil)
+	checkSame(t, 0, name+" Solve in place", got, want)
+	for _, size := range teamSizes {
+		tm := NewTeam(size)
+		copy(got, b)
+		f.SolveWith(tm, got, got, nil)
+		tm.Close()
+		checkSame(t, size, name+" SolveWith in place", got, want)
+	}
+}
+
+// TestBitIdentityILUPacked pins the level-ordered factor to the row-major
+// reference after NewILU0 and after each of several Refactors with changed
+// values, on the stencil shapes and on an irregular pattern.
+func TestBitIdentityILUPacked(t *testing.T) {
+	lowerParMins(t)
+	rng := rand.New(rand.NewSource(16))
+	dominant := randomPattern(rng, 200)
+	for r := 0; r < dominant.Rows; r++ {
+		for k := dominant.RowPtr[r]; k < dominant.RowPtr[r+1]; k++ {
+			if dominant.ColIdx[k] == r {
+				dominant.Val[k] += 20 // strictly dominant: no zero pivot
+			}
+		}
+	}
+	for _, c := range []struct {
+		name string
+		a    *CSR
+	}{
+		{"63x31", advDiff2D(63, 31, 1)},
+		{"3x511", advDiff2D(3, 511, 1)},
+		{"511x3", advDiff2D(511, 3, 1)},
+		{"40x40", gridOperator(40)},
+		{"random", dominant},
+		{"1D", laplace1D(50)},
+		{"shifted", NewShiftedOperator(advDiff2D(31, 9, 0)).Update(-0.01, nil)},
+	} {
+		name, a := c.name, c.a
+		b := randVec(rng, a.Rows)
+		var ops Ops
+		f, err := NewILU0(a, &ops)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		checkILU(t, name, f, a, ops, b)
+		for round := 1; round <= 3; round++ {
+			for i := range a.Val {
+				a.Val[i] *= 1 + 0.01*rng.Float64()
+			}
+			ops = Ops{}
+			if err := f.Refactor(a, &ops); err != nil {
+				t.Fatalf("%s refactor %d: %v", name, round, err)
+			}
+			checkILU(t, name+" refactored", f, a, ops, b)
+		}
+	}
+}
+
+// TestILURefactorZeroPivot: a Refactor that breaks down reports it, and the
+// factor object recovers on the next Refactor with sound values.
+func TestILURefactorZeroPivot(t *testing.T) {
+	build := func(d float64) *CSR {
+		b := NewBuilder(3, 3)
+		for i := 0; i < 3; i++ {
+			b.Add(i, i, d)
+			if i > 0 {
+				b.Add(i, i-1, 1)
+				b.Add(i-1, i, 1)
+			}
+		}
+		return b.Build()
+	}
+	good := build(4)
+	f, err := NewILU0(good, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Refactor(build(1), nil); err == nil { // row 1: 1 - 1*1 = 0
+		t.Fatal("expected a zero-pivot error")
+	}
+	if _, err := NewILU0(build(1), nil); err == nil {
+		t.Fatal("expected a zero-pivot error from NewILU0")
+	}
+	var ops Ops
+	if err := f.Refactor(good, &ops); err != nil {
+		t.Fatal(err)
+	}
+	checkILU(t, "after breakdown", f, good, ops, Vector{1, 2, 3})
+}

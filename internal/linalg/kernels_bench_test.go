@@ -1,6 +1,9 @@
 package linalg
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // gridOperator assembles the 5-point upwind/central advection-diffusion
 // stencil of an n x n interior grid — the level-5 sparse-grid operator is
@@ -77,19 +80,54 @@ func BenchmarkShiftedUpdateHeld(b *testing.B) {
 	}
 }
 
+// kernelShapes are the interior dimensions the kernel benchmarks sweep: the
+// level-5 square, a mid-family rectangle, and the two anisotropic ends of a
+// family (long diagonal runs, and 3-wide rows with no runs at all).
+var kernelShapes = [][2]int{{127, 127}, {63, 31}, {511, 3}, {3, 511}}
+
+// benchShapes runs fn as one sub-benchmark per kernel shape on the shifted
+// stencil operator and reports its time per stored entry.
+func benchShapes(b *testing.B, fn func(b *testing.B, a *CSR)) {
+	for _, sh := range kernelShapes {
+		a := advDiff2D(sh[0], sh[1], 1)
+		b.Run(fmt.Sprintf("%dx%d", sh[0], sh[1]), func(b *testing.B) {
+			b.ReportAllocs()
+			fn(b, a)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(a.NNZ()), "ns/nnz")
+		})
+	}
+}
+
 func BenchmarkMulVec(b *testing.B) {
-	a := gridOperator(level5)
-	x := NewVector(a.Cols)
-	y := NewVector(a.Rows)
-	for i := range x {
-		x[i] = float64(i%13) - 6
-	}
-	b.ReportAllocs()
-	b.SetBytes(int64(16 * a.NNZ()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.MulVec(y, x, nil)
-	}
+	benchShapes(b, func(b *testing.B, a *CSR) {
+		x := NewVector(a.Cols)
+		y := NewVector(a.Rows)
+		for i := range x {
+			x[i] = float64(i%13) - 6
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			a.MulVec(y, x, nil)
+		}
+	})
+}
+
+func BenchmarkILUSolve(b *testing.B) {
+	benchShapes(b, func(b *testing.B, a *CSR) {
+		f, err := NewILU0(a, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rhs := NewVector(a.Rows)
+		x := NewVector(a.Rows)
+		for i := range rhs {
+			rhs[i] = float64(i%13) - 6
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			f.Solve(x, rhs, nil)
+		}
+	})
 }
 
 // BenchmarkBuilderBuild measures the one-time assembly with the O(nnz)

@@ -1,0 +1,245 @@
+package linalg
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// refMulVec is the reference SpMV the run kernels must reproduce bit for
+// bit: per row, a fresh +0 accumulator and one indexed multiply-add per
+// stored entry, in storage order.
+func refMulVec(m *CSR, x Vector) Vector {
+	y := NewVector(m.Rows)
+	for r := 0; r < m.Rows; r++ {
+		s := 0.0
+		for k := m.RowPtr[r]; k < m.RowPtr[r+1]; k++ {
+			s += m.Val[k] * x[m.ColIdx[k]]
+		}
+		y[r] = s
+	}
+	return y
+}
+
+// randomPattern builds an n x n matrix with a diagonal and a few entries
+// per row at random columns: no two consecutive rows share their offsets.
+func randomPattern(rng *rand.Rand, n int) *CSR {
+	b := NewBuilder(n, n)
+	for r := 0; r < n; r++ {
+		b.Add(r, r, 4+rng.Float64())
+		for j := 0; j < 1+rng.Intn(5); j++ {
+			b.Add(r, rng.Intn(n), rng.NormFloat64())
+		}
+	}
+	return b.Build()
+}
+
+// banded builds an n x n matrix whose rows hold the 2*half+1 diagonals
+// that fit: half = 3 gives 7-wide interior rows, wider than any unrolled
+// run kernel, between narrower boundary rows.
+func banded(rng *rand.Rand, n, half int) *CSR {
+	b := NewBuilder(n, n)
+	for r := 0; r < n; r++ {
+		for c := r - half; c <= r+half; c++ {
+			if c >= 0 && c < n {
+				b.Add(r, c, rng.NormFloat64())
+			}
+		}
+	}
+	return b.Build()
+}
+
+// withWideRow copies m and widens row r to 9 stored entries, so that a row
+// no run kernel handles sits between two runs.
+func withWideRow(rng *rand.Rand, m *CSR, r int) *CSR {
+	b := NewBuilder(m.Rows, m.Cols)
+	for i := 0; i < m.Rows; i++ {
+		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
+			b.Add(i, m.ColIdx[k], m.Val[k])
+		}
+	}
+	for c, w := 0, m.RowPtr[r+1]-m.RowPtr[r]; w < 9; c += 2 {
+		if m.At(r, c) == 0 {
+			b.Add(r, c, rng.NormFloat64())
+			w++
+		}
+	}
+	return b.Build()
+}
+
+// hollowStencil is the 5-point stencil with no stored diagonal: the
+// Jacobian shape whose ShiftedOperator has to insert every diagonal entry.
+func hollowStencil(rng *rand.Rand, nx, ny int) *CSR {
+	n := nx * ny
+	b := NewBuilder(n, n)
+	for j := 0; j < ny; j++ {
+		for i := 0; i < nx; i++ {
+			row := j*nx + i
+			if i > 0 {
+				b.Add(row, row-1, rng.NormFloat64())
+			}
+			if i < nx-1 {
+				b.Add(row, row+1, rng.NormFloat64())
+			}
+			if j > 0 {
+				b.Add(row, row-nx, rng.NormFloat64())
+			}
+			if j < ny-1 {
+				b.Add(row, row+nx, rng.NormFloat64())
+			}
+		}
+	}
+	return b.Build()
+}
+
+// runCuts returns the row boundaries worth splitting m at: the first,
+// second, middle and last row of every run and the row past it, or a few
+// fixed rows when the matrix has no runs.
+func runCuts(m *CSR) []int {
+	cuts := []int{1, m.Rows / 3, m.Rows / 2, m.Rows - 1}
+	for _, run := range m.runs {
+		cuts = append(cuts, run.r0, run.r0+1, (run.r0+run.r1)/2, run.r1-1, run.r1)
+	}
+	return cuts
+}
+
+// checkSpMV compares every way mulVecRange can be asked for m*x with the
+// reference: whole, split in two at every run cut, the strict interior of
+// every run alone, and through teams of 1-4 workers.
+func checkSpMV(t *testing.T, name string, m *CSR, x Vector) {
+	t.Helper()
+	want := refMulVec(m, x)
+	got := NewVector(m.Rows)
+	poison := func() {
+		for i := range got {
+			got[i] = math.NaN()
+		}
+	}
+	poison()
+	m.MulVec(got, x, nil)
+	checkSame(t, 0, name+" MulVec", got, want)
+	for _, c := range runCuts(m) {
+		poison()
+		m.mulVecRange(got, x, c, m.Rows)
+		m.mulVecRange(got, x, 0, c)
+		checkSame(t, c, name+" split", got, want)
+	}
+	for _, run := range m.runs {
+		poison()
+		m.mulVecRange(got, x, run.r0+1, run.r1-1)
+		checkSame(t, run.r0, name+" run interior", got[run.r0+1:run.r1-1], want[run.r0+1:run.r1-1])
+		if !math.IsNaN(got[run.r0]) || !math.IsNaN(got[run.r1-1]) {
+			t.Fatalf("%s: range [%d,%d) wrote outside itself", name, run.r0+1, run.r1-1)
+		}
+	}
+	for _, size := range teamSizes {
+		tm := NewTeam(size)
+		poison()
+		tm.MulVec(m, got, x, nil)
+		tm.Close()
+		checkSame(t, size, name+" Team.MulVec", got, want)
+	}
+}
+
+// TestBitIdentitySpMVRuns pins the diagonal-run SpMV to the reference
+// triple loop, Float64bits for Float64bits, on every pattern class the
+// analysis distinguishes.
+func TestBitIdentitySpMVRuns(t *testing.T) {
+	lowerParMins(t)
+	rng := rand.New(rand.NewSource(14))
+	cases := []struct {
+		name    string
+		m       *CSR
+		hasRuns bool
+	}{
+		{"3x511", advDiff2D(3, 511, 0.5), false},
+		{"511x3", advDiff2D(511, 3, 0.5), true},
+		{"7x255", advDiff2D(7, 255, 0.5), true},
+		{"63x31", advDiff2D(63, 31, 0.5), true},
+		{"127x127", advDiff2D(127, 127, 0.5), true},
+		{"tridiagonal", laplace1D(40), true},
+		{"random", randomPattern(rng, 300), false},
+		{"7-wide band", banded(rng, 64, 3), false},
+		{"wide row inside a run", withWideRow(rng, advDiff2D(15, 9, 0.5), 67), true},
+	}
+	for _, c := range cases {
+		if got := len(c.m.runs) > 0; got != c.hasRuns {
+			t.Fatalf("%s: has runs = %v, want %v", c.name, got, c.hasRuns)
+		}
+		checkSpMV(t, c.name, c.m, randVec(rng, c.m.Cols))
+		// All products -0: the sum is +0 only if each row still starts from
+		// a +0 accumulator.
+		negZero := NewVector(c.m.Cols)
+		negZero.Fill(math.Copysign(0, -1))
+		abs := *c.m
+		abs.Val = append([]float64(nil), c.m.Val...)
+		for i, v := range abs.Val {
+			abs.Val[i] = math.Abs(v)
+		}
+		checkSpMV(t, c.name+" -0", &abs, negZero)
+	}
+}
+
+// TestBitIdentitySpMVShifted covers the second constructor: the merged
+// pattern of a Jacobian with a structurally missing diagonal is analysed
+// once, and Update's value rewrites keep the run table valid.
+func TestBitIdentitySpMVShifted(t *testing.T) {
+	lowerParMins(t)
+	rng := rand.New(rand.NewSource(15))
+	op := NewShiftedOperator(hollowStencil(rng, 31, 9))
+	if len(op.Matrix().runs) == 0 {
+		t.Fatal("shifted operator has no runs")
+	}
+	x := randVec(rng, op.Matrix().Cols)
+	for _, s := range []float64{0.01, 0.0025, 0.3} {
+		checkSpMV(t, "shifted", op.Update(s, nil), x)
+	}
+}
+
+// TestRunTableCoversPattern checks the analysis itself: runs are sorted,
+// disjoint, long enough, of an unrolled width, and every row inside one has
+// exactly the run's offsets.
+func TestRunTableCoversPattern(t *testing.T) {
+	m := advDiff2D(15, 9, 0.5)
+	if len(m.runs) != 9 {
+		t.Fatalf("15x9 stencil: %d runs, want one per grid line (9)", len(m.runs))
+	}
+	prev := 0
+	for _, run := range m.runs {
+		if run.r0 < prev || run.r1-run.r0 < minRunRows || run.w < minRunWidth || run.w > maxRunWidth {
+			t.Fatalf("bad run %+v after row %d", run, prev)
+		}
+		prev = run.r1
+		for r := run.r0; r < run.r1; r++ {
+			cols := m.ColIdx[m.RowPtr[r]:m.RowPtr[r+1]]
+			if len(cols) != run.w {
+				t.Fatalf("row %d width %d in run %+v", r, len(cols), run)
+			}
+			for j, c := range cols {
+				if c-r != run.off[j] {
+					t.Fatalf("row %d entry %d offset %d, run says %d", r, j, c-r, run.off[j])
+				}
+			}
+		}
+	}
+}
+
+// TestKernelsAllocFree asserts the steady-state kernels allocate nothing.
+func TestKernelsAllocFree(t *testing.T) {
+	a := advDiff2D(31, 31, 1)
+	f, err := NewILU0(a, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, y := NewVector(a.Rows), NewVector(a.Rows)
+	x.Fill(1)
+	for name, fn := range map[string]func(){
+		"MulVec":   func() { a.MulVec(y, x, nil) },
+		"Solve":    func() { f.Solve(y, x, nil) },
+		"Refactor": func() { _ = f.Refactor(a, nil) },
+	} {
+		if n := testing.AllocsPerRun(20, fn); n != 0 {
+			t.Errorf("%s allocates %v per call, want 0", name, n)
+		}
+	}
+}

@@ -83,6 +83,7 @@ func NewShiftedOperator(a *CSR) *ShiftedOperator {
 		}
 		m.RowPtr[r+1] = len(m.ColIdx)
 	}
+	m.runs = findRuns(m)
 	o.m = m
 	return o
 }

@@ -268,13 +268,19 @@ func (d *Disc) InitialInterior() linalg.Vector {
 // FieldFromInterior embeds an interior vector into a full grid field,
 // evaluating the boundary condition at time t on the edge points.
 func (d *Disc) FieldFromInterior(u linalg.Vector, t float64) *grid.Field {
-	g := d.G
+	return FieldFromInterior(d.G, d.P, u, t)
+}
+
+// FieldFromInterior embeds u, the interior unknowns of p on g in Disc's
+// ordering, into a full grid field, evaluating p's boundary condition at
+// time t on the edge points. It needs no assembled Disc.
+func FieldFromInterior(g grid.Grid, p *Problem, u linalg.Vector, t float64) *grid.Field {
 	f := grid.NewField(g)
 	nx, ny := g.NX(), g.NY()
 	for iy := 0; iy <= ny; iy++ {
 		for ix := 0; ix <= nx; ix++ {
 			if ix == 0 || ix == nx || iy == 0 || iy == ny {
-				f.Set(ix, iy, d.P.boundary(g.X(ix), g.Y(iy), t))
+				f.Set(ix, iy, p.boundary(g.X(ix), g.Y(iy), t))
 			} else {
 				f.Set(ix, iy, u[(iy-1)*(nx-1)+(ix-1)])
 			}

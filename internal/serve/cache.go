@@ -29,15 +29,20 @@ type cacheEntry struct {
 	elem   *list.Element // LRU position while parked; nil while checked out
 }
 
-// entryBytes estimates the memory a parked entry pins: three CSR-sized
-// structures (Jacobian, shifted copy, ILU factors) at 16 bytes per stored
-// entry, plus the order-of-60 n-vectors across the Rosenbrock stages and
-// the Krylov workspace. The estimate only has to be monotone in problem
-// size — it feeds the eviction bound, not an allocator.
+// entryBytes estimates the memory a parked entry pins. Per stored entry,
+// 52 bytes: the Jacobian (8 B value, 8 B column), the shifted operator (the
+// same plus an 8 B source index) and the ILU(0) factor (8 B value, 4 B
+// column). Per unknown, 80 bytes of structure — row pointers and diagonal
+// indices of the two matrices (24 B), the factor's six 4-byte schedule
+// arrays (24 B), and the two diagonal-run tables at their worst case of
+// one 64 B run per 4 rows (32 B) — plus the order-of-60 n-vectors across
+// the Rosenbrock stages and the Krylov workspace. The estimate only has to
+// be monotone in problem size — it feeds the eviction bound, not an
+// allocator.
 func entryBytes(d *pde.Disc) int64 {
 	n := int64(d.N())
 	nnz := int64(d.Jacobian().NNZ())
-	return 3*16*nnz + 60*8*n
+	return 52*nnz + (80+60*8)*n
 }
 
 // solverCache is the bounded LRU of warm (Disc, Workspace) pairs, keyed

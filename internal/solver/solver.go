@@ -339,8 +339,7 @@ func combine(p Params, results []Result, tm *linalg.Team) (*Output, error) {
 		if r.Grid != fam[i] {
 			return nil, fmt.Errorf("solver: result %d is for %v, want %v", i, r.Grid, fam[i])
 		}
-		d := pde.NewDisc(r.Grid, p.Problem)
-		fields = append(fields, d.FieldFromInterior(r.U, p.TEnd))
+		fields = append(fields, pde.FieldFromInterior(r.Grid, p.Problem, r.U, p.TEnd))
 		out.TotalFlops += r.Stats.Ops.Flops
 	}
 	out.Combined = grid.CombineWith(tm, fields, p.Level, p.EvalGrid())

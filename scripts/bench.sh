@@ -23,9 +23,9 @@ if [ "${1:-}" = "--json" ]; then
 fi
 
 run_benches() {
-    echo "## linalg kernels (assembly vs in-place update, SpMV, team dispatch)"
+    echo "## linalg kernels (assembly vs in-place update, SpMV and ILU solve per shape, team dispatch)"
     go test -run XXX \
-        -bench 'BenchmarkShifted|BenchmarkMulVec|BenchmarkBuilderBuild|BenchmarkTeamDispatch' \
+        -bench 'BenchmarkShifted|BenchmarkMulVec|BenchmarkILUSolve|BenchmarkBuilderBuild|BenchmarkTeamDispatch' \
         -benchmem "$@" ./internal/linalg/
 
     echo
