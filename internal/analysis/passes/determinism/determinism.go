@@ -276,9 +276,12 @@ func isFloat(t types.Type) bool {
 // checkRangeAccumulator flags float accumulation across a worker's whole
 // [lo, hi) range. A kernel is recognized by its trailing two int
 // parameters; an accumulator is a float variable declared directly in the
-// function body that receives += / -= (or s = s + x) inside a loop whose
-// header references both range parameters. Chunk-local accumulators — the
-// redChunk discipline — live inside the loop and are untouched.
+// function body that receives += / -= (or s = s + x) inside a loop over the
+// range: a for whose header references both range parameters, or a range
+// over a slice cut to them (x := v[lo:hi]; for i := range x — the
+// bounds-check-free spelling of the phase interpreter's steps).
+// Chunk-local accumulators — the redChunk discipline — live inside the
+// loop and are untouched.
 func checkRangeAccumulator(pass *analysis.Pass, fn *ast.FuncDecl) {
 	lo, hi := rangeParams(pass.TypesInfo, fn)
 	if lo == nil {
@@ -288,12 +291,24 @@ func checkRangeAccumulator(pass *analysis.Pass, fn *ast.FuncDecl) {
 	if len(acc) == 0 {
 		return
 	}
+	views := rangeViews(pass.TypesInfo, fn.Body, lo, hi)
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		loop, ok := n.(*ast.ForStmt)
-		if !ok || !loopUsesBoth(pass.TypesInfo, loop, lo, hi) {
+		var body *ast.BlockStmt
+		switch loop := n.(type) {
+		case *ast.ForStmt:
+			if loopUsesBoth(pass.TypesInfo, loop, lo, hi) {
+				body = loop.Body
+			}
+		case *ast.RangeStmt:
+			id, _ := ast.Unparen(loop.X).(*ast.Ident)
+			if slicesRange(pass.TypesInfo, loop.X, lo, hi) || (id != nil && views[pass.TypesInfo.Uses[id]]) {
+				body = loop.Body
+			}
+		}
+		if body == nil {
 			return true
 		}
-		ast.Inspect(loop.Body, func(m ast.Node) bool {
+		ast.Inspect(body, func(m ast.Node) bool {
 			as, ok := m.(*ast.AssignStmt)
 			if !ok {
 				return true
@@ -311,6 +326,56 @@ func checkRangeAccumulator(pass *analysis.Pass, fn *ast.FuncDecl) {
 		})
 		return true
 	})
+}
+
+// rangeViews collects the variables assigned a slice of the worker range,
+// x := v[lo:hi] or re-sliced forms of it such as v[lo:hi][:n].
+func rangeViews(info *types.Info, body *ast.BlockStmt, lo, hi *types.Var) map[types.Object]bool {
+	views := make(map[types.Object]bool)
+	ast.Inspect(body, func(n ast.Node) bool {
+		as, ok := n.(*ast.AssignStmt)
+		if !ok || len(as.Lhs) != len(as.Rhs) {
+			return true
+		}
+		for i, rhs := range as.Rhs {
+			id, ok := as.Lhs[i].(*ast.Ident)
+			if !ok || !slicesRange(info, rhs, lo, hi) {
+				continue
+			}
+			if obj := info.ObjectOf(id); obj != nil {
+				views[obj] = true
+			}
+		}
+		return true
+	})
+	return views
+}
+
+// slicesRange reports whether e contains a slice expression cut from lo to
+// hi.
+func slicesRange(info *types.Info, e ast.Expr, lo, hi *types.Var) bool {
+	found := false
+	ast.Inspect(e, func(n ast.Node) bool {
+		if sl, ok := n.(*ast.SliceExpr); ok && mentions(info, sl.Low, lo) && mentions(info, sl.High, hi) {
+			found = true
+		}
+		return !found
+	})
+	return found
+}
+
+// mentions reports whether node e (nil allowed) references v.
+func mentions(info *types.Info, e ast.Node, v *types.Var) bool {
+	found := false
+	if e != nil {
+		ast.Inspect(e, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && info.Uses[id] == v {
+				found = true
+			}
+			return !found
+		})
+	}
+	return found
 }
 
 // rangeParams returns the function's trailing two int parameters, or nils.
@@ -373,26 +438,8 @@ func bodyLevelFloats(info *types.Info, body *ast.BlockStmt) map[types.Object]boo
 // loopUsesBoth reports whether the loop header (init and condition)
 // references both range parameters.
 func loopUsesBoth(info *types.Info, loop *ast.ForStmt, lo, hi *types.Var) bool {
-	usesLo, usesHi := false, false
-	check := func(n ast.Node) {
-		if n == nil {
-			return
-		}
-		ast.Inspect(n, func(m ast.Node) bool {
-			if id, ok := m.(*ast.Ident); ok {
-				switch info.Uses[id] {
-				case lo:
-					usesLo = true
-				case hi:
-					usesHi = true
-				}
-			}
-			return true
-		})
-	}
-	check(loop.Init)
-	check(loop.Cond)
-	return usesLo && usesHi
+	uses := func(v *types.Var) bool { return mentions(info, loop.Init, v) || mentions(info, loop.Cond, v) }
+	return uses(lo) && uses(hi)
 }
 
 // accumulates reports whether the assignment grows the identified float:

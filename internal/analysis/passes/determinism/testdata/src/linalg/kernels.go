@@ -100,3 +100,45 @@ func goodFusedDotStep(st *phaseStep, c0, c1 int) {
 		st.partial[c] = p
 	}
 }
+
+// badSlicedDotStep is the same whole-range fold in the interpreter's
+// bounds-check-free spelling: the operands are cut to [lo, hi) once and the
+// loop ranges over the cut. Hiding the range in a slice header does not
+// make the sum independent of where the team cut it.
+func badSlicedDotStep(st *phaseStep, lo, hi int) float64 {
+	x := st.x[lo:hi]
+	y := st.y[lo:hi][:len(x)]
+	s := 0.0
+	for i, xv := range x {
+		s += xv * y[i] // want `float accumulation across the whole \[lo, hi\) worker range`
+	}
+	return s
+}
+
+// goodSlicedAXPYStep is an elementwise step in that spelling: every
+// element is computed on its own, whatever range it arrives in.
+func goodSlicedAXPYStep(st *phaseStep, a float64, lo, hi int) {
+	y := st.y[lo:hi]
+	x := st.x[lo:hi][:len(y)]
+	for i := range y {
+		y[i] += a * x[i]
+	}
+}
+
+// goodSlicedDotStep folds chunk by chunk inside [lo, hi): the accumulator
+// is chunk-local, so the partials do not depend on the cut.
+func goodSlicedDotStep(st *phaseStep, lo, hi int) {
+	for ; lo < hi; lo += 1024 {
+		end := lo + 1024
+		if end > hi {
+			end = hi
+		}
+		x := st.x[lo:end]
+		y := st.y[lo:end][:len(x)]
+		p := 0.0
+		for i, xv := range x {
+			p += xv * y[i]
+		}
+		st.partial[lo/1024] = p
+	}
+}

@@ -76,9 +76,9 @@ func DefaultScalingOptions(tol float64) ScalingOptions {
 // StrongScaling measures the finest-grid subsolve at each team size. The
 // computed solutions are bit-for-bit identical across rows (the team
 // kernels are deterministic); only the wall clock moves. The host is
-// calibrated first, so the serial/parallel cut-overs reflect measured
-// dispatch cost rather than the hand-set defaults; each row also reports
-// the fused-phase dispatch traffic of its fastest run.
+// calibrated first, so the serial/parallel cut-over reflects measured
+// dispatch cost rather than the hand-set default; each row also reports
+// the phase dispatch traffic of its fastest run.
 func StrongScaling(o ScalingOptions) ([]ScalingRow, error) {
 	linalg.Calibrate()
 	if len(o.Cores) == 0 {
@@ -123,15 +123,16 @@ func StrongScaling(o ScalingOptions) ([]ScalingRow, error) {
 
 // WriteScaling renders the rows in the layout of the paper's Table 1
 // (problem column, measured seconds, derived speedup), followed by the
-// fused-phase dispatch traffic and the host calibration the run used.
+// phase dispatch traffic and the host calibration (one cut-over) the run
+// used.
 func WriteScaling(w io.Writer, o ScalingOptions, rows []ScalingRow) error {
 	cal := linalg.Calibrate()
 	if _, err := fmt.Fprintf(w, "strong scaling: subsolve %v, tol %.1e, %s (host: GOMAXPROCS=%d, NumCPU=%d)\n",
 		o.Grid, o.Tol, o.Lin, runtime.GOMAXPROCS(0), runtime.NumCPU()); err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(w, "calibration: dispatch %.1f us, elem %.2f ns, effective procs %d, sequentialized %v\n",
-		cal.DispatchUs, cal.ElemNs, cal.EffectiveProcs, cal.Sequentialized); err != nil {
+	if _, err := fmt.Fprintf(w, "calibration: dispatch %.1f us, elem %.2f ns, effective procs %d, sequentialized %v, cut-over %d\n",
+		cal.DispatchUs, cal.ElemNs, cal.EffectiveProcs, cal.Sequentialized, cal.ParMinPhase); err != nil {
 		return err
 	}
 	if _, err := fmt.Fprintf(w, "%8s | %12s | %8s | %10s | %12s | %10s\n",

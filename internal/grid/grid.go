@@ -197,10 +197,14 @@ func Combine(fields []*Field, level int, target Grid) *Field {
 func CombineWith(t *linalg.Team, fields []*Field, level int, target Grid) *Field {
 	out := NewField(target)
 	scratch := NewField(target)
+	var c float64
+	var acc linalg.Phase // out += c*scratch
+	acc.Reset(len(out.V))
+	acc.AXPY(out.V, &c, scratch.V)
 	for _, f := range fields {
-		c := CombineCoefficient(f.G, level)
+		c = CombineCoefficient(f.G, level)
 		f.ProlongateInto(scratch, t)
-		t.AXPY(out.V, c, scratch.V, nil)
+		t.RunPhase(&acc)
 	}
 	return out
 }

@@ -6,42 +6,35 @@ import (
 	"time"
 )
 
-// Hand-set defaults of the parallel cut-over knobs. Calibrate treats a
-// knob still holding its default as "not explicitly configured" and
-// replaces it with a measured break-even; a knob the caller has changed is
-// left alone.
-const (
-	defParMinVec       = 8192
-	defParMinRed       = 8192
-	defParMinRows      = 2048
-	defParMinLevelRows = 256
-	defParMinPhase     = 4096
-)
+// defParMinPhase is the hand-set default of the cut-over. Calibrate treats
+// a cut-over still holding it as "not explicitly configured" and replaces
+// it with a measured break-even; one the caller has changed is left alone.
+const defParMinPhase = 4096
 
 // knobCeiling is the "never parallelize" setting Calibrate installs on
 // hosts that cannot run team members concurrently.
 const knobCeiling = 1 << 30
 
-// Calibration reports what Calibrate measured and which cut-overs are in
-// effect afterwards.
+// Calibration reports what Calibrate measured and the cut-over in effect
+// afterwards.
 type Calibration struct {
 	// EffectiveProcs is min(GOMAXPROCS, NumCPU): the parallelism the
 	// host actually delivers to a team.
 	EffectiveProcs int
 	// DispatchUs is the measured cost of one team wake/park round-trip
-	// in microseconds (work subtracted).
+	// in microseconds (an empty body through Team.Run).
 	DispatchUs float64
 	// ElemNs is the measured serial per-element cost of an axpy-class
 	// elementwise kernel in nanoseconds.
 	ElemNs float64
 	// Sequentialized reports that the host cannot run team members in
-	// parallel, so every cut-over was pushed out of reach and the
-	// kernels run serially regardless of team size — the
+	// parallel, so the cut-over was pushed out of reach and the kernels
+	// run on the caller regardless of team size — the
 	// "sequentialize overparallelized code" outcome: coordination that
 	// cannot pay for itself is removed, not merely cheapened.
 	Sequentialized bool
-	// The cut-over values in effect after calibration.
-	ParMinVec, ParMinRed, ParMinRows, ParMinLevelRows, ParMinPhase int
+	// ParMinPhase is the cut-over in effect after calibration.
+	ParMinPhase int
 }
 
 var (
@@ -50,10 +43,9 @@ var (
 )
 
 // Calibrate measures the host's team dispatch cost and serial kernel
-// throughput once per process and derives the ParMin* cut-overs from them,
-// replacing the hand-set defaults. Knobs already changed from their
-// defaults are respected, and callers may still override any knob after
-// calibration — the vars stay plain exported tuning knobs.
+// throughput once per process and derives ParMinPhase from them, replacing
+// the hand-set default. A cut-over already changed from its default is
+// respected, and callers may still override it after calibration.
 //
 // Calibrate takes wall-clock timestamps, so it must only run from setup
 // paths (main functions, benchmark harnesses) — never from solver code,
@@ -100,8 +92,7 @@ func calibrate() Calibration {
 		cal.ElemNs = 0.5 // timer too coarse; assume a modern core
 	}
 
-	// Wake/park round-trip cost: dispatch a one-chunk axpy through a
-	// real team (bypassing the cut-over knobs) and subtract the compute.
+	// Wake/park round-trip cost: an empty body through a real team.
 	ts := procs
 	if ts < 2 {
 		ts = 2
@@ -110,77 +101,44 @@ func calibrate() Calibration {
 		ts = 8
 	}
 	tm := NewTeam(ts)
-	tm.y, tm.x, tm.alpha = y[:redChunk], x[:redChunk], 1e-12
-	tm.op = opAXPY
-	tm.splitEven(redChunk)
-	tm.kick() // spin up the workers before timing
+	nop := func(lo, hi int) {}
+	tm.Run(ts, nop) // spin up the workers before timing
 	bestD := time.Duration(1) << 62
 	for trial := 0; trial < 7; trial++ {
 		t0 := time.Now()
 		for r := 0; r < reps; r++ {
-			tm.kick()
+			tm.Run(ts, nop)
 		}
 		if d := time.Since(t0); d < bestD {
 			bestD = d
 		}
 	}
 	tm.Close()
-	dispatchNs := float64(bestD.Nanoseconds())/reps - cal.ElemNs*redChunk/float64(ts)
-	if dispatchNs < 0 {
-		dispatchNs = 0
-	}
+	dispatchNs := float64(bestD.Nanoseconds()) / reps
 	cal.DispatchUs = dispatchNs / 1e3
 
-	if procs < 2 {
-		// One effective processor: a team can never run its members in
-		// parallel, so every dispatch is pure overhead. Push all
-		// cut-overs out of reach.
-		cal.Sequentialized = true
-		setKnob(&ParMinVec, defParMinVec, knobCeiling)
-		setKnob(&ParMinRed, defParMinRed, knobCeiling)
-		setKnob(&ParMinRows, defParMinRows, knobCeiling)
-		setKnob(&ParMinLevelRows, defParMinLevelRows, knobCeiling)
-		setKnob(&ParMinPhase, defParMinPhase, knobCeiling)
-	} else {
-		// Break-even length n*: one dispatch pays for itself when the
-		// work it offloads, n*elem*(p-1)/p, covers its cost.
+	// One effective processor: a team can never run its members in
+	// parallel, so every dispatch is pure overhead and the cut-over goes out
+	// of reach. Otherwise the break-even length n* of a single op is where
+	// the work a dispatch offloads, n*elem*(p-1)/p, covers its cost; a phase
+	// amortizes several ops (and several saved dispatches) over one
+	// wake/park, and an SpMV or triangular-solve row carries several
+	// elements' worth of work, so they break even at a quarter of it.
+	cal.Sequentialized = procs < 2
+	cut := knobCeiling
+	if !cal.Sequentialized {
 		saved := cal.ElemNs * float64(procs-1) / float64(procs)
-		nStar := int(dispatchNs / saved)
-		nStar = clampKnob(nStar, redChunk, 1<<22)
-		setKnob(&ParMinVec, defParMinVec, nStar)
-		setKnob(&ParMinRed, defParMinRed, nStar)
-		// SpMV rows carry ~2*nnz/row flops plus irregular access; the
-		// triangular levels ~nnz/row. Scale the break-even down
-		// accordingly (5-point stencil: ~5 nnz/row).
-		setKnob(&ParMinRows, defParMinRows, clampKnob(nStar/8, 64, 1<<22))
-		setKnob(&ParMinLevelRows, defParMinLevelRows, clampKnob(nStar/4, 64, 1<<22))
-		// A fused phase amortizes several ops (and several saved
-		// dispatches) over one wake/park, so it breaks even earlier
-		// than a single op.
-		setKnob(&ParMinPhase, defParMinPhase, clampKnob(nStar/4, redChunk, 1<<22))
+		cut = int(dispatchNs/saved) / 4
+		if cut < redChunk {
+			cut = redChunk
+		}
+		if cut > 1<<20 {
+			cut = 1 << 20
+		}
 	}
-	cal.ParMinVec = ParMinVec
-	cal.ParMinRed = ParMinRed
-	cal.ParMinRows = ParMinRows
-	cal.ParMinLevelRows = ParMinLevelRows
+	if ParMinPhase == defParMinPhase { // an explicitly set cut-over is respected
+		ParMinPhase = cut
+	}
 	cal.ParMinPhase = ParMinPhase
 	return cal
-}
-
-// setKnob installs val into a cut-over knob unless the caller already
-// changed it from its default.
-func setKnob(knob *int, def, val int) {
-	if *knob == def {
-		*knob = val
-	}
-}
-
-func clampKnob(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }

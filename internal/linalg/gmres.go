@@ -53,18 +53,17 @@ func (ws *Workspace) GMRES(a *CSR, x, b Vector, tol float64, restart, maxIter in
 	ops.Add(int64(n))
 
 	tm := ws.team
-	bNorm := tm.Norm2(b, ops)
+	tmp := &ws.phTmp
+	tmp.Reset(n)
+	tmp.Dot(0, b, b)
+	tm.RunPhase(tmp)
+	ops.Add(tmp.Flops())
+	bNorm := math.Sqrt(tmp.Fold(0))
 	if bNorm == 0 {
 		x.Fill(0)
 		return SolveStats{}, nil
 	}
-	// Fused Arnoldi: one dispatch per column covers the preconditioner
-	// application, the SpMV and the whole Gram-Schmidt sweep, instead of
-	// 3 + 2(k+1) op dispatches.
-	fused := ws.fusedOK(n)
-	if fused {
-		ws.buildArnoldiPhase(a)
-	}
+	ws.buildGMRESPhases(a, x, b)
 
 	// Krylov basis and Hessenberg in column-major slices.
 	v := ws.basis
@@ -78,13 +77,13 @@ func (ws *Workspace) GMRES(a *CSR, x, b Vector, tol float64, restart, maxIter in
 	total := 0
 	for total < maxIter {
 		// r0 = b - A x.
-		tm.MulVec(a, w, x, ops)
-		tm.Sub(v[0], b, w, ops)
-		beta := tm.Norm2(v[0], ops)
+		tm.RunPhase(&ws.phR0)
+		ops.Add(ws.phR0.Flops())
+		beta := math.Sqrt(ws.phR0.Fold(0))
 		if beta/bNorm <= tol {
 			return SolveStats{Iterations: total, Residual: beta / bNorm}, nil
 		}
-		tm.ScaleTo(v[0], 1/beta, v[0], ops)
+		ws.scaleInto(v[0], 1/beta, v[0], ops)
 		for i := range g {
 			g[i] = 0
 		}
@@ -93,28 +92,17 @@ func (ws *Workspace) GMRES(a *CSR, x, b Vector, tol float64, restart, maxIter in
 		k := 0
 		for ; k < m && total < maxIter; k++ {
 			total++
-			if fused {
-				ws.karn = k
-				tm.RunPhase(&ws.phArn)
-				// Static steps (MulElemAt + SpMV), the per-column
-				// Gram-Schmidt dots and AXPYs, and the final norm —
-				// exactly the unfused charges.
-				ops.Add(ws.phArn.Flops())
-				ops.Add(int64(k+1)*4*int64(n) + 2*int64(n))
-				h[k+1][k] = math.Sqrt(ws.phArn.Fold((k + 1) & 1))
-			} else {
-				// w = A M^-1 v_k (right preconditioning).
-				tm.MulElem(z, invD, v[k], ops)
-				tm.MulVec(a, w, z, ops)
-				// Modified Gram-Schmidt.
-				for i := 0; i <= k; i++ {
-					h[i][k] = tm.Dot(w, v[i], ops)
-					tm.AXPY(w, -h[i][k], v[i], ops)
-				}
-				h[k+1][k] = tm.Norm2(w, ops)
-			}
+			// One dispatch per column covers w = A M^-1 v_k (right
+			// preconditioning), the whole modified Gram-Schmidt sweep and
+			// the partials of the new column's norm. The sweep's charge is
+			// per column: k+1 dots and AXPYs plus the final norm.
+			ws.karn = k
+			tm.RunPhase(&ws.phArn)
+			ops.Add(ws.phArn.Flops())
+			ops.Add(int64(k+1)*4*int64(n) + 2*int64(n))
+			h[k+1][k] = math.Sqrt(ws.phArn.Fold((k + 1) & 1))
 			if h[k+1][k] > 1e-300 {
-				tm.ScaleTo(v[k+1], 1/h[k+1][k], w, ops)
+				ws.scaleInto(v[k+1], 1/h[k+1][k], w, ops)
 			} else {
 				v[k+1].Fill(0) // happy breakdown: exact solution in span
 			}
@@ -154,17 +142,21 @@ func (ws *Workspace) GMRES(a *CSR, x, b Vector, tol float64, restart, maxIter in
 			}
 			y[i] = s / h[i][i]
 		}
-		// x += M^-1 (V y).
+		// x += M^-1 (V y), then the true residual w = b - A x and its norm,
+		// in one dispatch: the plan is as long as the cycle ran.
 		z.Fill(0)
-		for j := 0; j < k; j++ {
-			tm.AXPY(z, y[j], v[j], ops)
+		tmp.Reset(n)
+		for j := range y {
+			tmp.AXPY(z, &y[j], v[j])
 		}
-		tm.MulElemAdd(x, invD, z, ops)
-
-		tm.MulVec(a, w, x, ops)
-		tm.Sub(w, b, w, ops)
-		res := tm.Norm2(w, ops) / bNorm
-		if res <= tol {
+		tmp.MulElemAdd(x, invD, z)
+		tmp.Barrier() // SpMV reads all of x
+		tmp.MulVec(a, w, x)
+		tmp.Sub(w, b, w)
+		tmp.Dot(0, w, w)
+		tm.RunPhase(tmp)
+		ops.Add(tmp.Flops())
+		if res := math.Sqrt(tmp.Fold(0)) / bNorm; res <= tol {
 			return SolveStats{Iterations: total, Residual: res}, nil
 		}
 	}

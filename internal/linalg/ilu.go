@@ -45,12 +45,6 @@ type ILU0 struct {
 	maxWidth       int // widest level across both sweeps
 }
 
-// ParMinLevelRows is the smallest level width worth a parallel dispatch in
-// the level-scheduled triangular solve: narrower levels run inline on the
-// caller (the per-level barrier otherwise dominates). Exported tuning knob;
-// results are bit-for-bit identical either way.
-var ParMinLevelRows = defParMinLevelRows
-
 // NewILU0 computes the ILU(0) factorization of a square CSR matrix. It
 // fails if a zero pivot appears (the factorization exists for M-matrices
 // and diagonally dominant operators; arbitrary matrices may break down).
@@ -290,12 +284,13 @@ func (f *ILU0) Solve(x, b Vector, ops *Ops) {
 // SolveWith is Solve with each dependency level's rows split across a Team.
 // Rows are solved with the serial per-row arithmetic and the level barriers
 // enforce the same dependency order, so the result is bit-for-bit Solve's
-// at any team size. Levels narrower than ParMinLevelRows run inline; a nil
-// or single team falls back to Solve outright.
+// at any team size. Levels narrower than ParMinPhase run inline (the
+// per-level barrier otherwise dominates); a nil or single team falls back
+// to Solve outright.
 //
 //vetsparse:allocfree
 func (f *ILU0) SolveWith(t *Team, x, b Vector, ops *Ops) {
-	if t.seq() || f.maxWidth < ParMinLevelRows {
+	if t.seq() || f.maxWidth < ParMinPhase {
 		f.Solve(x, b, ops)
 		return
 	}
@@ -306,7 +301,7 @@ func (f *ILU0) SolveWith(t *Team, x, b Vector, ops *Ops) {
 	t.x, t.y = x, b
 	for l := 0; l+1 < len(f.fwdPtr); l++ {
 		lo, hi := f.fwdPtr[l], f.fwdPtr[l+1]
-		if hi-lo < ParMinLevelRows {
+		if hi-lo < ParMinPhase {
 			f.forwardRows(x, b, lo, hi)
 			continue
 		}
@@ -316,7 +311,7 @@ func (f *ILU0) SolveWith(t *Team, x, b Vector, ops *Ops) {
 	}
 	for l := 0; l+1 < len(f.bwdPtr); l++ {
 		lo, hi := f.bwdPtr[l], f.bwdPtr[l+1]
-		if hi-lo < ParMinLevelRows {
+		if hi-lo < ParMinPhase {
 			f.backwardRows(x, lo, hi)
 			continue
 		}
@@ -389,157 +384,7 @@ func BiCGStabILU(a *CSR, x, b Vector, tol float64, maxIter int, ops *Ops) (Solve
 func (ws *Workspace) BiCGStabILU(a *CSR, x, b Vector, tol float64, maxIter int, key float64, ops *Ops) (SolveStats, error) {
 	f, err := ws.ILUFor(a, key, ops)
 	if err != nil {
-		return ws.BiCGStab(a, x, b, tol, maxIter, ops)
+		f = nil
 	}
-	n := a.Rows
-	if maxIter <= 0 {
-		maxIter = 4 * n
-		if maxIter < 100 {
-			maxIter = 100
-		}
-	}
-	ws.ensureBiCGStab(n)
-	tm := ws.team
-	r := ws.r
-	tm.MulVec(a, r, x, ops)
-	tm.Sub(r, b, r, ops)
-	bNorm := tm.Norm2(b, ops)
-	if bNorm == 0 {
-		x.Fill(0)
-		return SolveStats{}, nil
-	}
-	if rn := tm.Norm2(r, ops); rn/bNorm <= tol {
-		return SolveStats{Residual: rn / bNorm}, nil
-	}
-	rTilde := ws.rTilde
-	tm.Copy(rTilde, r)
-	if ws.fusedOK(n) {
-		return ws.bicgstabFusedILU(a, f, x, bNorm, tol, maxIter, ops)
-	}
-	p := ws.p
-	v := ws.v
-	s := ws.s
-	t := ws.t
-	pHat := ws.pHat
-	sHat := ws.sHat
-	rho, alpha, omega := 1.0, 1.0, 1.0
-	for it := 1; it <= maxIter; it++ {
-		rhoNew := tm.Dot(rTilde, r, ops)
-		if abs(rhoNew) < 1e-300 {
-			return SolveStats{Iterations: it}, ErrBreakdown
-		}
-		if it == 1 {
-			tm.Copy(p, r)
-		} else {
-			beta := (rhoNew / rho) * (alpha / omega)
-			tm.UpdateP(p, r, v, beta, omega, ops)
-		}
-		rho = rhoNew
-		f.SolveWith(tm, pHat, p, ops)
-		tm.MulVec(a, v, pHat, ops)
-		den := tm.Dot(rTilde, v, ops)
-		if abs(den) < 1e-300 {
-			return SolveStats{Iterations: it}, ErrBreakdown
-		}
-		alpha = rho / den
-		tm.AXPYTo(s, r, -alpha, v, ops)
-		if sn := tm.Norm2(s, ops); sn/bNorm <= tol {
-			tm.AXPY(x, alpha, pHat, ops)
-			return SolveStats{Iterations: it, Residual: sn / bNorm}, nil
-		}
-		f.SolveWith(tm, sHat, s, ops)
-		tm.MulVec(a, t, sHat, ops)
-		tt := tm.Dot(t, t, ops)
-		if tt == 0 {
-			return SolveStats{Iterations: it}, ErrBreakdown
-		}
-		omega = tm.Dot(t, s, ops) / tt
-		tm.AXPY2(x, alpha, pHat, omega, sHat, ops)
-		tm.AXPYTo(r, s, -omega, t, ops)
-		if rn := tm.Norm2(r, ops); rn/bNorm <= tol {
-			return SolveStats{Iterations: it, Residual: rn / bNorm}, nil
-		}
-		if abs(omega) < 1e-300 {
-			return SolveStats{Iterations: it}, ErrBreakdown
-		}
-	}
-	return SolveStats{Iterations: maxIter}, ErrNoConvergence
-}
-
-// bicgstabFusedILU is the fused-phase iteration body of the ILU BiCGStab.
-// The level-scheduled triangular solves keep their own dispatch pattern
-// (their dependency barriers cannot fuse with elementwise ranges), so an
-// iteration runs the p-update, two preconditioner solves, and four fused
-// phases — the matvec+dot tails and the s/x/r update phases shared with
-// the Jacobi variant. Flop accounting matches the unfused loop on every
-// control path, so stats and Ops are bit-for-bit identical.
-//
-//vetsparse:allocfree
-func (ws *Workspace) bicgstabFusedILU(a *CSR, f *ILU0, x Vector, bNorm, tol float64, maxIter int, ops *Ops) (SolveStats, error) {
-	ws.buildBiCGStabPhases(a, x, true)
-	tm := ws.team
-	sc := &ws.sc
-	nn := int64(a.Rows)
-	rho, alpha, omega := 1.0, 1.0, 1.0
-	for it := 1; it <= maxIter; it++ {
-		var rhoNew float64
-		if it == 1 {
-			rhoNew = tm.Dot(ws.rTilde, ws.r, ops)
-		} else {
-			rhoNew = ws.phX.Fold(1)
-			ops.Add(2 * nn)
-		}
-		if abs(rhoNew) < 1e-300 {
-			return SolveStats{Iterations: it}, ErrBreakdown
-		}
-		if it == 1 {
-			tm.Copy(ws.p, ws.r)
-		} else {
-			beta := (rhoNew / rho) * (alpha / omega)
-			tm.UpdateP(ws.p, ws.r, ws.v, beta, omega, ops)
-		}
-		rho = rhoNew
-		f.SolveWith(tm, ws.pHat, ws.p, ops)
-		tm.RunPhase(&ws.phAv)
-		ops.Add(ws.phAv.Flops())
-		den := ws.phAv.Fold(0)
-		if abs(den) < 1e-300 {
-			return SolveStats{Iterations: it}, ErrBreakdown
-		}
-		alpha = rho / den
-		sc[scNegAlpha] = -alpha
-		tm.RunPhase(&ws.phS)
-		ops.Add(ws.phS.Flops())
-		if sn := math.Sqrt(ws.phS.Fold(0)); sn/bNorm <= tol {
-			tm.AXPY(x, alpha, ws.pHat, ops)
-			return SolveStats{Iterations: it, Residual: sn / bNorm}, nil
-		}
-		f.SolveWith(tm, ws.sHat, ws.s, ops)
-		tm.RunPhase(&ws.phAt)
-		ops.Add(ws.phAt.Flops())
-		tt := ws.phAt.Fold(0)
-		if tt == 0 {
-			return SolveStats{Iterations: it}, ErrBreakdown
-		}
-		omega = ws.phAt.Fold(1) / tt
-		sc[scAlpha], sc[scOmega], sc[scNegOmega] = alpha, omega, -omega
-		tm.RunPhase(&ws.phX)
-		// The rho dot the phase computed ahead is charged at the next
-		// loop top, as the unfused loop does.
-		ops.Add(ws.phX.Flops() - 2*nn)
-		if rn := math.Sqrt(ws.phX.Fold(0)); rn/bNorm <= tol {
-			return SolveStats{Iterations: it, Residual: rn / bNorm}, nil
-		}
-		if abs(omega) < 1e-300 {
-			return SolveStats{Iterations: it}, ErrBreakdown
-		}
-	}
-	return SolveStats{Iterations: maxIter}, ErrNoConvergence
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
+	return ws.bicgstab(a, f, x, b, tol, maxIter, ops)
 }

@@ -288,7 +288,7 @@ func checkILU(t *testing.T, name string, f *ILU0, a *CSR, facOps Ops, b Vector) 
 // reference after NewILU0 and after each of several Refactors with changed
 // values, on the stencil shapes and on an irregular pattern.
 func TestBitIdentityILUPacked(t *testing.T) {
-	lowerParMins(t)
+	lowerParMin(t)
 	rng := rand.New(rand.NewSource(16))
 	dominant := randomPattern(rng, 200)
 	for r := 0; r < dominant.Rows; r++ {

@@ -2,11 +2,13 @@ package linalg
 
 import "fmt"
 
-// ParMinPhase is the smallest vector length worth a fused-phase dispatch:
-// below it RunPhase interprets the micro-program serially on the caller.
-// Exported tuning knob like the other ParMin cut-overs; results are
-// bit-for-bit identical either way. Calibrate replaces the default with a
-// measured break-even on process startup.
+// ParMinPhase is the one serial/parallel cut-over: the smallest problem
+// dimension (phase length, SpMV or shifted-operator rows, ILU level width)
+// worth waking the team for. Below it the caller runs the same kernel over
+// the whole range itself — bit-for-bit the same result, so tests lower it
+// to exercise the team on small problems. Calibrate replaces the default
+// with the host's measured break-even (and pushes it out of reach on hosts
+// that cannot run team members in parallel).
 var ParMinPhase = defParMinPhase
 
 // phaseOp selects one step of a fused-phase micro-program.
@@ -18,6 +20,8 @@ const (
 	phUpdateP
 	phMulElem
 	phMulElemAt
+	phMulElemAdd
+	phSub
 	phAXPY
 	phAXPYTo
 	phAXPY2
@@ -32,15 +36,15 @@ const (
 // time; scalar operands are bound as pointers so the caller can update
 // them between dispatches without rebuilding the plan.
 type phaseStep struct {
-	op       phaseOp
-	dst      Vector
-	x, y     Vector
-	m        *CSR
-	a, b     *float64
-	slot     int
-	basis    []Vector
-	hess     [][]float64
-	k        *int
+	op    phaseOp
+	dst   Vector
+	x, y  Vector
+	m     *CSR
+	a, b  *float64
+	slot  int
+	basis []Vector
+	hess  [][]float64
+	k     *int
 }
 
 // Phase is a fused kernel micro-program: a short sequence of vector ops,
@@ -52,12 +56,13 @@ type phaseStep struct {
 // outside its own range (SpMV reading the whole input vector, or the
 // Gram-Schmidt fold of all partials).
 //
-// Determinism: every elementwise step computes each element with exactly
-// the serial arithmetic, and every reduction fills the same fixed
-// redChunk partials Vector.Dot folds in chunk order, so a phase is
-// bit-for-bit identical to the unfused op sequence at any team size —
-// including the serial interpretation RunPhase falls back to below
-// ParMinPhase.
+// Determinism is structural: one interpreter, exec, holds the only copy of
+// every step's arithmetic. A team worker runs it over its chunk-aligned
+// range; a nil, closed or single team, or a phase below ParMinPhase, runs
+// the same function over [0, n) with barriers as no-ops. Elementwise steps
+// compute each element independently of the range it arrives in, and
+// reductions fill the fixed redChunk partials Vector.Dot folds in chunk
+// order, so any split of the range produces the same bits.
 //
 // A Phase is built once per solve (Reset + builder calls; backing arrays
 // are reused, so steady-state rebuilding allocates nothing) and dispatched
@@ -139,6 +144,18 @@ func (p *Phase) MulElem(dst, d, x Vector) {
 // application, indirected through the current Krylov column.
 func (p *Phase) MulElemAt(dst, d Vector, basis []Vector, k *int) {
 	p.steps = append(p.steps, phaseStep{op: phMulElemAt, dst: p.check(dst), x: p.check(d), basis: basis, k: k})
+	p.flops += int64(p.n)
+}
+
+// MulElemAdd appends dst += d .* x.
+func (p *Phase) MulElemAdd(dst, d, x Vector) {
+	p.steps = append(p.steps, phaseStep{op: phMulElemAdd, dst: p.check(dst), x: p.check(d), y: p.check(x)})
+	p.flops += 2 * int64(p.n)
+}
+
+// Sub appends dst = a - b (dst may alias either operand).
+func (p *Phase) Sub(dst, a, b Vector) {
+	p.steps = append(p.steps, phaseStep{op: phSub, dst: p.check(dst), x: p.check(a), y: p.check(b)})
 	p.flops += int64(p.n)
 }
 
@@ -233,70 +250,172 @@ func (p *Phase) barrierCount() int64 {
 	return b
 }
 
-// exec interprets the program for worker w over its chunk-aligned range.
-// Reductions fill exactly the chunks the range covers, so the union over
-// the team is every chunk, each written once.
+// exec interprets the program over [lo, hi) as worker w of team t (nil: the
+// caller alone, barriers are no-ops). lo must be chunk-aligned; reductions
+// fill exactly the chunks the range covers, so the union over a team is
+// every chunk, each written once.
 //
 //vetsparse:allocfree
-func (p *Phase) exec(t *Team, w int) {
-	lo, hi := t.split[w], t.split[w+1]
-	c0 := lo / redChunk
-	c1 := (hi + redChunk - 1) / redChunk
+func (p *Phase) exec(t *Team, w, lo, hi int) {
 	for si := range p.steps {
 		st := &p.steps[si]
 		switch st.op {
 		case phBarrier:
-			t.phaseBarrier()
+			if t != nil {
+				t.phaseBarrier()
+			}
 		case phCopy:
 			copy(st.dst[lo:hi], st.x[lo:hi])
 		case phUpdateP:
-			pv, r, v, beta, omega := st.dst, st.x, st.y, *st.a, *st.b
-			for i := lo; i < hi; i++ {
-				pv[i] = r[i] + beta*(pv[i]-omega*v[i])
-			}
+			updatePRange(st.dst, st.x, st.y, *st.a, *st.b, lo, hi)
 		case phMulElem:
-			dst, d, x := st.dst, st.x, st.y
-			for i := lo; i < hi; i++ {
-				dst[i] = d[i] * x[i]
-			}
+			mulElemRange(st.dst, st.x, st.y, lo, hi)
 		case phMulElemAt:
-			dst, d, x := st.dst, st.x, st.basis[*st.k]
-			for i := lo; i < hi; i++ {
-				dst[i] = d[i] * x[i]
-			}
+			mulElemRange(st.dst, st.x, st.basis[*st.k], lo, hi)
+		case phMulElemAdd:
+			mulElemAddRange(st.dst, st.x, st.y, lo, hi)
+		case phSub:
+			subRange(st.dst, st.x, st.y, lo, hi)
 		case phAXPY:
-			y, x, a := st.dst, st.x, *st.a
-			for i := lo; i < hi; i++ {
-				y[i] += a * x[i]
-			}
+			axpyRange(st.dst, *st.a, st.x, lo, hi)
 		case phAXPYTo:
-			dst, y, x, a := st.dst, st.y, st.x, *st.a
-			for i := lo; i < hi; i++ {
-				dst[i] = y[i] + a*x[i]
-			}
+			axpyToRange(st.dst, st.y, *st.a, st.x, lo, hi)
 		case phAXPY2:
-			dst, x, y, a, b := st.dst, st.x, st.y, *st.a, *st.b
-			for i := lo; i < hi; i++ {
-				dst[i] += a*x[i] + b*y[i]
-			}
+			axpy2Range(st.dst, *st.a, st.x, *st.b, st.y, lo, hi)
 		case phScaleTo:
-			dst, x, a := st.dst, st.x, *st.a
-			for i := lo; i < hi; i++ {
-				dst[i] = a * x[i]
-			}
+			scaleToRange(st.dst, *st.a, st.x, lo, hi)
 		case phSpMV:
 			st.m.mulVecRange(st.dst, st.x, lo, hi)
 		case phDot:
-			dotChunks(p.part[st.slot], st.x, st.y, c0, c1)
+			dotChunks(p.part[st.slot], st.x, st.y, lo, hi)
 		case phWRMS:
-			wrmsChunks(p.part[st.slot], st.x, st.y, *st.a, *st.b, c0, c1)
+			wrmsChunks(p.part[st.slot], st.x, st.y, *st.a, *st.b, lo, hi)
 		case phMGS:
-			p.mgs(t, st, w, lo, hi, c0, c1)
+			p.mgs(t, st, w, lo, hi)
 		}
 	}
 }
 
-// mgs runs worker w's share of the modified Gram-Schmidt sweep. Every
+// The elementwise range kernels. Each cuts its operands to [lo, hi) once,
+// which lets the compiler drop the per-element bounds checks. They are out
+// of line and the ones an iteration runs are unrolled by four, for the same
+// reason: a loop of a handful of instructions is bound by instruction fetch,
+// not arithmetic, and on the benchmark host it runs 1.7x slower when the
+// linker happens to lay it across a 64-byte line. Inlined into exec's two
+// kilobytes of switch, every one of them shared the placement of that one
+// body — 15 % of a whole solve on systems of a hundred unknowns, decided by
+// an unrelated edit. Four elements a trip pay the straddle once per four
+// and make the placement irrelevant; each element is still computed by the
+// same expression, so the bits are too.
+
+//go:noinline
+//vetsparse:allocfree
+func updatePRange(pv, r, v Vector, beta, omega float64, lo, hi int) {
+	pv = pv[lo:hi]
+	r, v = r[lo:hi][:len(pv)], v[lo:hi][:len(pv)]
+	i := 0
+	for ; i+4 <= len(pv); i += 4 {
+		p, r, v := pv[i:i+4:i+4], r[i:i+4:i+4], v[i:i+4:i+4]
+		p[0], p[1] = r[0]+beta*(p[0]-omega*v[0]), r[1]+beta*(p[1]-omega*v[1])
+		p[2], p[3] = r[2]+beta*(p[2]-omega*v[2]), r[3]+beta*(p[3]-omega*v[3])
+	}
+	for ; i < len(pv); i++ {
+		pv[i] = r[i] + beta*(pv[i]-omega*v[i])
+	}
+}
+
+//go:noinline
+//vetsparse:allocfree
+func mulElemRange(dst, d, x Vector, lo, hi int) {
+	dst = dst[lo:hi]
+	d, x = d[lo:hi][:len(dst)], x[lo:hi][:len(dst)]
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		o, d, x := dst[i:i+4:i+4], d[i:i+4:i+4], x[i:i+4:i+4]
+		o[0], o[1], o[2], o[3] = d[0]*x[0], d[1]*x[1], d[2]*x[2], d[3]*x[3]
+	}
+	for ; i < len(dst); i++ {
+		dst[i] = d[i] * x[i]
+	}
+}
+
+//go:noinline
+//vetsparse:allocfree
+func mulElemAddRange(dst, d, x Vector, lo, hi int) {
+	dst = dst[lo:hi]
+	d, x = d[lo:hi][:len(dst)], x[lo:hi][:len(dst)]
+	for i := range dst {
+		dst[i] += d[i] * x[i]
+	}
+}
+
+//go:noinline
+//vetsparse:allocfree
+func subRange(dst, a, b Vector, lo, hi int) {
+	dst = dst[lo:hi]
+	a, b = a[lo:hi][:len(dst)], b[lo:hi][:len(dst)]
+	for i := range dst {
+		dst[i] = a[i] - b[i]
+	}
+}
+
+//go:noinline
+//vetsparse:allocfree
+func axpyRange(y Vector, a float64, x Vector, lo, hi int) {
+	y = y[lo:hi]
+	x = x[lo:hi][:len(y)]
+	i := 0
+	for ; i+4 <= len(y); i += 4 {
+		o, x := y[i:i+4:i+4], x[i:i+4:i+4]
+		o[0], o[1], o[2], o[3] = o[0]+a*x[0], o[1]+a*x[1], o[2]+a*x[2], o[3]+a*x[3]
+	}
+	for ; i < len(y); i++ {
+		y[i] += a * x[i]
+	}
+}
+
+//go:noinline
+//vetsparse:allocfree
+func axpyToRange(dst, y Vector, a float64, x Vector, lo, hi int) {
+	dst = dst[lo:hi]
+	y, x = y[lo:hi][:len(dst)], x[lo:hi][:len(dst)]
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		o, y, x := dst[i:i+4:i+4], y[i:i+4:i+4], x[i:i+4:i+4]
+		o[0], o[1], o[2], o[3] = y[0]+a*x[0], y[1]+a*x[1], y[2]+a*x[2], y[3]+a*x[3]
+	}
+	for ; i < len(dst); i++ {
+		dst[i] = y[i] + a*x[i]
+	}
+}
+
+//go:noinline
+//vetsparse:allocfree
+func axpy2Range(dst Vector, a float64, x Vector, b float64, y Vector, lo, hi int) {
+	dst = dst[lo:hi]
+	x, y = x[lo:hi][:len(dst)], y[lo:hi][:len(dst)]
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		o, x, y := dst[i:i+4:i+4], x[i:i+4:i+4], y[i:i+4:i+4]
+		o[0], o[1] = o[0]+(a*x[0]+b*y[0]), o[1]+(a*x[1]+b*y[1])
+		o[2], o[3] = o[2]+(a*x[2]+b*y[2]), o[3]+(a*x[3]+b*y[3])
+	}
+	for ; i < len(dst); i++ {
+		dst[i] += a*x[i] + b*y[i]
+	}
+}
+
+//go:noinline
+//vetsparse:allocfree
+func scaleToRange(dst Vector, a float64, x Vector, lo, hi int) {
+	dst = dst[lo:hi]
+	x = x[lo:hi][:len(dst)]
+	for i := range dst {
+		dst[i] = a * x[i]
+	}
+}
+
+// mgs runs one worker's share of the modified Gram-Schmidt sweep. Every
 // worker folds the full partial set itself after the barrier — the fold is
 // the identical float on every worker, so the following AXPY coefficient
 // is too, and only worker 0 writes it into the Hessenberg. The partial
@@ -305,104 +424,20 @@ func (p *Phase) exec(t *Team, w int) {
 // (the barrier of column i+1 orders any reuse of column i's slot).
 //
 //vetsparse:allocfree
-func (p *Phase) mgs(t *Team, st *phaseStep, w, lo, hi, c0, c1 int) {
+func (p *Phase) mgs(t *Team, st *phaseStep, w, lo, hi int) {
 	k := *st.k
 	wv := st.dst
-	nch := p.nch
 	for i := 0; i <= k; i++ {
 		vi := st.basis[i]
-		part := p.part[i&1]
-		dotChunks(part, wv, vi, c0, c1)
-		t.phaseBarrier()
-		h := 0.0
-		for _, q := range part[:nch] {
-			h += q
+		dotChunks(p.part[i&1], wv, vi, lo, hi)
+		if t != nil {
+			t.phaseBarrier()
 		}
+		h := p.Fold(i & 1)
 		if w == 0 {
 			st.hess[i][k] = h
 		}
-		a := -h
-		for j := lo; j < hi; j++ {
-			wv[j] += a * vi[j]
-		}
+		axpyRange(wv, -h, vi, lo, hi)
 	}
-	dotChunks(p.part[(k+1)&1], wv, wv, c0, c1)
-}
-
-// runSerial interprets the whole program on the calling goroutine:
-// the small-n / no-team fallback of RunPhase. Barriers are no-ops, every
-// other step is the full-range serial kernel, reductions fill every chunk
-// — bit-for-bit what the parallel interpretation produces.
-//
-//vetsparse:allocfree
-func (p *Phase) runSerial() {
-	n := p.n
-	nch := p.nch
-	for si := range p.steps {
-		st := &p.steps[si]
-		switch st.op {
-		case phBarrier:
-		case phCopy:
-			copy(st.dst, st.x)
-		case phUpdateP:
-			pv, r, v, beta, omega := st.dst, st.x, st.y, *st.a, *st.b
-			for i := 0; i < n; i++ {
-				pv[i] = r[i] + beta*(pv[i]-omega*v[i])
-			}
-		case phMulElem:
-			dst, d, x := st.dst, st.x, st.y
-			for i := 0; i < n; i++ {
-				dst[i] = d[i] * x[i]
-			}
-		case phMulElemAt:
-			dst, d, x := st.dst, st.x, st.basis[*st.k]
-			for i := 0; i < n; i++ {
-				dst[i] = d[i] * x[i]
-			}
-		case phAXPY:
-			y, x, a := st.dst, st.x, *st.a
-			for i := 0; i < n; i++ {
-				y[i] += a * x[i]
-			}
-		case phAXPYTo:
-			dst, y, x, a := st.dst, st.y, st.x, *st.a
-			for i := 0; i < n; i++ {
-				dst[i] = y[i] + a*x[i]
-			}
-		case phAXPY2:
-			dst, x, y, a, b := st.dst, st.x, st.y, *st.a, *st.b
-			for i := 0; i < n; i++ {
-				dst[i] += a*x[i] + b*y[i]
-			}
-		case phScaleTo:
-			dst, x, a := st.dst, st.x, *st.a
-			for i := 0; i < n; i++ {
-				dst[i] = a * x[i]
-			}
-		case phSpMV:
-			st.m.mulVecRange(st.dst, st.x, 0, st.m.Rows)
-		case phDot:
-			dotChunks(p.part[st.slot], st.x, st.y, 0, nch)
-		case phWRMS:
-			wrmsChunks(p.part[st.slot], st.x, st.y, *st.a, *st.b, 0, nch)
-		case phMGS:
-			k := *st.k
-			wv := st.dst
-			for i := 0; i <= k; i++ {
-				vi := st.basis[i]
-				part := p.part[i&1]
-				dotChunks(part, wv, vi, 0, nch)
-				h := 0.0
-				for _, q := range part[:nch] {
-					h += q
-				}
-				st.hess[i][k] = h
-				a := -h
-				for j := 0; j < n; j++ {
-					wv[j] += a * vi[j]
-				}
-			}
-			dotChunks(p.part[(k+1)&1], wv, wv, 0, nch)
-		}
-	}
+	dotChunks(p.part[(k+1)&1], wv, wv, lo, hi)
 }

@@ -145,7 +145,7 @@ func checkSpMV(t *testing.T, name string, m *CSR, x Vector) {
 // triple loop, Float64bits for Float64bits, on every pattern class the
 // analysis distinguishes.
 func TestBitIdentitySpMVRuns(t *testing.T) {
-	lowerParMins(t)
+	lowerParMin(t)
 	rng := rand.New(rand.NewSource(14))
 	cases := []struct {
 		name    string
@@ -184,7 +184,7 @@ func TestBitIdentitySpMVRuns(t *testing.T) {
 // pattern of a Jacobian with a structurally missing diagonal is analysed
 // once, and Update's value rewrites keep the run table valid.
 func TestBitIdentitySpMVShifted(t *testing.T) {
-	lowerParMins(t)
+	lowerParMin(t)
 	rng := rand.New(rand.NewSource(15))
 	op := NewShiftedOperator(hollowStencil(rng, 31, 9))
 	if len(op.Matrix().runs) == 0 {

@@ -138,7 +138,7 @@ func (o *ShiftedOperator) UpdateWith(t *Team, s float64, ops *Ops) *CSR {
 	if o.valid && s == o.s {
 		return o.m
 	}
-	if t.seq() || o.m.Rows < ParMinRows {
+	if t.seq() || o.m.Rows < ParMinPhase {
 		return o.Update(s, ops)
 	}
 	t.so, t.alpha = o, s

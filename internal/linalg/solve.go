@@ -34,6 +34,24 @@ func BiCGStab(a *CSR, x, b Vector, tol float64, maxIter int, ops *Ops) (SolveSta
 //
 //vetsparse:allocfree
 func (ws *Workspace) BiCGStab(a *CSR, x, b Vector, tol float64, maxIter int, ops *Ops) (SolveStats, error) {
+	return ws.bicgstab(a, nil, x, b, tol, maxIter, ops)
+}
+
+// bicgstab is the one BiCGStab body behind both preconditioners: f is the
+// ILU(0) factorization of a, or nil for Jacobi (M^-1 = 1/diag(A)). Only the
+// two preconditioner applications differ. With Jacobi they are elementwise
+// and fuse into the phases around them, four team dispatches an iteration:
+// phase P updates the search direction, preconditions it, multiplies and
+// reduces the denominator dot; phase S forms s and its norm; phase T forms
+// t and both of its dots; phase X updates x and r, reduces the residual
+// norm and — one dispatch early — the next iteration's rho, charged only
+// once an iteration consumes it. The level-scheduled triangular solves keep
+// their own dispatch pattern (their dependency barriers cannot fuse with
+// elementwise ranges), so with ILU the p-update and the matvec+dot tails
+// are phases of their own around the two SolveWith calls.
+//
+//vetsparse:allocfree
+func (ws *Workspace) bicgstab(a *CSR, f *ILU0, x, b Vector, tol float64, maxIter int, ops *Ops) (SolveStats, error) {
 	n := a.Rows
 	if a.Cols != n || len(x) != n || len(b) != n {
 		panic(fmt.Sprintf("linalg: BiCGStab dims %dx%d, x[%d], b[%d]", a.Rows, a.Cols, len(x), len(b)))
@@ -45,152 +63,98 @@ func (ws *Workspace) BiCGStab(a *CSR, x, b Vector, tol float64, maxIter int, ops
 		}
 	}
 	ws.ensureBiCGStab(n)
-	// Jacobi preconditioner M^-1 = 1/diag(A).
-	invD := ws.invD
-	a.Diagonal(invD)
-	for i, d := range invD {
-		if d == 0 {
-			invD[i] = 1
-		} else {
-			invD[i] = 1 / d
+	if f == nil {
+		invD := ws.invD
+		a.Diagonal(invD)
+		for i, d := range invD {
+			if d == 0 {
+				invD[i] = 1
+			} else {
+				invD[i] = 1 / d
+			}
 		}
+		ops.Add(int64(n))
 	}
-	ops.Add(int64(n))
-
-	tm := ws.team
-	r := ws.r
-	tm.MulVec(a, r, x, ops)
-	tm.Sub(r, b, r, ops)
-	bNorm := tm.Norm2(b, ops)
-	if bNorm == 0 {
-		x.Fill(0)
-		return SolveStats{Iterations: 0, Residual: 0}, nil
-	}
-	if rn := tm.Norm2(r, ops); rn/bNorm <= tol {
-		return SolveStats{Iterations: 0, Residual: rn / bNorm}, nil
-	}
-
-	rTilde := ws.rTilde
-	tm.Copy(rTilde, r)
-	if ws.fusedOK(n) {
-		return ws.bicgstabFused(a, x, bNorm, tol, maxIter, ops)
-	}
-	p := ws.p
-	v := ws.v
-	s := ws.s
-	t := ws.t
-	pHat := ws.pHat
-	sHat := ws.sHat
-
-	rho, alpha, omega := 1.0, 1.0, 1.0
-	for it := 1; it <= maxIter; it++ {
-		rhoNew := tm.Dot(rTilde, r, ops)
-		if math.Abs(rhoNew) < 1e-300 {
-			return SolveStats{Iterations: it}, ErrBreakdown
-		}
-		if it == 1 {
-			tm.Copy(p, r)
-		} else {
-			beta := (rhoNew / rho) * (alpha / omega)
-			tm.UpdateP(p, r, v, beta, omega, ops)
-		}
-		rho = rhoNew
-		tm.MulElem(pHat, invD, p, ops)
-		tm.MulVec(a, v, pHat, ops)
-		den := tm.Dot(rTilde, v, ops)
-		if math.Abs(den) < 1e-300 {
-			return SolveStats{Iterations: it}, ErrBreakdown
-		}
-		alpha = rho / den
-		tm.AXPYTo(s, r, -alpha, v, ops)
-		if sn := tm.Norm2(s, ops); sn/bNorm <= tol {
-			tm.AXPY(x, alpha, pHat, ops)
-			return SolveStats{Iterations: it, Residual: sn / bNorm}, nil
-		}
-		tm.MulElem(sHat, invD, s, ops)
-		tm.MulVec(a, t, sHat, ops)
-		tt := tm.Dot(t, t, ops)
-		if tt == 0 {
-			return SolveStats{Iterations: it}, ErrBreakdown
-		}
-		omega = tm.Dot(t, s, ops) / tt
-		tm.AXPY2(x, alpha, pHat, omega, sHat, ops)
-		tm.AXPYTo(r, s, -omega, t, ops)
-		if rn := tm.Norm2(r, ops); rn/bNorm <= tol {
-			return SolveStats{Iterations: it, Residual: rn / bNorm}, nil
-		}
-		if math.Abs(omega) < 1e-300 {
-			return SolveStats{Iterations: it}, ErrBreakdown
-		}
-	}
-	return SolveStats{Iterations: maxIter, Residual: math.NaN()}, ErrNoConvergence
-}
-
-// bicgstabFused is the fused-phase iteration body of the Jacobi BiCGStab:
-// four team dispatches per iteration instead of fourteen. Phase A updates
-// the search direction, applies the preconditioner, multiplies and reduces
-// the denominator dot; phase B forms s and its norm; phase C forms t and
-// both of its dots; phase D updates x and r, reduces the residual norm and
-// — one dispatch early — the next iteration's rho. Every elementwise step
-// uses the serial arithmetic and every reduction the fixed-chunk ordered
-// fold, and the flop accounting below charges exactly what the unfused
-// sequence charges on the same control path, so stats, hashes and Ops are
-// bit-for-bit identical to the unfused loop.
-//
-//vetsparse:allocfree
-func (ws *Workspace) bicgstabFused(a *CSR, x Vector, bNorm, tol float64, maxIter int, ops *Ops) (SolveStats, error) {
-	ws.buildBiCGStabPhases(a, x, false)
+	ws.buildBiCGStabPhases(a, x, b, f != nil)
 	tm := ws.team
 	sc := &ws.sc
-	nn := int64(a.Rows)
+	nn := int64(n)
+
+	// Prologue, one phase: r = b - A x, |b|^2, |r|^2, rTilde = p = r. The
+	// charges are those of MulVec, Sub, Norm2(b), Norm2(r) cut off at each
+	// of the two exits that need no iteration.
+	tm.RunPhase(&ws.phInit)
+	ops.Add(ws.phInit.Flops() - 2*nn)
+	bNorm := math.Sqrt(ws.phInit.Fold(0))
+	if bNorm == 0 {
+		x.Fill(0)
+		return SolveStats{}, nil
+	}
+	ops.Add(2 * nn)
+	if rn := math.Sqrt(ws.phInit.Fold(1)); rn/bNorm <= tol {
+		return SolveStats{Residual: rn / bNorm}, nil
+	}
+
 	rho, alpha, omega := 1.0, 1.0, 1.0
 	for it := 1; it <= maxIter; it++ {
-		var rhoNew float64
+		rhoNew := ws.phX.Fold(1)
 		if it == 1 {
-			rhoNew = tm.Dot(ws.rTilde, ws.r, ops)
-		} else {
-			rhoNew = ws.phX.Fold(1)
-			ops.Add(2 * nn)
+			// rTilde is a copy of r, so <rTilde, r> is bit for bit the
+			// prologue's <r, r>.
+			rhoNew = ws.phInit.Fold(1)
 		}
+		ops.Add(2 * nn)
 		if math.Abs(rhoNew) < 1e-300 {
 			return SolveStats{Iterations: it}, ErrBreakdown
 		}
-		var den float64
-		if it == 1 {
-			tm.RunPhase(&ws.phP1)
-			ops.Add(ws.phP1.Flops())
-			den = ws.phP1.Fold(0)
-		} else {
-			sc[scBeta] = (rhoNew / rho) * (alpha / omega)
-			sc[scOmegaPrev] = omega
-			tm.RunPhase(&ws.phP)
-			ops.Add(ws.phP.Flops())
-			den = ws.phP.Fold(0)
-		}
+		sc[scBeta] = (rhoNew / rho) * (alpha / omega)
+		sc[scOmegaPrev] = omega
 		rho = rhoNew
+		dir := &ws.phP
+		switch {
+		case f != nil:
+			if it > 1 { // p = r came with the prologue
+				tm.RunPhase(&ws.phPu)
+				ops.Add(ws.phPu.Flops())
+			}
+			f.SolveWith(tm, ws.pHat, ws.p, ops)
+			dir = &ws.phAv
+		case it == 1:
+			dir = &ws.phP1
+		}
+		tm.RunPhase(dir)
+		ops.Add(dir.Flops())
+		den := dir.Fold(0)
 		if math.Abs(den) < 1e-300 {
 			return SolveStats{Iterations: it}, ErrBreakdown
 		}
 		alpha = rho / den
-		sc[scNegAlpha] = -alpha
+		sc[scAlpha], sc[scNegAlpha] = alpha, -alpha
 		tm.RunPhase(&ws.phS)
 		ops.Add(ws.phS.Flops())
 		if sn := math.Sqrt(ws.phS.Fold(0)); sn/bNorm <= tol {
-			tm.AXPY(x, alpha, ws.pHat, ops)
+			// Converged at the half step: x += alpha*pHat and out.
+			half := &ws.phTmp
+			half.Reset(n)
+			half.AXPY(x, &sc[scAlpha], ws.pHat)
+			tm.RunPhase(half)
+			ops.Add(half.Flops())
 			return SolveStats{Iterations: it, Residual: sn / bNorm}, nil
 		}
-		tm.RunPhase(&ws.phT)
-		ops.Add(ws.phT.Flops())
-		tt := ws.phT.Fold(0)
+		tph := &ws.phT
+		if f != nil {
+			f.SolveWith(tm, ws.sHat, ws.s, ops)
+			tph = &ws.phAt
+		}
+		tm.RunPhase(tph)
+		ops.Add(tph.Flops())
+		tt := tph.Fold(0)
 		if tt == 0 {
 			return SolveStats{Iterations: it}, ErrBreakdown
 		}
-		omega = ws.phT.Fold(1) / tt
-		sc[scAlpha], sc[scOmega], sc[scNegOmega] = alpha, omega, -omega
+		omega = tph.Fold(1) / tt
+		sc[scOmega], sc[scNegOmega] = omega, -omega
 		tm.RunPhase(&ws.phX)
-		// Charge the x/r updates and the residual norm; the rho dot the
-		// phase also computed is charged only if the next iteration runs
-		// (the unfused loop computes it at the next loop top).
 		ops.Add(ws.phX.Flops() - 2*nn)
 		if rn := math.Sqrt(ws.phX.Fold(0)); rn/bNorm <= tol {
 			return SolveStats{Iterations: it, Residual: rn / bNorm}, nil

@@ -19,26 +19,6 @@ const redChunk = 1024
 // MaxTeam caps the size of a Team.
 const MaxTeam = 64
 
-// Parallel cut-overs: below these sizes the fork-join latency of a kernel
-// dispatch (a few microseconds) exceeds the work, so the Team runs the
-// serial kernel inline. They are exported tuning knobs — results are
-// bit-for-bit identical either way, so tests lower them to exercise the
-// parallel paths on small problems. The defaults are conservative
-// hand-set values; Calibrate replaces them with measured break-evens for
-// the actual host (and pushes them out of reach entirely on hosts that
-// cannot run team members in parallel).
-var (
-	// ParMinVec is the smallest vector length worth a parallel
-	// elementwise kernel (axpy, scale, copy, fused updates).
-	ParMinVec = defParMinVec
-	// ParMinRed is the smallest vector length worth a parallel
-	// dot/norm reduction.
-	ParMinRed = defParMinRed
-	// ParMinRows is the smallest row count worth a parallel SpMV or
-	// shifted-operator value rewrite.
-	ParMinRows = defParMinRows
-)
-
 // ImbalanceObserver receives one per-dispatch load-imbalance measurement in
 // microseconds (slowest minus fastest worker busy time). It is satisfied by
 // *obs.Histogram without linalg importing the obs package.
@@ -64,20 +44,8 @@ type ResizeObserver interface{ ObserveResize(us int64, from, to int) }
 type kernelOp int
 
 const (
-	opNone kernelOp = iota
-	opMulVec
+	opMulVec kernelOp = iota
 	opShiftedUpdate
-	opDot
-	opWRMS
-	opCopy
-	opAXPY
-	opAXPYTo
-	opAXPY2
-	opUpdateP
-	opMulElem
-	opMulElemAdd
-	opScaleTo
-	opSub
 	opILUFwd
 	opILUBwd
 	opRun
@@ -96,23 +64,26 @@ const spinBudget = 4096
 
 // Team is a persistent chunked worker team: a fixed set of goroutines,
 // created once and reused for every kernel dispatch, that parallelize the
-// hot subsolve kernels — CSR/shifted-operator SpMV, fused vector ops,
-// dot/norm reductions, and the level-scheduled ILU(0) triangular solves —
-// by fixed index ranges.
+// hot subsolve kernels by fixed index ranges. All vector work — fused
+// elementwise ops, SpMV steps, dot/norm reductions — reaches the team as a
+// Phase program through RunPhase; beside it stand only the standalone SpMV,
+// the generic Run, and the two structure-specific dispatches behind
+// ILU0.SolveWith and ShiftedOperator.UpdateWith.
 //
-// Determinism: every kernel either computes each output element with
-// exactly the serial arithmetic (elementwise ops, SpMV, triangular-solve
-// rows) or reduces through the fixed-chunk ordered fold of redChunk (dots,
-// norms), so the results are bit-for-bit identical to the serial kernels
-// at any team size and any GOMAXPROCS.
+// Determinism: every kernel either computes each output element
+// independently of the range it arrives in (elementwise ops, SpMV,
+// triangular-solve rows) or reduces through the fixed-chunk ordered fold of
+// redChunk (dots, norms), so the results are bit-for-bit identical at any
+// team size and any GOMAXPROCS.
 //
-// A nil *Team is valid everywhere and runs the serial kernels, as does a
-// team of size one. A Team is owned by one goroutine: its methods must not
-// be called concurrently — with one exception: SetTarget may be called
-// from any goroutine to request an elastic resize, which the owner applies
-// at its next dispatch boundary. Close stops the worker goroutines; a hot
-// loop should create one team per worker goroutine and keep it for the
-// whole computation (no per-call spawn).
+// A nil *Team is valid everywhere and runs every kernel over its whole
+// range on the caller, as does a team of size one. A Team is owned by one
+// goroutine: its methods must not be called concurrently — with one
+// exception: SetTarget may be called from any goroutine to request an
+// elastic resize, which the owner applies at its next dispatch boundary.
+// Close stops the worker goroutines; a hot loop should create one team per
+// worker goroutine and keep it for the whole computation (no per-call
+// spawn).
 type Team struct {
 	n int
 
@@ -158,16 +129,15 @@ type Team struct {
 	barArrive atomic.Int32
 
 	// Kernel dispatch arguments, set by the public methods before kick.
-	op          kernelOp
-	m           *CSR
-	so          *ShiftedOperator
-	f           *ILU0
-	ph          *Phase
-	x, y, z, d  Vector
-	alpha, beta float64
-	partial     []float64
-	split       [MaxTeam + 1]int
-	runFn       func(lo, hi int)
+	op    kernelOp
+	m     *CSR
+	so    *ShiftedOperator
+	f     *ILU0
+	ph    *Phase
+	x, y  Vector
+	alpha float64
+	split [MaxTeam + 1]int
+	runFn func(lo, hi int)
 
 	obs      ImbalanceObserver
 	pobs     PhaseObserver
@@ -475,52 +445,6 @@ func (t *Team) exec(w int) {
 		t.m.mulVecRange(t.y, t.x, lo, hi)
 	case opShiftedUpdate:
 		t.so.updateRange(t.alpha, lo, hi)
-	case opDot:
-		dotChunks(t.partial, t.x, t.y, lo, hi)
-	case opWRMS:
-		wrmsChunks(t.partial, t.x, t.y, t.alpha, t.beta, lo, hi)
-	case opCopy:
-		copy(t.y[lo:hi], t.x[lo:hi])
-	case opAXPY:
-		y, x, a := t.y, t.x, t.alpha
-		for i := lo; i < hi; i++ {
-			y[i] += a * x[i]
-		}
-	case opAXPYTo:
-		dst, y, x, a := t.z, t.y, t.x, t.alpha
-		for i := lo; i < hi; i++ {
-			dst[i] = y[i] + a*x[i]
-		}
-	case opAXPY2:
-		dst, x, y, a, b := t.z, t.x, t.y, t.alpha, t.beta
-		for i := lo; i < hi; i++ {
-			dst[i] += a*x[i] + b*y[i]
-		}
-	case opUpdateP:
-		p, r, v, beta, omega := t.z, t.y, t.x, t.alpha, t.beta
-		for i := lo; i < hi; i++ {
-			p[i] = r[i] + beta*(p[i]-omega*v[i])
-		}
-	case opMulElem:
-		dst, d, x := t.z, t.d, t.x
-		for i := lo; i < hi; i++ {
-			dst[i] = d[i] * x[i]
-		}
-	case opMulElemAdd:
-		dst, d, x := t.z, t.d, t.x
-		for i := lo; i < hi; i++ {
-			dst[i] += d[i] * x[i]
-		}
-	case opScaleTo:
-		dst, x, a := t.y, t.x, t.alpha
-		for i := lo; i < hi; i++ {
-			dst[i] = a * x[i]
-		}
-	case opSub:
-		dst, a, b := t.z, t.y, t.x
-		for i := lo; i < hi; i++ {
-			dst[i] = a[i] - b[i]
-		}
 	case opILUFwd:
 		t.f.forwardRows(t.x, t.y, lo, hi)
 	case opILUBwd:
@@ -528,7 +452,7 @@ func (t *Team) exec(w int) {
 	case opRun:
 		t.runFn(lo, hi)
 	case opPhase:
-		t.ph.exec(t, w)
+		t.ph.exec(t, w, lo, hi)
 	}
 	if t.obs != nil {
 		//vetsparse:ignore determinism metrics-only imbalance timing; never feeds float results
@@ -572,14 +496,14 @@ func (t *Team) splitChunkAligned(n int) {
 
 // RunPhase executes the fused micro-program p in one dispatch: a single
 // wake/park cycle covers every step, with in-phase barriers only where a
-// step reads outside its worker's range. Sequential teams and phases below
-// ParMinPhase interpret the program serially inline — bit-for-bit the same
-// result either way.
+// step reads outside its worker's range. A sequential team, or a phase
+// below ParMinPhase, is the team of one: the caller runs the same
+// interpreter over the whole range.
 //
 //vetsparse:allocfree
 func (t *Team) RunPhase(p *Phase) {
 	if t.seq() || p.n < ParMinPhase {
-		p.runSerial()
+		p.exec(nil, 0, 0, p.n)
 		return
 	}
 	var t0 time.Time
@@ -646,7 +570,7 @@ func (t *Team) Run(n int, fn func(lo, hi int)) {
 //
 //vetsparse:allocfree
 func (t *Team) MulVec(m *CSR, y, x Vector, ops *Ops) {
-	if t.seq() || m.Rows < ParMinRows {
+	if t.seq() || m.Rows < ParMinPhase {
 		m.MulVec(y, x, ops)
 		return
 	}
@@ -660,256 +584,56 @@ func (t *Team) MulVec(m *CSR, y, x Vector, ops *Ops) {
 	ops.Add(2 * int64(m.NNZ()))
 }
 
-// Dot returns the inner product of a and b through the fixed-chunk ordered
-// reduction: workers fill per-chunk partials, the caller folds them in
-// chunk order — exactly the sum Vector.Dot computes serially.
+// dotChunks fills partial[c] with the dot of chunk c for every chunk that
+// starts in [lo, hi); lo must be chunk-aligned. Each chunk starts a fresh
+// accumulator, so the partials — and their ordered fold — do not depend on
+// where a team cuts the range. Unrolled by four like the elementwise range
+// kernels (phase.go), with the products still added one by one in index
+// order.
 //
+//go:noinline
 //vetsparse:allocfree
-func (t *Team) Dot(a, b Vector, ops *Ops) float64 {
-	if t.seq() || len(a) < ParMinRed {
-		return a.Dot(b, ops)
-	}
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("linalg: dot length mismatch %d != %d", len(a), len(b)))
-	}
-	nch := (len(a) + redChunk - 1) / redChunk
-	t.partial = growF(t.partial, nch)
-	t.x, t.y = a, b
-	t.op = opDot
-	t.splitEven(nch)
-	t.kick()
-	s := 0.0
-	for _, p := range t.partial[:nch] {
-		s += p
-	}
-	ops.Add(2 * int64(len(a)))
-	return s
-}
-
-// Norm2 returns the Euclidean norm of v (parallel Dot plus sqrt).
-//
-//vetsparse:allocfree
-func (t *Team) Norm2(v Vector, ops *Ops) float64 {
-	return math.Sqrt(t.Dot(v, v, ops))
-}
-
-// WRMSNorm is the parallel twin of Vector.WRMSNorm, reduced through the
-// same fixed-chunk ordered fold.
-//
-//vetsparse:allocfree
-func (t *Team) WRMSNorm(v, ref Vector, atol, rtol float64, ops *Ops) float64 {
-	if t.seq() || len(v) < ParMinRed {
-		return v.WRMSNorm(ref, atol, rtol, ops)
-	}
-	nch := (len(v) + redChunk - 1) / redChunk
-	t.partial = growF(t.partial, nch)
-	t.x, t.y = v, ref
-	t.alpha, t.beta = atol, rtol
-	t.op = opWRMS
-	t.splitEven(nch)
-	t.kick()
-	s := 0.0
-	for _, p := range t.partial[:nch] {
-		s += p
-	}
-	ops.Add(5 * int64(len(v)))
-	return math.Sqrt(s / float64(len(v)))
-}
-
-// Copy copies src into dst in parallel.
-//
-//vetsparse:allocfree
-func (t *Team) Copy(dst, src Vector) {
-	if t.seq() || len(dst) < ParMinVec {
-		copy(dst, src)
-		return
-	}
-	t.y, t.x = dst, src
-	t.op = opCopy
-	t.splitEven(len(dst))
-	t.kick()
-}
-
-// AXPY computes y += a*x.
-//
-//vetsparse:allocfree
-func (t *Team) AXPY(y Vector, a float64, x Vector, ops *Ops) {
-	if t.seq() || len(y) < ParMinVec {
-		y.AXPY(a, x, ops)
-		return
-	}
-	if len(y) != len(x) {
-		panic(fmt.Sprintf("linalg: axpy length mismatch %d != %d", len(y), len(x)))
-	}
-	t.y, t.x, t.alpha = y, x, a
-	t.op = opAXPY
-	t.splitEven(len(y))
-	t.kick()
-	ops.Add(2 * int64(len(y)))
-}
-
-// AXPYTo computes dst = y + a*x (dst may alias y or x).
-//
-//vetsparse:allocfree
-func (t *Team) AXPYTo(dst, y Vector, a float64, x Vector, ops *Ops) {
-	if t.seq() || len(dst) < ParMinVec {
-		for i := range dst {
-			dst[i] = y[i] + a*x[i]
+func dotChunks(partial []float64, a, b Vector, lo, hi int) {
+	for ; lo < hi; lo += redChunk {
+		end := lo + redChunk
+		if end > hi {
+			end = hi
 		}
-		ops.Add(2 * int64(len(dst)))
-		return
-	}
-	t.z, t.y, t.x, t.alpha = dst, y, x, a
-	t.op = opAXPYTo
-	t.splitEven(len(dst))
-	t.kick()
-	ops.Add(2 * int64(len(dst)))
-}
-
-// AXPY2 computes dst += a*x + b*y, the fused two-direction update of the
-// BiCGStab solution step.
-//
-//vetsparse:allocfree
-func (t *Team) AXPY2(dst Vector, a float64, x Vector, b float64, y Vector, ops *Ops) {
-	if t.seq() || len(dst) < ParMinVec {
-		for i := range dst {
-			dst[i] += a*x[i] + b*y[i]
-		}
-		ops.Add(4 * int64(len(dst)))
-		return
-	}
-	t.z, t.x, t.y, t.alpha, t.beta = dst, x, y, a, b
-	t.op = opAXPY2
-	t.splitEven(len(dst))
-	t.kick()
-	ops.Add(4 * int64(len(dst)))
-}
-
-// UpdateP computes the fused BiCGStab search-direction update
-// p = r + beta*(p - omega*v).
-//
-//vetsparse:allocfree
-func (t *Team) UpdateP(p, r, v Vector, beta, omega float64, ops *Ops) {
-	if t.seq() || len(p) < ParMinVec {
-		for i := range p {
-			p[i] = r[i] + beta*(p[i]-omega*v[i])
-		}
-		ops.Add(4 * int64(len(p)))
-		return
-	}
-	t.z, t.y, t.x, t.alpha, t.beta = p, r, v, beta, omega
-	t.op = opUpdateP
-	t.splitEven(len(p))
-	t.kick()
-	ops.Add(4 * int64(len(p)))
-}
-
-// MulElem computes dst = d .* x (the Jacobi preconditioner application).
-//
-//vetsparse:allocfree
-func (t *Team) MulElem(dst, d, x Vector, ops *Ops) {
-	if t.seq() || len(dst) < ParMinVec {
-		for i := range dst {
-			dst[i] = d[i] * x[i]
-		}
-		ops.Add(int64(len(dst)))
-		return
-	}
-	t.z, t.d, t.x = dst, d, x
-	t.op = opMulElem
-	t.splitEven(len(dst))
-	t.kick()
-	ops.Add(int64(len(dst)))
-}
-
-// MulElemAdd computes dst += d .* x.
-//
-//vetsparse:allocfree
-func (t *Team) MulElemAdd(dst, d, x Vector, ops *Ops) {
-	if t.seq() || len(dst) < ParMinVec {
-		for i := range dst {
-			dst[i] += d[i] * x[i]
-		}
-		ops.Add(2 * int64(len(dst)))
-		return
-	}
-	t.z, t.d, t.x = dst, d, x
-	t.op = opMulElemAdd
-	t.splitEven(len(dst))
-	t.kick()
-	ops.Add(2 * int64(len(dst)))
-}
-
-// ScaleTo computes dst = a*x (dst may alias x; used to normalize Krylov
-// basis vectors).
-//
-//vetsparse:allocfree
-func (t *Team) ScaleTo(dst Vector, a float64, x Vector, ops *Ops) {
-	if t.seq() || len(dst) < ParMinVec {
-		for i := range dst {
-			dst[i] = a * x[i]
-		}
-		ops.Add(int64(len(dst)))
-		return
-	}
-	t.y, t.x, t.alpha = dst, x, a
-	t.op = opScaleTo
-	t.splitEven(len(dst))
-	t.kick()
-	ops.Add(int64(len(dst)))
-}
-
-// Sub computes dst = a - b component-wise (dst may alias either operand).
-//
-//vetsparse:allocfree
-func (t *Team) Sub(dst, a, b Vector, ops *Ops) {
-	if t.seq() || len(dst) < ParMinVec {
-		dst.Sub(a, b, ops)
-		return
-	}
-	t.z, t.y, t.x = dst, a, b
-	t.op = opSub
-	t.splitEven(len(dst))
-	t.kick()
-	ops.Add(int64(len(dst)))
-}
-
-// dotChunks fills partial[c] with the serial dot of chunk c for every chunk
-// in [c0, c1).
-//
-//vetsparse:allocfree
-func dotChunks(partial []float64, a, b Vector, c0, c1 int) {
-	for c := c0; c < c1; c++ {
-		lo := c * redChunk
-		hi := lo + redChunk
-		if hi > len(a) {
-			hi = len(a)
-		}
+		x := a[lo:end]
+		y := b[lo:end][:len(x)]
 		p := 0.0
-		for i := lo; i < hi; i++ {
-			p += a[i] * b[i]
+		i := 0
+		for ; i+4 <= len(x); i += 4 {
+			x, y := x[i:i+4:i+4], y[i:i+4:i+4]
+			p += x[0] * y[0]
+			p += x[1] * y[1]
+			p += x[2] * y[2]
+			p += x[3] * y[3]
 		}
-		partial[c] = p
+		for ; i < len(x); i++ {
+			p += x[i] * y[i]
+		}
+		partial[lo/redChunk] = p
 	}
 }
 
 // wrmsChunks fills partial[c] with the weighted squared-error sum of chunk
-// c for every chunk in [c0, c1).
+// c for every chunk that starts in [lo, hi); lo must be chunk-aligned.
 //
 //vetsparse:allocfree
-func wrmsChunks(partial []float64, v, ref Vector, atol, rtol float64, c0, c1 int) {
-	for c := c0; c < c1; c++ {
-		lo := c * redChunk
-		hi := lo + redChunk
-		if hi > len(v) {
-			hi = len(v)
+func wrmsChunks(partial []float64, v, ref Vector, atol, rtol float64, lo, hi int) {
+	for ; lo < hi; lo += redChunk {
+		end := lo + redChunk
+		if end > hi {
+			end = hi
 		}
+		x := v[lo:end]
+		r := ref[lo:end][:len(x)]
 		p := 0.0
-		for i := lo; i < hi; i++ {
-			w := atol + rtol*math.Abs(ref[i])
-			e := v[i] / w
+		for i, xv := range x {
+			e := xv / (atol + rtol*math.Abs(r[i]))
 			p += e * e
 		}
-		partial[c] = p
+		partial[lo/redChunk] = p
 	}
 }

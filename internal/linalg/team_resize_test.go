@@ -11,7 +11,7 @@ import (
 // ordered reductions make results independent of team size, so a resize
 // can never change them.
 func TestTeamResizeBitIdentical(t *testing.T) {
-	lowerParMins(t)
+	lowerParMin(t)
 	rng := rand.New(rand.NewSource(11))
 	const n = 5000
 	a := gridOperator(70)
@@ -29,8 +29,8 @@ func TestTeamResizeBitIdentical(t *testing.T) {
 		elastic.SetTarget(size)
 
 		var fops, eops Ops
-		df := fixed.Dot(x, y, &fops)
-		de := elastic.Dot(x, y, &eops)
+		df := teamDot(fixed, x, y)
+		de := teamDot(elastic, x, y)
 		if df != de {
 			t.Errorf("step %d (target %d): Dot = %v, want %v", step, size, de, df)
 		}
@@ -50,8 +50,8 @@ func TestTeamResizeBitIdentical(t *testing.T) {
 		wf, we := NewVector(n), NewVector(n)
 		copy(wf, x)
 		copy(we, x)
-		fixed.AXPY(wf, 0.25, y, &fops)
-		elastic.AXPY(we, 0.25, y, &eops)
+		teamAXPY(fixed, wf, 0.25, y)
+		teamAXPY(elastic, we, 0.25, y)
 		for i := range wf {
 			if wf[i] != we[i] {
 				t.Fatalf("step %d: AXPY[%d] = %v, want %v", step, i, we[i], wf[i])
@@ -62,9 +62,9 @@ func TestTeamResizeBitIdentical(t *testing.T) {
 
 // TestTeamResizePhaseBitIdentical resizes across fused-phase dispatches:
 // the grown/shrunk team recomputes chunk-aligned ranges and must produce
-// the serial interpretation's exact result at every size.
+// the whole-range (no team) interpretation's exact result at every size.
 func TestTeamResizePhaseBitIdentical(t *testing.T) {
-	lowerParMins(t)
+	lowerParMin(t)
 	rng := rand.New(rand.NewSource(12))
 	const n = 4096 + 137
 	x := randVec(rng, n)
@@ -85,7 +85,7 @@ func TestTeamResizePhaseBitIdentical(t *testing.T) {
 		ser.Reset(n)
 		ser.AXPY(ds, &a, y)
 		ser.Dot(0, ds, y)
-		ser.runSerial()
+		(*Team)(nil).RunPhase(&ser)
 		sdot := ser.Fold(0)
 
 		var par Phase
@@ -127,7 +127,7 @@ func (r *recordResize) ObserveResize(us int64, from, to int) {
 // non-negative request-to-application latency and the exact size change,
 // and that no-op targets (same size) report nothing.
 func TestTeamResizeObserver(t *testing.T) {
-	lowerParMins(t)
+	lowerParMin(t)
 	rng := rand.New(rand.NewSource(13))
 	x := randVec(rng, 2048)
 	y := randVec(rng, 2048)
@@ -137,13 +137,12 @@ func TestTeamResizeObserver(t *testing.T) {
 	defer tm.Close()
 	tm.SetResizeObserver(rec)
 
-	var ops Ops
 	tm.SetTarget(4)
-	tm.Dot(x, y, &ops)
+	teamDot(tm, x, y)
 	tm.SetTarget(4) // same size: applied as a no-op, not observed
-	tm.Dot(x, y, &ops)
+	teamDot(tm, x, y)
 	tm.SetTarget(1)
-	tm.Dot(x, y, &ops)
+	teamDot(tm, x, y)
 
 	want := []struct{ from, to int }{{2, 4}, {4, 1}}
 	if len(rec.events) != len(want) {
@@ -162,15 +161,14 @@ func TestTeamResizeObserver(t *testing.T) {
 // TestTeamResizeClamps checks SetTarget clamping and that a pending
 // request left unapplied at Close neither panics nor resurrects workers.
 func TestTeamResizeClamps(t *testing.T) {
-	lowerParMins(t)
+	lowerParMin(t)
 	rng := rand.New(rand.NewSource(14))
 	x := randVec(rng, 1024)
 	y := randVec(rng, 1024)
 
 	tm := NewTeam(2)
-	var ops Ops
 	tm.SetTarget(0) // clamps to 1
-	tm.Dot(x, y, &ops)
+	teamDot(tm, x, y)
 	if got := tm.Size(); got != 1 {
 		t.Errorf("Size after SetTarget(0) = %d, want 1", got)
 	}
@@ -181,7 +179,7 @@ func TestTeamResizeClamps(t *testing.T) {
 	}
 	// Kernels on the closed team still work, serially, and must not
 	// apply the stale pending target.
-	if got, want := tm.Dot(x, y, &ops), x.Dot(y, &ops); got != want {
+	if got, want := teamDot(tm, x, y), x.Dot(y, nil); got != want {
 		t.Errorf("closed-team Dot = %v, want %v", got, want)
 	}
 	if got := tm.Size(); got != 1 {

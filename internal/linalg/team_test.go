@@ -1,21 +1,37 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 )
 
-// lowerParMins drops every parallel cut-over to 1 for the duration of a
-// test, so team dispatch is exercised even on tiny vectors, and restores
-// the defaults on cleanup.
-func lowerParMins(t *testing.T) {
+// lowerParMin drops the parallel cut-over to 1 for the duration of a test,
+// so team dispatch is exercised even on tiny vectors, and restores it on
+// cleanup.
+func lowerParMin(t testing.TB) {
 	t.Helper()
-	savedVec, savedRed, savedRows, savedLvl, savedPh := ParMinVec, ParMinRed, ParMinRows, ParMinLevelRows, ParMinPhase
-	ParMinVec, ParMinRed, ParMinRows, ParMinLevelRows, ParMinPhase = 1, 1, 1, 1, 1
-	t.Cleanup(func() {
-		ParMinVec, ParMinRed, ParMinRows, ParMinLevelRows, ParMinPhase = savedVec, savedRed, savedRows, savedLvl, savedPh
-	})
+	saved := ParMinPhase
+	ParMinPhase = 1
+	t.Cleanup(func() { ParMinPhase = saved })
+}
+
+// teamDot runs <a, b> as a one-step phase on tm.
+func teamDot(tm *Team, a, b Vector) float64 {
+	var p Phase
+	p.Reset(len(a))
+	p.Dot(0, a, b)
+	tm.RunPhase(&p)
+	return p.Fold(0)
+}
+
+// teamAXPY runs y += a*x as a one-step phase on tm.
+func teamAXPY(tm *Team, y Vector, a float64, x Vector) {
+	var p Phase
+	p.Reset(len(y))
+	p.AXPY(y, &a, x)
+	tm.RunPhase(&p)
 }
 
 func randVec(rng *rand.Rand, n int) Vector {
@@ -30,11 +46,13 @@ func randVec(rng *rand.Rand, n int) Vector {
 // that does not divide typical lengths evenly.
 var teamSizes = []int{1, 2, 3, 4}
 
-// TestTeamKernelsBitIdentical checks every Team kernel against its serial
-// twin, element for element and bit for bit, across team sizes — the core
-// determinism claim of the intra-grid parallel layer.
+// TestTeamKernelsBitIdentical checks every Phase step kind, and the
+// standalone team kernels, against a plain loop written here — element for
+// element and bit for bit, across team sizes, on both sides of the cut-over
+// and on nil and closed teams: the core determinism claim of the intra-grid
+// parallel layer. Each step runs as its own one-step phase so a failure
+// names the step.
 func TestTeamKernelsBitIdentical(t *testing.T) {
-	lowerParMins(t)
 	rng := rand.New(rand.NewSource(7))
 	const n = 5000 // spans several redChunk boundaries, not a multiple
 	a := gridOperator(70)
@@ -42,109 +60,106 @@ func TestTeamKernelsBitIdentical(t *testing.T) {
 	y := randVec(rng, n)
 	d := randVec(rng, n)
 	gx := randVec(rng, a.Cols)
+	basis := []Vector{randVec(rng, n), randVec(rng, n), randVec(rng, n)}
+	al, be := 0.71, -1.25
+	at, rt := 1e-3, 1e-4
+	k := 1
 
-	for _, size := range teamSizes {
-		tm := NewTeam(size)
-		defer tm.Close()
+	// One row per step kind: build appends the step under test writing dst
+	// (preloaded with d), want is the plain loop, flops the step's charge.
+	steps := []struct {
+		name  string
+		build func(p *Phase, dst Vector)
+		want  func(dst Vector, i int) float64
+		flops int64
+	}{
+		{"Copy", func(p *Phase, dst Vector) { p.Copy(dst, x) }, func(dst Vector, i int) float64 { return x[i] }, 0},
+		{"UpdateP", func(p *Phase, dst Vector) { p.UpdateP(dst, y, x, &al, &be) }, func(dst Vector, i int) float64 { return y[i] + al*(dst[i]-be*x[i]) }, 4 * n},
+		{"MulElem", func(p *Phase, dst Vector) { p.MulElem(dst, y, x) }, func(dst Vector, i int) float64 { return y[i] * x[i] }, n},
+		{"MulElemAt", func(p *Phase, dst Vector) { p.MulElemAt(dst, y, basis, &k) }, func(dst Vector, i int) float64 { return y[i] * basis[k][i] }, n},
+		{"MulElemAdd", func(p *Phase, dst Vector) { p.MulElemAdd(dst, y, x) }, func(dst Vector, i int) float64 { return dst[i] + y[i]*x[i] }, 2 * n},
+		{"Sub", func(p *Phase, dst Vector) { p.Sub(dst, y, x) }, func(dst Vector, i int) float64 { return y[i] - x[i] }, n},
+		{"SubAliased", func(p *Phase, dst Vector) { p.Sub(dst, y, dst) }, func(dst Vector, i int) float64 { return y[i] - dst[i] }, n},
+		{"AXPY", func(p *Phase, dst Vector) { p.AXPY(dst, &al, x) }, func(dst Vector, i int) float64 { return dst[i] + al*x[i] }, 2 * n},
+		{"AXPYTo", func(p *Phase, dst Vector) { p.AXPYTo(dst, y, &al, x) }, func(dst Vector, i int) float64 { return y[i] + al*x[i] }, 2 * n},
+		{"AXPY2", func(p *Phase, dst Vector) { p.AXPY2(dst, &al, x, &be, y) }, func(dst Vector, i int) float64 { return dst[i] + (al*x[i] + be*y[i]) }, 4 * n},
+		{"ScaleTo", func(p *Phase, dst Vector) { p.ScaleTo(dst, &al, x) }, func(dst Vector, i int) float64 { return al * x[i] }, n},
+	}
+	// Reductions against the chunked reference loop of the serial Vector ops.
+	wantDot := x.Dot(y, nil)
+	wantWRMS := x.WRMSNorm(y, at, rt, nil)
+	// SpMV against the row-by-row product.
+	wantMul := NewVector(a.Rows)
+	a.MulVec(wantMul, gx, nil)
 
-		// Reductions: identical association via the fixed-chunk fold.
-		var serOps, parOps Ops
-		if got, want := tm.Dot(x, y, &parOps), x.Dot(y, &serOps); got != want {
-			t.Errorf("size %d: Dot = %v, want %v", size, got, want)
+	check := func(label string, tm *Team) {
+		for _, st := range steps {
+			dst := d.Clone()
+			var p Phase
+			p.Reset(n)
+			st.build(&p, dst)
+			tm.RunPhase(&p)
+			want := NewVector(n)
+			for i := range want {
+				want[i] = st.want(d, i)
+			}
+			checkSame(t, tm.Size(), label+" "+st.name, dst, want)
+			if p.Flops() != st.flops {
+				t.Errorf("%s: %s charges %d flops, want %d", label, st.name, p.Flops(), st.flops)
+			}
 		}
-		if got, want := tm.Norm2(x, &parOps), math.Sqrt(x.Dot(x, &serOps)); got != want {
-			t.Errorf("size %d: Norm2 = %v, want %v", size, got, want)
+		var p Phase
+		p.Reset(n)
+		p.Dot(0, x, y)
+		p.WRMS(1, x, y, &at, &rt)
+		tm.RunPhase(&p)
+		if got := p.Fold(0); got != wantDot {
+			t.Errorf("%s: Dot = %v, want %v", label, got, wantDot)
 		}
-		if got, want := tm.WRMSNorm(x, y, 1e-3, 1e-3, &parOps), x.WRMSNorm(y, 1e-3, 1e-3, &serOps); got != want {
-			t.Errorf("size %d: WRMSNorm = %v, want %v", size, got, want)
+		if got := math.Sqrt(p.Fold(1) / n); got != wantWRMS {
+			t.Errorf("%s: WRMS = %v, want %v", label, got, wantWRMS)
+		}
+		if p.Flops() != 7*n {
+			t.Errorf("%s: Dot+WRMS charge %d flops, want %d", label, p.Flops(), 7*n)
 		}
 
-		// SpMV, split by nnz.
-		ys, yp := NewVector(a.Rows), NewVector(a.Rows)
-		a.MulVec(ys, gx, &serOps)
-		tm.MulVec(a, yp, gx, &parOps)
-		checkSame(t, size, "MulVec", yp, ys)
+		// Phase SpMV (chunk-aligned rows) and the standalone one (split by nnz).
+		got := NewVector(a.Rows)
+		var mv Phase
+		mv.Reset(a.Rows)
+		mv.MulVec(a, got, gx)
+		tm.RunPhase(&mv)
+		checkSame(t, tm.Size(), label+" phase MulVec", got, wantMul)
+		got.Fill(0)
+		var ops Ops
+		tm.MulVec(a, got, gx, &ops)
+		checkSame(t, tm.Size(), label+" MulVec", got, wantMul)
+		if want := 2 * int64(a.NNZ()); ops.Flops != want || mv.Flops() != want {
+			t.Errorf("%s: MulVec charges %d / phase %d flops, want %d", label, ops.Flops, mv.Flops(), want)
+		}
 
 		// Shifted-operator value rewrite.
 		so1, so2 := NewShiftedOperator(a), NewShiftedOperator(a)
-		ms := so1.Update(0.037, &serOps)
-		mp := so2.UpdateWith(tm, 0.037, &parOps)
+		ms := so1.Update(0.037, nil)
+		mp := so2.UpdateWith(tm, 0.037, nil)
 		for i := range ms.Val {
 			if ms.Val[i] != mp.Val[i] {
-				t.Fatalf("size %d: ShiftedOperator val[%d] = %v, want %v", size, i, mp.Val[i], ms.Val[i])
+				t.Fatalf("%s: ShiftedOperator val[%d] = %v, want %v", label, i, mp.Val[i], ms.Val[i])
 			}
 		}
+	}
 
-		// Elementwise kernels: compute each element with serial arithmetic.
-		ser, par := NewVector(n), NewVector(n)
-
-		copy(ser, y)
-		ser.AXPY(0.71, x, &serOps)
-		copy(par, y)
-		tm.AXPY(par, 0.71, x, &parOps)
-		checkSame(t, size, "AXPY", par, ser)
-
-		for i := range ser {
-			ser[i] = y[i] + (-0.31)*x[i]
+	saved := ParMinPhase
+	t.Cleanup(func() { ParMinPhase = saved })
+	for _, cut := range []int{1, 1 << 30} {
+		ParMinPhase = cut
+		for _, size := range teamSizes {
+			tm := NewTeam(size)
+			check(fmt.Sprintf("cut=%d team=%d", cut, size), tm)
+			tm.Close()
+			check(fmt.Sprintf("cut=%d closed team (was %d)", cut, size), tm)
 		}
-		serOps.Add(2 * int64(n)) // the hand-rolled loops charge the kernels' rates
-		tm.AXPYTo(par, y, -0.31, x, &parOps)
-		checkSame(t, size, "AXPYTo", par, ser)
-
-		copy(ser, d)
-		copy(par, d)
-		for i := range ser {
-			ser[i] += 0.5*x[i] + (-1.25)*y[i]
-		}
-		serOps.Add(4 * int64(n))
-		tm.AXPY2(par, 0.5, x, -1.25, y, &parOps)
-		checkSame(t, size, "AXPY2", par, ser)
-
-		copy(ser, d)
-		copy(par, d)
-		for i := range ser {
-			ser[i] = y[i] + 0.9*(ser[i]-0.4*x[i])
-		}
-		serOps.Add(4 * int64(n))
-		tm.UpdateP(par, y, x, 0.9, 0.4, &parOps)
-		checkSame(t, size, "UpdateP", par, ser)
-
-		for i := range ser {
-			ser[i] = d[i] * x[i]
-		}
-		serOps.Add(int64(n))
-		tm.MulElem(par, d, x, &parOps)
-		checkSame(t, size, "MulElem", par, ser)
-
-		copy(ser, y)
-		copy(par, y)
-		for i := range ser {
-			ser[i] += d[i] * x[i]
-		}
-		serOps.Add(2 * int64(n))
-		tm.MulElemAdd(par, d, x, &parOps)
-		checkSame(t, size, "MulElemAdd", par, ser)
-
-		for i := range ser {
-			ser[i] = 1.75 * x[i]
-		}
-		serOps.Add(int64(n))
-		tm.ScaleTo(par, 1.75, x, &parOps)
-		checkSame(t, size, "ScaleTo", par, ser)
-
-		ser.Sub(y, x, &serOps)
-		tm.Sub(par, y, x, &parOps)
-		checkSame(t, size, "Sub", par, ser)
-
-		tm.Copy(par, x)
-		checkSame(t, size, "Copy", par, x)
-
-		// Exact flop accounting is part of the contract: tests elsewhere pin
-		// flop counts, so the team kernels must charge exactly the serial
-		// amounts.
-		if parOps.Flops != serOps.Flops {
-			t.Errorf("size %d: team flops %d != serial flops %d", size, parOps.Flops, serOps.Flops)
-		}
+		check(fmt.Sprintf("cut=%d nil team", cut), nil)
 	}
 }
 
@@ -164,7 +179,7 @@ func checkSame(t *testing.T, size int, kernel string, got, want Vector) {
 // chunk-boundary lengths — one below, at, and above each multiple of
 // redChunk — where a partial chunk or an off-by-one split would show up.
 func TestTeamReductionChunkBoundaries(t *testing.T) {
-	lowerParMins(t)
+	lowerParMin(t)
 	rng := rand.New(rand.NewSource(11))
 	var sizes []int
 	for _, base := range []int{redChunk, 2 * redChunk, 3 * redChunk} {
@@ -177,10 +192,16 @@ func TestTeamReductionChunkBoundaries(t *testing.T) {
 		for _, n := range sizes {
 			a := randVec(rng, n)
 			b := randVec(rng, n)
-			if got, want := tm.Dot(a, b, nil), a.Dot(b, nil); got != want {
+			at, rt := 1e-6, 1e-4
+			var p Phase
+			p.Reset(n)
+			p.Dot(0, a, b)
+			p.WRMS(1, a, b, &at, &rt)
+			tm.RunPhase(&p)
+			if got, want := p.Fold(0), a.Dot(b, nil); got != want {
 				t.Errorf("team %d, n=%d: Dot = %v, want %v", size, n, got, want)
 			}
-			if got, want := tm.WRMSNorm(a, b, 1e-6, 1e-4, nil), a.WRMSNorm(b, 1e-6, 1e-4, nil); got != want {
+			if got, want := math.Sqrt(p.Fold(1)/float64(n)), a.WRMSNorm(b, at, rt, nil); got != want {
 				t.Errorf("team %d, n=%d: WRMSNorm = %v, want %v", size, n, got, want)
 			}
 		}
@@ -208,7 +229,7 @@ func TestSerialReductionUnchangedBelowOneChunk(t *testing.T) {
 // TestILUSolveWithMatchesSolve checks the level-scheduled parallel
 // triangular solve against the serial natural-order solve, bit for bit.
 func TestILUSolveWithMatchesSolve(t *testing.T) {
-	lowerParMins(t)
+	lowerParMin(t)
 	rng := rand.New(rand.NewSource(5))
 	a := gridOperator(40) // 1600 rows, plenty of levels
 	f, err := NewILU0(a, nil)
@@ -254,9 +275,9 @@ func TestTeamRun(t *testing.T) {
 
 // TestTeamSteadyStateAllocFree asserts that a warmed-up team dispatches its
 // kernels without allocating: opcode dispatch, argument passing through
-// fields, and the pre-grown partial buffer must stay off the heap.
+// fields, and the plan's pre-grown partial buffers must stay off the heap.
 func TestTeamSteadyStateAllocFree(t *testing.T) {
-	lowerParMins(t)
+	lowerParMin(t)
 	rng := rand.New(rand.NewSource(13))
 	const n = 4096
 	a := gridOperator(64)
@@ -266,14 +287,16 @@ func TestTeamSteadyStateAllocFree(t *testing.T) {
 	gy := NewVector(a.Rows)
 	tm := NewTeam(4)
 	defer tm.Close()
-	// Warm up: grows the partial buffer once.
-	tm.Dot(x, y, nil)
+	al, at := 0.5, 1e-3
+	var p Phase // built once: grows the step and partial arrays
+	p.Reset(n)
+	p.Dot(0, x, y)
+	p.WRMS(1, x, y, &at, &at)
+	p.AXPY(y, &al, x)
+	p.Copy(y, x)
 	if allocs := testing.AllocsPerRun(50, func() {
-		tm.Dot(x, y, nil)
-		tm.WRMSNorm(x, y, 1e-3, 1e-3, nil)
-		tm.AXPY(y, 0.5, x, nil)
+		tm.RunPhase(&p)
 		tm.MulVec(a, gy, gx, nil)
-		tm.Copy(y, x)
 	}); allocs != 0 {
 		t.Fatalf("steady-state team dispatch allocates %v per run, want 0", allocs)
 	}
@@ -290,7 +313,7 @@ func (o *countingObserver) Observe(us int64) { o.n++; o.last = us }
 // TestTeamImbalanceObserver checks that an installed observer sees one
 // measurement per parallel dispatch and none for inline (serial) kernels.
 func TestTeamImbalanceObserver(t *testing.T) {
-	lowerParMins(t)
+	lowerParMin(t)
 	rng := rand.New(rand.NewSource(17))
 	x := randVec(rng, 2048)
 	y := randVec(rng, 2048)
@@ -298,8 +321,8 @@ func TestTeamImbalanceObserver(t *testing.T) {
 	defer tm.Close()
 	obs := &countingObserver{}
 	tm.SetObserver(obs)
-	tm.Dot(x, y, nil)
-	tm.AXPY(y, 0.5, x, nil)
+	teamDot(tm, x, y)
+	teamAXPY(tm, y, 0.5, x)
 	if obs.n != 2 {
 		t.Fatalf("observer saw %d dispatches, want 2", obs.n)
 	}
@@ -309,7 +332,7 @@ func TestTeamImbalanceObserver(t *testing.T) {
 	// A single team runs inline and must not report.
 	single := NewTeam(1)
 	single.SetObserver(obs)
-	single.Dot(x, y, nil)
+	teamDot(single, x, y)
 	if obs.n != 2 {
 		t.Fatalf("single-worker team reported a dispatch (saw %d, want 2)", obs.n)
 	}
@@ -318,14 +341,14 @@ func TestTeamImbalanceObserver(t *testing.T) {
 // TestTeamCloseFallsBackToSerial checks that kernels still work — serially —
 // after Close, which matters for the deferred Close in panicking workers.
 func TestTeamCloseFallsBackToSerial(t *testing.T) {
-	lowerParMins(t)
+	lowerParMin(t)
 	rng := rand.New(rand.NewSource(19))
 	x := randVec(rng, 512)
 	y := randVec(rng, 512)
 	tm := NewTeam(4)
 	tm.Close()
 	tm.Close() // idempotent
-	if got, want := tm.Dot(x, y, nil), x.Dot(y, nil); got != want {
+	if got, want := teamDot(tm, x, y), x.Dot(y, nil); got != want {
 		t.Fatalf("closed team Dot = %v, want %v", got, want)
 	}
 	if tm.Size() != 1 {
@@ -334,13 +357,28 @@ func TestTeamCloseFallsBackToSerial(t *testing.T) {
 }
 
 // TestNilTeam checks the nil-receiver contract: every entry point runs the
-// serial kernel.
+// kernel on the caller.
 func TestNilTeam(t *testing.T) {
 	var tm *Team
 	x := Vector{1, 2, 3}
 	y := Vector{4, 5, 6}
-	if got, want := tm.Dot(x, y, nil), x.Dot(y, nil); got != want {
+	if got, want := teamDot(tm, x, y), x.Dot(y, nil); got != want {
 		t.Fatalf("nil team Dot = %v, want %v", got, want)
+	}
+	b := NewBuilder(2, 3)
+	for c, v := range []float64{1, 2, 3} {
+		b.Add(0, c, v)
+	}
+	b.Add(1, 1, 1)
+	out := NewVector(2)
+	tm.MulVec(b.Build(), out, x, nil)
+	if out[0] != 14 || out[1] != 2 {
+		t.Fatalf("nil team MulVec = %v, want [14 2]", out)
+	}
+	ran := false
+	tm.Run(3, func(lo, hi int) { ran = lo == 0 && hi == 3 })
+	if !ran {
+		t.Fatal("nil team Run did not call fn(0, 3)")
 	}
 	if tm.Size() != 1 {
 		t.Fatalf("nil team Size = %d, want 1", tm.Size())

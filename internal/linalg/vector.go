@@ -77,9 +77,9 @@ func (v Vector) Scale(a float64, ops *Ops) {
 // Dot returns the inner product of v and x, summed through the fixed-chunk
 // ordered reduction: per-chunk partials of redChunk elements folded in chunk
 // order. The chunking fixes the association of the sum independently of how
-// many workers compute the chunks, which is what lets Team.Dot return
-// bit-for-bit this value at any team size. Vectors shorter than one chunk
-// reduce to the classic single running sum.
+// many workers compute the chunks, which is what lets a Phase Dot step
+// fold to bit-for-bit this value at any team size. Vectors shorter than
+// one chunk reduce to the classic single running sum.
 //
 //vetsparse:allocfree
 func (v Vector) Dot(x Vector, ops *Ops) float64 {
@@ -124,8 +124,8 @@ func (v Vector) NormInf() float64 {
 
 // WRMSNorm returns the weighted root-mean-square norm used by the step-size
 // controller: sqrt(mean((v_i / (atol + rtol*|ref_i|))^2)). Like Dot it sums
-// through the fixed-chunk ordered reduction so Team.WRMSNorm matches it
-// bit-for-bit.
+// through the fixed-chunk ordered reduction so a Phase WRMS step matches
+// it bit-for-bit.
 //
 //vetsparse:allocfree
 func (v Vector) WRMSNorm(ref Vector, atol, rtol float64, ops *Ops) float64 {

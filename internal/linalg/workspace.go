@@ -31,15 +31,17 @@ type Workspace struct {
 	// workers. Results are bit-for-bit identical with any team (or none).
 	team *Team
 
-	// Fused-phase plans of the solver iteration bodies, rebuilt at each
-	// solve entry (cheap; backing arrays are reused so steady-state
-	// rebuilding allocates nothing) because ensure* may have re-sliced
-	// the vectors they bind.
-	phP1, phP, phS, phT, phX Phase // Jacobi BiCGStab
-	phAv, phAt               Phase // ILU BiCGStab matvec+dot phases
-	phArn                    Phase // GMRES Arnoldi step
-	sc                       [scCount]float64
-	karn                     int // current Arnoldi column, bound into phArn
+	// Phase plans of the solver prologues and iteration bodies, rebuilt at
+	// each solve entry (backing arrays are reused, so steady-state
+	// rebuilding allocates nothing) because they bind the caller's x and b
+	// and ensure* may have re-sliced the workspace vectors.
+	phInit, phS, phX Phase // BiCGStab prologue and s / x,r updates (both variants)
+	phP1, phP, phT   Phase // Jacobi BiCGStab direction and t phases
+	phPu, phAv, phAt Phase // ILU BiCGStab p-update and matvec+dot phases
+	phR0, phArn      Phase // GMRES restart residual and Arnoldi step
+	phTmp            Phase // plans bound on the spot and run at once (norms, tails, normalizations)
+	sc               [scCount]float64
+	karn             int // current Arnoldi column, bound into phArn
 }
 
 // Scalar slots the fused plans read through pointers; the solver loops
@@ -51,6 +53,7 @@ const (
 	scAlpha
 	scOmega
 	scNegOmega
+	scInvNorm
 	scCount
 )
 
@@ -123,23 +126,27 @@ func (ws *Workspace) ensureGMRES(n, m int) {
 	ws.y = growF(ws.y, m)
 }
 
-// fusedOK reports whether a solve of dimension n should run its fused
-// iteration body: a real team is attached and the system clears the
-// phase cut-over.
-func (ws *Workspace) fusedOK(n int) bool {
-	return !ws.team.seq() && n >= ParMinPhase
-}
-
-// buildBiCGStabPhases (re)binds the fused BiCGStab iteration phases to the
-// workspace vectors and the caller's solution vector. The Jacobi variant
-// fuses a whole iteration into four dispatches; the ILU variant keeps the
-// p-update and triangular solves as separate (level-scheduled) dispatches
-// and fuses the matvec+reduction tails. Barriers appear exactly before the
-// SpMV steps whose input was written earlier in the same phase.
-func (ws *Workspace) buildBiCGStabPhases(a *CSR, x Vector, withILU bool) {
+// buildBiCGStabPhases (re)binds the BiCGStab phases to the workspace
+// vectors and the caller's x and b. The Jacobi variant fuses a whole
+// iteration into four dispatches; the ILU variant keeps the p-update and
+// triangular solves as separate (level-scheduled) dispatches and fuses the
+// matvec+reduction tails. Barriers appear exactly before the SpMV steps
+// whose input was written earlier in the same phase.
+func (ws *Workspace) buildBiCGStabPhases(a *CSR, x, b Vector, withILU bool) {
 	n := len(ws.r)
 	sc := &ws.sc
+	in := &ws.phInit // r = b - A x, |b|^2, |r|^2, rTilde = p = r
+	in.Reset(n)
+	in.MulVec(a, ws.r, x)
+	in.Sub(ws.r, b, ws.r)
+	in.Dot(0, b, b)
+	in.Dot(1, ws.r, ws.r)
+	in.Copy(ws.rTilde, ws.r)
+	in.Copy(ws.p, ws.r)
 	if withILU {
+		pu := &ws.phPu
+		pu.Reset(n)
+		pu.UpdateP(ws.p, ws.r, ws.v, &sc[scBeta], &sc[scOmegaPrev])
 		av := &ws.phAv
 		av.Reset(n)
 		av.MulVec(a, ws.v, ws.pHat) // pHat written pre-dispatch: no barrier
@@ -150,9 +157,8 @@ func (ws *Workspace) buildBiCGStabPhases(a *CSR, x Vector, withILU bool) {
 		at.Dot(0, ws.t, ws.t)
 		at.Dot(1, ws.t, ws.s)
 	} else {
-		p1 := &ws.phP1 // first iteration: p = r instead of the p-update
+		p1 := &ws.phP1 // first iteration: p = r came with the prologue
 		p1.Reset(n)
-		p1.Copy(ws.p, ws.r)
 		p1.MulElem(ws.pHat, ws.invD, ws.p)
 		p1.Barrier() // SpMV reads all of pHat
 		p1.MulVec(a, ws.v, ws.pHat)
@@ -184,17 +190,36 @@ func (ws *Workspace) buildBiCGStabPhases(a *CSR, x Vector, withILU bool) {
 	xp.Dot(1, ws.rTilde, ws.r) // next iteration's rho, one dispatch early
 }
 
-// buildArnoldiPhase (re)binds the fused GMRES Arnoldi step: preconditioner
-// application, SpMV, and the full modified Gram-Schmidt sweep against the
-// Krylov basis in one dispatch, with ws.karn selecting the column.
-func (ws *Workspace) buildArnoldiPhase(a *CSR) {
+// buildGMRESPhases (re)binds the GMRES restart-residual phase and the
+// Arnoldi step: preconditioner application, SpMV, and the full modified
+// Gram-Schmidt sweep against the Krylov basis in one dispatch, with ws.karn
+// selecting the column.
+func (ws *Workspace) buildGMRESPhases(a *CSR, x, b Vector) {
 	n := len(ws.w)
+	r0 := &ws.phR0 // v0 = b - A x and its squared norm
+	r0.Reset(n)
+	r0.MulVec(a, ws.w, x)
+	r0.Sub(ws.basis[0], b, ws.w)
+	r0.Dot(0, ws.basis[0], ws.basis[0])
 	ph := &ws.phArn
 	ph.Reset(n)
 	ph.MulElemAt(ws.z, ws.invD, ws.basis, &ws.karn)
 	ph.Barrier() // SpMV reads all of z
 	ph.MulVec(a, ws.w, ws.z)
 	ph.MGS(ws.w, ws.basis, ws.hess, &ws.karn)
+}
+
+// scaleInto runs dst = s*src as a one-step phase: the normalization of a
+// new Krylov basis vector.
+//
+//vetsparse:allocfree
+func (ws *Workspace) scaleInto(dst Vector, s float64, src Vector, ops *Ops) {
+	ws.sc[scInvNorm] = s
+	ph := &ws.phTmp
+	ph.Reset(len(dst))
+	ph.ScaleTo(dst, &ws.sc[scInvNorm], src)
+	ws.team.RunPhase(ph)
+	ops.Add(ph.Flops())
 }
 
 // ILUFor returns the ILU(0) factorization of a, reusing the cached factors

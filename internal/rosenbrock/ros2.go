@@ -106,13 +106,13 @@ type Workspace struct {
 	// integration targets a different Jacobian.
 	op *linalg.ShiftedOperator
 
-	// Fused-phase plans of the stepper's own vector work (stage-2
-	// preparation, stage-2 right-hand side, and the stage combination +
-	// WRMS error norm), rebuilt by NewStepper after ensure may have
-	// re-sliced the vectors they bind. psc holds the scalars the plans
-	// read through pointers.
-	phPrep, phRhs2, phComb linalg.Phase
-	psc                    [pscCount]float64
+	// Phase plans of the stepper's own vector work (stage-1 initial guess,
+	// stage-2 preparation, stage-2 right-hand side, the stage combination +
+	// WRMS error norm, and the accepted-step copy), rebuilt by NewStepper
+	// after ensure may have re-sliced the vectors they bind. psc holds the
+	// scalars the plans read through pointers.
+	phGuess, phPrep, phRhs2, phComb, phAccept linalg.Phase
+	psc                                       [pscCount]float64
 }
 
 // Scalar slots of the stepper's fused phases.
@@ -175,17 +175,22 @@ func (w *Workspace) ensure(n int, jac *linalg.CSR) {
 	}
 }
 
-// buildStepPhases (re)binds the stepper's fused phases to the stage
-// vectors and the caller's solution vector u. All three phases are purely
-// elementwise (the WRMS reduction reads only the worker's own chunks), so
-// none of them crosses a barrier: one dispatch replaces the whole unfused
-// op sequence.
+// buildStepPhases (re)binds the stepper's phases to the stage vectors and
+// the caller's solution vector u. All of them are purely elementwise (the
+// WRMS reduction reads only the worker's own chunks), so none crosses a
+// barrier: one dispatch per group of vector ops.
 func (w *Workspace) buildStepPhases(u linalg.Vector, tol float64) {
 	n := len(u)
 	sc := &w.psc
 	sc[pscOne] = 1
 	sc[pscNeg2] = -2
 	sc[pscTol] = tol
+	g := &w.phGuess // k1 = f1 (stage-1 initial guess: the explicit value)
+	g.Reset(n)
+	g.Copy(w.k1, w.f1)
+	a := &w.phAccept // u = uNew
+	a.Reset(n)
+	a.Copy(u, w.uNew)
 	p := &w.phPrep // u1 = u + tau*k1
 	p.Reset(n)
 	p.Copy(w.u1, u)
@@ -326,12 +331,6 @@ func (s *Stepper) Step() error {
 	ws := s.ws
 	tm := ws.Team()
 	u := s.u
-	// The stepper's own vector work runs as three fused phases (one team
-	// dispatch each, zero barriers) when a real team is attached and the
-	// system clears the phase cut-over; results are bit-for-bit identical
-	// to the unfused op sequence either way.
-	fused := tm.Size() > 1 && len(u) >= linalg.ParMinPhase
-
 	tau := math.Min(s.h, s.t1-s.t)
 	// M = I - gamma*tau*J: an in-place value rewrite of the cached
 	// pattern, skipped entirely when the controller kept the step.
@@ -341,7 +340,7 @@ func (s *Stepper) Step() error {
 	// Stage 1: M k1 = F(t, u).
 	s.sys.F(s.t, u, ws.f1, ops)
 	s.st.FEvals++
-	tm.Copy(ws.k1, ws.f1) // initial guess: explicit value
+	tm.RunPhase(&ws.phGuess)
 	s1, err := s.cfg.solve(ws, m, ws.k1, ws.f1, s.linTol, key, ops)
 	s.st.LinIters += s1.Iterations
 	if err != nil {
@@ -349,23 +348,13 @@ func (s *Stepper) Step() error {
 	}
 
 	// Stage 2: M k2 = F(t+tau, u + tau*k1) - 2 k1.
-	if fused {
-		ws.psc[pscTau] = tau
-		tm.RunPhase(&ws.phPrep)
-		ops.Add(ws.phPrep.Flops())
-	} else {
-		tm.Copy(ws.u1, u)
-		tm.AXPY(ws.u1, tau, ws.k1, ops)
-	}
+	ws.psc[pscTau] = tau
+	tm.RunPhase(&ws.phPrep)
+	ops.Add(ws.phPrep.Flops())
 	s.sys.F(s.t+tau, ws.u1, ws.f2, ops)
 	s.st.FEvals++
-	if fused {
-		tm.RunPhase(&ws.phRhs2)
-		ops.Add(ws.phRhs2.Flops())
-	} else {
-		tm.AXPY(ws.f2, -2, ws.k1, ops)
-		tm.Copy(ws.k2, ws.f2)
-	}
+	tm.RunPhase(&ws.phRhs2)
+	ops.Add(ws.phRhs2.Flops())
 	s2, err := s.cfg.solve(ws, m, ws.k2, ws.f2, s.linTol, key, ops)
 	s.st.LinIters += s2.Iterations
 	if err != nil {
@@ -373,27 +362,16 @@ func (s *Stepper) Step() error {
 	}
 
 	// Candidate solution and embedded error estimate:
-	// u_{n+1} = u + 1.5 tau k1 + 0.5 tau k2; est = (tau/2)(k1 + k2).
-	var errNorm float64
-	if fused {
-		ws.psc[psc15Tau] = 1.5 * tau
-		ws.psc[pscHalfTau] = 0.5 * tau
-		tm.RunPhase(&ws.phComb)
-		ops.Add(ws.phComb.Flops())
-		errNorm = math.Sqrt(ws.phComb.Fold(0) / float64(len(u)))
-	} else {
-		tm.Copy(ws.uNew, u)
-		tm.AXPY(ws.uNew, 1.5*tau, ws.k1, ops)
-		tm.AXPY(ws.uNew, 0.5*tau, ws.k2, ops)
-		// est = (0.5 tau)(k1 + 1*k2), fused ops bit-identical to the direct
-		// expression (1*x is exact, and Go associates 0.5*tau*(...) leftward).
-		tm.AXPYTo(ws.est, ws.k1, 1, ws.k2, nil)
-		tm.ScaleTo(ws.est, 0.5*tau, ws.est, nil)
-		ops.Add(3 * int64(len(u)))
-		errNorm = tm.WRMSNorm(ws.est, u, s.cfg.Tol, s.cfg.Tol, ops)
-	}
+	// u_{n+1} = u + 1.5 tau k1 + 0.5 tau k2; est = (0.5 tau)(k1 + 1*k2),
+	// bit-identical to the direct expression (1*x is exact, and Go
+	// associates 0.5*tau*(...) leftward).
+	ws.psc[psc15Tau] = 1.5 * tau
+	ws.psc[pscHalfTau] = 0.5 * tau
+	tm.RunPhase(&ws.phComb)
+	ops.Add(ws.phComb.Flops())
+	errNorm := math.Sqrt(ws.phComb.Fold(0) / float64(len(u)))
 	if errNorm <= 1 {
-		tm.Copy(u, ws.uNew)
+		tm.RunPhase(&ws.phAccept)
 		s.t += tau
 		s.st.Steps++
 	} else {

@@ -64,10 +64,10 @@ func TestStepAllocFree(t *testing.T) {
 		for _, cores := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%v/cores=%d", lin, cores), func(t *testing.T) {
 				if cores > 1 {
-					// Force the parallel kernel paths on this small grid: the
-					// opcode dispatch must be as alloc-free as the serial
-					// kernels (warm-up grows the reduction partial buffer).
-					lowerParMins(t)
+					// Wake the team on this small grid: a dispatch must be as
+					// alloc-free as the caller running the phases itself
+					// (warm-up grows the plans' partial buffers).
+					lowerParMin(t)
 				}
 				sp := steadyStepperCores(t, grid.Grid{Root: 2, L1: 2, L2: 2}, lin, cores)
 				before := sp.Stats()
@@ -93,15 +93,13 @@ func TestStepAllocFree(t *testing.T) {
 	}
 }
 
-// lowerParMins drops the linalg parallel cut-overs to 1 for the duration of
-// a test and restores them on cleanup.
-func lowerParMins(t *testing.T) {
+// lowerParMin drops the linalg parallel cut-over to 1 for the duration of a
+// test and restores it on cleanup.
+func lowerParMin(t *testing.T) {
 	t.Helper()
-	savedVec, savedRed, savedRows, savedLvl, savedPh := linalg.ParMinVec, linalg.ParMinRed, linalg.ParMinRows, linalg.ParMinLevelRows, linalg.ParMinPhase
-	linalg.ParMinVec, linalg.ParMinRed, linalg.ParMinRows, linalg.ParMinLevelRows, linalg.ParMinPhase = 1, 1, 1, 1, 1
-	t.Cleanup(func() {
-		linalg.ParMinVec, linalg.ParMinRed, linalg.ParMinRows, linalg.ParMinLevelRows, linalg.ParMinPhase = savedVec, savedRed, savedRows, savedLvl, savedPh
-	})
+	saved := linalg.ParMinPhase
+	linalg.ParMinPhase = 1
+	t.Cleanup(func() { linalg.ParMinPhase = saved })
 }
 
 // BenchmarkSubsolveSteady times the steady-state stepping loop of one

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"runtime"
 	"strconv"
 	"sync"
 	"time"
@@ -64,8 +65,8 @@ type pendingBatch struct {
 // and idle workers steal whole batches from their neighbors' deques, so
 // a skewed signature mix cannot leave workers idle while one deque backs
 // up. A token channel carries readiness: every dispatched batch sends one
-// token, every token wakes one worker for one sweep (own deque first,
-// then the others in index rotation).
+// token, every token wakes one worker for one batch (own deque first,
+// then the others in index rotation, again until it has one).
 type batcher struct {
 	window  time.Duration
 	maxSize int
@@ -251,22 +252,34 @@ func (b *batcher) dispatch(pb *pendingBatch, reason string) {
 	}
 }
 
-// take gives worker i one batch: its own deque first (affinity), then a
-// steal sweep over the neighbors in index rotation. A false return means
-// another worker's sweep got to the batch first — the caller just drops
-// its token.
+// take gives worker i, which holds a token, one batch: its own deque first
+// (affinity), then a steal sweep over the neighbors in index rotation. The
+// sweep is not atomic — a batch can land on a deque it has passed while
+// another worker pops the one it was heading for — so a miss means "look
+// again", never "nothing there": dispatch pushes before it sends the
+// token, so queued batches always number at least the tokens held, and a
+// worker that gave its token up would leave one batch with nobody to wake
+// for it. Only a closed quit (whose drain fails the queued batches) ends
+// the search empty-handed.
 func (b *batcher) take(i int) ([]*subTask, int, bool) {
-	if tasks, ok := b.deques[i].Pop(); ok {
-		return tasks, i, true
-	}
 	n := len(b.deques)
-	for k := 1; k < n; k++ {
-		v := (i + k) % n
-		if tasks, ok := b.deques[v].Steal(); ok {
-			return tasks, v, true
+	for {
+		if tasks, ok := b.deques[i].Pop(); ok {
+			return tasks, i, true
+		}
+		for k := 1; k < n; k++ {
+			v := (i + k) % n
+			if tasks, ok := b.deques[v].Steal(); ok {
+				return tasks, v, true
+			}
+		}
+		select {
+		case <-b.quit:
+			return nil, 0, false
+		default:
+			runtime.Gosched()
 		}
 	}
-	return nil, 0, false
 }
 
 // worker owns one persistent team for its whole life and runs batches in
@@ -296,7 +309,7 @@ func (b *batcher) worker(i int) {
 		case <-b.tokens:
 			tasks, victim, ok := b.take(i)
 			if !ok {
-				continue
+				continue // quit closed under the sweep: drain on the next turn
 			}
 			if victim != i {
 				b.cSteals.Inc()

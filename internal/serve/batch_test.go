@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"errors"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -289,6 +291,147 @@ func TestBatchSteal(t *testing.T) {
 		t.Fatalf("solver.steal events = %d, want %d", got, batches)
 	}
 	b.close(true)
+}
+
+// TestBatchTakeKeepsToken replays the interleaving that used to strand a
+// batch, move by move. Worker 0 takes the token of B1 (home deque 2), finds
+// its own deque empty, and is held at deque 1 — the test owns that deque's
+// lock from inside a StealIf predicate. Meanwhile B2 lands on deque 0,
+// which worker 0 has already passed, and worker 2 spends B2's token on B1
+// from its own deque. Released, worker 0 finds deques 1 and 2 empty. It
+// still holds a token and B2 is still queued: it must sweep again, not go
+// back to sleep — nobody else will ever be woken for B2.
+func TestBatchTakeKeepsToken(t *testing.T) {
+	cfg := Config{
+		BatchWindow: time.Hour, BatchMargin: time.Millisecond,
+		BatchSize: 1, BatchWorkers: 3, QueueDepth: 16,
+	}.withDefaults()
+	rec := obs.NewRecorder(0)
+	b := newBatcher(cfg, rec, newSolverCache(cfg, rec, pde.PaperProblem()), time.Now)
+	homed := func(home int) signature {
+		for root := 1; root <= 4; root++ {
+			for _, g := range grid.Family(root, 1) {
+				if sig := (signature{g: g, lin: rosenbrock.BiCGStab}); b.home(sig.String()) == home {
+					return sig
+				}
+			}
+		}
+		t.Fatalf("no test signature routes to deque %d", home)
+		return signature{}
+	}
+	out := make(chan subResult, 2)
+	task := func(idx int, sig signature) *subTask {
+		return &subTask{sig: sig, sigStr: sig.String(), idx: idx, tol: 1e-2, deadline: time.Now().Add(time.Minute), out: out}
+	}
+	await := func(what string, idx int) {
+		t.Helper()
+		select {
+		case r := <-out:
+			if r.err != nil || r.idx != idx {
+				t.Fatalf("%s: got result %d, err %v", what, r.idx, r.err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: stranded — queued with no token and no worker looking", what)
+		}
+	}
+
+	// Own deque 1's lock: a placeholder item gives StealIf something to
+	// show the predicate, which blocks until released and then removes it.
+	b.deques[1].Push(nil)
+	held, release := make(chan struct{}), make(chan struct{})
+	go b.deques[1].StealIf(func([]*subTask) bool { close(held); <-release; return true })
+	<-held
+
+	b.wg.Add(1)
+	go b.worker(0)
+	if err := b.enqueue(task(1, homed(2))); err != nil { // B1
+		t.Fatal(err)
+	}
+	waitFor(t, "worker 0 to take B1's token", func() bool { return len(b.tokens) == 0 })
+	for i := 0; i < 1000; i++ {
+		runtime.Gosched() // let it pass its own deque and reach the held lock
+	}
+
+	b.wg.Add(1)
+	go b.worker(2)
+	if err := b.enqueue(task(2, homed(0))); err != nil { // B2, behind worker 0's back
+		t.Fatal(err)
+	}
+	await("B1 on worker 2", 1)
+	close(release)
+	await("B2", 2)
+	b.close(true)
+	checkBatchLedger(t, &Server{rec: rec})
+}
+
+// TestBatchTokensNeverStrand is the regression test of the stranded batch:
+// with several batch workers a token holder whose sweep raced another
+// worker's pop used to give its token up, leaving one queued batch with no
+// token to wake anyone — every later token then ran an older batch and
+// stranded a newer one, until the requests died on their deadlines.
+// Closed-loop clients hammer 2-4 workers with one-task batches of one hot
+// and several mixed signatures: every result must arrive, in time.
+func TestBatchTokensNeverStrand(t *testing.T) {
+	var sigs []signature
+	for _, g := range grid.Family(1, 1) {
+		for _, lin := range []rosenbrock.LinearSolver{rosenbrock.BiCGStab, rosenbrock.GMRES} {
+			sigs = append(sigs, signature{g: g, lin: lin})
+		}
+	}
+	for workers := 2; workers <= 4; workers++ {
+		cfg := Config{
+			BatchWindow: time.Hour, BatchMargin: time.Millisecond,
+			BatchSize: 1, BatchWorkers: workers, QueueDepth: 64,
+		}.withDefaults()
+		rec := obs.NewRecorder(0)
+		b := newBatcher(cfg, rec, newSolverCache(cfg, rec, pde.PaperProblem()), time.Now)
+		b.start()
+
+		const clients, perClient = 8, 400
+		var wg sync.WaitGroup
+		errs := make(chan error, clients)
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				out := make(chan subResult, 1)
+				for i := 0; i < perClient; i++ {
+					sig := sigs[0] // even clients share the hot signature
+					if c%2 == 1 {
+						sig = sigs[(c+i)%len(sigs)]
+					}
+					tk := &subTask{
+						sig: sig, sigStr: sig.String(), tol: 1e-2,
+						deadline: time.Now().Add(2 * time.Second), out: out,
+					}
+					if err := b.enqueue(tk); err != nil { // BatchSize=1: one batch, one token
+						errs <- err
+						return
+					}
+					select {
+					case r := <-out:
+						if r.err != nil {
+							errs <- r.err
+							return
+						}
+					case <-time.After(10 * time.Second):
+						errs <- errors.New("batch stranded: no worker ever ran it")
+						return
+					}
+				}
+			}(c)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Errorf("%d workers: %v", workers, err)
+		}
+		b.close(true)
+		if got := rec.Counter("serve.batch.tasks").Value(); got != clients*perClient {
+			t.Errorf("%d workers: %d tasks accounted, want %d", workers, got, clients*perClient)
+		}
+		checkBatchLedger(t, &Server{rec: rec})
+	}
 }
 
 // TestAutoscaler checks the pool grows with queued estimated work, shrinks

@@ -3,6 +3,7 @@ package solver
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"runtime"
 	"testing"
@@ -11,16 +12,14 @@ import (
 	"repro/internal/rosenbrock"
 )
 
-// lowerParMins drops the linalg parallel cut-overs to 1, so the team
-// kernels take their parallel paths even on the small grids these tests can
-// afford, and restores the defaults on cleanup.
-func lowerParMins(t *testing.T) {
+// lowerParMin drops the linalg parallel cut-over to 1, so the team kernels
+// wake their workers even on the small grids these tests can afford, and
+// restores it on cleanup.
+func lowerParMin(t *testing.T) {
 	t.Helper()
-	savedVec, savedRed, savedRows, savedLvl, savedPh := linalg.ParMinVec, linalg.ParMinRed, linalg.ParMinRows, linalg.ParMinLevelRows, linalg.ParMinPhase
-	linalg.ParMinVec, linalg.ParMinRed, linalg.ParMinRows, linalg.ParMinLevelRows, linalg.ParMinPhase = 1, 1, 1, 1, 1
-	t.Cleanup(func() {
-		linalg.ParMinVec, linalg.ParMinRed, linalg.ParMinRows, linalg.ParMinLevelRows, linalg.ParMinPhase = savedVec, savedRed, savedRows, savedLvl, savedPh
-	})
+	saved := linalg.ParMinPhase
+	linalg.ParMinPhase = 1
+	t.Cleanup(func() { linalg.ParMinPhase = saved })
 }
 
 // hashOutput digests every float of a run bit-exactly: the combined field
@@ -55,15 +54,32 @@ func coresUnderTest() []int {
 	return cores
 }
 
-// TestDeterminismAcrossCores is the PR's acceptance test: Sequential,
-// Concurrent (static pool), and both work-stealing schedules produce
-// SHA-256-identical output at every team size, for all three linear
-// solvers, with the parallel kernel paths forced on. The stealing
-// variants run with several executors and no guardrail, so steals — and,
-// for the elastic variant, core donations with mid-run team resizes —
-// actually happen and are proven output-neutral.
+// goldenFamily pins the root-2 level-2 tol-1e-3 family per linear solver:
+// the hashOutput digest and Output.TotalFlops of Sequential(cores=1),
+// recorded at the last commit whose no-team run still went through the
+// separate serial kernel loops. Comparing runs only against each other
+// would prove self-consistency of the one phase interpreter, not that it
+// still computes what those loops did.
+var goldenFamily = map[rosenbrock.LinearSolver]struct {
+	sha   string
+	flops int64
+}{
+	rosenbrock.BiCGStab: {"048db52c6d6074eee47a5155058b654b7b2a6ba3c98a7c76d3960a32334cab4a", 2236417},
+	rosenbrock.GMRES:    {"e381f219f9e8ff9e858e4ae6a53c8ed8326cf5eb7f7b3c4137421a2c2175cb1f", 3360748},
+	rosenbrock.ILU:      {"195753c2f0c950ac6ec51a7fd84f7e67628b2c3e0e8968217cac218a24b7e7c9", 1227472},
+}
+
+// TestDeterminismAcrossCores is the determinism acceptance test:
+// Sequential, Concurrent (static pool), and both work-stealing schedules
+// reproduce the golden SHA-256 digest and flop count at every team size,
+// for all three linear solvers, with the team woken on every phase — and,
+// for Sequential, also with the cut-over out of reach, where the same
+// teams never wake. The stealing variants run with several executors and
+// no guardrail, so steals — and, for the elastic variant, core donations
+// with mid-run team resizes — actually happen and are proven
+// output-neutral.
 func TestDeterminismAcrossCores(t *testing.T) {
-	lowerParMins(t)
+	lowerParMin(t)
 	for _, lin := range []rosenbrock.LinearSolver{rosenbrock.BiCGStab, rosenbrock.GMRES, rosenbrock.ILU} {
 		lin := lin
 		t.Run(lin.String(), func(t *testing.T) {
@@ -73,15 +89,22 @@ func TestDeterminismAcrossCores(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := hashOutput(t, ref)
+			gold := goldenFamily[lin]
+			if got := hex.EncodeToString(want[:]); got != gold.sha || ref.TotalFlops != gold.flops {
+				t.Fatalf("Sequential(cores=1) = digest %s, %d flops; golden %s, %d", got, ref.TotalFlops, gold.sha, gold.flops)
+			}
 			for _, c := range coresUnderTest() {
 				p := base
 				p.CoresPerWorker = c
-				seq, err := Sequential(p)
-				if err != nil {
-					t.Fatalf("Sequential(cores=%d): %v", c, err)
-				}
-				if got := hashOutput(t, seq); got != want {
-					t.Errorf("Sequential(cores=%d) output differs from cores=1", c)
+				for _, cut := range []int{1 << 30, 1} { // ends on 1, the setting lowerParMin installed
+					linalg.ParMinPhase = cut
+					seq, err := Sequential(p)
+					if err != nil {
+						t.Fatalf("Sequential(cores=%d, cut=%d): %v", c, cut, err)
+					}
+					if got := hashOutput(t, seq); got != want || seq.TotalFlops != gold.flops {
+						t.Errorf("Sequential(cores=%d, cut=%d) differs from the golden run (%d flops, golden %d)", c, cut, seq.TotalFlops, gold.flops)
+					}
 				}
 				for _, sched := range []Schedule{SchedulePool, ScheduleSteal, ScheduleStealElastic} {
 					p.Schedule = sched
@@ -94,8 +117,8 @@ func TestDeterminismAcrossCores(t *testing.T) {
 					if err != nil {
 						t.Fatalf("Concurrent(%v, cores=%d): %v", sched, c, err)
 					}
-					if got := hashOutput(t, conc); got != want {
-						t.Errorf("Concurrent(%v, cores=%d) output differs from Sequential(cores=1)", sched, c)
+					if got := hashOutput(t, conc); got != want || conc.TotalFlops != gold.flops {
+						t.Errorf("Concurrent(%v, cores=%d) differs from the golden run (%d flops, golden %d)", sched, c, conc.TotalFlops, gold.flops)
 					}
 				}
 			}
@@ -107,7 +130,7 @@ func TestDeterminismAcrossCores(t *testing.T) {
 // workmodel-weighted split of GOMAXPROCS across workers — against the
 // serial reference.
 func TestDeterminismAutoAllocation(t *testing.T) {
-	lowerParMins(t)
+	lowerParMin(t)
 	base := Params{Root: 2, Level: 2, Tol: 1e-3, CoresPerWorker: 1}
 	ref, err := Sequential(base)
 	if err != nil {

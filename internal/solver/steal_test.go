@@ -17,7 +17,7 @@ import (
 // one occurs (on any host a multi-grid family with three idle thieves
 // steals almost immediately).
 func TestStealStormAccounting(t *testing.T) {
-	lowerParMins(t)
+	lowerParMin(t)
 	saved := stealPlace
 	stealPlace = func(executors int, weights []float64) [][]int {
 		queues := make([][]int, executors)
@@ -89,7 +89,7 @@ func TestStealStormAccounting(t *testing.T) {
 // single-file by its owner — stealing sequentialized away by the model,
 // with zero steal events.
 func TestStealGuardrail(t *testing.T) {
-	lowerParMins(t)
+	lowerParMin(t)
 	saved := stealPlace
 	stealPlace = func(executors int, weights []float64) [][]int {
 		queues := make([][]int, executors)

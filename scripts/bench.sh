@@ -23,7 +23,7 @@ if [ "${1:-}" = "--json" ]; then
 fi
 
 run_benches() {
-    echo "## linalg kernels (assembly vs in-place update, SpMV and ILU solve per shape, team dispatch)"
+    echo "## linalg kernels (assembly vs in-place update, SpMV and ILU solve per shape, one four-op phase at team sizes 1, 2, 4)"
     go test -run XXX \
         -bench 'BenchmarkShifted|BenchmarkMulVec|BenchmarkILUSolve|BenchmarkBuilderBuild|BenchmarkTeamDispatch' \
         -benchmem "$@" ./internal/linalg/
