@@ -71,16 +71,15 @@ func serveFlags(fs *flag.FlagSet) func() (serve.Config, error) {
 		boMax     = fs.Duration("backoff-max", core.DefaultBackoffMax, "delay ceiling of the retry backoff")
 		faults    = fs.String("faults", "", "worker fault injection spec, e.g. 'seed=42,panic=0.2,hang=0.1,corrupt=0.1' (applies to every solve)")
 
-		batchWin    = fs.Duration("batch-window", 0, "cross-request batching window (0 = batching and the solver cache off); see SERVING.md")
-		batchSize   = fs.Int("batch-size", 8, "flush a pending batch at this many tasks")
-		batchWork   = fs.Int("batch-workers", 0, "batch workers, each with a persistent team (0 = GOMAXPROCS)")
-		batchTeam   = fs.Int("batch-team", 1, "team size per batch worker")
-		batchMargin = fs.Duration("batch-margin", 25*time.Millisecond, "safety margin before the earliest member deadline when flushing")
-		cacheN      = fs.Int("cache-entries", 64, "solver-cache entry bound")
-		cacheBytes  = fs.Int64("cache-bytes", 256<<20, "solver-cache approximate byte budget")
-		maxExec     = fs.Int("max-executors", 0, "autoscale the executor pool up to this (0 = fixed at -executors)")
-		scaleEvery  = fs.Duration("scale-every", 20*time.Millisecond, "autoscaler evaluation period")
-		scaleMc     = fs.Float64("scale-quantum-mc", 0, "queued megacycles per extra executor (0 = model default)")
+		batchWin   = fs.Duration("batch-window", 0, "age at which a pending cross-request batch stops taking members (0 = batching and the solver cache off); see SERVING.md")
+		batchSize  = fs.Int("batch-size", 8, "most tasks per batch")
+		batchWork  = fs.Int("batch-workers", 0, "batch workers, each with a persistent team (0 = GOMAXPROCS)")
+		batchTeam  = fs.Int("batch-team", 1, "team size per batch worker")
+		cacheN     = fs.Int("cache-entries", 64, "solver-cache entry bound")
+		cacheBytes = fs.Int64("cache-bytes", 256<<20, "solver-cache approximate byte budget")
+		maxExec    = fs.Int("max-executors", 0, "autoscale the executor pool up to this (0 = fixed at -executors)")
+		scaleEvery = fs.Duration("scale-every", 20*time.Millisecond, "autoscaler evaluation period")
+		scaleMc    = fs.Float64("scale-quantum-mc", 0, "queued megacycles per extra executor (0 = model default)")
 	)
 	return func() (serve.Config, error) {
 		cfg := serve.Config{
@@ -89,11 +88,10 @@ func serveFlags(fs *flag.FlagSet) func() (serve.Config, error) {
 			BreakerThreshold: *brkN, BreakerCooldown: *brkCool,
 			Attempts: *attempts, Retries: *retries, FailureBudget: *budget,
 			WorkerDeadline: *wdl, DefaultDeadline: *ddl, MaxLevel: *maxLevel,
-			Backoff: core.NewBackoff(*boSeed, *boBase, *boMax),
-			BatchWindow: *batchWin, BatchSize: *batchSize, BatchWorkers: *batchWork,
-			BatchTeam: *batchTeam, BatchMargin: *batchMargin,
+			BatchWindow: *batchWin, BatchSize: *batchSize, BatchWorkers: *batchWork, BatchTeam: *batchTeam,
 			CacheEntries: *cacheN, CacheBytes: *cacheBytes,
 			MaxExecutors: *maxExec, ScaleEvery: *scaleEvery, ScaleQuantumMc: *scaleMc,
+			Backoff: core.NewBackoff(*boSeed, *boBase, *boMax),
 		}
 		if *faults != "" {
 			inj, err := core.ParseFaultSpec(*faults)

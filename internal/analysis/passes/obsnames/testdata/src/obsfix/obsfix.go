@@ -30,12 +30,12 @@ func metrics(r *Recorder, gname string) {
 
 	r.Counter("solver.steals")
 	r.Histogram("solver.steal.mc")
-	r.Counter("serve.batch.steals")
 	r.Histogram("linalg.team.resize.us")
 
 	r.Gauge("core.jobs.outstandin")                  // want `metric name "core.jobs.outstandin" is not in the taxonomy`
 	r.Histogram("solver.subsolve." + gname + ".uss") // want `matches no <grid> family`
 	r.Counter("solver.stealz")                       // want `metric name "solver.stealz" is not in the taxonomy`
+	r.Counter("serve.batch.steals")                  // want `metric name "serve.batch.steals" is not in the taxonomy`
 
 	dynamic := gname + ".us"
 	r.Counter(dynamic) // wholly dynamic: out of the pass's reach

@@ -51,11 +51,11 @@ var EventDocs = []EventDoc{
 	{[]Kind{KBreakerTrip, KBreakerProbe, KBreakerClose}, "`serve` tenant circuit breaker (Aux is the tenant)", "trip: consecutive failures"},
 	{[]Kind{KDrainBegin, KDrainEnd}, "`serve.Server.Drain` on SIGTERM", "begin: queue depth; end: 1=clean, 0=timeout"},
 	{[]Kind{KBatchTask}, "`serve` batcher on a subsolve enqueue (Actor is the signature)", "request ID, pending-batch size"},
-	{[]Kind{KBatchFlush}, "`serve` batcher dispatching a batch (Aux is the reason: size, age, deadline, close)", "batch size, oldest-member age (µs)"},
+	{[]Kind{KBatchFlush}, "`serve` batcher when a batch leaves the queue; Aux is why it stopped taking members: `idle` (a free worker took it while open), `size` (it held `BatchSize` tasks), `age` (an arrival found it older than `BatchWindow`), `close` (shutdown failed it unrun)", "batch size, oldest-member age (µs)"},
 	{[]Kind{KCacheHit, KCacheMiss}, "`serve` solver cache on checkout (Actor is the signature)", "—"},
 	{[]Kind{KCacheEvict}, "`serve` solver cache keeping its entry/byte bounds", "evicted entry bytes"},
 	{[]Kind{KExecScale}, "`serve` executor autoscaler on a pool resize", "old workers, new workers"},
-	{[]Kind{KSteal}, "work-stealing schedulers (`solver.concurrentSteal`, `serve` batch workers; Aux is the victim)", "solver: grid index, modelled megacycles; serve: batch size, 0"},
+	{[]Kind{KSteal}, "work-stealing scheduler (`solver.concurrentSteal`; Aux is the victim)", "grid index, modelled megacycles"},
 	{[]Kind{KTeamResize}, "`solver` resize observer when an elastic `linalg.Team` applies a `SetTarget`", "old team size, new team size"},
 }
 
@@ -93,7 +93,7 @@ var MetricDocs = []MetricDoc{
 	{"serve.request.us", "histogram", "admission-to-terminal latency per admitted request"},
 	{"serve.queue.wait.us", "histogram", "admission-to-execution wait per admitted request"},
 	{"serve.batch.tasks", "counter", "subsolve tasks entering the cross-request batcher"},
-	{"serve.batch.flushes", "counter", "batches dispatched to batch workers"},
+	{"serve.batch.flushes", "counter", "batches taken by a batch worker, or failed unrun at close"},
 	{"serve.batch.size", "histogram", "subsolve tasks per flushed batch"},
 	{"serve.batch.wait.us", "histogram", "enqueue-to-execution wait per batched subsolve"},
 	{"serve.cache.hits", "counter", "solver-cache checkouts that found a warm entry"},
@@ -108,7 +108,6 @@ var MetricDocs = []MetricDoc{
 	{"solver.subsolve.<grid>.us", "histogram", "per-grid subsolve duration, e.g. `solver.subsolve.grid(1,2;root=2).us`"},
 	{"solver.steals", "counter", "queued grids taken by an idle executor instead of their seeded owner"},
 	{"solver.steal.mc", "histogram", "modelled megacycles of each stolen grid (how heavy the moved work was)"},
-	{"serve.batch.steals", "counter", "flushed batches taken by an idle batch worker instead of their affinity owner"},
 	{"linalg.team.resize.us", "histogram", "SetTarget-to-application latency of elastic team resizes"},
 }
 

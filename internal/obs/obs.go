@@ -165,8 +165,8 @@ const (
 	// batcher; Actor is the problem signature, A the request ID, B the
 	// pending-batch size after the enqueue.
 	KBatchTask
-	// KBatchFlush marks one batch dispatched to a batch worker; Actor is
-	// the problem signature, Aux the flush reason (size, age, deadline,
+	// KBatchFlush marks one batch leaving the batcher's queue; Actor is
+	// the problem signature, Aux the flush reason (idle, size, age,
 	// close), A the batch size, B the age of the oldest member in µs.
 	KBatchFlush
 	// KCacheHit marks a solver-cache checkout that found a warm entry;

@@ -2,12 +2,12 @@ package serve
 
 import (
 	"errors"
-	"runtime"
+	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/grid"
 	"repro/internal/linalg"
 	"repro/internal/obs"
@@ -15,8 +15,9 @@ import (
 )
 
 var (
-	errBatcherClosed = errors.New("serve: batcher closed")
-	errBatchDeadline = errors.New("serve: batched subsolve missed its deadline")
+	errBatcherClosed  = errors.New("serve: batcher closed")
+	errBatchDeadline  = errors.New("serve: batched subsolve missed its deadline")
+	errBatchAbandoned = errors.New("serve: batched subsolve abandoned by its request")
 )
 
 // subTask is one grid of one request's sparse-grid family on its way
@@ -24,14 +25,15 @@ var (
 // the family size, so a request that gives up (deadline) never blocks a
 // batch worker delivering late results.
 type subTask struct {
-	sig      signature
-	sigStr   string
-	idx      int // position in the request's grid family
-	tol      float64
-	reqID    int64
-	deadline time.Time
-	enq      time.Time
-	out      chan<- subResult
+	sig       signature
+	sigStr    string
+	idx       int // position in the request's grid family
+	tol       float64
+	reqID     int64
+	deadline  time.Time
+	abandoned *atomic.Bool // shared by the family: its request has returned
+	enq       time.Time
+	out       chan<- subResult
 }
 
 // subResult is the terminal state of one subTask.
@@ -41,17 +43,17 @@ type subResult struct {
 	err error
 }
 
-// pendingBatch accumulates same-signature tasks until a flush condition:
-// size (the batch is full), age (the window expired), deadline (the
-// earliest member's deadline minus the safety margin is due), or close
-// (the batcher is shutting down).
+// pendingBatch is a group of same-signature tasks waiting for a worker. It
+// takes new members until it is sealed, and the seal's reason is the
+// batch's flush reason: size (it is full), age (an enqueue found it older
+// than the window), idle (a worker took it while it was still open) or
+// close (the batcher shut down with it pending).
 type pendingBatch struct {
-	sigStr   string
-	tasks    []*subTask
-	created  time.Time
-	earliest time.Time // earliest member deadline; zero = none
-	timer    *time.Timer
-	gen      uint64 // guards the timer callback against a recycled key
+	sig     signature
+	sigStr  string
+	tasks   []*subTask
+	created time.Time
+	reason  string // "" while open
 }
 
 // batcher groups same-shape subsolves from concurrent requests and runs
@@ -60,17 +62,18 @@ type pendingBatch struct {
 // team (no per-request pool/team setup) and, through the solver cache,
 // the discretization and factorization of their shape.
 //
-// Batches are routed by signature affinity — the same shape always lands
-// on the same worker's deque, keeping its team and cache checkouts warm —
-// and idle workers steal whole batches from their neighbors' deques, so
-// a skewed signature mix cannot leave workers idle while one deque backs
-// up. A token channel carries readiness: every dispatched batch sends one
-// token, every token wakes one worker for one batch (own deque first,
-// then the others in index rotation, again until it has one).
+// It is a pull model, group commit: a worker with nothing to do takes the
+// oldest pending batch at once, so a task waits — and its batch grows —
+// only while every worker is busy, time it would have waited anyway. No
+// timer is involved; the window only stops an old batch from taking
+// further members. A worker prefers the oldest batch whose signature no
+// other worker is solving (that shape's cache entry is checked out, a
+// second concurrent solve would assemble it again) and otherwise takes
+// the plain oldest, so no worker idles while a batch is pending.
 type batcher struct {
 	window  time.Duration
 	maxSize int
-	margin  time.Duration
+	workers int
 	teamN   int
 	tEnd    float64
 	now     func() time.Time
@@ -79,254 +82,148 @@ type batcher struct {
 	cache *solverCache
 
 	mu      sync.Mutex
-	pending map[signature]*pendingBatch
-	gen     uint64
+	idle    *sync.Cond                  // workers wait here for a batch; guarded by mu
+	queue   []*pendingBatch             // pending batches, oldest first
+	open    map[signature]*pendingBatch // the queued batch of a signature still taking members
+	solving map[signature]int           // workers currently running a batch of the signature
 	closed  bool
+	wg      sync.WaitGroup
 
-	deques []*core.Deque[[]*subTask]
-	tokens chan struct{}
-	quit   chan struct{}
-	wg     sync.WaitGroup
-
-	cTasks, cFlushes, cSteals *obs.Counter
-	hSize, hWait              *obs.Histogram
+	cTasks, cFlushes *obs.Counter
+	hSize, hWait     *obs.Histogram
 }
 
 func newBatcher(cfg Config, rec *obs.Recorder, cache *solverCache, now func() time.Time) *batcher {
-	workers := cfg.BatchWorkers
-	if workers < 1 {
-		workers = 1
-	}
 	b := &batcher{
 		window:  cfg.BatchWindow,
 		maxSize: cfg.BatchSize,
-		margin:  cfg.BatchMargin,
+		workers: cfg.BatchWorkers,
 		teamN:   cfg.BatchTeam,
 		tEnd:    solver.DefaultTEnd,
 		now:     now,
 		rec:     rec,
 		cache:   cache,
-		pending: make(map[signature]*pendingBatch),
-		deques:  make([]*core.Deque[[]*subTask], workers),
-		tokens:  make(chan struct{}, cfg.QueueDepth),
-		quit:    make(chan struct{}),
+		open:    make(map[signature]*pendingBatch),
+		solving: make(map[signature]int),
 
 		cTasks:   rec.Counter("serve.batch.tasks"),
 		cFlushes: rec.Counter("serve.batch.flushes"),
-		cSteals:  rec.Counter("serve.batch.steals"),
 		hSize:    rec.Histogram("serve.batch.size"),
 		hWait:    rec.Histogram("serve.batch.wait.us"),
 	}
-	for i := range b.deques {
-		b.deques[i] = core.NewDeque[[]*subTask](cfg.QueueDepth)
-	}
+	b.idle = sync.NewCond(&b.mu)
 	return b
 }
 
 func (b *batcher) start() {
-	for i := range b.deques {
+	for i := 0; i < b.workers; i++ {
 		b.wg.Add(1)
 		go b.worker(i)
 	}
 }
 
-// home is the affinity route of a signature: an FNV-1a hash over the
-// signature string picks the worker whose deque, team, and cache
-// checkouts stay warm for that shape.
-func (b *batcher) home(sigStr string) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(sigStr); i++ {
-		h ^= uint32(sigStr[i])
-		h *= 16777619
-	}
-	return int(h % uint32(len(b.deques)))
-}
-
-// enqueue adds a task to its signature's pending batch, flushing on size
-// immediately and otherwise (re)arming the age/deadline timer.
+// enqueue adds a task to its signature's open batch, opening one (and
+// waking an idle worker for it) when there is none to join: none pending,
+// the pending one full, or older than the window.
 func (b *batcher) enqueue(t *subTask) error {
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	if b.closed {
-		b.mu.Unlock()
 		return errBatcherClosed
 	}
 	t.enq = b.now()
-	pb := b.pending[t.sig]
+	pb := b.open[t.sig]
+	if pb != nil && t.enq.Sub(pb.created) >= b.window {
+		b.sealLocked(pb, "age")
+		pb = nil
+	}
 	if pb == nil {
-		b.gen++
-		pb = &pendingBatch{sigStr: t.sigStr, created: t.enq, gen: b.gen}
-		b.pending[t.sig] = pb
+		pb = &pendingBatch{sig: t.sig, sigStr: t.sigStr, created: t.enq}
+		b.open[t.sig] = pb
+		b.queue = append(b.queue, pb)
+		b.idle.Signal()
 	}
 	pb.tasks = append(pb.tasks, t)
-	if !t.deadline.IsZero() && (pb.earliest.IsZero() || t.deadline.Before(pb.earliest)) {
-		pb.earliest = t.deadline
-	}
 	b.cTasks.Inc()
 	b.rec.Emit(obs.KBatchTask, t.sigStr, "", t.reqID, int64(len(pb.tasks)))
 	if len(pb.tasks) >= b.maxSize {
-		b.detachLocked(t.sig, pb)
-		b.mu.Unlock()
-		b.dispatch(pb, "size")
-		return nil
+		b.sealLocked(pb, "size")
 	}
-	b.retimeLocked(t.sig, pb)
-	b.mu.Unlock()
 	return nil
 }
 
-// retimeLocked arms or resets the batch's flush timer: created+window,
-// capped by the earliest member deadline minus the safety margin, so a
-// batch always dispatches with enough runway to finish in time.
-func (b *batcher) retimeLocked(sig signature, pb *pendingBatch) {
-	fire := pb.created.Add(b.window)
-	if !pb.earliest.IsZero() {
-		if byDeadline := pb.earliest.Add(-b.margin); byDeadline.Before(fire) {
-			fire = byDeadline
-		}
-	}
-	d := fire.Sub(b.now())
-	if d < 0 {
-		d = 0
-	}
-	if pb.timer == nil {
-		gen := pb.gen
-		pb.timer = time.AfterFunc(d, func() { b.flushExpired(sig, gen) })
-	} else {
-		pb.timer.Reset(d)
-	}
+// sealLocked stops an open batch from taking further members.
+func (b *batcher) sealLocked(pb *pendingBatch, reason string) {
+	pb.reason = reason
+	delete(b.open, pb.sig)
 }
 
-// flushExpired is the timer callback. The generation check makes a stale
-// callback — one racing a size flush that already recycled the key — a
-// no-op.
-func (b *batcher) flushExpired(sig signature, gen uint64) {
+// take blocks until a batch is pending and removes it from the queue: the
+// oldest whose signature no worker is solving, else the oldest. It returns
+// nil once the batcher is closed (close fails what was still queued).
+func (b *batcher) take() *pendingBatch {
 	b.mu.Lock()
-	pb := b.pending[sig]
-	if pb == nil || pb.gen != gen {
-		b.mu.Unlock()
-		return
+	defer b.mu.Unlock()
+	for len(b.queue) == 0 && !b.closed {
+		b.idle.Wait()
 	}
-	b.detachLocked(sig, pb)
-	b.mu.Unlock()
-	reason := "age"
-	if !pb.earliest.IsZero() && !b.now().Before(pb.earliest.Add(-b.margin)) {
-		reason = "deadline"
+	if b.closed {
+		return nil
 	}
-	b.dispatch(pb, reason)
+	i := max(0, slices.IndexFunc(b.queue, func(pb *pendingBatch) bool { return b.solving[pb.sig] == 0 }))
+	pb := b.queue[i]
+	b.queue = slices.Delete(b.queue, i, i+1)
+	if pb.reason == "" {
+		b.sealLocked(pb, "idle")
+	}
+	b.solving[pb.sig]++
+	return pb
 }
 
-func (b *batcher) detachLocked(sig signature, pb *pendingBatch) {
-	delete(b.pending, sig)
-	if pb.timer != nil {
-		pb.timer.Stop()
+// release ends a worker's claim on the signature of a batch it has run.
+func (b *batcher) release(sig signature) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.solving[sig]--; b.solving[sig] == 0 {
+		delete(b.solving, sig)
 	}
 }
 
-// dispatch hands a detached batch to the workers: one flush event, one
-// counter increment, one size observation per batch. The batch lands on
-// its signature's affinity deque, then one readiness token wakes a
-// worker; the push precedes the token send, so any worker woken by the
-// token is guaranteed to find a batch somewhere in its sweep.
-func (b *batcher) dispatch(pb *pendingBatch, reason string) {
+// flushed accounts a batch leaving the queue: one flush event, one counter
+// increment, one size observation per batch.
+func (b *batcher) flushed(pb *pendingBatch) {
 	b.cFlushes.Inc()
 	b.hSize.Observe(int64(len(pb.tasks)))
-	b.rec.Emit(obs.KBatchFlush, pb.sigStr, reason, int64(len(pb.tasks)), b.now().Sub(pb.created).Microseconds())
-	home := b.home(pb.sigStr)
-	b.deques[home].Push(pb.tasks)
-	select {
-	case b.tokens <- struct{}{}:
-	case <-b.quit:
-		// Shutdown won the race: no token was issued for the pushed
-		// batch, so fail whatever the home deque still holds (a live
-		// worker that steals first simply fails or finishes the batch
-		// itself — deque consumption is exclusive either way).
-		for {
-			tasks, ok := b.deques[home].Steal()
-			if !ok {
-				return
-			}
-			for _, t := range tasks {
-				t.out <- subResult{idx: t.idx, err: errBatcherClosed}
-			}
-		}
-	}
+	b.rec.Emit(obs.KBatchFlush, pb.sigStr, pb.reason, int64(len(pb.tasks)), b.now().Sub(pb.created).Microseconds())
 }
 
-// take gives worker i, which holds a token, one batch: its own deque first
-// (affinity), then a steal sweep over the neighbors in index rotation. The
-// sweep is not atomic — a batch can land on a deque it has passed while
-// another worker pops the one it was heading for — so a miss means "look
-// again", never "nothing there": dispatch pushes before it sends the
-// token, so queued batches always number at least the tokens held, and a
-// worker that gave its token up would leave one batch with nobody to wake
-// for it. Only a closed quit (whose drain fails the queued batches) ends
-// the search empty-handed.
-func (b *batcher) take(i int) ([]*subTask, int, bool) {
-	n := len(b.deques)
-	for {
-		if tasks, ok := b.deques[i].Pop(); ok {
-			return tasks, i, true
-		}
-		for k := 1; k < n; k++ {
-			v := (i + k) % n
-			if tasks, ok := b.deques[v].Steal(); ok {
-				return tasks, v, true
-			}
-		}
-		select {
-		case <-b.quit:
-			return nil, 0, false
-		default:
-			runtime.Gosched()
-		}
-	}
-}
-
-// worker owns one persistent team for its whole life and runs batches in
-// arrival order — its own signature-affine batches first, stolen ones
-// when its deque runs dry. On quit it fails whatever is still queued so
-// no request is left waiting on a dead batcher.
+// worker owns one persistent team for its whole life and runs one batch
+// after another, its tasks back to back, until the batcher closes.
 func (b *batcher) worker(i int) {
 	defer b.wg.Done()
 	team := linalg.NewTeam(b.teamN)
 	defer team.Close()
 	actor := "batch-" + strconv.Itoa(i)
-	for {
-		select {
-		case <-b.quit:
-			for _, dq := range b.deques {
-				for {
-					tasks, ok := dq.Steal()
-					if !ok {
-						break
-					}
-					for _, t := range tasks {
-						t.out <- subResult{idx: t.idx, err: errBatcherClosed}
-					}
-				}
-			}
-			return
-		case <-b.tokens:
-			tasks, victim, ok := b.take(i)
-			if !ok {
-				continue // quit closed under the sweep: drain on the next turn
-			}
-			if victim != i {
-				b.cSteals.Inc()
-				b.rec.Emit(obs.KSteal, actor, "batch-"+strconv.Itoa(victim), int64(len(tasks)), 0)
-			}
-			for _, t := range tasks {
-				b.runTask(actor, team, t)
-			}
+	for pb := b.take(); pb != nil; pb = b.take() {
+		b.flushed(pb)
+		for _, t := range pb.tasks {
+			b.runTask(actor, team, t)
 		}
+		b.release(pb.sig)
 	}
 }
 
 // runTask solves one batched subsolve on the worker's persistent team,
 // through the signature-keyed cache. The checked-out entry is exclusive,
-// so wiring the worker's team in and out of its workspace is safe.
+// so wiring the worker's team in and out of its workspace is safe. A task
+// whose request has already given up — its deadline passed, or the family
+// was abandoned — is answered without being solved.
 func (b *batcher) runTask(actor string, team *linalg.Team, t *subTask) {
 	b.hWait.Observe(b.now().Sub(t.enq).Microseconds())
+	if t.abandoned.Load() {
+		t.out <- subResult{idx: t.idx, err: errBatchAbandoned}
+		return
+	}
 	if !t.deadline.IsZero() && b.now().After(t.deadline) {
 		t.out <- subResult{idx: t.idx, err: errBatchDeadline}
 		return
@@ -342,31 +239,23 @@ func (b *batcher) runTask(actor string, team *linalg.Team, t *subTask) {
 	t.out <- subResult{idx: t.idx, res: res, err: err}
 }
 
-// close stops the batcher: pending batches flush with reason "close" and
-// their tasks fail with errBatcherClosed, then the workers are signalled.
-// When wait is true close joins them — only a clean drain does, a timed-
-// out one must not block on a worker mid-solve.
+// close stops the batcher: batches still pending flush with reason "close"
+// and their tasks fail with errBatcherClosed, and the workers return after
+// the batch they are running. When wait is true close joins them — only a
+// clean drain does, a timed-out one must not block on a worker mid-solve.
 func (b *batcher) close(wait bool) {
 	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-	} else {
-		b.closed = true
-		pending := b.pending
-		b.pending = make(map[signature]*pendingBatch)
-		b.mu.Unlock()
-		for _, pb := range pending {
-			if pb.timer != nil {
-				pb.timer.Stop()
-			}
-			b.cFlushes.Inc()
-			b.hSize.Observe(int64(len(pb.tasks)))
-			b.rec.Emit(obs.KBatchFlush, pb.sigStr, "close", int64(len(pb.tasks)), b.now().Sub(pb.created).Microseconds())
-			for _, t := range pb.tasks {
-				t.out <- subResult{idx: t.idx, err: errBatcherClosed}
-			}
+	b.closed = true
+	pending := b.queue
+	b.queue = nil
+	b.idle.Broadcast()
+	b.mu.Unlock()
+	for _, pb := range pending {
+		pb.reason = "close"
+		b.flushed(pb)
+		for _, t := range pb.tasks {
+			t.out <- subResult{idx: t.idx, err: errBatcherClosed}
 		}
-		close(b.quit)
 	}
 	if wait {
 		b.wg.Wait()
@@ -377,15 +266,21 @@ func (b *batcher) close(wait bool) {
 // recombines the results; it replaces solver.Concurrent on the batched
 // path. Combination runs on the executor's goroutine with a single-core
 // team — it is cheap relative to the subsolves and keeps the executor's
-// cost model honest.
+// cost model honest. However it returns, the family is abandoned: tasks
+// of a failed or timed-out request still queued are skipped, not solved.
 func (s *Server) solveBatched(j *job, p solver.Params) (*solver.Output, error) {
 	fam := grid.Family(p.Root, p.Level)
 	out := make(chan subResult, len(fam))
+	abandoned := new(atomic.Bool)
+	// A closure on purpose: `defer abandoned.Store(true)` links an out-of-line
+	// atomic.Bool.Store ahead of linalg and moves its hot loops by 32 bytes
+	// (EXPERIMENTS.md, "Group-commit batching").
+	defer func() { abandoned.Store(true) }()
 	for i, g := range fam {
 		sig := signature{g: g, lin: j.lin}
 		t := &subTask{
 			sig: sig, sigStr: sig.String(), idx: i, tol: p.Tol,
-			reqID: j.id, deadline: j.deadline, out: out,
+			reqID: j.id, deadline: j.deadline, abandoned: abandoned, out: out,
 		}
 		if err := s.batch.enqueue(t); err != nil {
 			return nil, err

@@ -3,8 +3,8 @@ package serve
 import (
 	"errors"
 	"math"
-	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -92,7 +92,6 @@ func checkBatchLedger(t *testing.T, s *Server) {
 	}{
 		{"serve.batch.tasks", obs.KBatchTask},
 		{"serve.batch.flushes", obs.KBatchFlush},
-		{"serve.batch.steals", obs.KSteal},
 		{"serve.cache.hits", obs.KCacheHit},
 		{"serve.cache.misses", obs.KCacheMiss},
 		{"serve.cache.evictions", obs.KCacheEvict},
@@ -165,226 +164,293 @@ func TestCacheEvictionBounds(t *testing.T) {
 	}
 }
 
-// TestBatcherFlushReasons exercises each flush trigger of the batcher
-// state machine directly, without workers: size, age, deadline, close.
-func TestBatcherFlushReasons(t *testing.T) {
-	mk := func(window, margin time.Duration, size int) (*batcher, *obs.Recorder) {
-		rec := obs.NewRecorder(0)
-		cfg := Config{BatchWindow: window, BatchMargin: margin, BatchSize: size, QueueDepth: 16}
-		b := newBatcher(cfg, rec, newSolverCache(cfg.withDefaults(), rec, pde.PaperProblem()), time.Now)
-		return b, rec
-	}
-	task := func(deadline time.Time) (*subTask, chan subResult) {
-		sig := signature{g: grid.Grid{Root: 1}, lin: rosenbrock.BiCGStab}
-		out := make(chan subResult, 1)
-		return &subTask{sig: sig, sigStr: sig.String(), deadline: deadline, out: out}, out
-	}
-	lastFlush := func(rec *obs.Recorder) (string, bool) {
-		for _, e := range rec.Events() {
-			if e.Kind == obs.KBatchFlush {
-				return e.Aux, true
-			}
-		}
-		return "", false
-	}
-
-	// Size: the maxSize-th enqueue flushes immediately.
-	b, rec := mk(time.Hour, time.Millisecond, 2)
-	far := time.Now().Add(time.Hour)
-	for i := 0; i < 2; i++ {
-		tk, _ := task(far)
-		if err := b.enqueue(tk); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if aux, ok := lastFlush(rec); !ok || aux != "size" {
-		t.Fatalf("size flush: got (%q, %v)", aux, ok)
-	}
-
-	// Age: the window expires with the deadline far away.
-	b, rec = mk(5*time.Millisecond, time.Millisecond, 100)
-	if tk, _ := task(far); b.enqueue(tk) != nil {
-		t.Fatal("enqueue failed")
-	}
-	waitFor(t, "age flush", func() bool { _, ok := lastFlush(rec); return ok })
-	if aux, _ := lastFlush(rec); aux != "age" {
-		t.Fatalf("age flush: got %q", aux)
-	}
-
-	// Deadline: a tight member deadline caps a long window.
-	b, rec = mk(time.Hour, 2*time.Millisecond, 100)
-	if tk, _ := task(time.Now().Add(10 * time.Millisecond)); b.enqueue(tk) != nil {
-		t.Fatal("enqueue failed")
-	}
-	waitFor(t, "deadline flush", func() bool { _, ok := lastFlush(rec); return ok })
-	if aux, _ := lastFlush(rec); aux != "deadline" {
-		t.Fatalf("deadline flush: got %q", aux)
-	}
-
-	// Close: pending tasks flush with reason "close" and fail.
-	b, rec = mk(time.Hour, time.Millisecond, 100)
-	tk, tkOut := task(far)
-	if err := b.enqueue(tk); err != nil {
-		t.Fatal(err)
-	}
-	b.close(true)
-	if aux, _ := lastFlush(rec); aux != "close" {
-		t.Fatalf("close flush: got %q", aux)
-	}
-	select {
-	case r := <-tkOut:
-		if r.err != errBatcherClosed {
-			t.Fatalf("closed task error = %v", r.err)
-		}
-	default:
-		t.Fatal("closed task got no result")
-	}
-	if tk2, _ := task(far); b.enqueue(tk2) != errBatcherClosed {
-		t.Fatal("enqueue after close must fail with errBatcherClosed")
-	}
+// solveGate holds a batch worker inside a solve — cache entry checked out,
+// signature claimed — for as long as a test needs the worker busy. It sits
+// in the problem's initial condition, which every subsolve samples first
+// and which leaves flops and results untouched.
+type solveGate struct {
+	armed   chan chan struct{} // one release channel per solve to stop
+	entered chan struct{}      // one token per solve stopped
 }
 
-// TestBatchSteal pins the batch work-stealing path deterministically: only
-// the worker that is NOT the signature's affinity home is started, so every
-// batch it runs must have been stolen off the home deque. Results still
-// arrive intact, and the steal counter and solver.steal event tally agree
-// exactly with the number of flushed batches.
-func TestBatchSteal(t *testing.T) {
-	cfg := Config{
-		BatchWindow: time.Hour, BatchMargin: time.Millisecond,
-		BatchSize: 1, BatchWorkers: 2, QueueDepth: 16,
-	}.withDefaults()
-	rec := obs.NewRecorder(0)
-	b := newBatcher(cfg, rec, newSolverCache(cfg, rec, pde.PaperProblem()), time.Now)
-
-	g := grid.Family(1, 0)[0]
-	sig := signature{g: g, lin: rosenbrock.BiCGStab}
-	thief := (b.home(sig.String()) + 1) % len(b.deques)
-	b.wg.Add(1)
-	go b.worker(thief)
-
-	const batches = 3
-	out := make(chan subResult, batches)
-	for i := 0; i < batches; i++ {
-		tk := &subTask{
-			sig: sig, sigStr: sig.String(), idx: i, tol: 1e-2,
-			deadline: time.Now().Add(time.Minute), out: out,
-		}
-		if err := b.enqueue(tk); err != nil { // BatchSize=1: flushes at once
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < batches; i++ {
+// gateProblem wraps p.Initial in place, so it also gates a Server whose
+// cache already points at p.
+func gateProblem(p *pde.Problem) *solveGate {
+	// Buffers sized to the most gates any one test holds at a time.
+	g := &solveGate{armed: make(chan chan struct{}, 2), entered: make(chan struct{}, 2)}
+	initial := p.Initial
+	p.Initial = func(x, y float64) float64 {
 		select {
-		case r := <-out:
-			if r.err != nil {
-				t.Fatalf("stolen batch %d failed: %v", r.idx, r.err)
-			}
-		case <-time.After(time.Minute):
-			t.Fatal("stolen batch result never arrived")
+		case release := <-g.armed:
+			g.entered <- struct{}{}
+			<-release
+		default:
 		}
+		return initial(x, y)
 	}
-	if got := rec.Counter("serve.batch.steals").Value(); got != batches {
-		t.Fatalf("serve.batch.steals = %d, want %d", got, batches)
-	}
-	if got := rec.KindCount(obs.KSteal); got != batches {
-		t.Fatalf("solver.steal events = %d, want %d", got, batches)
-	}
-	b.close(true)
+	return g
 }
 
-// TestBatchTakeKeepsToken replays the interleaving that used to strand a
-// batch, move by move. Worker 0 takes the token of B1 (home deque 2), finds
-// its own deque empty, and is held at deque 1 — the test owns that deque's
-// lock from inside a StealIf predicate. Meanwhile B2 lands on deque 0,
-// which worker 0 has already passed, and worker 2 spends B2's token on B1
-// from its own deque. Released, worker 0 finds deques 1 and 2 empty. It
-// still holds a token and B2 is still queued: it must sweep again, not go
-// back to sleep — nobody else will ever be woken for B2.
-func TestBatchTakeKeepsToken(t *testing.T) {
-	cfg := Config{
-		BatchWindow: time.Hour, BatchMargin: time.Millisecond,
-		BatchSize: 1, BatchWorkers: 3, QueueDepth: 16,
-	}.withDefaults()
+// arm makes the next solve that starts stop in the gate (it announces
+// itself on entered) until the returned release is called.
+func (g *solveGate) arm() (release func()) {
+	ch := make(chan struct{})
+	g.armed <- ch
+	return func() { close(ch) }
+}
+
+// testBatcher is a bare batcher — no worker started — over its own
+// recorder, cache and gated problem.
+func testBatcher(cfg Config, now func() time.Time) (*batcher, *obs.Recorder, *solveGate) {
+	cfg = cfg.withDefaults()
 	rec := obs.NewRecorder(0)
-	b := newBatcher(cfg, rec, newSolverCache(cfg, rec, pde.PaperProblem()), time.Now)
-	homed := func(home int) signature {
-		for root := 1; root <= 4; root++ {
-			for _, g := range grid.Family(root, 1) {
-				if sig := (signature{g: g, lin: rosenbrock.BiCGStab}); b.home(sig.String()) == home {
-					return sig
-				}
-			}
-		}
-		t.Fatalf("no test signature routes to deque %d", home)
-		return signature{}
-	}
-	out := make(chan subResult, 2)
-	task := func(idx int, sig signature) *subTask {
-		return &subTask{sig: sig, sigStr: sig.String(), idx: idx, tol: 1e-2, deadline: time.Now().Add(time.Minute), out: out}
-	}
-	await := func(what string, idx int) {
-		t.Helper()
-		select {
-		case r := <-out:
-			if r.err != nil || r.idx != idx {
-				t.Fatalf("%s: got result %d, err %v", what, r.idx, r.err)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("%s: stranded — queued with no token and no worker looking", what)
-		}
-	}
-
-	// Own deque 1's lock: a placeholder item gives StealIf something to
-	// show the predicate, which blocks until released and then removes it.
-	b.deques[1].Push(nil)
-	held, release := make(chan struct{}), make(chan struct{})
-	go b.deques[1].StealIf(func([]*subTask) bool { close(held); <-release; return true })
-	<-held
-
-	b.wg.Add(1)
-	go b.worker(0)
-	if err := b.enqueue(task(1, homed(2))); err != nil { // B1
-		t.Fatal(err)
-	}
-	waitFor(t, "worker 0 to take B1's token", func() bool { return len(b.tokens) == 0 })
-	for i := 0; i < 1000; i++ {
-		runtime.Gosched() // let it pass its own deque and reach the held lock
-	}
-
-	b.wg.Add(1)
-	go b.worker(2)
-	if err := b.enqueue(task(2, homed(0))); err != nil { // B2, behind worker 0's back
-		t.Fatal(err)
-	}
-	await("B1 on worker 2", 1)
-	close(release)
-	await("B2", 2)
-	b.close(true)
-	checkBatchLedger(t, &Server{rec: rec})
+	problem := pde.PaperProblem()
+	gate := gateProblem(problem)
+	return newBatcher(cfg, rec, newSolverCache(cfg, rec, problem), now), rec, gate
 }
 
-// TestBatchTokensNeverStrand is the regression test of the stranded batch:
-// with several batch workers a token holder whose sweep raced another
-// worker's pop used to give its token up, leaving one queued batch with no
-// token to wake anyone — every later token then ran an older batch and
-// stranded a newer one, until the requests died on their deadlines.
-// Closed-loop clients hammer 2-4 workers with one-task batches of one hot
-// and several mixed signatures: every result must arrive, in time.
-func TestBatchTokensNeverStrand(t *testing.T) {
+// testTask is a deadline-free task of the given shape.
+func testTask(sig signature, idx int, out chan<- subResult) *subTask {
+	return &subTask{sig: sig, sigStr: sig.String(), idx: idx, tol: 1e-2, abandoned: new(atomic.Bool), out: out}
+}
+
+// testSigs returns n distinct small signatures.
+func testSigs(n int) []signature {
 	var sigs []signature
-	for _, g := range grid.Family(1, 1) {
-		for _, lin := range []rosenbrock.LinearSolver{rosenbrock.BiCGStab, rosenbrock.GMRES} {
+	for _, lin := range []rosenbrock.LinearSolver{rosenbrock.BiCGStab, rosenbrock.GMRES} {
+		for _, g := range grid.Family(1, 1) {
 			sigs = append(sigs, signature{g: g, lin: lin})
 		}
 	}
-	for workers := 2; workers <= 4; workers++ {
-		cfg := Config{
-			BatchWindow: time.Hour, BatchMargin: time.Millisecond,
-			BatchSize: 1, BatchWorkers: workers, QueueDepth: 64,
-		}.withDefaults()
-		rec := obs.NewRecorder(0)
-		b := newBatcher(cfg, rec, newSolverCache(cfg, rec, pde.PaperProblem()), time.Now)
+	return sigs[:n]
+}
+
+// flush is one serve.batch.flush event.
+type flush struct {
+	sig, reason string
+	size        int64
+}
+
+// flushes lists the recorder's batch flushes in order.
+func flushes(rec *obs.Recorder) []flush {
+	var fs []flush
+	for _, e := range rec.Events() {
+		if e.Kind == obs.KBatchFlush {
+			fs = append(fs, flush{e.Actor, e.Aux, e.A})
+		}
+	}
+	return fs
+}
+
+// await receives n results, failing on an error or a stall.
+func await(t *testing.T, what string, out <-chan subResult, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		select {
+		case r := <-out:
+			if r.err != nil {
+				t.Fatalf("%s: task %d failed: %v", what, r.idx, r.err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: result %d of %d never arrived", what, i+1, n)
+		}
+	}
+}
+
+// TestBatchIdlePullNoTimer: an idle worker takes a lone task at once. The
+// window is an hour and the injected clock never moves, so a result can
+// only arrive if nothing on the path waits for time to pass.
+func TestBatchIdlePullNoTimer(t *testing.T) {
+	frozen := time.Now()
+	b, rec, _ := testBatcher(Config{BatchWindow: time.Hour, BatchWorkers: 1}, func() time.Time { return frozen })
+	b.start()
+	out := make(chan subResult, 1)
+	if err := b.enqueue(testTask(testSigs(1)[0], 0, out)); err != nil {
+		t.Fatal(err)
+	}
+	await(t, "lone task", out, 1)
+	b.close(true)
+	if got := flushes(rec); len(got) != 1 || got[0].reason != "idle" || got[0].size != 1 {
+		t.Fatalf("flushes = %v, want one idle flush of 1", got)
+	}
+	checkBatchLedger(t, &Server{rec: rec})
+}
+
+// TestBatcherFlushReasons walks the batcher through its four flush
+// reasons. Batches form only while the lone worker is held inside a task:
+// same-signature arrivals join one batch that leaves when the worker comes
+// free (idle), BatchSize splits a longer run (size), an arrival that finds
+// its batch older than the window opens a new one (age), and close fails
+// what is still pending.
+func TestBatcherFlushReasons(t *testing.T) {
+	var clock atomic.Int64 // injected time, ns after base
+	base := time.Now()
+	now := func() time.Time { return base.Add(time.Duration(clock.Load())) }
+	b, rec, gate := testBatcher(Config{BatchWindow: 10 * time.Millisecond, BatchSize: 4, BatchWorkers: 1}, now)
+	b.start()
+	sigs := testSigs(5)
+	out := make(chan subResult, 16)
+	enqueue := func(sig signature, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if err := b.enqueue(testTask(sig, 0, out)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	str := func(i int) string { return sigs[i].String() }
+
+	release := gate.arm()
+	enqueue(sigs[0], 1)
+	<-gate.entered      // the worker is inside sigs[0]'s solve
+	enqueue(sigs[1], 3) // one batch of 3, still open
+	enqueue(sigs[2], 5) // a full batch of 4, then an open one
+	enqueue(sigs[3], 1)
+	clock.Add(int64(20 * time.Millisecond)) // sigs[3]'s batch outlives the window
+	enqueue(sigs[3], 1)
+	release()
+	await(t, "held and batched tasks", out, 11)
+
+	release = gate.arm()
+	enqueue(sigs[4], 1)
+	<-gate.entered
+	closing := make(chan subResult, 1)
+	if err := b.enqueue(testTask(sigs[4], 0, closing)); err != nil {
+		t.Fatal(err)
+	}
+	b.close(false) // the worker is mid-solve: do not join it yet
+	if r := <-closing; r.err != errBatcherClosed {
+		t.Fatalf("task pending at close: err = %v, want errBatcherClosed", r.err)
+	}
+	release()
+	await(t, "task running at close", out, 1)
+	b.close(true)
+	if err := b.enqueue(testTask(sigs[0], 0, out)); err != errBatcherClosed {
+		t.Fatalf("enqueue after close: err = %v, want errBatcherClosed", err)
+	}
+
+	want := []flush{
+		{str(0), "idle", 1},
+		{str(1), "idle", 3},
+		{str(2), "size", 4},
+		{str(2), "idle", 1},
+		{str(3), "age", 1},
+		{str(3), "idle", 1},
+		{str(4), "idle", 1},
+		{str(4), "close", 1},
+	}
+	got := flushes(rec)
+	if len(got) != len(want) {
+		t.Fatalf("flushes = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("flush %d = %v, want %v (all: %v)", i, got[i], want[i], got)
+		}
+	}
+	checkBatchLedger(t, &Server{rec: rec})
+}
+
+// TestBatchPullPrefersFreeSignature pins the pull rule with two workers.
+// Worker 0 is held inside a solve of signature A when a second A task and
+// then a B task arrive; worker 1, started only now, must pass over the
+// older A batch — A's cache entry is checked out, solving it again would
+// assemble the shape a second time — and take B. When worker 0 comes free
+// it takes the A batch itself and finds its entry warm: one cache miss per
+// distinct signature.
+func TestBatchPullPrefersFreeSignature(t *testing.T) {
+	b, rec, gate := testBatcher(Config{BatchWindow: time.Hour, BatchSize: 1, BatchWorkers: 2}, time.Now)
+	sigs := testSigs(2)
+	sigA, sigB := sigs[0], sigs[1]
+	out := make(chan subResult, 3)
+	enqueue := func(sig signature) {
+		t.Helper()
+		if err := b.enqueue(testTask(sig, 0, out)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	b.wg.Add(1)
+	go b.worker(0)
+	releaseA := gate.arm()
+	enqueue(sigA)
+	<-gate.entered // worker 0 holds A
+	enqueue(sigA)  // BatchSize 1: its own batch, the older of the two pending
+	enqueue(sigB)
+
+	releaseB := gate.arm()
+	b.wg.Add(1)
+	go b.worker(1)
+	<-gate.entered // worker 1 is inside a solve; which one shows below
+	releaseA()     // worker 0 finishes A, parks its entry, takes the A batch
+	await(t, "both A tasks", out, 2)
+	releaseB()
+	await(t, "the B task", out, 1)
+	b.close(true)
+
+	got := flushes(rec)
+	if len(got) != 3 || got[1].sig != sigB.String() || got[2].sig != sigA.String() {
+		t.Fatalf("flush order = %v, want A, B, A: the free signature first", got)
+	}
+	if misses := rec.Counter("serve.cache.misses").Value(); misses != 2 {
+		t.Fatalf("serve.cache.misses = %d, want 2, one per distinct signature", misses)
+	}
+	checkBatchLedger(t, &Server{rec: rec})
+}
+
+// TestBatchAbandonedFamilySkipped: a request that gives up takes its queued
+// tasks with it. The injected clock is frozen, so the second request's
+// tasks never pass their deadline as the batcher sees it; only the family's
+// abandoned flag, set when its request timer fires, keeps the worker from
+// solving them for nobody. Skipped tasks stay in the ledger.
+func TestBatchAbandonedFamilySkipped(t *testing.T) {
+	frozen := time.Now()
+	s := NewServer(Config{BatchWindow: time.Hour, BatchWorkers: 1, Now: func() time.Time { return frozen }})
+	gate := gateProblem(s.problem)
+	s.batch.start()
+	params := solver.Params{Root: 1, Level: 1, Tol: 1e-2, Problem: s.problem}
+	fam := len(grid.Family(params.Root, params.Level))
+
+	release := gate.arm()
+	first := make(chan error, 1)
+	go func() {
+		_, err := s.solveBatched(&job{id: 1, lin: rosenbrock.BiCGStab, deadline: frozen.Add(time.Hour)}, params)
+		first <- err
+	}()
+	<-gate.entered // the lone worker is held inside the first request's first task
+
+	_, err := s.solveBatched(&job{id: 2, lin: rosenbrock.BiCGStab, deadline: frozen.Add(20 * time.Millisecond)}, params)
+	if err != errBatchDeadline {
+		t.Fatalf("second request: err = %v, want errBatchDeadline", err)
+	}
+	release()
+	if err := <-first; err != nil {
+		t.Fatalf("first request: %v", err)
+	}
+	// The second request's first task opened a batch of its own behind the
+	// held one; wait until the worker has been through it too.
+	flushed := s.rec.Counter("serve.batch.flushes")
+	waitFor(t, "the abandoned tasks to be passed over", func() bool { return flushed.Value() == int64(fam)+1 })
+	s.batch.close(true)
+
+	if got := s.rec.KindCount(obs.KSubsolveBegin); got != uint64(fam) {
+		t.Fatalf("%d subsolves ran, want %d: the abandoned family's tasks must be skipped", got, fam)
+	}
+	if got := s.rec.Counter("serve.batch.tasks").Value(); got != int64(2*fam) {
+		t.Fatalf("serve.batch.tasks = %d, want %d", got, 2*fam)
+	}
+	checkBatchLedger(t, s)
+}
+
+// TestBatchNeverStrands is the regression test of the stranded batch: with
+// several workers a pending batch used to be left with nobody woken for it
+// until its requests died on their deadlines. Closed-loop clients hammer
+// 1-4 workers with one-task batches of one hot and several mixed
+// signatures: every result must arrive, in time.
+func TestBatchNeverStrands(t *testing.T) {
+	sigs := testSigs(6)
+	for workers := 1; workers <= 4; workers++ {
+		b, rec, _ := testBatcher(Config{BatchWindow: time.Hour, BatchSize: 1, BatchWorkers: workers}, time.Now)
 		b.start()
 
 		const clients, perClient = 8, 400
@@ -400,11 +466,9 @@ func TestBatchTokensNeverStrand(t *testing.T) {
 					if c%2 == 1 {
 						sig = sigs[(c+i)%len(sigs)]
 					}
-					tk := &subTask{
-						sig: sig, sigStr: sig.String(), tol: 1e-2,
-						deadline: time.Now().Add(2 * time.Second), out: out,
-					}
-					if err := b.enqueue(tk); err != nil { // BatchSize=1: one batch, one token
+					tk := testTask(sig, 0, out)
+					tk.deadline = time.Now().Add(2 * time.Second)
+					if err := b.enqueue(tk); err != nil {
 						errs <- err
 						return
 					}

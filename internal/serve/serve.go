@@ -114,13 +114,14 @@ type Config struct {
 	MaxLevel int
 
 	// BatchWindow enables the cross-request batcher when > 0: same-shape
-	// subsolves from concurrent requests are grouped for up to this long
-	// (capped by the earliest member's deadline) and run on shared
-	// persistent teams through the solver cache. 0 keeps the PR 7
-	// per-request path. See SERVING.md.
+	// subsolves from concurrent requests that arrive while every batch
+	// worker is busy are grouped and run on shared persistent teams
+	// through the solver cache. Nothing waits for the window to pass: it
+	// is only the age beyond which a pending batch takes no new members.
+	// 0 keeps the PR 7 per-request path. See SERVING.md.
 	BatchWindow time.Duration
-	// BatchSize flushes a pending batch as soon as it holds this many
-	// tasks, without waiting out the window.
+	// BatchSize is the most tasks one batch holds; a full batch takes no
+	// new members and the next task opens another.
 	BatchSize int
 	// BatchWorkers is the number of batch workers, each owning one
 	// persistent linalg.Team; 0 means GOMAXPROCS.
@@ -128,9 +129,6 @@ type Config struct {
 	// BatchTeam is the team size per batch worker (default 1: worker-level
 	// parallelism amortizes better than intra-solve fan-out on small grids).
 	BatchTeam int
-	// BatchMargin is the safety margin subtracted from the earliest member
-	// deadline when capping a batch's flush timer.
-	BatchMargin time.Duration
 	// CacheEntries bounds the solver cache (warm Disc+Workspace pairs).
 	CacheEntries int
 	// CacheBytes is the approximate byte budget of the solver cache.
@@ -197,9 +195,6 @@ func (c Config) withDefaults() Config {
 		}
 		if c.BatchTeam <= 0 {
 			c.BatchTeam = 1
-		}
-		if c.BatchMargin <= 0 {
-			c.BatchMargin = 25 * time.Millisecond
 		}
 	}
 	if c.CacheEntries <= 0 {
@@ -312,21 +307,21 @@ type Server struct {
 	now     func() time.Time
 	problem *pde.Problem
 
-	tenants  *tenants
-	batch    *batcher     // nil unless BatchWindow > 0
-	cache    *solverCache // nil unless batch is
-	model    workmodel.Model
-	queuedMc atomic.Int64 // megacycle estimate of the queued jobs
-	shrink   chan struct{} // autoscaler scale-down tokens; nil when off
-	queue    chan *job
-	quit     chan struct{}
-	admitMu  sync.RWMutex
-	draining atomic.Bool
+	tenants    *tenants
+	batch      *batcher     // nil unless BatchWindow > 0
+	cache      *solverCache // nil unless batch is
+	model      workmodel.Model
+	queuedMc   atomic.Int64  // megacycle estimate of the queued jobs
+	shrink     chan struct{} // autoscaler scale-down tokens; nil when off
+	queue      chan *job
+	quit       chan struct{}
+	admitMu    sync.RWMutex
+	draining   atomic.Bool
 	drained    chan struct{} // closed when Drain finishes
 	drainClean bool          // valid after drained closes
-	jobsWG   sync.WaitGroup
-	execWG   sync.WaitGroup
-	nextID   atomic.Int64
+	jobsWG     sync.WaitGroup
+	execWG     sync.WaitGroup
+	nextID     atomic.Int64
 
 	degradeLevel int // queue occupancy at which dequeued jobs degrade; 0 = off
 

@@ -27,9 +27,9 @@ type tenant struct {
 	// Circuit breaker. state transitions: closed --(threshold consecutive
 	// failures)--> open --(cooldown elapses)--> half-open --(probe
 	// succeeds)--> closed, or --(probe fails)--> open again.
-	breaker      breakerState
-	consecFails  int
-	openUntil    time.Time
+	breaker       breakerState
+	consecFails   int
+	openUntil     time.Time
 	probeInFlight bool
 }
 

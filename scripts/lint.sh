@@ -1,15 +1,24 @@
 #!/usr/bin/env bash
 # Run the repository's lint stack exactly as the CI lint/vetsparse jobs do:
-#   1. go vet (the standard passes)
-#   2. vetsparse, both drivers (the custom go/analysis suite — determinism,
+#   1. gofmt -l (any file it names fails the run)
+#   2. go vet (the standard passes)
+#   3. vetsparse, both drivers (the custom go/analysis suite — determinism,
 #      allocfree, protocol, obsnames, locks, leaks, deadlines; see LINTS.md)
-#   3. vetsparse -json audit record (every finding, suppressed ones marked)
-#   4. revive (doc-comment policy, revive.toml)
-#   5. staticcheck (staticcheck.conf policy)
+#   4. vetsparse -json audit record (every finding, suppressed ones marked)
+#   5. revive (doc-comment policy, revive.toml)
+#   6. staticcheck (staticcheck.conf policy)
 # Tools that are not installed locally are skipped with a notice; CI
 # installs the pinned versions (see .github/workflows/ci.yml).
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+echo "==> gofmt -l"
+unformatted="$(gofmt -l .)"
+if [ -n "$unformatted" ]; then
+  echo "not gofmt-clean:" >&2
+  echo "$unformatted" >&2
+  exit 1
+fi
 
 echo "==> go vet"
 go vet ./...
