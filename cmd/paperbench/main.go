@@ -9,7 +9,6 @@
 //	paperbench -table1 -runs 5    # average five noisy runs, as the paper did
 //	paperbench -fig 1 -timeline run.jsonl   # also export the virtual-time timeline
 //	paperbench -scaling 1,2,4     # measure real finest-grid strong scaling
-//	paperbench -compare -compare-json BENCH_7.json   # scheduler head-to-head
 package main
 
 import (
@@ -35,19 +34,9 @@ func main() {
 		scaling  = flag.String("scaling", "", "measure real (not simulated) finest-grid strong scaling over this comma-separated cores list, e.g. '1,2,4'")
 		scLevel  = flag.Int("scaling-level", 5, "with -scaling: refinement of the (square) grid measured")
 		scRuns   = flag.Int("scaling-runs", 3, "with -scaling: repeats per cores value (fastest kept)")
-
-		compare     = flag.Bool("compare", false, "run the scheduler head-to-head: one seeded bursty workload through pool, steal, and steal+elastic")
-		compareJSON = flag.String("compare-json", "", "with -compare: write the report (the BENCH_7.json shape) to this file")
-		cmpJobs     = flag.Int("compare-jobs", 0, "with -compare: jobs in the workload (0 = default)")
-		cmpRuns     = flag.Int("compare-runs", 0, "with -compare: repeats per schedule, fastest kept (0 = default)")
-		cmpSeed     = flag.Int64("compare-seed", 0, "with -compare: workload seed (0 = default)")
-		minRatio    = flag.Float64("min-steal-ratio", 0, "with -compare: fail unless steal throughput >= this multiple of pool throughput (and outputs are bit-identical)")
 	)
 	flag.Parse()
 
-	if *compare {
-		os.Exit(runCompare(*compareJSON, *cmpJobs, *cmpRuns, *cmpSeed, *minRatio))
-	}
 	if *scaling != "" {
 		os.Exit(runScaling(*scaling, *scLevel, *tol, *scRuns))
 	}
@@ -117,49 +106,6 @@ func main() {
 			doFig(n)
 		}
 	}
-}
-
-// runCompare runs the coordination head-to-head and optionally gates on
-// it: bit identity across schedules is always required when a gate is set,
-// and the steal schedule must keep at least minRatio of the pool's
-// throughput (CI sets it above 1 to demand a win).
-func runCompare(jsonPath string, jobs, runs int, seed int64, minRatio float64) int {
-	opt := bench.DefaultCompareOptions()
-	if jobs > 0 {
-		opt.Jobs = jobs
-	}
-	if runs > 0 {
-		opt.Runs = runs
-	}
-	if seed != 0 {
-		opt.Seed = seed
-	}
-	rep, err := bench.CompareSchedules(opt)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "paperbench:", err)
-		return 1
-	}
-	if err := bench.WriteCompare(os.Stdout, rep); err != nil {
-		fmt.Fprintln(os.Stderr, "paperbench:", err)
-		return 1
-	}
-	if jsonPath != "" {
-		if err := bench.WriteCompareJSON(jsonPath, rep); err != nil {
-			fmt.Fprintln(os.Stderr, "paperbench:", err)
-			return 1
-		}
-	}
-	if minRatio > 0 {
-		if !rep.BitIdentical {
-			fmt.Fprintln(os.Stderr, "paperbench: outputs are not bit-identical across schedules")
-			return 1
-		}
-		if ratio := rep.Steal.Thru / rep.Pool.Thru; ratio < minRatio {
-			fmt.Fprintf(os.Stderr, "paperbench: steal/pool throughput ratio %.3f below required %.3f\n", ratio, minRatio)
-			return 1
-		}
-	}
-	return 0
 }
 
 // runScaling measures real finest-grid strong scaling: one SubsolveInto per

@@ -33,7 +33,6 @@ type abSide struct {
 	CacheHitRate  float64 `json:"cache_hit_rate"`
 	BatchFlushes  int64   `json:"batch_flushes"`
 	MeanBatchSize float64 `json:"mean_batch_size"`
-	ExecScales    int64   `json:"exec_scales"`
 }
 
 // abReport is the BENCH_6.json shape: the ablation methodology is the
@@ -173,7 +172,6 @@ func runSide(cfg serve.Config, lc serve.LoadConfig) (abSide, error) {
 		CacheHits:    rec.Counter("serve.cache.hits").Value(),
 		CacheMisses:  rec.Counter("serve.cache.misses").Value(),
 		BatchFlushes: rec.Counter("serve.batch.flushes").Value(),
-		ExecScales:   rec.Counter("serve.exec.scales").Value(),
 	}
 	if lookups := side.CacheHits + side.CacheMisses; lookups > 0 {
 		side.CacheHitRate = float64(side.CacheHits) / float64(lookups)

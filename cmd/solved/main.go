@@ -77,9 +77,6 @@ func serveFlags(fs *flag.FlagSet) func() (serve.Config, error) {
 		batchTeam  = fs.Int("batch-team", 1, "team size per batch worker")
 		cacheN     = fs.Int("cache-entries", 64, "solver-cache entry bound")
 		cacheBytes = fs.Int64("cache-bytes", 256<<20, "solver-cache approximate byte budget")
-		maxExec    = fs.Int("max-executors", 0, "autoscale the executor pool up to this (0 = fixed at -executors)")
-		scaleEvery = fs.Duration("scale-every", 20*time.Millisecond, "autoscaler evaluation period")
-		scaleMc    = fs.Float64("scale-quantum-mc", 0, "queued megacycles per extra executor (0 = model default)")
 	)
 	return func() (serve.Config, error) {
 		cfg := serve.Config{
@@ -90,7 +87,6 @@ func serveFlags(fs *flag.FlagSet) func() (serve.Config, error) {
 			WorkerDeadline: *wdl, DefaultDeadline: *ddl, MaxLevel: *maxLevel,
 			BatchWindow: *batchWin, BatchSize: *batchSize, BatchWorkers: *batchWork, BatchTeam: *batchTeam,
 			CacheEntries: *cacheN, CacheBytes: *cacheBytes,
-			MaxExecutors: *maxExec, ScaleEvery: *scaleEvery, ScaleQuantumMc: *scaleMc,
 			Backoff: core.NewBackoff(*boSeed, *boBase, *boMax),
 		}
 		if *faults != "" {

@@ -59,9 +59,6 @@ func run() int {
 		timeline = flag.String("timeline", "", "write the run's events as a JSON-lines timeline to this file ('-' = stdout)")
 		metrics  = flag.String("metrics", "", "write the per-run metrics summary (event totals, counters, histograms) to this file ('-' = stdout)")
 		cpw      = flag.Int("cores-per-worker", 0, "intra-grid team size per subsolve (0 = auto: sequential uses GOMAXPROCS, concurrent splits GOMAXPROCS by grid cost); output is bit-identical at any setting")
-		schedule = flag.String("schedule", "pool", "concurrent-mode scheduler: pool, steal, or steal+elastic; output is bit-identical under all three")
-		execs    = flag.Int("executors", 0, "executors of the stealing schedules (0 = GOMAXPROCS)")
-		sseed    = flag.Int64("steal-seed", 0, "seed of the stealing schedules' victim-probe rotation")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file (pprof worker labels attribute samples per grid)")
 		memProf  = flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	)
@@ -117,15 +114,7 @@ func run() int {
 		Fallback:       true,
 		Obs:            rec,
 		CoresPerWorker: *cpw,
-		Executors:      *execs,
-		StealSeed:      *sseed,
 	}
-	sched, err := solver.ParseSchedule(*schedule)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	p.Schedule = sched
 	if *backoff > 0 {
 		p.Backoff = core.NewBackoff(1, *backoff, 0)
 	}
@@ -171,11 +160,6 @@ func run() int {
 		if fs := out.Faults; fs.Failures > 0 || fs.Retries > 0 || fs.Fallbacks > 0 {
 			fmt.Printf("%-10s workers=%d deaths=%d failures=%d retries=%d abandoned=%d fallbacks=%d\n",
 				"faults", fs.Workers, fs.Deaths, fs.Failures, fs.Retries, fs.Abandoned, fs.Fallbacks)
-		}
-		if sched != solver.SchedulePool {
-			ss := out.Sched
-			fmt.Printf("%-10s executors=%d steals=%d donations=%d resizes=%d\n",
-				"schedule", ss.Executors, ss.Steals, ss.Donations, ss.Resizes)
 		}
 	}
 	if seq != nil && conc != nil {

@@ -1,9 +1,9 @@
 // Package leaks implements the vetsparse pass requiring a provable
 // termination signal in every goroutine launched under internal/...
-// (DESIGN.md §9): drain-correctness (PR 8's breaker/drain machinery, PR
-// 9's elastic team resize) depends on every worker actually exiting, and
-// a fire-and-forget goroutine with no way out outlives Drain silently —
-// the race detector can't see a leak that never touches shared memory.
+// (DESIGN.md §9): drain-correctness (PR 8's breaker/drain machinery,
+// Team.Close) depends on every worker actually exiting, and a
+// fire-and-forget goroutine with no way out outlives Drain silently — the
+// race detector can't see a leak that never touches shared memory.
 //
 // A goroutine body proves termination when every infinite construct in it
 // has an escape:

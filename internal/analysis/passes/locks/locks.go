@@ -1,9 +1,9 @@
 // Package locks implements the vetsparse pass tracking locksets over
-// sync.Mutex / sync.RWMutex flow-sensitively (DESIGN.md §9): PRs 7-9 grew
-// a real lock surface — the serve batcher's pending-map lock, the tenant
-// table, the solver ledger lock donating team cores, the work-stealing
-// deque — and its discipline ("copy under the lock, block outside it") is
-// exactly the kind of path property the AST-level passes cannot see.
+// sync.Mutex / sync.RWMutex flow-sensitively (DESIGN.md §9): PRs 7-8 grew
+// a real lock surface — the serve batcher's queue lock, the tenant table,
+// the solver cache — and its discipline ("copy under the lock, block
+// outside it") is exactly the kind of path property the AST-level passes
+// cannot see.
 //
 // Four rules, computed on the analysis CFG with a paired may/must lockset
 // state:
@@ -23,7 +23,7 @@
 //     classes (Type.field) it may acquire, transitively, as an object
 //     fact; acquiring B while holding A records the edge A→B, edges merge
 //     across packages bottom-up, and any cycle in the merged graph —
-//     e.g. serve ledger lock vs core.Deque.mu taken in both orders — is
+//     e.g. batcher.mu vs solverCache.mu taken in both orders — is
 //     reported as a deadlock candidate where the local edge closes it.
 package locks
 

@@ -27,14 +27,12 @@ func metrics(r *Recorder, gname string) {
 	r.Histogram(attemptUs)
 	r.Histogram("solver.subsolve." + gname + ".us")
 	r.Histogram("solver.subsolve." + gname + ".cores")
-
-	r.Counter("solver.steals")
-	r.Histogram("solver.steal.mc")
-	r.Histogram("linalg.team.resize.us")
+	r.Counter("serve.requests")
 
 	r.Gauge("core.jobs.outstandin")                  // want `metric name "core.jobs.outstandin" is not in the taxonomy`
 	r.Histogram("solver.subsolve." + gname + ".uss") // want `matches no <grid> family`
-	r.Counter("solver.stealz")                       // want `metric name "solver.stealz" is not in the taxonomy`
+	r.Counter("solver.steals")                       // want `metric name "solver.steals" is not in the taxonomy`
+	r.Counter("serve.exec.scales")                   // want `metric name "serve.exec.scales" is not in the taxonomy`
 	r.Counter("serve.batch.steals")                  // want `metric name "serve.batch.steals" is not in the taxonomy`
 
 	dynamic := gname + ".us"

@@ -31,13 +31,6 @@ type ImbalanceObserver interface{ Observe(us int64) }
 // driver without linalg importing the obs package.
 type PhaseObserver interface{ ObservePhase(us, barriers int64) }
 
-// ResizeObserver receives one measurement per applied elastic resize: the
-// microseconds between the SetTarget request and its application at a
-// dispatch boundary, plus the team sizes before and after. Wired to the
-// obs metric "linalg.team.resize.us" and the "linalg.team.resize" event by
-// the solver driver without linalg importing the obs package.
-type ResizeObserver interface{ ObserveResize(us int64, from, to int) }
-
 // kernelOp selects the kernel the worker goroutines execute on the next
 // dispatch. Arguments travel through Team fields, not closures, so a
 // steady-state dispatch allocates nothing.
@@ -78,12 +71,9 @@ const spinBudget = 4096
 //
 // A nil *Team is valid everywhere and runs every kernel over its whole
 // range on the caller, as does a team of size one. A Team is owned by one
-// goroutine: its methods must not be called concurrently — with one
-// exception: SetTarget may be called from any goroutine to request an
-// elastic resize, which the owner applies at its next dispatch boundary.
-// Close stops the worker goroutines; a hot loop should create one team per
-// worker goroutine and keep it for the whole computation (no per-call
-// spawn).
+// goroutine: its methods must not be called concurrently. Close stops the
+// worker goroutines; a hot loop should create one team per worker goroutine
+// and keep it for the whole computation (no per-call spawn).
 type Team struct {
 	n int
 
@@ -98,10 +88,6 @@ type Team struct {
 	// both sides (Dekker-style, all Go atomics are sequentially
 	// consistent), so a waiter is woken or sees the state change itself
 	// — never neither.
-	//
-	// parked and wake are fixed MaxTeam arrays, not slices sized to n:
-	// an elastic grow must never reallocate storage that idle worker
-	// goroutines hold references into.
 	epoch        atomic.Uint64
 	remaining    atomic.Int32
 	parked       [MaxTeam]atomic.Int32  // workers 1..n-1: 1 while (about to be) parked
@@ -109,20 +95,7 @@ type Team struct {
 	leaderParked atomic.Int32
 	leaderWake   chan struct{}
 	stop         atomic.Int32
-	spin         atomic.Int32 // spin iterations before parking; 0 = park immediately
-
-	// Elastic-resize state. target is the pending SetTarget request
-	// (0 = none), swapped to zero and applied by the owner in seq() —
-	// i.e. at the head of every kernel dispatch, when the team is
-	// guaranteed idle. active mirrors n for the worker goroutines:
-	// a worker whose index is >= active skips the dispatch (it stays
-	// spawned and parked, ready for a later grow). spawned tracks the
-	// high-water mark of started goroutines so Close stops them all
-	// even after a shrink.
-	target   atomic.Int32
-	active   atomic.Int32
-	spawned  int
-	resizeNs atomic.Int64 // UnixNano of the pending SetTarget request
+	spin         int // spin iterations before parking; 0 = park immediately
 
 	// In-phase barrier (sense-reversing, reused across barriers).
 	barGen    atomic.Uint32
@@ -141,7 +114,6 @@ type Team struct {
 
 	obs      ImbalanceObserver
 	pobs     PhaseObserver
-	robs     ResizeObserver
 	workerUs [MaxTeam]int64
 	closed   bool
 }
@@ -150,7 +122,7 @@ type Team struct {
 // can actually run every team member at once; an oversubscribed team must
 // park immediately so the scheduler can run the workers the leader is
 // waiting for.
-func spinFor(n int) int32 {
+func spinFor(n int) int {
 	if n <= 1 {
 		return 0
 	}
@@ -174,14 +146,12 @@ func NewTeam(n int) *Team {
 	if n > MaxTeam {
 		n = MaxTeam
 	}
-	t := &Team{n: n, spawned: n}
-	t.active.Store(int32(n))
-	t.spin.Store(spinFor(n))
+	t := &Team{n: n, spin: spinFor(n)}
 	if n > 1 {
 		t.leaderWake = make(chan struct{}, 1)
 		for w := 1; w < n; w++ {
 			t.wake[w] = make(chan struct{}, 1)
-			go t.worker(w, 0)
+			go t.worker(w)
 		}
 	}
 	return t
@@ -214,85 +184,16 @@ func (t *Team) SetPhaseObserver(o PhaseObserver) {
 	}
 }
 
-// SetResizeObserver installs an elastic-resize observer: every applied
-// SetTarget reports its request-to-application latency and the size change.
-// Install before the team pointer is shared with donor goroutines.
-func (t *Team) SetResizeObserver(o ResizeObserver) {
-	if t != nil {
-		t.robs = o
-	}
-}
-
-// SetTarget requests an elastic resize to n workers (clamped to
-// [1, MaxTeam]). Unlike every other Team method it is safe to call from
-// any goroutine: the request is two atomic stores, and the owning
-// goroutine applies it at its next dispatch boundary — when the team is
-// guaranteed idle — by recomputing worker ranges, spawning or idling
-// worker goroutines, and re-deriving the spin budget. Because every
-// kernel is bit-for-bit identical at any team size (fixed-chunk ordered
-// reductions), a resize can never change results, only speed. A request
-// that arrives after the owner's last dispatch is silently dropped.
-func (t *Team) SetTarget(n int) {
-	if t == nil {
-		return
-	}
-	if n < 1 {
-		n = 1
-	}
-	if n > MaxTeam {
-		n = MaxTeam
-	}
-	//vetsparse:ignore determinism metrics-only resize-latency timestamp; never feeds float results
-	t.resizeNs.Store(time.Now().UnixNano())
-	t.target.Store(int32(n))
-}
-
-// applyResize applies a pending SetTarget request. Owner-side only, and
-// only while the team is idle (between dispatches) — workers observe the
-// new size through the next epoch publication, never concurrently.
-func (t *Team) applyResize() {
-	n := int(t.target.Swap(0))
-	if n == 0 || t.closed || n == t.n {
-		return
-	}
-	if t.leaderWake == nil {
-		t.leaderWake = make(chan struct{}, 1)
-	}
-	for w := t.spawned; w < n; w++ {
-		if t.wake[w] == nil {
-			t.wake[w] = make(chan struct{}, 1)
-		}
-		go t.worker(w, t.epoch.Load())
-	}
-	if n > t.spawned {
-		t.spawned = n
-	}
-	from := t.n
-	t.n = n
-	t.active.Store(int32(n))
-	t.spin.Store(spinFor(n))
-	if t.robs != nil {
-		//vetsparse:ignore determinism metrics-only resize-latency timing; never feeds float results
-		us := (time.Now().UnixNano() - t.resizeNs.Load()) / 1000
-		t.robs.ObserveResize(us, from, n)
-	}
-}
-
 // Close stops the worker goroutines. The team must be idle; after Close
 // the kernels still work, executing serially.
 func (t *Team) Close() {
-	if t == nil || t.closed {
+	if t == nil || t.n <= 1 || t.closed {
 		return
 	}
 	t.closed = true
-	t.n = 1
-	t.active.Store(1)
-	if t.spawned <= 1 {
-		return
-	}
 	t.stop.Store(1)
 	t.epoch.Add(1)
-	for w := 1; w < t.spawned; w++ {
+	for w := 1; w < t.n; w++ {
 		if t.parked[w].Load() != 0 {
 			select {
 			case t.wake[w] <- struct{}{}:
@@ -300,31 +201,19 @@ func (t *Team) Close() {
 			}
 		}
 	}
+	t.n = 1
 }
 
-// seq reports whether kernels must run inline (nil, single, or closed
-// team). It doubles as the dispatch boundary: a pending elastic-resize
-// request is applied here, before the size decision, so a serial team can
-// grow and a grown team can shrink back to serial.
-func (t *Team) seq() bool {
-	if t == nil {
-		return true
-	}
-	if t.target.Load() != 0 {
-		t.applyResize()
-	}
-	return t.n <= 1
-}
+// seq reports whether kernels must run inline (nil, single, or closed team).
+func (t *Team) seq() bool { return t == nil || t.n <= 1 }
 
 //vetsparse:allocfree
-func (t *Team) worker(w int, last uint64) {
+func (t *Team) worker(w int) {
+	last := uint64(0)
 	for {
 		last = t.await(w, last)
 		if t.stop.Load() != 0 {
 			return
-		}
-		if int32(w) >= t.active.Load() {
-			continue // shrunk out of the team: idle until grown back
 		}
 		t.exec(w)
 		if t.remaining.Add(-1) == 0 && t.leaderParked.Load() != 0 {
@@ -344,8 +233,7 @@ func (t *Team) worker(w int, last uint64) {
 //
 //vetsparse:allocfree
 func (t *Team) await(w int, last uint64) uint64 {
-	spin := int(t.spin.Load())
-	for i := 0; i < spin; i++ {
+	for i := 0; i < t.spin; i++ {
 		if e := t.epoch.Load(); e != last {
 			return e
 		}
@@ -377,9 +265,8 @@ func (t *Team) phaseBarrier() {
 		t.barGen.Add(1)
 		return
 	}
-	spin := t.spin.Load()
 	for i := 1; t.barGen.Load() == g; i++ {
-		if spin == 0 || i%spinBudget == 0 {
+		if t.spin == 0 || i%spinBudget == 0 {
 			runtime.Gosched()
 		}
 	}
@@ -405,8 +292,7 @@ func (t *Team) kick() {
 	}
 	t.exec(0)
 	if t.remaining.Load() != 0 {
-		spin := int(t.spin.Load())
-		for i := 0; i < spin && t.remaining.Load() != 0; i++ {
+		for i := 0; i < t.spin && t.remaining.Load() != 0; i++ {
 		}
 		for t.remaining.Load() != 0 {
 			t.leaderParked.Store(1)

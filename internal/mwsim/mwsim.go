@@ -246,7 +246,7 @@ func run(cfg Config, seed int64, noiseAmp float64) Result {
 		pools = [][]grid.Grid{fam}
 	}
 
-	// Schedule the machine faults. Crashes both mark the machine (so
+	// Arm the machine faults. Crashes both mark the machine (so
 	// in-flight ComputeChecked calls observe the loss) and kill its task
 	// instances at the crash instant (so the usage trace records the drop).
 	for _, f := range cfg.Faults {

@@ -102,12 +102,6 @@ func (e Event) Message() string {
 		return fmt.Sprintf("cache miss %s", e.Actor)
 	case KCacheEvict:
 		return fmt.Sprintf("cache evict %s (%d bytes)", e.Actor, e.A)
-	case KExecScale:
-		return fmt.Sprintf("executors scaled %d -> %d", e.A, e.B)
-	case KSteal:
-		return fmt.Sprintf("%s stole task %d (%d mc) from %s", e.Actor, e.A, e.B, e.Aux)
-	case KTeamResize:
-		return fmt.Sprintf("%s team resized %d -> %d", e.Actor, e.A, e.B)
 	}
 	return e.Kind.String()
 }

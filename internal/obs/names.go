@@ -54,9 +54,6 @@ var EventDocs = []EventDoc{
 	{[]Kind{KBatchFlush}, "`serve` batcher when a batch leaves the queue; Aux is why it stopped taking members: `idle` (a free worker took it while open), `size` (it held `BatchSize` tasks), `age` (an arrival found it older than `BatchWindow`), `close` (shutdown failed it unrun)", "batch size, oldest-member age (µs)"},
 	{[]Kind{KCacheHit, KCacheMiss}, "`serve` solver cache on checkout (Actor is the signature)", "—"},
 	{[]Kind{KCacheEvict}, "`serve` solver cache keeping its entry/byte bounds", "evicted entry bytes"},
-	{[]Kind{KExecScale}, "`serve` executor autoscaler on a pool resize", "old workers, new workers"},
-	{[]Kind{KSteal}, "work-stealing scheduler (`solver.concurrentSteal`; Aux is the victim)", "grid index, modelled megacycles"},
-	{[]Kind{KTeamResize}, "`solver` resize observer when an elastic `linalg.Team` applies a `SetTarget`", "old team size, new team size"},
 }
 
 // MetricDoc documents one registered metric name. A `<grid>` segment marks
@@ -88,7 +85,6 @@ var MetricDocs = []MetricDoc{
 	{"serve.failed", "counter", "admitted requests ending in permanent failure (budget, deadline, error)"},
 	{"serve.retries", "counter", "serve-level solve attempts retried after a backoff pause"},
 	{"serve.queue.depth", "gauge", "jobs admitted and waiting for an executor"},
-	{"serve.queue.mc", "gauge", "workmodel cost estimate (megacycles) of the queued jobs"},
 	{"serve.inflight", "gauge", "requests admitted but not yet terminal"},
 	{"serve.request.us", "histogram", "admission-to-terminal latency per admitted request"},
 	{"serve.queue.wait.us", "histogram", "admission-to-execution wait per admitted request"},
@@ -101,14 +97,8 @@ var MetricDocs = []MetricDoc{
 	{"serve.cache.evictions", "counter", "solver-cache entries evicted under the entry/byte bounds"},
 	{"serve.cache.entries", "gauge", "solver-cache entries currently parked (checked-out entries excluded)"},
 	{"serve.cache.bytes", "gauge", "approximate bytes held by parked solver-cache entries"},
-	{"serve.exec.workers", "gauge", "executor goroutines currently running"},
-	{"serve.exec.target", "gauge", "executor count the autoscaler is steering toward"},
-	{"serve.exec.scales", "counter", "autoscaler pool resizes"},
 	{"solver.subsolve.<grid>.cores", "histogram", "team size used per subsolve of the grid"},
 	{"solver.subsolve.<grid>.us", "histogram", "per-grid subsolve duration, e.g. `solver.subsolve.grid(1,2;root=2).us`"},
-	{"solver.steals", "counter", "queued grids taken by an idle executor instead of their seeded owner"},
-	{"solver.steal.mc", "histogram", "modelled megacycles of each stolen grid (how heavy the moved work was)"},
-	{"linalg.team.resize.us", "histogram", "SetTarget-to-application latency of elastic team resizes"},
 }
 
 // ProtocolEvents are the canonical manifold event names of the

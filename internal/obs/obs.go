@@ -179,18 +179,6 @@ const (
 	// entry/byte bounds; Actor is the evicted signature, A the entry's
 	// approximate bytes.
 	KCacheEvict
-	// KExecScale marks the executor autoscaler resizing the pool; A is
-	// the previous worker count, B the new one.
-	KExecScale
-
-	// KSteal marks one queued task stolen by an idle executor; Actor is
-	// the thief, Aux the victim, A the task index, B the task's modelled
-	// megacycles.
-	KSteal
-	// KTeamResize marks an elastic team resize applied at a dispatch
-	// boundary; Actor is the resized executor, A the old team size, B
-	// the new one.
-	KTeamResize
 
 	kindCount // number of kinds; keep last
 )
@@ -237,9 +225,6 @@ var kindNames = [...]string{
 	KCacheHit:        "serve.cache.hit",
 	KCacheMiss:       "serve.cache.miss",
 	KCacheEvict:      "serve.cache.evict",
-	KExecScale:       "serve.exec.scale",
-	KSteal:           "solver.steal",
-	KTeamResize:      "linalg.team.resize",
 }
 
 // String returns the dotted event name, e.g. "job.dispatch".
@@ -274,12 +259,6 @@ func (k Kind) source() string {
 		return "batch.go"
 	case KCacheHit, KCacheMiss, KCacheEvict:
 		return "cache.go"
-	case KExecScale:
-		return "exec.go"
-	case KSteal:
-		return "steal.go"
-	case KTeamResize:
-		return "team.go"
 	}
 	return "obs.go"
 }

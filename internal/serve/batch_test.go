@@ -95,7 +95,6 @@ func checkBatchLedger(t *testing.T, s *Server) {
 		{"serve.cache.hits", obs.KCacheHit},
 		{"serve.cache.misses", obs.KCacheMiss},
 		{"serve.cache.evictions", obs.KCacheEvict},
-		{"serve.exec.scales", obs.KExecScale},
 	} {
 		if c, e := rec.Counter(p.name).Value(), rec.KindCount(p.k); uint64(c) != e {
 			t.Fatalf("ledger: counter %s=%d vs %d %v events", p.name, c, e, p.k)
@@ -495,48 +494,6 @@ func TestBatchNeverStrands(t *testing.T) {
 			t.Errorf("%d workers: %d tasks accounted, want %d", workers, got, clients*perClient)
 		}
 		checkBatchLedger(t, &Server{rec: rec})
-	}
-}
-
-// TestAutoscaler checks the pool grows with queued estimated work, shrinks
-// back when it drains, and accounts every resize.
-func TestAutoscaler(t *testing.T) {
-	s, _ := newTestServer(t, Config{
-		Executors: 1, MaxExecutors: 3,
-		ScaleEvery: time.Millisecond, ScaleQuantumMc: 100,
-	})
-	s.Start()
-	workers := s.rec.Gauge("serve.exec.workers")
-	target := s.rec.Gauge("serve.exec.target")
-
-	s.queuedMc.Store(1000) // far beyond one quantum: desired = cap
-	waitFor(t, "scale-up", func() bool { return workers.Value() == 3 && target.Value() == 3 })
-
-	s.queuedMc.Store(0)
-	waitFor(t, "scale-down", func() bool { return workers.Value() == 1 && target.Value() == 1 })
-
-	if scales := s.rec.Counter("serve.exec.scales").Value(); scales < 2 {
-		t.Fatalf("scales = %d, want >= 2", scales)
-	}
-	if clean := s.Drain(time.Minute); !clean {
-		t.Fatal("drain timed out")
-	}
-	checkBatchLedger(t, s)
-}
-
-// TestDesiredExecutorsClamps pins the autoscaler's target arithmetic.
-func TestDesiredExecutorsClamps(t *testing.T) {
-	s := NewServer(Config{Executors: 2, MaxExecutors: 5, ScaleQuantumMc: 10})
-	for _, tc := range []struct {
-		mc   int64
-		want int
-	}{
-		{0, 2}, {1, 3}, {10, 3}, {11, 4}, {1000, 5},
-	} {
-		s.queuedMc.Store(tc.mc)
-		if got := s.desiredExecutors(); got != tc.want {
-			t.Fatalf("desired(%d mc) = %d, want %d", tc.mc, got, tc.want)
-		}
 	}
 }
 

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"errors"
-	"math"
 	"net/http"
 	"time"
 
@@ -23,46 +22,31 @@ const (
 	failError = "error"
 )
 
-// Start launches the executor goroutines, the batch workers, and (when
-// MaxExecutors > Executors) the autoscaler. Jobs enqueued before Start
-// sit in the queue — tests use this to fill the queue deterministically.
+// Start launches the executor goroutines and the batch workers. Jobs
+// enqueued before Start sit in the queue — tests use this to fill the
+// queue deterministically.
 func (s *Server) Start() {
+	s.execWG.Add(s.cfg.Executors)
 	for i := 0; i < s.cfg.Executors; i++ {
-		s.spawnExecutor()
+		go s.executor()
 	}
-	s.gExecTarget.Set(int64(s.cfg.Executors))
 	if s.batch != nil {
 		s.batch.start()
 	}
-	if s.shrink != nil {
-		s.execWG.Add(1)
-		go s.autoscaler()
-	}
-}
-
-func (s *Server) spawnExecutor() {
-	s.execWG.Add(1)
-	s.gExecWorkers.Add(1)
-	go s.executor()
 }
 
 // executor pulls admitted jobs off the queue and runs them to a terminal
 // state. During a drain it sheds instead of running, racing the drain
 // loop for the same jobs — each job is dequeued exactly once, so it is
-// shed exactly once either way. A shrink token from the autoscaler
-// retires an idle executor.
+// shed exactly once either way.
 func (s *Server) executor() {
 	defer s.execWG.Done()
-	defer s.gExecWorkers.Add(-1)
 	for {
 		select {
 		case <-s.quit:
 			return
-		case <-s.shrink:
-			return
 		case j := <-s.queue:
 			s.gQueue.Set(int64(len(s.queue)))
-			s.gQueueMc.Set(s.queuedMc.Add(-j.mc))
 			if s.draining.Load() {
 				s.shedQueued(j)
 				continue
@@ -70,52 +54,6 @@ func (s *Server) executor() {
 			s.runJob(j)
 		}
 	}
-}
-
-// autoscaler resizes the executor pool between the Executors floor and
-// the MaxExecutors cap, steering by the workmodel cost estimate of the
-// queued jobs: one extra executor per ScaleQuantumMc of queued work.
-// Scale-up spawns executors directly; scale-down posts tokens that idle
-// executors consume, so a busy pool shrinks only as work finishes.
-func (s *Server) autoscaler() {
-	defer s.execWG.Done()
-	tick := time.NewTicker(s.cfg.ScaleEvery)
-	defer tick.Stop()
-	cur := s.cfg.Executors
-	for {
-		select {
-		case <-s.quit:
-			return
-		case <-tick.C:
-			desired := s.desiredExecutors()
-			if desired == cur {
-				continue
-			}
-			s.rec.Emit(obs.KExecScale, "serve", "", int64(cur), int64(desired))
-			s.cScales.Inc()
-			s.gExecTarget.Set(int64(desired))
-			for cur < desired {
-				s.spawnExecutor()
-				cur++
-			}
-			for cur > desired {
-				s.shrink <- struct{}{}
-				cur--
-			}
-		}
-	}
-}
-
-func (s *Server) desiredExecutors() int {
-	mc := float64(s.queuedMc.Load())
-	d := s.cfg.Executors + int(math.Ceil(mc/s.cfg.ScaleQuantumMc))
-	if d > s.cfg.MaxExecutors {
-		d = s.cfg.MaxExecutors
-	}
-	if d < s.cfg.Executors {
-		d = s.cfg.Executors
-	}
-	return d
 }
 
 // runJob drives one admitted job through the retry loop: each solve
@@ -316,7 +254,6 @@ shedLoop:
 	for {
 		select {
 		case j := <-s.queue:
-			s.gQueueMc.Set(s.queuedMc.Add(-j.mc))
 			s.shedQueued(j)
 		default:
 			break shedLoop

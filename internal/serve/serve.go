@@ -44,7 +44,6 @@ import (
 	"repro/internal/pde"
 	"repro/internal/rosenbrock"
 	"repro/internal/solver"
-	"repro/internal/workmodel"
 )
 
 // Shed reasons, carried in the response body, the serve.shed event Aux,
@@ -134,17 +133,6 @@ type Config struct {
 	// CacheBytes is the approximate byte budget of the solver cache.
 	CacheBytes int64
 
-	// MaxExecutors enables executor autoscaling when > Executors: the pool
-	// grows from Executors toward this cap with the workmodel cost
-	// estimate of the queued jobs, and shrinks back when the queue drains.
-	MaxExecutors int
-	// ScaleEvery is the autoscaler's evaluation period.
-	ScaleEvery time.Duration
-	// ScaleQuantumMc is the queued work (workmodel megacycles) that
-	// justifies one executor beyond the floor; 0 takes the model's cost of
-	// a root=2 level=2 tol=1e-3 request.
-	ScaleQuantumMc float64
-
 	// Backoff paces serve-level retries and, passed through to the solver,
 	// pool-level job resubmissions. Nil gets a seeded default.
 	Backoff *core.Backoff
@@ -202,12 +190,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheBytes <= 0 {
 		c.CacheBytes = 256 << 20
-	}
-	if c.ScaleEvery <= 0 {
-		c.ScaleEvery = 20 * time.Millisecond
-	}
-	if c.ScaleQuantumMc <= 0 {
-		c.ScaleQuantumMc = workmodel.Paper().SequentialMc(2, 2, 1e-3)
 	}
 	if c.Backoff == nil {
 		c.Backoff = core.NewBackoff(1, core.DefaultBackoffBase, core.DefaultBackoffMax)
@@ -278,7 +260,6 @@ type job struct {
 	tenant   string
 	req      SolveRequest
 	lin      rosenbrock.LinearSolver
-	mc       int64 // workmodel cost estimate (megacycles), for the autoscaler
 	deadline time.Time
 	admitted time.Time
 	done     chan outcome
@@ -310,9 +291,6 @@ type Server struct {
 	tenants    *tenants
 	batch      *batcher     // nil unless BatchWindow > 0
 	cache      *solverCache // nil unless batch is
-	model      workmodel.Model
-	queuedMc   atomic.Int64  // megacycle estimate of the queued jobs
-	shrink     chan struct{} // autoscaler scale-down tokens; nil when off
 	queue      chan *job
 	quit       chan struct{}
 	admitMu    sync.RWMutex
@@ -326,8 +304,7 @@ type Server struct {
 	degradeLevel int // queue occupancy at which dequeued jobs degrade; 0 = off
 
 	cRequests, cShed, cCompleted, cDegraded, cFailed, cRetries *obs.Counter
-	cScales                                                    *obs.Counter
-	gQueue, gInflight, gQueueMc, gExecWorkers, gExecTarget     *obs.Gauge
+	gQueue, gInflight                                          *obs.Gauge
 	hRequest, hWait                                            *obs.Histogram
 }
 
@@ -345,29 +322,21 @@ func NewServer(cfg Config) *Server {
 		quit:    make(chan struct{}),
 		drained: make(chan struct{}),
 
-		cRequests:    rec.Counter("serve.requests"),
-		cShed:        rec.Counter("serve.shed"),
-		cCompleted:   rec.Counter("serve.completed"),
-		cDegraded:    rec.Counter("serve.degraded"),
-		cFailed:      rec.Counter("serve.failed"),
-		cRetries:     rec.Counter("serve.retries"),
-		cScales:      rec.Counter("serve.exec.scales"),
-		gQueue:       rec.Gauge("serve.queue.depth"),
-		gInflight:    rec.Gauge("serve.inflight"),
-		gQueueMc:     rec.Gauge("serve.queue.mc"),
-		gExecWorkers: rec.Gauge("serve.exec.workers"),
-		gExecTarget:  rec.Gauge("serve.exec.target"),
-		hRequest:     rec.Histogram("serve.request.us"),
-		hWait:        rec.Histogram("serve.queue.wait.us"),
+		cRequests:  rec.Counter("serve.requests"),
+		cShed:      rec.Counter("serve.shed"),
+		cCompleted: rec.Counter("serve.completed"),
+		cDegraded:  rec.Counter("serve.degraded"),
+		cFailed:    rec.Counter("serve.failed"),
+		cRetries:   rec.Counter("serve.retries"),
+		gQueue:     rec.Gauge("serve.queue.depth"),
+		gInflight:  rec.Gauge("serve.inflight"),
+		hRequest:   rec.Histogram("serve.request.us"),
+		hWait:      rec.Histogram("serve.queue.wait.us"),
 	}
-	s.model = workmodel.Paper()
 	s.tenants = newTenants(cfg, s.now, rec)
 	if cfg.BatchWindow > 0 {
 		s.cache = newSolverCache(cfg, rec, s.problem)
 		s.batch = newBatcher(cfg, rec, s.cache, s.now)
-	}
-	if cfg.MaxExecutors > cfg.Executors {
-		s.shrink = make(chan struct{}, cfg.MaxExecutors)
 	}
 	if cfg.DegradeAt > 0 {
 		s.degradeLevel = int(cfg.DegradeAt * float64(cfg.QueueDepth))
@@ -461,7 +430,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	j := &job{
 		id: id, tenant: req.Tenant, req: req, lin: lin,
-		mc:       int64(s.model.SequentialMc(req.Root, req.Level, req.Tol)),
 		deadline: now.Add(deadline), admitted: now,
 		done: make(chan outcome, 1),
 	}
@@ -470,7 +438,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	case s.queue <- j:
 		depth := len(s.queue)
 		s.gQueue.Set(int64(depth))
-		s.gQueueMc.Set(s.queuedMc.Add(j.mc))
 		s.gInflight.Add(1)
 		s.rec.Emit(obs.KServeAccept, j.tenant, "", j.id, int64(depth))
 		s.admitMu.RUnlock()

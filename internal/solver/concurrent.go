@@ -51,9 +51,6 @@ func Concurrent(p Params) (*Output, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if p.Schedule != SchedulePool {
-		return concurrentSteal(p)
-	}
 	fam := grid.Family(p.Root, p.Level)
 	index := make(map[grid.Grid]int, len(fam))
 	for i, g := range fam {

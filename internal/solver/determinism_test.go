@@ -70,14 +70,11 @@ var goldenFamily = map[rosenbrock.LinearSolver]struct {
 }
 
 // TestDeterminismAcrossCores is the determinism acceptance test:
-// Sequential, Concurrent (static pool), and both work-stealing schedules
-// reproduce the golden SHA-256 digest and flop count at every team size,
-// for all three linear solvers, with the team woken on every phase — and,
-// for Sequential, also with the cut-over out of reach, where the same
-// teams never wake. The stealing variants run with several executors and
-// no guardrail, so steals — and, for the elastic variant, core donations
-// with mid-run team resizes — actually happen and are proven
-// output-neutral.
+// Sequential and Concurrent reproduce the golden SHA-256 digest and flop
+// count at every team size, for all three linear solvers, with the team
+// woken on every phase — and, for Sequential, also with the cut-over out
+// of reach, where the same teams never wake. Concurrent runs under every
+// value of the deprecated Schedule field, which must all be the pool.
 func TestDeterminismAcrossCores(t *testing.T) {
 	lowerParMin(t)
 	for _, lin := range []rosenbrock.LinearSolver{rosenbrock.BiCGStab, rosenbrock.GMRES, rosenbrock.ILU} {
@@ -106,19 +103,17 @@ func TestDeterminismAcrossCores(t *testing.T) {
 						t.Errorf("Sequential(cores=%d, cut=%d) differs from the golden run (%d flops, golden %d)", c, cut, seq.TotalFlops, gold.flops)
 					}
 				}
-				for _, sched := range []Schedule{SchedulePool, ScheduleSteal, ScheduleStealElastic} {
+				for _, sched := range []Schedule{0, ScheduleSteal, ScheduleStealElastic} {
 					p.Schedule = sched
-					p.Executors = 0
-					if sched != SchedulePool {
-						p.Executors = 3
-						p.StealSeed = 42
-					}
 					conc, err := Concurrent(p)
 					if err != nil {
-						t.Fatalf("Concurrent(%v, cores=%d): %v", sched, c, err)
+						t.Fatalf("Concurrent(schedule=%d, cores=%d): %v", sched, c, err)
 					}
 					if got := hashOutput(t, conc); got != want || conc.TotalFlops != gold.flops {
-						t.Errorf("Concurrent(%v, cores=%d) differs from the golden run (%d flops, golden %d)", sched, c, conc.TotalFlops, gold.flops)
+						t.Errorf("Concurrent(schedule=%d, cores=%d) differs from the golden run (%d flops, golden %d)", sched, c, conc.TotalFlops, gold.flops)
+					}
+					if conc.Sched != (SchedStats{}) {
+						t.Errorf("Concurrent(schedule=%d, cores=%d) reports %+v, want zero", sched, c, conc.Sched)
 					}
 				}
 			}

@@ -100,6 +100,31 @@ func TestConcurrentFallbackCompletesBitForBit(t *testing.T) {
 	}
 }
 
+// TestFaultsRecoverUnderAnySchedule: the deprecated Schedule field no
+// longer selects a driver without a failure model — fault injection
+// validates under a non-zero value and the retry protocol recovers.
+func TestFaultsRecoverUnderAnySchedule(t *testing.T) {
+	p := Params{Root: 2, Level: 1, Tol: 1e-3}
+	seq, err := Sequential(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Schedule = ScheduleStealElastic
+	p.Retries = 1
+	p.Faults = core.PlanFaults(0, core.FaultPanic)
+	if err := p.Validate(); err != nil {
+		t.Fatalf("Validate with Faults under schedule %d: %v", p.Schedule, err)
+	}
+	conc, err := Concurrent(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertBitForBit(t, seq, conc)
+	if fs := conc.Faults; fs.Failures != 1 || fs.Retries != 1 || fs.Deaths != fs.Workers {
+		t.Fatalf("faults = %+v, want 1 failure, 1 retry, deaths == workers", fs)
+	}
+}
+
 func TestConcurrentFailureBudgetError(t *testing.T) {
 	// Every worker attempt panics and the run tolerates a single failure:
 	// without Fallback the run must abort with BudgetExhausted rather than

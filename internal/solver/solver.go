@@ -21,6 +21,7 @@ package solver
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"time"
 
@@ -64,25 +65,6 @@ type Params struct {
 	// are bit-for-bit identical at any setting.
 	CoresPerWorker int
 
-	// Schedule selects the concurrent coordination strategy: the static
-	// master/worker pool (default), deque-per-executor work stealing, or
-	// work stealing with elastic core donation (see Schedule). Outputs
-	// are bit-for-bit identical across all three.
-	Schedule Schedule
-	// StealSeed seeds the victim-probe order of the work-stealing
-	// executors, so a run's steal pattern is reproducible. Only the
-	// pattern is affected — outputs are schedule-independent.
-	StealSeed int64
-	// StealMinMc is the cost-model guardrail of the work-stealing
-	// schedules: a queued grid whose modelled work (workmodel
-	// megacycles) is below it is left for its seeded owner — moving it
-	// would cost more coordination than the work is worth. 0 disables
-	// the guardrail.
-	StealMinMc float64
-	// Executors caps the executor count of the work-stealing schedules.
-	// 0 (the default) uses min(GOMAXPROCS, family size).
-	Executors int
-
 	// Retries is the per-job retry budget of the concurrent driver: a job
 	// whose worker fails (panic, deadline, corrupt result) is resubmitted
 	// to a freshly created worker this many times before it is treated as
@@ -111,6 +93,8 @@ type Params struct {
 	// per-grid subsolve duration histograms; nil (the default) costs
 	// nothing.
 	Obs *obs.Recorder
+
+	compatParams
 }
 
 func (p Params) withDefaults() Params {
@@ -134,20 +118,11 @@ func (p Params) Validate() error {
 	if p.Level < 0 {
 		return fmt.Errorf("solver: level %d < 0", p.Level)
 	}
-	if p.Tol <= 0 {
-		return fmt.Errorf("solver: tolerance %g must be positive", p.Tol)
+	if math.IsNaN(p.Tol) || math.IsInf(p.Tol, 1) || p.Tol <= 0 {
+		return fmt.Errorf("solver: tolerance %g must be a finite positive number", p.Tol)
 	}
 	if p.CoresPerWorker < 0 {
 		return fmt.Errorf("solver: cores per worker %d < 0", p.CoresPerWorker)
-	}
-	if p.Schedule < SchedulePool || p.Schedule > ScheduleStealElastic {
-		return fmt.Errorf("solver: unknown schedule %d", p.Schedule)
-	}
-	if p.Schedule != SchedulePool && p.Faults != nil {
-		return fmt.Errorf("solver: fault injection requires the pool schedule (the work-stealing executors have no retry protocol)")
-	}
-	if p.Executors < 0 {
-		return fmt.Errorf("solver: executors %d < 0", p.Executors)
 	}
 	return nil
 }
@@ -316,9 +291,8 @@ type Output struct {
 	// Faults reports the failure/retry accounting of a concurrent run
 	// (zero for sequential runs and fault-free concurrent runs).
 	Faults FaultStats
-	// Sched reports the work-stealing scheduler's accounting (zero for
-	// sequential and static-pool runs).
-	Sched SchedStats
+
+	compatOutput
 }
 
 // combine prolongates the per-grid solutions and applies the combination

@@ -18,6 +18,8 @@ func TestParamsValidate(t *testing.T) {
 		{Params{Root: 0, Level: 3, Tol: 1e-3}, false},
 		{Params{Root: 2, Level: -1, Tol: 1e-3}, false},
 		{Params{Root: 2, Level: 3, Tol: 0}, false},
+		{Params{Root: 2, Level: 3, Tol: math.NaN()}, false},
+		{Params{Root: 2, Level: 3, Tol: math.Inf(1)}, false},
 	}
 	for _, c := range cases {
 		if err := c.p.Validate(); (err == nil) != c.ok {

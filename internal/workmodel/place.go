@@ -4,14 +4,13 @@ import "sort"
 
 // PlaceLPT distributes task indices across executors by the classic
 // longest-processing-time-first greedy: tasks are visited heaviest first
-// and each lands on the currently least-loaded executor. The result is the
-// initial placement of the work-stealing scheduler — cost-model-guided so
-// steals are the exception, not the protocol. Deterministic: weight ties
-// visit the lower task index first, load ties pick the lower executor.
+// and each lands on the currently least-loaded executor. Deterministic:
+// weight ties visit the lower task index first, load ties pick the lower
+// executor. Each executor's queue is returned sorted by ascending weight
+// (ties by ascending index).
 //
-// Each executor's queue is returned sorted by ascending weight (ties by
-// ascending index), so a LIFO owner pops its heaviest task first while
-// FIFO thieves steal its lightest — the cheapest item to move.
+// Its one caller is benchmark/'s workmodel.lpt_regret row, which replays
+// the placement against measured times; no driver queues work any more.
 func PlaceLPT(executors int, weights []float64) [][]int {
 	if executors < 1 {
 		executors = 1
