@@ -240,3 +240,34 @@ func badRunRows(y, v, x vec, off []int) {
 		v = v[2:]
 	}
 }
+
+// runRowsDots is the shape of a run kernel that reduces as it writes: the
+// two dots of the output rows ride along in accumulators passed in and
+// returned by value, so nothing escapes.
+//
+//vetsparse:allocfree
+func runRowsDots(y, v, x0, x1, u0, u1 vec, p0, p1 float64) (float64, float64) {
+	x0, x1, u0, u1 = x0[:len(y)], x1[:len(y)], u0[:len(y)], u1[:len(y)]
+	for i := range y {
+		s := 0.0 + v[0]*x0[i]
+		s += v[1] * x1[i]
+		y[i] = s
+		p0 += s * u0[i]
+		p1 += s * u1[i]
+		v = v[2:]
+	}
+	return p0, p1
+}
+
+// badRunRowsDots returns its accumulators in a slice built per call.
+//
+//vetsparse:allocfree
+func badRunRowsDots(y, v, x0, u0 vec) []float64 {
+	acc := make([]float64, 2) // want `make allocates`
+	for i := range y {
+		s := 0.0 + v[i]*x0[i]
+		y[i] = s
+		acc[0] += s * u0[i]
+	}
+	return acc
+}

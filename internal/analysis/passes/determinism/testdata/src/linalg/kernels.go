@@ -142,3 +142,45 @@ func goodSlicedDotStep(st *phaseStep, lo, hi int) {
 		st.partial[lo/1024] = p
 	}
 }
+
+// goodFusedTwoDots is the shape of a fused elementwise-plus-reduction kernel
+// with two accumulators: both restart at every chunk, so the partial pairs
+// do not depend on where a team cut [lo, hi).
+func goodFusedTwoDots(part0, part1, r, s, t, q []float64, a float64, lo, hi int) {
+	for ; lo < hi; lo += 1024 {
+		end := lo + 1024
+		if end > hi {
+			end = hi
+		}
+		rr := r[lo:end]
+		ss, tt, qq := s[lo:end][:len(rr)], t[lo:end][:len(rr)], q[lo:end][:len(rr)]
+		p0, p1 := 0.0, 0.0
+		for i := range rr {
+			e := ss[i] + a*tt[i]
+			rr[i] = e
+			p0 += e * e
+			p1 += qq[i] * e
+		}
+		part0[lo/1024], part1[lo/1024] = p0, p1
+	}
+}
+
+// badFusedTwoDots writes a partial per chunk but never restarts its
+// accumulators: chunk c's partial carries every chunk before it in the
+// worker's range, that is, it depends on the first chunk the worker owns.
+func badFusedTwoDots(part0, part1, r, s, t, q []float64, a float64, lo, hi int) {
+	p0, p1 := 0.0, 0.0
+	for ; lo < hi; lo += 1024 {
+		end := lo + 1024
+		if end > hi {
+			end = hi
+		}
+		for i := lo; i < end; i++ {
+			e := s[i] + a*t[i]
+			r[i] = e
+			p0 += e * e    // want `float accumulation across the whole \[lo, hi\) worker range`
+			p1 += q[i] * e // want `float accumulation across the whole \[lo, hi\) worker range`
+		}
+		part0[lo/1024], part1[lo/1024] = p0, p1
+	}
+}

@@ -132,18 +132,48 @@ func (m *CSR) MulVec(y, x Vector, ops *Ops) {
 	if len(x) != m.Cols || len(y) != m.Rows {
 		panic(fmt.Sprintf("linalg: mulvec dims %dx%d with x[%d], y[%d]", m.Rows, m.Cols, len(x), len(y)))
 	}
-	m.mulVecRange(y, x, 0, m.Rows)
+	m.mulVecRange(y, x, nil, nil, nil, nil, 0, m.Rows)
 	ops.Add(2 * int64(m.NNZ()))
 }
 
 // mulVecRange computes y[r] = (A*x)[r] for rows r in [r0, r1). Each output
 // row is an independent serial dot product accumulated left to right over
 // the row's stored entries, so any row partitioning yields exactly MulVec's
-// values. Rows inside a diagonal run take the index-free run kernels,
-// clipped to the range; the rows between runs take the indexed row loop.
+// values. With u0 (and u1) bound it also reduces <y, u0> (and <y, u1>) in
+// the sweep that writes the rows: part0 and part1 receive the partials
+// dotChunks would fill, each chunk's accumulator restarted from +0 and fed
+// the products in row order. r0 must then be chunk-aligned; a u may be y.
 //
 //vetsparse:allocfree
-func (m *CSR) mulVecRange(y, x Vector, r0, r1 int) {
+func (m *CSR) mulVecRange(y, x, u0, u1 Vector, part0, part1 []float64, r0, r1 int) {
+	a := spmv{y: y, x: x, u0: u0, u1: u1}
+	if u0 == nil {
+		m.mulVecSpan(&a, r0, r1)
+		return
+	}
+	if u1 == nil { // the kernels carry both accumulators or none; this one's is dropped
+		a.u1 = y
+	}
+	for ; r0 < r1; r0 += redChunk {
+		p0, p1 := m.mulVecSpan(&a, r0, min(r0+redChunk, r1))
+		part0[r0/redChunk] = p0
+		if u1 != nil {
+			part1[r0/redChunk] = p1
+		}
+	}
+}
+
+// spmv holds the operands of one mulVecRange call, handed down to the row
+// kernels by reference: a thin grid makes a kernel call every few rows.
+type spmv struct{ y, x, u0, u1 Vector }
+
+// mulVecSpan is mulVecRange over rows that share their reduction
+// accumulators (one chunk, or with a nil u0 any range and none); it returns
+// them. Rows inside a diagonal run take the index-free run kernels, clipped
+// to the span; the rows between runs take the indexed row loop.
+//
+//vetsparse:allocfree
+func (m *CSR) mulVecSpan(a *spmv, r0, r1 int) (p0, p1 float64) {
 	// First run that ends after r0 (runs are sorted and disjoint).
 	lo, hi := 0, len(m.runs)
 	for lo < hi {
@@ -158,39 +188,72 @@ func (m *CSR) mulVecRange(y, x Vector, r0, r1 int) {
 	for i := lo; i < len(m.runs) && m.runs[i].r0 < r1; i++ {
 		run := &m.runs[i]
 		if run.r0 > r {
-			m.mulVecRows(y, x, r, run.r0)
+			p0, p1 = m.mulVecRows(a, p0, p1, r, run.r0)
 			r = run.r0
 		}
 		e := run.r1
 		if e > r1 {
 			e = r1
 		}
-		m.mulVecRun(y, x, run, r, e)
+		v := m.Val[m.RowPtr[r]:][:(e-r)*run.w]
+		switch run.w {
+		case 3:
+			p0, p1 = mulRun3(a, v, &run.off, p0, p1, r, e)
+		case 4:
+			p0, p1 = mulRun4(a, v, &run.off, p0, p1, r, e)
+		default:
+			p0, p1 = mulRun5(a, v, &run.off, p0, p1, r, e)
+		}
 		r = e
 	}
 	if r < r1 {
-		m.mulVecRows(y, x, r, r1)
+		p0, p1 = m.mulVecRows(a, p0, p1, r, r1)
 	}
+	return p0, p1
 }
 
-// mulVecRows is the general row loop of mulVecRange: one indexed gather
-// per stored entry.
+// mulVecRows is the general row loop of mulVecSpan: one indexed gather per
+// stored entry. Rows of a width that has a run kernel are unrolled the same
+// way — thin grids (3 x 511) are all such rows and have no runs — so only
+// other widths pay the inner loop's branch per entry.
 //
 //vetsparse:allocfree
-func (m *CSR) mulVecRows(y, x Vector, r0, r1 int) {
+func (m *CSR) mulVecRows(a *spmv, p0, p1 float64, r0, r1 int) (float64, float64) {
 	ptr := m.RowPtr[r0 : r1+1]
 	val := m.Val
 	col := m.ColIdx[:len(val)]
-	y = y[r0:r1]
+	x, y := a.x, a.y[r0:r1]
+	u0, u1 := a.u0, a.u1
+	if u0 != nil {
+		u0, u1 = u0[r0:r1][:len(y)], u1[r0:r1][:len(y)]
+	}
 	k := ptr[0]
 	for i := range y {
 		end := ptr[i+1]
 		s := 0.0
-		for ; k < end; k++ {
-			s += val[k] * x[col[k]]
+		switch end - k {
+		case 3: // the sums associate left to right, as the loop adds
+			v, c := val[k:k+3:k+3], col[k:k+3:k+3]
+			s = 0.0 + v[0]*x[c[0]] + v[1]*x[c[1]] + v[2]*x[c[2]]
+		case 4:
+			v, c := val[k:k+4:k+4], col[k:k+4:k+4]
+			s = 0.0 + v[0]*x[c[0]] + v[1]*x[c[1]] + v[2]*x[c[2]] + v[3]*x[c[3]]
+		case 5:
+			v, c := val[k:k+5:k+5], col[k:k+5:k+5]
+			s = 0.0 + v[0]*x[c[0]] + v[1]*x[c[1]] + v[2]*x[c[2]] + v[3]*x[c[3]] + v[4]*x[c[4]]
+		default:
+			for ; k < end; k++ {
+				s += val[k] * x[col[k]]
+			}
 		}
+		k = end
 		y[i] = s
+		if u0 != nil {
+			p0 += s * u0[i]
+			p1 += s * u1[i]
+		}
 	}
+	return p0, p1
 }
 
 // Diagonal extracts the main diagonal into d (missing entries are zero).

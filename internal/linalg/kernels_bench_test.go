@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -85,12 +86,13 @@ func BenchmarkShiftedUpdateHeld(b *testing.B) {
 // family (long diagonal runs, and 3-wide rows with no runs at all).
 var kernelShapes = [][2]int{{127, 127}, {63, 31}, {511, 3}, {3, 511}}
 
-// benchShapes runs fn as one sub-benchmark per kernel shape on the shifted
-// stencil operator and reports its time per stored entry.
-func benchShapes(b *testing.B, fn func(b *testing.B, a *CSR)) {
+// benchShapes runs fn as one sub-benchmark per kernel shape (its name the
+// shape plus suffix) on the shifted stencil operator and reports its time per
+// stored entry.
+func benchShapes(b *testing.B, suffix string, fn func(b *testing.B, a *CSR)) {
 	for _, sh := range kernelShapes {
 		a := advDiff2D(sh[0], sh[1], 1)
-		b.Run(fmt.Sprintf("%dx%d", sh[0], sh[1]), func(b *testing.B) {
+		b.Run(fmt.Sprintf("%dx%d%s", sh[0], sh[1], suffix), func(b *testing.B) {
 			b.ReportAllocs()
 			fn(b, a)
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(a.NNZ()), "ns/nnz")
@@ -98,22 +100,59 @@ func benchShapes(b *testing.B, fn func(b *testing.B, a *CSR)) {
 	}
 }
 
+// BenchmarkMulVec times the product alone and with one and two reductions
+// riding along — <y, x>, then <y, y> beside it — as BiCGStab binds them.
 func BenchmarkMulVec(b *testing.B) {
-	benchShapes(b, func(b *testing.B, a *CSR) {
-		x := NewVector(a.Cols)
-		y := NewVector(a.Rows)
-		for i := range x {
-			x[i] = float64(i%13) - 6
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			a.MulVec(y, x, nil)
-		}
-	})
+	for dots, suffix := range []string{"", "+dot", "+2dots"} {
+		benchShapes(b, suffix, func(b *testing.B, a *CSR) {
+			x := NewVector(a.Cols)
+			y := NewVector(a.Rows)
+			for i := range x {
+				x[i] = float64(i%13) - 6
+			}
+			var p Phase
+			p.Reset(a.Rows)
+			p.mulVecDot(a, y, x, [...]Vector{nil, x, x}[dots], [...]Vector{nil, nil, y}[dots])
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p.exec(nil, 0, 0, a.Rows)
+			}
+		})
+	}
+}
+
+// BenchmarkMGS times one Arnoldi column's Gram-Schmidt sweep at 63x31
+// against k+1 basis vectors: early, middle and last column of a restart
+// cycle. w is restored before each sweep so every one projects the same
+// vector.
+func BenchmarkMGS(b *testing.B) {
+	const n = 63 * 31
+	rng := rand.New(rand.NewSource(43))
+	basis := make([]Vector, 30)
+	hess := make([][]float64, 30)
+	for i := range basis {
+		basis[i] = randVec(rng, n)
+		hess[i] = make([]float64, 30)
+	}
+	w0, w := randVec(rng, n), NewVector(n)
+	for _, k := range []int{5, 15, 29} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			var p Phase
+			p.Reset(n)
+			p.Copy(w, w0)
+			p.MGS(w, basis, hess, &k)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p.exec(nil, 0, 0, n)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n*(k+2)), "ns/elem-sweep")
+		})
+	}
 }
 
 func BenchmarkILUSolve(b *testing.B) {
-	benchShapes(b, func(b *testing.B, a *CSR) {
+	benchShapes(b, "", func(b *testing.B, a *CSR) {
 		f, err := NewILU0(a, nil)
 		if err != nil {
 			b.Fatal(err)

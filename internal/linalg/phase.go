@@ -17,19 +17,20 @@ type phaseOp uint8
 const (
 	phBarrier phaseOp = iota
 	phCopy
-	phUpdateP
 	phMulElem
 	phMulElemAt
 	phMulElemAdd
 	phSub
 	phAXPY
 	phAXPYTo
-	phAXPY2
 	phScaleTo
 	phSpMV
 	phDot
 	phWRMS
 	phMGS
+	phDir
+	phSStep
+	phXR
 )
 
 // phaseStep is one op of a micro-program. Operands are bound at build
@@ -39,6 +40,7 @@ type phaseStep struct {
 	op    phaseOp
 	dst   Vector
 	x, y  Vector
+	ex    [4]Vector // further operands of the fused steps, by position
 	m     *CSR
 	a, b  *float64
 	slot  int
@@ -61,12 +63,15 @@ type phaseStep struct {
 // range; a nil, closed or single team, or a phase below ParMinPhase, runs
 // the same function over [0, n) with barriers as no-ops. Elementwise steps
 // compute each element independently of the range it arrives in, and
-// reductions fill the fixed redChunk partials Vector.Dot folds in chunk
-// order, so any split of the range produces the same bits.
+// reductions — steps of their own or riding the step that writes their
+// operand — fill the fixed redChunk partials Vector.Dot folds in chunk
+// order, each chunk from a fresh +0, so any split of the range produces the
+// same bits.
 //
-// A Phase is built once per solve (Reset + builder calls; backing arrays
-// are reused, so steady-state rebuilding allocates nothing) and dispatched
-// many times. It is owned by one goroutine and one Team at a time.
+// A Phase is built with Reset and builder calls (backing arrays are reused,
+// so rebuilding allocates nothing), dispatched many times, and rebound to
+// other operands in place (rebind). It is owned by one goroutine and one
+// Team at a time.
 type Phase struct {
 	steps    []phaseStep
 	n        int
@@ -90,6 +95,23 @@ func (p *Phase) Reset(n int) {
 	p.nch = (n + redChunk - 1) / redChunk
 	p.barriers = 0
 	p.flops = 0
+}
+
+// rebind points every operand bound to from[j] at to[j], both pairs in one
+// pass so that swapped vectors stay swapped: how a plan built for one
+// solve's x and b serves the next one's.
+func (p *Phase) rebind(from, to [2]Vector) {
+	for i := range p.steps {
+		st := &p.steps[i]
+		for _, v := range [...]*Vector{&st.dst, &st.x, &st.y, &st.ex[0], &st.ex[1], &st.ex[2], &st.ex[3]} {
+			for j, f := range from {
+				if len(*v) > 0 && &(*v)[0] == &f[0] {
+					*v = p.check(to[j])
+					break
+				}
+			}
+		}
+	}
 }
 
 // Len returns the number of steps in the program.
@@ -125,13 +147,6 @@ func (p *Phase) Barrier() {
 // Copy appends dst = src.
 func (p *Phase) Copy(dst, src Vector) {
 	p.steps = append(p.steps, phaseStep{op: phCopy, dst: p.check(dst), x: p.check(src)})
-}
-
-// UpdateP appends the BiCGStab search-direction update
-// pv = r + beta*(pv - omega*v).
-func (p *Phase) UpdateP(pv, r, v Vector, beta, omega *float64) {
-	p.steps = append(p.steps, phaseStep{op: phUpdateP, dst: p.check(pv), x: p.check(r), y: p.check(v), a: beta, b: omega})
-	p.flops += 4 * int64(p.n)
 }
 
 // MulElem appends dst = d .* x.
@@ -171,12 +186,6 @@ func (p *Phase) AXPYTo(dst, y Vector, a *float64, x Vector) {
 	p.flops += 2 * int64(p.n)
 }
 
-// AXPY2 appends dst += a*x + b*y.
-func (p *Phase) AXPY2(dst Vector, a *float64, x Vector, b *float64, y Vector) {
-	p.steps = append(p.steps, phaseStep{op: phAXPY2, dst: p.check(dst), x: p.check(x), y: p.check(y), a: a, b: b})
-	p.flops += 4 * int64(p.n)
-}
-
 // ScaleTo appends dst = a*x (dst may alias x).
 func (p *Phase) ScaleTo(dst Vector, a *float64, x Vector) {
 	p.steps = append(p.steps, phaseStep{op: phScaleTo, dst: p.check(dst), x: p.check(x), a: a})
@@ -188,12 +197,60 @@ func (p *Phase) ScaleTo(dst Vector, a *float64, x Vector) {
 // later reductions over y need no barrier — but a Barrier is required
 // before this step whenever x was written earlier in the phase, because
 // a row's dot product reads the whole of x.
-func (p *Phase) MulVec(m *CSR, y, x Vector) {
+func (p *Phase) MulVec(m *CSR, y, x Vector) { p.mulVecDot(m, y, x, nil, nil) }
+
+// mulVecDot appends y = m*x fused with the reductions <y, u0> into slot 0
+// and <y, u1> into slot 1, filled in the sweep that writes y (nil: not
+// bound; u1 needs u0; either may be y itself).
+func (p *Phase) mulVecDot(m *CSR, y, x, u0, u1 Vector) {
 	if m.Rows != p.n || m.Cols != p.n {
 		panic(fmt.Sprintf("linalg: phase SpMV dims %dx%d != %d", m.Rows, m.Cols, p.n))
 	}
-	p.steps = append(p.steps, phaseStep{op: phSpMV, dst: p.check(y), x: p.check(x), m: m})
+	st := phaseStep{op: phSpMV, dst: p.check(y), x: p.check(x), m: m}
 	p.flops += 2 * int64(m.NNZ())
+	for slot, u := range [...]Vector{u0, u1} {
+		if u != nil {
+			st.ex[p.checkSlot(slot)] = p.check(u)
+			p.flops += 2 * int64(p.n)
+		}
+	}
+	p.steps = append(p.steps, st)
+}
+
+// dirStep appends the BiCGStab direction step pv = r + beta*(pv - omega*v)
+// and, given a Jacobi diagonal d, ph = d .* pv in the same sweep. With a
+// nil d the triangular solves precondition pv and ph is left alone.
+func (p *Phase) dirStep(pv, r, v Vector, beta, omega *float64, d, ph Vector) {
+	st := phaseStep{op: phDir, dst: p.check(pv), x: p.check(r), y: p.check(v), a: beta, b: omega}
+	p.flops += 4 * int64(p.n)
+	if d != nil {
+		st.ex[0], st.ex[1] = p.check(d), p.check(ph)
+		p.flops += int64(p.n)
+	}
+	p.steps = append(p.steps, st)
+}
+
+// sStep appends s = r + a*v fused with <s, s> into slot 0 and, given a
+// Jacobi diagonal d, sh = d .* s (s may alias r or v). The n products with
+// d are charged by the phase that consumes sh, not here.
+func (p *Phase) sStep(s, r Vector, a *float64, v, d, sh Vector) {
+	st := phaseStep{op: phSStep, dst: p.check(s), x: p.check(r), y: p.check(v), a: a}
+	if d != nil {
+		st.ex[0], st.ex[1] = p.check(d), p.check(sh)
+	}
+	p.checkSlot(0)
+	p.steps = append(p.steps, st)
+	p.flops += 4 * int64(p.n)
+}
+
+// xrStep appends the BiCGStab iteration tail x += alpha*ph + omega*sh,
+// r = s - omega*t, fused with <r, r> into slot 0 and <rt, r> into slot 1.
+func (p *Phase) xrStep(x Vector, alpha *float64, ph Vector, omega *float64, sh, r, s, t, rt Vector) {
+	p.checkSlot(0)
+	p.checkSlot(1)
+	p.steps = append(p.steps, phaseStep{op: phXR, dst: p.check(x), x: p.check(ph), y: p.check(sh), a: alpha, b: omega,
+		ex: [4]Vector{p.check(r), p.check(s), p.check(t), p.check(rt)}})
+	p.flops += 10 * int64(p.n)
 }
 
 // Dot appends the chunked partial fill of a·b into reduction slot 0 or 1;
@@ -214,7 +271,8 @@ func (p *Phase) WRMS(slot int, v, ref Vector, atol, rtol *float64) {
 // MGS appends the modified Gram-Schmidt sweep of the Arnoldi step: for
 // i = 0..*k it computes h := <w, basis[i]> through the ordered chunk fold,
 // stores it into hess[i][*k], and updates w -= h*basis[i]; finally it fills
-// a reduction slot with the partials of <w, w>. The final-norm slot
+// a reduction slot with the partials of <w, w>. Each update shares its sweep
+// with the next reduction, k+2 sweeps a column. The final-norm slot
 // alternates with the column: read it with Fold((*k + 1) & 1). Charges are
 // dynamic (per column), so the caller accounts (k+1)*4n + 2n itself.
 func (p *Phase) MGS(w Vector, basis []Vector, hess [][]float64, k *int) {
@@ -266,8 +324,6 @@ func (p *Phase) exec(t *Team, w, lo, hi int) {
 			}
 		case phCopy:
 			copy(st.dst[lo:hi], st.x[lo:hi])
-		case phUpdateP:
-			updatePRange(st.dst, st.x, st.y, *st.a, *st.b, lo, hi)
 		case phMulElem:
 			mulElemRange(st.dst, st.x, st.y, lo, hi)
 		case phMulElemAt:
@@ -280,18 +336,22 @@ func (p *Phase) exec(t *Team, w, lo, hi int) {
 			axpyRange(st.dst, *st.a, st.x, lo, hi)
 		case phAXPYTo:
 			axpyToRange(st.dst, st.y, *st.a, st.x, lo, hi)
-		case phAXPY2:
-			axpy2Range(st.dst, *st.a, st.x, *st.b, st.y, lo, hi)
 		case phScaleTo:
 			scaleToRange(st.dst, *st.a, st.x, lo, hi)
 		case phSpMV:
-			st.m.mulVecRange(st.dst, st.x, lo, hi)
+			st.m.mulVecRange(st.dst, st.x, st.ex[0], st.ex[1], p.part[0], p.part[1], lo, hi)
 		case phDot:
 			dotChunks(p.part[st.slot], st.x, st.y, lo, hi)
 		case phWRMS:
 			wrmsChunks(p.part[st.slot], st.x, st.y, *st.a, *st.b, lo, hi)
 		case phMGS:
 			p.mgs(t, st, w, lo, hi)
+		case phDir:
+			dirRange(st.dst, st.x, st.y, *st.a, *st.b, st.ex[0], st.ex[1], lo, hi)
+		case phSStep:
+			sStepChunks(p.part[0], st.dst, st.x, *st.a, st.y, st.ex[0], st.ex[1], lo, hi)
+		case phXR:
+			xrChunks(p.part[0], p.part[1], st.dst, *st.a, st.x, *st.b, st.y, st.ex[0], st.ex[1], st.ex[2], st.ex[3], lo, hi)
 		}
 	}
 }
@@ -310,17 +370,27 @@ func (p *Phase) exec(t *Team, w, lo, hi int) {
 
 //go:noinline
 //vetsparse:allocfree
-func updatePRange(pv, r, v Vector, beta, omega float64, lo, hi int) {
+func dirRange(pv, r, v Vector, beta, omega float64, d, ph Vector, lo, hi int) {
 	pv = pv[lo:hi]
 	r, v = r[lo:hi][:len(pv)], v[lo:hi][:len(pv)]
+	if d == nil {
+		for i := range pv {
+			pv[i] = r[i] + beta*(pv[i]-omega*v[i])
+		}
+		return
+	}
+	d, ph = d[lo:hi][:len(pv)], ph[lo:hi][:len(pv)]
 	i := 0
 	for ; i+4 <= len(pv); i += 4 {
-		p, r, v := pv[i:i+4:i+4], r[i:i+4:i+4], v[i:i+4:i+4]
-		p[0], p[1] = r[0]+beta*(p[0]-omega*v[0]), r[1]+beta*(p[1]-omega*v[1])
-		p[2], p[3] = r[2]+beta*(p[2]-omega*v[2]), r[3]+beta*(p[3]-omega*v[3])
+		p, r, v, d, h := pv[i:i+4:i+4], r[i:i+4:i+4], v[i:i+4:i+4], d[i:i+4:i+4], ph[i:i+4:i+4]
+		e0, e1 := r[0]+beta*(p[0]-omega*v[0]), r[1]+beta*(p[1]-omega*v[1])
+		e2, e3 := r[2]+beta*(p[2]-omega*v[2]), r[3]+beta*(p[3]-omega*v[3])
+		p[0], p[1], p[2], p[3] = e0, e1, e2, e3
+		h[0], h[1], h[2], h[3] = d[0]*e0, d[1]*e1, d[2]*e2, d[3]*e3
 	}
 	for ; i < len(pv); i++ {
-		pv[i] = r[i] + beta*(pv[i]-omega*v[i])
+		e := r[i] + beta*(pv[i]-omega*v[i])
+		pv[i], ph[i] = e, d[i]*e
 	}
 }
 
@@ -391,22 +461,6 @@ func axpyToRange(dst, y Vector, a float64, x Vector, lo, hi int) {
 
 //go:noinline
 //vetsparse:allocfree
-func axpy2Range(dst Vector, a float64, x Vector, b float64, y Vector, lo, hi int) {
-	dst = dst[lo:hi]
-	x, y = x[lo:hi][:len(dst)], y[lo:hi][:len(dst)]
-	i := 0
-	for ; i+4 <= len(dst); i += 4 {
-		o, x, y := dst[i:i+4:i+4], x[i:i+4:i+4], y[i:i+4:i+4]
-		o[0], o[1] = o[0]+(a*x[0]+b*y[0]), o[1]+(a*x[1]+b*y[1])
-		o[2], o[3] = o[2]+(a*x[2]+b*y[2]), o[3]+(a*x[3]+b*y[3])
-	}
-	for ; i < len(dst); i++ {
-		dst[i] += a*x[i] + b*y[i]
-	}
-}
-
-//go:noinline
-//vetsparse:allocfree
 func scaleToRange(dst Vector, a float64, x Vector, lo, hi int) {
 	dst = dst[lo:hi]
 	x = x[lo:hi][:len(dst)]
@@ -415,10 +469,87 @@ func scaleToRange(dst Vector, a float64, x Vector, lo, hi int) {
 	}
 }
 
+// The fused reduction kernels. Like dotChunks they fill partial[c] for every
+// chunk that starts in [lo, hi) — lo chunk-aligned — from a fresh +0
+// accumulator fed one product per element in index order, each product of
+// the element the same trip has just written: the bits of the elementwise
+// step followed by dotChunks, in one sweep. The ordered sum's chain of
+// dependent adds bounds these loops, so they are not unrolled.
+
+//go:noinline
+//vetsparse:allocfree
+func sStepChunks(partial []float64, sv, rv Vector, a float64, vv, dv, shv Vector, lo, hi int) {
+	for ; lo < hi; lo += redChunk {
+		end := min(lo+redChunk, hi)
+		s := sv[lo:end]
+		r, v := rv[lo:end][:len(s)], vv[lo:end][:len(s)]
+		p := 0.0
+		if dv == nil {
+			for i := range s {
+				e := r[i] + a*v[i]
+				s[i] = e
+				p += e * e
+			}
+		} else {
+			d, sh := dv[lo:end][:len(s)], shv[lo:end][:len(s)]
+			for i := range s {
+				e := r[i] + a*v[i]
+				s[i], sh[i] = e, d[i]*e
+				p += e * e
+			}
+		}
+		partial[lo/redChunk] = p
+	}
+}
+
+//go:noinline
+//vetsparse:allocfree
+func xrChunks(part0, part1 []float64, xv Vector, alpha float64, phv Vector, omega float64, shv, rv, sv, tv, rtv Vector, lo, hi int) {
+	negOmega := -omega
+	for ; lo < hi; lo += redChunk {
+		end := min(lo+redChunk, hi)
+		x := xv[lo:end]
+		ph, sh := phv[lo:end][:len(x)], shv[lo:end][:len(x)]
+		r, s := rv[lo:end][:len(x)], sv[lo:end][:len(x)]
+		t, rt := tv[lo:end][:len(x)], rtv[lo:end][:len(x)]
+		p0, p1 := 0.0, 0.0
+		for i := range x {
+			x[i] += alpha*ph[i] + omega*sh[i]
+			e := s[i] + negOmega*t[i]
+			r[i] = e
+			p0 += e * e
+			p1 += rt[i] * e
+		}
+		part0[lo/redChunk], part1[lo/redChunk] = p0, p1
+	}
+}
+
+// axpyDotChunks runs w += a*x fused with the partials of <w, y>; y may be w
+// itself, and then reads the element just stored.
+//
+//go:noinline
+//vetsparse:allocfree
+func axpyDotChunks(partial []float64, wv Vector, a float64, xv, yv Vector, lo, hi int) {
+	for ; lo < hi; lo += redChunk {
+		end := min(lo+redChunk, hi)
+		w := wv[lo:end]
+		x, y := xv[lo:end][:len(w)], yv[lo:end][:len(w)]
+		p := 0.0
+		for i := range w {
+			e := w[i] + a*x[i]
+			w[i] = e
+			p += e * y[i]
+		}
+		partial[lo/redChunk] = p
+	}
+}
+
 // mgs runs one worker's share of the modified Gram-Schmidt sweep. Every
 // worker folds the full partial set itself after the barrier — the fold is
 // the identical float on every worker, so the following AXPY coefficient
-// is too, and only worker 0 writes it into the Hessenberg. The partial
+// is too, and only worker 0 writes it into the Hessenberg. Each AXPY shares
+// its sweep with the next reduction: the projection on the next basis
+// vector, or after the last one the norm of w against itself. The partial
 // slots ping-pong with the column index so a worker filling column i+1
 // never overwrites chunks another worker is still folding for column i
 // (the barrier of column i+1 orders any reuse of column i's slot).
@@ -427,9 +558,8 @@ func scaleToRange(dst Vector, a float64, x Vector, lo, hi int) {
 func (p *Phase) mgs(t *Team, st *phaseStep, w, lo, hi int) {
 	k := *st.k
 	wv := st.dst
+	dotChunks(p.part[0], wv, st.basis[0], lo, hi)
 	for i := 0; i <= k; i++ {
-		vi := st.basis[i]
-		dotChunks(p.part[i&1], wv, vi, lo, hi)
 		if t != nil {
 			t.phaseBarrier()
 		}
@@ -437,7 +567,10 @@ func (p *Phase) mgs(t *Team, st *phaseStep, w, lo, hi int) {
 		if w == 0 {
 			st.hess[i][k] = h
 		}
-		axpyRange(wv, -h, vi, lo, hi)
+		next := wv
+		if i < k {
+			next = st.basis[i+1]
+		}
+		axpyDotChunks(p.part[(i+1)&1], wv, -h, st.basis[i], next, lo, hi)
 	}
-	dotChunks(p.part[(k+1)&1], wv, wv, lo, hi)
 }

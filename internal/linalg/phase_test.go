@@ -162,6 +162,400 @@ func TestGoldenGMRES(t *testing.T) { testGolden(t, gmresSolver, goldenGMRES) }
 
 func TestGoldenILU(t *testing.T) { testGolden(t, iluSolver, goldenILU) }
 
+// refDotPartials is the reference chunked reduction the fused kernels must
+// reproduce: one partial per redChunk elements, each a fresh +0 accumulator
+// fed the products in index order; refFold adds them in chunk order.
+func refDotPartials(a, b Vector) []float64 {
+	part := make([]float64, (len(a)+redChunk-1)/redChunk)
+	for c := range part {
+		p := 0.0
+		for i := c * redChunk; i < min((c+1)*redChunk, len(a)); i++ {
+			p += a[i] * b[i]
+		}
+		part[c] = p
+	}
+	return part
+}
+
+func refFold(part []float64) float64 {
+	s := 0.0
+	for _, q := range part {
+		s += q
+	}
+	return s
+}
+
+// fusedCase is one fused step under test: build binds it into a phase over
+// the case's own vectors and returns the vectors it writes; ref runs the
+// unfused sequence the step replaced as plain loops — the elementwise ops in
+// their old order, each reduction a separate refDotPartials pass afterwards —
+// and returns the same vectors plus the partials of slots 0 and 1 (nil: slot
+// not filled). The partials are compared one by one: Fold starts from +0 and
+// would hide a partial that came out -0.
+type fusedCase struct {
+	name  string
+	build func(p *Phase) []Vector
+	ref   func() (out []Vector, part [2][]float64)
+	part  func(p *Phase) [2][]float64
+	flops int64
+}
+
+// fusedCases builds every fused step with its reference over vectors of
+// length n. With zero set, the vectors a reduction multiplies are all +0 on
+// one side and all -1 on the other, so every product is -0 and a partial is
+// +0 only if its accumulator really started from +0.
+func fusedCases(rng *rand.Rand, n int, zero bool) []fusedCase {
+	state := func() Vector { // vectors the steps read and write
+		if zero {
+			return NewVector(n)
+		}
+		return randVec(rng, n)
+	}
+	weight := func() Vector { // vectors only multiplied in
+		if zero {
+			v := NewVector(n)
+			v.Fill(-1)
+			return v
+		}
+		return randVec(rng, n)
+	}
+	alpha, beta, omega := 0.71, -1.25, 0.37
+	if zero {
+		alpha, beta, omega = 1, 1, 1
+	}
+	nn := int64(n)
+	slot0 := func(p *Phase) [2][]float64 { return [2][]float64{p.part[0][:p.nch]} }
+	both := func(p *Phase) [2][]float64 { return [2][]float64{p.part[0][:p.nch], p.part[1][:p.nch]} }
+	none := func(*Phase) [2][]float64 { return [2][]float64{} }
+	var cases []fusedCase
+
+	// Direction step, against UpdateP then MulElem.
+	for _, jacobi := range []bool{true, false} {
+		pv, r, v, d := state(), state(), state(), weight()
+		ph := NewVector(n)
+		name, flops := "dirStep/ilu", 4*nn
+		if jacobi {
+			name, flops = "dirStep/jacobi", 5*nn
+		}
+		cases = append(cases, fusedCase{name: name, flops: flops, part: none,
+			build: func(p *Phase) []Vector {
+				pv, ph := pv.Clone(), ph.Clone()
+				if jacobi {
+					p.dirStep(pv, r, v, &beta, &omega, d, ph)
+				} else {
+					p.dirStep(pv, r, v, &beta, &omega, nil, nil)
+				}
+				return []Vector{pv, ph}
+			},
+			ref: func() ([]Vector, [2][]float64) {
+				pv, ph := pv.Clone(), ph.Clone()
+				for i := range pv {
+					pv[i] = r[i] + beta*(pv[i]-omega*v[i])
+				}
+				if jacobi {
+					for i := range ph {
+						ph[i] = d[i] * pv[i]
+					}
+				}
+				return []Vector{pv, ph}, [2][]float64{}
+			}})
+	}
+
+	// s step, against AXPYTo, Dot and MulElem; dst aliasing r, then v.
+	for _, c := range []struct {
+		name   string
+		jacobi bool
+		alias  int // 0: s on its own, 1: s is r, 2: s is v
+	}{{"sStep/jacobi", true, 0}, {"sStep/ilu", false, 0}, {"sStep/s=r", true, 1}, {"sStep/s=v", true, 2}} {
+		c := c
+		s0, r0, v0, d := NewVector(n), state(), state(), weight()
+		sh0 := NewVector(n)
+		negAlpha := -alpha
+		bind := func() (s, r, v, sh Vector) {
+			s, r, v, sh = s0.Clone(), r0.Clone(), v0.Clone(), sh0.Clone()
+			switch c.alias {
+			case 1:
+				s = r
+			case 2:
+				s = v
+			}
+			return
+		}
+		cases = append(cases, fusedCase{name: c.name, flops: 4 * nn, part: slot0,
+			build: func(p *Phase) []Vector {
+				s, r, v, sh := bind()
+				if c.jacobi {
+					p.sStep(s, r, &negAlpha, v, d, sh)
+				} else {
+					p.sStep(s, r, &negAlpha, v, nil, nil)
+				}
+				return []Vector{s, sh}
+			},
+			ref: func() ([]Vector, [2][]float64) {
+				s, r, v, sh := bind()
+				for i := range s {
+					s[i] = r[i] + negAlpha*v[i]
+				}
+				f := refDotPartials(s, s)
+				if c.jacobi {
+					for i := range sh {
+						sh[i] = d[i] * s[i]
+					}
+				}
+				return []Vector{s, sh}, [2][]float64{f}
+			}})
+	}
+
+	// x/r step, against AXPY2, AXPYTo and two Dots.
+	{
+		x, ph, sh, r, s, t, rt := state(), state(), state(), NewVector(n), state(), state(), weight()
+		cases = append(cases, fusedCase{name: "xrStep", flops: 10 * nn, part: both,
+			build: func(p *Phase) []Vector {
+				x, r := x.Clone(), r.Clone()
+				p.xrStep(x, &alpha, ph, &omega, sh, r, s, t, rt)
+				return []Vector{x, r}
+			},
+			ref: func() ([]Vector, [2][]float64) {
+				x, r := x.Clone(), r.Clone()
+				negOmega := -omega
+				for i := range x {
+					x[i] += alpha*ph[i] + omega*sh[i]
+				}
+				for i := range r {
+					r[i] = s[i] + negOmega*t[i]
+				}
+				return []Vector{x, r}, [2][]float64{refDotPartials(r, r), refDotPartials(rt, r)}
+			}})
+	}
+
+	// SpMV with one and two reductions, against MulVec and Dots; the output
+	// reduced against itself in either slot.
+	a := tridiagOperator(n)
+	for _, c := range []struct {
+		name   string
+		s0, s1 int // 0: not bound, 1: against u, 2: against the output
+	}{{"mulVecDot/<y,u>", 1, 0}, {"mulVecDot/<y,y>", 2, 0}, {"mulVecDot/<y,y>,<y,u>", 2, 1}, {"mulVecDot/<y,u>,<y,y>", 1, 2}} {
+		c := c
+		x, u := state(), weight()
+		pick := func(y Vector, sel int) Vector { return dotOperand(sel, u, y) }
+		fc := fusedCase{name: c.name, flops: 2*int64(a.NNZ()) + 2*nn, part: slot0,
+			build: func(p *Phase) []Vector {
+				y := NewVector(n)
+				p.mulVecDot(a, y, x, pick(y, c.s0), pick(y, c.s1))
+				return []Vector{y}
+			},
+			ref: func() ([]Vector, [2][]float64) {
+				y := refMulVec(a, x)
+				part := [2][]float64{refDotPartials(y, pick(y, c.s0))}
+				if c.s1 != 0 {
+					part[1] = refDotPartials(y, pick(y, c.s1))
+				}
+				return []Vector{y}, part
+			}}
+		if c.s1 != 0 {
+			fc.flops += 2 * nn
+			fc.part = both
+		}
+		cases = append(cases, fc)
+	}
+
+	// Gram-Schmidt sweep, against a Dot and an AXPY per basis vector and the
+	// final Dot of w against itself: the last fused sweep reduces the vector
+	// it updates.
+	for _, k := range []int{0, 1, 4} {
+		k := k
+		w0 := state()
+		basis := make([]Vector, k+1)
+		for i := range basis {
+			basis[i] = weight()
+		}
+		newHess := func() [][]float64 {
+			h := make([][]float64, k+1)
+			for i := range h {
+				h[i] = make([]float64, k+1)
+			}
+			return h
+		}
+		column := func(h [][]float64) Vector {
+			col := NewVector(k + 1)
+			for i := range col {
+				col[i] = h[i][k]
+			}
+			return col
+		}
+		var hess [][]float64
+		cases = append(cases, fusedCase{name: fmt.Sprintf("MGS/k=%d", k),
+			build: func(p *Phase) []Vector {
+				w := w0.Clone()
+				hess = newHess()
+				kk := k
+				p.MGS(w, basis, hess, &kk)
+				return []Vector{w}
+			},
+			part: func(p *Phase) [2][]float64 { // the final norm's slot, then the Hessenberg column
+				return [2][]float64{p.part[(k+1)&1][:p.nch], column(hess)}
+			},
+			ref: func() ([]Vector, [2][]float64) {
+				w := w0.Clone()
+				col := make([]float64, k+1)
+				for i := 0; i <= k; i++ {
+					h := refFold(refDotPartials(w, basis[i]))
+					col[i] = h
+					for j := range w {
+						w[j] += -h * basis[i][j]
+					}
+				}
+				return []Vector{w}, [2][]float64{refDotPartials(w, w), col}
+			}})
+	}
+	return cases
+}
+
+// TestBitIdentityFusedSteps pins every fused step — the direction, s and x/r
+// steps of BiCGStab, the SpMV that reduces as it writes, the Gram-Schmidt
+// sweep — to the unfused step sequence it replaced, Float64bits for
+// Float64bits, vectors, folds and flop charge alike: at every chunk-boundary
+// length, on nil teams and teams of 1-4 on both sides of the cut-over, on
+// random data and on the -0 probe, with the aliased operands the solvers
+// bind (w reduced against itself, s written over r or v).
+func TestBitIdentityFusedSteps(t *testing.T) {
+	saved := ParMinPhase
+	t.Cleanup(func() { ParMinPhase = saved })
+	rng := rand.New(rand.NewSource(19))
+	for _, n := range append([]int{1, 2*redChunk + 1}, phaseTestSizes()...) {
+		for _, zero := range []bool{false, true} {
+			for _, c := range fusedCases(rng, n, zero) {
+				want, wantPart := c.ref()
+				run := func(label string, tm *Team) {
+					var p Phase
+					p.Reset(n)
+					got := c.build(&p)
+					tm.RunPhase(&p)
+					for i := range want {
+						checkSame(t, tm.Size(), fmt.Sprintf("%s output %d", label, i), got[i], want[i])
+					}
+					for s, got := range c.part(&p) {
+						checkSame(t, tm.Size(), fmt.Sprintf("%s partials %d", label, s), got, wantPart[s])
+					}
+					if p.Flops() != c.flops {
+						t.Errorf("%s: charges %d flops, want %d", label, p.Flops(), c.flops)
+					}
+				}
+				for _, cut := range []int{1, 1 << 30} {
+					ParMinPhase = cut
+					label := fmt.Sprintf("%s n=%d zero=%v cut=%d", c.name, n, zero, cut)
+					run(label+" nil team", nil)
+					for _, size := range teamSizes {
+						tm := NewTeam(size)
+						run(fmt.Sprintf("%s team=%d", label, size), tm)
+						tm.Close()
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPlansReboundNotRebuilt drives one workspace through the sequences that
+// must and must not reuse a solver family's plans — the same system with
+// other x and b, x and b swapped, n1 -> n2 -> n1, two matrices of one n, the
+// other family growing the shared diagonal in between — and demands of every
+// solve the bits of a fresh workspace, and of the warm sequence no
+// allocation.
+func TestPlansReboundNotRebuilt(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	const n1, n2, n3 = 700, 2100, 3000
+	a1, a1b, a2, a3 := tridiagOperator(n1), advDiff2D(70, 10, 1), tridiagOperator(n2), tridiagOperator(n3)
+	u, v, big, bigger := randVec(rng, n1), randVec(rng, n1), randVec(rng, n2), randVec(rng, n3)
+	xu, xv, xbig, xbigger := NewVector(n1), NewVector(n1), NewVector(n2), NewVector(n3)
+	// A NaN key refactors in place on every solve, as a fresh workspace
+	// factors: the flop charges compare, and one matrix keeps one factor.
+	iluRefactor := func(ws *Workspace, a *CSR, x, b Vector) (SolveStats, error, int64) {
+		var ops Ops
+		st, err := ws.BiCGStabILU(a, x, b, 1e-10, 300, math.NaN(), &ops)
+		return st, err, ops.Flops
+	}
+	type solve struct {
+		name   string
+		solver goldenSolver
+		a      *CSR
+		x, b   Vector
+		pre    func()
+	}
+	// What a ShiftedOperator does between solves: new values behind the same
+	// pointer, so a plan still holding the previous diagonal would show.
+	rescale := func() {
+		for i := range a1.Val {
+			a1.Val[i] *= 2
+		}
+	}
+	seq := []solve{
+		{"gmres a1", gmresSolver, a1, xv, u, nil},
+		{"bicgstab n2 grows the diagonal", bicgstabSolver, a2, xbig, big, nil},
+		{"gmres a1 rescaled after bicgstab", gmresSolver, a1, xv, u, rescale},
+		{"bicgstab a1", bicgstabSolver, a1, xu, u, nil},
+		{"bicgstab a1, other x and b", bicgstabSolver, a1, xv, v, nil},
+		{"bicgstab a1, x and b swapped", bicgstabSolver, a1, u, xu, nil},
+		{"gmres n3 grows the diagonal", gmresSolver, a3, xbigger, bigger, nil},
+		{"bicgstab a1 rescaled after gmres", bicgstabSolver, a1, xu, v, rescale},
+		{"bicgstab n2", bicgstabSolver, a2, xbig, big, nil},
+		{"bicgstab back to n1", bicgstabSolver, a1, xv, u, nil},
+		{"bicgstab second matrix of n1", bicgstabSolver, a1b, xu, v, nil},
+		{"ilu a1b", iluRefactor, a1b, xv, u, nil},
+		{"ilu a1b, other x and b", iluRefactor, a1b, xu, v, nil},
+		{"bicgstab a1b between ilu solves", bicgstabSolver, a1b, xv, u, nil},
+		{"ilu a1b again", iluRefactor, a1b, xu, v, nil},
+		{"gmres a1, other x and b", gmresSolver, a1, xu, v, nil},
+		{"gmres second matrix of n1", gmresSolver, a1b, xu, v, nil},
+		{"gmres back to n2", gmresSolver, a2, xbig, big, nil},
+	}
+	ws := NewWorkspace()
+	saved := NewVector(n3)
+	pass := func(check bool) {
+		for _, s := range seq {
+			b := saved[:len(s.b)] // a swapped pair solves into the other's right-hand side
+			copy(b, s.b)
+			if s.pre != nil {
+				s.pre()
+			}
+			s.x.Fill(0)
+			st, err, flops := s.solver(ws, s.a, s.x, s.b)
+			if !check {
+				copy(s.b, b)
+				continue
+			}
+			got := s.x.Clone()
+			copy(s.b, b)
+			fx := NewVector(len(b))
+			fst, ferr, fflops := s.solver(NewWorkspace(), s.a, fx, b)
+			if err != nil || ferr != nil {
+				t.Fatalf("%s: solve failed: %v / fresh %v", s.name, err, ferr)
+			}
+			checkSame(t, 1, s.name, got, fx)
+			if st != fst || flops != fflops {
+				t.Errorf("%s: stats %+v / %d flops, fresh workspace %+v / %d", s.name, st, flops, fst, fflops)
+			}
+		}
+	}
+	pass(true)
+	pass(true) // every plan and buffer now exists; same answers again
+	if allocs := testing.AllocsPerRun(3, func() { pass(false) }); allocs != 0 {
+		t.Errorf("warm sequence allocates %v per pass, want 0", allocs)
+	}
+	// Rebound, not rebuilt: after a solve its family's key answers for the
+	// same shape and for no other.
+	x, b := NewVector(n1), randVec(rng, n1)
+	if _, err := ws.BiCGStab(a1, x, b, 1e-10, 300, nil); err != nil {
+		t.Fatal(err)
+	}
+	if !ws.bicg.current(ws, a1, n1, 0, false, x, b) {
+		t.Error("a second BiCGStab solve of the same system would rebuild its plans")
+	}
+	if ws.bicg.current(ws, a1b, n1, 0, false, x, b) {
+		t.Error("plans built for one matrix answer for another of the same dimension")
+	}
+}
+
 // TestPhaseSerialFallback pins the whole-range interpretation RunPhase uses
 // below the cut-over (and on nil teams): reductions must reproduce the
 // chunk-ordered fold at exact chunk-boundary lengths.
@@ -196,34 +590,40 @@ func TestPhaseSerialFallback(t *testing.T) {
 }
 
 // TestFusedPhaseAllocFree asserts the solver bodies — prologue phases, the
-// iteration phases and the one-step plans bound on the spot — stay off the
-// heap once the workspace is warm, with a team and without: plan rebuilding
-// reuses the step and partial arrays, and a phase dispatch passes
-// everything through the Team fields.
+// fused iteration steps and the one-step plans bound on the spot — stay off
+// the heap once the workspace is warm, with a team and without: a plan is
+// rebuilt into its own step and partial arrays when the solver variant
+// changes, rebound in place when only x and b do (each solver runs twice,
+// on two pairs), and a phase dispatch passes everything through the Team
+// fields.
 func TestFusedPhaseAllocFree(t *testing.T) {
 	lowerParMin(t)
 	rng := rand.New(rand.NewSource(31))
 	const n = 8192
 	a := tridiagOperator(n)
-	b := randVec(rng, n)
-	x := NewVector(n)
+	bs := [2]Vector{randVec(rng, n), randVec(rng, n)}
+	xs := [2]Vector{NewVector(n), NewVector(n)}
 	tm := NewTeam(4)
 	defer tm.Close()
 	for _, team := range []*Team{tm, nil} {
 		ws := NewWorkspace()
 		ws.SetTeam(team)
 		solve := func() {
-			x.Fill(0)
-			if _, err := ws.BiCGStab(a, x, b, 1e-10, 300, nil); err != nil {
-				t.Fatal(err)
-			}
-			x.Fill(0)
-			if _, err := ws.GMRES(a, x, b, 1e-10, 30, 300, nil); err != nil {
-				t.Fatal(err)
-			}
-			x.Fill(0)
-			if _, err := ws.BiCGStabILU(a, x, b, 1e-10, 300, 0.125, nil); err != nil {
-				t.Fatal(err)
+			for i := 0; i < 6; i++ {
+				x, b := xs[i&1], bs[i&1]
+				x.Fill(0)
+				var err error
+				switch i / 2 {
+				case 0:
+					_, err = ws.BiCGStab(a, x, b, 1e-10, 300, nil)
+				case 1:
+					_, err = ws.GMRES(a, x, b, 1e-10, 30, 300, nil)
+				default:
+					_, err = ws.BiCGStabILU(a, x, b, 1e-10, 300, 0.125, nil)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		solve() // warm: grows vectors, basis, plan arrays and partials once

@@ -74,45 +74,59 @@ func findRuns(m *CSR) []rowRun {
 	return runs
 }
 
-// mulVecRun computes y[r] = (A*x)[r] for rows [r0, r1) inside run.
-//
+// The mulRun kernels compute y[r] = sum_j v[(r-r0)*w+j]*x[r+o[j]] for rows
+// [r0, r1) with the row loop's arithmetic: a fresh accumulator per row,
+// started at +0 and added to left to right. With reductions bound the dots
+// <y, u0> and <y, u1> ride along in p0 and p1, one product a row in row
+// order (a u that is y reads the row just stored); a nil u0 selects the loop
+// without them.
+
 //vetsparse:allocfree
-func (m *CSR) mulVecRun(y, x Vector, run *rowRun, r0, r1 int) {
-	n := r1 - r0
-	k := m.RowPtr[r0]
-	v := m.Val[k : k+n*run.w]
-	yy := y[r0:r1]
-	o := &run.off
-	switch run.w {
-	case 3:
-		mulRun3(yy, v, x[r0+o[0]:], x[r0+o[1]:], x[r0+o[2]:])
-	case 4:
-		mulRun4(yy, v, x[r0+o[0]:], x[r0+o[1]:], x[r0+o[2]:], x[r0+o[3]:])
-	case 5:
-		mulRun5(yy, v, x[r0+o[0]:], x[r0+o[1]:], x[r0+o[2]:], x[r0+o[3]:], x[r0+o[4]:])
+func mulRun3(a *spmv, v []float64, o *[maxRunWidth]int, p0, p1 float64, r0, r1 int) (float64, float64) {
+	y := a.y[r0:r1]
+	x0, x1, x2 := a.x[r0+o[0]:][:len(y)], a.x[r0+o[1]:][:len(y)], a.x[r0+o[2]:][:len(y)]
+	if a.u0 == nil {
+		for i := range y {
+			_ = v[2]
+			s := 0.0 + v[0]*x0[i]
+			s += v[1] * x1[i]
+			s += v[2] * x2[i]
+			y[i] = s
+			v = v[3:]
+		}
+		return p0, p1
 	}
-}
-
-// The mulRun kernels compute y[i] = sum_j v[i*w+j]*xj[i] with the row
-// loop's arithmetic: a fresh accumulator per row, started at +0 and added
-// to left to right.
-
-//vetsparse:allocfree
-func mulRun3(y, v, x0, x1, x2 []float64) {
-	x0, x1, x2 = x0[:len(y)], x1[:len(y)], x2[:len(y)]
+	u0, u1 := a.u0[r0:r1][:len(y)], a.u1[r0:r1][:len(y)]
 	for i := range y {
 		_ = v[2]
 		s := 0.0 + v[0]*x0[i]
 		s += v[1] * x1[i]
 		s += v[2] * x2[i]
 		y[i] = s
+		p0 += s * u0[i]
+		p1 += s * u1[i]
 		v = v[3:]
 	}
+	return p0, p1
 }
 
 //vetsparse:allocfree
-func mulRun4(y, v, x0, x1, x2, x3 []float64) {
-	x0, x1, x2, x3 = x0[:len(y)], x1[:len(y)], x2[:len(y)], x3[:len(y)]
+func mulRun4(a *spmv, v []float64, o *[maxRunWidth]int, p0, p1 float64, r0, r1 int) (float64, float64) {
+	y := a.y[r0:r1]
+	x0, x1, x2, x3 := a.x[r0+o[0]:][:len(y)], a.x[r0+o[1]:][:len(y)], a.x[r0+o[2]:][:len(y)], a.x[r0+o[3]:][:len(y)]
+	if a.u0 == nil {
+		for i := range y {
+			_ = v[3]
+			s := 0.0 + v[0]*x0[i]
+			s += v[1] * x1[i]
+			s += v[2] * x2[i]
+			s += v[3] * x3[i]
+			y[i] = s
+			v = v[4:]
+		}
+		return p0, p1
+	}
+	u0, u1 := a.u0[r0:r1][:len(y)], a.u1[r0:r1][:len(y)]
 	for i := range y {
 		_ = v[3]
 		s := 0.0 + v[0]*x0[i]
@@ -120,13 +134,31 @@ func mulRun4(y, v, x0, x1, x2, x3 []float64) {
 		s += v[2] * x2[i]
 		s += v[3] * x3[i]
 		y[i] = s
+		p0 += s * u0[i]
+		p1 += s * u1[i]
 		v = v[4:]
 	}
+	return p0, p1
 }
 
 //vetsparse:allocfree
-func mulRun5(y, v, x0, x1, x2, x3, x4 []float64) {
-	x0, x1, x2, x3, x4 = x0[:len(y)], x1[:len(y)], x2[:len(y)], x3[:len(y)], x4[:len(y)]
+func mulRun5(a *spmv, v []float64, o *[maxRunWidth]int, p0, p1 float64, r0, r1 int) (float64, float64) {
+	y := a.y[r0:r1]
+	x0, x1, x2, x3, x4 := a.x[r0+o[0]:][:len(y)], a.x[r0+o[1]:][:len(y)], a.x[r0+o[2]:][:len(y)], a.x[r0+o[3]:][:len(y)], a.x[r0+o[4]:][:len(y)]
+	if a.u0 == nil {
+		for i := range y {
+			_ = v[4]
+			s := 0.0 + v[0]*x0[i]
+			s += v[1] * x1[i]
+			s += v[2] * x2[i]
+			s += v[3] * x3[i]
+			s += v[4] * x4[i]
+			y[i] = s
+			v = v[5:]
+		}
+		return p0, p1
+	}
+	u0, u1 := a.u0[r0:r1][:len(y)], a.u1[r0:r1][:len(y)]
 	for i := range y {
 		_ = v[4]
 		s := 0.0 + v[0]*x0[i]
@@ -135,6 +167,9 @@ func mulRun5(y, v, x0, x1, x2, x3, x4 []float64) {
 		s += v[3] * x3[i]
 		s += v[4] * x4[i]
 		y[i] = s
+		p0 += s * u0[i]
+		p1 += s * u1[i]
 		v = v[5:]
 	}
+	return p0, p1
 }

@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -105,7 +106,8 @@ func runCuts(m *CSR) []int {
 
 // checkSpMV compares every way mulVecRange can be asked for m*x with the
 // reference: whole, split in two at every run cut, the strict interior of
-// every run alone, and through teams of 1-4 workers.
+// every run alone, and through teams of 1-4 workers; then the same product
+// with one and two reductions riding along (checkSpMVDots).
 func checkSpMV(t *testing.T, name string, m *CSR, x Vector) {
 	t.Helper()
 	want := refMulVec(m, x)
@@ -120,13 +122,13 @@ func checkSpMV(t *testing.T, name string, m *CSR, x Vector) {
 	checkSame(t, 0, name+" MulVec", got, want)
 	for _, c := range runCuts(m) {
 		poison()
-		m.mulVecRange(got, x, c, m.Rows)
-		m.mulVecRange(got, x, 0, c)
+		m.mulVecRange(got, x, nil, nil, nil, nil, c, m.Rows)
+		m.mulVecRange(got, x, nil, nil, nil, nil, 0, c)
 		checkSame(t, c, name+" split", got, want)
 	}
 	for _, run := range m.runs {
 		poison()
-		m.mulVecRange(got, x, run.r0+1, run.r1-1)
+		m.mulVecRange(got, x, nil, nil, nil, nil, run.r0+1, run.r1-1)
 		checkSame(t, run.r0, name+" run interior", got[run.r0+1:run.r1-1], want[run.r0+1:run.r1-1])
 		if !math.IsNaN(got[run.r0]) || !math.IsNaN(got[run.r1-1]) {
 			t.Fatalf("%s: range [%d,%d) wrote outside itself", name, run.r0+1, run.r1-1)
@@ -138,6 +140,53 @@ func checkSpMV(t *testing.T, name string, m *CSR, x Vector) {
 		tm.MulVec(m, got, x, nil)
 		tm.Close()
 		checkSame(t, size, name+" Team.MulVec", got, want)
+	}
+	checkSpMVDots(t, name, m, x, want)
+}
+
+// dotOperand names what a fused product reduces its output y against: nothing
+// (0), the vector u (1), or y itself (2).
+func dotOperand(sel int, u, y Vector) Vector {
+	return [...]Vector{nil, u, y}[sel]
+}
+
+// checkSpMVDots runs m*x with reductions bound — one against a vector, the
+// output against itself in either slot beside it — over the whole range and
+// over every split at a chunk boundary, which is where a team cuts: run
+// kernels clipped on both sides of the boundary, accumulators restarted at
+// it. Output and partials must be the reference product's and the reference
+// chunked dots' of it, bit for bit. u is nonzero and negative wherever x is
+// -0, so the -0 pass feeds the accumulators nothing but -0 products.
+func checkSpMVDots(t *testing.T, name string, m *CSR, x, want Vector) {
+	t.Helper()
+	u := NewVector(m.Rows)
+	for i := range u {
+		u[i] = -1 - math.Abs(x[i%len(x)])
+	}
+	nch := (m.Rows + redChunk - 1) / redChunk
+	for _, c := range []struct {
+		name   string
+		s0, s1 int // 0: not bound, 1: against u, 2: against the output
+	}{{"<y,u>", 1, 0}, {"<y,y>", 2, 0}, {"<y,u>,<y,y>", 1, 2}, {"<y,y>,<y,u>", 2, 1}} {
+		got := NewVector(m.Rows)
+		pick := func(y Vector, sel int) Vector { return dotOperand(sel, u, y) }
+		for cut := 0; cut < m.Rows; cut += redChunk {
+			for i := range got {
+				got[i] = math.NaN()
+			}
+			part := [2][]float64{make([]float64, nch), make([]float64, nch)}
+			part[1][0] = math.Inf(1) // a slot not bound must be left alone
+			m.mulVecRange(got, x, pick(got, c.s0), pick(got, c.s1), part[0], part[1], cut, m.Rows)
+			m.mulVecRange(got, x, pick(got, c.s0), pick(got, c.s1), part[0], part[1], 0, cut)
+			label := fmt.Sprintf("%s %s cut at %d", name, c.name, cut)
+			checkSame(t, cut, label, got, want)
+			checkSame(t, cut, label+" slot 0", part[0], refDotPartials(want, pick(want, c.s0)))
+			if c.s1 != 0 {
+				checkSame(t, cut, label+" slot 1", part[1], refDotPartials(want, pick(want, c.s1)))
+			} else if !math.IsInf(part[1][0], 1) {
+				t.Errorf("%s: one reduction wrote slot 1", label)
+			}
+		}
 	}
 }
 
@@ -152,7 +201,9 @@ func TestBitIdentitySpMVRuns(t *testing.T) {
 		m       *CSR
 		hasRuns bool
 	}{
-		{"3x511", advDiff2D(3, 511, 0.5), false},
+		{"3x511", advDiff2D(3, 511, 0.5), false}, // every row 3, 4 or 5 wide through the row loop
+		{"1x300", advDiff2D(1, 300, 0.5), true},  // 2- and 3-wide rows: a tridiagonal run
+		{"2x700", advDiff2D(2, 700, 0.5), false}, // 3- and 4-wide rows, no two alike in a row
 		{"511x3", advDiff2D(511, 3, 0.5), true},
 		{"7x255", advDiff2D(7, 255, 0.5), true},
 		{"63x31", advDiff2D(63, 31, 0.5), true},
@@ -231,12 +282,18 @@ func TestKernelsAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, y := NewVector(a.Rows), NewVector(a.Rows)
+	x, y, z := NewVector(a.Rows), NewVector(a.Rows), NewVector(a.Rows)
 	x.Fill(1)
+	part := make([]float64, 2)
 	for name, fn := range map[string]func(){
-		"MulVec":   func() { a.MulVec(y, x, nil) },
-		"Solve":    func() { f.Solve(y, x, nil) },
-		"Refactor": func() { _ = f.Refactor(a, nil) },
+		"MulVec":      func() { a.MulVec(y, x, nil) },
+		"MulVec+dots": func() { a.mulVecRange(y, x, y, x, part, part[1:], 0, a.Rows) },
+		"dirRange":    func() { dirRange(y, x, x, 0.5, 0.25, x, z, 0, a.Rows) },
+		"sStep":       func() { sStepChunks(part, y, x, 0.5, x, x, z, 0, a.Rows) },
+		"xrStep":      func() { xrChunks(part, part[1:], y, 0.5, x, 0.25, x, z, x, x, x, 0, a.Rows) },
+		"axpyDot":     func() { axpyDotChunks(part, y, 0.5, x, y, 0, a.Rows) },
+		"Solve":       func() { f.Solve(y, x, nil) },
+		"Refactor":    func() { _ = f.Refactor(a, nil) },
 	} {
 		if n := testing.AllocsPerRun(20, fn); n != 0 {
 			t.Errorf("%s allocates %v per call, want 0", name, n)

@@ -40,15 +40,16 @@ func (ws *Workspace) BiCGStab(a *CSR, x, b Vector, tol float64, maxIter int, ops
 // bicgstab is the one BiCGStab body behind both preconditioners: f is the
 // ILU(0) factorization of a, or nil for Jacobi (M^-1 = 1/diag(A)). Only the
 // two preconditioner applications differ. With Jacobi they are elementwise
-// and fuse into the phases around them, four team dispatches an iteration:
-// phase P updates the search direction, preconditions it, multiplies and
-// reduces the denominator dot; phase S forms s and its norm; phase T forms
-// t and both of its dots; phase X updates x and r, reduces the residual
-// norm and — one dispatch early — the next iteration's rho, charged only
-// once an iteration consumes it. The level-scheduled triangular solves keep
-// their own dispatch pattern (their dependency barriers cannot fuse with
-// elementwise ranges), so with ILU the p-update and the matvec+dot tails
-// are phases of their own around the two SolveWith calls.
+// and ride the steps around them, four team dispatches and five sweeps an
+// iteration: phase P updates the search direction and preconditions it,
+// then multiplies and reduces the denominator dot as it writes v; phase S
+// forms s, its norm and the preconditioned s; phase T multiplies and reduces
+// both dots of t; phase X updates x and r, reduces the residual norm and —
+// one dispatch early — the next iteration's rho, charged only once an
+// iteration consumes it. The level-scheduled triangular solves keep their
+// own dispatch pattern (their dependency barriers cannot fuse with
+// elementwise ranges), so with ILU the same steps stand around the two
+// SolveWith calls without their preconditioning halves.
 //
 //vetsparse:allocfree
 func (ws *Workspace) bicgstab(a *CSR, f *ILU0, x, b Vector, tol float64, maxIter int, ops *Ops) (SolveStats, error) {
@@ -153,7 +154,7 @@ func (ws *Workspace) bicgstab(a *CSR, f *ILU0, x, b Vector, tol float64, maxIter
 			return SolveStats{Iterations: it}, ErrBreakdown
 		}
 		omega = tph.Fold(1) / tt
-		sc[scOmega], sc[scNegOmega] = omega, -omega
+		sc[scOmega] = omega
 		tm.RunPhase(&ws.phX)
 		ops.Add(ws.phX.Flops() - 2*nn)
 		if rn := math.Sqrt(ws.phX.Fold(0)); rn/bNorm <= tol {

@@ -328,7 +328,7 @@ func (t *Team) exec(w int) {
 	lo, hi := t.split[w], t.split[w+1]
 	switch t.op {
 	case opMulVec:
-		t.m.mulVecRange(t.y, t.x, lo, hi)
+		t.m.mulVecRange(t.y, t.x, nil, nil, nil, nil, lo, hi)
 	case opShiftedUpdate:
 		t.so.updateRange(t.alpha, lo, hi)
 	case opILUFwd:

@@ -31,17 +31,48 @@ type Workspace struct {
 	// workers. Results are bit-for-bit identical with any team (or none).
 	team *Team
 
-	// Phase plans of the solver prologues and iteration bodies, rebuilt at
-	// each solve entry (backing arrays are reused, so steady-state
-	// rebuilding allocates nothing) because they bind the caller's x and b
-	// and ensure* may have re-sliced the workspace vectors.
-	phInit, phS, phX Phase // BiCGStab prologue and s / x,r updates (both variants)
+	// Phase plans of the solver prologues and iteration bodies. A family's
+	// plans are built when its planKey changes; a solve that finds them
+	// current only rebinds the steps naming the caller's x and b.
+	phInit, phS, phX Phase // BiCGStab prologue and s / x,r steps (both variants)
 	phP1, phP, phT   Phase // Jacobi BiCGStab direction and t phases
 	phPu, phAv, phAt Phase // ILU BiCGStab p-update and matvec+dot phases
 	phR0, phArn      Phase // GMRES restart residual and Arnoldi step
 	phTmp            Phase // plans bound on the spot and run at once (norms, tails, normalizations)
+	bicg, gmres      planKey
 	sc               [scCount]float64
 	karn             int // current Arnoldi column, bound into phArn
+}
+
+// planKey is what a solver family's plans were built for: the matrix (by
+// identity — a ShiftedOperator rewrites values in place), the dimension,
+// the variant, and the one workspace vector the two families share. Within
+// a family every other bound vector changes only together with n or m.
+type planKey struct {
+	a    *CSR
+	n, m int // m: GMRES basis length
+	ilu  bool
+	invD *float64
+	xb   [2]Vector // the caller's x and b the plans name now
+}
+
+// current reports whether the plans built under k serve (a, n, m, ilu); if
+// so it points the steps of the given phases that name the previous solve's
+// x and b at this one's. Otherwise it records the new key and the caller
+// builds.
+func (k *planKey) current(ws *Workspace, a *CSR, n, m int, ilu bool, x, b Vector, named ...*Phase) bool {
+	var d *float64
+	if n > 0 {
+		d = &ws.invD[0]
+	}
+	hit := k.a == a && k.n == n && k.m == m && k.ilu == ilu && k.invD == d
+	if hit && n > 0 {
+		for _, ph := range named {
+			ph.rebind(k.xb, [2]Vector{x, b})
+		}
+	}
+	*k = planKey{a: a, n: n, m: m, ilu: ilu, invD: d, xb: [2]Vector{x, b}}
+	return hit
 }
 
 // Scalar slots the fused plans read through pointers; the solver loops
@@ -52,7 +83,6 @@ const (
 	scNegAlpha
 	scAlpha
 	scOmega
-	scNegOmega
 	scInvNorm
 	scCount
 )
@@ -126,14 +156,18 @@ func (ws *Workspace) ensureGMRES(n, m int) {
 	ws.y = growF(ws.y, m)
 }
 
-// buildBiCGStabPhases (re)binds the BiCGStab phases to the workspace
-// vectors and the caller's x and b. The Jacobi variant fuses a whole
-// iteration into four dispatches; the ILU variant keeps the p-update and
-// triangular solves as separate (level-scheduled) dispatches and fuses the
-// matvec+reduction tails. Barriers appear exactly before the SpMV steps
+// buildBiCGStabPhases binds the BiCGStab phases to the workspace vectors and
+// the caller's x and b. A Jacobi iteration is four dispatches of five sweeps:
+// the direction step with its preconditioning, two products that reduce
+// their dots as they write, the s step and the x/r step. The ILU variant
+// keeps the triangular solves as separate (level-scheduled) dispatches
+// between the same fused steps. A barrier stands exactly before the product
 // whose input was written earlier in the same phase.
 func (ws *Workspace) buildBiCGStabPhases(a *CSR, x, b Vector, withILU bool) {
 	n := len(ws.r)
+	if ws.bicg.current(ws, a, n, 0, withILU, x, b, &ws.phInit, &ws.phX) {
+		return
+	}
 	sc := &ws.sc
 	in := &ws.phInit // r = b - A x, |b|^2, |r|^2, rTilde = p = r
 	in.Reset(n)
@@ -143,59 +177,51 @@ func (ws *Workspace) buildBiCGStabPhases(a *CSR, x, b Vector, withILU bool) {
 	in.Dot(1, ws.r, ws.r)
 	in.Copy(ws.rTilde, ws.r)
 	in.Copy(ws.p, ws.r)
+	var invD, sHat Vector // the s step preconditions only with Jacobi
 	if withILU {
 		pu := &ws.phPu
 		pu.Reset(n)
-		pu.UpdateP(ws.p, ws.r, ws.v, &sc[scBeta], &sc[scOmegaPrev])
+		pu.dirStep(ws.p, ws.r, ws.v, &sc[scBeta], &sc[scOmegaPrev], nil, nil)
 		av := &ws.phAv
 		av.Reset(n)
-		av.MulVec(a, ws.v, ws.pHat) // pHat written pre-dispatch: no barrier
-		av.Dot(0, ws.rTilde, ws.v)
+		av.mulVecDot(a, ws.v, ws.pHat, ws.rTilde, nil) // pHat written pre-dispatch: no barrier
 		at := &ws.phAt
 		at.Reset(n)
-		at.MulVec(a, ws.t, ws.sHat)
-		at.Dot(0, ws.t, ws.t)
-		at.Dot(1, ws.t, ws.s)
+		at.mulVecDot(a, ws.t, ws.sHat, ws.t, ws.s)
 	} else {
+		invD, sHat = ws.invD, ws.sHat
 		p1 := &ws.phP1 // first iteration: p = r came with the prologue
 		p1.Reset(n)
 		p1.MulElem(ws.pHat, ws.invD, ws.p)
 		p1.Barrier() // SpMV reads all of pHat
-		p1.MulVec(a, ws.v, ws.pHat)
-		p1.Dot(0, ws.rTilde, ws.v)
+		p1.mulVecDot(a, ws.v, ws.pHat, ws.rTilde, nil)
 		pp := &ws.phP
 		pp.Reset(n)
-		pp.UpdateP(ws.p, ws.r, ws.v, &sc[scBeta], &sc[scOmegaPrev])
-		pp.MulElem(ws.pHat, ws.invD, ws.p)
+		pp.dirStep(ws.p, ws.r, ws.v, &sc[scBeta], &sc[scOmegaPrev], ws.invD, ws.pHat)
 		pp.Barrier()
-		pp.MulVec(a, ws.v, ws.pHat)
-		pp.Dot(0, ws.rTilde, ws.v)
-		tt := &ws.phT
+		pp.mulVecDot(a, ws.v, ws.pHat, ws.rTilde, nil)
+		tt := &ws.phT // sHat came with the s step, a dispatch ago: no barrier
 		tt.Reset(n)
-		tt.MulElem(ws.sHat, ws.invD, ws.s)
-		tt.Barrier()
-		tt.MulVec(a, ws.t, ws.sHat)
-		tt.Dot(0, ws.t, ws.t)
-		tt.Dot(1, ws.t, ws.s)
+		tt.mulVecDot(a, ws.t, ws.sHat, ws.t, ws.s)
+		tt.flops += int64(n) // sHat = invD .* s, charged where it is consumed
 	}
 	sp := &ws.phS
 	sp.Reset(n)
-	sp.AXPYTo(ws.s, ws.r, &sc[scNegAlpha], ws.v)
-	sp.Dot(0, ws.s, ws.s)
-	xp := &ws.phX
+	sp.sStep(ws.s, ws.r, &sc[scNegAlpha], ws.v, invD, sHat)
+	xp := &ws.phX // <rTilde, r> is the next iteration's rho, one dispatch early
 	xp.Reset(n)
-	xp.AXPY2(x, &sc[scAlpha], ws.pHat, &sc[scOmega], ws.sHat)
-	xp.AXPYTo(ws.r, ws.s, &sc[scNegOmega], ws.t)
-	xp.Dot(0, ws.r, ws.r)
-	xp.Dot(1, ws.rTilde, ws.r) // next iteration's rho, one dispatch early
+	xp.xrStep(x, &sc[scAlpha], ws.pHat, &sc[scOmega], ws.sHat, ws.r, ws.s, ws.t, ws.rTilde)
 }
 
-// buildGMRESPhases (re)binds the GMRES restart-residual phase and the
-// Arnoldi step: preconditioner application, SpMV, and the full modified
+// buildGMRESPhases binds the GMRES restart-residual phase and the Arnoldi
+// step: preconditioner application, SpMV, and the full modified
 // Gram-Schmidt sweep against the Krylov basis in one dispatch, with ws.karn
 // selecting the column.
 func (ws *Workspace) buildGMRESPhases(a *CSR, x, b Vector) {
 	n := len(ws.w)
+	if ws.gmres.current(ws, a, n, len(ws.basis), false, x, b, &ws.phR0) {
+		return
+	}
 	r0 := &ws.phR0 // v0 = b - A x and its squared norm
 	r0.Reset(n)
 	r0.MulVec(a, ws.w, x)

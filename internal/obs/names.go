@@ -53,7 +53,7 @@ var EventDocs = []EventDoc{
 	{[]Kind{KBatchTask}, "`serve` batcher on a subsolve enqueue (Actor is the signature)", "request ID, pending-batch size"},
 	{[]Kind{KBatchFlush}, "`serve` batcher when a batch leaves the queue; Aux is why it stopped taking members: `idle` (a free worker took it while open), `size` (it held `BatchSize` tasks), `age` (an arrival found it older than `BatchWindow`), `close` (shutdown failed it unrun)", "batch size, oldest-member age (µs)"},
 	{[]Kind{KCacheHit, KCacheMiss}, "`serve` solver cache on checkout (Actor is the signature)", "—"},
-	{[]Kind{KCacheEvict}, "`serve` solver cache keeping its entry/byte bounds", "evicted entry bytes"},
+	{[]Kind{KCacheEvict}, "`serve` solver cache keeping its entry/byte bounds, or (Aux `failed`) dropping the entry a failed subsolve ran on", "evicted entry bytes"},
 }
 
 // MetricDoc documents one registered metric name. A `<grid>` segment marks
@@ -94,7 +94,7 @@ var MetricDocs = []MetricDoc{
 	{"serve.batch.wait.us", "histogram", "enqueue-to-execution wait per batched subsolve"},
 	{"serve.cache.hits", "counter", "solver-cache checkouts that found a warm entry"},
 	{"serve.cache.misses", "counter", "solver-cache checkouts that built a fresh entry"},
-	{"serve.cache.evictions", "counter", "solver-cache entries evicted under the entry/byte bounds"},
+	{"serve.cache.evictions", "counter", "solver-cache entries evicted under the entry/byte bounds or dropped after a failed subsolve"},
 	{"serve.cache.entries", "gauge", "solver-cache entries currently parked (checked-out entries excluded)"},
 	{"serve.cache.bytes", "gauge", "approximate bytes held by parked solver-cache entries"},
 	{"solver.subsolve.<grid>.cores", "histogram", "team size used per subsolve of the grid"},

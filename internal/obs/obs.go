@@ -176,8 +176,8 @@ const (
 	// entry; Actor is the problem signature.
 	KCacheMiss
 	// KCacheEvict marks an entry evicted to keep the cache within its
-	// entry/byte bounds; Actor is the evicted signature, A the entry's
-	// approximate bytes.
+	// entry/byte bounds, or (Aux "failed") dropped because a subsolve failed
+	// on it; Actor is the evicted signature, A the entry's approximate bytes.
 	KCacheEvict
 
 	kindCount // number of kinds; keep last

@@ -215,9 +215,10 @@ func (b *batcher) worker(i int) {
 
 // runTask solves one batched subsolve on the worker's persistent team,
 // through the signature-keyed cache. The checked-out entry is exclusive,
-// so wiring the worker's team in and out of its workspace is safe. A task
-// whose request has already given up — its deadline passed, or the family
-// was abandoned — is answered without being solved.
+// so wiring the worker's team in and out of its workspace is safe; it goes
+// back to the cache only after a solve that succeeded. A task whose request
+// has already given up — its deadline passed, or the family was abandoned —
+// is answered without being solved.
 func (b *batcher) runTask(actor string, team *linalg.Team, t *subTask) {
 	b.hWait.Observe(b.now().Sub(t.enq).Microseconds())
 	if t.abandoned.Load() {
@@ -235,7 +236,11 @@ func (b *batcher) runTask(actor string, team *linalg.Team, t *subTask) {
 	e.ws.SetTeam(team)
 	res, err := solver.TimedSubsolveOn(b.rec, actor, e.disc, t.tol, b.tEnd, t.sig.lin, e.ws, b.teamN)
 	e.ws.SetTeam(nil)
-	b.cache.put(e)
+	if err != nil {
+		b.cache.drop(e)
+	} else {
+		b.cache.put(e)
+	}
 	t.out <- subResult{idx: t.idx, res: res, err: err}
 }
 

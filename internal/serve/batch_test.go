@@ -275,6 +275,80 @@ func TestBatchIdlePullNoTimer(t *testing.T) {
 	checkBatchLedger(t, &Server{rec: rec})
 }
 
+// TestBatchFailedTaskDropsEntry: the (Disc, Workspace) pair a failed
+// subsolve ran on is not parked again. A solve, poisoned through the
+// problem's initial condition, dies mid-integration on a warm entry; the
+// entry must be gone — accounted as an eviction, gauges at zero — and the
+// next task of that signature must miss, assemble afresh and return the first
+// solve's answer bit for bit.
+func TestBatchFailedTaskDropsEntry(t *testing.T) {
+	cfg := Config{BatchWindow: time.Hour, BatchWorkers: 1}.withDefaults()
+	rec := obs.NewRecorder(0)
+	problem := pde.PaperProblem()
+	var poison atomic.Bool
+	initial := problem.Initial
+	problem.Initial = func(x, y float64) float64 {
+		if poison.Load() {
+			return math.NaN()
+		}
+		return initial(x, y)
+	}
+	b := newBatcher(cfg, rec, newSolverCache(cfg, rec, problem), time.Now)
+	b.start()
+	sig := testSigs(1)[0]
+	solve := func() subResult {
+		t.Helper()
+		out := make(chan subResult, 1)
+		if err := b.enqueue(testTask(sig, 0, out)); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case r := <-out:
+			return r
+		case <-time.After(30 * time.Second):
+			t.Fatal("result never arrived")
+			return subResult{}
+		}
+	}
+	counts := func() (hits, misses, evicts, entries, bytes int64) {
+		return rec.Counter("serve.cache.hits").Value(), rec.Counter("serve.cache.misses").Value(),
+			rec.Counter("serve.cache.evictions").Value(), rec.Gauge("serve.cache.entries").Value(), rec.Gauge("serve.cache.bytes").Value()
+	}
+
+	first := solve()
+	if first.err != nil {
+		t.Fatalf("clean solve failed: %v", first.err)
+	}
+	if _, _, _, entries, _ := counts(); entries != 1 {
+		t.Fatalf("after a clean solve: %d entries parked, want 1", entries)
+	}
+	poison.Store(true)
+	if r := solve(); r.err == nil {
+		t.Fatal("poisoned solve succeeded")
+	}
+	poison.Store(false)
+	if hits, misses, evicts, entries, bytes := counts(); hits != 1 || misses != 1 || evicts != 1 || entries != 0 || bytes != 0 {
+		t.Fatalf("after the failed solve: hits=%d misses=%d evictions=%d entries=%d bytes=%d, want 1 1 1 0 0", hits, misses, evicts, entries, bytes)
+	}
+	again := solve()
+	if again.err != nil {
+		t.Fatalf("solve after the failure failed: %v", again.err)
+	}
+	if hits, misses, _, entries, _ := counts(); hits != 1 || misses != 2 || entries != 1 {
+		t.Fatalf("after the next solve: hits=%d misses=%d entries=%d, want 1 2 1: it must not find the failed entry", hits, misses, entries)
+	}
+	if again.res.Stats != first.res.Stats || len(again.res.U) != len(first.res.U) {
+		t.Fatalf("stats after the failure %+v, first solve %+v", again.res.Stats, first.res.Stats)
+	}
+	for i, u := range first.res.U {
+		if math.Float64bits(again.res.U[i]) != math.Float64bits(u) {
+			t.Fatalf("U[%d] = %v after the failure, %v on the first solve", i, again.res.U[i], u)
+		}
+	}
+	b.close(true)
+	checkBatchLedger(t, &Server{rec: rec})
+}
+
 // TestBatcherFlushReasons walks the batcher through its four flush
 // reasons. Batches form only while the lone worker is held inside a task:
 // same-signature arrivals join one batch that leaves when the worker comes

@@ -144,6 +144,16 @@ func (c *solverCache) put(e *cacheEntry) {
 	}
 }
 
+// drop discards a checked-out entry whose solve failed: a workspace left
+// mid-integration must never serve a later request. The entry left the
+// gauges when it was checked out; it is accounted as an eviction (Aux
+// "failed"), so every entry ever built is still parked, checked out or
+// evicted.
+func (c *solverCache) drop(e *cacheEntry) {
+	c.cEvicts.Inc()
+	c.rec.Emit(obs.KCacheEvict, e.sigStr, "failed", e.bytes, 0)
+}
+
 func (c *solverCache) removeLocked(v *cacheEntry) {
 	c.lru.Remove(v.elem)
 	v.elem = nil

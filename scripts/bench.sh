@@ -23,9 +23,9 @@ if [ "${1:-}" = "--json" ]; then
 fi
 
 run_benches() {
-    echo "## linalg kernels (assembly vs in-place update, SpMV and ILU solve per shape, one four-op phase at team sizes 1, 2, 4)"
+    echo "## linalg kernels (assembly vs in-place update; SpMV alone and with one and two fused reductions, and ILU solve, per shape; the Gram-Schmidt sweep of an early, middle and last Arnoldi column; one four-op phase at team sizes 1, 2, 4)"
     go test -run XXX \
-        -bench 'BenchmarkShifted|BenchmarkMulVec|BenchmarkILUSolve|BenchmarkBuilderBuild|BenchmarkTeamDispatch' \
+        -bench 'BenchmarkShifted|BenchmarkMulVec|BenchmarkMGS|BenchmarkILUSolve|BenchmarkBuilderBuild|BenchmarkTeamDispatch' \
         -benchmem "$@" ./internal/linalg/
 
     echo
