@@ -30,6 +30,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"syscall"
 	"time"
 
@@ -53,7 +54,7 @@ func run() int {
 func serveFlags(fs *flag.FlagSet) func() (serve.Config, error) {
 	var (
 		queue     = fs.Int("queue", 64, "admission queue depth; a full queue sheds with 503")
-		executors = fs.Int("executors", 2, "concurrent solve executors")
+		executors = fs.Int("executors", max(2, runtime.GOMAXPROCS(0)), "the pool: goroutines running requests and, with batching on, every batched subsolve")
 		degradeAt = fs.Float64("degrade-at", 0.5, "queue-occupancy fraction at which jobs degrade to the sequential path (0 = never)")
 		rate      = fs.Float64("tenant-rate", 0, "per-tenant token refill rate per second (0 = unlimited)")
 		burst     = fs.Float64("tenant-burst", 8, "per-tenant token-bucket capacity")
@@ -73,8 +74,7 @@ func serveFlags(fs *flag.FlagSet) func() (serve.Config, error) {
 
 		batchWin   = fs.Duration("batch-window", 0, "age at which a pending cross-request batch stops taking members (0 = batching and the solver cache off); see SERVING.md")
 		batchSize  = fs.Int("batch-size", 8, "most tasks per batch")
-		batchWork  = fs.Int("batch-workers", 0, "batch workers, each with a persistent team (0 = GOMAXPROCS)")
-		batchTeam  = fs.Int("batch-team", 1, "team size per batch worker")
+		batchTeam  = fs.Int("batch-team", 1, "size of the persistent team each executor owns")
 		cacheN     = fs.Int("cache-entries", 64, "solver-cache entry bound")
 		cacheBytes = fs.Int64("cache-bytes", 256<<20, "solver-cache approximate byte budget")
 	)
@@ -85,7 +85,7 @@ func serveFlags(fs *flag.FlagSet) func() (serve.Config, error) {
 			BreakerThreshold: *brkN, BreakerCooldown: *brkCool,
 			Attempts: *attempts, Retries: *retries, FailureBudget: *budget,
 			WorkerDeadline: *wdl, DefaultDeadline: *ddl, MaxLevel: *maxLevel,
-			BatchWindow: *batchWin, BatchSize: *batchSize, BatchWorkers: *batchWork, BatchTeam: *batchTeam,
+			BatchWindow: *batchWin, BatchSize: *batchSize, BatchTeam: *batchTeam,
 			CacheEntries: *cacheN, CacheBytes: *cacheBytes,
 			Backoff: core.NewBackoff(*boSeed, *boBase, *boMax),
 		}

@@ -37,7 +37,7 @@ var EventDocs = []EventDoc{
 	{[]Kind{KJobFailed}, "`core.Pool.fail` on retry exhaustion", "job ID, attempts"},
 	{[]Kind{KRendezvousBegin, KRendezvousEnd}, "coordinator", "workers created, deaths counted"},
 	{[]Kind{KBudgetExhausted}, "`core.Pool.exhaust`", "failures, budget"},
-	{[]Kind{KSubsolveBegin, KSubsolveEnd}, "`solver.timedSubsolve` (workers, `Sequential`, fallback)", "begin: grid L1, L2; end: flops, steps"},
+	{[]Kind{KSubsolveBegin, KSubsolveEnd}, "`solver.timedSubsolve` (workers, `Sequential`, fallback; Actor `exec-<i>` when a `serve` executor ran it as a batched task)", "begin: grid L1, L2; end: flops, steps"},
 	{[]Kind{KFallback}, "`solver.Concurrent` on graceful degradation", "job ID, attempts"},
 	{[]Kind{KStreamConnect, KStreamBreak}, "`manifold.Connect` / `Stream.Break`", "stream type (0=BK, 1=KK)"},
 	{[]Kind{KDeadlineExpired}, "`manifold.Port.ReadWithin` on timeout", "deadline (µs)"},
@@ -51,7 +51,7 @@ var EventDocs = []EventDoc{
 	{[]Kind{KBreakerTrip, KBreakerProbe, KBreakerClose}, "`serve` tenant circuit breaker (Aux is the tenant)", "trip: consecutive failures"},
 	{[]Kind{KDrainBegin, KDrainEnd}, "`serve.Server.Drain` on SIGTERM", "begin: queue depth; end: 1=clean, 0=timeout"},
 	{[]Kind{KBatchTask}, "`serve` batcher on a subsolve enqueue (Actor is the signature)", "request ID, pending-batch size"},
-	{[]Kind{KBatchFlush}, "`serve` batcher when a batch leaves the queue; Aux is why it stopped taking members: `idle` (a free worker took it while open), `size` (it held `BatchSize` tasks), `age` (an arrival found it older than `BatchWindow`), `close` (shutdown failed it unrun)", "batch size, oldest-member age (µs)"},
+	{[]Kind{KBatchFlush}, "`serve` batcher when a batch leaves the queue; Aux is why it stopped taking members: `idle` (a free executor took it while open), `size` (it held `BatchSize` tasks), `age` (an arrival found it older than `BatchWindow`), `close` (shutdown failed it unrun)", "batch size, oldest-member age (µs)"},
 	{[]Kind{KCacheHit, KCacheMiss}, "`serve` solver cache on checkout (Actor is the signature)", "—"},
 	{[]Kind{KCacheEvict}, "`serve` solver cache keeping its entry/byte bounds, or (Aux `failed`) dropping the entry a failed subsolve ran on", "evicted entry bytes"},
 }
@@ -89,9 +89,9 @@ var MetricDocs = []MetricDoc{
 	{"serve.request.us", "histogram", "admission-to-terminal latency per admitted request"},
 	{"serve.queue.wait.us", "histogram", "admission-to-execution wait per admitted request"},
 	{"serve.batch.tasks", "counter", "subsolve tasks entering the cross-request batcher"},
-	{"serve.batch.flushes", "counter", "batches taken by a batch worker, or failed unrun at close"},
+	{"serve.batch.flushes", "counter", "batches taken by an executor, or failed unrun at close"},
 	{"serve.batch.size", "histogram", "subsolve tasks per flushed batch"},
-	{"serve.batch.wait.us", "histogram", "enqueue-to-execution wait per batched subsolve"},
+	{"serve.batch.wait.us", "histogram", "enqueue-to-execution wait per batched subsolve: the time until any executor was free"},
 	{"serve.cache.hits", "counter", "solver-cache checkouts that found a warm entry"},
 	{"serve.cache.misses", "counter", "solver-cache checkouts that built a fresh entry"},
 	{"serve.cache.evictions", "counter", "solver-cache entries evicted under the entry/byte bounds or dropped after a failed subsolve"},

@@ -2,8 +2,8 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"slices"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,11 +22,10 @@ var (
 
 // subTask is one grid of one request's sparse-grid family on its way
 // through the cross-request batcher. Its result channel is buffered to
-// the family size, so a request that gives up (deadline) never blocks a
-// batch worker delivering late results.
+// the family size, so a request that gives up (deadline) never blocks an
+// executor delivering late results.
 type subTask struct {
 	sig       signature
-	sigStr    string
 	idx       int // position in the request's grid family
 	tol       float64
 	reqID     int64
@@ -43,10 +42,10 @@ type subResult struct {
 	err error
 }
 
-// pendingBatch is a group of same-signature tasks waiting for a worker. It
-// takes new members until it is sealed, and the seal's reason is the
+// pendingBatch is a group of same-signature tasks waiting for an executor.
+// It takes new members until it is sealed, and the seal's reason is the
 // batch's flush reason: size (it is full), age (an enqueue found it older
-// than the window), idle (a worker took it while it was still open) or
+// than the window), idle (an executor took it while it was still open) or
 // close (the batcher shut down with it pending).
 type pendingBatch struct {
 	sig     signature
@@ -56,79 +55,77 @@ type pendingBatch struct {
 	reason  string // "" while open
 }
 
-// batcher groups same-shape subsolves from concurrent requests and runs
-// them on a fixed set of workers, each owning one persistent linalg.Team.
-// Amortization is the whole design: tasks of one batch share the worker's
-// team (no per-request pool/team setup) and, through the solver cache,
-// the discretization and factorization of their shape.
+// batcher groups same-shape subsolves from concurrent requests. It starts
+// no goroutine: the server's executors run the batches, each on the
+// persistent linalg.Team it owns — one with no job, or whose own request
+// waits for results, takes whatever is pending, any request's. Tasks of one
+// batch share that team (no per-request pool/team setup) and, through the
+// solver cache, the discretization and factorization of their shape.
 //
-// It is a pull model, group commit: a worker with nothing to do takes the
-// oldest pending batch at once, so a task waits — and its batch grows —
-// only while every worker is busy, time it would have waited anyway. No
-// timer is involved; the window only stops an old batch from taking
-// further members. A worker prefers the oldest batch whose signature no
-// other worker is solving (that shape's cache entry is checked out, a
-// second concurrent solve would assemble it again) and otherwise takes
-// the plain oldest, so no worker idles while a batch is pending.
+// It is a pull model, group commit: a free executor takes the oldest
+// pending batch at once, so a task waits — and its batch grows — only
+// while every executor is busy. No timer is involved; the window only
+// stops an old batch from taking further members. An executor prefers the
+// oldest batch whose signature no other is solving (its cache entry is
+// checked out, a second concurrent solve would assemble the shape again),
+// else takes the plain oldest, so none sleeps while a batch is pending.
 type batcher struct {
 	window  time.Duration
 	maxSize int
-	workers int
-	teamN   int
-	tEnd    float64
 	now     func() time.Time
 
 	rec   *obs.Recorder
 	cache *solverCache
 
+	// wake holds at most one token: a batch is pending. Whoever receives it
+	// calls take, which leaves it again while more are pending.
+	wake chan struct{}
+
 	mu      sync.Mutex
-	idle    *sync.Cond                  // workers wait here for a batch; guarded by mu
 	queue   []*pendingBatch             // pending batches, oldest first
 	open    map[signature]*pendingBatch // the queued batch of a signature still taking members
-	solving map[signature]int           // workers currently running a batch of the signature
+	solving map[signature]int           // executors currently running a batch of the signature
+	names   map[signature]string        // each signature's event actor, rendered once
 	closed  bool
-	wg      sync.WaitGroup
 
 	cTasks, cFlushes *obs.Counter
 	hSize, hWait     *obs.Histogram
 }
 
 func newBatcher(cfg Config, rec *obs.Recorder, cache *solverCache, now func() time.Time) *batcher {
-	b := &batcher{
+	return &batcher{
 		window:  cfg.BatchWindow,
 		maxSize: cfg.BatchSize,
-		workers: cfg.BatchWorkers,
-		teamN:   cfg.BatchTeam,
-		tEnd:    solver.DefaultTEnd,
 		now:     now,
 		rec:     rec,
 		cache:   cache,
+		wake:    make(chan struct{}, 1),
 		open:    make(map[signature]*pendingBatch),
 		solving: make(map[signature]int),
+		names:   make(map[signature]string),
 
 		cTasks:   rec.Counter("serve.batch.tasks"),
 		cFlushes: rec.Counter("serve.batch.flushes"),
 		hSize:    rec.Histogram("serve.batch.size"),
 		hWait:    rec.Histogram("serve.batch.wait.us"),
 	}
-	b.idle = sync.NewCond(&b.mu)
-	return b
 }
 
-func (b *batcher) start() {
-	for i := 0; i < b.workers; i++ {
-		b.wg.Add(1)
-		go b.worker(i)
+// signal leaves the wake-up token unless one is already there.
+func (b *batcher) signal() {
+	select {
+	case b.wake <- struct{}{}:
+	default:
 	}
 }
 
 // enqueue adds a task to its signature's open batch, opening one (and
-// waking an idle worker for it) when there is none to join: none pending,
-// the pending one full, or older than the window.
+// waking a sleeping executor for it) when there is none to join: none
+// pending, the pending one full, or older than the window.
 func (b *batcher) enqueue(t *subTask) error {
 	b.mu.Lock()
-	defer b.mu.Unlock()
 	if b.closed {
+		b.mu.Unlock()
 		return errBatcherClosed
 	}
 	t.enq = b.now()
@@ -137,17 +134,24 @@ func (b *batcher) enqueue(t *subTask) error {
 		b.sealLocked(pb, "age")
 		pb = nil
 	}
-	if pb == nil {
-		pb = &pendingBatch{sig: t.sig, sigStr: t.sigStr, created: t.enq}
+	opened := pb == nil
+	if opened {
+		if b.names[t.sig] == "" {
+			b.names[t.sig] = t.sig.String()
+		}
+		pb = &pendingBatch{sig: t.sig, sigStr: b.names[t.sig], created: t.enq}
 		b.open[t.sig] = pb
 		b.queue = append(b.queue, pb)
-		b.idle.Signal()
 	}
 	pb.tasks = append(pb.tasks, t)
 	b.cTasks.Inc()
-	b.rec.Emit(obs.KBatchTask, t.sigStr, "", t.reqID, int64(len(pb.tasks)))
+	b.rec.Emit(obs.KBatchTask, pb.sigStr, "", t.reqID, int64(len(pb.tasks)))
 	if len(pb.tasks) >= b.maxSize {
 		b.sealLocked(pb, "size")
+	}
+	b.mu.Unlock()
+	if opened {
+		b.signal()
 	}
 	return nil
 }
@@ -158,68 +162,55 @@ func (b *batcher) sealLocked(pb *pendingBatch, reason string) {
 	delete(b.open, pb.sig)
 }
 
-// take blocks until a batch is pending and removes it from the queue: the
-// oldest whose signature no worker is solving, else the oldest. It returns
-// nil once the batcher is closed (close fails what was still queued).
+// take removes a pending batch from the queue for the caller to run: the
+// oldest whose signature nobody is solving, else the oldest, nil when none
+// is pending. It never blocks, and passes the wake-up on while more are.
 func (b *batcher) take() *pendingBatch {
 	b.mu.Lock()
-	defer b.mu.Unlock()
-	for len(b.queue) == 0 && !b.closed {
-		b.idle.Wait()
+	var pb *pendingBatch
+	if len(b.queue) > 0 {
+		i := max(0, slices.IndexFunc(b.queue, func(pb *pendingBatch) bool { return b.solving[pb.sig] == 0 }))
+		pb = b.queue[i]
+		b.queue = slices.Delete(b.queue, i, i+1)
+		if pb.reason == "" {
+			b.sealLocked(pb, "idle")
+		}
+		b.solving[pb.sig]++
 	}
-	if b.closed {
-		return nil
+	more := len(b.queue) > 0
+	b.mu.Unlock()
+	if more {
+		b.signal()
 	}
-	i := max(0, slices.IndexFunc(b.queue, func(pb *pendingBatch) bool { return b.solving[pb.sig] == 0 }))
-	pb := b.queue[i]
-	b.queue = slices.Delete(b.queue, i, i+1)
-	if pb.reason == "" {
-		b.sealLocked(pb, "idle")
-	}
-	b.solving[pb.sig]++
 	return pb
 }
 
-// release ends a worker's claim on the signature of a batch it has run.
-func (b *batcher) release(sig signature) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.solving[sig]--; b.solving[sig] == 0 {
-		delete(b.solving, sig)
-	}
-}
-
-// flushed accounts a batch leaving the queue: one flush event, one counter
-// increment, one size observation per batch.
+// flushed accounts a batch leaving the queue: one event, one count, one size.
 func (b *batcher) flushed(pb *pendingBatch) {
 	b.cFlushes.Inc()
 	b.hSize.Observe(int64(len(pb.tasks)))
 	b.rec.Emit(obs.KBatchFlush, pb.sigStr, pb.reason, int64(len(pb.tasks)), b.now().Sub(pb.created).Microseconds())
 }
 
-// worker owns one persistent team for its whole life and runs one batch
-// after another, its tasks back to back, until the batcher closes.
-func (b *batcher) worker(i int) {
-	defer b.wg.Done()
-	team := linalg.NewTeam(b.teamN)
-	defer team.Close()
-	actor := "batch-" + strconv.Itoa(i)
-	for pb := b.take(); pb != nil; pb = b.take() {
+// help takes one pending batch, any request's, and runs it on the caller.
+func (b *batcher) help(actor string, team *linalg.Team) {
+	if pb := b.take(); pb != nil {
 		b.flushed(pb)
 		for _, t := range pb.tasks {
-			b.runTask(actor, team, t)
+			b.runTask(actor, team, pb, t)
 		}
-		b.release(pb.sig)
+		b.mu.Lock()
+		b.solving[pb.sig]--
+		b.mu.Unlock()
 	}
 }
 
-// runTask solves one batched subsolve on the worker's persistent team,
-// through the signature-keyed cache. The checked-out entry is exclusive,
-// so wiring the worker's team in and out of its workspace is safe; it goes
-// back to the cache only after a solve that succeeded. A task whose request
-// has already given up — its deadline passed, or the family was abandoned —
-// is answered without being solved.
-func (b *batcher) runTask(actor string, team *linalg.Team, t *subTask) {
+// runTask solves one batched subsolve on the executor's team, through the
+// signature-keyed cache. The checked-out entry is exclusive, so wiring the
+// team in and out of its workspace is safe; only a solve that succeeded
+// parks it again. A task whose request has given up (deadline, abandoned
+// family) is answered unsolved; a panic is the task's error, not a crash.
+func (b *batcher) runTask(actor string, team *linalg.Team, pb *pendingBatch, t *subTask) {
 	b.hWait.Observe(b.now().Sub(t.enq).Microseconds())
 	if t.abandoned.Load() {
 		t.out <- subResult{idx: t.idx, err: errBatchAbandoned}
@@ -229,31 +220,34 @@ func (b *batcher) runTask(actor string, team *linalg.Team, t *subTask) {
 		t.out <- subResult{idx: t.idx, err: errBatchDeadline}
 		return
 	}
-	e := b.cache.take(t.sig, t.sigStr)
+	e := b.cache.take(pb.sig, pb.sigStr)
 	if e == nil {
-		e = b.cache.build(t.sig, t.sigStr)
+		e = b.cache.build(pb.sig, pb.sigStr)
 	}
+	r := subResult{idx: t.idx}
+	defer func() {
+		if p := recover(); p != nil {
+			r.err = fmt.Errorf("serve: batched subsolve of %s panicked: %v", pb.sigStr, p)
+		}
+		e.ws.SetTeam(nil)
+		if r.err != nil {
+			b.cache.drop(e)
+		} else {
+			b.cache.put(e)
+		}
+		t.out <- r
+	}()
 	e.ws.SetTeam(team)
-	res, err := solver.TimedSubsolveOn(b.rec, actor, e.disc, t.tol, b.tEnd, t.sig.lin, e.ws, b.teamN)
-	e.ws.SetTeam(nil)
-	if err != nil {
-		b.cache.drop(e)
-	} else {
-		b.cache.put(e)
-	}
-	t.out <- subResult{idx: t.idx, res: res, err: err}
+	r.res, r.err = solver.TimedSubsolveOn(b.rec, actor, e.disc, t.tol, solver.DefaultTEnd, pb.sig.lin, e.ws, team.Size())
 }
 
 // close stops the batcher: batches still pending flush with reason "close"
-// and their tasks fail with errBatcherClosed, and the workers return after
-// the batch they are running. When wait is true close joins them — only a
-// clean drain does, a timed-out one must not block on a worker mid-solve.
-func (b *batcher) close(wait bool) {
+// and their tasks fail with errBatcherClosed; those taken are run to the end.
+func (b *batcher) close() {
 	b.mu.Lock()
 	b.closed = true
 	pending := b.queue
 	b.queue = nil
-	b.idle.Broadcast()
 	b.mu.Unlock()
 	for _, pb := range pending {
 		pb.reason = "close"
@@ -262,18 +256,14 @@ func (b *batcher) close(wait bool) {
 			t.out <- subResult{idx: t.idx, err: errBatcherClosed}
 		}
 	}
-	if wait {
-		b.wg.Wait()
-	}
 }
 
-// solveBatched fans one request's grid family into the batcher and
-// recombines the results; it replaces solver.Concurrent on the batched
-// path. Combination runs on the executor's goroutine with a single-core
-// team — it is cheap relative to the subsolves and keeps the executor's
-// cost model honest. However it returns, the family is abandoned: tasks
-// of a failed or timed-out request still queued are skipped, not solved.
-func (s *Server) solveBatched(j *job, p solver.Params) (*solver.Output, error) {
+// solveBatched fans one request's grid family into the batcher, runs
+// pending batches on the request's executor until the family's results are
+// in, and recombines them (single-core: cheap relative to the subsolves);
+// it replaces solver.Concurrent on the batched path. However it returns,
+// the family is abandoned: its tasks still queued are skipped, not solved.
+func (s *Server) solveBatched(actor string, team *linalg.Team, j *job, p solver.Params) (*solver.Output, error) {
 	fam := grid.Family(p.Root, p.Level)
 	out := make(chan subResult, len(fam))
 	abandoned := new(atomic.Bool)
@@ -282,32 +272,40 @@ func (s *Server) solveBatched(j *job, p solver.Params) (*solver.Output, error) {
 	// (EXPERIMENTS.md, "Group-commit batching").
 	defer func() { abandoned.Store(true) }()
 	for i, g := range fam {
-		sig := signature{g: g, lin: j.lin}
-		t := &subTask{
-			sig: sig, sigStr: sig.String(), idx: i, tol: p.Tol,
+		if err := s.batch.enqueue(&subTask{
+			sig: signature{g: g, lin: j.lin}, idx: i, tol: p.Tol,
 			reqID: j.id, deadline: j.deadline, abandoned: abandoned, out: out,
-		}
-		if err := s.batch.enqueue(t); err != nil {
+		}); err != nil {
 			return nil, err
 		}
 	}
-	remaining := j.deadline.Sub(s.now())
-	if remaining <= 0 {
-		return nil, errBatchDeadline
-	}
-	tm := time.NewTimer(remaining)
+	tm := time.NewTimer(j.deadline.Sub(s.now()))
 	defer tm.Stop()
 	results := make([]solver.Result, len(fam))
-	for n := 0; n < len(fam); n++ {
+	for n := 0; n < len(fam); {
+		// Collect what is ready, else sleep until a result, the deadline or a
+		// pending batch to run. No timer is seen from inside a subsolve: the
+		// deadline is answered when the batch being run returns.
+		var r subResult
 		select {
-		case r := <-out:
-			if r.err != nil {
-				return nil, r.err
-			}
-			results[r.idx] = r.res
+		case r = <-out:
 		case <-tm.C:
 			return nil, errBatchDeadline
+		default:
+			select {
+			case r = <-out:
+			case <-tm.C:
+				return nil, errBatchDeadline
+			case <-s.batch.wake:
+				s.batch.help(actor, team) // a token received is a take owed
+				continue
+			}
 		}
+		if r.err != nil {
+			return nil, r.err
+		}
+		results[r.idx] = r.res
+		n++
 	}
 	p.CoresPerWorker = 1
 	return solver.Combine(p, results)

@@ -3,6 +3,10 @@ package serve
 import (
 	"errors"
 	"math"
+	"net/http"
+	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -19,7 +23,7 @@ import (
 func batchConfig() Config {
 	return Config{
 		QueueDepth: 32, Executors: 2, Attempts: 1,
-		BatchWindow: 2 * time.Millisecond, BatchSize: 4, BatchWorkers: 2,
+		BatchWindow: 2 * time.Millisecond, BatchSize: 4,
 	}
 }
 
@@ -163,10 +167,10 @@ func TestCacheEvictionBounds(t *testing.T) {
 	}
 }
 
-// solveGate holds a batch worker inside a solve — cache entry checked out,
-// signature claimed — for as long as a test needs the worker busy. It sits
-// in the problem's initial condition, which every subsolve samples first
-// and which leaves flops and results untouched.
+// solveGate holds an executor inside a solve — cache entry checked out,
+// signature claimed — for as long as a test needs it busy. It sits in the
+// problem's initial condition, which every subsolve samples first and
+// which leaves flops and results untouched.
 type solveGate struct {
 	armed   chan chan struct{} // one release channel per solve to stop
 	entered chan struct{}      // one token per solve stopped
@@ -176,7 +180,7 @@ type solveGate struct {
 // cache already points at p.
 func gateProblem(p *pde.Problem) *solveGate {
 	// Buffers sized to the most gates any one test holds at a time.
-	g := &solveGate{armed: make(chan chan struct{}, 2), entered: make(chan struct{}, 2)}
+	g := &solveGate{armed: make(chan chan struct{}, 3), entered: make(chan struct{}, 3)}
 	initial := p.Initial
 	p.Initial = func(x, y float64) float64 {
 		select {
@@ -191,26 +195,33 @@ func gateProblem(p *pde.Problem) *solveGate {
 }
 
 // arm makes the next solve that starts stop in the gate (it announces
-// itself on entered) until the returned release is called.
+// itself on entered) until the returned release is called; calling it
+// again is harmless, so a test can also defer it and fail without hanging.
 func (g *solveGate) arm() (release func()) {
 	ch := make(chan struct{})
 	g.armed <- ch
-	return func() { close(ch) }
+	return sync.OnceFunc(func() { close(ch) })
 }
 
-// testBatcher is a bare batcher — no worker started — over its own
-// recorder, cache and gated problem.
-func testBatcher(cfg Config, now func() time.Time) (*batcher, *obs.Recorder, *solveGate) {
-	cfg = cfg.withDefaults()
-	rec := obs.NewRecorder(0)
-	problem := pde.PaperProblem()
-	gate := gateProblem(problem)
-	return newBatcher(cfg, rec, newSolverCache(cfg, rec, problem), now), rec, gate
+// testPool is a Server nobody talks HTTP to: its executors — started by the
+// test — are the pool under test, tasks go straight into its batcher, and
+// the gate sits in its problem.
+func testPool(cfg Config) (*Server, *solveGate) {
+	s := NewServer(cfg)
+	return s, gateProblem(s.problem)
+}
+
+// drainPool stops a testPool: the batcher closes, the executors are joined.
+func drainPool(t *testing.T, s *Server) {
+	t.Helper()
+	if !s.Drain(time.Minute) {
+		t.Fatal("drain timed out")
+	}
 }
 
 // testTask is a deadline-free task of the given shape.
 func testTask(sig signature, idx int, out chan<- subResult) *subTask {
-	return &subTask{sig: sig, sigStr: sig.String(), idx: idx, tol: 1e-2, abandoned: new(atomic.Bool), out: out}
+	return &subTask{sig: sig, idx: idx, tol: 1e-2, abandoned: new(atomic.Bool), out: out}
 }
 
 // testSigs returns n distinct small signatures.
@@ -241,6 +252,17 @@ func flushes(rec *obs.Recorder) []flush {
 	return fs
 }
 
+// subsolves maps each actor to the grids it solved, in order.
+func subsolves(rec *obs.Recorder) map[string][]string {
+	by := make(map[string][]string)
+	for _, e := range rec.Events() {
+		if e.Kind == obs.KSubsolveBegin {
+			by[e.Actor] = append(by[e.Actor], e.Aux)
+		}
+	}
+	return by
+}
+
 // await receives n results, failing on an error or a stall.
 func await(t *testing.T, what string, out <-chan subResult, n int) {
 	t.Helper()
@@ -256,23 +278,47 @@ func await(t *testing.T, what string, out <-chan subResult, n int) {
 	}
 }
 
-// TestBatchIdlePullNoTimer: an idle worker takes a lone task at once. The
+// entered waits for n solves to be held in the gate at once.
+func entered(t *testing.T, gate *solveGate, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		select {
+		case <-gate.entered:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%d of %d subsolves in flight: an executor sleeps while a batch is pending", i, n)
+		}
+	}
+}
+
+// sameAnswer fails unless a response carries the reference run's answer
+// bit for bit.
+func sameAnswer(t *testing.T, what string, resp SolveResponse, ref *solver.Output) {
+	t.Helper()
+	if resp.Status != StatusCompleted {
+		t.Fatalf("%s: status %q (%s)", what, resp.Status, resp.Reason)
+	}
+	if u := ref.Combined.V.NormInf(); math.Float64bits(resp.MaxU) != math.Float64bits(u) || resp.Flops != ref.TotalFlops {
+		t.Fatalf("%s: max|u| %x flops %d, sequential %x and %d", what, math.Float64bits(resp.MaxU), resp.Flops, math.Float64bits(u), ref.TotalFlops)
+	}
+}
+
+// TestBatchIdlePullNoTimer: an idle executor takes a lone task at once. The
 // window is an hour and the injected clock never moves, so a result can
 // only arrive if nothing on the path waits for time to pass.
 func TestBatchIdlePullNoTimer(t *testing.T) {
 	frozen := time.Now()
-	b, rec, _ := testBatcher(Config{BatchWindow: time.Hour, BatchWorkers: 1}, func() time.Time { return frozen })
-	b.start()
+	s, _ := testPool(Config{BatchWindow: time.Hour, Executors: 1, Now: func() time.Time { return frozen }})
+	s.Start()
 	out := make(chan subResult, 1)
-	if err := b.enqueue(testTask(testSigs(1)[0], 0, out)); err != nil {
+	if err := s.batch.enqueue(testTask(testSigs(1)[0], 0, out)); err != nil {
 		t.Fatal(err)
 	}
 	await(t, "lone task", out, 1)
-	b.close(true)
-	if got := flushes(rec); len(got) != 1 || got[0].reason != "idle" || got[0].size != 1 {
+	drainPool(t, s)
+	if got := flushes(s.rec); len(got) != 1 || got[0].reason != "idle" || got[0].size != 1 {
 		t.Fatalf("flushes = %v, want one idle flush of 1", got)
 	}
-	checkBatchLedger(t, &Server{rec: rec})
+	checkBatchLedger(t, s)
 }
 
 // TestBatchFailedTaskDropsEntry: the (Disc, Workspace) pair a failed
@@ -282,24 +328,22 @@ func TestBatchIdlePullNoTimer(t *testing.T) {
 // next task of that signature must miss, assemble afresh and return the first
 // solve's answer bit for bit.
 func TestBatchFailedTaskDropsEntry(t *testing.T) {
-	cfg := Config{BatchWindow: time.Hour, BatchWorkers: 1}.withDefaults()
-	rec := obs.NewRecorder(0)
-	problem := pde.PaperProblem()
+	s := NewServer(Config{BatchWindow: time.Hour, Executors: 1})
+	rec := s.rec
 	var poison atomic.Bool
-	initial := problem.Initial
-	problem.Initial = func(x, y float64) float64 {
+	initial := s.problem.Initial
+	s.problem.Initial = func(x, y float64) float64 {
 		if poison.Load() {
 			return math.NaN()
 		}
 		return initial(x, y)
 	}
-	b := newBatcher(cfg, rec, newSolverCache(cfg, rec, problem), time.Now)
-	b.start()
+	s.Start()
 	sig := testSigs(1)[0]
 	solve := func() subResult {
 		t.Helper()
 		out := make(chan subResult, 1)
-		if err := b.enqueue(testTask(sig, 0, out)); err != nil {
+		if err := s.batch.enqueue(testTask(sig, 0, out)); err != nil {
 			t.Fatal(err)
 		}
 		select {
@@ -319,6 +363,7 @@ func TestBatchFailedTaskDropsEntry(t *testing.T) {
 	if first.err != nil {
 		t.Fatalf("clean solve failed: %v", first.err)
 	}
+	// The result is sent after the entry is parked, so the gauges are final.
 	if _, _, _, entries, _ := counts(); entries != 1 {
 		t.Fatalf("after a clean solve: %d entries parked, want 1", entries)
 	}
@@ -345,22 +390,72 @@ func TestBatchFailedTaskDropsEntry(t *testing.T) {
 			t.Fatalf("U[%d] = %v after the failure, %v on the first solve", i, again.res.U[i], u)
 		}
 	}
-	b.close(true)
-	checkBatchLedger(t, &Server{rec: rec})
+	drainPool(t, s)
+	checkBatchLedger(t, s)
+}
+
+// TestBatchPanicBecomesTaskError: a subsolve that panics — here through the
+// problem's initial condition, on a warm entry — fails its task, not the
+// process. The entry it ran on is dropped (an eviction, Aux "failed"), the
+// request goes round runJob's attempt loop, and the retry misses, assembles
+// afresh and answers bit-identically to the sequential program.
+func TestBatchPanicBecomesTaskError(t *testing.T) {
+	s, ts := newTestServer(t, Config{BatchWindow: time.Hour, Executors: 1, Attempts: 2})
+	var boom atomic.Bool
+	initial := s.problem.Initial
+	s.problem.Initial = func(x, y float64) float64 {
+		if boom.CompareAndSwap(true, false) {
+			panic("injected subsolve panic")
+		}
+		return initial(x, y)
+	}
+	s.Start()
+	p := solver.Params{Root: 1, Level: 0, Tol: 1e-2, Problem: pde.PaperProblem()}
+	ref, err := solver.Sequential(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := SolveRequest{Root: p.Root, Level: p.Level, Tol: p.Tol}
+
+	_, warm, _ := postSolve(t, ts.URL, req, nil)
+	sameAnswer(t, "warm-up", warm, ref)
+	boom.Store(true)
+	_, resp, _ := postSolve(t, ts.URL, req, nil)
+	sameAnswer(t, "request whose first attempt panicked", resp, ref)
+	if resp.Attempts != 2 || resp.Failures != 1 {
+		t.Fatalf("attempts=%d failures=%d, want 2 and 1: the panic is one failed attempt", resp.Attempts, resp.Failures)
+	}
+	rec := s.rec
+	if hits, misses := rec.Counter("serve.cache.hits").Value(), rec.Counter("serve.cache.misses").Value(); hits != 1 || misses != 2 {
+		t.Fatalf("hits=%d misses=%d, want 1 and 2: the retry must not find the entry the panic ran on", hits, misses)
+	}
+	var dropped int
+	for _, e := range rec.Events() {
+		if e.Kind == obs.KCacheEvict && e.Aux == "failed" {
+			dropped++
+		}
+	}
+	if dropped != 1 || rec.Gauge("serve.cache.entries").Value() != 1 {
+		t.Fatalf("%d entries dropped as failed, %d parked, want 1 and 1", dropped, rec.Gauge("serve.cache.entries").Value())
+	}
+	drainPool(t, s)
+	checkLedger(t, s)
+	checkBatchLedger(t, s)
 }
 
 // TestBatcherFlushReasons walks the batcher through its four flush
-// reasons. Batches form only while the lone worker is held inside a task:
-// same-signature arrivals join one batch that leaves when the worker comes
-// free (idle), BatchSize splits a longer run (size), an arrival that finds
-// its batch older than the window opens a new one (age), and close fails
-// what is still pending.
+// reasons. Batches form only while the lone executor is held inside a task:
+// same-signature arrivals join one batch that leaves when the executor
+// comes free (idle), BatchSize splits a longer run (size), an arrival that
+// finds its batch older than the window opens a new one (age), and close
+// fails what is still pending.
 func TestBatcherFlushReasons(t *testing.T) {
 	var clock atomic.Int64 // injected time, ns after base
 	base := time.Now()
 	now := func() time.Time { return base.Add(time.Duration(clock.Load())) }
-	b, rec, gate := testBatcher(Config{BatchWindow: 10 * time.Millisecond, BatchSize: 4, BatchWorkers: 1}, now)
-	b.start()
+	s, gate := testPool(Config{BatchWindow: 10 * time.Millisecond, BatchSize: 4, Executors: 1, Now: now})
+	s.Start()
+	b := s.batch
 	sigs := testSigs(5)
 	out := make(chan subResult, 16)
 	enqueue := func(sig signature, n int) {
@@ -375,7 +470,7 @@ func TestBatcherFlushReasons(t *testing.T) {
 
 	release := gate.arm()
 	enqueue(sigs[0], 1)
-	<-gate.entered      // the worker is inside sigs[0]'s solve
+	entered(t, gate, 1) // the executor is inside sigs[0]'s solve
 	enqueue(sigs[1], 3) // one batch of 3, still open
 	enqueue(sigs[2], 5) // a full batch of 4, then an open one
 	enqueue(sigs[3], 1)
@@ -386,21 +481,21 @@ func TestBatcherFlushReasons(t *testing.T) {
 
 	release = gate.arm()
 	enqueue(sigs[4], 1)
-	<-gate.entered
+	entered(t, gate, 1)
 	closing := make(chan subResult, 1)
 	if err := b.enqueue(testTask(sigs[4], 0, closing)); err != nil {
 		t.Fatal(err)
 	}
-	b.close(false) // the worker is mid-solve: do not join it yet
+	b.close() // the executor is mid-solve: only what is pending fails
 	if r := <-closing; r.err != errBatcherClosed {
 		t.Fatalf("task pending at close: err = %v, want errBatcherClosed", r.err)
 	}
 	release()
 	await(t, "task running at close", out, 1)
-	b.close(true)
 	if err := b.enqueue(testTask(sigs[0], 0, out)); err != errBatcherClosed {
 		t.Fatalf("enqueue after close: err = %v, want errBatcherClosed", err)
 	}
+	drainPool(t, s)
 
 	want := []flush{
 		{str(0), "idle", 1},
@@ -412,7 +507,7 @@ func TestBatcherFlushReasons(t *testing.T) {
 		{str(4), "idle", 1},
 		{str(4), "close", 1},
 	}
-	got := flushes(rec)
+	got := flushes(s.rec)
 	if len(got) != len(want) {
 		t.Fatalf("flushes = %v, want %v", got, want)
 	}
@@ -421,110 +516,259 @@ func TestBatcherFlushReasons(t *testing.T) {
 			t.Fatalf("flush %d = %v, want %v (all: %v)", i, got[i], want[i], got)
 		}
 	}
-	checkBatchLedger(t, &Server{rec: rec})
+	checkBatchLedger(t, s)
 }
 
-// TestBatchPullPrefersFreeSignature pins the pull rule with two workers.
-// Worker 0 is held inside a solve of signature A when a second A task and
-// then a B task arrive; worker 1, started only now, must pass over the
+// TestBatchPullPrefersFreeSignature pins the pull rule with two executors.
+// Executor 0 is held inside a solve of signature A when a second A task and
+// then a B task arrive; executor 1, started only now, must pass over the
 // older A batch — A's cache entry is checked out, solving it again would
-// assemble the shape a second time — and take B. When worker 0 comes free
-// it takes the A batch itself and finds its entry warm: one cache miss per
-// distinct signature.
+// assemble the shape a second time — and take B. When executor 0 comes
+// free it takes the A batch itself and finds its entry warm: one cache
+// miss per distinct signature.
 func TestBatchPullPrefersFreeSignature(t *testing.T) {
-	b, rec, gate := testBatcher(Config{BatchWindow: time.Hour, BatchSize: 1, BatchWorkers: 2}, time.Now)
+	s, gate := testPool(Config{BatchWindow: time.Hour, BatchSize: 1})
 	sigs := testSigs(2)
 	sigA, sigB := sigs[0], sigs[1]
 	out := make(chan subResult, 3)
 	enqueue := func(sig signature) {
 		t.Helper()
-		if err := b.enqueue(testTask(sig, 0, out)); err != nil {
+		if err := s.batch.enqueue(testTask(sig, 0, out)); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	b.wg.Add(1)
-	go b.worker(0)
+	s.execWG.Add(2)
+	go s.executor(0)
 	releaseA := gate.arm()
 	enqueue(sigA)
-	<-gate.entered // worker 0 holds A
-	enqueue(sigA)  // BatchSize 1: its own batch, the older of the two pending
+	entered(t, gate, 1) // executor 0 holds A
+	enqueue(sigA)       // BatchSize 1: its own batch, the older of the two pending
 	enqueue(sigB)
 
 	releaseB := gate.arm()
-	b.wg.Add(1)
-	go b.worker(1)
-	<-gate.entered // worker 1 is inside a solve; which one shows below
-	releaseA()     // worker 0 finishes A, parks its entry, takes the A batch
+	go s.executor(1)
+	entered(t, gate, 1) // executor 1 is inside a solve; which one shows below
+	releaseA()          // executor 0 finishes A, parks its entry, takes the A batch
 	await(t, "both A tasks", out, 2)
 	releaseB()
 	await(t, "the B task", out, 1)
-	b.close(true)
+	drainPool(t, s)
 
-	got := flushes(rec)
+	got := flushes(s.rec)
 	if len(got) != 3 || got[1].sig != sigB.String() || got[2].sig != sigA.String() {
 		t.Fatalf("flush order = %v, want A, B, A: the free signature first", got)
 	}
-	if misses := rec.Counter("serve.cache.misses").Value(); misses != 2 {
+	if misses := s.rec.Counter("serve.cache.misses").Value(); misses != 2 {
 		t.Fatalf("serve.cache.misses = %d, want 2, one per distinct signature", misses)
-	}
-	checkBatchLedger(t, &Server{rec: rec})
-}
-
-// TestBatchAbandonedFamilySkipped: a request that gives up takes its queued
-// tasks with it. The injected clock is frozen, so the second request's
-// tasks never pass their deadline as the batcher sees it; only the family's
-// abandoned flag, set when its request timer fires, keeps the worker from
-// solving them for nobody. Skipped tasks stay in the ledger.
-func TestBatchAbandonedFamilySkipped(t *testing.T) {
-	frozen := time.Now()
-	s := NewServer(Config{BatchWindow: time.Hour, BatchWorkers: 1, Now: func() time.Time { return frozen }})
-	gate := gateProblem(s.problem)
-	s.batch.start()
-	params := solver.Params{Root: 1, Level: 1, Tol: 1e-2, Problem: s.problem}
-	fam := len(grid.Family(params.Root, params.Level))
-
-	release := gate.arm()
-	first := make(chan error, 1)
-	go func() {
-		_, err := s.solveBatched(&job{id: 1, lin: rosenbrock.BiCGStab, deadline: frozen.Add(time.Hour)}, params)
-		first <- err
-	}()
-	<-gate.entered // the lone worker is held inside the first request's first task
-
-	_, err := s.solveBatched(&job{id: 2, lin: rosenbrock.BiCGStab, deadline: frozen.Add(20 * time.Millisecond)}, params)
-	if err != errBatchDeadline {
-		t.Fatalf("second request: err = %v, want errBatchDeadline", err)
-	}
-	release()
-	if err := <-first; err != nil {
-		t.Fatalf("first request: %v", err)
-	}
-	// The second request's first task opened a batch of its own behind the
-	// held one; wait until the worker has been through it too.
-	flushed := s.rec.Counter("serve.batch.flushes")
-	waitFor(t, "the abandoned tasks to be passed over", func() bool { return flushed.Value() == int64(fam)+1 })
-	s.batch.close(true)
-
-	if got := s.rec.KindCount(obs.KSubsolveBegin); got != uint64(fam) {
-		t.Fatalf("%d subsolves ran, want %d: the abandoned family's tasks must be skipped", got, fam)
-	}
-	if got := s.rec.Counter("serve.batch.tasks").Value(); got != int64(2*fam) {
-		t.Fatalf("serve.batch.tasks = %d, want %d", got, 2*fam)
 	}
 	checkBatchLedger(t, s)
 }
 
+// TestBatchLoneRequestFansOut: one request alone on a pool of four is run
+// by all of it. Its seven subsolves stop in the gate until three are in
+// flight at once, which only executors with no job of their own can make
+// happen — none of them sleeps while a batch is pending.
+func TestBatchLoneRequestFansOut(t *testing.T) {
+	s, ts := newTestServer(t, Config{BatchWindow: time.Hour, Executors: 4})
+	gate := gateProblem(s.problem)
+	s.Start()
+	p := solver.Params{Root: 1, Level: 3, Tol: 1e-2, Problem: pde.PaperProblem()}
+	ref, err := solver.Sequential(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	releases := []func(){gate.arm(), gate.arm(), gate.arm()}
+	for _, release := range releases {
+		defer release()
+	}
+	type reply struct {
+		resp SolveResponse
+		err  error
+	}
+	done := make(chan reply, 1)
+	go func() {
+		_, resp, _, err := tryPost(ts.URL, SolveRequest{Root: p.Root, Level: p.Level, Tol: p.Tol}, nil)
+		done <- reply{resp, err}
+	}()
+	entered(t, gate, len(releases))
+	for _, release := range releases {
+		release()
+	}
+	r := <-done
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	sameAnswer(t, "lone request", r.resp, ref)
+	if by := subsolves(s.rec); len(by) < len(releases) {
+		t.Fatalf("subsolves ran on %v, want at least %d executors", by, len(releases))
+	}
+	drainPool(t, s)
+	checkLedger(t, s)
+	checkBatchLedger(t, s)
+}
+
+// TestBatchExecutorHelpsForeignRequest: an executor whose own request
+// waits for results runs whatever is pending, any request's. B's executor
+// is held inside the first of B's three subsolves when A arrives with one
+// of its own: A's executor takes the oldest pending batch — B's second
+// task — then B's third, and only then its own. Both requests get the
+// sequential program's answer bit for bit.
+func TestBatchExecutorHelpsForeignRequest(t *testing.T) {
+	s, gate := testPool(Config{BatchWindow: time.Hour})
+	pA := solver.Params{Root: 2, Level: 0, Tol: 1e-2, Problem: s.problem}
+	pB := solver.Params{Root: 1, Level: 1, Tol: 1e-2, Problem: s.problem}
+	run := func(actor string, id int64, p solver.Params) (*solver.Output, error) {
+		j := &job{id: id, lin: rosenbrock.BiCGStab, deadline: time.Now().Add(time.Minute)}
+		return s.solveBatched(actor, nil, j, p)
+	}
+
+	release := gate.arm()
+	type reply struct {
+		out *solver.Output
+		err error
+	}
+	doneB := make(chan reply, 1)
+	go func() {
+		out, err := run("exec-B", 2, pB)
+		doneB <- reply{out, err}
+	}()
+	entered(t, gate, 1) // B's executor is held inside B's first subsolve
+	outA, err := run("exec-A", 1, pA)
+	if err != nil {
+		t.Fatalf("request A: %v", err)
+	}
+	release()
+	rB := <-doneB
+	if rB.err != nil {
+		t.Fatalf("request B: %v", rB.err)
+	}
+	s.batch.close()
+
+	famA, famB := grid.Family(pA.Root, pA.Level), grid.Family(pB.Root, pB.Level)
+	by := subsolves(s.rec)
+	wantA := []string{famB[1].String(), famB[2].String(), famA[0].String()}
+	if got := by["exec-A"]; !slices.Equal(got, wantA) {
+		t.Fatalf("A's executor solved %v, want %v: B's pending tasks, then its own", got, wantA)
+	}
+	if got := by["exec-B"]; !slices.Equal(got, []string{famB[0].String()}) {
+		t.Fatalf("B's executor solved %v, want only %v", got, famB[0])
+	}
+	for _, c := range []struct {
+		what string
+		p    solver.Params
+		got  *solver.Output
+	}{{"A", pA, outA}, {"B", pB, rB.out}} {
+		ref, err := solver.Sequential(c.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gu, ru := c.got.Combined.V.NormInf(), ref.Combined.V.NormInf()
+		if math.Float64bits(gu) != math.Float64bits(ru) || c.got.TotalFlops != ref.TotalFlops {
+			t.Fatalf("request %s: max|u| %x flops %d, sequential %x and %d", c.what, math.Float64bits(gu), c.got.TotalFlops, math.Float64bits(ru), ref.TotalFlops)
+		}
+	}
+	checkBatchLedger(t, s)
+}
+
+// TestBatchDeadlineWhileHelping states the one thing an executor that runs
+// subsolves itself cannot do: see its deadline timer while inside one. The
+// lone executor is held in the request's first subsolve past the deadline;
+// the request is answered failed/deadline when that subsolve returns, and
+// no later task of the family is solved. The injected clock is frozen, so
+// the tasks never pass their deadline as the batcher sees it: only the
+// family's abandoned flag, set when the request returns, keeps the
+// executor from solving them for nobody. Skipped tasks stay in the ledger.
+func TestBatchDeadlineWhileHelping(t *testing.T) {
+	frozen := time.Now()
+	s, ts := newTestServer(t, Config{BatchWindow: time.Hour, Executors: 1, Attempts: 1, Now: func() time.Time { return frozen }})
+	gate := gateProblem(s.problem)
+	s.Start()
+	const deadline = 100 * time.Millisecond
+	fam := len(grid.Family(1, 1))
+
+	release := gate.arm()
+	defer release()
+	type reply struct {
+		code int
+		resp SolveResponse
+		err  error
+	}
+	done := make(chan reply, 1)
+	start := time.Now()
+	go func() {
+		code, resp, _, err := tryPost(ts.URL, SolveRequest{Root: 1, Level: 1, Tol: 1e-2, DeadlineMs: deadline.Milliseconds()}, nil)
+		done <- reply{code, resp, err}
+	}()
+	entered(t, gate, 1)
+	select {
+	case r := <-done:
+		t.Fatalf("answered %q/%q while its executor was inside a subsolve", r.resp.Status, r.resp.Reason)
+	case <-time.After(time.Until(start.Add(2 * deadline))):
+	}
+	release()
+	r := <-done
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if r.code != http.StatusGatewayTimeout || r.resp.Status != StatusFailed || r.resp.Reason != failDeadline {
+		t.Fatalf("answer %d %q/%q, want 504 failed/deadline", r.code, r.resp.Status, r.resp.Reason)
+	}
+	drainPool(t, s)
+
+	if got := s.rec.KindCount(obs.KSubsolveBegin); got != 1 {
+		t.Fatalf("%d subsolves ran, want 1: the abandoned family's later tasks must be skipped", got)
+	}
+	if got := s.rec.Counter("serve.batch.tasks").Value(); got != int64(fam) {
+		t.Fatalf("serve.batch.tasks = %d, want %d", got, fam)
+	}
+	checkLedger(t, s)
+	checkBatchLedger(t, s)
+}
+
+// poolGoroutines counts the goroutines this package's non-test code has
+// started and that are still alive.
+func poolGoroutines() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	return strings.Count(string(buf), "created by repro/internal/serve.(*")
+}
+
+// TestBatchWorkersIgnored: the deprecated BatchWorkers sizes nothing. One
+// worker or four, the server starts its executors and no goroutine more,
+// and answers the same.
+func TestBatchWorkersIgnored(t *testing.T) {
+	p := solver.Params{Root: 1, Level: 1, Tol: 1e-2, Problem: pde.PaperProblem()}
+	ref, err := solver.Sequential(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		before := poolGoroutines()
+		s, ts := newTestServer(t, Config{BatchWindow: time.Millisecond, Executors: 2, BatchWorkers: workers})
+		s.Start()
+		if got := poolGoroutines() - before; got != 2 {
+			t.Fatalf("BatchWorkers %d: %d goroutines started, want the 2 executors", workers, got)
+		}
+		_, resp, _ := postSolve(t, ts.URL, SolveRequest{Root: p.Root, Level: p.Level, Tol: p.Tol}, nil)
+		sameAnswer(t, "request", resp, ref)
+		drainPool(t, s)
+		waitFor(t, "the executors to exit", func() bool { return poolGoroutines() == before })
+		checkLedger(t, s)
+		checkBatchLedger(t, s)
+	}
+}
+
 // TestBatchNeverStrands is the regression test of the stranded batch: with
-// several workers a pending batch used to be left with nobody woken for it
+// several runners a pending batch used to be left with nobody woken for it
 // until its requests died on their deadlines. Closed-loop clients hammer
-// 1-4 workers with one-task batches of one hot and several mixed
+// 1-4 executors with one-task batches of one hot and several mixed
 // signatures: every result must arrive, in time.
 func TestBatchNeverStrands(t *testing.T) {
 	sigs := testSigs(6)
-	for workers := 1; workers <= 4; workers++ {
-		b, rec, _ := testBatcher(Config{BatchWindow: time.Hour, BatchSize: 1, BatchWorkers: workers}, time.Now)
-		b.start()
+	for executors := 1; executors <= 4; executors++ {
+		s, _ := testPool(Config{BatchWindow: time.Hour, BatchSize: 1, Executors: executors})
+		s.Start()
 
 		const clients, perClient = 8, 400
 		var wg sync.WaitGroup
@@ -541,7 +785,7 @@ func TestBatchNeverStrands(t *testing.T) {
 					}
 					tk := testTask(sig, 0, out)
 					tk.deadline = time.Now().Add(2 * time.Second)
-					if err := b.enqueue(tk); err != nil {
+					if err := s.batch.enqueue(tk); err != nil {
 						errs <- err
 						return
 					}
@@ -552,7 +796,7 @@ func TestBatchNeverStrands(t *testing.T) {
 							return
 						}
 					case <-time.After(10 * time.Second):
-						errs <- errors.New("batch stranded: no worker ever ran it")
+						errs <- errors.New("batch stranded: no executor ever ran it")
 						return
 					}
 				}
@@ -561,13 +805,13 @@ func TestBatchNeverStrands(t *testing.T) {
 		wg.Wait()
 		close(errs)
 		for err := range errs {
-			t.Errorf("%d workers: %v", workers, err)
+			t.Errorf("%d executors: %v", executors, err)
 		}
-		b.close(true)
-		if got := rec.Counter("serve.batch.tasks").Value(); got != clients*perClient {
-			t.Errorf("%d workers: %d tasks accounted, want %d", workers, got, clients*perClient)
+		drainPool(t, s)
+		if got := s.rec.Counter("serve.batch.tasks").Value(); got != clients*perClient {
+			t.Errorf("%d executors: %d tasks accounted, want %d", executors, got, clients*perClient)
 		}
-		checkBatchLedger(t, &Server{rec: rec})
+		checkBatchLedger(t, s)
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 // matches — the numeric factorization itself.
 //
 // Entries are checked out exclusively: take removes the entry from the
-// cache, exactly one batch worker uses it, put parks it again. A Disc is
+// cache, exactly one executor uses it, put parks it again. A Disc is
 // not reentrant (its RHS scratch is shared), so exclusivity is what makes
 // the cache race-free without any locking on the hot solve path.
 type cacheEntry struct {

@@ -3,9 +3,11 @@ package serve
 import (
 	"errors"
 	"net/http"
+	"strconv"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/linalg"
 	"repro/internal/obs"
 	"repro/internal/solver"
 )
@@ -22,25 +24,29 @@ const (
 	failError = "error"
 )
 
-// Start launches the executor goroutines and the batch workers. Jobs
-// enqueued before Start sit in the queue — tests use this to fill the
-// queue deterministically.
+// Start launches the executors, the one pool that runs requests and batched
+// subsolves. Jobs enqueued before Start sit in the queue — tests use this
+// to fill the queue deterministically.
 func (s *Server) Start() {
 	s.execWG.Add(s.cfg.Executors)
 	for i := 0; i < s.cfg.Executors; i++ {
-		go s.executor()
-	}
-	if s.batch != nil {
-		s.batch.start()
+		go s.executor(i)
 	}
 }
 
 // executor pulls admitted jobs off the queue and runs them to a terminal
-// state. During a drain it sheds instead of running, racing the drain
-// loop for the same jobs — each job is dequeued exactly once, so it is
-// shed exactly once either way.
-func (s *Server) executor() {
+// state; with no job it runs pending batches on the team it owns for life.
+// During a drain it sheds instead of running, racing the drain loop for the
+// same jobs — each job is dequeued exactly once, so shed exactly once.
+func (s *Server) executor(i int) {
 	defer s.execWG.Done()
+	actor := "exec-" + strconv.Itoa(i)
+	var team *linalg.Team
+	var wake chan struct{} // nil without a batcher: never ready
+	if s.batch != nil {
+		team, wake = linalg.NewTeam(s.cfg.BatchTeam), s.batch.wake
+		defer team.Close()
+	}
 	for {
 		select {
 		case <-s.quit:
@@ -51,7 +57,9 @@ func (s *Server) executor() {
 				s.shedQueued(j)
 				continue
 			}
-			s.runJob(j)
+			s.runJob(actor, team, j)
+		case <-wake:
+			s.batch.help(actor, team)
 		}
 	}
 }
@@ -60,7 +68,7 @@ func (s *Server) executor() {
 // attempt gets the remaining deadline and failure budget, failed attempts
 // are retried under backoff while attempts, budget, and deadline all
 // still allow, and the first terminal condition wins.
-func (s *Server) runJob(j *job) {
+func (s *Server) runJob(actor string, team *linalg.Team, j *job) {
 	s.hWait.Observe(s.now().Sub(j.admitted).Microseconds())
 
 	// Degradation decision: if the queue behind this job is deep enough,
@@ -122,7 +130,7 @@ func (s *Server) runJob(j *job) {
 			params.CoresPerWorker = 1
 			out, err = solver.Sequential(params)
 		} else if batched {
-			out, err = s.solveBatched(j, params)
+			out, err = s.solveBatched(actor, team, j, params)
 		} else {
 			out, err = solver.Concurrent(params)
 		}
@@ -280,16 +288,16 @@ shedLoop:
 	}
 
 	// The batcher closes after inflight jobs settled (clean) or were
-	// given up on (timeout): a clean drain has no pending batches left,
+	// given up on (timeout): a clean drain has only abandoned tasks left,
 	// an unclean one fails whatever is still pending so stuck requests
-	// settle as failed rather than hang.
+	// settle as failed rather than run on.
 	if s.batch != nil {
-		s.batch.close(clean)
+		s.batch.close()
 	}
 	close(s.quit)
 	if clean {
-		// Idle executors exit on quit; with jobs still stuck past the
-		// timeout, waiting here could block forever, so only a clean
+		// Executors exit on quit once idle; with jobs still stuck past
+		// the timeout, waiting here could block forever, so only a clean
 		// drain joins them.
 		s.execWG.Wait()
 	}

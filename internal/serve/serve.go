@@ -73,7 +73,8 @@ const (
 type Config struct {
 	// QueueDepth bounds the admission queue; a full queue sheds with 503.
 	QueueDepth int
-	// Executors is the number of concurrent solve executors.
+	// Executors sizes the one pool: the goroutines that run requests and,
+	// with batching on, every batched subsolve. 0 means max(2, GOMAXPROCS).
 	Executors int
 	// DegradeAt is the queue-occupancy fraction at or above which a
 	// dequeued job is routed to the degraded sequential path; <= 0
@@ -113,20 +114,18 @@ type Config struct {
 	MaxLevel int
 
 	// BatchWindow enables the cross-request batcher when > 0: same-shape
-	// subsolves from concurrent requests that arrive while every batch
-	// worker is busy are grouped and run on shared persistent teams
-	// through the solver cache. Nothing waits for the window to pass: it
-	// is only the age beyond which a pending batch takes no new members.
-	// 0 keeps the PR 7 per-request path. See SERVING.md.
+	// subsolves that arrive while every executor is busy are grouped and run
+	// on the executors' persistent teams through the solver cache. Nothing
+	// waits for the window to pass: it is only the age beyond which a pending
+	// batch takes no new members. 0 keeps the per-request path (SERVING.md).
 	BatchWindow time.Duration
 	// BatchSize is the most tasks one batch holds; a full batch takes no
 	// new members and the next task opens another.
 	BatchSize int
-	// BatchWorkers is the number of batch workers, each owning one
-	// persistent linalg.Team; 0 means GOMAXPROCS.
+	// Deprecated: BatchWorkers is ignored; it stays while benchmark/ names it.
 	BatchWorkers int
-	// BatchTeam is the team size per batch worker (default 1: worker-level
-	// parallelism amortizes better than intra-solve fan-out on small grids).
+	// BatchTeam is the size of the linalg.Team each executor owns (default 1:
+	// more executors amortize better than intra-solve fan-out on small grids).
 	BatchTeam int
 	// CacheEntries bounds the solver cache (warm Disc+Workspace pairs).
 	CacheEntries int
@@ -151,7 +150,7 @@ func (c Config) withDefaults() Config {
 		c.QueueDepth = 64
 	}
 	if c.Executors <= 0 {
-		c.Executors = 2
+		c.Executors = max(2, runtime.GOMAXPROCS(0))
 	}
 	if c.DegradeAt > 1 {
 		c.DegradeAt = 1
@@ -177,9 +176,6 @@ func (c Config) withDefaults() Config {
 	if c.BatchWindow > 0 {
 		if c.BatchSize <= 0 {
 			c.BatchSize = 8
-		}
-		if c.BatchWorkers <= 0 {
-			c.BatchWorkers = runtime.GOMAXPROCS(0)
 		}
 		if c.BatchTeam <= 0 {
 			c.BatchTeam = 1
@@ -289,8 +285,7 @@ type Server struct {
 	problem *pde.Problem
 
 	tenants    *tenants
-	batch      *batcher     // nil unless BatchWindow > 0
-	cache      *solverCache // nil unless batch is
+	batch      *batcher // nil unless BatchWindow > 0
 	queue      chan *job
 	quit       chan struct{}
 	admitMu    sync.RWMutex
@@ -335,8 +330,7 @@ func NewServer(cfg Config) *Server {
 	}
 	s.tenants = newTenants(cfg, s.now, rec)
 	if cfg.BatchWindow > 0 {
-		s.cache = newSolverCache(cfg, rec, s.problem)
-		s.batch = newBatcher(cfg, rec, s.cache, s.now)
+		s.batch = newBatcher(cfg, rec, newSolverCache(cfg, rec, s.problem), s.now)
 	}
 	if cfg.DegradeAt > 0 {
 		s.degradeLevel = int(cfg.DegradeAt * float64(cfg.QueueDepth))

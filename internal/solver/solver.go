@@ -244,7 +244,7 @@ func timedSubsolve(rec *obs.Recorder, actor string, g grid.Grid, p *pde.Problem,
 
 // TimedSubsolveOn is SubsolveOn with the same observability bracket as the
 // solver drivers: subsolve begin/end events plus the per-grid duration and
-// core-budget histograms. The serve batch workers use it so batched
+// core-budget histograms. The serve executors use it so batched
 // subsolves appear in traces and metrics exactly like pool-dispatched
 // ones. With rec == nil it is exactly SubsolveOn.
 func TimedSubsolveOn(rec *obs.Recorder, actor string, d *pde.Disc, tol, tEnd float64, lin rosenbrock.LinearSolver, ws *rosenbrock.Workspace, cores int) (Result, error) {
