@@ -8,7 +8,6 @@
 //	paperbench -fig 1
 //	paperbench -table1 -runs 5    # average five noisy runs, as the paper did
 //	paperbench -fig 1 -timeline run.jsonl   # also export the virtual-time timeline
-//	paperbench -scaling 1,2,4     # measure real finest-grid strong scaling
 package main
 
 import (
@@ -17,7 +16,6 @@ import (
 	"os"
 
 	"repro/internal/bench"
-	"repro/internal/grid"
 	"repro/internal/mwsim"
 	"repro/internal/obs"
 )
@@ -31,15 +29,9 @@ func main() {
 		runs     = flag.Int("runs", 1, "noisy runs to average (1 = noise-free)")
 		maxLvl   = flag.Int("maxlevel", 15, "highest additional refinement level")
 		timeline = flag.String("timeline", "", "with -fig 1: also export the simulated run's virtual-time events as a JSON-lines timeline to this file ('-' = stdout)")
-		scaling  = flag.String("scaling", "", "measure real (not simulated) finest-grid strong scaling over this comma-separated cores list, e.g. '1,2,4'")
-		scLevel  = flag.Int("scaling-level", 5, "with -scaling: refinement of the (square) grid measured")
-		scRuns   = flag.Int("scaling-runs", 3, "with -scaling: repeats per cores value (fastest kept)")
 	)
 	flag.Parse()
 
-	if *scaling != "" {
-		os.Exit(runScaling(*scaling, *scLevel, *tol, *scRuns))
-	}
 	if !*all && !*table1 && *fig == 0 {
 		flag.Usage()
 		os.Exit(2)
@@ -106,31 +98,6 @@ func main() {
 			doFig(n)
 		}
 	}
-}
-
-// runScaling measures real finest-grid strong scaling: one SubsolveInto per
-// cores value, on an intra-grid team of that size, wall-clock timed. The
-// numerical output is bit-for-bit identical across rows; only time moves.
-func runScaling(coresList string, level int, tol float64, runs int) int {
-	cores, err := bench.ParseCores(coresList)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "paperbench:", err)
-		return 2
-	}
-	opt := bench.DefaultScalingOptions(tol)
-	opt.Grid = grid.Grid{Root: 2, L1: level, L2: level}
-	opt.Cores = cores
-	opt.Runs = runs
-	rows, err := bench.StrongScaling(opt)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "paperbench:", err)
-		return 1
-	}
-	if err := bench.WriteScaling(os.Stdout, opt, rows); err != nil {
-		fmt.Fprintln(os.Stderr, "paperbench:", err)
-		return 1
-	}
-	return 0
 }
 
 // writeTimeline exports the recorder's events as JSON lines to the named

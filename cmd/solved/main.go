@@ -1,9 +1,11 @@
 // Command solved runs the multi-tenant solve service: a long-running HTTP
 // server that accepts solve jobs (POST /solve), admission-controls them
-// per tenant, propagates request deadlines down to the worker protocol,
-// retries failed attempts under a seeded backoff and failure budget, and
-// degrades to the sequential path under queue pressure. GET /metrics and
-// GET /healthz expose the live counters and drain state.
+// per tenant, solves them through the cross-request batcher and the solver
+// cache on one pool of executors, and retries failed attempts under a
+// seeded backoff and failure budget within the request's deadline. With
+// -faults each request instead runs its own worker pool, the one the faults
+// are injected into. GET /metrics and GET /healthz expose the live counters
+// and drain state.
 //
 //	solved -addr :8080 -queue 64 -executors 2 -tenant-rate 5 -max-inflight 4
 //	curl -XPOST -H 'X-Tenant: alice' -H 'X-Deadline-Ms: 5000' \
@@ -54,25 +56,24 @@ func run() int {
 func serveFlags(fs *flag.FlagSet) func() (serve.Config, error) {
 	var (
 		queue     = fs.Int("queue", 64, "admission queue depth; a full queue sheds with 503")
-		executors = fs.Int("executors", max(2, runtime.GOMAXPROCS(0)), "the pool: goroutines running requests and, with batching on, every batched subsolve")
-		degradeAt = fs.Float64("degrade-at", 0.5, "queue-occupancy fraction at which jobs degrade to the sequential path (0 = never)")
+		executors = fs.Int("executors", max(2, runtime.GOMAXPROCS(0)), "the pool: goroutines running requests and every batched subsolve")
 		rate      = fs.Float64("tenant-rate", 0, "per-tenant token refill rate per second (0 = unlimited)")
 		burst     = fs.Float64("tenant-burst", 8, "per-tenant token-bucket capacity")
 		inflight  = fs.Int("max-inflight", 0, "per-tenant inflight request cap (0 = unlimited)")
 		brkN      = fs.Int("breaker-threshold", 3, "consecutive failed requests tripping a tenant's circuit breaker (0 = breaker off)")
 		brkCool   = fs.Duration("breaker-cooldown", 5*time.Second, "how long a tripped breaker stays open before a half-open probe")
 		attempts  = fs.Int("attempts", 2, "solve attempts per request; attempts after the first are paced by the backoff")
-		retries   = fs.Int("retries", 2, "per-job worker retry budget inside each attempt")
+		retries   = fs.Int("retries", 2, "per-job worker retry budget inside each attempt (with -faults only)")
 		budget    = fs.Int("failure-budget", 8, "failed worker attempts tolerated per request across attempts (0 = unlimited)")
-		wdl       = fs.Duration("worker-deadline", 10*time.Second, "per-worker deadline inside a solve (capped by the request deadline)")
+		wdl       = fs.Duration("worker-deadline", 10*time.Second, "per-worker deadline inside a solve, capped by the request deadline (with -faults only)")
 		ddl       = fs.Duration("default-deadline", 30*time.Second, "request deadline when the client sends none")
 		maxLevel  = fs.Int("max-level", 6, "largest refinement level the service accepts")
 		boSeed    = fs.Int64("backoff-seed", 1, "seed of the retry backoff jitter")
 		boBase    = fs.Duration("backoff-base", core.DefaultBackoffBase, "base delay of the exponential retry backoff")
 		boMax     = fs.Duration("backoff-max", core.DefaultBackoffMax, "delay ceiling of the retry backoff")
-		faults    = fs.String("faults", "", "worker fault injection spec, e.g. 'seed=42,panic=0.2,hang=0.1,corrupt=0.1' (applies to every solve)")
+		faults    = fs.String("faults", "", "worker fault injection spec, e.g. 'seed=42,panic=0.2,hang=0.1,corrupt=0.1'; every solve then runs its own worker pool instead of the batcher")
 
-		batchWin   = fs.Duration("batch-window", 0, "age at which a pending cross-request batch stops taking members (0 = batching and the solver cache off); see SERVING.md")
+		batchWin   = fs.Duration("batch-window", 2*time.Millisecond, "age at which a pending cross-request batch stops taking members; see SERVING.md")
 		batchSize  = fs.Int("batch-size", 8, "most tasks per batch")
 		batchTeam  = fs.Int("batch-team", 1, "size of the persistent team each executor owns")
 		cacheN     = fs.Int("cache-entries", 64, "solver-cache entry bound")
@@ -80,7 +81,7 @@ func serveFlags(fs *flag.FlagSet) func() (serve.Config, error) {
 	)
 	return func() (serve.Config, error) {
 		cfg := serve.Config{
-			QueueDepth: *queue, Executors: *executors, DegradeAt: *degradeAt,
+			QueueDepth: *queue, Executors: *executors,
 			TenantRate: *rate, TenantBurst: *burst, MaxInflight: *inflight,
 			BreakerThreshold: *brkN, BreakerCooldown: *brkCool,
 			Attempts: *attempts, Retries: *retries, FailureBudget: *budget,
@@ -179,11 +180,6 @@ func runLoadtest(args []string) int {
 		pause    = fs.Duration("pause", 10*time.Millisecond, "mean inter-burst pause")
 		seed     = fs.Int64("seed", 1, "arrival-jitter seed")
 		timeline = fs.String("timeline", "", "with -self: write the server's JSON-lines timeline after the run ('-' = stdout)")
-
-		ab         = fs.Bool("ab", false, "ablation: run the same load twice self-hosted — batching+caching off, then on — and compare")
-		benchJSON  = fs.String("bench-json", "", "with -ab: write the machine-readable comparison (BENCH_6 format) to this file")
-		minSpeedup = fs.Float64("min-speedup", 0, "with -ab: fail unless the on/off throughput ratio reaches this (0 = report only)")
-		minHitRate = fs.Float64("min-hit-rate", 0, "with -ab: fail unless the on-run cache hit rate exceeds this")
 	)
 	cfgOf := serveFlags(fs)
 	fs.Parse(args)
@@ -193,15 +189,6 @@ func runLoadtest(args []string) int {
 		Tenants: *tenants, Root: *root, Level: *level, Tol: *tol,
 		Deadline: *deadline, Pause: *pause, Seed: *seed,
 	}
-	if *ab {
-		cfg, err := cfgOf()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-		return runAblation(cfg, lc, *benchJSON, *minSpeedup, *minHitRate)
-	}
-
 	var srv *serve.Server
 	base := *url
 	if *self {

@@ -275,28 +275,52 @@ func TestRunTableCoversPattern(t *testing.T) {
 	}
 }
 
-// TestKernelsAllocFree asserts the steady-state kernels allocate nothing.
+// TestKernelsAllocFree asserts the steady-state kernels allocate nothing, on
+// every shape and in every binding the kernel benchmarks time: the product
+// alone and with one and two reductions riding along as a serial phase, the
+// ILU solve, and the Gram-Schmidt sweep of an early, middle and last column.
 func TestKernelsAllocFree(t *testing.T) {
-	a := advDiff2D(31, 31, 1)
-	f, err := NewILU0(a, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, y, z := NewVector(a.Rows), NewVector(a.Rows), NewVector(a.Rows)
-	x.Fill(1)
-	part := make([]float64, 2)
-	for name, fn := range map[string]func(){
-		"MulVec":      func() { a.MulVec(y, x, nil) },
-		"MulVec+dots": func() { a.mulVecRange(y, x, y, x, part, part[1:], 0, a.Rows) },
-		"dirRange":    func() { dirRange(y, x, x, 0.5, 0.25, x, z, 0, a.Rows) },
-		"sStep":       func() { sStepChunks(part, y, x, 0.5, x, x, z, 0, a.Rows) },
-		"xrStep":      func() { xrChunks(part, part[1:], y, 0.5, x, 0.25, x, z, x, x, x, 0, a.Rows) },
-		"axpyDot":     func() { axpyDotChunks(part, y, 0.5, x, y, 0, a.Rows) },
-		"Solve":       func() { f.Solve(y, x, nil) },
-		"Refactor":    func() { _ = f.Refactor(a, nil) },
-	} {
-		if n := testing.AllocsPerRun(20, fn); n != 0 {
-			t.Errorf("%s allocates %v per call, want 0", name, n)
+	for _, sh := range kernelShapes {
+		a := advDiff2D(sh[0], sh[1], 1)
+		f, err := NewILU0(a, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x, y, z := NewVector(a.Rows), NewVector(a.Rows), NewVector(a.Rows)
+		x.Fill(1)
+		nch := (a.Rows + redChunk - 1) / redChunk
+		part0, part1 := make([]float64, nch), make([]float64, nch)
+		kernels := map[string]func(){
+			"MulVec":   func() { a.MulVec(y, x, nil) },
+			"dirRange": func() { dirRange(y, x, x, 0.5, 0.25, x, z, 0, a.Rows) },
+			"sStep":    func() { sStepChunks(part0, y, x, 0.5, x, x, z, 0, a.Rows) },
+			"xrStep":   func() { xrChunks(part0, part1, y, 0.5, x, 0.25, x, z, x, x, x, 0, a.Rows) },
+			"axpyDot":  func() { axpyDotChunks(part0, y, 0.5, x, y, 0, a.Rows) },
+			"Solve":    func() { f.Solve(y, x, nil) },
+			"Refactor": func() { _ = f.Refactor(a, nil) },
+		}
+		for dots, name := range []string{"phase MulVec", "phase MulVec+dot", "phase MulVec+2dots"} {
+			var p Phase
+			p.Reset(a.Rows)
+			p.mulVecDot(a, y, x, [...]Vector{nil, x, x}[dots], [...]Vector{nil, nil, y}[dots])
+			kernels[name] = func() { p.exec(nil, 0, 0, a.Rows) }
+		}
+		basis, hess := make([]Vector, 30), make([][]float64, 30)
+		for i := range basis {
+			basis[i], hess[i] = NewVector(a.Rows), make([]float64, 30)
+			basis[i].Fill(float64(i + 1))
+		}
+		for _, k := range []int{5, 15, 29} {
+			var p Phase
+			p.Reset(a.Rows)
+			p.Copy(z, x)
+			p.MGS(z, basis, hess, &k)
+			kernels[fmt.Sprintf("phase MGS k=%d", k)] = func() { p.exec(nil, 0, 0, a.Rows) }
+		}
+		for name, fn := range kernels {
+			if n := testing.AllocsPerRun(20, fn); n != 0 {
+				t.Errorf("%dx%d: %s allocates %v per call, want 0", sh[0], sh[1], name, n)
+			}
 		}
 	}
 }

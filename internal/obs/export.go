@@ -75,8 +75,6 @@ func (e Event) Message() string {
 		return fmt.Sprintf("retry request %d after attempt %d", e.A, e.B)
 	case KServeComplete:
 		return fmt.Sprintf("request %d completed after %d attempts", e.A, e.B)
-	case KServeDegraded:
-		return fmt.Sprintf("request %d completed degraded after %d attempts", e.A, e.B)
 	case KServeFail:
 		return fmt.Sprintf("request %d failed (%s) with %d worker failures", e.A, e.Aux, e.B)
 	case KBreakerTrip:

@@ -47,7 +47,7 @@ var EventDocs = []EventDoc{
 	{[]Kind{KServeAccept}, "`serve.Server` on admission", "request ID, queue depth"},
 	{[]Kind{KServeShed}, "`serve.Server` refusing a request (Aux is the reason)", "request ID"},
 	{[]Kind{KServeRetry}, "`serve.Server` retrying a failed attempt after backoff", "request ID, failed attempt"},
-	{[]Kind{KServeComplete, KServeDegraded, KServeFail}, "`serve.Server`, exactly one per admitted request", "request ID, attempts (fail: failures)"},
+	{[]Kind{KServeComplete, KServeFail}, "`serve.Server`, exactly one per admitted request", "request ID, attempts (fail: failures)"},
 	{[]Kind{KBreakerTrip, KBreakerProbe, KBreakerClose}, "`serve` tenant circuit breaker (Aux is the tenant)", "trip: consecutive failures"},
 	{[]Kind{KDrainBegin, KDrainEnd}, "`serve.Server.Drain` on SIGTERM", "begin: queue depth; end: 1=clean, 0=timeout"},
 	{[]Kind{KBatchTask}, "`serve` batcher on a subsolve enqueue (Actor is the signature)", "request ID, pending-batch size"},
@@ -80,8 +80,7 @@ var MetricDocs = []MetricDoc{
 	{"linalg.team.phase.barriers", "counter", "in-phase barriers crossed by fused-phase dispatches"},
 	{"serve.requests", "counter", "valid solve requests reaching admission control"},
 	{"serve.shed", "counter", "requests refused by admission control or shed during drain"},
-	{"serve.completed", "counter", "admitted requests finished successfully on the concurrent path"},
-	{"serve.degraded", "counter", "admitted requests finished successfully on the degraded sequential path"},
+	{"serve.completed", "counter", "admitted requests finished successfully"},
 	{"serve.failed", "counter", "admitted requests ending in permanent failure (budget, deadline, error)"},
 	{"serve.retries", "counter", "serve-level solve attempts retried after a backoff pause"},
 	{"serve.queue.depth", "gauge", "jobs admitted and waiting for an executor"},

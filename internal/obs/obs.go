@@ -134,13 +134,9 @@ const (
 	// KServeRetry marks a serve-level retry of a failed solve attempt after
 	// a backoff pause; A is the request ID, B the attempt just failed.
 	KServeRetry
-	// KServeComplete marks an admitted request finishing successfully on
-	// the normal concurrent path; A is the request ID, B the attempts used.
+	// KServeComplete marks an admitted request finishing successfully; A is
+	// the request ID, B the attempts used.
 	KServeComplete
-	// KServeDegraded marks an admitted request finishing successfully on
-	// the degraded sequential path (overload ladder); A is the request ID,
-	// B the attempts used.
-	KServeDegraded
 	// KServeFail marks an admitted request ending in permanent failure
 	// (failure budget spent, deadline passed, or solver error); Aux is the
 	// reason, A the request ID, B the failed worker attempts charged.
@@ -213,7 +209,6 @@ var kindNames = [...]string{
 	KServeShed:       "serve.shed",
 	KServeRetry:      "serve.retry",
 	KServeComplete:   "serve.complete",
-	KServeDegraded:   "serve.degraded",
 	KServeFail:       "serve.fail",
 	KBreakerTrip:     "serve.breaker.trip",
 	KBreakerProbe:    "serve.breaker.probe",
@@ -252,8 +247,8 @@ func (k Kind) source() string {
 		return "mwsim.go"
 	case KTaskFork, KTaskAdopt, KTaskReuse, KTaskKill:
 		return "cluster.go"
-	case KServeAccept, KServeShed, KServeRetry, KServeComplete, KServeDegraded,
-		KServeFail, KBreakerTrip, KBreakerProbe, KBreakerClose, KDrainBegin, KDrainEnd:
+	case KServeAccept, KServeShed, KServeRetry, KServeComplete, KServeFail,
+		KBreakerTrip, KBreakerProbe, KBreakerClose, KDrainBegin, KDrainEnd:
 		return "serve.go"
 	case KBatchTask, KBatchFlush:
 		return "batch.go"

@@ -58,37 +58,45 @@ func steadyStepperCores(tb testing.TB, g grid.Grid, lin rosenbrock.LinearSolver,
 // TestStepAllocFree asserts the acceptance criterion of the hot-loop
 // rework: one steady-state Rosenbrock step — operator update, both stage
 // solves, error control — performs zero allocations, for every inner
-// linear solver.
+// linear solver at every team size BenchmarkSubsolveSteady times. The
+// 31x63 grid is there for reductions that span more than one chunk; a few
+// steps of it are enough, AllocsPerRun truncating its average.
 func TestStepAllocFree(t *testing.T) {
-	for _, lin := range []rosenbrock.LinearSolver{rosenbrock.BiCGStab, rosenbrock.GMRES, rosenbrock.ILU} {
-		for _, cores := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%v/cores=%d", lin, cores), func(t *testing.T) {
-				if cores > 1 {
-					// Wake the team on this small grid: a dispatch must be as
-					// alloc-free as the caller running the phases itself
-					// (warm-up grows the plans' partial buffers).
-					lowerParMin(t)
-				}
-				sp := steadyStepperCores(t, grid.Grid{Root: 2, L1: 2, L2: 2}, lin, cores)
-				before := sp.Stats()
-				var stepErr error
-				if n := testing.AllocsPerRun(200, func() {
-					if err := sp.Step(); err != nil {
-						stepErr = err
+	for _, shape := range []struct {
+		suffix string
+		g      grid.Grid
+		steps  int
+	}{{"", grid.Grid{Root: 2, L1: 2, L2: 2}, 50}, {"/31x63", grid.Grid{Root: 2, L1: 3, L2: 4}, 5}} {
+		for _, lin := range []rosenbrock.LinearSolver{rosenbrock.BiCGStab, rosenbrock.GMRES, rosenbrock.ILU} {
+			for _, cores := range []int{1, 2, 4} {
+				t.Run(fmt.Sprintf("%v/cores=%d%s", lin, cores, shape.suffix), func(t *testing.T) {
+					if cores > 1 {
+						// Wake the team whatever the grid: a dispatch must be as
+						// alloc-free as the caller running the phases itself
+						// (warm-up grows the plans' partial buffers).
+						lowerParMin(t)
 					}
-				}); n != 0 {
-					t.Fatalf("%v/cores=%d: %v allocs per step in steady state, want 0", lin, cores, n)
-				}
-				if stepErr != nil {
-					t.Fatal(stepErr)
-				}
-				after := sp.Stats()
-				// Every metered call must have been a real step attempt, not a
-				// post-completion no-op.
-				if attempts := (after.Steps + after.Rejected) - (before.Steps + before.Rejected); attempts < 200 {
-					t.Fatalf("only %d real step attempts were metered", attempts)
-				}
-			})
+					sp := steadyStepperCores(t, shape.g, lin, cores)
+					before := sp.Stats()
+					var stepErr error
+					if n := testing.AllocsPerRun(shape.steps, func() {
+						if err := sp.Step(); err != nil {
+							stepErr = err
+						}
+					}); n != 0 {
+						t.Fatalf("%v allocs per step in steady state, want 0", n)
+					}
+					if stepErr != nil {
+						t.Fatal(stepErr)
+					}
+					after := sp.Stats()
+					// Every metered call must have been a real step attempt, not a
+					// post-completion no-op.
+					if attempts := (after.Steps + after.Rejected) - (before.Steps + before.Rejected); attempts < shape.steps {
+						t.Fatalf("only %d real step attempts were metered", attempts)
+					}
+				})
+			}
 		}
 	}
 }

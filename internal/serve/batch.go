@@ -260,9 +260,9 @@ func (b *batcher) close() {
 
 // solveBatched fans one request's grid family into the batcher, runs
 // pending batches on the request's executor until the family's results are
-// in, and recombines them (single-core: cheap relative to the subsolves);
-// it replaces solver.Concurrent on the batched path. However it returns,
-// the family is abandoned: its tasks still queued are skipped, not solved.
+// in, and recombines them (single-core: cheap relative to the subsolves).
+// However it returns, the family is abandoned: its tasks still queued are
+// skipped, not solved.
 func (s *Server) solveBatched(actor string, team *linalg.Team, j *job, p solver.Params) (*solver.Output, error) {
 	fam := grid.Family(p.Root, p.Level)
 	out := make(chan subResult, len(fam))

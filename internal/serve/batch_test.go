@@ -19,7 +19,7 @@ import (
 	"repro/internal/solver"
 )
 
-// batchConfig is the test server setup with the throughput layer on.
+// batchConfig is the test server setup of the batching tests: small batches.
 func batchConfig() Config {
 	return Config{
 		QueueDepth: 32, Executors: 2, Attempts: 1,
@@ -815,9 +815,8 @@ func TestBatchNeverStrands(t *testing.T) {
 	}
 }
 
-// TestBatchedDrain: a drain with the throughput layer on stays clean and
-// keeps the exactly-once ledger, and a draining server sheds instead of
-// batching.
+// TestBatchedDrain: a drain stays clean and keeps the exactly-once ledger of
+// requests and batches, and a draining server sheds instead of batching.
 func TestBatchedDrain(t *testing.T) {
 	s, ts := newTestServer(t, batchConfig())
 	s.Start()

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"container/list"
+	"math"
 	"sync"
 
 	"repro/internal/obs"
@@ -29,6 +30,12 @@ type cacheEntry struct {
 	elem   *list.Element // LRU position while parked; nil while checked out
 }
 
+// The two rates of entryBytes, which derives them; gridBytes shares them.
+const (
+	bytesPerEntry   = 52
+	bytesPerUnknown = 80 + 60*8
+)
+
 // entryBytes estimates the memory a parked entry pins. Per stored entry,
 // 52 bytes: the Jacobian (8 B value, 8 B column), the shifted operator (the
 // same plus an 8 B source index) and the ILU(0) factor (8 B value, 4 B
@@ -37,12 +44,25 @@ type cacheEntry struct {
 // arrays (24 B), and the two diagonal-run tables at their worst case of
 // one 64 B run per 4 rows (32 B) — plus the order-of-60 n-vectors across
 // the Rosenbrock stages and the Krylov workspace. The estimate only has to
-// be monotone in problem size — it feeds the eviction bound, not an
-// allocator.
+// be monotone in problem size — it feeds the eviction bound and, through
+// gridBytes, the admission bound, not an allocator.
 func entryBytes(d *pde.Disc) int64 {
 	n := int64(d.N())
 	nnz := int64(d.Jacobian().NNZ())
-	return 52*nnz + (80+60*8)*n
+	return bytesPerEntry*nnz + bytesPerUnknown*n
+}
+
+// gridBytes bounds entryBytes of the largest grid of the (root, level)
+// family from above without assembling it: every grid of the family has
+// fewer than 2^(2·root+level) unknowns, and the five-point stencil stores at
+// most five entries a row. Shapes whose size would not fit an int64 —
+// root is unbounded outside input — saturate.
+func gridBytes(root, level int) int64 {
+	const maxExp = 40 // (5·52+560)·2^40 < 2^63
+	if root > maxExp || level > maxExp || 2*root+level > maxExp {
+		return math.MaxInt64
+	}
+	return (5*bytesPerEntry + bytesPerUnknown) << (2*root + level)
 }
 
 // solverCache is the bounded LRU of warm (Disc, Workspace) pairs, keyed

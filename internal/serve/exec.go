@@ -41,12 +41,8 @@ func (s *Server) Start() {
 func (s *Server) executor(i int) {
 	defer s.execWG.Done()
 	actor := "exec-" + strconv.Itoa(i)
-	var team *linalg.Team
-	var wake chan struct{} // nil without a batcher: never ready
-	if s.batch != nil {
-		team, wake = linalg.NewTeam(s.cfg.BatchTeam), s.batch.wake
-		defer team.Close()
-	}
+	team := linalg.NewTeam(s.cfg.BatchTeam)
+	defer team.Close()
 	for {
 		select {
 		case <-s.quit:
@@ -58,7 +54,7 @@ func (s *Server) executor(i int) {
 				continue
 			}
 			s.runJob(actor, team, j)
-		case <-wake:
+		case <-s.batch.wake:
 			s.batch.help(actor, team)
 		}
 	}
@@ -70,19 +66,6 @@ func (s *Server) executor(i int) {
 // still allow, and the first terminal condition wins.
 func (s *Server) runJob(actor string, team *linalg.Team, j *job) {
 	s.hWait.Observe(s.now().Sub(j.admitted).Microseconds())
-
-	// Degradation decision: if the queue behind this job is deep enough,
-	// trade intra-run parallelism for service-level throughput — the
-	// sequential single-core path leaves GOMAXPROCS to the other
-	// executors instead of fanning out a worker pool per request.
-	degraded := s.degradeLevel > 0 && len(s.queue) >= s.degradeLevel
-
-	// The batched path replaces solver.Concurrent when the batcher is on.
-	// Degraded jobs bypass it (degradation promises strictly sequential
-	// single-core execution), and so does a fault-injecting server — the
-	// batcher has no worker pool to inject faults into, and the fault
-	// suite's contract is per-request pools.
-	batched := s.batch != nil && !degraded && s.cfg.Faults == nil
 
 	var (
 		failures  int // failed worker attempts charged to this request
@@ -124,25 +107,22 @@ func (s *Server) runJob(actor string, team *linalg.Team, j *job) {
 			out *solver.Output
 			err error
 		)
-		if degraded {
-			// The degraded path is the legacy sequential program on one
-			// core — no worker pool, no fault surface, same answer.
-			params.CoresPerWorker = 1
-			out, err = solver.Sequential(params)
-		} else if batched {
-			out, err = s.solveBatched(actor, team, j, params)
-		} else {
+		if s.cfg.Faults != nil {
+			// The batcher has no worker pool to inject faults into, and the
+			// fault suite's contract is per-request pools.
 			out, err = solver.Concurrent(params)
+		} else {
+			out, err = s.solveBatched(actor, team, j, params)
 		}
 		if err == nil {
 			failures += out.Faults.Failures
 			retries += out.Faults.Retries
 			fallbacks += out.Faults.Fallbacks
-			s.finishSolved(j, out, degraded, attempt, failures, retries, fallbacks)
+			s.finishSolved(j, out, attempt, failures, retries, fallbacks)
 			return
 		}
 
-		if batched && errors.Is(err, errBatchDeadline) {
+		if errors.Is(err, errBatchDeadline) {
 			s.finishFailed(j, failDeadline, http.StatusGatewayTimeout, attempt, failures, retries, fallbacks)
 			return
 		}
@@ -181,21 +161,13 @@ func (s *Server) runJob(actor string, team *linalg.Team, j *job) {
 	}
 }
 
-// finishSolved settles a successful attempt: completed on the concurrent
-// path, degraded on the sequential one. Exactly one counter, one event,
-// one done delivery.
-func (s *Server) finishSolved(j *job, out *solver.Output, degraded bool, attempts, failures, retries, fallbacks int) {
-	status := StatusCompleted
-	if degraded {
-		status = StatusDegraded
-		s.cDegraded.Inc()
-		s.rec.Emit(obs.KServeDegraded, j.tenant, "", j.id, int64(attempts))
-	} else {
-		s.cCompleted.Inc()
-		s.rec.Emit(obs.KServeComplete, j.tenant, "", j.id, int64(attempts))
-	}
+// finishSolved settles a successful attempt. Exactly one counter, one
+// event, one done delivery.
+func (s *Server) finishSolved(j *job, out *solver.Output, attempts, failures, retries, fallbacks int) {
+	s.cCompleted.Inc()
+	s.rec.Emit(obs.KServeComplete, j.tenant, "", j.id, int64(attempts))
 	s.settle(j, false, outcome{
-		status: status, httpStatus: http.StatusOK, out: out,
+		status: StatusCompleted, httpStatus: http.StatusOK, out: out,
 		attempts: attempts, failures: failures, retries: retries, fallbacks: fallbacks,
 	})
 }
@@ -291,9 +263,7 @@ shedLoop:
 	// given up on (timeout): a clean drain has only abandoned tasks left,
 	// an unclean one fails whatever is still pending so stuck requests
 	// settle as failed rather than run on.
-	if s.batch != nil {
-		s.batch.close()
-	}
+	s.batch.close()
 	close(s.quit)
 	if clean {
 		// Executors exit on quit once idle; with jobs still stuck past

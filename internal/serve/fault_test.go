@@ -35,6 +35,10 @@ func TestRetryLadderRecovers(t *testing.T) {
 	if got := s.rec.Counter("serve.retries").Value(); got != 1 {
 		t.Fatalf("serve.retries counter = %d, want 1", got)
 	}
+	// Faults selects the per-request pool, the one place they can be injected.
+	if jobs, tasks := s.rec.KindCount(obs.KJobDispatch), s.rec.KindCount(obs.KBatchTask); jobs == 0 || tasks != 0 {
+		t.Fatalf("%d job.dispatch and %d serve.batch.task events, want pool jobs and no batched task", jobs, tasks)
+	}
 	checkLedger(t, s)
 }
 
@@ -150,9 +154,9 @@ func TestDrainUnderLoad(t *testing.T) {
 	for i := 0; i < n; i++ {
 		sr := <-results
 		switch sr.Status {
-		case StatusCompleted, StatusDegraded, StatusShed:
+		case StatusCompleted, StatusShed:
 		default:
-			t.Fatalf("request ended %q/%q, want completed, degraded, or shed", sr.Status, sr.Reason)
+			t.Fatalf("request ended %q/%q, want completed or shed", sr.Status, sr.Reason)
 		}
 	}
 
@@ -170,7 +174,7 @@ func TestDrainUnderLoad(t *testing.T) {
 	}
 	checkLedger(t, s)
 
-	// No goroutine leaks: executors joined, workers rendezvoused, client
+	// No goroutine leaks: executors joined with their teams closed, client
 	// keep-alive connections released.
 	http.DefaultClient.CloseIdleConnections()
 	deadline := time.Now().Add(10 * time.Second)
@@ -188,7 +192,7 @@ func TestExactAccountingUnderChaos(t *testing.T) {
 	// happens, the client-side tally of response statuses must equal the
 	// server's counters, and the counters must equal the event totals.
 	s, ts := newTestServer(t, Config{
-		QueueDepth: 4, Executors: 2, DegradeAt: 0.5,
+		QueueDepth: 4, Executors: 2,
 		MaxInflight: 2,
 		Attempts:    2, Retries: 1, FailureBudget: 4,
 		Faults: core.NewFaultInjector(42, 0.1, 0.25, 0.1, 0.15, 300*time.Millisecond),
@@ -226,7 +230,6 @@ func TestExactAccountingUnderChaos(t *testing.T) {
 	}
 	for status, counter := range map[string]string{
 		StatusCompleted: "serve.completed",
-		StatusDegraded:  "serve.degraded",
 		StatusShed:      "serve.shed",
 		StatusFailed:    "serve.failed",
 	} {
@@ -237,7 +240,7 @@ func TestExactAccountingUnderChaos(t *testing.T) {
 	}
 	// Every accepted request reached exactly one terminal event.
 	accepted := rec.KindCount(obs.KServeAccept)
-	terminal := rec.KindCount(obs.KServeComplete) + rec.KindCount(obs.KServeDegraded) + rec.KindCount(obs.KServeFail)
+	terminal := rec.KindCount(obs.KServeComplete) + rec.KindCount(obs.KServeFail)
 	if accepted != terminal {
 		t.Fatalf("%d accepted requests but %d terminal events", accepted, terminal)
 	}

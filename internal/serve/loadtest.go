@@ -68,12 +68,11 @@ func (c LoadConfig) withDefaults() LoadConfig {
 }
 
 // LoadResult is the outcome ledger and latency profile of one load run.
-// Total always equals Completed+Degraded+Shed+Failed+Errors — every
-// request is accounted exactly once.
+// Total always equals Completed+Shed+Failed+Errors — every request is
+// accounted exactly once.
 type LoadResult struct {
 	Total     int
 	Completed int
-	Degraded  int
 	Shed      int
 	Failed    int
 	// Errors counts transport-level failures (connection refused, bad
@@ -85,16 +84,15 @@ type LoadResult struct {
 	P50, P95, P99, Max time.Duration
 	// Elapsed is the wall clock of the whole run.
 	Elapsed time.Duration
-	// Throughput is completed requests per second of wall clock — the
-	// service-level figure of merit the batching ablation compares.
+	// Throughput is completed requests per second of wall clock.
 	Throughput float64
 }
 
 // String renders the one-line summary the loadtest subcommand prints.
 func (r LoadResult) String() string {
 	return fmt.Sprintf(
-		"requests=%d completed=%d degraded=%d shed=%d failed=%d errors=%d p50=%v p95=%v p99=%v max=%v elapsed=%v thru=%.2f/s",
-		r.Total, r.Completed, r.Degraded, r.Shed, r.Failed, r.Errors,
+		"requests=%d completed=%d shed=%d failed=%d errors=%d p50=%v p95=%v p99=%v max=%v elapsed=%v thru=%.2f/s",
+		r.Total, r.Completed, r.Shed, r.Failed, r.Errors,
 		r.P50.Round(time.Microsecond), r.P95.Round(time.Microsecond),
 		r.P99.Round(time.Microsecond), r.Max.Round(time.Microsecond),
 		r.Elapsed.Round(time.Millisecond), r.Throughput)
@@ -160,8 +158,6 @@ func RunLoad(cfg LoadConfig) LoadResult {
 				continue
 			case s.status == StatusCompleted:
 				res.Completed++
-			case s.status == StatusDegraded:
-				res.Degraded++
 			case s.status == StatusShed:
 				res.Shed++
 			default:

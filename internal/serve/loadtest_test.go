@@ -7,7 +7,7 @@ import (
 
 func TestRunLoadLedgerMatchesServer(t *testing.T) {
 	s, ts := newTestServer(t, Config{
-		QueueDepth: 4, Executors: 2, DegradeAt: 0.5,
+		QueueDepth: 4, Executors: 2,
 		TenantRate: 200, TenantBurst: 4, MaxInflight: 3,
 	})
 	s.Start()
@@ -22,7 +22,7 @@ func TestRunLoadLedgerMatchesServer(t *testing.T) {
 	if res.Errors != 0 {
 		t.Fatalf("transport errors = %d, want 0", res.Errors)
 	}
-	if res.Total != res.Completed+res.Degraded+res.Shed+res.Failed+res.Errors {
+	if res.Total != res.Completed+res.Shed+res.Failed+res.Errors {
 		t.Fatalf("client ledger does not partition: %+v", res)
 	}
 	if res.Completed == 0 {
@@ -39,7 +39,6 @@ func TestRunLoadLedgerMatchesServer(t *testing.T) {
 	}
 	for counter, want := range map[string]int{
 		"serve.completed": res.Completed,
-		"serve.degraded":  res.Degraded,
 		"serve.shed":      res.Shed,
 		"serve.failed":    res.Failed,
 	} {

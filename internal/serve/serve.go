@@ -1,29 +1,33 @@
 // Package serve is the multi-tenant solve service: a long-running
 // stdlib-net/http JSON job API that accepts solve requests from many
-// concurrent clients and routes them onto the existing solver drivers
-// (solver.Concurrent over core.Pool, solver.Sequential as the degraded
-// path). Robustness is the headline, in four layers:
+// concurrent clients. There is one production solve path: a request's grid
+// family goes through the cross-request batcher and is solved by the
+// executors, one pool of goroutines that each own a persistent linalg.Team
+// and share warm (Disc, Workspace) pairs through the signature-keyed solver
+// cache — the paper's {perpetual} task instances. The one exception can be
+// read off the Config: a server with Faults set runs each request as its own
+// solver.Concurrent over a core.Pool, the only place a core.FaultInjector
+// has workers to fail. Robustness is the headline, in four layers:
 //
-//   - Admission control: a bounded job queue, per-tenant token-bucket
-//     quotas and max-inflight caps, and 429/503 responses carrying a
-//     Retry-After hint whenever a request is shed.
+//   - Admission control: a bounded job queue, a per-request memory bound,
+//     per-tenant token-bucket quotas and max-inflight caps, and 429/503
+//     responses carrying a Retry-After hint whenever a request is shed.
 //   - Deadline propagation: a request deadline (X-Deadline-Ms header or
-//     deadline_ms body field) flows into the job envelope, caps the
-//     per-worker deadline of core.Pool, and through it bounds every
-//     manifold.Port.ReadUntil — a timed-out request abandons its
-//     subsolves instead of orphaning them.
+//     deadline_ms body field) flows into the job envelope. A batched task
+//     past it is answered unsolved; on the fault-injected path it caps the
+//     per-worker deadline of core.Pool and through it bounds every
+//     manifold.Port.ReadUntil — a timed-out request abandons its subsolves
+//     instead of orphaning them.
 //   - Retry with backoff and failure budgets: failed solve attempts are
 //     retried under a seeded jittered exponential core.Backoff within the
 //     request's deadline and failure budget, and a per-tenant circuit
-//     breaker trips on budget exhaustion and half-opens on a timer. The
-//     whole path is fault-injectable through core.FaultInjector.
-//   - Graceful degradation and drain: under queue pressure jobs fall back
-//     to the sequential single-core path, and Drain (SIGTERM) stops
-//     admission, sheds queued jobs, completes inflight ones within a
-//     deadline, and leaves the obs recorder ready to flush.
+//     breaker trips on budget exhaustion and half-opens on a timer.
+//   - Drain: Drain (SIGTERM) stops admission, sheds queued jobs, completes
+//     inflight ones within a deadline, and leaves the obs recorder ready
+//     to flush.
 //
 // Accounting is exact by construction: every valid request ends in
-// exactly one of {completed, degraded, shed, failed}, each terminal state
+// exactly one of {completed, shed, failed}, each terminal state
 // increments exactly one counter and emits exactly one serve.* terminal
 // event, and the fault suite asserts the ledger both ways.
 package serve
@@ -46,6 +50,10 @@ import (
 	"repro/internal/solver"
 )
 
+// maxBodyBytes bounds what /solve reads of a request body; a SolveRequest
+// is under 200 bytes.
+const maxBodyBytes = 4 << 10
+
 // Shed reasons, carried in the response body, the serve.shed event Aux,
 // and the fault-suite ledger.
 const (
@@ -58,9 +66,10 @@ const (
 
 // Terminal statuses of a request.
 const (
-	// StatusCompleted marks a request solved on the normal concurrent path.
+	// StatusCompleted marks a request solved.
 	StatusCompleted = "completed"
-	// StatusDegraded marks a request solved on the degraded sequential path.
+	// Deprecated: StatusDegraded is never produced — the degraded path lost
+	// its A/B (EXPERIMENTS.md "One path"); it stays while benchmark/ names it.
 	StatusDegraded = "degraded"
 	// StatusShed marks a request refused by admission control or drain.
 	StatusShed = "shed"
@@ -73,13 +82,9 @@ const (
 type Config struct {
 	// QueueDepth bounds the admission queue; a full queue sheds with 503.
 	QueueDepth int
-	// Executors sizes the one pool: the goroutines that run requests and,
-	// with batching on, every batched subsolve. 0 means max(2, GOMAXPROCS).
+	// Executors sizes the one pool: the goroutines that run requests and
+	// every batched subsolve. 0 means max(2, GOMAXPROCS).
 	Executors int
-	// DegradeAt is the queue-occupancy fraction at or above which a
-	// dequeued job is routed to the degraded sequential path; <= 0
-	// disables degradation, values cap at 1.
-	DegradeAt float64
 
 	// TenantRate is the per-tenant token refill rate per second; <= 0
 	// disables rate limiting.
@@ -99,13 +104,17 @@ type Config struct {
 	// attempts after the first are paced by Backoff.
 	Attempts int
 	// Retries is the per-job worker retry budget inside each solve attempt.
+	// It acts on the fault-injected path only (Faults set): batched subsolves
+	// have no per-task retry, a failed one fails the attempt.
 	Retries int
 	// FailureBudget caps failed worker attempts per request, cumulative
 	// across solve attempts; exhausting it fails the request and counts
 	// against the tenant's breaker. 0 means unlimited.
 	FailureBudget int
 	// WorkerDeadline bounds any single worker inside a solve; the
-	// remaining request deadline caps it further.
+	// remaining request deadline caps it further. Like Retries it acts on
+	// the fault-injected path only: an executor cannot abandon a subsolve
+	// it is running itself.
 	WorkerDeadline time.Duration
 	// DefaultDeadline applies when a request carries no deadline.
 	DefaultDeadline time.Duration
@@ -113,11 +122,11 @@ type Config struct {
 	// for (400, before admission control).
 	MaxLevel int
 
-	// BatchWindow enables the cross-request batcher when > 0: same-shape
-	// subsolves that arrive while every executor is busy are grouped and run
-	// on the executors' persistent teams through the solver cache. Nothing
-	// waits for the window to pass: it is only the age beyond which a pending
-	// batch takes no new members. 0 keeps the per-request path (SERVING.md).
+	// BatchWindow is the age beyond which a pending batch takes no new
+	// members (default 2 ms, the value benchmark/ runs). Same-shape subsolves
+	// that arrive while every executor is busy are grouped and run on the
+	// executors' persistent teams through the solver cache; nothing waits
+	// for the window to pass.
 	BatchWindow time.Duration
 	// BatchSize is the most tasks one batch holds; a full batch takes no
 	// new members and the next task opens another.
@@ -129,14 +138,17 @@ type Config struct {
 	BatchTeam int
 	// CacheEntries bounds the solver cache (warm Disc+Workspace pairs).
 	CacheEntries int
-	// CacheBytes is the approximate byte budget of the solver cache.
+	// CacheBytes is the approximate byte budget of the solver cache, and with
+	// it the largest grid a request may ask for: one whose entry the cache
+	// could never hold is refused with 400 (gridBytes).
 	CacheBytes int64
 
 	// Backoff paces serve-level retries and, passed through to the solver,
 	// pool-level job resubmissions. Nil gets a seeded default.
 	Backoff *core.Backoff
-	// Faults, when non-nil, injects worker faults into every concurrent
-	// solve — the -faults server flag and the fault suite.
+	// Faults, when non-nil, injects worker faults into every solve, and so
+	// selects the per-request solver.Concurrent path, whose pool workers
+	// are what it fails — the -faults server flag and the fault suite.
 	Faults *core.FaultInjector
 	// Obs receives the service's events and metrics; nil allocates a
 	// recorder (a long-running service wants its /metrics live).
@@ -151,9 +163,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Executors <= 0 {
 		c.Executors = max(2, runtime.GOMAXPROCS(0))
-	}
-	if c.DegradeAt > 1 {
-		c.DegradeAt = 1
 	}
 	if c.TenantBurst <= 0 {
 		c.TenantBurst = 8
@@ -173,13 +182,14 @@ func (c Config) withDefaults() Config {
 	if c.MaxLevel <= 0 {
 		c.MaxLevel = 6
 	}
-	if c.BatchWindow > 0 {
-		if c.BatchSize <= 0 {
-			c.BatchSize = 8
-		}
-		if c.BatchTeam <= 0 {
-			c.BatchTeam = 1
-		}
+	if c.BatchWindow <= 0 {
+		c.BatchWindow = 2 * time.Millisecond
+	}
+	if c.BatchSize <= 0 {
+		c.BatchSize = 8
+	}
+	if c.BatchTeam <= 0 {
+		c.BatchTeam = 1
 	}
 	if c.CacheEntries <= 0 {
 		c.CacheEntries = 64
@@ -223,7 +233,7 @@ type SolveRequest struct {
 type SolveResponse struct {
 	// ID is the server-assigned request ID (events carry the same ID).
 	ID int64 `json:"id"`
-	// Status is one of completed, degraded, shed, failed.
+	// Status is one of completed, shed, failed.
 	Status string `json:"status"`
 	// Reason qualifies shed and failed statuses (quota, queue-full,
 	// breaker, inflight, draining; budget, deadline, error).
@@ -285,7 +295,7 @@ type Server struct {
 	problem *pde.Problem
 
 	tenants    *tenants
-	batch      *batcher // nil unless BatchWindow > 0
+	batch      *batcher
 	queue      chan *job
 	quit       chan struct{}
 	admitMu    sync.RWMutex
@@ -296,11 +306,9 @@ type Server struct {
 	execWG     sync.WaitGroup
 	nextID     atomic.Int64
 
-	degradeLevel int // queue occupancy at which dequeued jobs degrade; 0 = off
-
-	cRequests, cShed, cCompleted, cDegraded, cFailed, cRetries *obs.Counter
-	gQueue, gInflight                                          *obs.Gauge
-	hRequest, hWait                                            *obs.Histogram
+	cRequests, cShed, cCompleted, cFailed, cRetries *obs.Counter
+	gQueue, gInflight                               *obs.Gauge
+	hRequest, hWait                                 *obs.Histogram
 }
 
 // NewServer builds a Server from cfg (zero-value fields take defaults).
@@ -320,7 +328,6 @@ func NewServer(cfg Config) *Server {
 		cRequests:  rec.Counter("serve.requests"),
 		cShed:      rec.Counter("serve.shed"),
 		cCompleted: rec.Counter("serve.completed"),
-		cDegraded:  rec.Counter("serve.degraded"),
 		cFailed:    rec.Counter("serve.failed"),
 		cRetries:   rec.Counter("serve.retries"),
 		gQueue:     rec.Gauge("serve.queue.depth"),
@@ -329,15 +336,7 @@ func NewServer(cfg Config) *Server {
 		hWait:      rec.Histogram("serve.queue.wait.us"),
 	}
 	s.tenants = newTenants(cfg, s.now, rec)
-	if cfg.BatchWindow > 0 {
-		s.batch = newBatcher(cfg, rec, newSolverCache(cfg, rec, s.problem), s.now)
-	}
-	if cfg.DegradeAt > 0 {
-		s.degradeLevel = int(cfg.DegradeAt * float64(cfg.QueueDepth))
-		if s.degradeLevel < 1 {
-			s.degradeLevel = 1
-		}
-	}
+	s.batch = newBatcher(cfg, rec, newSolverCache(cfg, rec, s.problem), s.now)
 	return s
 }
 
@@ -364,7 +363,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SolveRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
 		return
 	}
@@ -396,6 +395,12 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	if perr := (solver.Params{Root: req.Root, Level: req.Level, Tol: req.Tol}).Validate(); perr != nil {
 		httpError(w, http.StatusBadRequest, perr.Error())
+		return
+	}
+	// An entry the cache could never hold is not a request this service is
+	// sized for.
+	if gridBytes(req.Root, req.Level) > s.cfg.CacheBytes {
+		httpError(w, http.StatusBadRequest, fmt.Sprintf("root %d level %d: largest grid beyond the service's %d-byte solver cache", req.Root, req.Level, s.cfg.CacheBytes))
 		return
 	}
 

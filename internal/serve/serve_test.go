@@ -106,11 +106,10 @@ func checkLedger(t *testing.T, s *Server) {
 	req := rec.Counter("serve.requests").Value()
 	shed := rec.Counter("serve.shed").Value()
 	comp := rec.Counter("serve.completed").Value()
-	deg := rec.Counter("serve.degraded").Value()
 	fail := rec.Counter("serve.failed").Value()
-	if req != shed+comp+deg+fail {
-		t.Fatalf("ledger: requests=%d != shed=%d + completed=%d + degraded=%d + failed=%d",
-			req, shed, comp, deg, fail)
+	if req != shed+comp+fail {
+		t.Fatalf("ledger: requests=%d != shed=%d + completed=%d + failed=%d",
+			req, shed, comp, fail)
 	}
 	pairs := []struct {
 		name string
@@ -119,7 +118,6 @@ func checkLedger(t *testing.T, s *Server) {
 	}{
 		{"serve.shed", obs.KServeShed, shed},
 		{"serve.completed", obs.KServeComplete, comp},
-		{"serve.degraded", obs.KServeDegraded, deg},
 		{"serve.failed", obs.KServeFail, fail},
 		{"serve.retries", obs.KServeRetry, rec.Counter("serve.retries").Value()},
 	}
@@ -134,11 +132,14 @@ func checkLedger(t *testing.T, s *Server) {
 }
 
 func TestSolveEndToEnd(t *testing.T) {
-	s, ts := newTestServer(t, Config{QueueDepth: 4, Executors: 2})
+	// The zero Config (BatchWindow 0 included) is the production service:
+	// batcher and solver cache on.
+	s, ts := newTestServer(t, Config{})
 	s.Start()
 	defer s.Drain(time.Minute)
 
-	code, sr, _ := postSolve(t, ts.URL, SolveRequest{Tenant: "alice", Root: 1, Level: 1, Tol: 1e-2}, nil)
+	req := SolveRequest{Tenant: "alice", Root: 1, Level: 1, Tol: 1e-2}
+	code, sr, _ := postSolve(t, ts.URL, req, nil)
 	if code != http.StatusOK || sr.Status != StatusCompleted {
 		t.Fatalf("status %d %q, want 200 completed", code, sr.Status)
 	}
@@ -158,34 +159,59 @@ func TestSolveEndToEnd(t *testing.T) {
 	if sr.Grids != len(ref.Results) {
 		t.Fatalf("service grids = %d, library = %d", sr.Grids, len(ref.Results))
 	}
+
+	// The same request again finds every shape warm and answers the same.
+	_, again, _ := postSolve(t, ts.URL, req, nil)
+	sameAnswer(t, "second identical request", again, ref)
+	if hits := s.rec.Counter("serve.cache.hits").Value(); hits != int64(len(ref.Results)) {
+		t.Fatalf("serve.cache.hits = %d after a repeated request, want %d", hits, len(ref.Results))
+	}
+	// A server without Faults runs no per-request pool.
+	if tasks, jobs := s.rec.KindCount(obs.KBatchTask), s.rec.KindCount(obs.KJobDispatch); tasks != uint64(2*len(ref.Results)) || jobs != 0 {
+		t.Fatalf("%d serve.batch.task and %d job.dispatch events, want %d and 0", tasks, jobs, 2*len(ref.Results))
+	}
 	checkLedger(t, s)
 }
 
 func TestRequestValidation(t *testing.T) {
+	// Neither server is started: a refusal needs no executor, and a hostile
+	// request that slipped through would sit in the queue, where the accept
+	// count below names it, instead of being solved.
 	s, ts := newTestServer(t, Config{MaxLevel: 3})
-	s.Start()
 	defer s.Drain(time.Minute)
+	small, tsSmall := newTestServer(t, Config{CacheBytes: 4 << 10})
+	defer small.Drain(time.Minute)
 
 	cases := []struct {
 		name string
+		url  string
 		body string
 		hdr  map[string]string
 		want int
 	}{
-		{"bad json", "{", nil, http.StatusBadRequest},
-		{"bad root", `{"root":0,"level":1}`, nil, http.StatusBadRequest},
-		{"bad solver", `{"root":1,"level":1,"solver":"cholesky"}`, nil, http.StatusBadRequest},
-		{"level beyond cap", `{"root":1,"level":4}`, nil, http.StatusBadRequest},
-		{"bad deadline header", `{"root":1,"level":1}`, map[string]string{"X-Deadline-Ms": "soon"}, http.StatusBadRequest},
+		{"bad json", ts.URL, "{", nil, http.StatusBadRequest},
+		{"bad root", ts.URL, `{"root":0,"level":1}`, nil, http.StatusBadRequest},
+		{"bad solver", ts.URL, `{"root":1,"level":1,"solver":"cholesky"}`, nil, http.StatusBadRequest},
+		{"level beyond cap", ts.URL, `{"root":1,"level":4}`, nil, http.StatusBadRequest},
+		{"bad deadline header", ts.URL, `{"root":1,"level":1}`, map[string]string{"X-Deadline-Ms": "soon"}, http.StatusBadRequest},
+		// One 8191² grid: some 55 GB by entryBytes' own estimate.
+		{"oversized root", ts.URL, `{"root":13,"level":0}`, nil, http.StatusBadRequest},
+		{"root wraps the grid dimensions", ts.URL, `{"root":64,"level":0}`, nil, http.StatusBadRequest},
+		{"1 MiB body", ts.URL, `{"root":1,"level":1,"tenant":"` + strings.Repeat("a", 1<<20) + `"}`, nil, http.StatusBadRequest},
+		// The bound follows the budget: TestSolveEndToEnd solves this shape
+		// under the default one.
+		{"shape beyond a small cache", tsSmall.URL, `{"root":1,"level":1}`, nil, http.StatusBadRequest},
 	}
+	client := &http.Client{Timeout: 5 * time.Second} // an admitted request is never answered here
 	for _, tc := range cases {
-		hreq, _ := http.NewRequest(http.MethodPost, ts.URL+"/solve", strings.NewReader(tc.body))
+		hreq, _ := http.NewRequest(http.MethodPost, tc.url+"/solve", strings.NewReader(tc.body))
 		for k, v := range tc.hdr {
 			hreq.Header.Set(k, v)
 		}
-		resp, err := http.DefaultClient.Do(hreq)
+		resp, err := client.Do(hreq)
 		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+			t.Fatalf("%s: %v (%d requests admitted)", tc.name, err,
+				s.rec.KindCount(obs.KServeAccept)+small.rec.KindCount(obs.KServeAccept))
 		}
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
@@ -203,8 +229,10 @@ func TestRequestValidation(t *testing.T) {
 		}
 	}
 	// Invalid requests are refused before admission: no ledger movement.
-	if got := s.rec.Counter("serve.requests").Value(); got != 0 {
-		t.Fatalf("invalid requests moved the ledger: serve.requests = %d", got)
+	for _, srv := range []*Server{s, small} {
+		if got := srv.rec.Counter("serve.requests").Value(); got != 0 {
+			t.Fatalf("invalid requests moved the ledger: serve.requests = %d", got)
+		}
 	}
 }
 
@@ -221,40 +249,6 @@ func TestHeaderOverridesAndSolverChoice(t *testing.T) {
 	}
 	if sr.Tenant != "header-tenant" {
 		t.Fatalf("tenant %q: X-Tenant header must win over the body", sr.Tenant)
-	}
-	checkLedger(t, s)
-}
-
-func TestDegradeUnderQueuePressure(t *testing.T) {
-	// Two jobs queued before any executor runs; DegradeAt 0.5 of depth 2
-	// degrades any job dequeued while another still waits. The first
-	// dequeue sees one queued job (degraded), the second sees none
-	// (completed) — deterministic with a single executor.
-	s, ts := newTestServer(t, Config{QueueDepth: 2, Executors: 1, DegradeAt: 0.5})
-	defer s.Drain(time.Minute)
-
-	results := make(chan SolveResponse, 2)
-	for i := 0; i < 2; i++ {
-		go func() {
-			_, sr, _, err := tryPost(ts.URL, SolveRequest{Root: 1, Level: 0, Tol: 1e-2}, nil)
-			if err != nil {
-				sr.Status = "transport-error: " + err.Error()
-			}
-			results <- sr
-		}()
-	}
-	waitFor(t, "both jobs queued", func() bool {
-		return s.rec.KindCount(obs.KServeAccept) == 2
-	})
-	s.Start()
-
-	got := map[string]int{}
-	for i := 0; i < 2; i++ {
-		sr := <-results
-		got[sr.Status]++
-	}
-	if got[StatusDegraded] != 1 || got[StatusCompleted] != 1 {
-		t.Fatalf("statuses %v, want exactly one degraded and one completed", got)
 	}
 	checkLedger(t, s)
 }

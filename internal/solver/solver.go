@@ -140,8 +140,7 @@ func (p Params) teamSize() int {
 const imbalanceHistName = "linalg.team.imbalance.us"
 
 // Metrics fed by fused-phase dispatches: wall-clock per dispatch and
-// in-phase barrier counts, so `paperbench -scaling` can report the
-// dispatch overhead directly.
+// in-phase barrier counts.
 const (
 	phaseHistName   = "linalg.team.phase.us"
 	phaseBarCtrName = "linalg.team.phase.barriers"
