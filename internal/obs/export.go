@@ -94,6 +94,8 @@ func (e Event) Message() string {
 		return fmt.Sprintf("batch %s: task of request %d enqueued (%d pending)", e.Actor, e.A, e.B)
 	case KBatchFlush:
 		return fmt.Sprintf("batch %s: flush %d tasks (%s) after %d us", e.Actor, e.A, e.Aux, e.B)
+	case KBatchCoalesce:
+		return fmt.Sprintf("batch %s: task of request %d rides the flight of request %d", e.Actor, e.A, e.B)
 	case KCacheHit:
 		return fmt.Sprintf("cache hit %s", e.Actor)
 	case KCacheMiss:

@@ -165,6 +165,11 @@ const (
 	// the problem signature, Aux the flush reason (idle, size, age,
 	// close), A the batch size, B the age of the oldest member in µs.
 	KBatchFlush
+	// KBatchCoalesce marks one subsolve task that joined a flight — a task of
+	// the same signature and tolerance already pending or being solved —
+	// instead of a batch: it is answered with that task's result. Actor is
+	// the problem signature, A the rider's request ID, B the leader's.
+	KBatchCoalesce
 	// KCacheHit marks a solver-cache checkout that found a warm entry;
 	// Actor is the problem signature.
 	KCacheHit
@@ -217,6 +222,7 @@ var kindNames = [...]string{
 	KDrainEnd:        "serve.drain.end",
 	KBatchTask:       "serve.batch.task",
 	KBatchFlush:      "serve.batch.flush",
+	KBatchCoalesce:   "serve.batch.coalesce",
 	KCacheHit:        "serve.cache.hit",
 	KCacheMiss:       "serve.cache.miss",
 	KCacheEvict:      "serve.cache.evict",
@@ -250,7 +256,7 @@ func (k Kind) source() string {
 	case KServeAccept, KServeShed, KServeRetry, KServeComplete, KServeFail,
 		KBreakerTrip, KBreakerProbe, KBreakerClose, KDrainBegin, KDrainEnd:
 		return "serve.go"
-	case KBatchTask, KBatchFlush:
+	case KBatchTask, KBatchFlush, KBatchCoalesce:
 		return "batch.go"
 	case KCacheHit, KCacheMiss, KCacheEvict:
 		return "cache.go"

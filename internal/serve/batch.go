@@ -21,9 +21,12 @@ var (
 )
 
 // subTask is one grid of one request's sparse-grid family on its way
-// through the cross-request batcher. Its result channel is buffered to
-// the family size, so a request that gives up (deadline) never blocks an
-// executor delivering late results.
+// through the cross-request batcher. The first task to ask a question —
+// a (signature, tol) — leads its flight: it joins a batch and is solved.
+// One that asks while the leader is pending or being solved rides: it is
+// listed in the leader's riders and answered with the leader's result. The
+// result channel is buffered to the family size, so a request that gives up
+// (deadline) never blocks an executor delivering late results.
 type subTask struct {
 	sig       signature
 	idx       int // position in the request's grid family
@@ -33,6 +36,31 @@ type subTask struct {
 	abandoned *atomic.Bool // shared by the family: its request has returned
 	enq       time.Time
 	out       chan<- subResult
+	riders    []*subTask // of a leader; batcher.mu guards it while the flight is listed
+}
+
+// flightKey is what makes two subsolves the same question, to the bit of the
+// tolerance (Validate admits only finite positive ones, so == compares
+// bits). It is the cache key plus everything else a request can vary: tEnd
+// and the problem are constants of the server, and join the key the day they
+// become per-request.
+type flightKey struct {
+	sig signature
+	tol float64
+}
+
+func (t *subTask) key() flightKey { return flightKey{t.sig, t.tol} }
+
+// gaveUp reports why nobody waits for t any more — its request returned, or
+// its deadline had passed at the given time — or nil while somebody does.
+func (t *subTask) gaveUp(at time.Time) error {
+	if t.abandoned.Load() {
+		return errBatchAbandoned
+	}
+	if !t.deadline.IsZero() && at.After(t.deadline) {
+		return errBatchDeadline
+	}
+	return nil
 }
 
 // subResult is the terminal state of one subTask.
@@ -69,6 +97,13 @@ type pendingBatch struct {
 // oldest batch whose signature no other is solving (its cache entry is
 // checked out, a second concurrent solve would assemble the shape again),
 // else takes the plain oldest, so none sleeps while a batch is pending.
+//
+// A subsolve reads and writes data only of its own grid, so its result is a
+// function of its flightKey alone, and the batcher computes it once per
+// question: flights lists the leader of every key pending or being solved,
+// enqueue hands a task that finds its key there to that leader, and runTask
+// answers leader and riders from one Integrate. Only leaders are batch
+// members; both kinds count in serve.batch.tasks.
 type batcher struct {
 	window  time.Duration
 	maxSize int
@@ -85,11 +120,12 @@ type batcher struct {
 	queue   []*pendingBatch             // pending batches, oldest first
 	open    map[signature]*pendingBatch // the queued batch of a signature still taking members
 	solving map[signature]int           // executors currently running a batch of the signature
+	flights map[flightKey]*subTask      // the leader of each question pending or being solved
 	names   map[signature]string        // each signature's event actor, rendered once
 	closed  bool
 
-	cTasks, cFlushes *obs.Counter
-	hSize, hWait     *obs.Histogram
+	cTasks, cFlushes, cCoalesced *obs.Counter
+	hSize, hWait                 *obs.Histogram
 }
 
 func newBatcher(cfg Config, rec *obs.Recorder, cache *solverCache, now func() time.Time) *batcher {
@@ -102,12 +138,14 @@ func newBatcher(cfg Config, rec *obs.Recorder, cache *solverCache, now func() ti
 		wake:    make(chan struct{}, 1),
 		open:    make(map[signature]*pendingBatch),
 		solving: make(map[signature]int),
+		flights: make(map[flightKey]*subTask),
 		names:   make(map[signature]string),
 
-		cTasks:   rec.Counter("serve.batch.tasks"),
-		cFlushes: rec.Counter("serve.batch.flushes"),
-		hSize:    rec.Histogram("serve.batch.size"),
-		hWait:    rec.Histogram("serve.batch.wait.us"),
+		cTasks:     rec.Counter("serve.batch.tasks"),
+		cFlushes:   rec.Counter("serve.batch.flushes"),
+		cCoalesced: rec.Counter("serve.batch.coalesced"),
+		hSize:      rec.Histogram("serve.batch.size"),
+		hWait:      rec.Histogram("serve.batch.wait.us"),
 	}
 }
 
@@ -119,7 +157,9 @@ func (b *batcher) signal() {
 	}
 }
 
-// enqueue adds a task to its signature's open batch, opening one (and
+// enqueue hands a task to the flight of its question when one is listed: no
+// batch entry, no cache checkout, no second Integrate. Otherwise the task
+// leads a new flight and joins its signature's open batch, opening one (and
 // waking a sleeping executor for it) when there is none to join: none
 // pending, the pending one full, or older than the window.
 func (b *batcher) enqueue(t *subTask) error {
@@ -129,6 +169,15 @@ func (b *batcher) enqueue(t *subTask) error {
 		return errBatcherClosed
 	}
 	t.enq = b.now()
+	b.cTasks.Inc()
+	if lead := b.flights[t.key()]; lead != nil {
+		lead.riders = append(lead.riders, t)
+		b.cCoalesced.Inc()
+		b.rec.Emit(obs.KBatchCoalesce, b.names[t.sig], "", t.reqID, lead.reqID)
+		b.mu.Unlock()
+		return nil
+	}
+	b.flights[t.key()] = t
 	pb := b.open[t.sig]
 	if pb != nil && t.enq.Sub(pb.created) >= b.window {
 		b.sealLocked(pb, "age")
@@ -144,7 +193,6 @@ func (b *batcher) enqueue(t *subTask) error {
 		b.queue = append(b.queue, pb)
 	}
 	pb.tasks = append(pb.tasks, t)
-	b.cTasks.Inc()
 	b.rec.Emit(obs.KBatchTask, pb.sigStr, "", t.reqID, int64(len(pb.tasks)))
 	if len(pb.tasks) >= b.maxSize {
 		b.sealLocked(pb, "size")
@@ -200,31 +248,40 @@ func (b *batcher) help(actor string, team *linalg.Team) {
 			b.runTask(actor, team, pb, t)
 		}
 		b.mu.Lock()
-		b.solving[pb.sig]--
+		if b.solving[pb.sig]--; b.solving[pb.sig] == 0 {
+			delete(b.solving, pb.sig) // else take probes one dead key per signature ever seen
+		}
 		b.mu.Unlock()
 	}
 }
 
-// runTask solves one batched subsolve on the executor's team, through the
-// signature-keyed cache. The checked-out entry is exclusive, so wiring the
-// team in and out of its workspace is safe; only a solve that succeeded
-// parks it again. A task whose request has given up (deadline, abandoned
-// family) is answered unsolved; a panic is the task's error, not a crash.
+// runTask solves the flight t leads on the executor's team, through the
+// signature-keyed cache, and answers every member. The checked-out entry is
+// exclusive, so wiring the team in and out of its workspace is safe; only a
+// solve that succeeded parks it again. A flight is skipped, unsolved, only
+// when every member has given up: an abandoned leader must not cancel a live
+// rider. A panic is the flight's error, not a crash.
 func (b *batcher) runTask(actor string, team *linalg.Team, pb *pendingBatch, t *subTask) {
-	b.hWait.Observe(b.now().Sub(t.enq).Microseconds())
-	if t.abandoned.Load() {
-		t.out <- subResult{idx: t.idx, err: errBatchAbandoned}
-		return
+	start := b.now()
+	b.hWait.Observe(start.Sub(t.enq).Microseconds())
+	b.mu.Lock()
+	live := t.gaveUp(start) == nil
+	for _, m := range t.riders {
+		live = live || m.gaveUp(start) == nil
 	}
-	if !t.deadline.IsZero() && b.now().After(t.deadline) {
-		t.out <- subResult{idx: t.idx, err: errBatchDeadline}
+	if !live {
+		delete(b.flights, t.key()) // under the lock that found nobody live: no live rider slips in between
+	}
+	b.mu.Unlock()
+	if !live {
+		b.answer(t, start, subResult{})
 		return
 	}
 	e := b.cache.take(pb.sig, pb.sigStr)
 	if e == nil {
 		e = b.cache.build(pb.sig, pb.sigStr)
 	}
-	r := subResult{idx: t.idx}
+	var r subResult
 	defer func() {
 		if p := recover(); p != nil {
 			r.err = fmt.Errorf("serve: batched subsolve of %s panicked: %v", pb.sigStr, p)
@@ -235,34 +292,73 @@ func (b *batcher) runTask(actor string, team *linalg.Team, pb *pendingBatch, t *
 		} else {
 			b.cache.put(e)
 		}
-		t.out <- r
+		b.mu.Lock()
+		delete(b.flights, t.key())
+		b.mu.Unlock()
+		b.answer(t, start, r)
 	}()
 	e.ws.SetTeam(team)
 	r.res, r.err = solver.TimedSubsolveOn(b.rec, actor, e.disc, t.tol, solver.DefaultTEnd, pb.sig.lin, e.ws, team.Size())
 }
 
+// answer sends the one result (or error) of the flight t led to t and every
+// rider, each under its own idx; a member that had given up by start, when
+// the flight was taken, gets its own reason instead. The caller has taken the
+// flight off the list under b.mu: the next task with its key leads a flight
+// of its own, and t.riders, which only a listed flight grows, is final. The
+// members share res.U read-only: solver.Combine copies it
+// (pde.FieldFromInterior) and nothing in serve writes Output.Results. The
+// sends are outside b.mu and cannot block — every task's channel has room
+// for its whole family.
+func (b *batcher) answer(t *subTask, start time.Time, r subResult) {
+	send := func(m *subTask) {
+		if err := m.gaveUp(start); err != nil {
+			m.out <- subResult{idx: m.idx, err: err}
+			return
+		}
+		m.out <- subResult{idx: m.idx, res: r.res, err: r.err}
+	}
+	send(t)
+	now := b.now()
+	for _, m := range t.riders {
+		b.hWait.Observe(now.Sub(m.enq).Microseconds())
+		send(m)
+	}
+}
+
 // close stops the batcher: batches still pending flush with reason "close"
-// and their tasks fail with errBatcherClosed; those taken are run to the end.
+// and their tasks, riders included, fail with errBatcherClosed; those taken
+// are run to the end.
 func (b *batcher) close() {
 	b.mu.Lock()
 	b.closed = true
 	pending := b.queue
 	b.queue = nil
+	for _, pb := range pending {
+		b.sealLocked(pb, "close") // whatever sealed it before: an idle batcher keeps no open batch
+		for _, t := range pb.tasks {
+			delete(b.flights, t.key())
+		}
+	}
 	b.mu.Unlock()
 	for _, pb := range pending {
-		pb.reason = "close"
 		b.flushed(pb)
 		for _, t := range pb.tasks {
-			t.out <- subResult{idx: t.idx, err: errBatcherClosed}
+			b.answer(t, time.Time{}, subResult{err: errBatcherClosed}) // the zero time: no deadline has passed
 		}
 	}
 }
 
-// solveBatched fans one request's grid family into the batcher, runs
-// pending batches on the request's executor until the family's results are
-// in, and recombines them (single-core: cheap relative to the subsolves).
-// However it returns, the family is abandoned: its tasks still queued are
-// skipped, not solved.
+// solveBatched fans one request's grid family into the batcher, largest
+// grid first — the pool has fewer executors than the family has grids, so
+// the request waits for the family's makespan — runs pending batches on the
+// request's executor until the family's results are in, and recombines them
+// (single-core: cheap relative to the subsolves). A task that rides another
+// request's flight leaves this executor nothing of its own to run, so it
+// helps with whatever is pending: the pool stays work-conserving. The request
+// times out on its own timer whoever leads its flights. However it returns,
+// the family is abandoned: its tasks still queued are skipped, not solved,
+// unless a live rider waits for them.
 func (s *Server) solveBatched(actor string, team *linalg.Team, j *job, p solver.Params) (*solver.Output, error) {
 	fam := grid.Family(p.Root, p.Level)
 	out := make(chan subResult, len(fam))
@@ -271,9 +367,10 @@ func (s *Server) solveBatched(actor string, team *linalg.Team, j *job, p solver.
 	// atomic.Bool.Store ahead of linalg and moves its hot loops by 32 bytes
 	// (EXPERIMENTS.md, "Group-commit batching").
 	defer func() { abandoned.Store(true) }()
-	for i, g := range fam {
+	order, _ := solver.LargestFirst(fam, p.Tol)
+	for _, i := range order {
 		if err := s.batch.enqueue(&subTask{
-			sig: signature{g: g, lin: j.lin}, idx: i, tol: p.Tol,
+			sig: signature{g: fam[i], lin: j.lin}, idx: i, tol: p.Tol,
 			reqID: j.id, deadline: j.deadline, abandoned: abandoned, out: out,
 		}); err != nil {
 			return nil, err

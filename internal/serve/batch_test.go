@@ -94,8 +94,8 @@ func checkBatchLedger(t *testing.T, s *Server) {
 		name string
 		k    obs.Kind
 	}{
-		{"serve.batch.tasks", obs.KBatchTask},
 		{"serve.batch.flushes", obs.KBatchFlush},
+		{"serve.batch.coalesced", obs.KBatchCoalesce},
 		{"serve.cache.hits", obs.KCacheHit},
 		{"serve.cache.misses", obs.KCacheMiss},
 		{"serve.cache.evictions", obs.KCacheEvict},
@@ -104,11 +104,15 @@ func checkBatchLedger(t *testing.T, s *Server) {
 			t.Fatalf("ledger: counter %s=%d vs %d %v events", p.name, c, e, p.k)
 		}
 	}
-	// Every task entered the batcher through some flush: flushed sizes sum
-	// to the task count once the batcher is closed.
-	tasks := rec.Counter("serve.batch.tasks").Value()
-	if sum := rec.Histogram("serve.batch.size").Sum(); sum != tasks {
-		t.Fatalf("ledger: flushed batch sizes sum to %d, %d tasks enqueued", sum, tasks)
+	// Every task entered the batcher as a batch member or as a rider, and
+	// every member left it through some flush: flushed sizes sum to the
+	// member count once the batcher is closed.
+	tasks, members, riders := rec.Counter("serve.batch.tasks").Value(), rec.KindCount(obs.KBatchTask), rec.KindCount(obs.KBatchCoalesce)
+	if uint64(tasks) != members+riders {
+		t.Fatalf("ledger: counter serve.batch.tasks=%d vs %d %v + %d %v events", tasks, members, obs.KBatchTask, riders, obs.KBatchCoalesce)
+	}
+	if sum := rec.Histogram("serve.batch.size").Sum(); uint64(sum) != members {
+		t.Fatalf("ledger: flushed batch sizes sum to %d, %d tasks joined a batch", sum, members)
 	}
 }
 
@@ -222,6 +226,14 @@ func drainPool(t *testing.T, s *Server) {
 // testTask is a deadline-free task of the given shape.
 func testTask(sig signature, idx int, out chan<- subResult) *subTask {
 	return &subTask{sig: sig, idx: idx, tol: 1e-2, abandoned: new(atomic.Bool), out: out}
+}
+
+// ownTol gives a task the n-th tolerance above 1e-2, so that tasks of one
+// signature a test builds to fill a batch are different questions and none
+// rides another's flight.
+func ownTol(tk *subTask, n int) *subTask {
+	tk.tol = math.Float64frombits(math.Float64bits(1e-2) + uint64(n))
+	return tk
 }
 
 // testSigs returns n distinct small signatures.
@@ -346,13 +358,7 @@ func TestBatchFailedTaskDropsEntry(t *testing.T) {
 		if err := s.batch.enqueue(testTask(sig, 0, out)); err != nil {
 			t.Fatal(err)
 		}
-		select {
-		case r := <-out:
-			return r
-		case <-time.After(30 * time.Second):
-			t.Fatal("result never arrived")
-			return subResult{}
-		}
+		return recv(t, "subsolve", out)
 	}
 	counts := func() (hits, misses, evicts, entries, bytes int64) {
 		return rec.Counter("serve.cache.hits").Value(), rec.Counter("serve.cache.misses").Value(),
@@ -429,13 +435,7 @@ func TestBatchPanicBecomesTaskError(t *testing.T) {
 	if hits, misses := rec.Counter("serve.cache.hits").Value(), rec.Counter("serve.cache.misses").Value(); hits != 1 || misses != 2 {
 		t.Fatalf("hits=%d misses=%d, want 1 and 2: the retry must not find the entry the panic ran on", hits, misses)
 	}
-	var dropped int
-	for _, e := range rec.Events() {
-		if e.Kind == obs.KCacheEvict && e.Aux == "failed" {
-			dropped++
-		}
-	}
-	if dropped != 1 || rec.Gauge("serve.cache.entries").Value() != 1 {
+	if dropped := failedDrops(rec); dropped != 1 || rec.Gauge("serve.cache.entries").Value() != 1 {
 		t.Fatalf("%d entries dropped as failed, %d parked, want 1 and 1", dropped, rec.Gauge("serve.cache.entries").Value())
 	}
 	drainPool(t, s)
@@ -458,10 +458,12 @@ func TestBatcherFlushReasons(t *testing.T) {
 	b := s.batch
 	sigs := testSigs(5)
 	out := make(chan subResult, 16)
+	tasks := 0 // each its own question: same-signature tasks must fill batches, not ride
 	enqueue := func(sig signature, n int) {
 		t.Helper()
 		for i := 0; i < n; i++ {
-			if err := b.enqueue(testTask(sig, 0, out)); err != nil {
+			tasks++
+			if err := b.enqueue(ownTol(testTask(sig, 0, out), tasks)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -483,7 +485,7 @@ func TestBatcherFlushReasons(t *testing.T) {
 	enqueue(sigs[4], 1)
 	entered(t, gate, 1)
 	closing := make(chan subResult, 1)
-	if err := b.enqueue(testTask(sigs[4], 0, closing)); err != nil {
+	if err := b.enqueue(ownTol(testTask(sigs[4], 0, closing), 0)); err != nil {
 		t.Fatal(err)
 	}
 	b.close() // the executor is mid-solve: only what is pending fails
@@ -531,9 +533,11 @@ func TestBatchPullPrefersFreeSignature(t *testing.T) {
 	sigs := testSigs(2)
 	sigA, sigB := sigs[0], sigs[1]
 	out := make(chan subResult, 3)
+	tasks := 0 // each its own question: the second A task must queue, not ride the first
 	enqueue := func(sig signature) {
 		t.Helper()
-		if err := s.batch.enqueue(testTask(sig, 0, out)); err != nil {
+		tasks++
+		if err := s.batch.enqueue(ownTol(testTask(sig, 0, out), tasks)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -568,7 +572,8 @@ func TestBatchPullPrefersFreeSignature(t *testing.T) {
 // TestBatchLoneRequestFansOut: one request alone on a pool of four is run
 // by all of it. Its seven subsolves stop in the gate until three are in
 // flight at once, which only executors with no job of their own can make
-// happen — none of them sleeps while a batch is pending.
+// happen — none of them sleeps while a batch is pending. The family enters
+// the queue, which executors take oldest first, in solver.LargestFirst order.
 func TestBatchLoneRequestFansOut(t *testing.T) {
 	s, ts := newTestServer(t, Config{BatchWindow: time.Hour, Executors: 4})
 	gate := gateProblem(s.problem)
@@ -603,6 +608,20 @@ func TestBatchLoneRequestFansOut(t *testing.T) {
 	if by := subsolves(s.rec); len(by) < len(releases) {
 		t.Fatalf("subsolves ran on %v, want at least %d executors", by, len(releases))
 	}
+	fam := grid.Family(p.Root, p.Level)
+	order, _ := solver.LargestFirst(fam, p.Tol)
+	var enqueued, want []string
+	for _, e := range s.rec.Events() {
+		if e.Kind == obs.KBatchTask {
+			enqueued = append(enqueued, e.Actor)
+		}
+	}
+	for _, i := range order {
+		want = append(want, signature{g: fam[i], lin: rosenbrock.BiCGStab}.String())
+	}
+	if !slices.Equal(enqueued, want) {
+		t.Fatalf("family enqueued as %v, want largest first: %v", enqueued, want)
+	}
 	drainPool(t, s)
 	checkLedger(t, s)
 	checkBatchLedger(t, s)
@@ -610,10 +629,11 @@ func TestBatchLoneRequestFansOut(t *testing.T) {
 
 // TestBatchExecutorHelpsForeignRequest: an executor whose own request
 // waits for results runs whatever is pending, any request's. B's executor
-// is held inside the first of B's three subsolves when A arrives with one
-// of its own: A's executor takes the oldest pending batch — B's second
-// task — then B's third, and only then its own. Both requests get the
-// sequential program's answer bit for bit.
+// is held inside the first of B's three subsolves — first in
+// solver.LargestFirst order, as B enqueued them — when A arrives with one of
+// its own: A's executor takes the oldest pending batch — B's second task —
+// then B's third, and only then its own. Both requests get the sequential
+// program's answer bit for bit.
 func TestBatchExecutorHelpsForeignRequest(t *testing.T) {
 	s, gate := testPool(Config{BatchWindow: time.Hour})
 	pA := solver.Params{Root: 2, Level: 0, Tol: 1e-2, Problem: s.problem}
@@ -646,13 +666,14 @@ func TestBatchExecutorHelpsForeignRequest(t *testing.T) {
 	s.batch.close()
 
 	famA, famB := grid.Family(pA.Root, pA.Level), grid.Family(pB.Root, pB.Level)
+	orderB, _ := solver.LargestFirst(famB, pB.Tol)
 	by := subsolves(s.rec)
-	wantA := []string{famB[1].String(), famB[2].String(), famA[0].String()}
+	wantA := []string{famB[orderB[1]].String(), famB[orderB[2]].String(), famA[0].String()}
 	if got := by["exec-A"]; !slices.Equal(got, wantA) {
 		t.Fatalf("A's executor solved %v, want %v: B's pending tasks, then its own", got, wantA)
 	}
-	if got := by["exec-B"]; !slices.Equal(got, []string{famB[0].String()}) {
-		t.Fatalf("B's executor solved %v, want only %v", got, famB[0])
+	if got := by["exec-B"]; !slices.Equal(got, []string{famB[orderB[0]].String()}) {
+		t.Fatalf("B's executor solved %v, want only %v", got, famB[orderB[0]])
 	}
 	for _, c := range []struct {
 		what string
@@ -763,7 +784,10 @@ func TestBatchWorkersIgnored(t *testing.T) {
 // several runners a pending batch used to be left with nobody woken for it
 // until its requests died on their deadlines. Closed-loop clients hammer
 // 1-4 executors with one-task batches of one hot and several mixed
-// signatures: every result must arrive, in time.
+// signatures: every result must arrive, in time. Each odd client asks
+// questions of its own, so its tasks queue as batches; the even clients ask
+// two questions of the hot signature, two clients each, so that tasks also
+// ride — a rider strands exactly like a batch if its leader does.
 func TestBatchNeverStrands(t *testing.T) {
 	sigs := testSigs(6)
 	for executors := 1; executors <= 4; executors++ {
@@ -771,6 +795,7 @@ func TestBatchNeverStrands(t *testing.T) {
 		s.Start()
 
 		const clients, perClient = 8, 400
+		var answered atomic.Int64
 		var wg sync.WaitGroup
 		errs := make(chan error, clients)
 		for c := 0; c < clients; c++ {
@@ -779,11 +804,11 @@ func TestBatchNeverStrands(t *testing.T) {
 				defer wg.Done()
 				out := make(chan subResult, 1)
 				for i := 0; i < perClient; i++ {
-					sig := sigs[0] // even clients share the hot signature
+					sig, tol := sigs[0], c/4 // even clients share the hot signature
 					if c%2 == 1 {
-						sig = sigs[(c+i)%len(sigs)]
+						sig, tol = sigs[(c+i)%len(sigs)], 2+c
 					}
-					tk := testTask(sig, 0, out)
+					tk := ownTol(testTask(sig, 0, out), tol)
 					tk.deadline = time.Now().Add(2 * time.Second)
 					if err := s.batch.enqueue(tk); err != nil {
 						errs <- err
@@ -795,6 +820,7 @@ func TestBatchNeverStrands(t *testing.T) {
 							errs <- r.err
 							return
 						}
+						answered.Add(1)
 					case <-time.After(10 * time.Second):
 						errs <- errors.New("batch stranded: no executor ever ran it")
 						return
@@ -808,10 +834,11 @@ func TestBatchNeverStrands(t *testing.T) {
 			t.Errorf("%d executors: %v", executors, err)
 		}
 		drainPool(t, s)
-		if got := s.rec.Counter("serve.batch.tasks").Value(); got != clients*perClient {
-			t.Errorf("%d executors: %d tasks accounted, want %d", executors, got, clients*perClient)
+		if got := s.rec.Counter("serve.batch.tasks").Value(); got != clients*perClient || answered.Load() != clients*perClient {
+			t.Errorf("%d executors: %d tasks accounted, %d answered, want %d", executors, got, answered.Load(), clients*perClient)
 		}
-		checkBatchLedger(t, s)
+		checkBatchLedger(t, s) // tasks == batch members + riders
+		checkIdle(t, s)
 	}
 }
 
@@ -831,4 +858,17 @@ func TestBatchedDrain(t *testing.T) {
 	}
 	checkLedger(t, s)
 	checkBatchLedger(t, s)
+	checkIdle(t, s)
+}
+
+// checkIdle asserts that a batcher with nothing pending and nothing running
+// holds nothing: no flight listed, no signature marked as being solved.
+func checkIdle(t *testing.T, s *Server) {
+	t.Helper()
+	b := s.batch
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if len(b.flights) != 0 || len(b.solving) != 0 || len(b.queue) != 0 || len(b.open) != 0 {
+		t.Fatalf("idle batcher holds %d flights, %d solving signatures, %d queued and %d open batches", len(b.flights), len(b.solving), len(b.queue), len(b.open))
+	}
 }

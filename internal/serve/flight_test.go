@@ -1,0 +1,406 @@
+package serve
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"errors"
+	"math"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/grid"
+	"repro/internal/linalg"
+	"repro/internal/obs"
+	"repro/internal/pde"
+	"repro/internal/rosenbrock"
+	"repro/internal/solver"
+)
+
+// recv receives one result, failing on a stall.
+func recv(t *testing.T, what string, out <-chan subResult) subResult {
+	t.Helper()
+	select {
+	case r := <-out:
+		return r
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s: no answer", what)
+		return subResult{}
+	}
+}
+
+// digest hashes a vector bit-exactly.
+func digest(v linalg.Vector) [sha256.Size]byte {
+	buf := make([]byte, 8*len(v))
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(x))
+	}
+	return sha256.Sum256(buf)
+}
+
+// failedDrops counts the cache entries dropped because a subsolve failed on them.
+func failedDrops(rec *obs.Recorder) int {
+	n := 0
+	for _, e := range rec.Events() {
+		if e.Kind == obs.KCacheEvict && e.Aux == "failed" {
+			n++
+		}
+	}
+	return n
+}
+
+// TestCoalescedRequestsSolveOnce: two identical requests, both admitted
+// before the two executors start, are one family of subsolves, not two:
+// 2·level+1 integrations and cache checkouts, as many riders, and both
+// answers the sequential program's. Every question must be asked twice while
+// its flight is listed, on one core as on four, so the first executor is
+// held in the gate inside its request's first subsolve, and the test takes
+// the wake-up token that subsolve's take left: the second executor, started
+// now, finds only the second request to run, and sleeps on its riders until
+// the test pays the take it owes.
+func TestCoalescedRequestsSolveOnce(t *testing.T) {
+	s, ts := newTestServer(t, Config{BatchWindow: time.Hour, Executors: 2, Attempts: 1})
+	gate := gateProblem(s.problem)
+	p := solver.Params{Root: 1, Level: 2, Tol: 1e-2, Problem: pde.PaperProblem()}
+	ref, err := solver.Sequential(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const fam = 2*2 + 1
+
+	release := gate.arm()
+	defer release()
+	type reply struct {
+		resp SolveResponse
+		err  error
+	}
+	done := make(chan reply, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			_, resp, _, err := tryPost(ts.URL, SolveRequest{Root: p.Root, Level: p.Level, Tol: p.Tol}, nil)
+			done <- reply{resp, err}
+		}()
+	}
+	rec := s.rec
+	waitFor(t, "both requests admitted", func() bool { return rec.KindCount(obs.KServeAccept) == 2 })
+	s.execWG.Add(2)
+	go s.executor(0)
+	entered(t, gate, 1)
+	select {
+	case <-s.batch.wake:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no wake-up token with four batches pending")
+	}
+	go s.executor(1)
+	waitFor(t, "both families enqueued", func() bool { return rec.Counter("serve.batch.tasks").Value() == 2*fam })
+	s.batch.signal()
+	release()
+	for i := 0; i < 2; i++ {
+		r := <-done
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		sameAnswer(t, "coalesced request", r.resp, ref)
+		if r.resp.Grids != fam {
+			t.Fatalf("grids = %d, want %d", r.resp.Grids, fam)
+		}
+	}
+	drainPool(t, s)
+
+	if got := rec.KindCount(obs.KSubsolveBegin); got != fam {
+		t.Fatalf("%d subsolves for two identical requests, want %d: one per question", got, fam)
+	}
+	if got := rec.Counter("serve.batch.coalesced").Value(); got != fam {
+		t.Fatalf("serve.batch.coalesced = %d, want %d", got, fam)
+	}
+	if hits, misses := rec.Counter("serve.cache.hits").Value(), rec.Counter("serve.cache.misses").Value(); hits+misses != fam || rec.Gauge("serve.cache.entries").Value() != fam {
+		t.Fatalf("hits=%d misses=%d entries=%d, want %d checkouts and entries: one per flight", hits, misses, rec.Gauge("serve.cache.entries").Value(), fam)
+	}
+	if waits := rec.Histogram("serve.batch.wait.us").Count(); waits != 2*fam {
+		t.Fatalf("%d batch waits observed, want %d: leaders when run, riders when answered", waits, 2*fam)
+	}
+	checkLedger(t, s)
+	checkBatchLedger(t, s)
+	checkIdle(t, s)
+}
+
+// TestCoalescedAnswerBitIdentical: what a rider is handed is the leader's
+// answer itself. Two requests for one shape meet in the batcher as above;
+// each Output carries the sequential program's flops and the SHA-256 of its
+// combined field, and the two share every per-grid solution's storage —
+// nothing downstream of the batcher writes it.
+func TestCoalescedAnswerBitIdentical(t *testing.T) {
+	s, gate := testPool(Config{BatchWindow: time.Hour})
+	p := solver.Params{Root: 2, Level: 2, Tol: 1e-3, Solver: rosenbrock.GMRES, Problem: s.problem}
+	fam := len(grid.Family(p.Root, p.Level))
+
+	release := gate.arm()
+	defer release()
+	type reply struct {
+		out *solver.Output
+		err error
+	}
+	done := make(chan reply, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			j := &job{id: int64(i + 1), lin: p.Solver, deadline: time.Now().Add(time.Minute)}
+			out, err := s.solveBatched("exec-"+string(rune('A'+i)), nil, j, p)
+			done <- reply{out, err}
+		}()
+	}
+	entered(t, gate, 1)
+	waitFor(t, "both families enqueued", func() bool { return s.rec.Counter("serve.batch.tasks").Value() == int64(2*fam) })
+	release()
+	a, b := <-done, <-done
+	if a.err != nil || b.err != nil {
+		t.Fatalf("requests failed: %v, %v", a.err, b.err)
+	}
+	s.batch.close()
+
+	ref, err := solver.Sequential(solver.Params{Root: p.Root, Level: p.Level, Tol: p.Tol, Solver: p.Solver, Problem: pde.PaperProblem()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, out := range []*solver.Output{a.out, b.out} {
+		if digest(out.Combined.V) != digest(ref.Combined.V) || out.TotalFlops != ref.TotalFlops {
+			t.Fatalf("coalesced output: digest %x flops %d, sequential %x and %d", digest(out.Combined.V), out.TotalFlops, digest(ref.Combined.V), ref.TotalFlops)
+		}
+	}
+	for i := range a.out.Results {
+		ua, ub := a.out.Results[i].U, b.out.Results[i].U
+		if &ua[0] != &ub[0] || digest(ua) != digest(ref.Results[i].U) {
+			t.Fatalf("grid %v: the two requests must share one solution, the sequential program's", a.out.Results[i].Grid)
+		}
+	}
+	if got := s.rec.KindCount(obs.KSubsolveBegin); got != uint64(fam) {
+		t.Fatalf("%d subsolves, want %d", got, fam)
+	}
+	checkBatchLedger(t, s)
+	checkIdle(t, s)
+}
+
+// TestCoalesceKey: only the same question coalesces. Of four tasks pending
+// on one grid, the one whose tolerance differs from the first's by an ulp and
+// the one for another linear solver are solved for themselves; the exact
+// repeat rides.
+func TestCoalesceKey(t *testing.T) {
+	s, _ := testPool(Config{BatchWindow: time.Hour, Executors: 1})
+	sig := testSigs(1)[0]
+	other := signature{g: sig.g, lin: rosenbrock.GMRES}
+	outs := make([]chan subResult, 4)
+	for i, tk := range []*subTask{
+		testTask(sig, 0, nil),
+		ownTol(testTask(sig, 1, nil), 1),
+		testTask(other, 2, nil),
+		testTask(sig, 3, nil),
+	} {
+		outs[i] = make(chan subResult, 1)
+		tk.out = outs[i]
+		tk.reqID = int64(i + 1)
+		if err := s.batch.enqueue(tk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Start()
+	var rs [4]subResult
+	for i, out := range outs {
+		if rs[i] = recv(t, "task", out); rs[i].err != nil || rs[i].idx != i {
+			t.Fatalf("task %d answered idx %d err %v", i, rs[i].idx, rs[i].err)
+		}
+	}
+	drainPool(t, s)
+
+	if &rs[0].res.U[0] != &rs[3].res.U[0] {
+		t.Fatal("the exact repeat was solved for itself")
+	}
+	if &rs[0].res.U[0] == &rs[1].res.U[0] || &rs[0].res.U[0] == &rs[2].res.U[0] {
+		t.Fatal("a different tolerance or solver was handed the first task's answer")
+	}
+	if got, coalesced := s.rec.KindCount(obs.KSubsolveBegin), s.rec.Counter("serve.batch.coalesced").Value(); got != 3 || coalesced != 1 {
+		t.Fatalf("%d subsolves, %d coalesced, want 3 and 1", got, coalesced)
+	}
+	for _, e := range s.rec.Events() {
+		if e.Kind == obs.KBatchCoalesce && (e.Actor != sig.String() || e.A != 4 || e.B != 1) {
+			t.Fatalf("coalesce event %s rider %d leader %d, want %s 4 1", e.Actor, e.A, e.B, sig)
+		}
+	}
+	checkBatchLedger(t, s)
+	checkIdle(t, s)
+}
+
+// TestCoalescedLiveness: a flight is skipped only when nobody waits for it.
+// An abandoned leader with a live rider is solved once — the rider gets the
+// answer, the leader its own errBatchAbandoned; with every member gone
+// (abandoned, or past its deadline) nothing is solved, each gets its own
+// reason, and the flight is gone: the next identical task integrates afresh.
+func TestCoalescedLiveness(t *testing.T) {
+	var clock atomic.Int64 // injected time, ns after base
+	base := time.Now()
+	now := func() time.Time { return base.Add(time.Duration(clock.Load())) }
+	s, gate := testPool(Config{BatchWindow: time.Hour, Executors: 1, Now: now})
+	sigs := testSigs(2)
+	sig := sigs[0]
+	// pair enqueues a leader and, with the given deadline, its rider.
+	pair := func(deadline time.Time) (lead *subTask, outL, outR chan subResult) {
+		t.Helper()
+		outL, outR = make(chan subResult, 1), make(chan subResult, 1)
+		lead = testTask(sig, 0, outL)
+		rider := testTask(sig, 1, outR)
+		rider.deadline = deadline
+		for _, tk := range []*subTask{lead, rider} {
+			if err := s.batch.enqueue(tk); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return lead, outL, outR
+	}
+	begun := func() uint64 { return s.rec.KindCount(obs.KSubsolveBegin) }
+
+	lead, outL, outR := pair(time.Time{})
+	lead.abandoned.Store(true)
+	s.Start()
+	if r := recv(t, "live rider", outR); r.err != nil || r.idx != 1 || len(r.res.U) == 0 {
+		t.Fatalf("live rider of an abandoned leader: idx %d err %v", r.idx, r.err)
+	}
+	if r := recv(t, "abandoned leader", outL); r.err != errBatchAbandoned {
+		t.Fatalf("abandoned leader: err %v, want errBatchAbandoned", r.err)
+	}
+	if begun() != 1 {
+		t.Fatalf("%d subsolves, want 1", begun())
+	}
+
+	// Hold the executor in another signature's solve while the next pair gives up.
+	release := gate.arm()
+	defer release()
+	held := make(chan subResult, 1)
+	if err := s.batch.enqueue(testTask(sigs[1], 0, held)); err != nil {
+		t.Fatal(err)
+	}
+	entered(t, gate, 1)
+	lead, outL, outR = pair(now().Add(time.Millisecond))
+	lead.abandoned.Store(true)
+	clock.Add(int64(time.Second))
+	release()
+	if r := recv(t, "held task", held); r.err != nil {
+		t.Fatal(r.err)
+	}
+	if l, r := recv(t, "dead leader", outL), recv(t, "dead rider", outR); l.err != errBatchAbandoned || r.err != errBatchDeadline || r.idx != 1 {
+		t.Fatalf("dead flight: leader %v, rider %v (idx %d), want errBatchAbandoned and errBatchDeadline", l.err, r.err, r.idx)
+	}
+	if begun() != 2 {
+		t.Fatalf("%d subsolves, want 2: a flight nobody waits for must not be solved", begun())
+	}
+	waitFor(t, "the executor to come idle", func() bool {
+		s.batch.mu.Lock()
+		defer s.batch.mu.Unlock()
+		return len(s.batch.solving) == 0
+	})
+	checkIdle(t, s)
+
+	fresh := make(chan subResult, 1)
+	if err := s.batch.enqueue(testTask(sig, 0, fresh)); err != nil {
+		t.Fatal(err)
+	}
+	if r := recv(t, "next identical task", fresh); r.err != nil || begun() != 3 {
+		t.Fatalf("next identical task: err %v after %d subsolves, want a fresh third", r.err, begun())
+	}
+	drainPool(t, s)
+	if got := s.rec.Counter("serve.batch.coalesced").Value(); got != 2 {
+		t.Fatalf("serve.batch.coalesced = %d, want 2", got)
+	}
+	checkBatchLedger(t, s)
+	checkIdle(t, s)
+}
+
+// TestCoalescedPanicFansOut: a flight's failure is every member's. The one
+// subsolve of a leader and two riders panics (the hook of
+// TestBatchPanicBecomesTaskError): all three get the error, the entry it ran
+// on is dropped once, and the same question asked again is solved afresh.
+func TestCoalescedPanicFansOut(t *testing.T) {
+	s := NewServer(Config{BatchWindow: time.Hour, Executors: 1})
+	var boom atomic.Bool
+	initial := s.problem.Initial
+	s.problem.Initial = func(x, y float64) float64 {
+		if boom.CompareAndSwap(true, false) {
+			panic("injected subsolve panic")
+		}
+		return initial(x, y)
+	}
+	sig := testSigs(1)[0]
+	out := make(chan subResult, 3)
+	for i := 0; i < 3; i++ {
+		if err := s.batch.enqueue(testTask(sig, i, out)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	boom.Store(true)
+	s.Start()
+	seen := 0
+	for i := 0; i < 3; i++ {
+		r := recv(t, "member of the panicked flight", out)
+		if r.err == nil || !strings.Contains(r.err.Error(), "panicked") {
+			t.Fatalf("member %d: err %v, want the panic", r.idx, r.err)
+		}
+		seen |= 1 << r.idx
+	}
+	if seen != 0b111 {
+		t.Fatalf("members answered: %03b, want each under its own idx", seen)
+	}
+	if err := s.batch.enqueue(testTask(sig, 0, out)); err != nil {
+		t.Fatal(err)
+	}
+	if r := recv(t, "retry", out); r.err != nil {
+		t.Fatalf("retry after the panic: %v", r.err)
+	}
+	drainPool(t, s)
+	rec := s.rec
+	if drops, misses, entries := failedDrops(rec), rec.Counter("serve.cache.misses").Value(), rec.Gauge("serve.cache.entries").Value(); drops != 1 || misses != 2 || entries != 1 {
+		t.Fatalf("%d entries dropped as failed, %d misses, %d parked, want 1, 2 and 1", drops, misses, entries)
+	}
+	if got := rec.KindCount(obs.KSubsolveBegin); got != 2 {
+		t.Fatalf("%d subsolves, want 2: the panicked one and the retry", got)
+	}
+	checkBatchLedger(t, s)
+	checkIdle(t, s)
+}
+
+// TestCoalescedClose: riders of a flight still pending at close fail with
+// their leader, each with errBatcherClosed; a flight already taken is run to
+// the end and its rider answered with it.
+func TestCoalescedClose(t *testing.T) {
+	s, gate := testPool(Config{BatchWindow: time.Hour, Executors: 1})
+	s.Start()
+	sigs := testSigs(2)
+	release := gate.arm()
+	defer release()
+	running := make(chan subResult, 2)
+	if err := s.batch.enqueue(testTask(sigs[1], 0, running)); err != nil {
+		t.Fatal(err)
+	}
+	entered(t, gate, 1)
+	if err := s.batch.enqueue(testTask(sigs[1], 1, running)); err != nil {
+		t.Fatal(err)
+	}
+	pending := make(chan subResult, 3)
+	for i := 0; i < 3; i++ {
+		if err := s.batch.enqueue(testTask(sigs[0], i, pending)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.batch.close()
+	for i := 0; i < 3; i++ {
+		if r := recv(t, "member pending at close", pending); !errors.Is(r.err, errBatcherClosed) {
+			t.Fatalf("member %d pending at close: err %v, want errBatcherClosed", r.idx, r.err)
+		}
+	}
+	release()
+	await(t, "flight running at close", running, 2)
+	drainPool(t, s)
+	want := []flush{{sigs[1].String(), "idle", 1}, {sigs[0].String(), "close", 1}}
+	if got := flushes(s.rec); len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("flushes = %v, want %v: riders are no batch members", got, want)
+	}
+	checkBatchLedger(t, s)
+	checkIdle(t, s)
+}

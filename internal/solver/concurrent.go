@@ -34,6 +34,27 @@ type jobResult struct {
 	err error
 }
 
+// LargestFirst returns the order in which to start the subsolves of fam —
+// indices into it, the most expensive grid by the workmodel's cost first,
+// ties in family order — and the weights it sorted by. Whoever runs a family
+// on fewer cores than it has grids waits for its makespan: started first, the
+// critical-path grid runs from t=0, where the family order would start it
+// wherever the nested loop put it. The order is no part of the answer:
+// results are placed by index and combined in family order.
+func LargestFirst(fam []grid.Grid, tol float64) (order []int, weights []float64) {
+	model := workmodel.Paper()
+	weights = make([]float64, len(fam))
+	order = make([]int, len(fam))
+	for i, g := range fam {
+		weights[i] = model.GridWork(g, tol)
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		return weights[order[a]] > weights[order[b]]
+	})
+	return order, weights
+}
+
 // Concurrent runs the restructured application: the master performs all
 // the computation of the sequential version except the Subsolve work,
 // which it delegates to a pool of workers under the master/worker protocol
@@ -56,26 +77,13 @@ func Concurrent(p Params) (*Output, error) {
 	for i, g := range fam {
 		index[g] = i
 	}
-	// The workmodel weights drive both decisions below: jobs are submitted
-	// largest-grid-first so the critical-path grid starts at t=0 (the family
-	// order would start it wherever the nested loop put it), and — when no
-	// explicit CoresPerWorker is set — GOMAXPROCS is apportioned across the
-	// workers proportional to grid cost, so the finest grids get the most
-	// cores. Neither affects the output: results are recorded by grid and
-	// combined in family order, and kernels are deterministic at any team
-	// size.
-	model := workmodel.Paper()
-	weights := make([]float64, len(fam))
-	for i, g := range fam {
-		weights[i] = model.GridWork(g, p.Tol)
-	}
-	order := make([]int, len(fam))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return weights[order[a]] > weights[order[b]]
-	})
+	// The workmodel weights drive both decisions below: the submission order
+	// (LargestFirst) and — when no explicit CoresPerWorker is set — the split
+	// of GOMAXPROCS across the workers proportional to grid cost, so the
+	// finest grids get the most cores. Neither affects the output: results are
+	// recorded by grid and combined in family order, and kernels are
+	// deterministic at any team size.
+	order, weights := LargestFirst(fam, p.Tol)
 	var cores []int
 	if p.CoresPerWorker > 0 {
 		cores = make([]int, len(fam))

@@ -2,9 +2,13 @@ package solver
 
 import (
 	"runtime"
+	"slices"
+	"sort"
 	"testing"
 
+	"repro/internal/grid"
 	"repro/internal/pde"
+	"repro/internal/workmodel"
 )
 
 // TestConcurrentMatchesSequential is the reproduction of the paper's §6
@@ -89,5 +93,52 @@ func TestConcurrentUsesParallelism(t *testing.T) {
 func TestConcurrentValidatesParams(t *testing.T) {
 	if _, err := Concurrent(Params{Root: 0, Level: 1, Tol: 1e-3}); err == nil {
 		t.Fatal("invalid params accepted")
+	}
+}
+
+// TestLargestFirst holds the shared order helper to the sort Concurrent
+// carried inline before the serve batcher needed the same order: workmodel
+// weights, descending, ties in family order. Every family yields a
+// permutation that starts at the critical-path grid.
+func TestLargestFirst(t *testing.T) {
+	for _, tc := range []struct {
+		root, level int
+		tol         float64
+	}{
+		{1, 0, 1e-2}, {1, 1, 1e-2}, {2, 3, 1e-3}, {2, 3, 1e-4}, {3, 4, 1e-3}, {2, 7, 1e-3},
+	} {
+		fam := grid.Family(tc.root, tc.level)
+		model := workmodel.Paper()
+		wantW := make([]float64, len(fam))
+		for i, g := range fam {
+			wantW[i] = model.GridWork(g, tc.tol)
+		}
+		want := make([]int, len(fam))
+		for i := range want {
+			want[i] = i
+		}
+		sort.SliceStable(want, func(a, b int) bool {
+			return wantW[want[a]] > wantW[want[b]]
+		})
+
+		order, weights := LargestFirst(fam, tc.tol)
+		if !slices.Equal(order, want) || !slices.Equal(weights, wantW) {
+			t.Fatalf("root %d level %d tol %g: order %v weights %v, the inline sort gave %v and %v", tc.root, tc.level, tc.tol, order, weights, want, wantW)
+		}
+		seen := make([]bool, len(fam))
+		for k, i := range order {
+			if seen[i] {
+				t.Fatalf("root %d level %d: index %d twice in %v", tc.root, tc.level, i, order)
+			}
+			seen[i] = true
+			if k > 0 && weights[order[k-1]] < weights[i] {
+				t.Fatalf("root %d level %d: %v is not descending in %v", tc.root, tc.level, order, weights)
+			}
+		}
+	}
+	// The shape of serve-hot: the fine diagonal's most anisotropic grid leads,
+	// the coarse diagonal — which the family order starts with — comes last.
+	if order, _ := LargestFirst(grid.Family(2, 3), 1e-3); !slices.Equal(order, []int{6, 5, 3, 4, 2, 1, 0}) {
+		t.Fatalf("root 2 level 3: order %v", order)
 	}
 }
