@@ -73,8 +73,6 @@ func serveFlags(fs *flag.FlagSet) func() (serve.Config, error) {
 		boMax     = fs.Duration("backoff-max", core.DefaultBackoffMax, "delay ceiling of the retry backoff")
 		faults    = fs.String("faults", "", "worker fault injection spec, e.g. 'seed=42,panic=0.2,hang=0.1,corrupt=0.1'; every solve then runs its own worker pool instead of the batcher")
 
-		batchWin   = fs.Duration("batch-window", 2*time.Millisecond, "age at which a pending cross-request batch stops taking members; see SERVING.md")
-		batchSize  = fs.Int("batch-size", 8, "most tasks per batch")
 		batchTeam  = fs.Int("batch-team", 1, "size of the persistent team each executor owns")
 		cacheN     = fs.Int("cache-entries", 64, "solver-cache entry bound")
 		cacheBytes = fs.Int64("cache-bytes", 256<<20, "solver-cache approximate byte budget")
@@ -86,8 +84,7 @@ func serveFlags(fs *flag.FlagSet) func() (serve.Config, error) {
 			BreakerThreshold: *brkN, BreakerCooldown: *brkCool,
 			Attempts: *attempts, Retries: *retries, FailureBudget: *budget,
 			WorkerDeadline: *wdl, DefaultDeadline: *ddl, MaxLevel: *maxLevel,
-			BatchWindow: *batchWin, BatchSize: *batchSize, BatchTeam: *batchTeam,
-			CacheEntries: *cacheN, CacheBytes: *cacheBytes,
+			BatchTeam: *batchTeam, CacheEntries: *cacheN, CacheBytes: *cacheBytes,
 			Backoff: core.NewBackoff(*boSeed, *boBase, *boMax),
 		}
 		if *faults != "" {

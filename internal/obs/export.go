@@ -91,9 +91,7 @@ func (e Event) Message() string {
 		}
 		return "drain end: timeout with inflight jobs remaining"
 	case KBatchTask:
-		return fmt.Sprintf("batch %s: task of request %d enqueued (%d pending)", e.Actor, e.A, e.B)
-	case KBatchFlush:
-		return fmt.Sprintf("batch %s: flush %d tasks (%s) after %d us", e.Actor, e.A, e.Aux, e.B)
+		return fmt.Sprintf("batch %s: task of request %d enqueued (%d queued)", e.Actor, e.A, e.B)
 	case KBatchCoalesce:
 		return fmt.Sprintf("batch %s: task of request %d rides the flight of request %d", e.Actor, e.A, e.B)
 	case KCacheHit:

@@ -50,9 +50,8 @@ var EventDocs = []EventDoc{
 	{[]Kind{KServeComplete, KServeFail}, "`serve.Server`, exactly one per admitted request", "request ID, attempts (fail: failures)"},
 	{[]Kind{KBreakerTrip, KBreakerProbe, KBreakerClose}, "`serve` tenant circuit breaker (Aux is the tenant)", "trip: consecutive failures"},
 	{[]Kind{KDrainBegin, KDrainEnd}, "`serve.Server.Drain` on SIGTERM", "begin: queue depth; end: 1=clean, 0=timeout"},
-	{[]Kind{KBatchTask}, "`serve` batcher on a subsolve enqueue (Actor is the signature)", "request ID, pending-batch size"},
-	{[]Kind{KBatchFlush}, "`serve` batcher when a batch leaves the queue; Aux is why it stopped taking members: `idle` (a free executor took it while open), `size` (it held `BatchSize` tasks), `age` (an arrival found it older than `BatchWindow`), `close` (shutdown failed it unrun)", "batch size, oldest-member age (µs)"},
-	{[]Kind{KBatchCoalesce}, "`serve` batcher on a subsolve enqueue that found its flight — a task of the same signature and tolerance pending or being solved — and rides it instead of joining a batch (Actor is the signature)", "rider's request ID, leader's request ID"},
+	{[]Kind{KBatchTask}, "`serve` batcher on a subsolve enqueue that leads a flight and joins the queue (Actor is the signature)", "request ID, queue length"},
+	{[]Kind{KBatchCoalesce}, "`serve` batcher on a subsolve enqueue that found its flight — a task of the same signature and tolerance pending or being solved — and rides it instead of joining the queue (Actor is the signature)", "rider's request ID, leader's request ID"},
 	{[]Kind{KCacheHit, KCacheMiss}, "`serve` solver cache on checkout, once per flight (Actor is the signature)", "—"},
 	{[]Kind{KCacheEvict}, "`serve` solver cache keeping its entry/byte bounds, or (Aux `failed`) dropping the entry a failed subsolve ran on", "evicted entry bytes"},
 }
@@ -90,8 +89,7 @@ var MetricDocs = []MetricDoc{
 	{"serve.queue.wait.us", "histogram", "admission-to-execution wait per admitted request"},
 	{"serve.batch.tasks", "counter", "subsolve tasks entering the cross-request batcher, riders included"},
 	{"serve.batch.coalesced", "counter", "subsolve tasks that rode another request's identical subsolve instead of being solved"},
-	{"serve.batch.flushes", "counter", "batches taken by an executor, or failed unrun at close"},
-	{"serve.batch.size", "histogram", "subsolve tasks per flushed batch"},
+	{"serve.batch.size", "histogram", "Deprecated: never observed; it stays while benchmark/ names it"},
 	{"serve.batch.wait.us", "histogram", "enqueue-to-execution wait per batched subsolve: the time until any executor was free (a rider: enqueue to answer)"},
 	{"serve.cache.hits", "counter", "solver-cache checkouts that found a warm entry"},
 	{"serve.cache.misses", "counter", "solver-cache checkouts that built a fresh entry"},

@@ -158,16 +158,12 @@ const (
 	KDrainEnd
 
 	// KBatchTask marks one subsolve task entering the cross-request
-	// batcher; Actor is the problem signature, A the request ID, B the
-	// pending-batch size after the enqueue.
+	// batcher's queue; Actor is the problem signature, A the request ID, B
+	// the queue length after the enqueue.
 	KBatchTask
-	// KBatchFlush marks one batch leaving the batcher's queue; Actor is
-	// the problem signature, Aux the flush reason (idle, size, age,
-	// close), A the batch size, B the age of the oldest member in µs.
-	KBatchFlush
 	// KBatchCoalesce marks one subsolve task that joined a flight — a task of
 	// the same signature and tolerance already pending or being solved —
-	// instead of a batch: it is answered with that task's result. Actor is
+	// instead of the queue: it is answered with that task's result. Actor is
 	// the problem signature, A the rider's request ID, B the leader's.
 	KBatchCoalesce
 	// KCacheHit marks a solver-cache checkout that found a warm entry;
@@ -221,7 +217,6 @@ var kindNames = [...]string{
 	KDrainBegin:      "serve.drain.begin",
 	KDrainEnd:        "serve.drain.end",
 	KBatchTask:       "serve.batch.task",
-	KBatchFlush:      "serve.batch.flush",
 	KBatchCoalesce:   "serve.batch.coalesce",
 	KCacheHit:        "serve.cache.hit",
 	KCacheMiss:       "serve.cache.miss",
@@ -256,7 +251,7 @@ func (k Kind) source() string {
 	case KServeAccept, KServeShed, KServeRetry, KServeComplete, KServeFail,
 		KBreakerTrip, KBreakerProbe, KBreakerClose, KDrainBegin, KDrainEnd:
 		return "serve.go"
-	case KBatchTask, KBatchFlush, KBatchCoalesce:
+	case KBatchTask, KBatchCoalesce:
 		return "batch.go"
 	case KCacheHit, KCacheMiss, KCacheEvict:
 		return "cache.go"

@@ -19,12 +19,9 @@ import (
 	"repro/internal/solver"
 )
 
-// batchConfig is the test server setup of the batching tests: small batches.
+// batchConfig is the test server setup of the batching tests.
 func batchConfig() Config {
-	return Config{
-		QueueDepth: 32, Executors: 2, Attempts: 1,
-		BatchWindow: 2 * time.Millisecond, BatchSize: 4,
-	}
+	return Config{QueueDepth: 32, Executors: 2, Attempts: 1}
 }
 
 // TestBatchedBitIdentical is the cache-correctness oracle: solves through
@@ -94,7 +91,6 @@ func checkBatchLedger(t *testing.T, s *Server) {
 		name string
 		k    obs.Kind
 	}{
-		{"serve.batch.flushes", obs.KBatchFlush},
 		{"serve.batch.coalesced", obs.KBatchCoalesce},
 		{"serve.cache.hits", obs.KCacheHit},
 		{"serve.cache.misses", obs.KCacheMiss},
@@ -104,15 +100,10 @@ func checkBatchLedger(t *testing.T, s *Server) {
 			t.Fatalf("ledger: counter %s=%d vs %d %v events", p.name, c, e, p.k)
 		}
 	}
-	// Every task entered the batcher as a batch member or as a rider, and
-	// every member left it through some flush: flushed sizes sum to the
-	// member count once the batcher is closed.
-	tasks, members, riders := rec.Counter("serve.batch.tasks").Value(), rec.KindCount(obs.KBatchTask), rec.KindCount(obs.KBatchCoalesce)
-	if uint64(tasks) != members+riders {
-		t.Fatalf("ledger: counter serve.batch.tasks=%d vs %d %v + %d %v events", tasks, members, obs.KBatchTask, riders, obs.KBatchCoalesce)
-	}
-	if sum := rec.Histogram("serve.batch.size").Sum(); uint64(sum) != members {
-		t.Fatalf("ledger: flushed batch sizes sum to %d, %d tasks joined a batch", sum, members)
+	// Every task entered the batcher as a queued leader or as a rider.
+	tasks, leaders, riders := rec.Counter("serve.batch.tasks").Value(), rec.KindCount(obs.KBatchTask), rec.KindCount(obs.KBatchCoalesce)
+	if uint64(tasks) != leaders+riders {
+		t.Fatalf("ledger: counter serve.batch.tasks=%d vs %d %v + %d %v events", tasks, leaders, obs.KBatchTask, riders, obs.KBatchCoalesce)
 	}
 }
 
@@ -215,12 +206,14 @@ func testPool(cfg Config) (*Server, *solveGate) {
 	return s, gateProblem(s.problem)
 }
 
-// drainPool stops a testPool: the batcher closes, the executors are joined.
+// drainPool stops a testPool: the batcher closes, the executors are joined,
+// and nothing is left behind.
 func drainPool(t *testing.T, s *Server) {
 	t.Helper()
 	if !s.Drain(time.Minute) {
 		t.Fatal("drain timed out")
 	}
+	checkIdle(t, s)
 }
 
 // testTask is a deadline-free task of the given shape.
@@ -229,8 +222,7 @@ func testTask(sig signature, idx int, out chan<- subResult) *subTask {
 }
 
 // ownTol gives a task the n-th tolerance above 1e-2, so that tasks of one
-// signature a test builds to fill a batch are different questions and none
-// rides another's flight.
+// signature are different questions: two flights, neither rides the other's.
 func ownTol(tk *subTask, n int) *subTask {
 	tk.tol = math.Float64frombits(math.Float64bits(1e-2) + uint64(n))
 	return tk
@@ -245,23 +237,6 @@ func testSigs(n int) []signature {
 		}
 	}
 	return sigs[:n]
-}
-
-// flush is one serve.batch.flush event.
-type flush struct {
-	sig, reason string
-	size        int64
-}
-
-// flushes lists the recorder's batch flushes in order.
-func flushes(rec *obs.Recorder) []flush {
-	var fs []flush
-	for _, e := range rec.Events() {
-		if e.Kind == obs.KBatchFlush {
-			fs = append(fs, flush{e.Actor, e.Aux, e.A})
-		}
-	}
-	return fs
 }
 
 // subsolves maps each actor to the grids it solved, in order.
@@ -315,20 +290,67 @@ func sameAnswer(t *testing.T, what string, resp SolveResponse, ref *solver.Outpu
 }
 
 // TestBatchIdlePullNoTimer: an idle executor takes a lone task at once. The
-// window is an hour and the injected clock never moves, so a result can
-// only arrive if nothing on the path waits for time to pass.
+// injected clock never moves, so a result can only arrive if nothing on the
+// path waits for time to pass.
 func TestBatchIdlePullNoTimer(t *testing.T) {
 	frozen := time.Now()
-	s, _ := testPool(Config{BatchWindow: time.Hour, Executors: 1, Now: func() time.Time { return frozen }})
+	s, _ := testPool(Config{Executors: 1, Now: func() time.Time { return frozen }})
 	s.Start()
+	sig := testSigs(1)[0]
 	out := make(chan subResult, 1)
-	if err := s.batch.enqueue(testTask(testSigs(1)[0], 0, out)); err != nil {
+	if err := s.batch.enqueue(testTask(sig, 0, out)); err != nil {
 		t.Fatal(err)
 	}
 	await(t, "lone task", out, 1)
 	drainPool(t, s)
-	if got := flushes(s.rec); len(got) != 1 || got[0].reason != "idle" || got[0].size != 1 {
-		t.Fatalf("flushes = %v, want one idle flush of 1", got)
+	if got := subsolves(s.rec)["exec-0"]; !slices.Equal(got, []string{sig.g.String()}) {
+		t.Fatalf("exec-0 solved %v, want the lone task's grid %v once", got, sig.g)
+	}
+	checkBatchLedger(t, s)
+}
+
+// TestBatchQueueOrder: the queue is first in, first out. A family fanned out
+// by solveBatched — here on a pool whose only runner is the caller — is begun
+// as it was enqueued, largest grid first; and flights A, B and C, enqueued
+// while the lone executor is held inside another solve, are begun in that
+// order when it comes free.
+func TestBatchQueueOrder(t *testing.T) {
+	s, gate := testPool(Config{Executors: 1})
+	p := solver.Params{Root: 2, Level: 2, Tol: 1e-2, Problem: s.problem}
+	j := &job{id: 1, lin: rosenbrock.BiCGStab, deadline: time.Now().Add(time.Minute)}
+	if _, err := s.solveBatched("caller", nil, j, p); err != nil {
+		t.Fatal(err)
+	}
+	fam := grid.Family(p.Root, p.Level)
+	order, _ := solver.LargestFirst(fam, p.Tol)
+	var want []string
+	for _, i := range order {
+		want = append(want, fam[i].String())
+	}
+	if got := subsolves(s.rec)["caller"]; !slices.Equal(got, want) {
+		t.Fatalf("family begun as %v, want largest first: %v", got, want)
+	}
+
+	s.Start()
+	sigs := testSigs(4) // the last shares its grid with the first, under another solver
+	out := make(chan subResult, len(sigs))
+	release := gate.arm()
+	defer release()
+	want = nil
+	for n, sig := range []signature{sigs[3], sigs[1], sigs[2], sigs[0]} {
+		if err := s.batch.enqueue(testTask(sig, n, out)); err != nil {
+			t.Fatal(err)
+		}
+		if n == 0 {
+			entered(t, gate, 1) // the executor is held inside the first; the rest queue
+		}
+		want = append(want, sig.g.String())
+	}
+	release()
+	await(t, "held and queued tasks", out, len(sigs))
+	drainPool(t, s)
+	if got := subsolves(s.rec)["exec-0"]; !slices.Equal(got, want) {
+		t.Fatalf("flights begun as %v, want as enqueued: %v", got, want)
 	}
 	checkBatchLedger(t, s)
 }
@@ -440,132 +462,6 @@ func TestBatchPanicBecomesTaskError(t *testing.T) {
 	}
 	drainPool(t, s)
 	checkLedger(t, s)
-	checkBatchLedger(t, s)
-}
-
-// TestBatcherFlushReasons walks the batcher through its four flush
-// reasons. Batches form only while the lone executor is held inside a task:
-// same-signature arrivals join one batch that leaves when the executor
-// comes free (idle), BatchSize splits a longer run (size), an arrival that
-// finds its batch older than the window opens a new one (age), and close
-// fails what is still pending.
-func TestBatcherFlushReasons(t *testing.T) {
-	var clock atomic.Int64 // injected time, ns after base
-	base := time.Now()
-	now := func() time.Time { return base.Add(time.Duration(clock.Load())) }
-	s, gate := testPool(Config{BatchWindow: 10 * time.Millisecond, BatchSize: 4, Executors: 1, Now: now})
-	s.Start()
-	b := s.batch
-	sigs := testSigs(5)
-	out := make(chan subResult, 16)
-	tasks := 0 // each its own question: same-signature tasks must fill batches, not ride
-	enqueue := func(sig signature, n int) {
-		t.Helper()
-		for i := 0; i < n; i++ {
-			tasks++
-			if err := b.enqueue(ownTol(testTask(sig, 0, out), tasks)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	str := func(i int) string { return sigs[i].String() }
-
-	release := gate.arm()
-	enqueue(sigs[0], 1)
-	entered(t, gate, 1) // the executor is inside sigs[0]'s solve
-	enqueue(sigs[1], 3) // one batch of 3, still open
-	enqueue(sigs[2], 5) // a full batch of 4, then an open one
-	enqueue(sigs[3], 1)
-	clock.Add(int64(20 * time.Millisecond)) // sigs[3]'s batch outlives the window
-	enqueue(sigs[3], 1)
-	release()
-	await(t, "held and batched tasks", out, 11)
-
-	release = gate.arm()
-	enqueue(sigs[4], 1)
-	entered(t, gate, 1)
-	closing := make(chan subResult, 1)
-	if err := b.enqueue(ownTol(testTask(sigs[4], 0, closing), 0)); err != nil {
-		t.Fatal(err)
-	}
-	b.close() // the executor is mid-solve: only what is pending fails
-	if r := <-closing; r.err != errBatcherClosed {
-		t.Fatalf("task pending at close: err = %v, want errBatcherClosed", r.err)
-	}
-	release()
-	await(t, "task running at close", out, 1)
-	if err := b.enqueue(testTask(sigs[0], 0, out)); err != errBatcherClosed {
-		t.Fatalf("enqueue after close: err = %v, want errBatcherClosed", err)
-	}
-	drainPool(t, s)
-
-	want := []flush{
-		{str(0), "idle", 1},
-		{str(1), "idle", 3},
-		{str(2), "size", 4},
-		{str(2), "idle", 1},
-		{str(3), "age", 1},
-		{str(3), "idle", 1},
-		{str(4), "idle", 1},
-		{str(4), "close", 1},
-	}
-	got := flushes(s.rec)
-	if len(got) != len(want) {
-		t.Fatalf("flushes = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("flush %d = %v, want %v (all: %v)", i, got[i], want[i], got)
-		}
-	}
-	checkBatchLedger(t, s)
-}
-
-// TestBatchPullPrefersFreeSignature pins the pull rule with two executors.
-// Executor 0 is held inside a solve of signature A when a second A task and
-// then a B task arrive; executor 1, started only now, must pass over the
-// older A batch — A's cache entry is checked out, solving it again would
-// assemble the shape a second time — and take B. When executor 0 comes
-// free it takes the A batch itself and finds its entry warm: one cache
-// miss per distinct signature.
-func TestBatchPullPrefersFreeSignature(t *testing.T) {
-	s, gate := testPool(Config{BatchWindow: time.Hour, BatchSize: 1})
-	sigs := testSigs(2)
-	sigA, sigB := sigs[0], sigs[1]
-	out := make(chan subResult, 3)
-	tasks := 0 // each its own question: the second A task must queue, not ride the first
-	enqueue := func(sig signature) {
-		t.Helper()
-		tasks++
-		if err := s.batch.enqueue(ownTol(testTask(sig, 0, out), tasks)); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	s.execWG.Add(2)
-	go s.executor(0)
-	releaseA := gate.arm()
-	enqueue(sigA)
-	entered(t, gate, 1) // executor 0 holds A
-	enqueue(sigA)       // BatchSize 1: its own batch, the older of the two pending
-	enqueue(sigB)
-
-	releaseB := gate.arm()
-	go s.executor(1)
-	entered(t, gate, 1) // executor 1 is inside a solve; which one shows below
-	releaseA()          // executor 0 finishes A, parks its entry, takes the A batch
-	await(t, "both A tasks", out, 2)
-	releaseB()
-	await(t, "the B task", out, 1)
-	drainPool(t, s)
-
-	got := flushes(s.rec)
-	if len(got) != 3 || got[1].sig != sigB.String() || got[2].sig != sigA.String() {
-		t.Fatalf("flush order = %v, want A, B, A: the free signature first", got)
-	}
-	if misses := s.rec.Counter("serve.cache.misses").Value(); misses != 2 {
-		t.Fatalf("serve.cache.misses = %d, want 2, one per distinct signature", misses)
-	}
 	checkBatchLedger(t, s)
 }
 
@@ -755,43 +651,48 @@ func poolGoroutines() int {
 	return strings.Count(string(buf), "created by repro/internal/serve.(*")
 }
 
-// TestBatchWorkersIgnored: the deprecated BatchWorkers sizes nothing. One
-// worker or four, the server starts its executors and no goroutine more,
-// and answers the same.
+// TestBatchWorkersIgnored: the two deprecated fields size nothing. Whatever
+// BatchWorkers and BatchWindow say, the server starts its executors and no
+// goroutine more, runs one subsolve per grid, and answers the same.
 func TestBatchWorkersIgnored(t *testing.T) {
 	p := solver.Params{Root: 1, Level: 1, Tol: 1e-2, Problem: pde.PaperProblem()}
 	ref, err := solver.Sequential(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 4} {
-		before := poolGoroutines()
-		s, ts := newTestServer(t, Config{BatchWindow: time.Millisecond, Executors: 2, BatchWorkers: workers})
-		s.Start()
-		if got := poolGoroutines() - before; got != 2 {
-			t.Fatalf("BatchWorkers %d: %d goroutines started, want the 2 executors", workers, got)
+	for _, workers := range []int{0, 1, 8} {
+		for _, window := range []time.Duration{0, 1, time.Hour} {
+			before := poolGoroutines()
+			s, ts := newTestServer(t, Config{Executors: 2, BatchWorkers: workers, BatchWindow: window})
+			s.Start()
+			if got := poolGoroutines() - before; got != 2 {
+				t.Fatalf("BatchWorkers %d, BatchWindow %v: %d goroutines started, want the 2 executors", workers, window, got)
+			}
+			_, resp, _ := postSolve(t, ts.URL, SolveRequest{Root: p.Root, Level: p.Level, Tol: p.Tol}, nil)
+			sameAnswer(t, "request", resp, ref)
+			drainPool(t, s)
+			waitFor(t, "the executors to exit", func() bool { return poolGoroutines() == before })
+			if got := s.rec.KindCount(obs.KSubsolveBegin); got != uint64(len(ref.Results)) {
+				t.Fatalf("BatchWorkers %d, BatchWindow %v: %d subsolves, want %d", workers, window, got, len(ref.Results))
+			}
+			checkLedger(t, s)
+			checkBatchLedger(t, s)
 		}
-		_, resp, _ := postSolve(t, ts.URL, SolveRequest{Root: p.Root, Level: p.Level, Tol: p.Tol}, nil)
-		sameAnswer(t, "request", resp, ref)
-		drainPool(t, s)
-		waitFor(t, "the executors to exit", func() bool { return poolGoroutines() == before })
-		checkLedger(t, s)
-		checkBatchLedger(t, s)
 	}
 }
 
-// TestBatchNeverStrands is the regression test of the stranded batch: with
-// several runners a pending batch used to be left with nobody woken for it
+// TestBatchNeverStrands is the regression test of the stranded task: with
+// several runners a queued task used to be left with nobody woken for it
 // until its requests died on their deadlines. Closed-loop clients hammer
-// 1-4 executors with one-task batches of one hot and several mixed
-// signatures: every result must arrive, in time. Each odd client asks
-// questions of its own, so its tasks queue as batches; the even clients ask
-// two questions of the hot signature, two clients each, so that tasks also
-// ride — a rider strands exactly like a batch if its leader does.
+// 1-4 executors with tasks of one hot and several mixed signatures: every
+// result must arrive, in time. Each odd client asks questions of its own, so
+// its tasks queue; the even clients ask two questions of the hot signature,
+// two clients each, so that tasks also ride — a rider strands exactly like
+// its leader if that does.
 func TestBatchNeverStrands(t *testing.T) {
 	sigs := testSigs(6)
 	for executors := 1; executors <= 4; executors++ {
-		s, _ := testPool(Config{BatchWindow: time.Hour, BatchSize: 1, Executors: executors})
+		s, _ := testPool(Config{Executors: executors})
 		s.Start()
 
 		const clients, perClient = 8, 400
@@ -822,7 +723,7 @@ func TestBatchNeverStrands(t *testing.T) {
 						}
 						answered.Add(1)
 					case <-time.After(10 * time.Second):
-						errs <- errors.New("batch stranded: no executor ever ran it")
+						errs <- errors.New("task stranded: no executor ever ran it")
 						return
 					}
 				}
@@ -837,8 +738,7 @@ func TestBatchNeverStrands(t *testing.T) {
 		if got := s.rec.Counter("serve.batch.tasks").Value(); got != clients*perClient || answered.Load() != clients*perClient {
 			t.Errorf("%d executors: %d tasks accounted, %d answered, want %d", executors, got, answered.Load(), clients*perClient)
 		}
-		checkBatchLedger(t, s) // tasks == batch members + riders
-		checkIdle(t, s)
+		checkBatchLedger(t, s) // tasks == leaders + riders
 	}
 }
 
@@ -862,13 +762,13 @@ func TestBatchedDrain(t *testing.T) {
 }
 
 // checkIdle asserts that a batcher with nothing pending and nothing running
-// holds nothing: no flight listed, no signature marked as being solved.
+// holds nothing: no flight listed, none queued.
 func checkIdle(t *testing.T, s *Server) {
 	t.Helper()
 	b := s.batch
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if len(b.flights) != 0 || len(b.solving) != 0 || len(b.queue) != 0 || len(b.open) != 0 {
-		t.Fatalf("idle batcher holds %d flights, %d solving signatures, %d queued and %d open batches", len(b.flights), len(b.solving), len(b.queue), len(b.open))
+	if len(b.flights) != 0 || len(b.queue) != 0 {
+		t.Fatalf("idle batcher holds %d flights, %d of them queued", len(b.flights), len(b.queue))
 	}
 }

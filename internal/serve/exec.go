@@ -35,7 +35,7 @@ func (s *Server) Start() {
 }
 
 // executor pulls admitted jobs off the queue and runs them to a terminal
-// state; with no job it runs pending batches on the team it owns for life.
+// state; with no job it runs queued flights on the team it owns for life.
 // During a drain it sheds instead of running, racing the drain loop for the
 // same jobs — each job is dequeued exactly once, so shed exactly once.
 func (s *Server) executor(i int) {

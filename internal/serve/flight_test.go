@@ -291,12 +291,7 @@ func TestCoalescedLiveness(t *testing.T) {
 	if begun() != 2 {
 		t.Fatalf("%d subsolves, want 2: a flight nobody waits for must not be solved", begun())
 	}
-	waitFor(t, "the executor to come idle", func() bool {
-		s.batch.mu.Lock()
-		defer s.batch.mu.Unlock()
-		return len(s.batch.solving) == 0
-	})
-	checkIdle(t, s)
+	checkIdle(t, s) // each flight left the list before it was answered
 
 	fresh := make(chan subResult, 1)
 	if err := s.batch.enqueue(testTask(sig, 0, fresh)); err != nil {
@@ -367,7 +362,7 @@ func TestCoalescedPanicFansOut(t *testing.T) {
 
 // TestCoalescedClose: riders of a flight still pending at close fail with
 // their leader, each with errBatcherClosed; a flight already taken is run to
-// the end and its rider answered with it.
+// the end and its rider answered with it; nothing is enqueued afterwards.
 func TestCoalescedClose(t *testing.T) {
 	s, gate := testPool(Config{BatchWindow: time.Hour, Executors: 1})
 	s.Start()
@@ -396,11 +391,93 @@ func TestCoalescedClose(t *testing.T) {
 	}
 	release()
 	await(t, "flight running at close", running, 2)
-	drainPool(t, s)
-	want := []flush{{sigs[1].String(), "idle", 1}, {sigs[0].String(), "close", 1}}
-	if got := flushes(s.rec); len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("flushes = %v, want %v: riders are no batch members", got, want)
+	if err := s.batch.enqueue(testTask(sigs[0], 0, pending)); err != errBatcherClosed {
+		t.Fatalf("enqueue after close: err = %v, want errBatcherClosed", err)
 	}
+	drainPool(t, s)
+	if got := s.rec.KindCount(obs.KBatchTask); got != 2 {
+		t.Fatalf("%d tasks queued, want 2: riders are not queued", got)
+	}
+	checkBatchLedger(t, s)
+	checkIdle(t, s)
+}
+
+// TestTwoTolerancesTwoFlights covers the one traffic class that is no longer
+// handled as it was: the same shape pending at two tolerances at once. Two
+// requests, their families all enqueued while the first subsolve is held in
+// the gate, are two flights per signature on two runners — no task rides,
+// each answer is the sequential program's at its own tolerance, and the cache
+// ends up with at most two entries a signature, from which a third request
+// of either tolerance is served without a miss.
+func TestTwoTolerancesTwoFlights(t *testing.T) {
+	s, gate := testPool(Config{Executors: 2})
+	fam := grid.Family(2, 2)
+	tols := []float64{1e-2, 1e-3}
+	run := func(id int64, tol float64) (*solver.Output, error) {
+		j := &job{id: id, lin: rosenbrock.BiCGStab, deadline: time.Now().Add(time.Minute)}
+		return s.solveBatched("exec-"+string(rune('A'+id)), nil, j, solver.Params{Root: 2, Level: 2, Tol: tol, Problem: s.problem})
+	}
+	check := func(what string, tol float64, out *solver.Output) {
+		t.Helper()
+		ref, err := solver.Sequential(solver.Params{Root: 2, Level: 2, Tol: tol, Problem: pde.PaperProblem()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The same field to the bit is the same max|u|.
+		if len(out.Results) != len(ref.Results) || out.TotalFlops != ref.TotalFlops || digest(out.Combined.V) != digest(ref.Combined.V) {
+			t.Fatalf("%s at tol %g: %d grids, flops %d, digest %x; sequential %d, %d, %x", what, tol,
+				len(out.Results), out.TotalFlops, digest(out.Combined.V), len(ref.Results), ref.TotalFlops, digest(ref.Combined.V))
+		}
+	}
+
+	release := gate.arm()
+	defer release()
+	type reply struct {
+		out *solver.Output
+		err error
+	}
+	done := make([]chan reply, len(tols))
+	for i, tol := range tols {
+		done[i] = make(chan reply, 1)
+		go func() {
+			out, err := run(int64(i), tol)
+			done[i] <- reply{out, err}
+		}()
+	}
+	entered(t, gate, 1)
+	rec := s.rec
+	waitFor(t, "both families enqueued", func() bool { return rec.Counter("serve.batch.tasks").Value() == int64(2*len(fam)) })
+	release()
+	for i, tol := range tols {
+		r := <-done[i]
+		if r.err != nil {
+			t.Fatalf("request at tol %g: %v", tol, r.err)
+		}
+		check("request", tol, r.out)
+	}
+	if coalesced, begun := rec.Counter("serve.batch.coalesced").Value(), rec.KindCount(obs.KSubsolveBegin); coalesced != 0 || begun != uint64(2*len(fam)) {
+		t.Fatalf("%d tasks rode, %d subsolves, want 0 and %d: another tolerance is another question", coalesced, begun, 2*len(fam))
+	}
+	s.batch.cache.mu.Lock()
+	for sig, stack := range s.batch.cache.parked {
+		if len(stack) > 2 {
+			t.Errorf("%d entries parked for %v, want at most one per runner", len(stack), sig)
+		}
+	}
+	s.batch.cache.mu.Unlock()
+
+	misses := rec.Counter("serve.cache.misses").Value()
+	for i, tol := range tols {
+		out, err := run(int64(2+i), tol)
+		if err != nil {
+			t.Fatalf("third request at tol %g: %v", tol, err)
+		}
+		check("third request", tol, out)
+	}
+	if got := rec.Counter("serve.cache.misses").Value(); got != misses {
+		t.Fatalf("serve.cache.misses rose from %d to %d on requests whose every grid is parked", misses, got)
+	}
+	s.batch.close()
 	checkBatchLedger(t, s)
 	checkIdle(t, s)
 }

@@ -35,6 +35,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -122,15 +123,8 @@ type Config struct {
 	// for (400, before admission control).
 	MaxLevel int
 
-	// BatchWindow is the age beyond which a pending batch takes no new
-	// members (default 2 ms, the value benchmark/ runs). Same-shape subsolves
-	// that arrive while every executor is busy are grouped and run on the
-	// executors' persistent teams through the solver cache; nothing waits
-	// for the window to pass.
+	// Deprecated: BatchWindow is ignored; it stays while benchmark/ names it.
 	BatchWindow time.Duration
-	// BatchSize is the most tasks one batch holds; a full batch takes no
-	// new members and the next task opens another.
-	BatchSize int
 	// Deprecated: BatchWorkers is ignored; it stays while benchmark/ names it.
 	BatchWorkers int
 	// BatchTeam is the size of the linalg.Team each executor owns (default 1:
@@ -182,12 +176,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxLevel <= 0 {
 		c.MaxLevel = 6
 	}
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = 2 * time.Millisecond
-	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 8
-	}
 	if c.BatchTeam <= 0 {
 		c.BatchTeam = 1
 	}
@@ -225,7 +213,8 @@ type SolveRequest struct {
 	// "gmres", or "ilu".
 	Solver string `json:"solver,omitempty"`
 	// DeadlineMs is the request deadline in milliseconds; 0 takes the
-	// server's DefaultDeadline.
+	// server's DefaultDeadline; one that is negative or beyond a
+	// time.Duration is refused (400).
 	DeadlineMs int64 `json:"deadline_ms,omitempty"`
 }
 
@@ -336,7 +325,7 @@ func NewServer(cfg Config) *Server {
 		hWait:      rec.Histogram("serve.queue.wait.us"),
 	}
 	s.tenants = newTenants(cfg, s.now, rec)
-	s.batch = newBatcher(cfg, rec, newSolverCache(cfg, rec, s.problem), s.now)
+	s.batch = newBatcher(rec, newSolverCache(cfg, rec, s.problem), s.now)
 	return s
 }
 
@@ -380,6 +369,12 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		req.DeadlineMs = ms
+	}
+	// A negative deadline has passed on arrival, and one beyond a
+	// time.Duration would wrap to an arbitrary one.
+	if req.DeadlineMs < 0 || req.DeadlineMs > math.MaxInt64/int64(time.Millisecond) {
+		httpError(w, http.StatusBadRequest, fmt.Sprintf("deadline of %d ms out of range", req.DeadlineMs))
+		return
 	}
 	if req.Tol == 0 {
 		req.Tol = 1e-3

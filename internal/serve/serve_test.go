@@ -132,8 +132,7 @@ func checkLedger(t *testing.T, s *Server) {
 }
 
 func TestSolveEndToEnd(t *testing.T) {
-	// The zero Config (BatchWindow 0 included) is the production service:
-	// batcher and solver cache on.
+	// The zero Config is the production service: batcher and solver cache on.
 	s, ts := newTestServer(t, Config{})
 	s.Start()
 	defer s.Drain(time.Minute)
@@ -194,6 +193,11 @@ func TestRequestValidation(t *testing.T) {
 		{"bad solver", ts.URL, `{"root":1,"level":1,"solver":"cholesky"}`, nil, http.StatusBadRequest},
 		{"level beyond cap", ts.URL, `{"root":1,"level":4}`, nil, http.StatusBadRequest},
 		{"bad deadline header", ts.URL, `{"root":1,"level":1}`, map[string]string{"X-Deadline-Ms": "soon"}, http.StatusBadRequest},
+		// Past on arrival, and (MaxInt64/1e6 + 1 ms) beyond what a time.Duration holds.
+		{"negative deadline", ts.URL, `{"root":1,"level":1,"deadline_ms":-1}`, nil, http.StatusBadRequest},
+		{"negative deadline header", ts.URL, `{"root":1,"level":1}`, map[string]string{"X-Deadline-Ms": "-1"}, http.StatusBadRequest},
+		{"deadline wraps", ts.URL, `{"root":1,"level":1,"deadline_ms":9223372036855}`, nil, http.StatusBadRequest},
+		{"deadline header wraps", ts.URL, `{"root":1,"level":1}`, map[string]string{"X-Deadline-Ms": "9223372036855"}, http.StatusBadRequest},
 		// One 8191² grid: some 55 GB by entryBytes' own estimate.
 		{"oversized root", ts.URL, `{"root":13,"level":0}`, nil, http.StatusBadRequest},
 		{"root wraps the grid dimensions", ts.URL, `{"root":64,"level":0}`, nil, http.StatusBadRequest},
