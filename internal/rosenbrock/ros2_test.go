@@ -169,8 +169,33 @@ func TestInvalidArguments(t *testing.T) {
 	if _, err := Integrate(sys, linalg.Vector{1}, 1, 0, Config{Tol: 1e-6}); err == nil {
 		t.Error("t1 < t0 accepted")
 	}
-	if _, err := Integrate(sys, linalg.Vector{1}, 0, 1, Config{Tol: 0}); err == nil {
-		t.Error("zero tolerance accepted")
+	// A tolerance that is not a finite positive number must be refused by
+	// name before the first stage. `Tol <= 0` lets NaN and +Inf through: a
+	// NaN Tol makes the error norm, then the step size, NaN, and surfaces
+	// one or two steps in as a stage solve that "did not converge"; an
+	// infinite Tol or LinTol accepts any step or any iterate and returns an
+	// answer; a negative LinTol silently meant the default. MaxSteps bounds
+	// whatever a missing check lets run.
+	for _, c := range []struct {
+		name        string
+		tol, linTol float64
+	}{
+		{"zero Tol", 0, 0},
+		{"negative Tol", -1e-3, 0},
+		{"NaN Tol", math.NaN(), 0},
+		{"NaN Tol, explicit LinTol", math.NaN(), 1e-8}, // solves converge, the controller sees NaN
+		{"+Inf Tol", math.Inf(1), 0},
+		{"-Inf Tol", math.Inf(-1), 0},
+		{"NaN LinTol", 1e-3, math.NaN()},
+		{"+Inf LinTol", 1e-3, math.Inf(1)},
+		{"negative LinTol", 1e-3, -1e-8},
+	} {
+		st, err := Integrate(sys, linalg.Vector{1}, 0, 1, Config{Tol: c.tol, LinTol: c.linTol, MaxSteps: 20})
+		if err == nil {
+			t.Errorf("%s accepted", c.name)
+		} else if st.FEvals != 0 {
+			t.Errorf("%s: refused only after %d evaluations (%v), want before the first", c.name, st.FEvals, err)
+		}
 	}
 }
 
@@ -281,8 +306,8 @@ func TestGMRESSolverMatchesBiCGStab(t *testing.T) {
 }
 
 func TestLinearSolverString(t *testing.T) {
-	if BiCGStab.String() != "BiCGStab" || GMRES.String() != "GMRES" {
-		t.Fatalf("%v %v", BiCGStab, GMRES)
+	if BiCGStab.String() != "BiCGStab" || GMRES.String() != "GMRES" || ILU.String() != "ILU-BiCGStab" {
+		t.Fatalf("%v %v %v", BiCGStab, GMRES, ILU)
 	}
 }
 
