@@ -1,6 +1,9 @@
 package linalg
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // CSR is a sparse matrix in compressed sparse row format.
 type CSR struct {
@@ -41,12 +44,18 @@ func (b *Builder) Add(r, c int, v float64) {
 	b.entries = append(b.entries, entry{r, c, v})
 }
 
+// Grow makes room for n more Add calls, as strings.Builder.Grow does.
+func (b *Builder) Grow(n int) { b.entries = slices.Grow(b.entries, n) }
+
 // Build sorts, merges and converts the accumulated entries to CSR. The
 // sort is a two-pass LSD radix over (column, row) using counting buckets —
 // O(nnz + rows + cols) instead of a comparison sort — and stable, so
-// duplicate coordinates are summed in insertion order.
+// duplicate coordinates are summed in insertion order. Row-major input (a
+// stencil emitting each row's columns ascending) is left as it is.
 func (b *Builder) Build() *CSR {
-	b.entries = countingSort(b.entries, b.rows, b.cols)
+	if !rowMajor(b.entries) {
+		b.entries = countingSort(b.entries, b.rows, b.cols)
+	}
 	m := &CSR{Rows: b.rows, Cols: b.cols, RowPtr: make([]int, b.rows+1)}
 	nnz := 0
 	for i, e := range b.entries {
@@ -76,6 +85,16 @@ func (b *Builder) Build() *CSR {
 	}
 	m.runs = findRuns(m)
 	return m
+}
+
+// rowMajor reports whether entries are already ordered by (row, column).
+func rowMajor(es []entry) bool {
+	for i := 1; i < len(es); i++ {
+		if p, e := es[i-1], es[i]; e.r < p.r || e.r == p.r && e.c < p.c {
+			return false
+		}
+	}
+	return true
 }
 
 // countingSort orders entries by (row, column) with a stable two-pass

@@ -373,12 +373,13 @@ func BiCGStabILU(a *CSR, x, b Vector, tol float64, maxIter int, ops *Ops) (Solve
 }
 
 // BiCGStabILU is the workspace-pooled variant of the package-level
-// BiCGStabILU. The ILU(0) factorization is cached in ws keyed on (a, key):
-// passing the Rosenbrock shift gamma*tau as key makes repeated stage
-// solves at an unchanged step size reuse the factors outright, and a
-// changed step refactorizes in place with no allocation. A NaN key never
-// matches, forcing a refactorization. On factorization breakdown it falls
-// back to the Jacobi-preconditioned BiCGStab.
+// BiCGStabILU. The ILU(0) factorization is cached in ws keyed on (a, key)
+// (see ILUFor): a repeated key reuses the factors even after a's values
+// moved — the Rosenbrock integrator passes one key per refactorization, so
+// a nearby shift's factors precondition its exact stage matrix — and a new
+// key refactorizes in place with no allocation. A NaN key never matches,
+// forcing a refactorization. On factorization breakdown it falls back to
+// the Jacobi-preconditioned BiCGStab.
 //
 //vetsparse:allocfree
 func (ws *Workspace) BiCGStabILU(a *CSR, x, b Vector, tol float64, maxIter int, key float64, ops *Ops) (SolveStats, error) {

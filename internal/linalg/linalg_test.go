@@ -3,6 +3,8 @@ package linalg
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -78,6 +80,39 @@ func TestBuilderEmptyRows(t *testing.T) {
 		if y[i] != want[i] {
 			t.Fatalf("y = %v, want %v", y, want)
 		}
+	}
+}
+
+// TestBuildSortedMatchesShuffled checks Build's fast path: entries added in
+// row-major order, which skip the sort, must give the matrix the same
+// entries added in any order give — values, pattern and run table.
+func TestBuildSortedMatchesShuffled(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	const nx, n = 9, 63
+	var es []entry
+	for r := 0; r < n; r++ {
+		// The diagonal twice: two duplicates sum the same in either order.
+		for _, c := range []int{r - nx, r - 1, r, r, r + 1, r + nx} {
+			if c >= 0 && c < n {
+				es = append(es, entry{r, c, rng.NormFloat64()})
+			}
+		}
+	}
+	build := func(es []entry) *CSR {
+		b := NewBuilder(n, n)
+		b.Grow(len(es))
+		for _, e := range es {
+			b.Add(e.r, e.c, e.v)
+		}
+		return b.Build()
+	}
+	shuffled := slices.Clone(es)
+	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	if !rowMajor(es) || rowMajor(shuffled) {
+		t.Fatal("the two inputs do not take the two paths")
+	}
+	if got, want := build(es), build(shuffled); !reflect.DeepEqual(got, want) {
+		t.Fatalf("row-major input built %+v, shuffled %+v", got, want)
 	}
 }
 

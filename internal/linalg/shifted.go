@@ -111,8 +111,8 @@ func (o *ShiftedOperator) Invalidate() { o.valid = false }
 
 // Update sets M = I - s*A, rewriting only the value array in place, and
 // returns M. When s equals the previous shift the matrix is already
-// current and the call is free: the step-size controller frequently clamps
-// to the same h, and then nothing at all needs to move.
+// current and the call costs one compare; the Rosenbrock controller
+// repeated a step size in none of the benchmark's workloads.
 //
 // The per-entry arithmetic matches CSR.ShiftedScaled exactly, so the
 // resulting values are bit-identical to a from-scratch assembly.

@@ -19,8 +19,8 @@ type Workspace struct {
 	g, y   []float64
 	w, z   Vector
 
-	// Cached ILU(0) factorization, keyed on the matrix identity and the
-	// caller-supplied shift key (the Rosenbrock gamma*tau).
+	// Cached ILU(0) factorization, keyed on the matrix identity and a
+	// caller-supplied key (ILUFor).
 	ilu      *ILU0
 	iluSrc   *CSR
 	iluKey   float64
@@ -249,12 +249,13 @@ func (ws *Workspace) scaleInto(dst Vector, s float64, src Vector, ops *Ops) {
 }
 
 // ILUFor returns the ILU(0) factorization of a, reusing the cached factors
-// when both the matrix identity and the shift key match the previous call
-// — the Rosenbrock step-size controller frequently keeps tau, and then the
-// factorization is free. When the key changes but the matrix (and hence
-// its pattern) is the same, the factorization is redone in place with no
-// allocation. A factorization failure (zero pivot) is cached under the
-// same key so repeated stage solves do not retry it.
+// when both the matrix identity and the caller's key match the previous
+// call, even if a's values have moved since: the key says which factors
+// the caller wants (the Rosenbrock integrator keeps one across the steps
+// they serve). When the key changes but the matrix (and hence its pattern)
+// is the same, the factorization is redone in place with no allocation. A
+// factorization failure (zero pivot) is cached under the same key so
+// repeated stage solves do not retry it.
 func (ws *Workspace) ILUFor(a *CSR, key float64, ops *Ops) (*ILU0, error) {
 	if ws.iluValid && ws.iluSrc == a && ws.iluKey == key {
 		return ws.ilu, ws.iluErr

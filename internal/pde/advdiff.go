@@ -162,8 +162,9 @@ func NewDisc(g grid.Grid, p *Problem) *Disc {
 		panic("pde: grid has no interior points")
 	}
 	hx, hy := g.Hx(), g.Hy()
-	d := &Disc{G: g, P: p}
+	d := &Disc{G: g, P: p, links: make([]boundaryLink, 0, 2*(mx+my)), sources: make([]sourcePoint, 0, mx*my)}
 	b := linalg.NewBuilder(mx*my, mx*my)
+	b.Grow(5*mx*my - 2*mx - 2*my)
 
 	// Stencil coefficients. Upwind advection: for a1 > 0 the x-derivative
 	// uses (u_i - u_{i-1})/hx, contributing -a1/hx to the diagonal and
@@ -187,38 +188,38 @@ func NewDisc(g grid.Grid, p *Problem) *Disc {
 		diag += p.A2 / hy
 	}
 
-	idx := func(ix, iy int) int { return (iy-1)*mx + (ix - 1) } // interior index
+	wc, ec := dw+aw, dw+ae // west / east neighbour
+	sc, nc := dn+as, dn+an // south / north neighbour
 	for iy := 1; iy <= my; iy++ {
 		for ix := 1; ix <= mx; ix++ {
-			row := idx(ix, iy)
-			b.Add(row, row, diag)
+			row := (iy-1)*mx + (ix - 1) // interior index
 			d.sources = append(d.sources, sourcePoint{row: row, x: g.X(ix), y: g.Y(iy)})
-			// West neighbour (ix-1, iy).
-			wc := dw + aw
-			if ix-1 >= 1 {
-				b.Add(row, idx(ix-1, iy), wc)
-			} else if wc != 0 {
+			// The row's entries in ascending column order — south, west,
+			// diagonal, east, north — so Build finds them sorted.
+			if iy > 1 {
+				b.Add(row, row-mx, sc)
+			}
+			if ix > 1 {
+				b.Add(row, row-1, wc)
+			}
+			b.Add(row, row, diag)
+			if ix < mx {
+				b.Add(row, row+1, ec)
+			}
+			if iy < my {
+				b.Add(row, row+mx, nc)
+			}
+			// Neighbours on the boundary, in the order RHS sums them.
+			if ix == 1 && wc != 0 {
 				d.links = append(d.links, boundaryLink{row, g.X(ix - 1), g.Y(iy), wc})
 			}
-			// East neighbour (ix+1, iy).
-			ec := dw + ae
-			if ix+1 <= mx {
-				b.Add(row, idx(ix+1, iy), ec)
-			} else if ec != 0 {
+			if ix == mx && ec != 0 {
 				d.links = append(d.links, boundaryLink{row, g.X(ix + 1), g.Y(iy), ec})
 			}
-			// South neighbour (ix, iy-1).
-			sc := dn + as
-			if iy-1 >= 1 {
-				b.Add(row, idx(ix, iy-1), sc)
-			} else if sc != 0 {
+			if iy == 1 && sc != 0 {
 				d.links = append(d.links, boundaryLink{row, g.X(ix), g.Y(iy - 1), sc})
 			}
-			// North neighbour (ix, iy+1).
-			nc := dn + an
-			if iy+1 <= my {
-				b.Add(row, idx(ix, iy+1), nc)
-			} else if nc != 0 {
+			if iy == my && nc != 0 {
 				d.links = append(d.links, boundaryLink{row, g.X(ix), g.Y(iy + 1), nc})
 			}
 		}

@@ -163,6 +163,16 @@ func TestPaperProblemPulse(t *testing.T) {
 	}
 }
 
+// TestNewDiscAllocs bounds assembly's allocations on a 64 x 64 grid: every
+// array is sized once from the grid and the stencil's entries reach CSR
+// without a sort. Appending entry by entry and radix-sorting them took 55.
+func TestNewDiscAllocs(t *testing.T) {
+	g, p := grid.Grid{Root: 6}, PaperProblem()
+	if n := testing.AllocsPerRun(10, func() { NewDisc(g, p) }); n > 12 {
+		t.Fatalf("NewDisc on %dx%d made %v allocations, want <= 12", g.NX(), g.NY(), n)
+	}
+}
+
 func TestNoInteriorPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -1,17 +1,17 @@
 // Package rosenbrock implements the adaptive Rosenbrock time integrator
 // that the paper's subsolve routine spends its time in: the two-stage,
 // second-order, L-stable ROS2 scheme with an embedded first-order error
-// estimate driving the step-size controller, and Jacobi-preconditioned
-// BiCGStab for the stage systems (I - gamma*tau*J) k = rhs.
+// estimate driving the step-size controller, and a Krylov solver (Jacobi
+// BiCGStab by default; GMRES or ILU(0) BiCGStab) for the stage systems
+// (I - gamma*tau*J) k = rhs.
 //
 // The original application "built up again and again" its system matrix;
 // the port no longer does. The shifted stage operator keeps J's merged
 // sparsity pattern across the whole integration and a step-size change
-// rewrites only the value array in place (linalg.ShiftedOperator); when
-// the controller keeps the step, even that is skipped. All solver buffers
-// — the BiCGStab vectors, the GMRES Krylov basis, the ILU(0) factors —
-// live in a reusable Workspace, and the ILU factorization is keyed on the
-// step size so it is redone only when tau actually changes. In steady
+// rewrites only the value array in place (linalg.ShiftedOperator). All
+// solver buffers — the BiCGStab vectors, the GMRES Krylov basis, the
+// ILU(0) factors — live in a reusable Workspace, and the ILU factors are
+// refactored only once gamma*tau drifts past refreshShift. In steady
 // state one step allocates nothing. All work is accounted into a
 // linalg.Ops counter so the cluster work model can be calibrated against
 // real runs: an in-place update is counted as O(nnz) data movement, not as
@@ -76,10 +76,15 @@ const (
 	GMRES
 	// ILU uses BiCGStab preconditioned with an ILU(0) factorization of
 	// the stage matrix — much stronger than Jacobi on the anisotropic
-	// grids. The factorization is cached on the step size, so it is
-	// redone (in place) only when the controller changes tau.
+	// grids. The factorization is redone (in place) only when gamma*tau
+	// drifts past refreshShift.
 	ILU
 )
+
+// refreshShift is how far gamma*tau may drift from the shift the ILU(0)
+// factors were computed at before a step refactors them: CVODE's DGMAX
+// (Hindmarsh et al., ACM TOMS 31(3), 2005). M itself is always exact.
+const refreshShift = 0.3
 
 // linTolFactor is the default LinTol as a share of Tol. A step is accepted
 // with a local error up to Tol, so the residual the time stepping can use
@@ -113,6 +118,10 @@ type Workspace struct {
 	// op is the cached shifted operator I - s*J; rebuilt only when the
 	// integration targets a different Jacobian.
 	op *linalg.ShiftedOperator
+
+	// pcSerial numbers the ILU refreshes of every run on this workspace: the
+	// factor cache's key, never reused, so no run sees another's factors.
+	pcSerial float64
 
 	// Phase plans of the stepper's own vector work (stage-1 initial guess,
 	// stage-2 preparation, stage-2 right-hand side, the stage combination +
@@ -169,7 +178,7 @@ func growVec(v *linalg.Vector, n int) {
 
 // ensure sizes the stage vectors for n unknowns and binds the shifted
 // operator to jac (reusing the previous pattern when it is the same
-// matrix).
+// matrix), invalidated so that every integration writes and counts M afresh.
 func (w *Workspace) ensure(n int, jac *linalg.CSR) {
 	growVec(&w.f1, n)
 	growVec(&w.f2, n)
@@ -181,6 +190,7 @@ func (w *Workspace) ensure(n int, jac *linalg.CSR) {
 	if w.op == nil || w.op.A() != jac {
 		w.op = linalg.NewShiftedOperator(jac)
 	}
+	w.op.Invalidate()
 }
 
 // buildStepPhases (re)binds the stepper's phases to the stage vectors and
@@ -218,8 +228,8 @@ func (w *Workspace) buildStepPhases(u linalg.Vector, tol float64) {
 }
 
 // solve dispatches one stage system to the configured solver, pooling all
-// buffers in ws. key is the shift gamma*tau identifying the current stage
-// matrix for the ILU factorization cache.
+// buffers in ws. key names the ILU factors to precondition with: a key the
+// cache holds reuses them, a new one refactors from m.
 //
 //vetsparse:allocfree
 func (c Config) solve(ws *Workspace, m *linalg.CSR, x, b linalg.Vector, linTol, key float64, ops *linalg.Ops) (linalg.SolveStats, error) {
@@ -234,11 +244,12 @@ func (c Config) solve(ws *Workspace, m *linalg.CSR, x, b linalg.Vector, linTol, 
 
 // Stats reports the cost of an integration.
 type Stats struct {
-	Steps    int // accepted steps
-	Rejected int // rejected steps
-	FEvals   int
-	LinIters int // total iterations of the stage solves
-	Ops      linalg.Ops
+	Steps          int // accepted steps
+	Rejected       int // rejected steps
+	FEvals         int
+	LinIters       int // total iterations of the stage solves
+	Factorizations int // ILU(0) factorizations asked for; 0 for the Jacobi solvers
+	Ops            linalg.Ops
 }
 
 // ErrStepTooSmall is returned when the controller underflows HMin.
@@ -261,6 +272,7 @@ type Stepper struct {
 	h, hMin  float64
 	linTol   float64
 	maxSteps int
+	pcShift  float64 // gamma*tau the ILU factors were computed at; NaN before
 
 	ws *Workspace
 	st Stats
@@ -276,7 +288,7 @@ func NewStepper(sys System, u linalg.Vector, t0, t1 float64, cfg Config) (*Stepp
 	if t1 < t0 {
 		return nil, fmt.Errorf("rosenbrock: t1 %g < t0 %g", t1, t0)
 	}
-	s := &Stepper{sys: sys, cfg: cfg, u: u, t: t0, t1: t1}
+	s := &Stepper{sys: sys, cfg: cfg, u: u, t: t0, t1: t1, pcShift: math.NaN()}
 	if t1 == t0 {
 		return s, nil // already done; config is irrelevant, as before
 	}
@@ -344,15 +356,20 @@ func (s *Stepper) Step() error {
 	u := s.u
 	tau := math.Min(s.h, s.t1-s.t)
 	// M = I - gamma*tau*J: an in-place value rewrite of the cached
-	// pattern, skipped entirely when the controller kept the step.
-	key := Gamma * tau
-	m := ws.op.UpdateWith(tm, key, ops)
+	// pattern. The ILU factors follow only once the shift has drifted.
+	shift := Gamma * tau
+	m := ws.op.UpdateWith(tm, shift, ops)
+	if s.cfg.Solver == ILU && !(math.Abs(shift/s.pcShift-1) <= refreshShift) {
+		s.pcShift = shift
+		ws.pcSerial++
+		s.st.Factorizations++
+	}
 
 	// Stage 1: M k1 = F(t, u).
 	s.sys.F(s.t, u, ws.f1, ops)
 	s.st.FEvals++
 	tm.RunPhase(&ws.phGuess)
-	s1, err := s.cfg.solve(ws, m, ws.k1, ws.f1, s.linTol, key, ops)
+	s1, err := s.cfg.solve(ws, m, ws.k1, ws.f1, s.linTol, ws.pcSerial, ops)
 	s.st.LinIters += s1.Iterations
 	if err != nil {
 		return fmt.Errorf("rosenbrock: stage 1 at t=%g tau=%g: %w", s.t, tau, err)
@@ -366,7 +383,7 @@ func (s *Stepper) Step() error {
 	s.st.FEvals++
 	tm.RunPhase(&ws.phRhs2)
 	ops.Add(ws.phRhs2.Flops())
-	s2, err := s.cfg.solve(ws, m, ws.k2, ws.f2, s.linTol, key, ops)
+	s2, err := s.cfg.solve(ws, m, ws.k2, ws.f2, s.linTol, ws.pcSerial, ops)
 	s.st.LinIters += s2.Iterations
 	if err != nil {
 		return fmt.Errorf("rosenbrock: stage 2 at t=%g tau=%g: %w", s.t, tau, err)

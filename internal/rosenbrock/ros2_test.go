@@ -4,7 +4,9 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/grid"
 	"repro/internal/linalg"
+	"repro/internal/pde"
 )
 
 // scalarSystem is u' = lambda*u + g(t), with Jacobian [lambda].
@@ -302,6 +304,61 @@ func TestGMRESSolverMatchesBiCGStab(t *testing.T) {
 		if math.Abs(a[i]-b[i]) > 1e-7 {
 			t.Fatalf("solvers diverge at %d: %g vs %g", i, a[i], b[i])
 		}
+	}
+}
+
+// TestWarmWorkspaceHistoryIndependent: what a Workspace ran before must not
+// reach an integration's answer or its cost. The second run starts at a
+// shift the first run's last ILU factors were computed at — exactly, or
+// within refreshShift of it — where a factor cache that outlived its
+// integration would precondition with the previous run's factors, or skip
+// a factorization and its flops. It must be bit-identical to the same run
+// on a fresh Workspace.
+func TestWarmWorkspaceHistoryIndependent(t *testing.T) {
+	d := pde.NewDisc(grid.Grid{Root: 2, L1: 2, L2: 1}, pde.PaperProblem())
+	run := func(t *testing.T, ws *Workspace, h0, t1 float64) (linalg.Vector, Stats, float64) {
+		u := d.InitialInterior()
+		s, err := NewStepper(d, u, 0, t1, Config{Tol: 1e-3, Solver: ILU, H0: h0, Work: ws})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for !s.Done() {
+			if err := s.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return u, s.Stats(), s.pcShift
+	}
+	const h0, tEnd = 0.004, 0.5
+	for _, c := range []struct {
+		name   string
+		warmT1 float64 // the first run's end
+		within float64 // the second run's first shift over the first run's last factor shift
+	}{
+		{"same shift", h0, 1}, // one step: its factors are at Gamma*h0
+		{"within refreshShift", tEnd, 1 + refreshShift/2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ws := NewWorkspace()
+			_, st, last := run(t, ws, h0, c.warmT1)
+			h := h0
+			if c.within != 1 {
+				h = c.within * last / Gamma
+			}
+			if c.warmT1 == h0 && st.Factorizations != 1 {
+				t.Fatalf("the one-step warm-up factored %d times", st.Factorizations)
+			}
+			uWarm, stWarm, _ := run(t, ws, h, tEnd)
+			uCold, stCold, _ := run(t, NewWorkspace(), h, tEnd)
+			if stWarm != stCold {
+				t.Errorf("warm workspace: %+v; fresh: %+v", stWarm, stCold)
+			}
+			for i := range uCold {
+				if math.Float64bits(uWarm[i]) != math.Float64bits(uCold[i]) {
+					t.Fatalf("u[%d] = %v on the warm workspace, %v on a fresh one", i, uWarm[i], uCold[i])
+				}
+			}
+		})
 	}
 }
 

@@ -14,8 +14,8 @@ import (
 // it. The pair is the whole point: rosenbrock.Workspace keeps the shifted
 // operator and the ILU(0) factors keyed on the Jacobian *pointer*, so
 // reusing disc and workspace together means the next solve of the same
-// shape skips matrix assembly, level-set analysis, and — when the γτ key
-// matches — the numeric factorization itself.
+// shape skips matrix assembly and the ILU level-set analysis; each
+// integration redoes the numeric factorization in place.
 //
 // Entries are checked out exclusively: take removes the entry from the
 // cache, exactly one executor uses it, put parks it again. A Disc is

@@ -9,10 +9,10 @@ import (
 // grid (root and refinement levels fix the dimensions and with them the
 // Jacobian's sparsity pattern) and the inner linear solver (which fixes
 // the workspace layout — Krylov basis vs. BiCGStab vectors vs. ILU
-// factors). Tolerance is deliberately excluded: the γτ shift key inside
-// linalg.Workspace.ILUFor already triggers an in-place refactorization
-// whenever the integrator's step size differs, so entries are shareable
-// across tolerances without affecting results.
+// factors). Tolerance is deliberately excluded: every integration factors
+// its ILU preconditioner afresh, in place, at its own first step (and
+// rewrites its stage matrix), so entries are shareable across tolerances
+// without affecting results.
 type signature struct {
 	g   grid.Grid
 	lin rosenbrock.LinearSolver

@@ -94,6 +94,31 @@ func TestInnerToleranceRule(t *testing.T) {
 	}
 }
 
+// TestPreconditionerRefreshRule pins the rule that keeps ILU(0) factors
+// across steps until gamma*tau drifts more than 30 % from the shift they were
+// computed at: on family-wide's -short shape, a quarter of the step
+// attempts is a generous bound on the factorizations (the rule reads about
+// one in eight at Tol 1e-3), where a refactorization at every new step size
+// asks for one per attempt. That the lagging preconditioner leaves the
+// answer alone is TestInnerToleranceRule's ILU rows: they compare with the
+// over-solved reference, whose 1e-8 residual no preconditioner moves.
+func TestPreconditionerRefreshRule(t *testing.T) {
+	for _, tol := range []float64{1e-3, 1e-4} {
+		out, err := Sequential(Params{Root: 4, Level: 2, Tol: tol, Solver: rosenbrock.ILU, CoresPerWorker: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var facts, attempts int
+		for _, r := range out.Results {
+			facts += r.Stats.Factorizations
+			attempts += r.Stats.Steps + r.Stats.Rejected
+		}
+		if facts == 0 || facts > attempts/4 {
+			t.Errorf("Tol %g: %d ILU factorizations for %d step attempts, want 1 … %d", tol, facts, attempts, attempts/4)
+		}
+	}
+}
+
 // sameTo reports whether a and b agree to rel of b.
 func sameTo(a, b, rel float64) bool { return math.Abs(a-b) <= rel*b }
 
