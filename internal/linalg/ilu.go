@@ -7,10 +7,10 @@ import (
 )
 
 // ILU0 is an incomplete LU factorization with zero fill-in: L and U share
-// A's sparsity pattern exactly. It is the classic stronger alternative to
-// Jacobi preconditioning for advection-diffusion operators — the
-// anisotropic end grids of the sparse-grid family condition badly under
-// Jacobi, which is where ILU(0) pays off.
+// A's sparsity pattern exactly. Where the line factor solves the couplings
+// of one direction exactly and drops the other's, ILU(0) keeps both
+// directions approximately: the classic general-purpose preconditioner for
+// advection-diffusion operators.
 //
 // The factor is stored in the order the triangular solves visit it, not in
 // row order: val[:lptr[n]] holds L's strict lower rows (unit diagonal
@@ -47,7 +47,9 @@ type ILU0 struct {
 
 // NewILU0 computes the ILU(0) factorization of a square CSR matrix. It
 // fails if a zero pivot appears (the factorization exists for M-matrices
-// and diagonally dominant operators; arbitrary matrices may break down).
+// and diagonally dominant operators; arbitrary matrices may break down);
+// the factor object then comes back with the error, its values unusable
+// until a Refactor succeeds. A structural failure returns no object.
 func NewILU0(a *CSR, ops *Ops) (*ILU0, error) {
 	if a.Rows != a.Cols {
 		return nil, errors.New("linalg: ILU0 needs a square matrix")
@@ -65,10 +67,7 @@ func NewILU0(a *CSR, ops *Ops) (*ILU0, error) {
 	for i := range f.colPos {
 		f.colPos[i] = -1
 	}
-	if err := f.Refactor(a, ops); err != nil {
-		return nil, err
-	}
-	return f, nil
+	return f, f.Refactor(a, ops)
 }
 
 // buildLevels computes the forward and backward dependency level sets of
@@ -365,7 +364,7 @@ func (f *ILU0) backwardRows(x Vector, p0, p1 int) {
 
 // BiCGStabILU solves A x = b with BiCGStab preconditioned by an ILU(0)
 // factorization of A (computed internally). On operators where ILU(0)
-// breaks down it falls back to the Jacobi-preconditioned BiCGStab. It
+// breaks down it falls back to the line-preconditioned BiCGStab. It
 // allocates fresh factors and workspace; hot loops should hold a Workspace
 // and call its BiCGStabILU method, which caches the factorization.
 func BiCGStabILU(a *CSR, x, b Vector, tol float64, maxIter int, ops *Ops) (SolveStats, error) {
@@ -379,7 +378,7 @@ func BiCGStabILU(a *CSR, x, b Vector, tol float64, maxIter int, ops *Ops) (Solve
 // a nearby shift's factors precondition its exact stage matrix — and a new
 // key refactorizes in place with no allocation. A NaN key never matches,
 // forcing a refactorization. On factorization breakdown it falls back to
-// the Jacobi-preconditioned BiCGStab.
+// the line-preconditioned BiCGStab.
 //
 //vetsparse:allocfree
 func (ws *Workspace) BiCGStabILU(a *CSR, x, b Vector, tol float64, maxIter int, key float64, ops *Ops) (SolveStats, error) {

@@ -103,17 +103,19 @@ func TestBiCGStabILUSolves(t *testing.T) {
 	}
 }
 
-func TestILUBeatsJacobiOnAnisotropicOperator(t *testing.T) {
-	// The anisotropic end grids of the sparse-grid family (e.g. 128 x 4
-	// cells) are where Jacobi struggles; ILU(0) must cut the iteration
-	// count substantially.
+// TestAnisotropicOperatorBothPreconditioners: on an anisotropic end grid of
+// a sparse-grid family (128 x 4 cells), where BiCGStab with a Jacobi
+// diagonal needs 147 iterations, the line factor and ILU(0) each take the
+// strong direction and finish in a few (6 and 5), and they agree on the
+// solution.
+func TestAnisotropicOperatorBothPreconditioners(t *testing.T) {
 	a := advDiff2D(127, 3, 0.5)
 	n := a.Rows
 	rhs := NewVector(n)
 	rhs.Fill(1)
 
-	xJ := NewVector(n)
-	stJ, err := BiCGStab(a, xJ, rhs, 1e-10, 10000, nil)
+	xL := NewVector(n)
+	stL, err := BiCGStab(a, xL, rhs, 1e-10, 10000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,15 +124,15 @@ func TestILUBeatsJacobiOnAnisotropicOperator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stI.Iterations*2 > stJ.Iterations {
-		t.Fatalf("ILU took %d iterations vs Jacobi %d; expected at least 2x fewer",
-			stI.Iterations, stJ.Iterations)
+	if stL.Iterations > 10 || stI.Iterations > 10 {
+		t.Fatalf("line factor took %d iterations, ILU %d; want at most 10 each", stL.Iterations, stI.Iterations)
 	}
 	for i := range xI {
-		if !almost(xI[i], xJ[i], 1e-6*(1+math.Abs(xJ[i]))) {
-			t.Fatalf("solutions disagree at %d: %g vs %g", i, xI[i], xJ[i])
+		if !almost(xI[i], xL[i], 1e-6*(1+math.Abs(xL[i]))) {
+			t.Fatalf("solutions disagree at %d: %g vs %g", i, xI[i], xL[i])
 		}
 	}
+	t.Logf("line factor %d iterations, ILU %d", stL.Iterations, stI.Iterations)
 }
 
 func TestBiCGStabILUZeroRHS(t *testing.T) {

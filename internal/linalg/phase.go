@@ -17,7 +17,6 @@ type phaseOp uint8
 const (
 	phBarrier phaseOp = iota
 	phCopy
-	phMulElem
 	phMulElemAt
 	phMulElemAdd
 	phSub
@@ -132,7 +131,7 @@ func (p *Phase) checkSlot(slot int) int {
 	if slot != 0 && slot != 1 {
 		panic(fmt.Sprintf("linalg: phase reduction slot %d out of range", slot))
 	}
-	p.part[slot] = growF(p.part[slot], p.nch)
+	p.part[slot] = grow(p.part[slot], p.nch)
 	return slot
 }
 
@@ -147,12 +146,6 @@ func (p *Phase) Barrier() {
 // Copy appends dst = src.
 func (p *Phase) Copy(dst, src Vector) {
 	p.steps = append(p.steps, phaseStep{op: phCopy, dst: p.check(dst), x: p.check(src)})
-}
-
-// MulElem appends dst = d .* x.
-func (p *Phase) MulElem(dst, d, x Vector) {
-	p.steps = append(p.steps, phaseStep{op: phMulElem, dst: p.check(dst), x: p.check(d), y: p.check(x)})
-	p.flops += int64(p.n)
 }
 
 // MulElemAt appends dst = d .* basis[*k]: the Arnoldi preconditioner
@@ -217,29 +210,17 @@ func (p *Phase) mulVecDot(m *CSR, y, x, u0, u1 Vector) {
 	p.steps = append(p.steps, st)
 }
 
-// dirStep appends the BiCGStab direction step pv = r + beta*(pv - omega*v)
-// and, given a Jacobi diagonal d, ph = d .* pv in the same sweep. With a
-// nil d the triangular solves precondition pv and ph is left alone.
-func (p *Phase) dirStep(pv, r, v Vector, beta, omega *float64, d, ph Vector) {
-	st := phaseStep{op: phDir, dst: p.check(pv), x: p.check(r), y: p.check(v), a: beta, b: omega}
+// dirStep appends the BiCGStab direction step pv = r + beta*(pv - omega*v).
+func (p *Phase) dirStep(pv, r, v Vector, beta, omega *float64) {
+	p.steps = append(p.steps, phaseStep{op: phDir, dst: p.check(pv), x: p.check(r), y: p.check(v), a: beta, b: omega})
 	p.flops += 4 * int64(p.n)
-	if d != nil {
-		st.ex[0], st.ex[1] = p.check(d), p.check(ph)
-		p.flops += int64(p.n)
-	}
-	p.steps = append(p.steps, st)
 }
 
-// sStep appends s = r + a*v fused with <s, s> into slot 0 and, given a
-// Jacobi diagonal d, sh = d .* s (s may alias r or v). The n products with
-// d are charged by the phase that consumes sh, not here.
-func (p *Phase) sStep(s, r Vector, a *float64, v, d, sh Vector) {
-	st := phaseStep{op: phSStep, dst: p.check(s), x: p.check(r), y: p.check(v), a: a}
-	if d != nil {
-		st.ex[0], st.ex[1] = p.check(d), p.check(sh)
-	}
+// sStep appends s = r + a*v fused with <s, s> into slot 0 (s may alias r
+// or v).
+func (p *Phase) sStep(s, r Vector, a *float64, v Vector) {
 	p.checkSlot(0)
-	p.steps = append(p.steps, st)
+	p.steps = append(p.steps, phaseStep{op: phSStep, dst: p.check(s), x: p.check(r), y: p.check(v), a: a})
 	p.flops += 4 * int64(p.n)
 }
 
@@ -324,8 +305,6 @@ func (p *Phase) exec(t *Team, w, lo, hi int) {
 			}
 		case phCopy:
 			copy(st.dst[lo:hi], st.x[lo:hi])
-		case phMulElem:
-			mulElemRange(st.dst, st.x, st.y, lo, hi)
 		case phMulElemAt:
 			mulElemRange(st.dst, st.x, st.basis[*st.k], lo, hi)
 		case phMulElemAdd:
@@ -347,9 +326,9 @@ func (p *Phase) exec(t *Team, w, lo, hi int) {
 		case phMGS:
 			p.mgs(t, st, w, lo, hi)
 		case phDir:
-			dirRange(st.dst, st.x, st.y, *st.a, *st.b, st.ex[0], st.ex[1], lo, hi)
+			dirRange(st.dst, st.x, st.y, *st.a, *st.b, lo, hi)
 		case phSStep:
-			sStepChunks(p.part[0], st.dst, st.x, *st.a, st.y, st.ex[0], st.ex[1], lo, hi)
+			sStepChunks(p.part[0], st.dst, st.x, *st.a, st.y, lo, hi)
 		case phXR:
 			xrChunks(p.part[0], p.part[1], st.dst, *st.a, st.x, *st.b, st.y, st.ex[0], st.ex[1], st.ex[2], st.ex[3], lo, hi)
 		}
@@ -370,27 +349,17 @@ func (p *Phase) exec(t *Team, w, lo, hi int) {
 
 //go:noinline
 //vetsparse:allocfree
-func dirRange(pv, r, v Vector, beta, omega float64, d, ph Vector, lo, hi int) {
+func dirRange(pv, r, v Vector, beta, omega float64, lo, hi int) {
 	pv = pv[lo:hi]
 	r, v = r[lo:hi][:len(pv)], v[lo:hi][:len(pv)]
-	if d == nil {
-		for i := range pv {
-			pv[i] = r[i] + beta*(pv[i]-omega*v[i])
-		}
-		return
-	}
-	d, ph = d[lo:hi][:len(pv)], ph[lo:hi][:len(pv)]
 	i := 0
 	for ; i+4 <= len(pv); i += 4 {
-		p, r, v, d, h := pv[i:i+4:i+4], r[i:i+4:i+4], v[i:i+4:i+4], d[i:i+4:i+4], ph[i:i+4:i+4]
-		e0, e1 := r[0]+beta*(p[0]-omega*v[0]), r[1]+beta*(p[1]-omega*v[1])
-		e2, e3 := r[2]+beta*(p[2]-omega*v[2]), r[3]+beta*(p[3]-omega*v[3])
-		p[0], p[1], p[2], p[3] = e0, e1, e2, e3
-		h[0], h[1], h[2], h[3] = d[0]*e0, d[1]*e1, d[2]*e2, d[3]*e3
+		p, r, v := pv[i:i+4:i+4], r[i:i+4:i+4], v[i:i+4:i+4]
+		p[0], p[1] = r[0]+beta*(p[0]-omega*v[0]), r[1]+beta*(p[1]-omega*v[1])
+		p[2], p[3] = r[2]+beta*(p[2]-omega*v[2]), r[3]+beta*(p[3]-omega*v[3])
 	}
 	for ; i < len(pv); i++ {
-		e := r[i] + beta*(pv[i]-omega*v[i])
-		pv[i], ph[i] = e, d[i]*e
+		pv[i] = r[i] + beta*(pv[i]-omega*v[i])
 	}
 }
 
@@ -478,25 +447,16 @@ func scaleToRange(dst Vector, a float64, x Vector, lo, hi int) {
 
 //go:noinline
 //vetsparse:allocfree
-func sStepChunks(partial []float64, sv, rv Vector, a float64, vv, dv, shv Vector, lo, hi int) {
+func sStepChunks(partial []float64, sv, rv Vector, a float64, vv Vector, lo, hi int) {
 	for ; lo < hi; lo += redChunk {
 		end := min(lo+redChunk, hi)
 		s := sv[lo:end]
 		r, v := rv[lo:end][:len(s)], vv[lo:end][:len(s)]
 		p := 0.0
-		if dv == nil {
-			for i := range s {
-				e := r[i] + a*v[i]
-				s[i] = e
-				p += e * e
-			}
-		} else {
-			d, sh := dv[lo:end][:len(s)], shv[lo:end][:len(s)]
-			for i := range s {
-				e := r[i] + a*v[i]
-				s[i], sh[i] = e, d[i]*e
-				p += e * e
-			}
+		for i := range s {
+			e := r[i] + a*v[i]
+			s[i] = e
+			p += e * e
 		}
 		partial[lo/redChunk] = p
 	}

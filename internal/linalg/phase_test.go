@@ -27,6 +27,34 @@ func tridiagOperator(n int) *CSR {
 	return b.Build()
 }
 
+// fivePointOperator builds a diagonally dominant nonsymmetric five-point
+// operator of arbitrary dimension n: unknowns numbered row by row in grid
+// lines of 32, the last line ragged where 32 does not divide n. The x
+// couplings (±1, within a line) outweigh the y couplings (±32), so the line
+// factor solves along x — in the interleaved order where n is a multiple of
+// 32, in row order elsewhere — and leaves BiCGStab the y couplings to
+// iterate on.
+func fivePointOperator(n int) *CSR {
+	const nx = 32
+	b := NewBuilder(n, n)
+	for r := 0; r < n; r++ {
+		if r >= nx {
+			b.Add(r, r-nx, -0.9)
+		}
+		if r%nx > 0 {
+			b.Add(r, r-1, -1.3)
+		}
+		b.Add(r, r, 4)
+		if r%nx < nx-1 && r+1 < n {
+			b.Add(r, r+1, -0.7)
+		}
+		if r+nx < n {
+			b.Add(r, r+nx, -0.6)
+		}
+	}
+	return b.Build()
+}
+
 // phaseTestSizes are the system dimensions the golden-digest tests sweep:
 // one below, at and above a chunk boundary, a length several chunks in with
 // a ragged tail, and the kernel-suite staple 5000.
@@ -65,19 +93,23 @@ type golden struct {
 	sha      string
 }
 
-// The digests below were recorded at the last commit that still had the
-// separate serial solver loops (the unfused, no-team iteration bodies this
-// package used to carry beside the phase programs), from the no-team run of
-// tridiagOperator(n) against randVec(seed 23) in phaseTestSizes order. They
-// are the reference those loops used to be: the one interpreter must keep
-// reproducing them on every range split.
+// The GMRES and ILU digests were recorded at the last commit that still had
+// the separate serial solver loops (the unfused, no-team iteration bodies
+// this package used to carry beside the phase programs), from the no-team
+// run of tridiagOperator(n) against randVec(seed 23) in phaseTestSizes
+// order. They are the reference those loops used to be: the one interpreter
+// must keep reproducing them on every range split. The BiCGStab digests are
+// of fivePointOperator(n), recorded from the no-team run when the line
+// factor replaced the Jacobi diagonal: on the tridiagonal the line factor
+// is exact, BiCGStab converges in one iteration, and a golden that never
+// iterates pins no iteration body. They pin the preconditioner with it.
 var (
 	goldenBiCGStab = []golden{
-		{1023, 13, 0x3da506cd615e5128, 496051, "293dd880d1020679da24ba1af236cf296d3b0721279810381a81c9146df4f9d6"},
-		{1024, 12, 0x3dd818fe2224bc0b, 457632, "22beade6f40920c5040b0d07c07607f9e7d761cd149284f00e6bc7a242d45afe"},
-		{1025, 12, 0x3dc2a8a69e237142, 475500, "ce33dd36ac2c1dd2413a83d742d267e48eeee4fa8907baad6ebf622282873693"},
-		{3089, 13, 0x3dc9ea74b5f4a4f0, 1550570, "748cc898596acbafb1c747d3c200a65e6fdb35a738ac2dbde297e91d65628738"},
-		{5000, 13, 0x3dc9d93bc111e640, 2424896, "c41836a3e6c759fe60c43cf36e51bed51796030c5e4fa6982a207d7c962b4edf"},
+		{1023, 18, 0x3dda50e0c4860a30, 1000229, "5ab8f6a79f976ecf59972a2812a7df8abcdefcb9590de38c9ee8158915597d23"},
+		{1024, 19, 0x3dbcdcc3e9609133, 1056000, "bba025851d042b97befc5fc961d782fcdc2561ed36372eccde862fd186e2ff58"},
+		{1025, 18, 0x3dd6a20c5da8f901, 1002055, "f88296b5e9325bd38dd665a2c80e4ca931c28da0777165e5888e172feb78dfbb"},
+		{3089, 20, 0x3dd3d95237139b5c, 3284590, "363edaa9093f49362e52b4b7e0aecdf452efcb9cc28ee6fab88c0273fc75cf86"},
+		{5000, 19, 0x3dd8768b24051295, 5051272, "db3d4ef3057092c63fb957e0acbe9417517bcdf5259813e3209260a37729a527"},
 	}
 	goldenGMRES = []golden{
 		{1023, 22, 0x3dd21ecfd6d5f100, 1331652, "679974b8dd0a66faaee341115d379420ad1560a56c72bcaf05a86bd6ea13be7d"},
@@ -110,13 +142,13 @@ func vectorSHA(v Vector) string {
 // 1-4 on both sides of the cut-over, and demands the recorded fingerprint —
 // bitwise solution, iteration count, residual bits and exact flop charge —
 // from every one of them: the full determinism contract of the phase layer.
-func testGolden(t *testing.T, solve goldenSolver, want []golden) {
+func testGolden(t *testing.T, op func(int) *CSR, solve goldenSolver, want []golden) {
 	t.Helper()
 	saved := ParMinPhase
 	t.Cleanup(func() { ParMinPhase = saved })
 	rng := rand.New(rand.NewSource(23))
 	for gi, n := range phaseTestSizes() {
-		a := tridiagOperator(n)
+		a := op(n)
 		b := randVec(rng, n)
 		g := want[gi]
 		if g.n != n {
@@ -156,11 +188,13 @@ func testGolden(t *testing.T, solve goldenSolver, want []golden) {
 	}
 }
 
-func TestGoldenBiCGStab(t *testing.T) { testGolden(t, bicgstabSolver, goldenBiCGStab) }
+func TestGoldenBiCGStab(t *testing.T) {
+	testGolden(t, fivePointOperator, bicgstabSolver, goldenBiCGStab)
+}
 
-func TestGoldenGMRES(t *testing.T) { testGolden(t, gmresSolver, goldenGMRES) }
+func TestGoldenGMRES(t *testing.T) { testGolden(t, tridiagOperator, gmresSolver, goldenGMRES) }
 
-func TestGoldenILU(t *testing.T) { testGolden(t, iluSolver, goldenILU) }
+func TestGoldenILU(t *testing.T) { testGolden(t, tridiagOperator, iluSolver, goldenILU) }
 
 // refDotPartials is the reference chunked reduction the fused kernels must
 // reproduce: one partial per redChunk elements, each a fresh +0 accumulator
@@ -229,50 +263,34 @@ func fusedCases(rng *rand.Rand, n int, zero bool) []fusedCase {
 	none := func(*Phase) [2][]float64 { return [2][]float64{} }
 	var cases []fusedCase
 
-	// Direction step, against UpdateP then MulElem.
-	for _, jacobi := range []bool{true, false} {
-		pv, r, v, d := state(), state(), state(), weight()
-		ph := NewVector(n)
-		name, flops := "dirStep/ilu", 4*nn
-		if jacobi {
-			name, flops = "dirStep/jacobi", 5*nn
-		}
-		cases = append(cases, fusedCase{name: name, flops: flops, part: none,
+	// Direction step, against UpdateP.
+	{
+		pv, r, v := state(), state(), state()
+		cases = append(cases, fusedCase{name: "dirStep", flops: 4 * nn, part: none,
 			build: func(p *Phase) []Vector {
-				pv, ph := pv.Clone(), ph.Clone()
-				if jacobi {
-					p.dirStep(pv, r, v, &beta, &omega, d, ph)
-				} else {
-					p.dirStep(pv, r, v, &beta, &omega, nil, nil)
-				}
-				return []Vector{pv, ph}
+				pv := pv.Clone()
+				p.dirStep(pv, r, v, &beta, &omega)
+				return []Vector{pv}
 			},
 			ref: func() ([]Vector, [2][]float64) {
-				pv, ph := pv.Clone(), ph.Clone()
+				pv := pv.Clone()
 				for i := range pv {
 					pv[i] = r[i] + beta*(pv[i]-omega*v[i])
 				}
-				if jacobi {
-					for i := range ph {
-						ph[i] = d[i] * pv[i]
-					}
-				}
-				return []Vector{pv, ph}, [2][]float64{}
+				return []Vector{pv}, [2][]float64{}
 			}})
 	}
 
-	// s step, against AXPYTo, Dot and MulElem; dst aliasing r, then v.
+	// s step, against AXPYTo and Dot; dst apart, aliasing r, then v.
 	for _, c := range []struct {
-		name   string
-		jacobi bool
-		alias  int // 0: s on its own, 1: s is r, 2: s is v
-	}{{"sStep/jacobi", true, 0}, {"sStep/ilu", false, 0}, {"sStep/s=r", true, 1}, {"sStep/s=v", true, 2}} {
+		name  string
+		alias int // 0: s on its own, 1: s is r, 2: s is v
+	}{{"sStep", 0}, {"sStep/s=r", 1}, {"sStep/s=v", 2}} {
 		c := c
-		s0, r0, v0, d := NewVector(n), state(), state(), weight()
-		sh0 := NewVector(n)
+		s0, r0, v0 := NewVector(n), state(), state()
 		negAlpha := -alpha
-		bind := func() (s, r, v, sh Vector) {
-			s, r, v, sh = s0.Clone(), r0.Clone(), v0.Clone(), sh0.Clone()
+		bind := func() (s, r, v Vector) {
+			s, r, v = s0.Clone(), r0.Clone(), v0.Clone()
 			switch c.alias {
 			case 1:
 				s = r
@@ -283,26 +301,16 @@ func fusedCases(rng *rand.Rand, n int, zero bool) []fusedCase {
 		}
 		cases = append(cases, fusedCase{name: c.name, flops: 4 * nn, part: slot0,
 			build: func(p *Phase) []Vector {
-				s, r, v, sh := bind()
-				if c.jacobi {
-					p.sStep(s, r, &negAlpha, v, d, sh)
-				} else {
-					p.sStep(s, r, &negAlpha, v, nil, nil)
-				}
-				return []Vector{s, sh}
+				s, r, v := bind()
+				p.sStep(s, r, &negAlpha, v)
+				return []Vector{s}
 			},
 			ref: func() ([]Vector, [2][]float64) {
-				s, r, v, sh := bind()
+				s, r, v := bind()
 				for i := range s {
 					s[i] = r[i] + negAlpha*v[i]
 				}
-				f := refDotPartials(s, s)
-				if c.jacobi {
-					for i := range sh {
-						sh[i] = d[i] * s[i]
-					}
-				}
-				return []Vector{s, sh}, [2][]float64{f}
+				return []Vector{s}, [2][]float64{refDotPartials(s, s)}
 			}})
 	}
 
@@ -465,7 +473,7 @@ func TestBitIdentityFusedSteps(t *testing.T) {
 func TestPlansReboundNotRebuilt(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	const n1, n2, n3 = 700, 2100, 3000
-	a1, a1b, a2, a3 := tridiagOperator(n1), advDiff2D(70, 10, 1), tridiagOperator(n2), tridiagOperator(n3)
+	a1, a1b, a2, a3 := fivePointOperator(n1), advDiff2D(70, 10, 1), fivePointOperator(n2), fivePointOperator(n3)
 	u, v, big, bigger := randVec(rng, n1), randVec(rng, n1), randVec(rng, n2), randVec(rng, n3)
 	xu, xv, xbig, xbigger := NewVector(n1), NewVector(n1), NewVector(n2), NewVector(n3)
 	// A NaN key refactors in place on every solve, as a fresh workspace
@@ -548,10 +556,10 @@ func TestPlansReboundNotRebuilt(t *testing.T) {
 	if _, err := ws.BiCGStab(a1, x, b, 1e-10, 300, nil); err != nil {
 		t.Fatal(err)
 	}
-	if !ws.bicg.current(ws, a1, n1, 0, false, x, b) {
+	if !ws.bicg.current(a1, n1, 0, x, b) {
 		t.Error("a second BiCGStab solve of the same system would rebuild its plans")
 	}
-	if ws.bicg.current(ws, a1b, n1, 0, false, x, b) {
+	if ws.bicg.current(a1b, n1, 0, x, b) {
 		t.Error("plans built for one matrix answer for another of the same dimension")
 	}
 }
@@ -667,7 +675,7 @@ func TestCalibrateRespectsKnobs(t *testing.T) {
 }
 
 // BenchmarkTeamDispatch measures a four-op phase (copy, axpy, elementwise
-// multiply, dot) as one dispatch: a single wake/park round-trip on a team,
+// multiply-add, dot) as one dispatch: a single wake/park round-trip on a team,
 // and the same interpreter over the whole range on the team of one. The
 // cut-over is forced low so the team runs even when a calibrated process
 // would sequentialize.
@@ -688,7 +696,7 @@ func BenchmarkTeamDispatch(b *testing.B) {
 			p.Reset(n)
 			p.Copy(dst, x)
 			p.AXPY(dst, &alpha, y)
-			p.MulElem(dst, d, dst)
+			p.MulElemAdd(dst, d, y)
 			p.Dot(0, dst, y)
 			b.ReportAllocs()
 			b.ResetTimer()

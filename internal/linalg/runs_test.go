@@ -290,14 +290,18 @@ func TestKernelsAllocFree(t *testing.T) {
 		x.Fill(1)
 		nch := (a.Rows + redChunk - 1) / redChunk
 		part0, part1 := make([]float64, nch), make([]float64, nch)
+		var lf lineFactor
+		lf.factor(a, nil) // the pattern analysis, once per matrix
 		kernels := map[string]func(){
-			"MulVec":   func() { a.MulVec(y, x, nil) },
-			"dirRange": func() { dirRange(y, x, x, 0.5, 0.25, x, z, 0, a.Rows) },
-			"sStep":    func() { sStepChunks(part0, y, x, 0.5, x, x, z, 0, a.Rows) },
-			"xrStep":   func() { xrChunks(part0, part1, y, 0.5, x, 0.25, x, z, x, x, x, 0, a.Rows) },
-			"axpyDot":  func() { axpyDotChunks(part0, y, 0.5, x, y, 0, a.Rows) },
-			"Solve":    func() { f.Solve(y, x, nil) },
-			"Refactor": func() { _ = f.Refactor(a, nil) },
+			"MulVec":      func() { a.MulVec(y, x, nil) },
+			"dirRange":    func() { dirRange(y, x, x, 0.5, 0.25, 0, a.Rows) },
+			"sStep":       func() { sStepChunks(part0, y, x, 0.5, x, 0, a.Rows) },
+			"line factor": func() { lf.factor(a, nil) },
+			"line solve":  func() { lf.solve(y, x, nil) },
+			"xrStep":      func() { xrChunks(part0, part1, y, 0.5, x, 0.25, x, z, x, x, x, 0, a.Rows) },
+			"axpyDot":     func() { axpyDotChunks(part0, y, 0.5, x, y, 0, a.Rows) },
+			"Solve":       func() { f.Solve(y, x, nil) },
+			"Refactor":    func() { _ = f.Refactor(a, nil) },
 		}
 		for dots, name := range []string{"phase MulVec", "phase MulVec+dot", "phase MulVec+2dots"} {
 			var p Phase

@@ -20,11 +20,13 @@ type SolveStats struct {
 	Residual   float64 // final relative residual
 }
 
-// BiCGStab solves A x = b with the BiCGStab iteration, Jacobi (diagonal)
-// preconditioned, to relative residual tol. x is used as the initial guess
-// and overwritten with the solution. maxIter <= 0 means 4*n. It allocates
-// a fresh workspace; hot loops should hold a Workspace and call its
-// BiCGStab method instead.
+// BiCGStab solves A x = b with the BiCGStab iteration to relative residual
+// tol, preconditioned by the exact solve of A's tridiagonal part along its
+// stronger-coupled line offset — on a grid operator, every grid line of one
+// direction solved directly. x is used as the initial guess and overwritten
+// with the solution. maxIter <= 0 means 4*n. It allocates a fresh
+// workspace; hot loops should hold a Workspace and call its BiCGStab method
+// instead.
 func BiCGStab(a *CSR, x, b Vector, tol float64, maxIter int, ops *Ops) (SolveStats, error) {
 	return NewWorkspace().BiCGStab(a, x, b, tol, maxIter, ops)
 }
@@ -38,18 +40,16 @@ func (ws *Workspace) BiCGStab(a *CSR, x, b Vector, tol float64, maxIter int, ops
 }
 
 // bicgstab is the one BiCGStab body behind both preconditioners: f is the
-// ILU(0) factorization of a, or nil for Jacobi (M^-1 = 1/diag(A)). Only the
-// two preconditioner applications differ. With Jacobi they are elementwise
-// and ride the steps around them, four team dispatches and five sweeps an
-// iteration: phase P updates the search direction and preconditions it,
-// then multiplies and reduces the denominator dot as it writes v; phase S
-// forms s, its norm and the preconditioned s; phase T multiplies and reduces
-// both dots of t; phase X updates x and r, reduces the residual norm and —
-// one dispatch early — the next iteration's rho, charged only once an
-// iteration consumes it. The level-scheduled triangular solves keep their
-// own dispatch pattern (their dependency barriers cannot fuse with
-// elementwise ranges), so with ILU the same steps stand around the two
-// SolveWith calls without their preconditioning halves.
+// ILU(0) factorization of a, or nil for the line factor, which every such
+// solve computes afresh from a's values. An iteration is five team
+// dispatches around two preconditioner applications: phase Pu updates the
+// search direction, M^-1 gives pHat, phase Av multiplies it and reduces the
+// denominator dot as it writes v; phase S forms s and its norm, M^-1 gives
+// sHat, phase At multiplies it and reduces both dots of t; phase X updates x
+// and r, reduces the residual norm and — one dispatch early — the next
+// iteration's rho, charged only once an iteration consumes it. The
+// preconditioners keep their own execution: the level-scheduled triangular
+// solves their dispatch pattern, the line sweeps the caller.
 //
 //vetsparse:allocfree
 func (ws *Workspace) bicgstab(a *CSR, f *ILU0, x, b Vector, tol float64, maxIter int, ops *Ops) (SolveStats, error) {
@@ -65,18 +65,9 @@ func (ws *Workspace) bicgstab(a *CSR, f *ILU0, x, b Vector, tol float64, maxIter
 	}
 	ws.ensureBiCGStab(n)
 	if f == nil {
-		invD := ws.invD
-		a.Diagonal(invD)
-		for i, d := range invD {
-			if d == 0 {
-				invD[i] = 1
-			} else {
-				invD[i] = 1 / d
-			}
-		}
-		ops.Add(int64(n))
+		ws.lines.factor(a, ops)
 	}
-	ws.buildBiCGStabPhases(a, x, b, f != nil)
+	ws.buildBiCGStabPhases(a, x, b)
 	tm := ws.team
 	sc := &ws.sc
 	nn := int64(n)
@@ -111,21 +102,14 @@ func (ws *Workspace) bicgstab(a *CSR, f *ILU0, x, b Vector, tol float64, maxIter
 		sc[scBeta] = (rhoNew / rho) * (alpha / omega)
 		sc[scOmegaPrev] = omega
 		rho = rhoNew
-		dir := &ws.phP
-		switch {
-		case f != nil:
-			if it > 1 { // p = r came with the prologue
-				tm.RunPhase(&ws.phPu)
-				ops.Add(ws.phPu.Flops())
-			}
-			f.SolveWith(tm, ws.pHat, ws.p, ops)
-			dir = &ws.phAv
-		case it == 1:
-			dir = &ws.phP1
+		if it > 1 { // p = r came with the prologue
+			tm.RunPhase(&ws.phPu)
+			ops.Add(ws.phPu.Flops())
 		}
-		tm.RunPhase(dir)
-		ops.Add(dir.Flops())
-		den := dir.Fold(0)
+		ws.precondition(f, ws.pHat, ws.p, ops)
+		tm.RunPhase(&ws.phAv)
+		ops.Add(ws.phAv.Flops())
+		den := ws.phAv.Fold(0)
 		if math.Abs(den) < 1e-300 {
 			return SolveStats{Iterations: it}, ErrBreakdown
 		}
@@ -142,18 +126,14 @@ func (ws *Workspace) bicgstab(a *CSR, f *ILU0, x, b Vector, tol float64, maxIter
 			ops.Add(half.Flops())
 			return SolveStats{Iterations: it, Residual: sn / bNorm}, nil
 		}
-		tph := &ws.phT
-		if f != nil {
-			f.SolveWith(tm, ws.sHat, ws.s, ops)
-			tph = &ws.phAt
-		}
-		tm.RunPhase(tph)
-		ops.Add(tph.Flops())
-		tt := tph.Fold(0)
+		ws.precondition(f, ws.sHat, ws.s, ops)
+		tm.RunPhase(&ws.phAt)
+		ops.Add(ws.phAt.Flops())
+		tt := ws.phAt.Fold(0)
 		if tt == 0 {
 			return SolveStats{Iterations: it}, ErrBreakdown
 		}
-		omega = tph.Fold(1) / tt
+		omega = ws.phAt.Fold(1) / tt
 		sc[scOmega] = omega
 		tm.RunPhase(&ws.phX)
 		ops.Add(ws.phX.Flops() - 2*nn)
@@ -165,6 +145,18 @@ func (ws *Workspace) bicgstab(a *CSR, f *ILU0, x, b Vector, tol float64, maxIter
 		}
 	}
 	return SolveStats{Iterations: maxIter, Residual: math.NaN()}, ErrNoConvergence
+}
+
+// precondition applies BiCGStab's preconditioner, dst = M^-1 src: the
+// ILU(0) factors f, or without them this solve's line factor.
+//
+//vetsparse:allocfree
+func (ws *Workspace) precondition(f *ILU0, dst, src Vector, ops *Ops) {
+	if f != nil {
+		f.SolveWith(ws.team, dst, src, ops)
+		return
+	}
+	ws.lines.solve(dst, src, ops)
 }
 
 // SolveTridiag solves a tridiagonal system in place with the Thomas

@@ -74,7 +74,6 @@ func TestTeamKernelsBitIdentical(t *testing.T) {
 		flops int64
 	}{
 		{"Copy", func(p *Phase, dst Vector) { p.Copy(dst, x) }, func(dst Vector, i int) float64 { return x[i] }, 0},
-		{"MulElem", func(p *Phase, dst Vector) { p.MulElem(dst, y, x) }, func(dst Vector, i int) float64 { return y[i] * x[i] }, n},
 		{"MulElemAt", func(p *Phase, dst Vector) { p.MulElemAt(dst, y, basis, &k) }, func(dst Vector, i int) float64 { return y[i] * basis[k][i] }, n},
 		{"MulElemAdd", func(p *Phase, dst Vector) { p.MulElemAdd(dst, y, x) }, func(dst Vector, i int) float64 { return dst[i] + y[i]*x[i] }, 2 * n},
 		{"Sub", func(p *Phase, dst Vector) { p.Sub(dst, y, x) }, func(dst Vector, i int) float64 { return y[i] - x[i] }, n},

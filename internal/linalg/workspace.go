@@ -1,18 +1,22 @@
 package linalg
 
 // Workspace owns every buffer the iterative solvers need — the BiCGStab
-// vectors, the GMRES Krylov basis and Hessenberg, and a cached ILU(0)
-// factorization — so a steady-state Rosenbrock stepping loop performs no
-// allocations at all. A zero-value Workspace is ready to use; buffers grow
-// on demand and are reused across solves (and across systems of different
-// sizes: a buffer is re-sliced when large enough, reallocated otherwise).
+// vectors and line factor, the GMRES Krylov basis and Hessenberg, and a
+// cached ILU(0) factorization — so a steady-state Rosenbrock stepping loop
+// performs no allocations at all. A zero-value Workspace is ready to use;
+// buffers grow on demand and are reused across solves (and across systems
+// of different sizes: a buffer is re-sliced when large enough, reallocated
+// otherwise).
 //
 // A Workspace is not safe for concurrent use; give each goroutine its own.
 type Workspace struct {
-	// Shared by both BiCGStab variants.
-	invD, r, rTilde, p, v, s, t, pHat, sHat Vector
+	// Shared by both BiCGStab preconditioners.
+	r, rTilde, p, v, s, t, pHat, sHat Vector
+	lines                             lineFactor
 
-	// GMRES: Krylov basis, Hessenberg columns, Givens rotations.
+	// GMRES: Jacobi diagonal, Krylov basis, Hessenberg columns, Givens
+	// rotations.
+	invD   Vector
 	basis  []Vector
 	hess   [][]float64
 	cs, sn []float64
@@ -34,44 +38,36 @@ type Workspace struct {
 	// Phase plans of the solver prologues and iteration bodies. A family's
 	// plans are built when its planKey changes; a solve that finds them
 	// current only rebinds the steps naming the caller's x and b.
-	phInit, phS, phX Phase // BiCGStab prologue and s / x,r steps (both variants)
-	phP1, phP, phT   Phase // Jacobi BiCGStab direction and t phases
-	phPu, phAv, phAt Phase // ILU BiCGStab p-update and matvec+dot phases
-	phR0, phArn      Phase // GMRES restart residual and Arnoldi step
-	phTmp            Phase // plans bound on the spot and run at once (norms, tails, normalizations)
-	bicg, gmres      planKey
-	sc               [scCount]float64
-	karn             int // current Arnoldi column, bound into phArn
+	phInit, phPu, phAv Phase // BiCGStab prologue, direction update, A*pHat with its dot
+	phS, phAt, phX     Phase // BiCGStab s step, A*sHat with its dots, x/r step
+	phR0, phArn        Phase // GMRES restart residual and Arnoldi step
+	phTmp              Phase // plans bound on the spot and run at once (norms, tails, normalizations)
+	bicg, gmres        planKey
+	sc                 [scCount]float64
+	karn               int // current Arnoldi column, bound into phArn
 }
 
 // planKey is what a solver family's plans were built for: the matrix (by
-// identity — a ShiftedOperator rewrites values in place), the dimension,
-// the variant, and the one workspace vector the two families share. Within
-// a family every other bound vector changes only together with n or m.
+// identity — a ShiftedOperator rewrites values in place) and the
+// dimension. The two families share no vector, and within a family every
+// other bound vector changes only together with n or m.
 type planKey struct {
 	a    *CSR
-	n, m int // m: GMRES basis length
-	ilu  bool
-	invD *float64
+	n, m int       // m: GMRES basis length
 	xb   [2]Vector // the caller's x and b the plans name now
 }
 
-// current reports whether the plans built under k serve (a, n, m, ilu); if
-// so it points the steps of the given phases that name the previous solve's
-// x and b at this one's. Otherwise it records the new key and the caller
-// builds.
-func (k *planKey) current(ws *Workspace, a *CSR, n, m int, ilu bool, x, b Vector, named ...*Phase) bool {
-	var d *float64
-	if n > 0 {
-		d = &ws.invD[0]
-	}
-	hit := k.a == a && k.n == n && k.m == m && k.ilu == ilu && k.invD == d
+// current reports whether the plans built under k serve (a, n, m); if so it
+// points the steps of the given phases that name the previous solve's x and
+// b at this one's. Otherwise it records the new key and the caller builds.
+func (k *planKey) current(a *CSR, n, m int, x, b Vector, named ...*Phase) bool {
+	hit := k.a == a && k.n == n && k.m == m
 	if hit && n > 0 {
 		for _, ph := range named {
 			ph.rebind(k.xb, [2]Vector{x, b})
 		}
 	}
-	*k = planKey{a: a, n: n, m: m, ilu: ilu, invD: d, xb: [2]Vector{x, b}}
+	*k = planKey{a: a, n: n, m: m, xb: [2]Vector{x, b}}
 	return hit
 }
 
@@ -99,23 +95,15 @@ func (ws *Workspace) SetTeam(t *Team) { ws.team = t }
 func (ws *Workspace) Team() *Team { return ws.team }
 
 // grow returns v with length n, reusing its backing array when possible.
-func grow(v Vector, n int) Vector {
+func grow[S ~[]E, E any](v S, n int) S {
 	if cap(v) < n {
-		return make(Vector, n)
-	}
-	return v[:n]
-}
-
-func growF(v []float64, n int) []float64 {
-	if cap(v) < n {
-		return make([]float64, n)
+		return make(S, n)
 	}
 	return v[:n]
 }
 
 // ensureBiCGStab sizes the BiCGStab buffers for an n-dimensional solve.
 func (ws *Workspace) ensureBiCGStab(n int) {
-	ws.invD = grow(ws.invD, n)
 	ws.r = grow(ws.r, n)
 	ws.rTilde = grow(ws.rTilde, n)
 	ws.p = grow(ws.p, n)
@@ -148,24 +136,22 @@ func (ws *Workspace) ensureGMRES(n, m int) {
 	}
 	ws.hess = ws.hess[:m+1]
 	for i := range ws.hess {
-		ws.hess[i] = growF(ws.hess[i], m)
+		ws.hess[i] = grow(ws.hess[i], m)
 	}
-	ws.cs = growF(ws.cs, m)
-	ws.sn = growF(ws.sn, m)
-	ws.g = growF(ws.g, m+1)
-	ws.y = growF(ws.y, m)
+	ws.cs = grow(ws.cs, m)
+	ws.sn = grow(ws.sn, m)
+	ws.g = grow(ws.g, m+1)
+	ws.y = grow(ws.y, m)
 }
 
 // buildBiCGStabPhases binds the BiCGStab phases to the workspace vectors and
-// the caller's x and b. A Jacobi iteration is four dispatches of five sweeps:
-// the direction step with its preconditioning, two products that reduce
-// their dots as they write, the s step and the x/r step. The ILU variant
-// keeps the triangular solves as separate (level-scheduled) dispatches
-// between the same fused steps. A barrier stands exactly before the product
-// whose input was written earlier in the same phase.
-func (ws *Workspace) buildBiCGStabPhases(a *CSR, x, b Vector, withILU bool) {
+// the caller's x and b: the direction step, two products that reduce their
+// dots as they write, the s step and the x/r step, one dispatch each. The
+// preconditioner runs between them, so neither product reads a vector its
+// own phase wrote and no phase needs a barrier.
+func (ws *Workspace) buildBiCGStabPhases(a *CSR, x, b Vector) {
 	n := len(ws.r)
-	if ws.bicg.current(ws, a, n, 0, withILU, x, b, &ws.phInit, &ws.phX) {
+	if ws.bicg.current(a, n, 0, x, b, &ws.phInit, &ws.phX) {
 		return
 	}
 	sc := &ws.sc
@@ -177,37 +163,18 @@ func (ws *Workspace) buildBiCGStabPhases(a *CSR, x, b Vector, withILU bool) {
 	in.Dot(1, ws.r, ws.r)
 	in.Copy(ws.rTilde, ws.r)
 	in.Copy(ws.p, ws.r)
-	var invD, sHat Vector // the s step preconditions only with Jacobi
-	if withILU {
-		pu := &ws.phPu
-		pu.Reset(n)
-		pu.dirStep(ws.p, ws.r, ws.v, &sc[scBeta], &sc[scOmegaPrev], nil, nil)
-		av := &ws.phAv
-		av.Reset(n)
-		av.mulVecDot(a, ws.v, ws.pHat, ws.rTilde, nil) // pHat written pre-dispatch: no barrier
-		at := &ws.phAt
-		at.Reset(n)
-		at.mulVecDot(a, ws.t, ws.sHat, ws.t, ws.s)
-	} else {
-		invD, sHat = ws.invD, ws.sHat
-		p1 := &ws.phP1 // first iteration: p = r came with the prologue
-		p1.Reset(n)
-		p1.MulElem(ws.pHat, ws.invD, ws.p)
-		p1.Barrier() // SpMV reads all of pHat
-		p1.mulVecDot(a, ws.v, ws.pHat, ws.rTilde, nil)
-		pp := &ws.phP
-		pp.Reset(n)
-		pp.dirStep(ws.p, ws.r, ws.v, &sc[scBeta], &sc[scOmegaPrev], ws.invD, ws.pHat)
-		pp.Barrier()
-		pp.mulVecDot(a, ws.v, ws.pHat, ws.rTilde, nil)
-		tt := &ws.phT // sHat came with the s step, a dispatch ago: no barrier
-		tt.Reset(n)
-		tt.mulVecDot(a, ws.t, ws.sHat, ws.t, ws.s)
-		tt.flops += int64(n) // sHat = invD .* s, charged where it is consumed
-	}
+	pu := &ws.phPu
+	pu.Reset(n)
+	pu.dirStep(ws.p, ws.r, ws.v, &sc[scBeta], &sc[scOmegaPrev])
+	av := &ws.phAv
+	av.Reset(n)
+	av.mulVecDot(a, ws.v, ws.pHat, ws.rTilde, nil)
 	sp := &ws.phS
 	sp.Reset(n)
-	sp.sStep(ws.s, ws.r, &sc[scNegAlpha], ws.v, invD, sHat)
+	sp.sStep(ws.s, ws.r, &sc[scNegAlpha], ws.v)
+	at := &ws.phAt
+	at.Reset(n)
+	at.mulVecDot(a, ws.t, ws.sHat, ws.t, ws.s)
 	xp := &ws.phX // <rTilde, r> is the next iteration's rho, one dispatch early
 	xp.Reset(n)
 	xp.xrStep(x, &sc[scAlpha], ws.pHat, &sc[scOmega], ws.sHat, ws.r, ws.s, ws.t, ws.rTilde)
@@ -219,7 +186,7 @@ func (ws *Workspace) buildBiCGStabPhases(a *CSR, x, b Vector, withILU bool) {
 // selecting the column.
 func (ws *Workspace) buildGMRESPhases(a *CSR, x, b Vector) {
 	n := len(ws.w)
-	if ws.gmres.current(ws, a, n, len(ws.basis), false, x, b, &ws.phR0) {
+	if ws.gmres.current(a, n, len(ws.basis), x, b, &ws.phR0) {
 		return
 	}
 	r0 := &ws.phR0 // v0 = b - A x and its squared norm
@@ -254,8 +221,9 @@ func (ws *Workspace) scaleInto(dst Vector, s float64, src Vector, ops *Ops) {
 // the caller wants (the Rosenbrock integrator keeps one across the steps
 // they serve). When the key changes but the matrix (and hence its pattern)
 // is the same, the factorization is redone in place with no allocation. A
-// factorization failure (zero pivot) is cached under the same key so
-// repeated stage solves do not retry it.
+// factorization failure (zero pivot) is cached under the same key, the
+// first factorization of a matrix included, so repeated stage solves do not
+// retry it.
 func (ws *Workspace) ILUFor(a *CSR, key float64, ops *Ops) (*ILU0, error) {
 	if ws.iluValid && ws.iluSrc == a && ws.iluKey == key {
 		return ws.ilu, ws.iluErr

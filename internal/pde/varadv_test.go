@@ -117,7 +117,7 @@ func TestRotatingPulseMassBounded(t *testing.T) {
 
 func TestVarDiscWithILUSolver(t *testing.T) {
 	// The rotating problem exercises sign changes in the upwind direction;
-	// the ILU-preconditioned solver must agree with Jacobi-BiCGStab.
+	// the ILU-preconditioned solver must agree with the default BiCGStab.
 	p := RotatingProblem(math.Pi, 1e-3)
 	g := grid.Grid{Root: 3, L1: 1, L2: 1}
 	run := func(s rosenbrock.LinearSolver) linalg.Vector {

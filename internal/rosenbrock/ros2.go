@@ -1,9 +1,9 @@
 // Package rosenbrock implements the adaptive Rosenbrock time integrator
 // that the paper's subsolve routine spends its time in: the two-stage,
 // second-order, L-stable ROS2 scheme with an embedded first-order error
-// estimate driving the step-size controller, and a Krylov solver (Jacobi
-// BiCGStab by default; GMRES or ILU(0) BiCGStab) for the stage systems
-// (I - gamma*tau*J) k = rhs.
+// estimate driving the step-size controller, and a Krylov solver for the
+// stage systems (I - gamma*tau*J) k = rhs: BiCGStab preconditioned along
+// the grid lines by default, Jacobi GMRES, or ILU(0) BiCGStab.
 //
 // The original application "built up again and again" its system matrix;
 // the port no longer does. The shifted stage operator keeps J's merged
@@ -69,15 +69,17 @@ type Config struct {
 type LinearSolver int
 
 const (
-	// BiCGStab is the default: cheap per iteration, no basis storage.
+	// BiCGStab is the default: cheap per iteration, no basis storage,
+	// preconditioned by direct solves along the grid lines of the stronger
+	// coupled direction, factored afresh by every stage solve.
 	BiCGStab LinearSolver = iota
-	// GMRES uses restarted GMRES(30): monotone residuals, never breaks
-	// down, at the price of storing the Krylov basis.
+	// GMRES uses restarted GMRES(30), Jacobi preconditioned: monotone
+	// residuals, never breaks down, at the price of storing the Krylov
+	// basis.
 	GMRES
 	// ILU uses BiCGStab preconditioned with an ILU(0) factorization of
-	// the stage matrix — much stronger than Jacobi on the anisotropic
-	// grids. The factorization is redone (in place) only when gamma*tau
-	// drifts past refreshShift.
+	// the stage matrix, which couples both directions. The factorization
+	// is redone (in place) only when gamma*tau drifts past refreshShift.
 	ILU
 )
 
@@ -248,7 +250,7 @@ type Stats struct {
 	Rejected       int // rejected steps
 	FEvals         int
 	LinIters       int // total iterations of the stage solves
-	Factorizations int // ILU(0) factorizations asked for; 0 for the Jacobi solvers
+	Factorizations int // ILU(0) factorizations asked for; 0 for BiCGStab and GMRES
 	Ops            linalg.Ops
 }
 

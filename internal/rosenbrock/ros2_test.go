@@ -393,3 +393,120 @@ func TestILUSolverMatchesBiCGStab(t *testing.T) {
 		t.Fatalf("String() = %q", ILU.String())
 	}
 }
+
+// linearSystem is u' = J u for a Jacobian given entry by entry.
+type linearSystem struct{ jac *linalg.CSR }
+
+func (l *linearSystem) N() int { return l.jac.Rows }
+func (l *linearSystem) F(t float64, u, out linalg.Vector, ops *linalg.Ops) {
+	l.jac.MulVec(out, u, ops)
+}
+func (l *linearSystem) Jacobian() *linalg.CSR { return l.jac }
+
+// zeroPivotSystem returns u' = J u on the interior of a 2 x 2 grid whose
+// stage matrix M = I - s*J at the shift s has an exact zero ILU(0) pivot:
+// m00 = m22 = 1 and m02 = m20 = 1, so row 2 eliminates to 1 - 1*1. The x
+// couplings (offset 1) outweigh the y couplings (offset 2), and every pivot
+// of the x-lines is far from zero.
+func zeroPivotSystem(t *testing.T, s float64) *linearSystem {
+	t.Helper()
+	one := -1 / s // the entry whose -s*one rounds to exactly 1
+	for k := 0; k < 8 && -s*one != 1; k++ {
+		one = math.Nextafter(one, math.Inf(k%2*2-1))
+	}
+	if -s*one != 1 {
+		t.Fatalf("no float j has -%v*j == 1", s)
+	}
+	x, y, d := 2/s, 0.5/s, -10/s
+	rows := [4][]struct {
+		c int
+		v float64
+	}{
+		{{1, x}, {2, one}},
+		{{0, x}, {1, d}, {3, y}},
+		{{0, one}, {3, x}},
+		{{1, y}, {2, x}, {3, d}},
+	}
+	b := linalg.NewBuilder(4, 4)
+	for r, es := range rows {
+		for _, e := range es {
+			b.Add(r, e.c, e.v)
+		}
+	}
+	return &linearSystem{b.Build()}
+}
+
+// TestILUZeroPivotFallsBack: an ILU(0) factorization that meets a zero pivot
+// leaves the stage solves to the line-preconditioned BiCGStab, which meets
+// LinTol, and the failure is cached like factors are, for the whole refresh
+// window (DESIGN.md §14): every step whose shift stays within refreshShift
+// of the failed one solves exactly as the BiCGStab solver does, bit for bit,
+// although its stage matrix has moved off the zero pivot; the first step
+// past the window factors again. Integrate, run the same way, ends where the
+// BiCGStab solver does.
+func TestILUZeroPivotFallsBack(t *testing.T) {
+	const h0, t1 = 0.01, 0.2
+	sys := zeroPivotSystem(t, Gamma*h0)
+	if _, err := linalg.NewILU0(linalg.NewShiftedOperator(sys.jac).Update(Gamma*h0, nil), nil); err == nil {
+		t.Fatal("premise: ILU(0) of the first stage matrix must meet a zero pivot")
+	}
+	u0 := linalg.Vector{1, 0.5, -0.25, 0.75}
+	start := func(lin LinearSolver) (*Stepper, linalg.Vector) {
+		u := u0.Clone()
+		s, err := NewStepper(sys, u, 0, t1, Config{Tol: 1e-3, Solver: lin, H0: h0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, u
+	}
+	ilu, uI := start(ILU)
+	line, uL := start(BiCGStab)
+	for i, h := range []float64{h0, 1.1 * h0, 1.25 * h0, 0.8 * h0, 2 * h0} {
+		ilu.h, line.h = h, h
+		if err := ilu.Step(); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+		if err := line.Step(); err != nil {
+			t.Fatalf("step %d, BiCGStab: %v", i, err)
+		}
+		m := ilu.ws.op.Matrix()
+		_, cached := ilu.ws.lin.ILUFor(m, ilu.ws.pcSerial, nil) // the current key: answered from the cache
+		if i == 4 {
+			if cached != nil || ilu.st.Factorizations != 2 {
+				t.Errorf("past the window: cached %v after %d factorizations, want a fresh factor", cached, ilu.st.Factorizations)
+			}
+			break
+		}
+		if cached == nil || ilu.st.Factorizations != 1 {
+			t.Fatalf("step %d: cached %v after %d factorizations, want the zero pivot of the first", i, cached, ilu.st.Factorizations)
+		}
+		if _, err := linalg.NewILU0(m, nil); i > 0 && err != nil {
+			t.Fatalf("step %d: premise: the moved stage matrix factors (%v)", i, err)
+		}
+		for j := range uI {
+			if math.Float64bits(uI[j]) != math.Float64bits(uL[j]) || ilu.st.LinIters != line.st.LinIters {
+				t.Fatalf("step %d: u[%d] = %v after %d iterations; BiCGStab %v after %d", i, j, uI[j], ilu.st.LinIters, uL[j], line.st.LinIters)
+			}
+		}
+	}
+
+	// The system grows like e^(t/s), s = Gamma*h0: Integrate runs it a
+	// short way.
+	const tShort = 0.05
+	uI, uL = u0.Clone(), u0.Clone()
+	stI, err := Integrate(sys, uI, 0, tShort, Config{Tol: 1e-3, Solver: ILU, H0: h0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Integrate(sys, uL, 0, tShort, Config{Tol: 1e-3, H0: h0}); err != nil {
+		t.Fatal(err)
+	}
+	if stI.Factorizations < 2 {
+		t.Errorf("%d factorizations: the run never left the failed window", stI.Factorizations)
+	}
+	for j := range uI {
+		if math.Abs(uI[j]-uL[j]) > 1e-3*(1+math.Abs(uL[j])) {
+			t.Errorf("u[%d] = %v with ILU, %v with BiCGStab", j, uI[j], uL[j])
+		}
+	}
+}
