@@ -304,7 +304,8 @@ func (m *CSR) At(r, c int) float64 {
 // ShiftedScaled returns I - s*A for a square A: the Rosenbrock system
 // matrix with s = gamma*tau. It assembles a fresh matrix on every call;
 // hot loops that vary only s should hold a ShiftedOperator instead, whose
-// Update rewrites the values in place.
+// Update keeps the same matrix scaled by 1/s in place and rewrites only its
+// diagonal when s moves.
 func (m *CSR) ShiftedScaled(s float64) *CSR {
 	if m.Rows != m.Cols {
 		panic("linalg: ShiftedScaled needs a square matrix")

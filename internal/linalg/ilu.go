@@ -188,9 +188,9 @@ func (f *ILU0) pack(a *CSR, diag []int, bwdRows []int32) {
 
 // Refactor recomputes the factorization in place for a matrix with the
 // same sparsity pattern as the one the factorization was built from (the
-// Rosenbrock stage matrix I - gamma*tau*J: its pattern is fixed, only the
-// values move when tau changes). It allocates nothing. On a zero pivot the
-// factor values are left invalid and must not be used for Solve.
+// Rosenbrock stage matrix (1/(gamma*tau))*I - J: its pattern is fixed, only
+// the diagonal moves when tau changes). It allocates nothing. On a zero
+// pivot the factor values are left invalid and must not be used for Solve.
 //
 //vetsparse:allocfree
 func (f *ILU0) Refactor(a *CSR, ops *Ops) error {
@@ -378,7 +378,8 @@ func BiCGStabILU(a *CSR, x, b Vector, tol float64, maxIter int, ops *Ops) (Solve
 // a nearby shift's factors precondition its exact stage matrix — and a new
 // key refactorizes in place with no allocation. A NaN key never matches,
 // forcing a refactorization. On factorization breakdown it falls back to
-// the line-preconditioned BiCGStab.
+// the line-preconditioned BiCGStab, its line factor cached under the same
+// key (BiCGStabLines).
 //
 //vetsparse:allocfree
 func (ws *Workspace) BiCGStabILU(a *CSR, x, b Vector, tol float64, maxIter int, key float64, ops *Ops) (SolveStats, error) {
@@ -386,5 +387,5 @@ func (ws *Workspace) BiCGStabILU(a *CSR, x, b Vector, tol float64, maxIter int, 
 	if err != nil {
 		f = nil
 	}
-	return ws.bicgstab(a, f, x, b, tol, maxIter, ops)
+	return ws.bicgstab(a, f, x, b, tol, maxIter, key, ops)
 }

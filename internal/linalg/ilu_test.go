@@ -310,6 +310,7 @@ func TestBitIdentityILUPacked(t *testing.T) {
 		{"40x40", gridOperator(40)},
 		{"random", dominant},
 		{"1D", laplace1D(50)},
+		// (1/s)*I - A at s = -0.01: -(100*I + A), dominant with negative pivots.
 		{"shifted", NewShiftedOperator(advDiff2D(31, 9, 0)).Update(-0.01, nil)},
 	} {
 		name, a := c.name, c.a

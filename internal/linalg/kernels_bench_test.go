@@ -54,8 +54,9 @@ func BenchmarkShiftedScaled(b *testing.B) {
 	}
 }
 
-// BenchmarkShiftedUpdate is the new path: rewrite the cached pattern's
-// values in place. Must beat BenchmarkShiftedScaled by >= 5x.
+// BenchmarkShiftedUpdate is the in-place path: a shift change rewrites only
+// the n diagonal values of the cached matrix (1/s)*I - A, where
+// ShiftedScaled assembles all nnz. Must beat BenchmarkShiftedScaled by >= 5x.
 func BenchmarkShiftedUpdate(b *testing.B) {
 	a := gridOperator(level5)
 	op := NewShiftedOperator(a)

@@ -11,10 +11,11 @@ import "math"
 // coupling exactly where a diagonal sees none of it.
 //
 // The pattern is analysed once per matrix identity, like the run table.
-// The direction and the factors are recomputed from the values on every
-// solve, as the diagonal they replace was: no key, no cache, no history.
+// The direction and the factors are computed from the values and cached
+// under the caller's key, the way ILUFor caches ILU(0) (factorFor).
 type lineFactor struct {
 	src    *CSR
+	key    float64  // the key the factors were computed under; NaN: none
 	stride int      // largest column offset above the diagonal; 1: the two offsets coincide
 	lines  int      // interleave step of the offset-1 sweeps: the stride on a rectangle of decoupled lines, else 1
 	dg     []int    // index in src.Val of row r's diagonal, -1 if not stored
@@ -76,12 +77,25 @@ func (lf *lineFactor) analyse(a *CSR) {
 	}
 }
 
-// factor picks this solve's direction, the offset whose couplings sum to
-// the larger Σ|a_ij| (no shift moves that choice: I - s*J scales every
-// off-diagonal alike), and runs the Thomas recurrence along it in the
-// sweeps' order: w_r = lo_r*inv_{r-d}, inv_r = 1/(dg_r - w_r*up_{r-d}). A
-// zero or non-finite pivot drops the couplings, and the factor is the
-// diagonal: 1/d, or 1 where d = 0.
+// factorFor keeps the factors while the matrix identity and the caller's key
+// both match the previous call, even after a's values moved, and factors
+// afresh otherwise. A pivot failure is kept under its key like factors are;
+// a NaN key never matches.
+//
+//vetsparse:allocfree
+func (lf *lineFactor) factorFor(a *CSR, key float64, ops *Ops) {
+	if lf.src != a || lf.key != key {
+		lf.factor(a, ops)
+		lf.key = key
+	}
+}
+
+// factor picks the direction, the offset whose couplings sum to the larger
+// Σ|a_ij| (no shift moves that choice: the stage matrix (1/s)*I - J holds
+// the same off-diagonals at every s), and runs the Thomas recurrence along
+// it in the sweeps' order: w_r = lo_r*inv_{r-d}, inv_r = 1/(dg_r - w_r*up_{r-d}).
+// A zero or non-finite pivot drops the couplings, and the factor is the
+// diagonal: 1/d, or 1 where d = 0. The factors are under no key.
 //
 //vetsparse:allocfree
 func (lf *lineFactor) factor(a *CSR, ops *Ops) {
@@ -99,7 +113,7 @@ func (lf *lineFactor) factor(a *CSR, ops *Ops) {
 			k = 1
 		}
 	}
-	lf.d, lf.step, lf.diag = 1, lf.lines, false
+	lf.d, lf.step, lf.diag, lf.key = 1, lf.lines, false, math.NaN()
 	if k == 1 {
 		lf.d, lf.step = lf.stride, 1
 	}

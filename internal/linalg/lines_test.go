@@ -226,3 +226,119 @@ func TestLineFactorZeroDiagonal(t *testing.T) {
 		t.Logf("%s: %d iterations, %v", name, st.Iterations, err)
 	}
 }
+
+// TestLineFactorCache: the line factor is kept under (matrix identity, key)
+// as ILUFor keeps ILU(0). A repeated key reuses it, after the values moved
+// too, and adds no flops; a new key or another matrix refactors; a NaN key
+// never repeats; and a pivot failure that fell back to the diagonal is kept
+// under its key like factors are. Through the workspace, a repeated key
+// solves as the first solve did, bit for bit, minus the factor's 4n flops.
+func TestLineFactorCache(t *testing.T) {
+	a, other := advDiff2D(63, 31, 1), advDiff2D(63, 31, 2)
+	n := int64(a.Rows)
+	var lf lineFactor
+	factorFlops := func(m *CSR, key float64) int64 {
+		var ops Ops
+		lf.factorFor(m, key, &ops)
+		return ops.Flops
+	}
+	if f := factorFlops(a, 1); f != 4*n {
+		t.Fatalf("first factorization charged %d flops, want %d", f, 4*n)
+	}
+	kept := lf.inv.Clone()
+	for i := range a.Val { // new values behind the same pointer, as a step writes them
+		a.Val[i] *= 1.25
+	}
+	if f := factorFlops(a, 1); f != 0 {
+		t.Errorf("repeated key refactored (%d flops)", f)
+	}
+	checkSame(t, 1, "repeated key", lf.inv, kept)
+	if f := factorFlops(a, 2); f != 4*n {
+		t.Errorf("new key charged %d flops, want %d", f, 4*n)
+	}
+	var fresh lineFactor
+	fresh.factor(a, nil)
+	checkSame(t, 1, "new key", lf.inv, fresh.inv)
+	if f := factorFlops(other, 2); f != 4*n {
+		t.Errorf("another matrix under the same key charged %d flops, want %d", f, 4*n)
+	}
+	for i := 0; i < 2; i++ {
+		if f := factorFlops(other, math.NaN()); f != 4*n {
+			t.Errorf("NaN key, call %d: %d flops, want %d", i, f, 4*n)
+		}
+	}
+
+	dented := advDiff2D(12, 9, 1) // row 36's zero diagonal breaks its x-line
+	k := dented.RowPtr[36]
+	for dented.ColIdx[k] != 36 {
+		k++
+	}
+	d36 := dented.Val[k]
+	dented.Val[k] = 0
+	if factorFlops(dented, 3); !lf.diag {
+		t.Fatal("premise: a zero pivot must fall back to the diagonal")
+	}
+	dented.Val[k] = d36
+	if f := factorFlops(dented, 3); f != 0 || !lf.diag {
+		t.Errorf("the fallback was not kept under its key: %d flops, diagonal-only %v", f, lf.diag)
+	}
+	if factorFlops(dented, 4); lf.diag {
+		t.Error("a new key kept the fallback of a matrix that now factors")
+	}
+
+	rng := rand.New(rand.NewSource(59))
+	b := randVec(rng, a.Rows)
+	ws := NewWorkspace()
+	var xs [3]Vector
+	var sts [3]SolveStats
+	var ops [3]Ops
+	for i, key := range []float64{5, 5, math.NaN()} {
+		xs[i] = NewVector(a.Rows)
+		var err error
+		if sts[i], err = ws.BiCGStabLines(a, xs[i], b, 1e-10, 0, key, &ops[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sts[1] != sts[0] || sts[2] != sts[0] || ops[0].Flops-ops[1].Flops != 4*n || ops[2] != ops[0] {
+		t.Errorf("key 5, 5, NaN: %+v %+v %+v, %d %d %d flops; want one answer, the repeat %d flops cheaper",
+			sts[0], sts[1], sts[2], ops[0].Flops, ops[1].Flops, ops[2].Flops, 4*n)
+	}
+	checkSame(t, 1, "repeated key solve", xs[1], xs[0])
+	checkSame(t, 1, "NaN key solve", xs[2], xs[0])
+
+	// BiCGStabILU's fallback keeps its line factor under the ILU key: once
+	// the zero pivot is cached, a solve after the values moved is the keyed
+	// line solve's, bit for bit and flop for flop. Row 2 of this matrix
+	// eliminates to 1 - 1*1 = 0 under ILU(0); its x-lines factor.
+	zeroPivot := func() *CSR {
+		b := NewBuilder(4, 4)
+		for _, e := range [][3]float64{{0, 0, 1}, {0, 1, -2}, {0, 2, 1}, {1, 0, -2}, {1, 1, 11}, {1, 3, -0.5},
+			{2, 0, 1}, {2, 2, 1}, {2, 3, -2}, {3, 1, -0.5}, {3, 2, -2}, {3, 3, 11}} {
+			b.Add(int(e[0]), int(e[1]), e[2])
+		}
+		return b.Build()
+	}
+	zi, zl := zeroPivot(), zeroPivot()
+	if _, err := NewILU0(zi, nil); err == nil {
+		t.Fatal("premise: ILU(0) must meet a zero pivot")
+	}
+	wsI, wsL := NewWorkspace(), NewWorkspace()
+	zb := Vector{1, -0.5, 0.25, 2}
+	for round := 0; round < 2; round++ {
+		if round == 1 {
+			for i := range zi.Val {
+				zi.Val[i] *= 1.25
+				zl.Val[i] *= 1.25
+			}
+		}
+		xi, xl := NewVector(4), NewVector(4)
+		var oi, ol Ops
+		sti, erri := wsI.BiCGStabILU(zi, xi, zb, 1e-10, 0, 9, &oi)
+		stl, errl := wsL.BiCGStabLines(zl, xl, zb, 1e-10, 0, 9, &ol)
+		if erri != nil || errl != nil || sti != stl || round == 1 && oi != ol {
+			t.Errorf("round %d: ILU fallback %+v %v, %d flops; keyed line solve %+v %v, %d flops",
+				round, sti, erri, oi.Flops, stl, errl, ol.Flops)
+		}
+		checkSame(t, 1, fmt.Sprintf("ILU fallback, round %d", round), xi, xl)
+	}
+}

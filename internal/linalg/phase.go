@@ -3,7 +3,7 @@ package linalg
 import "fmt"
 
 // ParMinPhase is the one serial/parallel cut-over: the smallest problem
-// dimension (phase length, SpMV or shifted-operator rows, ILU level width)
+// dimension (phase length, SpMV rows, ILU level width)
 // worth waking the team for. Below it the caller runs the same kernel over
 // the whole range itself — bit-for-bit the same result, so tests lower it
 // to exercise the team on small problems. Calibrate replaces the default

@@ -233,7 +233,8 @@ func TestBitIdentitySpMVRuns(t *testing.T) {
 
 // TestBitIdentitySpMVShifted covers the second constructor: the merged
 // pattern of a Jacobian with a structurally missing diagonal is analysed
-// once, and Update's value rewrites keep the run table valid.
+// once, and Update's rewrites — every value at first and after Invalidate,
+// the inserted diagonal alone on a shift change — keep the run table valid.
 func TestBitIdentitySpMVShifted(t *testing.T) {
 	lowerParMin(t)
 	rng := rand.New(rand.NewSource(15))
@@ -242,7 +243,10 @@ func TestBitIdentitySpMVShifted(t *testing.T) {
 		t.Fatal("shifted operator has no runs")
 	}
 	x := randVec(rng, op.Matrix().Cols)
-	for _, s := range []float64{0.01, 0.0025, 0.3} {
+	for i, s := range []float64{0.01, 0.0025, 0.3, 0.3} {
+		if i == 3 {
+			op.Invalidate()
+		}
 		checkSpMV(t, "shifted", op.Update(s, nil), x)
 	}
 }

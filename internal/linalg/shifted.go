@@ -1,26 +1,28 @@
 package linalg
 
-import "math"
-
-// ShiftedOperator maintains M = I - s*A for a fixed square A across many
-// values of the shift s. The Rosenbrock integrator needs exactly this: the
-// stage matrix I - gamma*tau*J shares J's sparsity pattern (plus any
-// structurally missing diagonal entries), so the merged pattern can be
-// built once and every step-size change only rewrites the value array in
-// place — O(nnz) data movement instead of a full Builder assembly.
+// ShiftedOperator maintains the Rosenbrock stage matrix of a fixed square A
+// across many values of the shift s = gamma*tau, in the scaled form
+// M/s = (1/s)*I - A (Hairer & Wanner, Solving ODEs II, §IV.7). M = I - s*A
+// shares A's sparsity pattern (plus any structurally missing diagonal
+// entries), so the merged pattern is built once; with the shift factored out
+// the off-diagonals -a_ij do not depend on s either, so they are written once
+// and a step-size change rewrites only the n diagonal entries. The system
+// M k = f is (M/s) k = f/s: the same solution, and for every iterate the same
+// relative residual.
 //
 // The operator assumes A's values do not change between Update calls (the
 // paper's problem is linear, so J is constant); call Invalidate after
 // mutating A.
 type ShiftedOperator struct {
-	a *CSR
-	m *CSR
+	a, m *CSR
 
 	// apos[p] is the index into a.Val feeding m.Val[p], or -1 for a
 	// diagonal entry that is structurally missing in A.
 	apos []int
-	// diag[r] is the index of row r's diagonal entry in m.Val.
+	// diag[r] is the index of row r's diagonal entry in m.Val, and nd[r]
+	// is -a_rr (0 where A stores none), copied with the off-diagonals.
 	diag []int
+	nd   []float64
 
 	s     float64
 	valid bool
@@ -34,7 +36,7 @@ func NewShiftedOperator(a *CSR) *ShiftedOperator {
 		panic("linalg: ShiftedOperator needs a square matrix")
 	}
 	n := a.Rows
-	o := &ShiftedOperator{a: a, diag: make([]int, n)}
+	o := &ShiftedOperator{a: a, diag: make([]int, n), nd: make([]float64, n)}
 	m := &CSR{Rows: n, Cols: n, RowPtr: make([]int, n+1)}
 	// First pass: count entries per row (A's row plus one for a missing
 	// diagonal) to size the arrays exactly.
@@ -88,85 +90,49 @@ func NewShiftedOperator(a *CSR) *ShiftedOperator {
 	return o
 }
 
-// Matrix returns the operator's matrix I - s*A for the last Update shift.
-// The returned CSR is owned by the operator: its values are rewritten in
+// Matrix returns the operator's matrix (1/s)*I - A for the last Update shift
+// s. The returned CSR is owned by the operator: its values are rewritten in
 // place by the next Update.
 func (o *ShiftedOperator) Matrix() *CSR { return o.m }
 
 // A returns the source matrix the operator was built for.
 func (o *ShiftedOperator) A() *CSR { return o.a }
 
-// Shift returns the shift of the values currently held in Matrix (NaN
-// before the first Update).
-func (o *ShiftedOperator) Shift() float64 {
-	if !o.valid {
-		return math.NaN()
-	}
-	return o.s
-}
-
-// Invalidate forces the next Update to rewrite the values even if the
-// shift is unchanged (needed only if A's values were mutated).
+// Invalidate forces the next Update to rewrite every value even at an
+// unchanged shift (needed only if A's values were mutated).
 func (o *ShiftedOperator) Invalidate() { o.valid = false }
 
-// Update sets M = I - s*A, rewriting only the value array in place, and
-// returns M. When s equals the previous shift the matrix is already
-// current and the call costs one compare; the Rosenbrock controller
-// repeated a step size in none of the benchmark's workloads.
-//
-// The per-entry arithmetic matches CSR.ShiftedScaled exactly, so the
-// resulting values are bit-identical to a from-scratch assembly.
+// Update sets the matrix to (1/s)*I - A in place and returns it. The first
+// call, and the first after Invalidate, copies the negated values of A,
+// whose off-diagonals no shift changes; a call that changes s writes the
+// diagonal 1/s - a_ii, or 1/s where A stores none, charged n flops (a
+// negation is not one). A repeated s costs one compare; s = 0 panics.
 //
 //vetsparse:allocfree
 func (o *ShiftedOperator) Update(s float64, ops *Ops) *CSR {
+	if s == 0 {
+		panic("linalg: ShiftedOperator.Update(0): (1/s)*I - A needs a nonzero shift")
+	}
 	if o.valid && s == o.s {
 		return o.m
 	}
-	o.updateRange(s, 0, o.m.Rows)
-	ops.Add(2 * int64(len(o.m.Val)))
-	o.s, o.valid = s, true
-	return o.m
-}
-
-// UpdateWith is Update with the value rewrite split across a Team by row
-// ranges. Each stored entry is written exactly once with the serial
-// arithmetic, so the values are bit-identical to Update's at any team size.
-// A nil team (or one below the parallel cut-over) falls back to Update.
-//
-//vetsparse:allocfree
-func (o *ShiftedOperator) UpdateWith(t *Team, s float64, ops *Ops) *CSR {
-	if o.valid && s == o.s {
-		return o.m
-	}
-	if t.seq() || o.m.Rows < ParMinPhase {
-		return o.Update(s, ops)
-	}
-	t.so, t.alpha = o, s
-	t.op = opShiftedUpdate
-	t.splitRowsByNNZ(o.m)
-	t.kick()
-	ops.Add(2 * int64(len(o.m.Val)))
-	o.s, o.valid = s, true
-	return o.m
-}
-
-// updateRange rewrites the values of rows [r0, r1) for shift s.
-//
-//vetsparse:allocfree
-func (o *ShiftedOperator) updateRange(s float64, r0, r1 int) {
-	aval := o.a.Val
-	for r := r0; r < r1; r++ {
-		for p := o.m.RowPtr[r]; p < o.m.RowPtr[r+1]; p++ {
-			k := o.apos[p]
-			if k < 0 {
-				o.m.Val[p] = 1
-				continue
+	val := o.m.Val
+	if !o.valid {
+		for p, k := range o.apos {
+			val[p] = 0
+			if k >= 0 {
+				val[p] = -o.a.Val[k]
 			}
-			v := -s * aval[k]
-			if p == o.diag[r] {
-				v += 1
-			}
-			o.m.Val[p] = v
+		}
+		for r, p := range o.diag {
+			o.nd[r] = val[p]
 		}
 	}
+	sigma := 1 / s
+	for r, p := range o.diag {
+		val[p] = sigma + o.nd[r]
+	}
+	ops.Add(int64(len(o.diag)))
+	o.s, o.valid = s, true
+	return o.m
 }

@@ -32,27 +32,38 @@ func BiCGStab(a *CSR, x, b Vector, tol float64, maxIter int, ops *Ops) (SolveSta
 }
 
 // BiCGStab is the workspace-pooled variant of the package-level BiCGStab:
-// all solver vectors come from ws, so steady-state calls allocate nothing.
+// all solver vectors come from ws, so steady-state calls allocate nothing;
+// its preconditioner is factored afresh (a NaN key to BiCGStabLines).
 //
 //vetsparse:allocfree
 func (ws *Workspace) BiCGStab(a *CSR, x, b Vector, tol float64, maxIter int, ops *Ops) (SolveStats, error) {
-	return ws.bicgstab(a, nil, x, b, tol, maxIter, ops)
+	return ws.BiCGStabLines(a, x, b, tol, maxIter, math.NaN(), ops)
+}
+
+// BiCGStabLines is BiCGStab with its line factor cached in ws keyed on
+// (a, key), as BiCGStabILU caches ILU(0): a repeated key reuses the factor
+// even after a's values moved — the Rosenbrock integrator passes one key per
+// refresh — and a new key refactors in place with no allocation.
+//
+//vetsparse:allocfree
+func (ws *Workspace) BiCGStabLines(a *CSR, x, b Vector, tol float64, maxIter int, key float64, ops *Ops) (SolveStats, error) {
+	return ws.bicgstab(a, nil, x, b, tol, maxIter, key, ops)
 }
 
 // bicgstab is the one BiCGStab body behind both preconditioners: f is the
-// ILU(0) factorization of a, or nil for the line factor, which every such
-// solve computes afresh from a's values. An iteration is five team
-// dispatches around two preconditioner applications: phase Pu updates the
-// search direction, M^-1 gives pHat, phase Av multiplies it and reduces the
-// denominator dot as it writes v; phase S forms s and its norm, M^-1 gives
-// sHat, phase At multiplies it and reduces both dots of t; phase X updates x
-// and r, reduces the residual norm and — one dispatch early — the next
-// iteration's rho, charged only once an iteration consumes it. The
-// preconditioners keep their own execution: the level-scheduled triangular
-// solves their dispatch pattern, the line sweeps the caller.
+// ILU(0) factorization of a, or nil for the line factor of a under key. An
+// iteration is five team dispatches around two preconditioner
+// applications: phase Pu updates the search direction, M^-1 gives pHat,
+// phase Av multiplies it and reduces the denominator dot as it writes v;
+// phase S forms s and its norm, M^-1 gives sHat, phase At multiplies it and
+// reduces both dots of t; phase X updates x and r, reduces the residual
+// norm and — one dispatch early — the next iteration's rho, charged only
+// once an iteration consumes it. The preconditioners keep their own
+// execution: the level-scheduled triangular solves their dispatch pattern,
+// the line sweeps the caller.
 //
 //vetsparse:allocfree
-func (ws *Workspace) bicgstab(a *CSR, f *ILU0, x, b Vector, tol float64, maxIter int, ops *Ops) (SolveStats, error) {
+func (ws *Workspace) bicgstab(a *CSR, f *ILU0, x, b Vector, tol float64, maxIter int, key float64, ops *Ops) (SolveStats, error) {
 	n := a.Rows
 	if a.Cols != n || len(x) != n || len(b) != n {
 		panic(fmt.Sprintf("linalg: BiCGStab dims %dx%d, x[%d], b[%d]", a.Rows, a.Cols, len(x), len(b)))
@@ -65,7 +76,7 @@ func (ws *Workspace) bicgstab(a *CSR, f *ILU0, x, b Vector, tol float64, maxIter
 	}
 	ws.ensureBiCGStab(n)
 	if f == nil {
-		ws.lines.factor(a, ops)
+		ws.lines.factorFor(a, key, ops)
 	}
 	ws.buildBiCGStabPhases(a, x, b)
 	tm := ws.team
@@ -148,7 +159,7 @@ func (ws *Workspace) bicgstab(a *CSR, f *ILU0, x, b Vector, tol float64, maxIter
 }
 
 // precondition applies BiCGStab's preconditioner, dst = M^-1 src: the
-// ILU(0) factors f, or without them this solve's line factor.
+// ILU(0) factors f, or without them the line factor.
 //
 //vetsparse:allocfree
 func (ws *Workspace) precondition(f *ILU0, dst, src Vector, ops *Ops) {

@@ -38,7 +38,6 @@ type kernelOp int
 
 const (
 	opMulVec kernelOp = iota
-	opShiftedUpdate
 	opILUFwd
 	opILUBwd
 	opRun
@@ -60,8 +59,7 @@ const spinBudget = 4096
 // hot subsolve kernels by fixed index ranges. All vector work — fused
 // elementwise ops, SpMV steps, dot/norm reductions — reaches the team as a
 // Phase program through RunPhase; beside it stand only the standalone SpMV,
-// the generic Run, and the two structure-specific dispatches behind
-// ILU0.SolveWith and ShiftedOperator.UpdateWith.
+// the generic Run, and the level-by-level dispatches behind ILU0.SolveWith.
 //
 // Determinism: every kernel either computes each output element
 // independently of the range it arrives in (elementwise ops, SpMV,
@@ -104,11 +102,9 @@ type Team struct {
 	// Kernel dispatch arguments, set by the public methods before kick.
 	op    kernelOp
 	m     *CSR
-	so    *ShiftedOperator
 	f     *ILU0
 	ph    *Phase
 	x, y  Vector
-	alpha float64
 	split [MaxTeam + 1]int
 	runFn func(lo, hi int)
 
@@ -329,8 +325,6 @@ func (t *Team) exec(w int) {
 	switch t.op {
 	case opMulVec:
 		t.m.mulVecRange(t.y, t.x, nil, nil, nil, nil, lo, hi)
-	case opShiftedUpdate:
-		t.so.updateRange(t.alpha, lo, hi)
 	case opILUFwd:
 		t.f.forwardRows(t.x, t.y, lo, hi)
 	case opILUBwd:

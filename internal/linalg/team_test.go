@@ -134,16 +134,6 @@ func TestTeamKernelsBitIdentical(t *testing.T) {
 		if want := 2 * int64(a.NNZ()); ops.Flops != want || mv.Flops() != want {
 			t.Errorf("%s: MulVec charges %d / phase %d flops, want %d", label, ops.Flops, mv.Flops(), want)
 		}
-
-		// Shifted-operator value rewrite.
-		so1, so2 := NewShiftedOperator(a), NewShiftedOperator(a)
-		ms := so1.Update(0.037, nil)
-		mp := so2.UpdateWith(tm, 0.037, nil)
-		for i := range ms.Val {
-			if ms.Val[i] != mp.Val[i] {
-				t.Fatalf("%s: ShiftedOperator val[%d] = %v, want %v", label, i, mp.Val[i], ms.Val[i])
-			}
-		}
 	}
 
 	saved := ParMinPhase

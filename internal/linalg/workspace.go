@@ -1,8 +1,8 @@
 package linalg
 
 // Workspace owns every buffer the iterative solvers need — the BiCGStab
-// vectors and line factor, the GMRES Krylov basis and Hessenberg, and a
-// cached ILU(0) factorization — so a steady-state Rosenbrock stepping loop
+// vectors, the GMRES Krylov basis and Hessenberg, and the cached line and
+// ILU(0) factors — so a steady-state Rosenbrock stepping loop
 // performs no allocations at all. A zero-value Workspace is ready to use;
 // buffers grow on demand and are reused across solves (and across systems
 // of different sizes: a buffer is re-sliced when large enough, reallocated
@@ -10,7 +10,8 @@ package linalg
 //
 // A Workspace is not safe for concurrent use; give each goroutine its own.
 type Workspace struct {
-	// Shared by both BiCGStab preconditioners.
+	// Shared by both BiCGStab preconditioners; the line factor is cached
+	// under the caller's key (BiCGStabLines).
 	r, rTilde, p, v, s, t, pHat, sHat Vector
 	lines                             lineFactor
 

@@ -6,16 +6,17 @@
 // the grid lines by default, Jacobi GMRES, or ILU(0) BiCGStab.
 //
 // The original application "built up again and again" its system matrix;
-// the port no longer does. The shifted stage operator keeps J's merged
-// sparsity pattern across the whole integration and a step-size change
-// rewrites only the value array in place (linalg.ShiftedOperator). All
-// solver buffers — the BiCGStab vectors, the GMRES Krylov basis, the
-// ILU(0) factors — live in a reusable Workspace, and the ILU factors are
-// refactored only once gamma*tau drifts past refreshShift. In steady
-// state one step allocates nothing. All work is accounted into a
-// linalg.Ops counter so the cluster work model can be calibrated against
-// real runs: an in-place update is counted as O(nnz) data movement, not as
-// a full rebuild.
+// the port no longer does. A stage system is solved in the scaled form
+// (sigma*I - J) k = sigma*rhs, sigma = 1/(gamma*tau) (Hairer & Wanner,
+// Solving ODEs II, §IV.7): the matrix keeps J's merged sparsity pattern and
+// its off-diagonals across the whole integration, and a step-size change
+// rewrites only the diagonal in place (linalg.ShiftedOperator). All solver
+// buffers — the BiCGStab vectors, the GMRES Krylov basis, the line and
+// ILU(0) factors — live in a reusable Workspace, and either BiCGStab
+// preconditioner is refactored only once gamma*tau drifts past
+// refreshShift. In steady state one step allocates nothing. All work is
+// accounted into a linalg.Ops counter so the cluster work model can be
+// calibrated against real runs.
 package rosenbrock
 
 import (
@@ -71,7 +72,8 @@ type LinearSolver int
 const (
 	// BiCGStab is the default: cheap per iteration, no basis storage,
 	// preconditioned by direct solves along the grid lines of the stronger
-	// coupled direction, factored afresh by every stage solve.
+	// coupled direction, refactored only when gamma*tau drifts past
+	// refreshShift.
 	BiCGStab LinearSolver = iota
 	// GMRES uses restarted GMRES(30), Jacobi preconditioned: monotone
 	// residuals, never breaks down, at the price of storing the Krylov
@@ -83,9 +85,10 @@ const (
 	ILU
 )
 
-// refreshShift is how far gamma*tau may drift from the shift the ILU(0)
-// factors were computed at before a step refactors them: CVODE's DGMAX
-// (Hindmarsh et al., ACM TOMS 31(3), 2005). M itself is always exact.
+// refreshShift is how far gamma*tau may drift from the shift the BiCGStab
+// preconditioner — the line factor or ILU(0) — was computed at before a step
+// refactors it: CVODE's DGMAX (Hindmarsh et al., ACM TOMS 31(3), 2005). M
+// itself is always exact.
 const refreshShift = 0.3
 
 // linTolFactor is the default LinTol as a share of Tol. A step is accepted
@@ -108,28 +111,30 @@ func (s LinearSolver) String() string {
 
 // Workspace holds every buffer a Rosenbrock integration needs: the stage
 // and controller vectors, the shifted stage operator, and the inner linear
-// solver's pooled workspace (Krylov vectors, ILU factors). A zero-value
-// Workspace is ready to use; buffers grow on demand and are reused across
-// integrations, including integrations of different systems and sizes.
+// solver's pooled workspace (Krylov vectors, line and ILU factors). A
+// zero-value Workspace is ready to use; buffers grow on demand and are
+// reused across integrations, including integrations of different systems
+// and sizes.
 // A Workspace is not safe for concurrent use; give each goroutine its own.
 type Workspace struct {
 	lin linalg.Workspace
 
 	f1, f2, k1, k2, u1, est, uNew linalg.Vector
 
-	// op is the cached shifted operator I - s*J; rebuilt only when the
+	// op is the cached stage matrix (1/s)*I - J; rebuilt only when the
 	// integration targets a different Jacobian.
 	op *linalg.ShiftedOperator
 
-	// pcSerial numbers the ILU refreshes of every run on this workspace: the
-	// factor cache's key, never reused, so no run sees another's factors.
+	// pcSerial numbers the preconditioner refreshes of every run on this
+	// workspace: the factor caches' key, never reused, so no run sees
+	// another's factors.
 	pcSerial float64
 
-	// Phase plans of the stepper's own vector work (stage-1 initial guess,
-	// stage-2 preparation, stage-2 right-hand side, the stage combination +
-	// WRMS error norm, and the accepted-step copy), rebuilt by NewStepper
-	// after ensure may have re-sliced the vectors they bind. psc holds the
-	// scalars the plans read through pointers.
+	// Phase plans of the stepper's own vector work (stage-1 initial guess
+	// and scaled right-hand side, stage-2 preparation, the same for stage 2,
+	// the stage combination + WRMS error norm, and the accepted-step copy),
+	// rebuilt by NewStepper after ensure may have re-sliced the vectors they
+	// bind. psc holds the scalars the plans read through pointers.
 	phGuess, phPrep, phRhs2, phComb, phAccept linalg.Phase
 	psc                                       [pscCount]float64
 }
@@ -142,6 +147,7 @@ const (
 	pscOne
 	pscNeg2
 	pscTol
+	pscSigma
 	pscCount
 )
 
@@ -152,11 +158,10 @@ func NewWorkspace() *Workspace { return &Workspace{} }
 // sharing the pool).
 func (w *Workspace) Lin() *linalg.Workspace { return &w.lin }
 
-// SetTeam routes the integration's hot kernels — the stage solves, the
-// shifted-operator rewrite, and the stage-combination vector ops — through
-// t (nil restores serial execution). Results are bit-for-bit identical at
-// any team size. The workspace does not own the team; the caller keeps
-// responsibility for Close.
+// SetTeam routes the integration's hot kernels — the stage solves and the
+// stage-combination vector ops — through t (nil restores serial execution).
+// Results are bit-for-bit identical at any team size. The workspace does
+// not own the team; the caller keeps responsibility for Close.
 func (w *Workspace) SetTeam(t *linalg.Team) { w.lin.SetTeam(t) }
 
 // Team returns the team set by SetTeam (nil means serial).
@@ -205,9 +210,10 @@ func (w *Workspace) buildStepPhases(u linalg.Vector, tol float64) {
 	sc[pscOne] = 1
 	sc[pscNeg2] = -2
 	sc[pscTol] = tol
-	g := &w.phGuess // k1 = f1 (stage-1 initial guess: the explicit value)
+	g := &w.phGuess // k1 = f1 (stage-1 initial guess: the explicit value); f1 *= sigma
 	g.Reset(n)
 	g.Copy(w.k1, w.f1)
+	g.ScaleTo(w.f1, &sc[pscSigma], w.f1)
 	a := &w.phAccept // u = uNew
 	a.Reset(n)
 	a.Copy(u, w.uNew)
@@ -215,10 +221,11 @@ func (w *Workspace) buildStepPhases(u linalg.Vector, tol float64) {
 	p.Reset(n)
 	p.Copy(w.u1, u)
 	p.AXPY(w.u1, &sc[pscTau], w.k1)
-	r := &w.phRhs2 // f2 -= 2*k1; k2 = f2 (stage-2 rhs and initial guess)
+	r := &w.phRhs2 // f2 -= 2*k1; k2 = f2 (stage-2 rhs and initial guess); f2 *= sigma
 	r.Reset(n)
 	r.AXPY(w.f2, &sc[pscNeg2], w.k1)
 	r.Copy(w.k2, w.f2)
+	r.ScaleTo(w.f2, &sc[pscSigma], w.f2)
 	c := &w.phComb // uNew, est, and the WRMS partials in one dispatch
 	c.Reset(n)
 	c.Copy(w.uNew, u)
@@ -230,8 +237,9 @@ func (w *Workspace) buildStepPhases(u linalg.Vector, tol float64) {
 }
 
 // solve dispatches one stage system to the configured solver, pooling all
-// buffers in ws. key names the ILU factors to precondition with: a key the
-// cache holds reuses them, a new one refactors from m.
+// buffers in ws. key names the BiCGStab preconditioner's factors, line or
+// ILU(0): a key the cache holds reuses them, a new one refactors from m.
+// GMRES's Jacobi diagonal takes no key.
 //
 //vetsparse:allocfree
 func (c Config) solve(ws *Workspace, m *linalg.CSR, x, b linalg.Vector, linTol, key float64, ops *linalg.Ops) (linalg.SolveStats, error) {
@@ -241,7 +249,7 @@ func (c Config) solve(ws *Workspace, m *linalg.CSR, x, b linalg.Vector, linTol, 
 	case ILU:
 		return ws.lin.BiCGStabILU(m, x, b, linTol, 0, key, ops)
 	}
-	return ws.lin.BiCGStab(m, x, b, linTol, 0, ops)
+	return ws.lin.BiCGStabLines(m, x, b, linTol, 0, key, ops)
 }
 
 // Stats reports the cost of an integration.
@@ -250,7 +258,7 @@ type Stats struct {
 	Rejected       int // rejected steps
 	FEvals         int
 	LinIters       int // total iterations of the stage solves
-	Factorizations int // ILU(0) factorizations asked for; 0 for BiCGStab and GMRES
+	Factorizations int // preconditioner factorizations asked for, line or ILU(0); 0 for GMRES
 	Ops            linalg.Ops
 }
 
@@ -274,7 +282,7 @@ type Stepper struct {
 	h, hMin  float64
 	linTol   float64
 	maxSteps int
-	pcShift  float64 // gamma*tau the ILU factors were computed at; NaN before
+	pcShift  float64 // gamma*tau the preconditioner was factored at; NaN before
 
 	ws *Workspace
 	st Stats
@@ -357,11 +365,13 @@ func (s *Stepper) Step() error {
 	tm := ws.Team()
 	u := s.u
 	tau := math.Min(s.h, s.t1-s.t)
-	// M = I - gamma*tau*J: an in-place value rewrite of the cached
-	// pattern. The ILU factors follow only once the shift has drifted.
+	// M = I - gamma*tau*J, solved as m = M/(gamma*tau) against right-hand
+	// sides scaled by sigma = 1/(gamma*tau): a step rewrites m's diagonal
+	// alone. The preconditioner follows only once the shift has drifted.
 	shift := Gamma * tau
-	m := ws.op.UpdateWith(tm, shift, ops)
-	if s.cfg.Solver == ILU && !(math.Abs(shift/s.pcShift-1) <= refreshShift) {
+	m := ws.op.Update(shift, ops)
+	ws.psc[pscSigma] = 1 / shift
+	if s.cfg.Solver != GMRES && !(math.Abs(shift/s.pcShift-1) <= refreshShift) {
 		s.pcShift = shift
 		ws.pcSerial++
 		s.st.Factorizations++
@@ -371,6 +381,7 @@ func (s *Stepper) Step() error {
 	s.sys.F(s.t, u, ws.f1, ops)
 	s.st.FEvals++
 	tm.RunPhase(&ws.phGuess)
+	ops.Add(ws.phGuess.Flops())
 	s1, err := s.cfg.solve(ws, m, ws.k1, ws.f1, s.linTol, ws.pcSerial, ops)
 	s.st.LinIters += s1.Iterations
 	if err != nil {

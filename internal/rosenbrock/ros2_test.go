@@ -309,16 +309,16 @@ func TestGMRESSolverMatchesBiCGStab(t *testing.T) {
 
 // TestWarmWorkspaceHistoryIndependent: what a Workspace ran before must not
 // reach an integration's answer or its cost. The second run starts at a
-// shift the first run's last ILU factors were computed at — exactly, or
-// within refreshShift of it — where a factor cache that outlived its
-// integration would precondition with the previous run's factors, or skip
-// a factorization and its flops. It must be bit-identical to the same run
-// on a fresh Workspace.
+// shift the first run's last preconditioner — ILU(0) or the line factor —
+// was computed at, exactly or within refreshShift of it, where a factor cache
+// that outlived its integration would precondition with the previous run's
+// factors, or skip a factorization and its flops. It must be bit-identical
+// to the same run on a fresh Workspace.
 func TestWarmWorkspaceHistoryIndependent(t *testing.T) {
 	d := pde.NewDisc(grid.Grid{Root: 2, L1: 2, L2: 1}, pde.PaperProblem())
-	run := func(t *testing.T, ws *Workspace, h0, t1 float64) (linalg.Vector, Stats, float64) {
+	run := func(t *testing.T, lin LinearSolver, ws *Workspace, h0, t1 float64) (linalg.Vector, Stats, float64) {
 		u := d.InitialInterior()
-		s, err := NewStepper(d, u, 0, t1, Config{Tol: 1e-3, Solver: ILU, H0: h0, Work: ws})
+		s, err := NewStepper(d, u, 0, t1, Config{Tol: 1e-3, Solver: lin, H0: h0, Work: ws})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -339,23 +339,25 @@ func TestWarmWorkspaceHistoryIndependent(t *testing.T) {
 		{"within refreshShift", tEnd, 1 + refreshShift/2},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			ws := NewWorkspace()
-			_, st, last := run(t, ws, h0, c.warmT1)
-			h := h0
-			if c.within != 1 {
-				h = c.within * last / Gamma
-			}
-			if c.warmT1 == h0 && st.Factorizations != 1 {
-				t.Fatalf("the one-step warm-up factored %d times", st.Factorizations)
-			}
-			uWarm, stWarm, _ := run(t, ws, h, tEnd)
-			uCold, stCold, _ := run(t, NewWorkspace(), h, tEnd)
-			if stWarm != stCold {
-				t.Errorf("warm workspace: %+v; fresh: %+v", stWarm, stCold)
-			}
-			for i := range uCold {
-				if math.Float64bits(uWarm[i]) != math.Float64bits(uCold[i]) {
-					t.Fatalf("u[%d] = %v on the warm workspace, %v on a fresh one", i, uWarm[i], uCold[i])
+			for _, lin := range []LinearSolver{BiCGStab, ILU} {
+				ws := NewWorkspace()
+				_, st, last := run(t, lin, ws, h0, c.warmT1)
+				h := h0
+				if c.within != 1 {
+					h = c.within * last / Gamma
+				}
+				if c.warmT1 == h0 && st.Factorizations != 1 {
+					t.Fatalf("%v: the one-step warm-up factored %d times", lin, st.Factorizations)
+				}
+				uWarm, stWarm, _ := run(t, lin, ws, h, tEnd)
+				uCold, stCold, _ := run(t, lin, NewWorkspace(), h, tEnd)
+				if stWarm != stCold {
+					t.Errorf("%v: warm workspace: %+v; fresh: %+v", lin, stWarm, stCold)
+				}
+				for i := range uCold {
+					if math.Float64bits(uWarm[i]) != math.Float64bits(uCold[i]) {
+						t.Fatalf("%v: u[%d] = %v on the warm workspace, %v on a fresh one", lin, i, uWarm[i], uCold[i])
+					}
 				}
 			}
 		})

@@ -10,9 +10,10 @@ import (
 // Jacobian's sparsity pattern) and the inner linear solver (which fixes
 // the workspace layout — Krylov basis vs. BiCGStab vectors vs. ILU
 // factors). Tolerance is deliberately excluded: every integration factors
-// its ILU preconditioner afresh, in place, at its own first step (and
-// rewrites its stage matrix), so entries are shareable across tolerances
-// without affecting results.
+// its BiCGStab preconditioner, line or ILU(0), afresh at its own first step
+// under a key no earlier integration used (and writes its whole stage matrix
+// afresh), so entries are shareable across tolerances without affecting
+// results.
 type signature struct {
 	g   grid.Grid
 	lin rosenbrock.LinearSolver

@@ -62,17 +62,18 @@ func coresUnderTest() []int {
 // tolerance, LinTol = 1e-2*Tol, together; linalg's golden digests pass an
 // explicit tolerance and pin the kernels alone. A row that moves while
 // those hold is the rule moving, and only a change of the rule regenerates
-// it. The ILU row pins a second rule as well: ILU(0) factors are kept
-// across steps until gamma*tau drifts more than 30 % from their shift
-// (refreshShift). The BiCGStab row pins its preconditioner, the line factor
-// along the stronger-coupled grid direction (DESIGN.md §15).
+// it. All three pin the scaled stage system (1/(gamma*tau))*I - J with its
+// scaled right-hand sides (DESIGN.md §16). The two BiCGStab rows pin a
+// second rule as well: their preconditioner, ILU(0) or the line factor
+// along the stronger-coupled grid direction (DESIGN.md §15), is kept across
+// steps until gamma*tau drifts more than 30 % from its shift (refreshShift).
 var goldenFamily = map[rosenbrock.LinearSolver]struct {
 	sha   string
 	flops int64
 }{
-	rosenbrock.BiCGStab: {"d2acfe81338d70ec79937824a841b13d1e772de00f9342c0b90780a379b5839d", 1247364},
-	rosenbrock.GMRES:    {"a08c81ebef1db3476b0ce6a60ec5cc1dcbe2357e3918b237e46389de49f19bf5", 1917332},
-	rosenbrock.ILU:      {"6f245bc7bb47ead29e2d281e937337d40f013344554bdeb57dbd25c7b7cdb37e", 1120396},
+	rosenbrock.BiCGStab: {"d2a46b9a465f44e79792513e88061b8c97ea3c669338bd2cda961f0d8d062e34", 1220185},
+	rosenbrock.GMRES:    {"83ca387ee81e845970d28c19b581cda3dff71d0f8924f8f10342e0e46c0825b5", 1891534},
+	rosenbrock.ILU:      {"9554ff42ad8091ed49beb7792ef26829d2a29cf19089a3abeacaba96205d9a5b", 1094598},
 }
 
 // TestDeterminismAcrossCores is the determinism acceptance test:

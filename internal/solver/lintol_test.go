@@ -93,27 +93,36 @@ func TestInnerToleranceRule(t *testing.T) {
 	}
 }
 
-// TestPreconditionerRefreshRule pins the rule that keeps ILU(0) factors
-// across steps until gamma*tau drifts more than 30 % from the shift they were
-// computed at: on family-wide's -short shape, a quarter of the step
-// attempts is a generous bound on the factorizations (the rule reads about
-// one in eight at Tol 1e-3), where a refactorization at every new step size
-// asks for one per attempt. That the lagging preconditioner leaves the
-// answer alone is TestInnerToleranceRule's ILU rows: they compare with the
-// over-solved reference, whose 1e-8 residual no preconditioner moves.
+// TestPreconditionerRefreshRule pins the rule that keeps either BiCGStab
+// preconditioner, ILU(0) or the line factor, across steps until gamma*tau
+// drifts more than 30 % from the shift it was computed at: on the -short
+// shapes of family-wide (ILU) and family-deep (the line factor), a quarter
+// of the step attempts is a generous bound on the factorizations (the rule
+// reads 19 of 152 and 44 of 256 at Tol 1e-3, 12 of 494 and 28 of 819 at
+// 1e-4), where a refactorization at every new step size asks for one per
+// attempt. That the lagging preconditioner
+// leaves the answer alone is TestInnerToleranceRule's BiCGStab and ILU rows:
+// they compare with the over-solved reference, whose 1e-8 residual no
+// preconditioner moves.
 func TestPreconditionerRefreshRule(t *testing.T) {
-	for _, tol := range []float64{1e-3, 1e-4} {
-		out, err := Sequential(Params{Root: 4, Level: 2, Tol: tol, Solver: rosenbrock.ILU, CoresPerWorker: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var facts, attempts int
-		for _, r := range out.Results {
-			facts += r.Stats.Factorizations
-			attempts += r.Stats.Steps + r.Stats.Rejected
-		}
-		if facts == 0 || facts > attempts/4 {
-			t.Errorf("Tol %g: %d ILU factorizations for %d step attempts, want 1 … %d", tol, facts, attempts, attempts/4)
+	for _, c := range []struct {
+		root, level int
+		lin         rosenbrock.LinearSolver
+	}{{4, 2, rosenbrock.ILU}, {2, 4, rosenbrock.BiCGStab}} {
+		for _, tol := range []float64{1e-3, 1e-4} {
+			out, err := Sequential(Params{Root: c.root, Level: c.level, Tol: tol, Solver: c.lin, CoresPerWorker: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var facts, attempts int
+			for _, r := range out.Results {
+				facts += r.Stats.Factorizations
+				attempts += r.Stats.Steps + r.Stats.Rejected
+			}
+			if facts == 0 || facts > attempts/4 {
+				t.Errorf("%v, root %d level %d, Tol %g: %d factorizations for %d step attempts, want 1 … %d",
+					c.lin, c.root, c.level, tol, facts, attempts, attempts/4)
+			}
 		}
 	}
 }

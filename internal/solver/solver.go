@@ -216,7 +216,7 @@ func SubsolveInto(g grid.Grid, p *pde.Problem, tol, tEnd float64, lin rosenbrock
 // SubsolveOn is SubsolveInto on a prebuilt discretization: the caller owns
 // d and may reuse it (and the workspace) across integrations of the same
 // signature — the serve-layer solver cache does exactly that, keeping the
-// assembled matrices, the shifted-operator pattern, and the ILU factors of
+// assembled matrices, the stage-matrix pattern, and the factor buffers of
 // a (grid, solver) signature warm across requests. d must not be shared by
 // concurrent integrations. Output is bit-for-bit identical to a fresh
 // SubsolveInto at any team size.

@@ -30,7 +30,7 @@
 //
 // The real solver's flop counts feeding this calibration charge the
 // Rosenbrock stage matrix at its true steady-state cost: an in-place
-// O(nnz) shifted-operator update per step-size change (nothing when the
+// rewrite of its n diagonal entries per step-size change (nothing when the
 // controller holds the step), not the full re-assembly the seed performed
 // — see the "Hot-loop cost model" section of EXPERIMENTS.md.
 package workmodel
