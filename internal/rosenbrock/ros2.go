@@ -14,9 +14,14 @@
 // buffers — the BiCGStab vectors, the GMRES Krylov basis, the line and
 // ILU(0) factors — live in a reusable Workspace, and either BiCGStab
 // preconditioner is refactored only once gamma*tau drifts past
-// refreshShift. In steady state one step allocates nothing. All work is
-// accounted into a linalg.Ops counter so the cluster work model can be
-// calibrated against real runs.
+// refreshShift. Each stage solve starts from a prediction: the polynomial
+// extrapolation of the last predOrder accepted steps' stage vectors to the
+// new step (DESIGN.md §17). The solves stop on a residual relative to the
+// right-hand side, not to the first residual, so a better start removes
+// iterations and moves the answer only within the inner tolerance. In
+// steady state one step allocates nothing. All work is accounted into a
+// linalg.Ops counter so the cluster work model can be calibrated against
+// real runs.
 package rosenbrock
 
 import (
@@ -99,6 +104,12 @@ const refreshShift = 0.3
 // where a 1e-8 solve puts them (DESIGN.md §13).
 const linTolFactor = 1e-2
 
+// predOrder is how many accepted steps the stage solves' starting values
+// are extrapolated from, by a polynomial in the step number (Hairer &
+// Wanner, Solving ODEs II, §IV.8): the fastest order of {1, 2, 3, 4} on
+// single-core family time, all of which keep every step (DESIGN.md §17).
+const predOrder = 4
+
 func (s LinearSolver) String() string {
 	switch s {
 	case GMRES:
@@ -121,6 +132,10 @@ type Workspace struct {
 
 	f1, f2, k1, k2, u1, est, uNew linalg.Vector
 
+	// hist is a ring of the last predOrder accepted steps' k1 and k2, the
+	// predictor's nodes; phAccept[j] writes slot j.
+	hist [predOrder][2]linalg.Vector
+
 	// op is the cached stage matrix (1/s)*I - J; rebuilt only when the
 	// integration targets a different Jacobian.
 	op *linalg.ShiftedOperator
@@ -134,12 +149,17 @@ type Workspace struct {
 	// and scaled right-hand side, stage-2 preparation, the same for stage 2,
 	// the stage combination + WRMS error norm, and the accepted-step copy),
 	// rebuilt by NewStepper after ensure may have re-sliced the vectors they
-	// bind. psc holds the scalars the plans read through pointers.
-	phGuess, phPrep, phRhs2, phComb, phAccept linalg.Phase
-	psc                                       [pscCount]float64
+	// bind. phGuess[q] and phRhs2[q] predict from the ring's first q slots;
+	// phAccept[j] records into slot j. psc holds the scalars the plans read
+	// through pointers.
+	phGuess, phRhs2 [predOrder + 1]linalg.Phase
+	phAccept        [predOrder]linalg.Phase
+	phPrep, phComb  linalg.Phase
+	psc             [pscCount]float64
 }
 
-// Scalar slots of the stepper's fused phases.
+// Scalar slots of the stepper's fused phases; pscW+j is ring slot j's
+// predictor weight.
 const (
 	pscTau = iota
 	psc15Tau
@@ -148,7 +168,8 @@ const (
 	pscNeg2
 	pscTol
 	pscSigma
-	pscCount
+	pscW
+	pscCount = pscW + predOrder
 )
 
 // NewWorkspace returns an empty workspace.
@@ -194,6 +215,10 @@ func (w *Workspace) ensure(n int, jac *linalg.CSR) {
 	growVec(&w.u1, n)
 	growVec(&w.est, n)
 	growVec(&w.uNew, n)
+	for j := range w.hist {
+		growVec(&w.hist[j][0], n)
+		growVec(&w.hist[j][1], n)
+	}
 	if w.op == nil || w.op.A() != jac {
 		w.op = linalg.NewShiftedOperator(jac)
 	}
@@ -210,22 +235,28 @@ func (w *Workspace) buildStepPhases(u linalg.Vector, tol float64) {
 	sc[pscOne] = 1
 	sc[pscNeg2] = -2
 	sc[pscTol] = tol
-	g := &w.phGuess // k1 = f1 (stage-1 initial guess: the explicit value); f1 *= sigma
-	g.Reset(n)
-	g.Copy(w.k1, w.f1)
-	g.ScaleTo(w.f1, &sc[pscSigma], w.f1)
-	a := &w.phAccept // u = uNew
-	a.Reset(n)
-	a.Copy(u, w.uNew)
+	for q := range w.phGuess {
+		g := &w.phGuess[q] // k1 = stage-1 initial guess; f1 *= sigma
+		g.Reset(n)
+		w.predict(g, q, 0, w.k1, w.f1)
+		g.ScaleTo(w.f1, &sc[pscSigma], w.f1)
+		r := &w.phRhs2[q] // f2 -= 2*k1; k2 = stage-2 initial guess; f2 *= sigma
+		r.Reset(n)
+		r.AXPY(w.f2, &sc[pscNeg2], w.k1)
+		w.predict(r, q, 1, w.k2, w.f2)
+		r.ScaleTo(w.f2, &sc[pscSigma], w.f2)
+	}
+	for j := range w.phAccept {
+		a := &w.phAccept[j] // u = uNew; ring slot j = (k1, k2)
+		a.Reset(n)
+		a.Copy(u, w.uNew)
+		a.Copy(w.hist[j][0], w.k1)
+		a.Copy(w.hist[j][1], w.k2)
+	}
 	p := &w.phPrep // u1 = u + tau*k1
 	p.Reset(n)
 	p.Copy(w.u1, u)
 	p.AXPY(w.u1, &sc[pscTau], w.k1)
-	r := &w.phRhs2 // f2 -= 2*k1; k2 = f2 (stage-2 rhs and initial guess); f2 *= sigma
-	r.Reset(n)
-	r.AXPY(w.f2, &sc[pscNeg2], w.k1)
-	r.Copy(w.k2, w.f2)
-	r.ScaleTo(w.f2, &sc[pscSigma], w.f2)
 	c := &w.phComb // uNew, est, and the WRMS partials in one dispatch
 	c.Reset(n)
 	c.Copy(w.uNew, u)
@@ -234,6 +265,21 @@ func (w *Workspace) buildStepPhases(u linalg.Vector, tol float64) {
 	c.AXPYTo(w.est, w.k1, &sc[pscOne], w.k2)
 	c.ScaleTo(w.est, &sc[pscHalfTau], w.est)
 	c.WRMS(0, w.est, u, &sc[pscTol], &sc[pscTol])
+}
+
+// predict appends k = the initial guess of stage st (0: k1, 1: k2) from the
+// ring's first q slots, each times its weight: sum_j psc[pscW+j]*hist[j][st].
+// With q = 0 the guess is the unscaled right-hand side rhs, the explicit
+// value that M ~ I for a small gamma*tau makes a fair start.
+func (w *Workspace) predict(p *linalg.Phase, q, st int, k, rhs linalg.Vector) {
+	if q == 0 {
+		p.Copy(k, rhs)
+		return
+	}
+	p.ScaleTo(k, &w.psc[pscW], w.hist[0][st])
+	for j := 1; j < q; j++ {
+		p.AXPY(k, &w.psc[pscW+j], w.hist[j][st])
+	}
 }
 
 // solve dispatches one stage system to the configured solver, pooling all
@@ -283,6 +329,11 @@ type Stepper struct {
 	linTol   float64
 	maxSteps int
 	pcShift  float64 // gamma*tau the preconditioner was factored at; NaN before
+
+	// nHist counts the accepted steps recorded in the workspace's ring, the
+	// i-th (from 0) into slot i mod predOrder. It starts at zero with the
+	// Stepper, so no run reads a slot another run wrote.
+	nHist int
 
 	ws *Workspace
 	st Stats
@@ -346,6 +397,22 @@ func (s *Stepper) T() float64 { return s.t }
 // Stats returns the cost statistics accumulated so far.
 func (s *Stepper) Stats() Stats { return s.st }
 
+// predictWeights writes the order-q extrapolation's weights into the ring
+// slots' scalars. The abscissa is the step number: the step a back, in slot
+// (nHist-a) mod predOrder, gets the Lagrange basis at the next step number
+// over the q before it, (-1)^(a+1)*C(q, a) — the rows (1), (2, -1),
+// (3, -3, 1), (4, -6, 4, -1), all exact (DESIGN.md §17).
+//
+//vetsparse:allocfree
+func (s *Stepper) predictWeights(q int) {
+	c := 1.0
+	for a := 1; a <= q; a++ {
+		c = c * float64(q-a+1) / float64(a)
+		s.ws.psc[pscW+(s.nHist-a)%predOrder] = c
+		c = -c
+	}
+}
+
 // Step attempts one time step: both ROS2 stages, the embedded error
 // estimate, and the controller update. An accepted step advances u and t;
 // a rejected step only shrinks h. Calling Step after Done is a no-op. In
@@ -377,11 +444,16 @@ func (s *Stepper) Step() error {
 		s.st.Factorizations++
 	}
 
+	// Both stages start from the extrapolation of the recorded steps' stage
+	// vectors, with as many of them as there are, up to predOrder.
+	q := min(s.nHist, predOrder)
+	s.predictWeights(q)
+
 	// Stage 1: M k1 = F(t, u).
 	s.sys.F(s.t, u, ws.f1, ops)
 	s.st.FEvals++
-	tm.RunPhase(&ws.phGuess)
-	ops.Add(ws.phGuess.Flops())
+	tm.RunPhase(&ws.phGuess[q])
+	ops.Add(ws.phGuess[q].Flops())
 	s1, err := s.cfg.solve(ws, m, ws.k1, ws.f1, s.linTol, ws.pcSerial, ops)
 	s.st.LinIters += s1.Iterations
 	if err != nil {
@@ -394,8 +466,8 @@ func (s *Stepper) Step() error {
 	ops.Add(ws.phPrep.Flops())
 	s.sys.F(s.t+tau, ws.u1, ws.f2, ops)
 	s.st.FEvals++
-	tm.RunPhase(&ws.phRhs2)
-	ops.Add(ws.phRhs2.Flops())
+	tm.RunPhase(&ws.phRhs2[q])
+	ops.Add(ws.phRhs2[q].Flops())
 	s2, err := s.cfg.solve(ws, m, ws.k2, ws.f2, s.linTol, ws.pcSerial, ops)
 	s.st.LinIters += s2.Iterations
 	if err != nil {
@@ -412,7 +484,9 @@ func (s *Stepper) Step() error {
 	ops.Add(ws.phComb.Flops())
 	errNorm := math.Sqrt(ws.phComb.Fold(0) / float64(len(u)))
 	if errNorm <= 1 {
-		tm.RunPhase(&ws.phAccept)
+		// Only an accepted step enters the history, over its oldest entry.
+		tm.RunPhase(&ws.phAccept[s.nHist%predOrder])
+		s.nHist++
 		s.t += tau
 		s.st.Steps++
 	} else {

@@ -1,6 +1,7 @@
 package rosenbrock
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -312,45 +313,68 @@ func TestGMRESSolverMatchesBiCGStab(t *testing.T) {
 // shift the first run's last preconditioner — ILU(0) or the line factor —
 // was computed at, exactly or within refreshShift of it, where a factor cache
 // that outlived its integration would precondition with the previous run's
-// factors, or skip a factorization and its flops. It must be bit-identical
-// to the same run on a fresh Workspace.
+// factors, or skip a factorization and its flops. Or it follows a run that
+// failed and left non-finite values and signed zeros in every slot of the
+// predictor's ring: a slot the new run has not written must not be read,
+// not even times a zero weight. It must be bit-identical to the same run on
+// a fresh Workspace, for every linear solver.
 func TestWarmWorkspaceHistoryIndependent(t *testing.T) {
 	d := pde.NewDisc(grid.Grid{Root: 2, L1: 2, L2: 1}, pde.PaperProblem())
-	run := func(t *testing.T, lin LinearSolver, ws *Workspace, h0, t1 float64) (linalg.Vector, Stats, float64) {
+	// run integrates to t1; a positive maxSteps is a budget it must exhaust.
+	run := func(t *testing.T, lin LinearSolver, ws *Workspace, h0, t1 float64, maxSteps int) (linalg.Vector, Stats, float64) {
 		u := d.InitialInterior()
-		s, err := NewStepper(d, u, 0, t1, Config{Tol: 1e-3, Solver: lin, H0: h0, Work: ws})
+		s, err := NewStepper(d, u, 0, t1, Config{Tol: 1e-3, Solver: lin, H0: h0, MaxSteps: maxSteps, Work: ws})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for !s.Done() {
 			if err := s.Step(); err != nil {
-				t.Fatal(err)
+				if maxSteps == 0 || !errors.Is(err, ErrTooManySteps) {
+					t.Fatal(err)
+				}
+				return u, s.Stats(), s.pcShift
 			}
+		}
+		if maxSteps > 0 {
+			t.Fatalf("%v: the run ended within its budget of %d steps", lin, maxSteps)
 		}
 		return u, s.Stats(), s.pcShift
 	}
 	const h0, tEnd = 0.004, 0.5
 	for _, c := range []struct {
-		name   string
-		warmT1 float64 // the first run's end
-		within float64 // the second run's first shift over the first run's last factor shift
+		name     string
+		warmT1   float64 // the first run's end
+		within   float64 // the second run's first shift over the first run's last factor shift
+		warmFail int     // > 0: the first run fails after this many attempts, its ring poisoned
 	}{
-		{"same shift", h0, 1}, // one step: its factors are at Gamma*h0
-		{"within refreshShift", tEnd, 1 + refreshShift/2},
+		{"same shift", h0, 1, 0}, // one step: its factors are at Gamma*h0
+		{"within refreshShift", tEnd, 1 + refreshShift/2, 0},
+		{"after a failed run", tEnd, 1, 2*predOrder + 1},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			for _, lin := range []LinearSolver{BiCGStab, ILU} {
+			for _, lin := range []LinearSolver{BiCGStab, GMRES, ILU} {
 				ws := NewWorkspace()
-				_, st, last := run(t, lin, ws, h0, c.warmT1)
+				_, st, last := run(t, lin, ws, h0, c.warmT1, c.warmFail)
+				if c.warmFail > 0 {
+					if st.Steps <= predOrder {
+						t.Fatalf("%v: the failed warm-up accepted %d steps; the ring never wrapped", lin, st.Steps)
+					}
+					poison := [...]float64{math.NaN(), math.Inf(1), math.Copysign(0, -1), math.Inf(-1)}
+					for j := range ws.hist {
+						for k := range ws.hist[j] {
+							ws.hist[j][k].Fill(poison[(2*j+k)%len(poison)])
+						}
+					}
+				}
 				h := h0
-				if c.within != 1 {
+				if c.within != 1 && lin != GMRES { // GMRES keeps no factors: any start will do
 					h = c.within * last / Gamma
 				}
-				if c.warmT1 == h0 && st.Factorizations != 1 {
+				if c.warmT1 == h0 && lin != GMRES && st.Factorizations != 1 {
 					t.Fatalf("%v: the one-step warm-up factored %d times", lin, st.Factorizations)
 				}
-				uWarm, stWarm, _ := run(t, lin, ws, h, tEnd)
-				uCold, stCold, _ := run(t, lin, NewWorkspace(), h, tEnd)
+				uWarm, stWarm, _ := run(t, lin, ws, h, tEnd, 0)
+				uCold, stCold, _ := run(t, lin, NewWorkspace(), h, tEnd, 0)
 				if stWarm != stCold {
 					t.Errorf("%v: warm workspace: %+v; fresh: %+v", lin, stWarm, stCold)
 				}
@@ -361,6 +385,127 @@ func TestWarmWorkspaceHistoryIndependent(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPredictorWeights: after every number of recorded steps, as the ring
+// fills and wraps, the weights the stepper leaves in the slots it reads
+// extrapolate every polynomial of degree q-1 in the step number to the next
+// step exactly, q = min(steps, predOrder), and read by age they are the
+// binomial rows.
+func TestPredictorWeights(t *testing.T) {
+	binomial := [][]float64{{1}, {2, -1}, {3, -3, 1}, {4, -6, 4, -1}}
+	s := &Stepper{ws: NewWorkspace()}
+	for n := 1; n <= 4*predOrder; n++ {
+		s.nHist = n
+		q := min(n, predOrder)
+		s.predictWeights(q)
+		w := s.ws.psc[pscW : pscW+q]
+		step := make([]float64, q) // the step number slot j holds: the last i < n with i mod predOrder = j
+		for j := range step {
+			step[j] = float64(n - 1 - (n-1-j)%predOrder)
+		}
+		for a := 1; a <= q; a++ {
+			if got := w[(n-a)%predOrder]; got != binomial[q-1][a-1] {
+				t.Fatalf("%d steps: the step %d back weighs %v, want %v", n, a, got, binomial[q-1][a-1])
+			}
+		}
+		for deg := 0; deg < q; deg++ {
+			p := func(x float64) float64 { return math.Pow(x+0.5, float64(deg)) + float64(deg)*x }
+			sum := 0.0
+			for j := range step {
+				sum += w[j] * p(step[j])
+			}
+			if want := p(float64(n)); math.Abs(sum-want) > 1e-12*math.Abs(want) {
+				t.Errorf("%d steps: degree %d extrapolates to %v, want %v", n, deg, sum, want)
+			}
+		}
+	}
+}
+
+// TestPredictorSkipsRejectedAttempts: a rejected attempt leaves the
+// predictor's ring and count as they were, both before the first accepted
+// step (H0 the whole span) and with a full ring; an accepted one writes its
+// k1 and k2 over the oldest slot. With GMRES, which keeps no factors, a run
+// that takes a rejected attempt and then resumes at the step size it had is
+// bit for bit the run that never took it.
+func TestPredictorSkipsRejectedAttempts(t *testing.T) {
+	d := pde.NewDisc(grid.Grid{Root: 2, L1: 2, L2: 1}, pde.PaperProblem())
+	const t1 = 0.5
+	start := func(h0 float64) (*Stepper, linalg.Vector) {
+		u := d.InitialInterior()
+		s, err := NewStepper(d, u, 0, t1, Config{Tol: 1e-3, Solver: GMRES, H0: h0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, u
+	}
+	snapshot := func(s *Stepper) []linalg.Vector {
+		var v []linalg.Vector
+		for j := range s.ws.hist {
+			v = append(v, s.ws.hist[j][0].Clone(), s.ws.hist[j][1].Clone())
+		}
+		return v
+	}
+	same := func(a, b linalg.Vector) bool {
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	// step takes one attempt and checks what it did to the ring.
+	step := func(s *Stepper) (accepted bool) {
+		t.Helper()
+		before, n, rej := snapshot(s), s.nHist, s.st.Rejected
+		if err := s.Step(); err != nil {
+			t.Fatal(err)
+		}
+		after := snapshot(s)
+		if s.st.Rejected > rej {
+			for i := range before {
+				if s.nHist != n || !same(before[i], after[i]) {
+					t.Fatalf("a rejected attempt changed the ring (count %d -> %d, vector %d)", n, s.nHist, i)
+				}
+			}
+			return false
+		}
+		j := n % predOrder
+		if s.nHist != n+1 || !same(s.ws.hist[j][0], s.ws.k1) || !same(s.ws.hist[j][1], s.ws.k2) {
+			t.Fatalf("accepted step %d: count %d, slot %d does not hold its k1 and k2", n, s.nHist, j)
+		}
+		return true
+	}
+
+	s, _ := start(t1)
+	for !step(s) {
+	}
+	if s.st.Rejected == 0 {
+		t.Fatal("premise: H0 = the whole span must be rejected")
+	}
+
+	ref, uRef := start(0)
+	s, u := start(0)
+	forced := 0
+	for !ref.Done() {
+		if ref.st.Steps > predOrder && ref.st.Steps%3 == 0 && forced < 3 {
+			h := s.h
+			s.h = t1 - s.t
+			if step(s) {
+				t.Fatalf("premise: a step over the rest of the span at t=%g must be rejected", s.t)
+			}
+			s.h = h
+			forced++
+		}
+		step(ref)
+		step(s)
+		if !same(u, uRef) || s.t != ref.t || s.h != ref.h {
+			t.Fatalf("after %d accepted steps and %d forced rejections the runs differ", ref.st.Steps, forced)
+		}
+	}
+	if forced == 0 || s.st.Rejected != ref.st.Rejected+forced {
+		t.Fatalf("forced %d rejections: %d against %d", forced, s.st.Rejected, ref.st.Rejected)
 	}
 }
 
@@ -444,18 +589,24 @@ func zeroPivotSystem(t *testing.T, s float64) *linearSystem {
 // window (DESIGN.md §14): every step whose shift stays within refreshShift
 // of the failed one solves exactly as the BiCGStab solver does, bit for bit,
 // although its stage matrix has moved off the zero pivot; the first step
-// past the window factors again. Integrate, run the same way, ends where the
-// BiCGStab solver does.
+// past the window factors again. Every step is accepted, so u, the stage
+// vectors and the predictor's history all move under the comparison.
+// Integrate, run the same way, ends where the BiCGStab solver does.
 func TestILUZeroPivotFallsBack(t *testing.T) {
 	const h0, t1 = 0.01, 0.2
 	sys := zeroPivotSystem(t, Gamma*h0)
 	if _, err := linalg.NewILU0(linalg.NewShiftedOperator(sys.jac).Update(Gamma*h0, nil), nil); err == nil {
 		t.Fatal("premise: ILU(0) of the first stage matrix must meet a zero pivot")
 	}
-	u0 := linalg.Vector{1, 0.5, -0.25, 0.75}
+	// The stepped run starts on (about) the slowest eigenvector of s*J,
+	// symmetric in (0, 2) and (1, 3) with eigenvalue -0.553: h*lambda is
+	// about -0.3 at these step sizes, and the first-order error estimate
+	// stays below Tol 5e-2. Along the growing mode (+1.34) every step the
+	// test sets is rejected at any Tol below 1.
+	uSlow := linalg.Vector{1, 0.2235, 1, 0.2235}
 	start := func(lin LinearSolver) (*Stepper, linalg.Vector) {
-		u := u0.Clone()
-		s, err := NewStepper(sys, u, 0, t1, Config{Tol: 1e-3, Solver: lin, H0: h0})
+		u := uSlow.Clone()
+		s, err := NewStepper(sys, u, 0, t1, Config{Tol: 5e-2, Solver: lin, H0: h0})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -470,6 +621,9 @@ func TestILUZeroPivotFallsBack(t *testing.T) {
 		}
 		if err := line.Step(); err != nil {
 			t.Fatalf("step %d, BiCGStab: %v", i, err)
+		}
+		if ilu.st.Steps != i+1 || line.st.Steps != i+1 {
+			t.Fatalf("step %d: %d and %d accepted, want every step", i, ilu.st.Steps, line.st.Steps)
 		}
 		m := ilu.ws.op.Matrix()
 		_, cached := ilu.ws.lin.ILUFor(m, ilu.ws.pcSerial, nil) // the current key: answered from the cache
@@ -495,6 +649,7 @@ func TestILUZeroPivotFallsBack(t *testing.T) {
 	// The system grows like e^(t/s), s = Gamma*h0: Integrate runs it a
 	// short way.
 	const tShort = 0.05
+	u0 := linalg.Vector{1, 0.5, -0.25, 0.75}
 	uI, uL = u0.Clone(), u0.Clone()
 	stI, err := Integrate(sys, uI, 0, tShort, Config{Tol: 1e-3, Solver: ILU, H0: h0})
 	if err != nil {
