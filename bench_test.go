@@ -299,11 +299,12 @@ func BenchmarkSimEngine(b *testing.B) {
 }
 
 // BenchmarkAblationInnerSolver compares the two inner linear solvers on a
-// real Subsolve call (BiCGStab vs restarted GMRES).
+// real Subsolve call (BiCGStab preconditioned along the grid lines vs
+// ILU(0)).
 func BenchmarkAblationInnerSolver(b *testing.B) {
 	g := grid.Grid{Root: 2, L1: 2, L2: 2}
 	prob := pde.PaperProblem()
-	for _, lin := range []rosenbrock.LinearSolver{rosenbrock.BiCGStab, rosenbrock.GMRES} {
+	for _, lin := range []rosenbrock.LinearSolver{rosenbrock.BiCGStab, rosenbrock.ILU} {
 		b.Run(lin.String(), func(b *testing.B) {
 			var iters int
 			for i := 0; i < b.N; i++ {

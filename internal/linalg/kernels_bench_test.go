@@ -2,7 +2,6 @@ package linalg
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 )
 
@@ -116,38 +115,8 @@ func BenchmarkMulVec(b *testing.B) {
 			p.mulVecDot(a, y, x, [...]Vector{nil, x, x}[dots], [...]Vector{nil, nil, y}[dots])
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				p.exec(nil, 0, 0, a.Rows)
+				p.exec(0, a.Rows)
 			}
-		})
-	}
-}
-
-// BenchmarkMGS times one Arnoldi column's Gram-Schmidt sweep at 63x31
-// against k+1 basis vectors: early, middle and last column of a restart
-// cycle. w is restored before each sweep so every one projects the same
-// vector.
-func BenchmarkMGS(b *testing.B) {
-	const n = 63 * 31
-	rng := rand.New(rand.NewSource(43))
-	basis := make([]Vector, 30)
-	hess := make([][]float64, 30)
-	for i := range basis {
-		basis[i] = randVec(rng, n)
-		hess[i] = make([]float64, 30)
-	}
-	w0, w := randVec(rng, n), NewVector(n)
-	for _, k := range []int{5, 15, 29} {
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			var p Phase
-			p.Reset(n)
-			p.Copy(w, w0)
-			p.MGS(w, basis, hess, &k)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p.exec(nil, 0, 0, n)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n*(k+2)), "ns/elem-sweep")
 		})
 	}
 }

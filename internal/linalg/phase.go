@@ -15,10 +15,7 @@ var ParMinPhase = defParMinPhase
 type phaseOp uint8
 
 const (
-	phBarrier phaseOp = iota
-	phCopy
-	phMulElemAt
-	phMulElemAdd
+	phCopy phaseOp = iota
 	phSub
 	phAXPY
 	phAXPYTo
@@ -26,7 +23,6 @@ const (
 	phSpMV
 	phDot
 	phWRMS
-	phMGS
 	phDir
 	phSStep
 	phXR
@@ -36,52 +32,46 @@ const (
 // time; scalar operands are bound as pointers so the caller can update
 // them between dispatches without rebuilding the plan.
 type phaseStep struct {
-	op    phaseOp
-	dst   Vector
-	x, y  Vector
-	ex    [4]Vector // further operands of the fused steps, by position
-	m     *CSR
-	a, b  *float64
-	slot  int
-	basis []Vector
-	hess  [][]float64
-	k     *int
+	op   phaseOp
+	dst  Vector
+	x, y Vector
+	ex   [4]Vector // further operands of the fused steps, by position
+	m    *CSR
+	a, b *float64
+	slot int
 }
 
 // Phase is a fused kernel micro-program: a short sequence of vector ops,
 // SpMV steps and chunked reductions that one Team dispatch executes end to
 // end, instead of paying a wake/park round-trip per op. Workers own
 // chunk-aligned index ranges, so an elementwise step and a following
-// reduction read exactly the elements the same worker just wrote — the only
-// synchronization a phase ever needs is a barrier before a step that reads
-// outside its own range (SpMV reading the whole input vector, or the
-// Gram-Schmidt fold of all partials).
+// reduction read exactly the elements the same worker just wrote. A phase
+// holds no synchronization point: the one step that reads outside its own
+// range, SpMV reading the whole input vector, may only read a vector no
+// earlier step of the phase writes (mulVecDot panics on a plan that would),
+// so every cross-range read crosses a dispatch boundary.
 //
 // Determinism is structural: one interpreter, exec, holds the only copy of
 // every step's arithmetic. A team worker runs it over its chunk-aligned
 // range; a nil, closed or single team, or a phase below ParMinPhase, runs
-// the same function over [0, n) with barriers as no-ops. Elementwise steps
-// compute each element independently of the range it arrives in, and
-// reductions — steps of their own or riding the step that writes their
-// operand — fill the fixed redChunk partials Vector.Dot folds in chunk
-// order, each chunk from a fresh +0, so any split of the range produces the
-// same bits.
+// the same function over [0, n). Elementwise steps compute each element
+// independently of the range it arrives in, and reductions — steps of their
+// own or riding the step that writes their operand — fill the fixed
+// redChunk partials Vector.Dot folds in chunk order, each chunk from a
+// fresh +0, so any split of the range produces the same bits.
 //
 // A Phase is built with Reset and builder calls (backing arrays are reused,
 // so rebuilding allocates nothing), dispatched many times, and rebound to
 // other operands in place (rebind). It is owned by one goroutine and one
 // Team at a time.
 type Phase struct {
-	steps    []phaseStep
-	n        int
-	nch      int
-	barriers int   // static phBarrier count (MGS adds k+1 at run time)
-	flops    int64 // static flop charge of one run (MGS steps excluded)
+	steps []phaseStep
+	n     int
+	nch   int
+	flops int64 // flop charge of one run
 
-	// part holds the reduction slots. Two slots exist so a phase can
-	// carry two independent reductions, and so the Gram-Schmidt loop can
-	// ping-pong between them: while one worker still folds slot i&1,
-	// others may already fill slot (i+1)&1 for the next projection.
+	// part holds the two reduction slots, so a phase can carry two
+	// independent reductions.
 	part [2][]float64
 }
 
@@ -92,7 +82,6 @@ func (p *Phase) Reset(n int) {
 	p.steps = p.steps[:0]
 	p.n = n
 	p.nch = (n + redChunk - 1) / redChunk
-	p.barriers = 0
 	p.flops = 0
 }
 
@@ -104,7 +93,7 @@ func (p *Phase) rebind(from, to [2]Vector) {
 		st := &p.steps[i]
 		for _, v := range [...]*Vector{&st.dst, &st.x, &st.y, &st.ex[0], &st.ex[1], &st.ex[2], &st.ex[3]} {
 			for j, f := range from {
-				if len(*v) > 0 && &(*v)[0] == &f[0] {
+				if same(*v, f) {
 					*v = p.check(to[j])
 					break
 				}
@@ -116,8 +105,7 @@ func (p *Phase) rebind(from, to [2]Vector) {
 // Len returns the number of steps in the program.
 func (p *Phase) Len() int { return len(p.steps) }
 
-// Flops returns the static flop charge of one run of the program
-// (Gram-Schmidt steps charge per dispatched column and are excluded).
+// Flops returns the flop charge of one run of the program.
 func (p *Phase) Flops() int64 { return p.flops }
 
 func (p *Phase) check(v Vector) Vector {
@@ -135,30 +123,19 @@ func (p *Phase) checkSlot(slot int) int {
 	return slot
 }
 
-// Barrier inserts a full-team barrier: every write of the preceding steps
-// is visible to every worker after it. Needed exactly before a step that
-// reads outside the worker's own range.
-func (p *Phase) Barrier() {
-	p.steps = append(p.steps, phaseStep{op: phBarrier})
-	p.barriers++
+// same reports whether a and b are the same vector (the same first
+// element), the identity rebind and the write check go by.
+func same(a, b Vector) bool { return len(a) > 0 && len(b) > 0 && &a[0] == &b[0] }
+
+// writes reports whether the step stores into v: its dst, and the xrStep's
+// r beside it.
+func (st *phaseStep) writes(v Vector) bool {
+	return same(st.dst, v) || (st.op == phXR && same(st.ex[0], v))
 }
 
 // Copy appends dst = src.
 func (p *Phase) Copy(dst, src Vector) {
 	p.steps = append(p.steps, phaseStep{op: phCopy, dst: p.check(dst), x: p.check(src)})
-}
-
-// MulElemAt appends dst = d .* basis[*k]: the Arnoldi preconditioner
-// application, indirected through the current Krylov column.
-func (p *Phase) MulElemAt(dst, d Vector, basis []Vector, k *int) {
-	p.steps = append(p.steps, phaseStep{op: phMulElemAt, dst: p.check(dst), x: p.check(d), basis: basis, k: k})
-	p.flops += int64(p.n)
-}
-
-// MulElemAdd appends dst += d .* x.
-func (p *Phase) MulElemAdd(dst, d, x Vector) {
-	p.steps = append(p.steps, phaseStep{op: phMulElemAdd, dst: p.check(dst), x: p.check(d), y: p.check(x)})
-	p.flops += 2 * int64(p.n)
 }
 
 // Sub appends dst = a - b (dst may alias either operand).
@@ -187,17 +164,24 @@ func (p *Phase) ScaleTo(dst Vector, a *float64, x Vector) {
 
 // MulVec appends y = m*x. m must be square of the phase dimension; the
 // rows are split exactly like the vector elements (chunk-aligned), so
-// later reductions over y need no barrier — but a Barrier is required
-// before this step whenever x was written earlier in the phase, because
-// a row's dot product reads the whole of x.
+// later reductions over y read what the same worker wrote. A row's dot
+// product reads the whole of x, so x must not be a vector an earlier step
+// of the phase writes: the product reads its input across ranges, and only
+// a dispatch boundary orders that read after every worker's write.
 func (p *Phase) MulVec(m *CSR, y, x Vector) { p.mulVecDot(m, y, x, nil, nil) }
 
 // mulVecDot appends y = m*x fused with the reductions <y, u0> into slot 0
 // and <y, u1> into slot 1, filled in the sweep that writes y (nil: not
-// bound; u1 needs u0; either may be y itself).
+// bound; u1 needs u0; either may be y itself). It panics when an earlier
+// step writes x (see MulVec).
 func (p *Phase) mulVecDot(m *CSR, y, x, u0, u1 Vector) {
 	if m.Rows != p.n || m.Cols != p.n {
 		panic(fmt.Sprintf("linalg: phase SpMV dims %dx%d != %d", m.Rows, m.Cols, p.n))
+	}
+	for i := range p.steps {
+		if p.steps[i].writes(x) {
+			panic(fmt.Sprintf("linalg: phase SpMV reads the vector step %d writes", i))
+		}
 	}
 	st := phaseStep{op: phSpMV, dst: p.check(y), x: p.check(x), m: m}
 	p.flops += 2 * int64(m.NNZ())
@@ -249,19 +233,6 @@ func (p *Phase) WRMS(slot int, v, ref Vector, atol, rtol *float64) {
 	p.flops += 5 * int64(p.n)
 }
 
-// MGS appends the modified Gram-Schmidt sweep of the Arnoldi step: for
-// i = 0..*k it computes h := <w, basis[i]> through the ordered chunk fold,
-// stores it into hess[i][*k], and updates w -= h*basis[i]; finally it fills
-// a reduction slot with the partials of <w, w>. Each update shares its sweep
-// with the next reduction, k+2 sweeps a column. The final-norm slot
-// alternates with the column: read it with Fold((*k + 1) & 1). Charges are
-// dynamic (per column), so the caller accounts (k+1)*4n + 2n itself.
-func (p *Phase) MGS(w Vector, basis []Vector, hess [][]float64, k *int) {
-	p.checkSlot(0)
-	p.checkSlot(1)
-	p.steps = append(p.steps, phaseStep{op: phMGS, dst: p.check(w), basis: basis, hess: hess, k: k})
-}
-
 // Fold returns the ordered chunk fold of a reduction slot — exactly the
 // sum the serial Vector.Dot / WRMSNorm accumulates, independent of which
 // worker filled which chunk.
@@ -275,40 +246,17 @@ func (p *Phase) Fold(slot int) float64 {
 	return s
 }
 
-// barrierCount returns how many barriers one run of the program crosses,
-// including the per-column barriers of a Gram-Schmidt step.
+// exec interprets the program over [lo, hi), one worker's range or the
+// whole. lo must be chunk-aligned; reductions fill exactly the chunks the
+// range covers, so the union over a team is every chunk, each written once.
 //
 //vetsparse:allocfree
-func (p *Phase) barrierCount() int64 {
-	b := int64(p.barriers)
-	for i := range p.steps {
-		if p.steps[i].op == phMGS {
-			b += int64(*p.steps[i].k) + 1
-		}
-	}
-	return b
-}
-
-// exec interprets the program over [lo, hi) as worker w of team t (nil: the
-// caller alone, barriers are no-ops). lo must be chunk-aligned; reductions
-// fill exactly the chunks the range covers, so the union over a team is
-// every chunk, each written once.
-//
-//vetsparse:allocfree
-func (p *Phase) exec(t *Team, w, lo, hi int) {
+func (p *Phase) exec(lo, hi int) {
 	for si := range p.steps {
 		st := &p.steps[si]
 		switch st.op {
-		case phBarrier:
-			if t != nil {
-				t.phaseBarrier()
-			}
 		case phCopy:
 			copy(st.dst[lo:hi], st.x[lo:hi])
-		case phMulElemAt:
-			mulElemRange(st.dst, st.x, st.basis[*st.k], lo, hi)
-		case phMulElemAdd:
-			mulElemAddRange(st.dst, st.x, st.y, lo, hi)
 		case phSub:
 			subRange(st.dst, st.x, st.y, lo, hi)
 		case phAXPY:
@@ -323,8 +271,6 @@ func (p *Phase) exec(t *Team, w, lo, hi int) {
 			dotChunks(p.part[st.slot], st.x, st.y, lo, hi)
 		case phWRMS:
 			wrmsChunks(p.part[st.slot], st.x, st.y, *st.a, *st.b, lo, hi)
-		case phMGS:
-			p.mgs(t, st, w, lo, hi)
 		case phDir:
 			dirRange(st.dst, st.x, st.y, *st.a, *st.b, lo, hi)
 		case phSStep:
@@ -360,31 +306,6 @@ func dirRange(pv, r, v Vector, beta, omega float64, lo, hi int) {
 	}
 	for ; i < len(pv); i++ {
 		pv[i] = r[i] + beta*(pv[i]-omega*v[i])
-	}
-}
-
-//go:noinline
-//vetsparse:allocfree
-func mulElemRange(dst, d, x Vector, lo, hi int) {
-	dst = dst[lo:hi]
-	d, x = d[lo:hi][:len(dst)], x[lo:hi][:len(dst)]
-	i := 0
-	for ; i+4 <= len(dst); i += 4 {
-		o, d, x := dst[i:i+4:i+4], d[i:i+4:i+4], x[i:i+4:i+4]
-		o[0], o[1], o[2], o[3] = d[0]*x[0], d[1]*x[1], d[2]*x[2], d[3]*x[3]
-	}
-	for ; i < len(dst); i++ {
-		dst[i] = d[i] * x[i]
-	}
-}
-
-//go:noinline
-//vetsparse:allocfree
-func mulElemAddRange(dst, d, x Vector, lo, hi int) {
-	dst = dst[lo:hi]
-	d, x = d[lo:hi][:len(dst)], x[lo:hi][:len(dst)]
-	for i := range dst {
-		dst[i] += d[i] * x[i]
 	}
 }
 
@@ -481,56 +402,5 @@ func xrChunks(part0, part1 []float64, xv Vector, alpha float64, phv Vector, omeg
 			p1 += rt[i] * e
 		}
 		part0[lo/redChunk], part1[lo/redChunk] = p0, p1
-	}
-}
-
-// axpyDotChunks runs w += a*x fused with the partials of <w, y>; y may be w
-// itself, and then reads the element just stored.
-//
-//go:noinline
-//vetsparse:allocfree
-func axpyDotChunks(partial []float64, wv Vector, a float64, xv, yv Vector, lo, hi int) {
-	for ; lo < hi; lo += redChunk {
-		end := min(lo+redChunk, hi)
-		w := wv[lo:end]
-		x, y := xv[lo:end][:len(w)], yv[lo:end][:len(w)]
-		p := 0.0
-		for i := range w {
-			e := w[i] + a*x[i]
-			w[i] = e
-			p += e * y[i]
-		}
-		partial[lo/redChunk] = p
-	}
-}
-
-// mgs runs one worker's share of the modified Gram-Schmidt sweep. Every
-// worker folds the full partial set itself after the barrier — the fold is
-// the identical float on every worker, so the following AXPY coefficient
-// is too, and only worker 0 writes it into the Hessenberg. Each AXPY shares
-// its sweep with the next reduction: the projection on the next basis
-// vector, or after the last one the norm of w against itself. The partial
-// slots ping-pong with the column index so a worker filling column i+1
-// never overwrites chunks another worker is still folding for column i
-// (the barrier of column i+1 orders any reuse of column i's slot).
-//
-//vetsparse:allocfree
-func (p *Phase) mgs(t *Team, st *phaseStep, w, lo, hi int) {
-	k := *st.k
-	wv := st.dst
-	dotChunks(p.part[0], wv, st.basis[0], lo, hi)
-	for i := 0; i <= k; i++ {
-		if t != nil {
-			t.phaseBarrier()
-		}
-		h := p.Fold(i & 1)
-		if w == 0 {
-			st.hess[i][k] = h
-		}
-		next := wv
-		if i < k {
-			next = st.basis[i+1]
-		}
-		axpyDotChunks(p.part[(i+1)&1], wv, -h, st.basis[i], next, lo, hi)
 	}
 }

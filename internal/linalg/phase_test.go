@@ -72,12 +72,6 @@ func bicgstabSolver(ws *Workspace, a *CSR, x, b Vector) (SolveStats, error, int6
 	return st, err, ops.Flops
 }
 
-func gmresSolver(ws *Workspace, a *CSR, x, b Vector) (SolveStats, error, int64) {
-	var ops Ops
-	st, err := ws.GMRES(a, x, b, 1e-10, 30, 300, &ops)
-	return st, err, ops.Flops
-}
-
 func iluSolver(ws *Workspace, a *CSR, x, b Vector) (SolveStats, error, int64) {
 	var ops Ops
 	st, err := ws.BiCGStabILU(a, x, b, 1e-10, 300, 0.125, &ops)
@@ -93,7 +87,7 @@ type golden struct {
 	sha      string
 }
 
-// The GMRES and ILU digests were recorded at the last commit that still had
+// The ILU digests were recorded at the last commit that still had
 // the separate serial solver loops (the unfused, no-team iteration bodies
 // this package used to carry beside the phase programs), from the no-team
 // run of tridiagOperator(n) against randVec(seed 23) in phaseTestSizes
@@ -110,13 +104,6 @@ var (
 		{1025, 18, 0x3dd6a20c5da8f901, 1002055, "f88296b5e9325bd38dd665a2c80e4ca931c28da0777165e5888e172feb78dfbb"},
 		{3089, 20, 0x3dd3d95237139b5c, 3284590, "363edaa9093f49362e52b4b7e0aecdf452efcb9cc28ee6fab88c0273fc75cf86"},
 		{5000, 19, 0x3dd8768b24051295, 5051272, "db3d4ef3057092c63fb957e0acbe9417517bcdf5259813e3209260a37729a527"},
-	}
-	goldenGMRES = []golden{
-		{1023, 22, 0x3dd21ecfd6d5f100, 1331652, "679974b8dd0a66faaee341115d379420ad1560a56c72bcaf05a86bd6ea13be7d"},
-		{1024, 22, 0x3dd237387b3c235a, 1332952, "bc26c3c1f8cc758164c2e8de2fb89595a0a38552711e75c01173b41d4c5e7fcd"},
-		{1025, 22, 0x3dd24c249d76dd43, 1334252, "f49bf81245105c408aafab5ea81fab86a32ed93eee46b1273d4ec174f1e9147c"},
-		{3089, 22, 0x3dd275e827eb6732, 4017452, "09c92df984cb8113250d7848c3b2f6c9cb673610f80c781c0265e27d0651662f"},
-		{5000, 22, 0x3dd28f2d3ecbee5b, 6501752, "542a4180c00c722bdc43531061af1174a6e8641cc66996427869cbc93bf486e8"},
 	}
 	goldenILU = []golden{
 		{1023, 1, 0x3c9ffef42c8e7a83, 36813, "b86451da408ee65acd1308d2251640eb707f0f3b2e227c2a2e55b18d38abf79d"},
@@ -192,13 +179,11 @@ func TestGoldenBiCGStab(t *testing.T) {
 	testGolden(t, fivePointOperator, bicgstabSolver, goldenBiCGStab)
 }
 
-func TestGoldenGMRES(t *testing.T) { testGolden(t, tridiagOperator, gmresSolver, goldenGMRES) }
-
 func TestGoldenILU(t *testing.T) { testGolden(t, tridiagOperator, iluSolver, goldenILU) }
 
 // refDotPartials is the reference chunked reduction the fused kernels must
 // reproduce: one partial per redChunk elements, each a fresh +0 accumulator
-// fed the products in index order; refFold adds them in chunk order.
+// fed the products in index order.
 func refDotPartials(a, b Vector) []float64 {
 	part := make([]float64, (len(a)+redChunk-1)/redChunk)
 	for c := range part {
@@ -209,14 +194,6 @@ func refDotPartials(a, b Vector) []float64 {
 		part[c] = p
 	}
 	return part
-}
-
-func refFold(part []float64) float64 {
-	s := 0.0
-	for _, q := range part {
-		s += q
-	}
-	return s
 }
 
 // fusedCase is one fused step under test: build binds it into a phase over
@@ -366,66 +343,16 @@ func fusedCases(rng *rand.Rand, n int, zero bool) []fusedCase {
 		}
 		cases = append(cases, fc)
 	}
-
-	// Gram-Schmidt sweep, against a Dot and an AXPY per basis vector and the
-	// final Dot of w against itself: the last fused sweep reduces the vector
-	// it updates.
-	for _, k := range []int{0, 1, 4} {
-		k := k
-		w0 := state()
-		basis := make([]Vector, k+1)
-		for i := range basis {
-			basis[i] = weight()
-		}
-		newHess := func() [][]float64 {
-			h := make([][]float64, k+1)
-			for i := range h {
-				h[i] = make([]float64, k+1)
-			}
-			return h
-		}
-		column := func(h [][]float64) Vector {
-			col := NewVector(k + 1)
-			for i := range col {
-				col[i] = h[i][k]
-			}
-			return col
-		}
-		var hess [][]float64
-		cases = append(cases, fusedCase{name: fmt.Sprintf("MGS/k=%d", k),
-			build: func(p *Phase) []Vector {
-				w := w0.Clone()
-				hess = newHess()
-				kk := k
-				p.MGS(w, basis, hess, &kk)
-				return []Vector{w}
-			},
-			part: func(p *Phase) [2][]float64 { // the final norm's slot, then the Hessenberg column
-				return [2][]float64{p.part[(k+1)&1][:p.nch], column(hess)}
-			},
-			ref: func() ([]Vector, [2][]float64) {
-				w := w0.Clone()
-				col := make([]float64, k+1)
-				for i := 0; i <= k; i++ {
-					h := refFold(refDotPartials(w, basis[i]))
-					col[i] = h
-					for j := range w {
-						w[j] += -h * basis[i][j]
-					}
-				}
-				return []Vector{w}, [2][]float64{refDotPartials(w, w), col}
-			}})
-	}
 	return cases
 }
 
 // TestBitIdentityFusedSteps pins every fused step — the direction, s and x/r
-// steps of BiCGStab, the SpMV that reduces as it writes, the Gram-Schmidt
-// sweep — to the unfused step sequence it replaced, Float64bits for
-// Float64bits, vectors, folds and flop charge alike: at every chunk-boundary
-// length, on nil teams and teams of 1-4 on both sides of the cut-over, on
-// random data and on the -0 probe, with the aliased operands the solvers
-// bind (w reduced against itself, s written over r or v).
+// steps of BiCGStab and the SpMV that reduces as it writes — to the unfused
+// step sequence it replaced, Float64bits for Float64bits, vectors, folds and
+// flop charge alike: at every chunk-boundary length, on nil teams and teams
+// of 1-4 on both sides of the cut-over, on random data and on the -0 probe,
+// with the aliased operands the solvers bind (y reduced against itself, s
+// written over r or v).
 func TestBitIdentityFusedSteps(t *testing.T) {
 	saved := ParMinPhase
 	t.Cleanup(func() { ParMinPhase = saved })
@@ -465,17 +392,17 @@ func TestBitIdentityFusedSteps(t *testing.T) {
 }
 
 // TestPlansReboundNotRebuilt drives one workspace through the sequences that
-// must and must not reuse a solver family's plans — the same system with
-// other x and b, x and b swapped, n1 -> n2 -> n1, two matrices of one n, the
-// other family growing the shared diagonal in between — and demands of every
+// must and must not reuse the solver's plans — the same system with other x
+// and b, x and b swapped, n1 -> n2 -> n1, a matrix rescaled in place, two
+// matrices of one n, the two preconditioners in turn — and demands of every
 // solve the bits of a fresh workspace, and of the warm sequence no
 // allocation.
 func TestPlansReboundNotRebuilt(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	const n1, n2, n3 = 700, 2100, 3000
-	a1, a1b, a2, a3 := fivePointOperator(n1), advDiff2D(70, 10, 1), fivePointOperator(n2), fivePointOperator(n3)
-	u, v, big, bigger := randVec(rng, n1), randVec(rng, n1), randVec(rng, n2), randVec(rng, n3)
-	xu, xv, xbig, xbigger := NewVector(n1), NewVector(n1), NewVector(n2), NewVector(n3)
+	const n1, n2 = 700, 2100
+	a1, a1b, a2 := fivePointOperator(n1), advDiff2D(70, 10, 1), fivePointOperator(n2)
+	u, v, big := randVec(rng, n1), randVec(rng, n1), randVec(rng, n2)
+	xu, xv, xbig := NewVector(n1), NewVector(n1), NewVector(n2)
 	// A NaN key refactors in place on every solve, as a fresh workspace
 	// factors: the flop charges compare, and one matrix keeps one factor.
 	iluRefactor := func(ws *Workspace, a *CSR, x, b Vector) (SolveStats, error, int64) {
@@ -498,14 +425,11 @@ func TestPlansReboundNotRebuilt(t *testing.T) {
 		}
 	}
 	seq := []solve{
-		{"gmres a1", gmresSolver, a1, xv, u, nil},
-		{"bicgstab n2 grows the diagonal", bicgstabSolver, a2, xbig, big, nil},
-		{"gmres a1 rescaled after bicgstab", gmresSolver, a1, xv, u, rescale},
+		{"bicgstab n2 grows the vectors", bicgstabSolver, a2, xbig, big, nil},
 		{"bicgstab a1", bicgstabSolver, a1, xu, u, nil},
 		{"bicgstab a1, other x and b", bicgstabSolver, a1, xv, v, nil},
 		{"bicgstab a1, x and b swapped", bicgstabSolver, a1, u, xu, nil},
-		{"gmres n3 grows the diagonal", gmresSolver, a3, xbigger, bigger, nil},
-		{"bicgstab a1 rescaled after gmres", bicgstabSolver, a1, xu, v, rescale},
+		{"bicgstab a1 rescaled", bicgstabSolver, a1, xu, v, rescale},
 		{"bicgstab n2", bicgstabSolver, a2, xbig, big, nil},
 		{"bicgstab back to n1", bicgstabSolver, a1, xv, u, nil},
 		{"bicgstab second matrix of n1", bicgstabSolver, a1b, xu, v, nil},
@@ -513,12 +437,9 @@ func TestPlansReboundNotRebuilt(t *testing.T) {
 		{"ilu a1b, other x and b", iluRefactor, a1b, xu, v, nil},
 		{"bicgstab a1b between ilu solves", bicgstabSolver, a1b, xv, u, nil},
 		{"ilu a1b again", iluRefactor, a1b, xu, v, nil},
-		{"gmres a1, other x and b", gmresSolver, a1, xu, v, nil},
-		{"gmres second matrix of n1", gmresSolver, a1b, xu, v, nil},
-		{"gmres back to n2", gmresSolver, a2, xbig, big, nil},
 	}
 	ws := NewWorkspace()
-	saved := NewVector(n3)
+	saved := NewVector(n2)
 	pass := func(check bool) {
 		for _, s := range seq {
 			b := saved[:len(s.b)] // a swapped pair solves into the other's right-hand side
@@ -550,18 +471,60 @@ func TestPlansReboundNotRebuilt(t *testing.T) {
 	if allocs := testing.AllocsPerRun(3, func() { pass(false) }); allocs != 0 {
 		t.Errorf("warm sequence allocates %v per pass, want 0", allocs)
 	}
-	// Rebound, not rebuilt: after a solve its family's key answers for the
-	// same shape and for no other.
+	// Rebound, not rebuilt: after a solve the key answers for the same shape
+	// and for no other.
 	x, b := NewVector(n1), randVec(rng, n1)
 	if _, err := ws.BiCGStab(a1, x, b, 1e-10, 300, nil); err != nil {
 		t.Fatal(err)
 	}
-	if !ws.bicg.current(a1, n1, 0, x, b) {
+	if !ws.bicg.current(a1, n1, x, b) {
 		t.Error("a second BiCGStab solve of the same system would rebuild its plans")
 	}
-	if ws.bicg.current(a1b, n1, 0, x, b) {
+	if ws.bicg.current(a1b, n1, x, b) {
 		t.Error("plans built for one matrix answer for another of the same dimension")
 	}
+}
+
+// TestMulVecInputWrittenInPhasePanics pins the rule that keeps a phase free
+// of synchronization: a product reads its input across worker ranges, so
+// building one over a vector an earlier step of the same phase writes —
+// by Copy, by ScaleTo, as the x/r step's r — panics. A step that only reads
+// the vector does not, and neither do the plans the solver and the
+// semi-discrete right-hand side build.
+func TestMulVecInputWrittenInPhasePanics(t *testing.T) {
+	const n = 64
+	a := tridiagOperator(n)
+	x, y, z, s, tv, rt := NewVector(n), NewVector(n), NewVector(n), NewVector(n), NewVector(n), NewVector(n)
+	al := 0.5
+	builds := func(name string, wantPanic bool, build func(p *Phase)) {
+		t.Helper()
+		defer func() {
+			if got := recover() != nil; got != wantPanic {
+				t.Errorf("%s: panicked %v, want %v", name, got, wantPanic)
+			}
+		}()
+		var p Phase
+		p.Reset(n)
+		build(&p)
+	}
+	for _, w := range []struct {
+		name  string
+		write func(p *Phase)
+	}{
+		{"Copy", func(p *Phase) { p.Copy(x, y) }},
+		{"ScaleTo", func(p *Phase) { p.ScaleTo(x, &al, y) }},
+		{"xrStep's r", func(p *Phase) { p.xrStep(z, &al, y, &al, y, x, s, tv, rt) }},
+	} {
+		builds(w.name+" then MulVec", true, func(p *Phase) { w.write(p); p.MulVec(a, z, x) })
+		builds(w.name+" then mulVecDot", true, func(p *Phase) { w.write(p); p.mulVecDot(a, z, x, z, nil) })
+	}
+	builds("Dot then MulVec", false, func(p *Phase) { p.Dot(0, x, y); p.MulVec(a, z, x) })
+	builds("the right-hand side F", false, func(p *Phase) { p.MulVec(a, z, x); p.AXPY(z, &al, y) })
+	builds("the BiCGStab plans", false, func(*Phase) {
+		ws := NewWorkspace()
+		ws.ensureBiCGStab(n)
+		ws.buildBiCGStabPhases(a, x, y)
+	})
 }
 
 // TestPhaseSerialFallback pins the whole-range interpretation RunPhase uses
@@ -600,8 +563,7 @@ func TestPhaseSerialFallback(t *testing.T) {
 // TestFusedPhaseAllocFree asserts the solver bodies — prologue phases, the
 // fused iteration steps and the one-step plans bound on the spot — stay off
 // the heap once the workspace is warm, with a team and without: a plan is
-// rebuilt into its own step and partial arrays when the solver variant
-// changes, rebound in place when only x and b do (each solver runs twice,
+// rebound in place when only x and b change (each preconditioner runs twice,
 // on two pairs), and a phase dispatch passes everything through the Team
 // fields.
 func TestFusedPhaseAllocFree(t *testing.T) {
@@ -617,16 +579,13 @@ func TestFusedPhaseAllocFree(t *testing.T) {
 		ws := NewWorkspace()
 		ws.SetTeam(team)
 		solve := func() {
-			for i := 0; i < 6; i++ {
+			for i := 0; i < 4; i++ {
 				x, b := xs[i&1], bs[i&1]
 				x.Fill(0)
 				var err error
-				switch i / 2 {
-				case 0:
+				if i < 2 {
 					_, err = ws.BiCGStab(a, x, b, 1e-10, 300, nil)
-				case 1:
-					_, err = ws.GMRES(a, x, b, 1e-10, 30, 300, nil)
-				default:
+				} else {
 					_, err = ws.BiCGStabILU(a, x, b, 1e-10, 300, 0.125, nil)
 				}
 				if err != nil {
@@ -634,7 +593,7 @@ func TestFusedPhaseAllocFree(t *testing.T) {
 				}
 			}
 		}
-		solve() // warm: grows vectors, basis, plan arrays and partials once
+		solve() // warm: grows vectors, plan arrays and partials once
 		if allocs := testing.AllocsPerRun(5, solve); allocs != 0 {
 			t.Fatalf("team of %d: warm solves allocate %v per run, want 0", team.Size(), allocs)
 		}
@@ -674,8 +633,8 @@ func TestCalibrateRespectsKnobs(t *testing.T) {
 	}
 }
 
-// BenchmarkTeamDispatch measures a four-op phase (copy, axpy, elementwise
-// multiply-add, dot) as one dispatch: a single wake/park round-trip on a team,
+// BenchmarkTeamDispatch measures a four-op phase (copy, axpy, axpy into,
+// dot) as one dispatch: a single wake/park round-trip on a team,
 // and the same interpreter over the whole range on the team of one. The
 // cut-over is forced low so the team runs even when a calibrated process
 // would sequentialize.
@@ -696,7 +655,7 @@ func BenchmarkTeamDispatch(b *testing.B) {
 			p.Reset(n)
 			p.Copy(dst, x)
 			p.AXPY(dst, &alpha, y)
-			p.MulElemAdd(dst, d, y)
+			p.AXPYTo(dst, dst, &alpha, d)
 			p.Dot(0, dst, y)
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -282,7 +282,7 @@ func TestRunTableCoversPattern(t *testing.T) {
 // TestKernelsAllocFree asserts the steady-state kernels allocate nothing, on
 // every shape and in every binding the kernel benchmarks time: the product
 // alone and with one and two reductions riding along as a serial phase, the
-// ILU solve, and the Gram-Schmidt sweep of an early, middle and last column.
+// line factor and solve, and the ILU solve and refactor.
 func TestKernelsAllocFree(t *testing.T) {
 	for _, sh := range kernelShapes {
 		a := advDiff2D(sh[0], sh[1], 1)
@@ -303,7 +303,6 @@ func TestKernelsAllocFree(t *testing.T) {
 			"line factor": func() { lf.factor(a, nil) },
 			"line solve":  func() { lf.solve(y, x, nil) },
 			"xrStep":      func() { xrChunks(part0, part1, y, 0.5, x, 0.25, x, z, x, x, x, 0, a.Rows) },
-			"axpyDot":     func() { axpyDotChunks(part0, y, 0.5, x, y, 0, a.Rows) },
 			"Solve":       func() { f.Solve(y, x, nil) },
 			"Refactor":    func() { _ = f.Refactor(a, nil) },
 		}
@@ -311,19 +310,7 @@ func TestKernelsAllocFree(t *testing.T) {
 			var p Phase
 			p.Reset(a.Rows)
 			p.mulVecDot(a, y, x, [...]Vector{nil, x, x}[dots], [...]Vector{nil, nil, y}[dots])
-			kernels[name] = func() { p.exec(nil, 0, 0, a.Rows) }
-		}
-		basis, hess := make([]Vector, 30), make([][]float64, 30)
-		for i := range basis {
-			basis[i], hess[i] = NewVector(a.Rows), make([]float64, 30)
-			basis[i].Fill(float64(i + 1))
-		}
-		for _, k := range []int{5, 15, 29} {
-			var p Phase
-			p.Reset(a.Rows)
-			p.Copy(z, x)
-			p.MGS(z, basis, hess, &k)
-			kernels[fmt.Sprintf("phase MGS k=%d", k)] = func() { p.exec(nil, 0, 0, a.Rows) }
+			kernels[name] = func() { p.exec(0, a.Rows) }
 		}
 		for name, fn := range kernels {
 			if n := testing.AllocsPerRun(20, fn); n != 0 {

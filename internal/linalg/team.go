@@ -25,11 +25,10 @@ const MaxTeam = 64
 type ImbalanceObserver interface{ Observe(us int64) }
 
 // PhaseObserver receives one measurement per fused-phase dispatch: the
-// wall-clock microseconds of the whole wake-execute-park cycle and the
-// number of in-phase barriers it crossed. Wired to the obs metrics
-// "linalg.team.phase.us" and "linalg.team.phase.barriers" by the solver
-// driver without linalg importing the obs package.
-type PhaseObserver interface{ ObservePhase(us, barriers int64) }
+// wall-clock microseconds of the whole wake-execute-park cycle. It is
+// satisfied by *obs.Histogram; the solver driver wires it to
+// "linalg.team.phase.us".
+type PhaseObserver interface{ Observe(us int64) }
 
 // kernelOp selects the kernel the worker goroutines execute on the next
 // dispatch. Arguments travel through Team fields, not closures, so a
@@ -94,10 +93,6 @@ type Team struct {
 	leaderWake   chan struct{}
 	stop         atomic.Int32
 	spin         int // spin iterations before parking; 0 = park immediately
-
-	// In-phase barrier (sense-reversing, reused across barriers).
-	barGen    atomic.Uint32
-	barArrive atomic.Int32
 
 	// Kernel dispatch arguments, set by the public methods before kick.
 	op    kernelOp
@@ -171,9 +166,8 @@ func (t *Team) SetObserver(o ImbalanceObserver) {
 }
 
 // SetPhaseObserver installs a fused-phase observer: every RunPhase
-// dispatch that actually runs on the team reports its wall-clock cost and
-// barrier count. A nil observer (the default) costs nothing — no
-// timestamps are taken.
+// dispatch that actually runs on the team reports its wall-clock cost. A
+// nil observer (the default) costs nothing — no timestamps are taken.
 func (t *Team) SetPhaseObserver(o PhaseObserver) {
 	if t != nil {
 		t.pobs = o
@@ -248,26 +242,6 @@ func (t *Team) await(w int, last uint64) uint64 {
 	}
 }
 
-// phaseBarrier blocks until every team member arrives: the in-phase
-// synchronization point of fused micro-programs. Sense-reversing on a
-// generation counter, so the one barrier instance is reused any number of
-// times per dispatch with no teardown.
-//
-//vetsparse:allocfree
-func (t *Team) phaseBarrier() {
-	g := t.barGen.Load()
-	if t.barArrive.Add(1) == int32(t.n) {
-		t.barArrive.Store(0)
-		t.barGen.Add(1)
-		return
-	}
-	for i := 1; t.barGen.Load() == g; i++ {
-		if t.spin == 0 || i%spinBudget == 0 {
-			runtime.Gosched()
-		}
-	}
-}
-
 // kick runs the prepared kernel on all workers and waits for completion.
 // The wake side is batched: one epoch increment publishes the dispatch to
 // every spinning worker at once, and only actually-parked workers cost a
@@ -332,7 +306,7 @@ func (t *Team) exec(w int) {
 	case opRun:
 		t.runFn(lo, hi)
 	case opPhase:
-		t.ph.exec(t, w, lo, hi)
+		t.ph.exec(lo, hi)
 	}
 	if t.obs != nil {
 		//vetsparse:ignore determinism metrics-only imbalance timing; never feeds float results
@@ -359,8 +333,7 @@ func (t *Team) splitRange(lo, hi int) {
 // boundaries fall on redChunk multiples, distributing whole chunks evenly.
 // With element ranges and reduction chunks coinciding, a fused phase's
 // reduction reads exactly the elements the same worker's elementwise steps
-// just wrote — no barrier needed between them. Workers beyond the chunk
-// count get empty ranges (they still participate in phase barriers).
+// just wrote. Workers beyond the chunk count get empty ranges.
 //
 //vetsparse:allocfree
 func (t *Team) splitChunkAligned(n int) {
@@ -375,15 +348,14 @@ func (t *Team) splitChunkAligned(n int) {
 }
 
 // RunPhase executes the fused micro-program p in one dispatch: a single
-// wake/park cycle covers every step, with in-phase barriers only where a
-// step reads outside its worker's range. A sequential team, or a phase
-// below ParMinPhase, is the team of one: the caller runs the same
-// interpreter over the whole range.
+// wake/park cycle covers every step. A sequential team, or a phase below
+// ParMinPhase, is the team of one: the caller runs the same interpreter
+// over the whole range.
 //
 //vetsparse:allocfree
 func (t *Team) RunPhase(p *Phase) {
 	if t.seq() || p.n < ParMinPhase {
-		p.exec(nil, 0, 0, p.n)
+		p.exec(0, p.n)
 		return
 	}
 	var t0 time.Time
@@ -398,7 +370,7 @@ func (t *Team) RunPhase(p *Phase) {
 	t.ph = nil
 	if t.pobs != nil {
 		//vetsparse:ignore determinism metrics-only phase timing; never feeds float results
-		t.pobs.ObservePhase(time.Since(t0).Microseconds(), p.barrierCount())
+		t.pobs.Observe(time.Since(t0).Microseconds())
 	}
 }
 

@@ -60,10 +60,8 @@ func TestTeamKernelsBitIdentical(t *testing.T) {
 	y := randVec(rng, n)
 	d := randVec(rng, n)
 	gx := randVec(rng, a.Cols)
-	basis := []Vector{randVec(rng, n), randVec(rng, n), randVec(rng, n)}
 	al := 0.71
 	at, rt := 1e-3, 1e-4
-	k := 1
 
 	// One row per step kind: build appends the step under test writing dst
 	// (preloaded with d), want is the plain loop, flops the step's charge.
@@ -74,8 +72,6 @@ func TestTeamKernelsBitIdentical(t *testing.T) {
 		flops int64
 	}{
 		{"Copy", func(p *Phase, dst Vector) { p.Copy(dst, x) }, func(dst Vector, i int) float64 { return x[i] }, 0},
-		{"MulElemAt", func(p *Phase, dst Vector) { p.MulElemAt(dst, y, basis, &k) }, func(dst Vector, i int) float64 { return y[i] * basis[k][i] }, n},
-		{"MulElemAdd", func(p *Phase, dst Vector) { p.MulElemAdd(dst, y, x) }, func(dst Vector, i int) float64 { return dst[i] + y[i]*x[i] }, 2 * n},
 		{"Sub", func(p *Phase, dst Vector) { p.Sub(dst, y, x) }, func(dst Vector, i int) float64 { return y[i] - x[i] }, n},
 		{"SubAliased", func(p *Phase, dst Vector) { p.Sub(dst, y, dst) }, func(dst Vector, i int) float64 { return y[i] - dst[i] }, n},
 		{"AXPY", func(p *Phase, dst Vector) { p.AXPY(dst, &al, x) }, func(dst Vector, i int) float64 { return dst[i] + al*x[i] }, 2 * n},

@@ -1,9 +1,8 @@
 // Package linalg provides the sparse linear algebra used inside the
 // sparse-grid solver's subsolve routine: dense vectors, compressed sparse
-// row (CSR) matrices, a direct tridiagonal solver, and the Krylov solvers
-// for the (I - gamma*tau*J) systems of the Rosenbrock integrator: BiCGStab
-// preconditioned by direct solves along the grid lines or by ILU(0), and
-// Jacobi-preconditioned GMRES.
+// row (CSR) matrices, a direct tridiagonal solver, and the Krylov solver
+// for the (I - gamma*tau*J) systems of the Rosenbrock integrator: BiCGStab,
+// preconditioned by direct solves along the grid lines or by ILU(0).
 //
 // All entry points optionally account floating-point work into an Ops
 // counter so the cluster simulator's work model can be calibrated against

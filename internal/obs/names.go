@@ -77,7 +77,6 @@ var MetricDocs = []MetricDoc{
 	{"core.jobs.outstanding", "gauge", "jobs submitted but not yet resolved"},
 	{"linalg.team.imbalance.us", "histogram", "per-dispatch spread between first and last finishing team worker"},
 	{"linalg.team.phase.us", "histogram", "wall-clock cost of one phase dispatch that woke the team (wake, micro-program, park) — iteration bodies, solver prologues and tails, `pde.Disc.F`"},
-	{"linalg.team.phase.barriers", "counter", "in-phase barriers crossed by fused-phase dispatches"},
 	{"serve.requests", "counter", "valid solve requests reaching admission control"},
 	{"serve.shed", "counter", "requests refused by admission control or shed during drain"},
 	{"serve.completed", "counter", "admitted requests finished successfully"},

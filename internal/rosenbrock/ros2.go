@@ -2,8 +2,8 @@
 // that the paper's subsolve routine spends its time in: the two-stage,
 // second-order, L-stable ROS2 scheme with an embedded first-order error
 // estimate driving the step-size controller, and a Krylov solver for the
-// stage systems (I - gamma*tau*J) k = rhs: BiCGStab preconditioned along
-// the grid lines by default, Jacobi GMRES, or ILU(0) BiCGStab.
+// stage systems (I - gamma*tau*J) k = rhs: BiCGStab, preconditioned along
+// the grid lines by default or by ILU(0).
 //
 // The original application "built up again and again" its system matrix;
 // the port no longer does. A stage system is solved in the scaled form
@@ -11,9 +11,9 @@
 // Solving ODEs II, §IV.7): the matrix keeps J's merged sparsity pattern and
 // its off-diagonals across the whole integration, and a step-size change
 // rewrites only the diagonal in place (linalg.ShiftedOperator). All solver
-// buffers — the BiCGStab vectors, the GMRES Krylov basis, the line and
-// ILU(0) factors — live in a reusable Workspace, and either BiCGStab
-// preconditioner is refactored only once gamma*tau drifts past
+// buffers — the BiCGStab vectors, the line and ILU(0) factors — live in a
+// reusable Workspace, and either preconditioner is refactored only once
+// gamma*tau drifts past
 // refreshShift. Each stage solve starts from a prediction: the polynomial
 // extrapolation of the last predOrder accepted steps' stage vectors to the
 // new step (DESIGN.md §17). The solves stop on a residual relative to the
@@ -75,15 +75,10 @@ type Config struct {
 type LinearSolver int
 
 const (
-	// BiCGStab is the default: cheap per iteration, no basis storage,
-	// preconditioned by direct solves along the grid lines of the stronger
-	// coupled direction, refactored only when gamma*tau drifts past
-	// refreshShift.
+	// BiCGStab is the default: BiCGStab preconditioned by direct solves
+	// along the grid lines of the stronger coupled direction, refactored
+	// only when gamma*tau drifts past refreshShift.
 	BiCGStab LinearSolver = iota
-	// GMRES uses restarted GMRES(30), Jacobi preconditioned: monotone
-	// residuals, never breaks down, at the price of storing the Krylov
-	// basis.
-	GMRES
 	// ILU uses BiCGStab preconditioned with an ILU(0) factorization of
 	// the stage matrix, which couples both directions. The factorization
 	// is redone (in place) only when gamma*tau drifts past refreshShift.
@@ -112,8 +107,6 @@ const predOrder = 4
 
 func (s LinearSolver) String() string {
 	switch s {
-	case GMRES:
-		return "GMRES"
 	case ILU:
 		return "ILU-BiCGStab"
 	}
@@ -227,8 +220,8 @@ func (w *Workspace) ensure(n int, jac *linalg.CSR) {
 
 // buildStepPhases (re)binds the stepper's phases to the stage vectors and
 // the caller's solution vector u. All of them are purely elementwise (the
-// WRMS reduction reads only the worker's own chunks), so none crosses a
-// barrier: one dispatch per group of vector ops.
+// WRMS reduction reads only the worker's own chunks), so none reads across
+// worker ranges: one dispatch per group of vector ops.
 func (w *Workspace) buildStepPhases(u linalg.Vector, tol float64) {
 	n := len(u)
 	sc := &w.psc
@@ -282,17 +275,13 @@ func (w *Workspace) predict(p *linalg.Phase, q, st int, k, rhs linalg.Vector) {
 	}
 }
 
-// solve dispatches one stage system to the configured solver, pooling all
-// buffers in ws. key names the BiCGStab preconditioner's factors, line or
-// ILU(0): a key the cache holds reuses them, a new one refactors from m.
-// GMRES's Jacobi diagonal takes no key.
+// solve dispatches one stage system to the configured preconditioner,
+// pooling all buffers in ws. key names its factors, line or ILU(0): a key
+// the cache holds reuses them, a new one refactors from m.
 //
 //vetsparse:allocfree
 func (c Config) solve(ws *Workspace, m *linalg.CSR, x, b linalg.Vector, linTol, key float64, ops *linalg.Ops) (linalg.SolveStats, error) {
-	switch c.Solver {
-	case GMRES:
-		return ws.lin.GMRES(m, x, b, linTol, 0, 0, ops)
-	case ILU:
+	if c.Solver == ILU {
 		return ws.lin.BiCGStabILU(m, x, b, linTol, 0, key, ops)
 	}
 	return ws.lin.BiCGStabLines(m, x, b, linTol, 0, key, ops)
@@ -304,7 +293,7 @@ type Stats struct {
 	Rejected       int // rejected steps
 	FEvals         int
 	LinIters       int // total iterations of the stage solves
-	Factorizations int // preconditioner factorizations asked for, line or ILU(0); 0 for GMRES
+	Factorizations int // preconditioner factorizations asked for, line or ILU(0)
 	Ops            linalg.Ops
 }
 
@@ -438,7 +427,7 @@ func (s *Stepper) Step() error {
 	shift := Gamma * tau
 	m := ws.op.Update(shift, ops)
 	ws.psc[pscSigma] = 1 / shift
-	if s.cfg.Solver != GMRES && !(math.Abs(shift/s.pcShift-1) <= refreshShift) {
+	if !(math.Abs(shift/s.pcShift-1) <= refreshShift) {
 		s.pcShift = shift
 		ws.pcSerial++
 		s.st.Factorizations++

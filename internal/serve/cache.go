@@ -33,7 +33,7 @@ type cacheEntry struct {
 // The two rates of entryBytes, which derives them; gridBytes shares them.
 const (
 	bytesPerEntry   = 52
-	bytesPerUnknown = 80 + 60*8
+	bytesPerUnknown = 80 + 36*8
 )
 
 // entryBytes estimates the memory a parked entry pins. Per stored entry,
@@ -42,10 +42,14 @@ const (
 // column). Per unknown, 80 bytes of structure — row pointers and diagonal
 // indices of the two matrices (24 B), the factor's six 4-byte schedule
 // arrays (24 B), and the two diagonal-run tables at their worst case of
-// one 64 B run per 4 rows (32 B) — plus the order-of-60 n-vectors across
-// the Rosenbrock stages and the Krylov workspace. The estimate only has to
-// be monotone in problem size — it feeds the eviction bound and, through
-// gridBytes, the admission bound, not an allocator.
+// one 64 B run per 4 rows (32 B) — plus 36 eight-byte words: the seven
+// Rosenbrock stage vectors and the predictor's ring of eight, BiCGStab's
+// eight, the line factor's three vectors and five index arrays, the shifted
+// operator's negated diagonal, and the Disc's right-hand side and source
+// points (three words). With them the default 256 MiB budget refuses
+// 2·root + level ≥ 19; it would admit 19 only below 22 words. The estimate
+// only has to be monotone in problem size — it feeds the eviction bound
+// and, through gridBytes, the admission bound, not an allocator.
 func entryBytes(d *pde.Disc) int64 {
 	n := int64(d.N())
 	nnz := int64(d.Jacobian().NNZ())
@@ -58,7 +62,7 @@ func entryBytes(d *pde.Disc) int64 {
 // most five entries a row. Shapes whose size would not fit an int64 —
 // root is unbounded outside input — saturate.
 func gridBytes(root, level int) int64 {
-	const maxExp = 40 // (5·52+560)·2^40 < 2^63
+	const maxExp = 40 // (5·52+368)·2^40 < 2^63
 	if root > maxExp || level > maxExp || 2*root+level > maxExp {
 		return math.MaxInt64
 	}

@@ -50,24 +50,28 @@ func failedDrops(rec *obs.Recorder) int {
 	return n
 }
 
-// TestCoalescedRequestsSolveOnce: two identical requests, both admitted
-// before the two executors start, are one family of subsolves, not two:
-// 2·level+1 integrations and cache checkouts, as many riders, and both
-// answers the sequential program's. Every question must be asked twice while
-// its flight is listed, on one core as on four, so the first executor is
-// held in the gate inside its request's first subsolve, and the test takes
-// the wake-up token that subsolve's take left: the second executor, started
-// now, finds only the second request to run, and sleeps on its riders until
-// the test pays the take it owes.
-func TestCoalescedRequestsSolveOnce(t *testing.T) {
+// pairFam is the family size of the shape coalescedPair asks for, root 1
+// level 2: 2·level+1 grids.
+const pairFam = 2*2 + 1
+
+// coalescedPair asks for the root-1 level-2 family twice, the i-th request
+// naming names[i] as its solver, both admitted before the two executors of
+// a fresh server start, and checks both answers against the sequential
+// program's with lin. Every question must be asked twice while its flight
+// is listed, on one core as on four, so the first executor is held in the
+// gate inside its request's first subsolve, and the helper takes the
+// wake-up token that subsolve's take left: the second executor, started
+// now, finds only the second request to run, and sleeps on its riders
+// until the helper pays the take it owes. It returns the drained server.
+func coalescedPair(t *testing.T, lin rosenbrock.LinearSolver, names [2]string) *Server {
+	t.Helper()
 	s, ts := newTestServer(t, Config{BatchWindow: time.Hour, Executors: 2, Attempts: 1})
 	gate := gateProblem(s.problem)
-	p := solver.Params{Root: 1, Level: 2, Tol: 1e-2, Problem: pde.PaperProblem()}
+	p := solver.Params{Root: 1, Level: 2, Tol: 1e-2, Solver: lin, Problem: pde.PaperProblem()}
 	ref, err := solver.Sequential(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const fam = 2*2 + 1
 
 	release := gate.arm()
 	defer release()
@@ -76,9 +80,9 @@ func TestCoalescedRequestsSolveOnce(t *testing.T) {
 		err  error
 	}
 	done := make(chan reply, 2)
-	for i := 0; i < 2; i++ {
+	for _, name := range names {
 		go func() {
-			_, resp, _, err := tryPost(ts.URL, SolveRequest{Root: p.Root, Level: p.Level, Tol: p.Tol}, nil)
+			_, resp, _, err := tryPost(ts.URL, SolveRequest{Root: p.Root, Level: p.Level, Tol: p.Tol, Solver: name}, nil)
 			done <- reply{resp, err}
 		}()
 	}
@@ -93,7 +97,7 @@ func TestCoalescedRequestsSolveOnce(t *testing.T) {
 		t.Fatal("no wake-up token with four batches pending")
 	}
 	go s.executor(1)
-	waitFor(t, "both families enqueued", func() bool { return rec.Counter("serve.batch.tasks").Value() == 2*fam })
+	waitFor(t, "both families enqueued", func() bool { return rec.Counter("serve.batch.tasks").Value() == 2*pairFam })
 	s.batch.signal()
 	release()
 	for i := 0; i < 2; i++ {
@@ -102,23 +106,68 @@ func TestCoalescedRequestsSolveOnce(t *testing.T) {
 			t.Fatal(r.err)
 		}
 		sameAnswer(t, "coalesced request", r.resp, ref)
-		if r.resp.Grids != fam {
-			t.Fatalf("grids = %d, want %d", r.resp.Grids, fam)
+		if r.resp.Grids != pairFam {
+			t.Fatalf("grids = %d, want %d", r.resp.Grids, pairFam)
 		}
 	}
 	drainPool(t, s)
+	return s
+}
 
-	if got := rec.KindCount(obs.KSubsolveBegin); got != fam {
-		t.Fatalf("%d subsolves for two identical requests, want %d: one per question", got, fam)
+// TestCoalescedRequestsSolveOnce: two identical requests, both admitted
+// before the two executors start, are one family of subsolves, not two:
+// 2·level+1 integrations and cache checkouts, as many riders, and both
+// answers the sequential program's.
+func TestCoalescedRequestsSolveOnce(t *testing.T) {
+	s := coalescedPair(t, rosenbrock.BiCGStab, [2]string{})
+	rec := s.rec
+	if got := rec.KindCount(obs.KSubsolveBegin); got != pairFam {
+		t.Fatalf("%d subsolves for two identical requests, want %d: one per question", got, pairFam)
 	}
-	if got := rec.Counter("serve.batch.coalesced").Value(); got != fam {
-		t.Fatalf("serve.batch.coalesced = %d, want %d", got, fam)
+	if got := rec.Counter("serve.batch.coalesced").Value(); got != pairFam {
+		t.Fatalf("serve.batch.coalesced = %d, want %d", got, pairFam)
 	}
-	if hits, misses := rec.Counter("serve.cache.hits").Value(), rec.Counter("serve.cache.misses").Value(); hits+misses != fam || rec.Gauge("serve.cache.entries").Value() != fam {
-		t.Fatalf("hits=%d misses=%d entries=%d, want %d checkouts and entries: one per flight", hits, misses, rec.Gauge("serve.cache.entries").Value(), fam)
+	if hits, misses := rec.Counter("serve.cache.hits").Value(), rec.Counter("serve.cache.misses").Value(); hits+misses != pairFam || rec.Gauge("serve.cache.entries").Value() != pairFam {
+		t.Fatalf("hits=%d misses=%d entries=%d, want %d checkouts and entries: one per flight", hits, misses, rec.Gauge("serve.cache.entries").Value(), pairFam)
 	}
-	if waits := rec.Histogram("serve.batch.wait.us").Count(); waits != 2*fam {
-		t.Fatalf("%d batch waits observed, want %d: leaders when run, riders when answered", waits, 2*fam)
+	if waits := rec.Histogram("serve.batch.wait.us").Count(); waits != 2*pairFam {
+		t.Fatalf("%d batch waits observed, want %d: leaders when run, riders when answered", waits, 2*pairFam)
+	}
+	checkLedger(t, s)
+	checkBatchLedger(t, s)
+	checkIdle(t, s)
+}
+
+// TestCoalescedDeprecatedSolverName: "gmres" is a deprecated name of "ilu",
+// so a request of each for one shape asks the same questions: they form
+// one flight a grid, the cache parks one entry a grid under one signature,
+// and both answers are the sequential program's with rosenbrock.ILU.
+func TestCoalescedDeprecatedSolverName(t *testing.T) {
+	s := coalescedPair(t, rosenbrock.ILU, [2]string{"gmres", "ilu"})
+	rec := s.rec
+	if got := rec.Counter("serve.batch.coalesced").Value(); got != pairFam {
+		t.Fatalf("serve.batch.coalesced = %d, want %d: the two names are one question a grid", got, pairFam)
+	}
+	if got := rec.KindCount(obs.KSubsolveBegin); got != pairFam {
+		t.Fatalf("%d subsolves, want %d: one family", got, pairFam)
+	}
+	c := s.batch.cache
+	c.mu.Lock()
+	grids := map[grid.Grid]int{}
+	for sig, stack := range c.parked {
+		if sig.lin != rosenbrock.ILU {
+			t.Errorf("an entry is parked under %v", sig)
+		}
+		grids[sig.g] += len(stack)
+	}
+	c.mu.Unlock()
+	if len(grids) != pairFam {
+		t.Errorf("entries parked for %d grids, want %d", len(grids), pairFam)
+	}
+	for g, n := range grids {
+		if n != 1 {
+			t.Errorf("%d entries parked for %v, want 1", n, g)
+		}
 	}
 	checkLedger(t, s)
 	checkBatchLedger(t, s)
@@ -132,7 +181,7 @@ func TestCoalescedRequestsSolveOnce(t *testing.T) {
 // nothing downstream of the batcher writes it.
 func TestCoalescedAnswerBitIdentical(t *testing.T) {
 	s, gate := testPool(Config{BatchWindow: time.Hour})
-	p := solver.Params{Root: 2, Level: 2, Tol: 1e-3, Solver: rosenbrock.GMRES, Problem: s.problem}
+	p := solver.Params{Root: 2, Level: 2, Tol: 1e-3, Solver: rosenbrock.ILU, Problem: s.problem}
 	fam := len(grid.Family(p.Root, p.Level))
 
 	release := gate.arm()
@@ -187,7 +236,7 @@ func TestCoalescedAnswerBitIdentical(t *testing.T) {
 func TestCoalesceKey(t *testing.T) {
 	s, _ := testPool(Config{BatchWindow: time.Hour, Executors: 1})
 	sig := testSigs(1)[0]
-	other := signature{g: sig.g, lin: rosenbrock.GMRES}
+	other := signature{g: sig.g, lin: rosenbrock.ILU}
 	outs := make([]chan subResult, 4)
 	for i, tk := range []*subTask{
 		testTask(sig, 0, nil),

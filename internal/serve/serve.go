@@ -209,8 +209,8 @@ type SolveRequest struct {
 	Level int `json:"level"`
 	// Tol is the integrator tolerance (argv[3]); 0 means 1e-3.
 	Tol float64 `json:"tol,omitempty"`
-	// Solver selects the inner linear solver: "bicgstab" (default),
-	// "gmres", or "ilu".
+	// Solver selects the inner linear solver: "bicgstab" (default) or
+	// "ilu".
 	Solver string `json:"solver,omitempty"`
 	// DeadlineMs is the request deadline in milliseconds; 0 takes the
 	// server's DefaultDeadline; one that is negative or beyond a
@@ -516,15 +516,14 @@ func httpError(w http.ResponseWriter, status int, msg string) {
 }
 
 // parseSolver maps the request's solver name onto the Rosenbrock inner
-// linear solvers.
+// linear solvers. "gmres" is a deprecated name of "ilu", kept while
+// benchmark/ sends it.
 func parseSolver(name string) (rosenbrock.LinearSolver, error) {
 	switch strings.ToLower(name) {
 	case "", "bicgstab":
 		return rosenbrock.BiCGStab, nil
-	case "gmres":
-		return rosenbrock.GMRES, nil
-	case "ilu":
+	case "ilu", "gmres":
 		return rosenbrock.ILU, nil
 	}
-	return 0, fmt.Errorf("unknown solver %q (want bicgstab, gmres, or ilu)", name)
+	return 0, fmt.Errorf("unknown solver %q (want bicgstab or ilu)", name)
 }

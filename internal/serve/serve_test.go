@@ -198,7 +198,7 @@ func TestRequestValidation(t *testing.T) {
 		{"negative deadline header", ts.URL, `{"root":1,"level":1}`, map[string]string{"X-Deadline-Ms": "-1"}, http.StatusBadRequest},
 		{"deadline wraps", ts.URL, `{"root":1,"level":1,"deadline_ms":9223372036855}`, nil, http.StatusBadRequest},
 		{"deadline header wraps", ts.URL, `{"root":1,"level":1}`, map[string]string{"X-Deadline-Ms": "9223372036855"}, http.StatusBadRequest},
-		// One 8191² grid: some 55 GB by entryBytes' own estimate.
+		// One 8191² grid: some 42 GB by entryBytes' own estimate.
 		{"oversized root", ts.URL, `{"root":13,"level":0}`, nil, http.StatusBadRequest},
 		{"root wraps the grid dimensions", ts.URL, `{"root":64,"level":0}`, nil, http.StatusBadRequest},
 		{"1 MiB body", ts.URL, `{"root":1,"level":1,"tenant":"` + strings.Repeat("a", 1<<20) + `"}`, nil, http.StatusBadRequest},
@@ -246,7 +246,7 @@ func TestHeaderOverridesAndSolverChoice(t *testing.T) {
 	defer s.Drain(time.Minute)
 
 	code, sr, _ := postSolve(t, ts.URL,
-		SolveRequest{Tenant: "body-tenant", Root: 1, Level: 0, Tol: 1e-2, Solver: "gmres"},
+		SolveRequest{Tenant: "body-tenant", Root: 1, Level: 0, Tol: 1e-2, Solver: "ilu"},
 		map[string]string{"X-Tenant": "header-tenant", "X-Deadline-Ms": "30000"})
 	if code != http.StatusOK || sr.Status != StatusCompleted {
 		t.Fatalf("status %d %q, want 200 completed", code, sr.Status)

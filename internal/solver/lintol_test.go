@@ -15,7 +15,7 @@ import (
 // rosenbrock.Config.LinTol gives the reference the default is judged against.
 const overSolved = 1e-8
 
-var allSolvers = []rosenbrock.LinearSolver{rosenbrock.BiCGStab, rosenbrock.GMRES, rosenbrock.ILU}
+var allSolvers = []rosenbrock.LinearSolver{rosenbrock.BiCGStab, rosenbrock.ILU}
 
 // familyWithLinTol is Sequential(cores=1) with the stage solves forced to
 // linTol: the same grids in the same order through the same combination,

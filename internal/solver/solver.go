@@ -139,23 +139,9 @@ func (p Params) teamSize() int {
 // imbalanceHistName is the metric fed with per-dispatch team load imbalance.
 const imbalanceHistName = "linalg.team.imbalance.us"
 
-// Metrics fed by fused-phase dispatches: wall-clock per dispatch and
-// in-phase barrier counts.
-const (
-	phaseHistName   = "linalg.team.phase.us"
-	phaseBarCtrName = "linalg.team.phase.barriers"
-)
-
-// phaseObs adapts the run's metric recorder to linalg.PhaseObserver.
-type phaseObs struct {
-	us       *obs.Histogram
-	barriers *obs.Counter
-}
-
-func (o phaseObs) ObservePhase(us, barriers int64) {
-	o.us.Observe(us)
-	o.barriers.Add(barriers)
-}
+// phaseHistName is the metric fed with the wall-clock of every fused-phase
+// dispatch.
+const phaseHistName = "linalg.team.phase.us"
 
 // newTeam creates a linalg.Team of the given size, wired to the run's
 // imbalance histogram and phase metrics when observability is on. Callers
@@ -164,10 +150,7 @@ func (p Params) newTeam(size int) *linalg.Team {
 	team := linalg.NewTeam(size)
 	if p.Obs != nil {
 		team.SetObserver(p.Obs.Histogram(imbalanceHistName))
-		team.SetPhaseObserver(phaseObs{
-			us:       p.Obs.Histogram(phaseHistName),
-			barriers: p.Obs.Counter(phaseBarCtrName),
-		})
+		team.SetPhaseObserver(p.Obs.Histogram(phaseHistName))
 	}
 	return team
 }

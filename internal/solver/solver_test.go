@@ -197,15 +197,15 @@ func TestTighterToleranceCostsMore(t *testing.T) {
 	}
 }
 
-func TestGMRESInnerSolverSameAnswer(t *testing.T) {
+func TestILUInnerSolverSameAnswer(t *testing.T) {
 	base := Params{Root: 2, Level: 1, Tol: 1e-3}
-	withGMRES := base
-	withGMRES.Solver = rosenbrock.GMRES
+	withILU := base
+	withILU.Solver = rosenbrock.ILU
 	a, err := Sequential(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Sequential(withGMRES)
+	b, err := Sequential(withILU)
 	if err != nil {
 		t.Fatal(err)
 	}

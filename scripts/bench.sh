@@ -21,9 +21,9 @@ if [ "$hostcpus" -le 1 ]; then
     echo "WARNING: (CI pins GOMAXPROCS=4) for real strong-scaling numbers." >&2
 fi
 
-echo "## linalg kernels (assembly vs in-place update; SpMV alone and with one and two fused reductions, and ILU solve, per shape; the Gram-Schmidt sweep of an early, middle and last Arnoldi column; one four-op phase at team sizes 1, 2, 4)"
+echo "## linalg kernels (assembly vs in-place update; SpMV alone and with one and two fused reductions, and ILU solve, per shape; one four-op phase at team sizes 1, 2, 4)"
 go test -run XXX \
-    -bench 'BenchmarkShifted|BenchmarkMulVec|BenchmarkMGS|BenchmarkILUSolve|BenchmarkBuilderBuild|BenchmarkTeamDispatch' \
+    -bench 'BenchmarkShifted|BenchmarkMulVec|BenchmarkILUSolve|BenchmarkBuilderBuild|BenchmarkTeamDispatch' \
     -benchmem "$@" ./internal/linalg/
 
 echo
