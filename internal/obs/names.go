@@ -89,7 +89,7 @@ var MetricDocs = []MetricDoc{
 	{"serve.batch.tasks", "counter", "subsolve tasks entering the cross-request batcher, riders included"},
 	{"serve.batch.coalesced", "counter", "subsolve tasks that rode another request's identical subsolve instead of being solved"},
 	{"serve.batch.size", "histogram", "Deprecated: never observed; it stays while benchmark/ names it"},
-	{"serve.batch.wait.us", "histogram", "enqueue-to-execution wait per batched subsolve: the time until any executor was free (a rider: enqueue to answer)"},
+	{"serve.batch.wait.us", "histogram", "enqueue-to-execution wait per batched subsolve, a first attempt's enqueued at admission: the time until any executor was free (a rider: enqueue to answer)"},
 	{"serve.cache.hits", "counter", "solver-cache checkouts that found a warm entry"},
 	{"serve.cache.misses", "counter", "solver-cache checkouts that built a fresh entry"},
 	{"serve.cache.evictions", "counter", "solver-cache entries evicted under the entry/byte bounds or dropped after a failed subsolve"},

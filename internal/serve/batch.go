@@ -269,48 +269,85 @@ func (b *batcher) close() {
 	}
 }
 
-// solveBatched fans one request's grid family into the batcher, largest
-// grid first — the pool has fewer executors than the family has grids, so
-// the request waits for the family's makespan — runs queued flights on the
-// request's executor until the family's results are in, and recombines them
+// family is one attempt's grid family: its tasks, largest grid first — the
+// pool has fewer executors than the family has grids, so the request waits
+// for the family's makespan — their result channel and the flag that abandons
+// them all. Its fan-out runs once, by the admitting handler or by the
+// executor that dequeues the job, whichever gets there first.
+type family struct {
+	tasks     []*subTask
+	out       chan subResult
+	abandoned atomic.Bool
+	once      sync.Once
+	err       error // of the fan-out; read after once
+}
+
+// newFamily builds the family of one attempt of j's request, of shape p.
+func newFamily(j *job, p solver.Params) *family {
+	grids := grid.Family(p.Root, p.Level)
+	f := &family{out: make(chan subResult, len(grids))}
+	order, _ := solver.LargestFirst(grids, p.Tol)
+	for _, i := range order {
+		f.tasks = append(f.tasks, &subTask{
+			sig: signature{g: grids[i], lin: j.lin}, idx: i, tol: p.Tol,
+			reqID: j.id, deadline: j.deadline, abandoned: &f.abandoned, out: f.out,
+		})
+	}
+	return f
+}
+
+// fanOut enqueues the family on its first call; every call reports the
+// error that stopped it.
+func (f *family) fanOut(b *batcher) error {
+	f.once.Do(func() {
+		for _, t := range f.tasks {
+			if f.err = b.enqueue(t); f.err != nil {
+				return
+			}
+		}
+	})
+	return f.err
+}
+
+// abandon sets the family's abandoned flag; a nil family has none.
+func (f *family) abandon() {
+	if f != nil {
+		f.abandoned.Store(true)
+	}
+}
+
+// solveBatched fans one attempt's grid family f into the batcher unless
+// admission did (a nil f is built here from j and p), runs queued flights on
+// the request's executor until the family's results are in, and recombines them
 // (single-core: cheap relative to the subsolves). A task that rides another
 // request's flight leaves this executor nothing of its own to run, so it
 // helps with whatever is pending: the pool stays work-conserving. The request
 // times out on its own timer whoever leads its flights. However it returns,
 // the family is abandoned: its tasks still queued are skipped, not solved,
 // unless a live rider waits for them.
-func (s *Server) solveBatched(actor string, team *linalg.Team, j *job, p solver.Params) (*solver.Output, error) {
-	fam := grid.Family(p.Root, p.Level)
-	out := make(chan subResult, len(fam))
-	abandoned := new(atomic.Bool)
-	// A closure on purpose: `defer abandoned.Store(true)` links an out-of-line
-	// atomic.Bool.Store ahead of linalg and moves its hot loops by 32 bytes
-	// (EXPERIMENTS.md, "Group-commit batching").
-	defer func() { abandoned.Store(true) }()
-	order, _ := solver.LargestFirst(fam, p.Tol)
-	for _, i := range order {
-		if err := s.batch.enqueue(&subTask{
-			sig: signature{g: fam[i], lin: j.lin}, idx: i, tol: p.Tol,
-			reqID: j.id, deadline: j.deadline, abandoned: abandoned, out: out,
-		}); err != nil {
-			return nil, err
-		}
+func (s *Server) solveBatched(actor string, team *linalg.Team, j *job, f *family, p solver.Params) (*solver.Output, error) {
+	if f == nil {
+		f = newFamily(j, p)
+	}
+	defer f.abandon()
+	if err := f.fanOut(s.batch); err != nil {
+		return nil, err
 	}
 	tm := time.NewTimer(j.deadline.Sub(s.now()))
 	defer tm.Stop()
-	results := make([]solver.Result, len(fam))
-	for n := 0; n < len(fam); {
+	results := make([]solver.Result, len(f.tasks))
+	for n := 0; n < len(f.tasks); {
 		// Collect what is ready, else sleep until a result, the deadline or a
 		// queued flight to run. No timer is seen from inside a subsolve: the
 		// deadline is answered when the one being run returns.
 		var r subResult
 		select {
-		case r = <-out:
+		case r = <-f.out:
 		case <-tm.C:
 			return nil, errBatchDeadline
 		default:
 			select {
-			case r = <-out:
+			case r = <-f.out:
 			case <-tm.C:
 				return nil, errBatchDeadline
 			case <-s.batch.wake:

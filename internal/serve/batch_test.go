@@ -318,7 +318,7 @@ func TestBatchQueueOrder(t *testing.T) {
 	s, gate := testPool(Config{Executors: 1})
 	p := solver.Params{Root: 2, Level: 2, Tol: 1e-2, Problem: s.problem}
 	j := &job{id: 1, lin: rosenbrock.BiCGStab, deadline: time.Now().Add(time.Minute)}
-	if _, err := s.solveBatched("caller", nil, j, p); err != nil {
+	if _, err := s.solveBatched("caller", nil, j, nil, p); err != nil {
 		t.Fatal(err)
 	}
 	fam := grid.Family(p.Root, p.Level)
@@ -536,7 +536,7 @@ func TestBatchExecutorHelpsForeignRequest(t *testing.T) {
 	pB := solver.Params{Root: 1, Level: 1, Tol: 1e-2, Problem: s.problem}
 	run := func(actor string, id int64, p solver.Params) (*solver.Output, error) {
 		j := &job{id: id, lin: rosenbrock.BiCGStab, deadline: time.Now().Add(time.Minute)}
-		return s.solveBatched(actor, nil, j, p)
+		return s.solveBatched(actor, nil, j, nil, p)
 	}
 
 	release := gate.arm()

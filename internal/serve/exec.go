@@ -67,6 +67,7 @@ func (s *Server) executor(i int) {
 func (s *Server) runJob(actor string, team *linalg.Team, j *job) {
 	s.hWait.Observe(s.now().Sub(j.admitted).Microseconds())
 
+	fam := j.fam // fanned out at admission
 	var (
 		failures  int // failed worker attempts charged to this request
 		retries   int // pool-level resubmissions across attempts
@@ -96,12 +97,6 @@ func (s *Server) runJob(actor string, team *linalg.Team, j *job) {
 			Retries: s.cfg.Retries, FailureBudget: budget,
 			WorkerDeadline: wd, Backoff: s.cfg.Backoff,
 			Faults: s.cfg.Faults, Obs: s.rec,
-			// The robustness ladder: early attempts run strict, so a job
-			// that exhausts its pool retries fails the attempt and the
-			// serve-level retry gets a fresh run after backoff; only the
-			// final attempt turns on the master-local fallback, the last
-			// resort before failing the request.
-			Fallback: attempt >= s.cfg.Attempts,
 		}
 		var (
 			out *solver.Output
@@ -109,10 +104,13 @@ func (s *Server) runJob(actor string, team *linalg.Team, j *job) {
 		)
 		if s.cfg.Faults != nil {
 			// The batcher has no worker pool to inject faults into, and the
-			// fault suite's contract is per-request pools.
+			// fault suite's contract is per-request pools. Only the final
+			// attempt turns on the master-local fallback, the last resort.
+			params.Fallback = attempt >= s.cfg.Attempts
 			out, err = solver.Concurrent(params)
 		} else {
-			out, err = s.solveBatched(actor, team, j, params)
+			out, err = s.solveBatched(actor, team, j, fam, params)
+			fam = nil // a later attempt fans out afresh
 		}
 		if err == nil {
 			failures += out.Faults.Failures
@@ -184,9 +182,11 @@ func (s *Server) finishFailed(j *job, reason string, httpStatus, attempts, failu
 	})
 }
 
-// shedQueued sheds a job that was admitted but never run (drain). The
-// admission is released rather than settled so the breaker is untouched.
+// shedQueued sheds a job that was admitted but never run (drain), and
+// abandons the family it fanned out at admission. The admission is released
+// rather than settled so the breaker is untouched.
 func (s *Server) shedQueued(j *job) {
+	j.fam.abandon()
 	s.cShed.Inc()
 	s.rec.Emit(obs.KServeShed, j.tenant, shedDraining, j.id, 0)
 	s.tenants.release(j.tenant)
@@ -199,9 +199,11 @@ func (s *Server) shedQueued(j *job) {
 	}
 }
 
-// settle is the single exit of every run job: breaker accounting, latency
-// histogram, inflight bookkeeping, and the exactly-once done delivery.
+// settle is the single exit of every run job: abandonment of its first
+// family, breaker accounting, latency histogram, inflight bookkeeping, and
+// the exactly-once done delivery.
 func (s *Server) settle(j *job, budgetFailure bool, oc outcome) {
+	j.fam.abandon() // its flights are listed before any executor owns the job
 	oc.elapsed = s.now().Sub(j.admitted)
 	s.hRequest.Observe(oc.elapsed.Microseconds())
 	s.tenants.settle(j.tenant, budgetFailure)

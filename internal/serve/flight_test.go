@@ -5,11 +5,15 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/grid"
 	"repro/internal/linalg"
 	"repro/internal/obs"
@@ -194,7 +198,7 @@ func TestCoalescedAnswerBitIdentical(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		go func() {
 			j := &job{id: int64(i + 1), lin: p.Solver, deadline: time.Now().Add(time.Minute)}
-			out, err := s.solveBatched("exec-"+string(rune('A'+i)), nil, j, p)
+			out, err := s.solveBatched("exec-"+string(rune('A'+i)), nil, j, nil, p)
 			done <- reply{out, err}
 		}()
 	}
@@ -464,7 +468,7 @@ func TestTwoTolerancesTwoFlights(t *testing.T) {
 	tols := []float64{1e-2, 1e-3}
 	run := func(id int64, tol float64) (*solver.Output, error) {
 		j := &job{id: id, lin: rosenbrock.BiCGStab, deadline: time.Now().Add(time.Minute)}
-		return s.solveBatched("exec-"+string(rune('A'+id)), nil, j, solver.Params{Root: 2, Level: 2, Tol: tol, Problem: s.problem})
+		return s.solveBatched("exec-"+string(rune('A'+id)), nil, j, nil, solver.Params{Root: 2, Level: 2, Tol: tol, Problem: s.problem})
 	}
 	check := func(what string, tol float64, out *solver.Output) {
 		t.Helper()
@@ -529,4 +533,254 @@ func TestTwoTolerancesTwoFlights(t *testing.T) {
 	s.batch.close()
 	checkBatchLedger(t, s)
 	checkIdle(t, s)
+}
+
+// TestCoalescedWhileExecutorBusy: a request's family enters the batcher when
+// the request is admitted, not when an executor is free to run it. The lone
+// executor is held inside the first subsolve of request A when B, the same
+// shape, is admitted: B's questions are all in flight, so B rides every one,
+// and the pair is one family of subsolves, both answers the sequential
+// program's. coalescedPair cannot see this: it starts its executors only
+// after both requests are admitted.
+func TestCoalescedWhileExecutorBusy(t *testing.T) {
+	s, ts := newTestServer(t, Config{Executors: 1, Attempts: 1})
+	gate := gateProblem(s.problem)
+	s.Start()
+	p := solver.Params{Root: 1, Level: 2, Tol: 1e-2, Problem: pde.PaperProblem()}
+	ref, err := solver.Sequential(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := SolveRequest{Root: p.Root, Level: p.Level, Tol: p.Tol}
+	release := gate.arm()
+	defer release()
+	doneA := post(ts, req)
+	entered(t, gate, 1)
+	doneB := post(ts, req)
+	waitFor(t, "both requests admitted", func() bool { return waitingHandlers() == 2 })
+	release()
+	for _, done := range []<-chan postReply{doneA, doneB} {
+		r := recvReply(t, "request", done)
+		sameAnswer(t, "request", r.resp, ref)
+		if r.resp.Grids != pairFam {
+			t.Fatalf("grids = %d, want %d", r.resp.Grids, pairFam)
+		}
+	}
+	drainPool(t, s)
+	rec := s.rec
+	if got := rec.KindCount(obs.KSubsolveBegin); got != pairFam {
+		t.Fatalf("%d subsolves for two identical requests, want %d", got, pairFam)
+	}
+	if got := rec.Counter("serve.batch.coalesced").Value(); got != pairFam {
+		t.Fatalf("serve.batch.coalesced = %d, want %d", got, pairFam)
+	}
+	checkLedger(t, s)
+	checkBatchLedger(t, s)
+	checkIdle(t, s)
+}
+
+// waitingHandlers counts the /solve handlers that have admitted their
+// request and wait for its outcome.
+func waitingHandlers() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	n := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.HasPrefix(g, "goroutine ") && strings.Contains(g, " [chan receive") && strings.Contains(g, "serve.(*Server).handleSolve(") {
+			n++
+		}
+	}
+	return n
+}
+
+// postReply is one request's answer as a posting goroutine hands it back.
+type postReply struct {
+	code int
+	resp SolveResponse
+	err  error
+}
+
+// post sends req from its own goroutine; the answer arrives on the channel.
+func post(ts *httptest.Server, req SolveRequest) <-chan postReply {
+	done := make(chan postReply, 1)
+	go func() {
+		code, resp, _, err := tryPost(ts.URL, req, nil)
+		done <- postReply{code, resp, err}
+	}()
+	return done
+}
+
+// recvReply receives one answer, failing on a transport error or a stall.
+func recvReply(t *testing.T, what string, done <-chan postReply) postReply {
+	t.Helper()
+	select {
+	case r := <-done:
+		if r.err != nil {
+			t.Fatalf("%s: %v", what, r.err)
+		}
+		return r
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s: no answer", what)
+		return postReply{}
+	}
+}
+
+// heldJob posts req to s, whose executors are not started, and takes the
+// request's job off the queue: the test runs it (runJob) when it chooses.
+// It returns once exec-0, started on the empty job queue and so able only to
+// help, is held in the gate inside the first flight of the family the
+// request fanned out at admission.
+func heldJob(t *testing.T, s *Server, ts *httptest.Server, gate *solveGate, req SolveRequest) (j *job, done <-chan postReply, release func()) {
+	t.Helper()
+	release = gate.arm()
+	done = post(ts, req)
+	select {
+	case j = <-s.queue:
+	case <-time.After(10 * time.Second):
+		t.Fatal("request never queued")
+	}
+	s.execWG.Add(1)
+	go s.executor(0)
+	entered(t, gate, 1)
+	return j, done, release
+}
+
+// queuedFlights reports how many flights wait for an executor.
+func queuedFlights(s *Server) int {
+	s.batch.mu.Lock()
+	defer s.batch.mu.Unlock()
+	return len(s.batch.queue)
+}
+
+// TestCoalescedQueuedShedByDrain: a job shed by Drain while queued has its
+// family, fanned out at admission, abandoned. Live request A's executor is
+// held inside A's one subsolve; B, another question, is admitted behind it
+// and shed by the drain, which then waits for A. A's own runner, waiting on
+// the held flight, takes B's queued flights — and skips them: nobody waits.
+func TestCoalescedQueuedShedByDrain(t *testing.T) {
+	s, ts := newTestServer(t, Config{Executors: 1, Attempts: 1})
+	gate := gateProblem(s.problem)
+	pA := solver.Params{Root: 1, Level: 0, Tol: 1e-2, Problem: pde.PaperProblem()}
+	ref, err := solver.Sequential(pA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jA, doneA, release := heldJob(t, s, ts, gate, SolveRequest{Root: pA.Root, Level: pA.Level, Tol: pA.Tol})
+	defer release()
+	famB := len(grid.Family(1, 1))
+	doneB := post(ts, SolveRequest{Root: 1, Level: 1, Tol: 1e-3})
+	rec := s.rec
+	waitFor(t, "B's family fanned out at admission", func() bool { return rec.Counter("serve.batch.tasks").Value() == int64(1+famB) })
+	drained := make(chan bool, 1)
+	go func() { drained <- s.Drain(time.Minute) }()
+	if r := recvReply(t, "request B", doneB); r.resp.Status != StatusShed || r.resp.Reason != shedDraining {
+		t.Fatalf("B: %q/%q, want shed/draining", r.resp.Status, r.resp.Reason)
+	}
+	go s.runJob("exec-A", nil, jA)
+	waitFor(t, "A's runner to take B's flights", func() bool { return queuedFlights(s) == 0 })
+	release()
+	sameAnswer(t, "request A", recvReply(t, "request A", doneA).resp, ref)
+	if !<-drained {
+		t.Fatal("drain timed out")
+	}
+	if got := rec.KindCount(obs.KSubsolveBegin); got != 1 {
+		t.Fatalf("%d subsolves, want 1: the shed job's flights must be skipped", got)
+	}
+	checkLedger(t, s)
+	checkBatchLedger(t, s)
+	checkIdle(t, s)
+}
+
+// TestCoalescedQueuedPastDeadline: a job whose deadline comes while it is
+// queued behind a busy executor fails on its deadline, and none of the
+// flights its admission fanned out is solved. The clock stops at the very
+// instant of B's deadline, which runJob counts as expired and a task's own
+// check does not, so only the abandonment settle records keeps A's runner,
+// which takes every queued flight, from solving B's for nobody.
+func TestCoalescedQueuedPastDeadline(t *testing.T) {
+	clock := newFakeClock()
+	s, ts := newTestServer(t, Config{Executors: 1, Attempts: 1, Now: clock.Now})
+	gate := gateProblem(s.problem)
+	pA := solver.Params{Root: 1, Level: 0, Tol: 1e-2, Problem: pde.PaperProblem()}
+	ref, err := solver.Sequential(pA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jA, doneA, release := heldJob(t, s, ts, gate, SolveRequest{Root: pA.Root, Level: pA.Level, Tol: pA.Tol})
+	defer release()
+	famB := len(grid.Family(1, 1))
+	const deadline = 50 * time.Millisecond
+	doneB := post(ts, SolveRequest{Root: 1, Level: 1, Tol: 1e-3, DeadlineMs: deadline.Milliseconds()})
+	rec := s.rec
+	waitFor(t, "B's family fanned out at admission", func() bool { return rec.Counter("serve.batch.tasks").Value() == int64(1+famB) })
+	clock.Advance(deadline)
+	s.runJob("exec-B", nil, <-s.queue) // B fanned out after its job was queued
+	if r := recvReply(t, "request B", doneB); r.code != http.StatusGatewayTimeout || r.resp.Status != StatusFailed || r.resp.Reason != failDeadline {
+		t.Fatalf("B: %d %q/%q, want 504 failed/deadline", r.code, r.resp.Status, r.resp.Reason)
+	}
+	go s.runJob("exec-A", nil, jA)
+	waitFor(t, "A's runner to take B's flights", func() bool { return queuedFlights(s) == 0 })
+	release()
+	sameAnswer(t, "request A", recvReply(t, "request A", doneA).resp, ref)
+	drainPool(t, s)
+	if got := rec.KindCount(obs.KSubsolveBegin); got != 1 {
+		t.Fatalf("%d subsolves, want 1: the expired job's flights must be skipped", got)
+	}
+	checkLedger(t, s)
+	checkBatchLedger(t, s)
+}
+
+// TestCoalescedRiderExpires: a queued job that rides a live request's
+// flights and then expires cancels none of them. B, A's shape, is admitted
+// while A's first subsolve is held and rides every flight of A's family; B
+// fails on its deadline before anyone runs A's job, and A's flights are
+// still solved, once each, into the sequential program's answer.
+func TestCoalescedRiderExpires(t *testing.T) {
+	clock := newFakeClock()
+	s, ts := newTestServer(t, Config{Executors: 1, Attempts: 1, Now: clock.Now})
+	gate := gateProblem(s.problem)
+	p := solver.Params{Root: 1, Level: 2, Tol: 1e-2, Problem: pde.PaperProblem()}
+	ref, err := solver.Sequential(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := SolveRequest{Root: p.Root, Level: p.Level, Tol: p.Tol}
+	jA, doneA, release := heldJob(t, s, ts, gate, req)
+	defer release()
+	req.DeadlineMs = 50
+	doneB := post(ts, req)
+	rec := s.rec
+	waitFor(t, "B riding A's flights", func() bool { return rec.Counter("serve.batch.coalesced").Value() == pairFam })
+	clock.Advance(100 * time.Millisecond)
+	s.runJob("exec-B", nil, <-s.queue) // B fanned out after its job was queued
+	if r := recvReply(t, "request B", doneB); r.code != http.StatusGatewayTimeout || r.resp.Reason != failDeadline {
+		t.Fatalf("B: %d %q/%q, want 504 failed/deadline", r.code, r.resp.Status, r.resp.Reason)
+	}
+	go s.runJob("exec-A", nil, jA)
+	release()
+	sameAnswer(t, "request A", recvReply(t, "request A", doneA).resp, ref)
+	drainPool(t, s)
+	if got := rec.KindCount(obs.KSubsolveBegin); got != pairFam {
+		t.Fatalf("%d subsolves, want %d: a rider's expiry must not cancel the flights it rode", got, pairFam)
+	}
+	checkLedger(t, s)
+	checkBatchLedger(t, s)
+}
+
+// TestCoalescedNothingWithFaults: a server with Faults set solves each
+// request on its own pool, so admission fans nothing into the batcher.
+func TestCoalescedNothingWithFaults(t *testing.T) {
+	s, ts := newTestServer(t, Config{Executors: 1, Faults: core.PlanFaults(0)})
+	done := post(ts, SolveRequest{Root: 1, Level: 1, Tol: 1e-2})
+	rec := s.rec
+	waitFor(t, "request admitted", func() bool { return rec.KindCount(obs.KServeAccept) == 1 })
+	s.Start()
+	if r := recvReply(t, "request", done); r.resp.Status != StatusCompleted {
+		t.Fatalf("status %q (%s), want completed", r.resp.Status, r.resp.Reason)
+	}
+	drainPool(t, s)
+	if tasks, events := rec.Counter("serve.batch.tasks").Value(), rec.KindCount(obs.KBatchTask); tasks != 0 || events != 0 {
+		t.Fatalf("serve.batch.tasks = %d, %d %v events, want none on the fault path", tasks, events, obs.KBatchTask)
+	}
+	checkLedger(t, s)
 }

@@ -258,6 +258,7 @@ type job struct {
 	deadline time.Time
 	admitted time.Time
 	done     chan outcome
+	fam      *family // the first attempt's, fanned out at admission; nil with Faults
 }
 
 // outcome is the single terminal result of an admitted job, delivered on
@@ -427,6 +428,10 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		deadline: now.Add(deadline), admitted: now,
 		done: make(chan outcome, 1),
 	}
+	if s.cfg.Faults == nil {
+		j.fam = newFamily(j, solver.Params{Root: req.Root, Level: req.Level, Tol: req.Tol})
+	}
+	fam := j.fam // read before the send: from then on j is its executor's
 	s.jobsWG.Add(1)
 	select {
 	case s.queue <- j:
@@ -443,6 +448,10 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// Join the flights now; an error (batcher closed) is the executor's to report.
+	if fam != nil {
+		_ = fam.fanOut(s.batch)
+	}
 	oc := <-j.done
 	writeOutcome(w, j, oc)
 }
