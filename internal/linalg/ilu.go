@@ -22,6 +22,15 @@ import (
 // instead of each waiting on the row before it. Within a row the entries
 // keep ascending column order, so every row's arithmetic is the row-major
 // solve's.
+//
+// On a stencil the rows of a level step by a constant and share their
+// column offsets, so most of each sweep is runs (rowRun) that read val as a
+// stream and no col entry or row index. Where the step plus a row's
+// second-to-last offset is its last offset — on the 5-point grid the
+// forward sweep's west neighbour is the next row's south, the backward
+// sweep's north the next row's east — that neighbour is loaded once and
+// carried to the next row. Runs form only where the carry holds; the other
+// positions take the indexed row loop.
 type ILU0 struct {
 	n   int
 	val []float64
@@ -35,21 +44,17 @@ type ILU0 struct {
 	fwdPos, bwdPos []int32 // schedule positions of each row, for Refactor and factorize
 	colPos         []int32 // scratch scatter index, kept to make Refactor allocation-free
 
-	// Level schedule for the parallel triangular solves, computed once per
-	// sparsity pattern in NewILU0 (Refactor keeps it: values move, the
-	// pattern does not). Level l of the forward (backward) solve holds the
-	// rows whose longest dependency chain through the strict lower (upper)
-	// pattern has length l; rows within a level are independent. The
-	// pointers delimit levels in schedule positions.
-	fwdPtr, bwdPtr []int
-	maxWidth       int // widest level across both sweeps
+	// The carrying runs of each sweep in schedule positions, found once per
+	// pattern in NewILU0 (Refactor keeps them: values move, the pattern
+	// does not).
+	fwdRuns, bwdRuns []rowRun
 }
 
 // NewILU0 computes the ILU(0) factorization of a square CSR matrix. It
-// fails if a zero pivot appears (the factorization exists for M-matrices
-// and diagonally dominant operators; arbitrary matrices may break down);
-// the factor object then comes back with the error, its values unusable
-// until a Refactor succeeds. A structural failure returns no object.
+// fails if a zero or non-finite pivot appears (the factorization exists for
+// M-matrices and diagonally dominant operators; arbitrary matrices may
+// break down); the factor object then comes back with the error, its values
+// unusable until a Refactor succeeds. A structural failure returns no object.
 func NewILU0(a *CSR, ops *Ops) (*ILU0, error) {
 	if a.Rows != a.Cols {
 		return nil, errors.New("linalg: ILU0 needs a square matrix")
@@ -63,6 +68,7 @@ func NewILU0(a *CSR, ops *Ops) (*ILU0, error) {
 		return nil, err
 	}
 	f.pack(a, diag, bwdRows)
+	f.findRuns(bwdRows)
 	f.colPos = make([]int32, f.n)
 	for i := range f.colPos {
 		f.colPos[i] = -1
@@ -100,7 +106,7 @@ func (f *ILU0) buildLevels(a *CSR) (diag []int, bwdRows []int32, err error) {
 			maxL = l
 		}
 	}
-	f.fwdPtr, f.fwdRows = bucketByLevel(lev, int(maxL)+1)
+	f.fwdRows = bucketByLevel(lev, int(maxL)+1)
 	// Backward levels: fill lev in decreasing row order so every strict-
 	// upper neighbour is already leveled when row i reads it.
 	maxL = 0
@@ -116,34 +122,26 @@ func (f *ILU0) buildLevels(a *CSR) (diag []int, bwdRows []int32, err error) {
 			maxL = l
 		}
 	}
-	f.bwdPtr, bwdRows = bucketByLevel(lev, int(maxL)+1)
-	for _, ptr := range [][]int{f.fwdPtr, f.bwdPtr} {
-		for l := 0; l+1 < len(ptr); l++ {
-			if w := ptr[l+1] - ptr[l]; w > f.maxWidth {
-				f.maxWidth = w
-			}
-		}
-	}
-	return diag, bwdRows, nil
+	return diag, bucketByLevel(lev, int(maxL)+1), nil
 }
 
-// bucketByLevel groups row indices by their level with a stable counting
-// pass: ptr[l]..ptr[l+1] delimits level l's rows (ascending row order).
-func bucketByLevel(lev []int32, nlev int) (ptr []int, rows []int32) {
-	ptr = make([]int, nlev+1)
+// bucketByLevel orders row indices by their level with a stable counting
+// pass: level by level, each level's rows ascending.
+func bucketByLevel(lev []int32, nlev int) []int32 {
+	ptr := make([]int, nlev+1)
 	for _, l := range lev {
 		ptr[l+1]++
 	}
 	for l := 1; l <= nlev; l++ {
 		ptr[l] += ptr[l-1]
 	}
-	rows = make([]int32, len(lev))
-	next := append([]int(nil), ptr[:nlev]...)
+	rows := make([]int32, len(lev))
+	next := ptr[:nlev]
 	for i, l := range lev {
 		rows[next[l]] = int32(i)
 		next[l]++
 	}
-	return ptr, rows
+	return rows
 }
 
 // pack lays the pattern of a out in schedule order: it fills col, the row
@@ -186,11 +184,23 @@ func (f *ILU0) pack(a *CSR, diag []int, bwdRows []int32) {
 	}
 }
 
+// findRuns finds the runs of both sweeps on the packed pattern: forward
+// positions of two L entries, backward positions of a diagonal and two
+// upper entries, the last entry one step beyond the one before it.
+func (f *ILU0) findRuns(bwdRows []int32) {
+	carries := func(w int) func(run rowRun) bool {
+		return func(run rowRun) bool { return run.w == w && run.step+run.off[w-2] == run.off[w-1] }
+	}
+	f.fwdRuns = seqRuns(f.fwdRows, f.lptr, f.col, carries(2))
+	f.bwdRuns = seqRuns(bwdRows, f.uptr, f.col, carries(3))
+}
+
 // Refactor recomputes the factorization in place for a matrix with the
 // same sparsity pattern as the one the factorization was built from (the
 // Rosenbrock stage matrix (1/(gamma*tau))*I - J: its pattern is fixed, only
 // the diagonal moves when tau changes). It allocates nothing. On a zero
-// pivot the factor values are left invalid and must not be used for Solve.
+// or non-finite pivot the factor values are left invalid and must not be
+// used for Solve.
 //
 //vetsparse:allocfree
 func (f *ILU0) Refactor(a *CSR, ops *Ops) error {
@@ -221,9 +231,9 @@ func (f *ILU0) Refactor(a *CSR, ops *Ops) error {
 // strict-lower neighbours, all in earlier levels, so each row sees the same
 // finished pivot rows — and runs the same operations — as in natural
 // order, while L streams front to back and the rows of a level overlap
-// their divisions. Every pivot row has passed its zero check by the time
-// another row divides by it; a breakdown reports the first zero pivot in
-// schedule order.
+// their divisions. Every pivot row has passed its check by the time
+// another row divides by it; a breakdown reports the first zero or
+// non-finite pivot in schedule order.
 //
 //vetsparse:allocfree
 func (f *ILU0) factorize(ops *Ops) error {
@@ -259,9 +269,9 @@ func (f *ILU0) factorize(ops *Ops) error {
 		for k := u0; k < u1; k++ {
 			colPos[col[k]] = -1
 		}
-		if val[u0] == 0 {
+		if d := val[u0]; d == 0 || !finite(d) {
 			ops.Add(flops)
-			return fmt.Errorf("linalg: ILU0 zero pivot at row %d", i)
+			return fmt.Errorf("linalg: ILU0 pivot %g at row %d", d, i)
 		}
 	}
 	ops.Add(flops)
@@ -269,56 +279,70 @@ func (f *ILU0) factorize(ops *Ops) error {
 }
 
 // Solve applies the preconditioner: x = U^-1 L^-1 b. x and b may alias.
+// Runs take the carrying kernels, the positions between them the row
+// loops; every row computes the row-major expression over the same operands.
 //
 //vetsparse:allocfree
 func (f *ILU0) Solve(x, b Vector, ops *Ops) {
 	if len(x) != f.n || len(b) != f.n {
 		panic("linalg: ILU0 solve dimension mismatch")
 	}
-	f.forwardRows(x, b, 0, f.n)
-	f.backwardRows(x, 0, f.n)
+	p := 0
+	for i := range f.fwdRuns {
+		run := &f.fwdRuns[i]
+		f.forwardRows(x, b, p, run.r0)
+		fwdRun(x, b, f.val[f.lptr[run.r0]:f.lptr[run.r1]], int(f.fwdRows[run.r0]), run.step, run.off[0], run.off[1])
+		p = run.r1
+	}
+	f.forwardRows(x, b, p, f.n)
+	p = 0
+	for i := range f.bwdRuns {
+		run := &f.bwdRuns[i]
+		f.backwardRows(x, p, run.r0)
+		u := f.uptr[run.r0]
+		bwdRun(x, f.val[u:f.uptr[run.r1]], int(f.col[u]), run.step, run.off[1], run.off[2])
+		p = run.r1
+	}
+	f.backwardRows(x, p, f.n)
 	ops.Add(2 * int64(len(f.val)))
 }
 
-// SolveWith is Solve with each dependency level's rows split across a Team.
-// Rows are solved with the serial per-row arithmetic and the level barriers
-// enforce the same dependency order, so the result is bit-for-bit Solve's
-// at any team size. Levels narrower than ParMinPhase run inline (the
-// per-level barrier otherwise dominates); a nil or single team falls back
-// to Solve outright.
+// fwdRun is forwardRows over a run whose rows start at r and step by step,
+// v its L values, two a row at offsets o0 and o1 = step+o0: the o1
+// neighbour a row loads is the next row's o0 neighbour, carried in xc.
 //
 //vetsparse:allocfree
-func (f *ILU0) SolveWith(t *Team, x, b Vector, ops *Ops) {
-	if t.seq() || f.maxWidth < ParMinPhase {
-		f.Solve(x, b, ops)
-		return
+func fwdRun(x, b Vector, v []float64, r, step, o0, o1 int) {
+	b = b[:len(x)]
+	xc := x[r+o0]
+	for ; len(v) >= 2; v = v[2:] {
+		x1 := x[r+o1]
+		s := b[r]
+		s -= v[0] * xc
+		s -= v[1] * x1
+		x[r] = s
+		xc = x1
+		r += step
 	}
-	if len(x) != f.n || len(b) != f.n {
-		panic("linalg: ILU0 solve dimension mismatch")
+}
+
+// bwdRun is backwardRows over a run whose rows start at r and step by
+// step, v its U values, a row its diagonal and upper entries at offsets
+// o1 and o2 = step+o1: the o2 neighbour a row loads is the next row's o1
+// neighbour, carried in xc.
+//
+//vetsparse:allocfree
+func bwdRun(x Vector, v []float64, r, step, o1, o2 int) {
+	xc := x[r+o1]
+	for ; len(v) >= 3; v = v[3:] {
+		x2 := x[r+o2]
+		s := x[r]
+		s -= v[1] * xc
+		s -= v[2] * x2
+		x[r] = s / v[0]
+		xc = x2
+		r += step
 	}
-	t.f = f
-	t.x, t.y = x, b
-	for l := 0; l+1 < len(f.fwdPtr); l++ {
-		lo, hi := f.fwdPtr[l], f.fwdPtr[l+1]
-		if hi-lo < ParMinPhase {
-			f.forwardRows(x, b, lo, hi)
-			continue
-		}
-		t.op = opILUFwd
-		t.splitRange(lo, hi)
-		t.kick()
-	}
-	for l := 0; l+1 < len(f.bwdPtr); l++ {
-		lo, hi := f.bwdPtr[l], f.bwdPtr[l+1]
-		if hi-lo < ParMinPhase {
-			f.backwardRows(x, lo, hi)
-			continue
-		}
-		t.op = opILUBwd
-		t.splitRange(lo, hi)
-		t.kick()
-	}
-	ops.Add(2 * int64(len(f.val)))
 }
 
 // forwardRows runs the unit-lower forward substitution for the schedule

@@ -1,6 +1,8 @@
 package linalg
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -259,7 +261,7 @@ func (f *refILU0) solve(x, b Vector) {
 }
 
 // checkILU compares f's Solve with the row-major reference of a, with x
-// apart from b and aliasing it, and SolveWith at every team size.
+// apart from b and aliasing it, flops included.
 func checkILU(t *testing.T, name string, f *ILU0, a *CSR, facOps Ops, b Vector) {
 	t.Helper()
 	ref, err := newRefILU0(a)
@@ -272,25 +274,43 @@ func checkILU(t *testing.T, name string, f *ILU0, a *CSR, facOps Ops, b Vector) 
 	want := NewVector(a.Rows)
 	ref.solve(want, b)
 	got := NewVector(a.Rows)
-	f.Solve(got, b, nil)
+	var ops Ops
+	f.Solve(got, b, &ops)
 	checkSame(t, 0, name+" Solve", got, want)
+	if want := 2 * int64(a.NNZ()); ops.Flops != want {
+		t.Errorf("%s: Solve counted %d flops, want %d", name, ops.Flops, want)
+	}
 	copy(got, b)
 	f.Solve(got, got, nil)
 	checkSame(t, 0, name+" Solve in place", got, want)
-	for _, size := range teamSizes {
-		tm := NewTeam(size)
-		copy(got, b)
-		f.SolveWith(tm, got, got, nil)
-		tm.Close()
-		checkSame(t, size, name+" SolveWith in place", got, want)
+}
+
+// withExtras copies the 5-point operator a of an nx-wide grid and couples
+// every 37th row to the row two grid lines below and every 41st to the row
+// two above: the level schedules stay as they are, but each such row leaves
+// the run of its level mid-way.
+func withExtras(a *CSR, nx int) *CSR {
+	b := NewBuilder(a.Rows, a.Cols)
+	for r := 0; r < a.Rows; r++ {
+		for k := a.RowPtr[r]; k < a.RowPtr[r+1]; k++ {
+			b.Add(r, a.ColIdx[k], a.Val[k])
+		}
+		if r%37 == 5 && r >= 2*nx {
+			b.Add(r, r-2*nx, -0.5)
+		}
+		if r%41 == 7 && r+2*nx < a.Rows {
+			b.Add(r, r+2*nx, -0.5)
+		}
 	}
+	return b.Build()
 }
 
 // TestBitIdentityILUPacked pins the level-ordered factor to the row-major
 // reference after NewILU0 and after each of several Refactors with changed
-// values, on the stencil shapes and on an irregular pattern.
+// values, on the stencil shapes — family-wide's aspect ratios among them,
+// whose sweeps are mostly runs, and a stencil whose runs break mid-level —
+// and on an irregular pattern.
 func TestBitIdentityILUPacked(t *testing.T) {
-	lowerParMin(t)
 	rng := rand.New(rand.NewSource(16))
 	dominant := randomPattern(rng, 200)
 	for r := 0; r < dominant.Rows; r++ {
@@ -307,6 +327,9 @@ func TestBitIdentityILUPacked(t *testing.T) {
 		{"63x31", advDiff2D(63, 31, 1)},
 		{"3x511", advDiff2D(3, 511, 1)},
 		{"511x3", advDiff2D(511, 3, 1)},
+		{"255x63", advDiff2D(255, 63, 1)},
+		{"63x255", advDiff2D(63, 255, 1)},
+		{"63x31 extras", withExtras(advDiff2D(63, 31, 1), 63)},
 		{"40x40", gridOperator(40)},
 		{"random", dominant},
 		{"1D", laplace1D(50)},
@@ -364,4 +387,117 @@ func TestILURefactorZeroPivot(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkILU(t, "after breakdown", f, good, ops, Vector{1, 2, 3})
+}
+
+// TestILURunsCoverStencil: on family-wide's grid shapes the carrying runs
+// cover at least 90 % of both sweeps' positions, every run's rows step as
+// the run says and hold its offsets, and Solve takes the run kernels there:
+// with the index arrays inside the runs overwritten — all but the row a
+// backward run starts from — it still returns the same bits.
+func TestILURunsCoverStencil(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	for _, sh := range [][2]int{{127, 127}, {255, 63}} {
+		a := advDiff2D(sh[0], sh[1], 1)
+		f, err := NewILU0(a, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := randVec(rng, a.Rows)
+		want := NewVector(a.Rows)
+		f.Solve(want, b, nil)
+		sweeps := []struct {
+			name string
+			runs []rowRun
+			w    int
+			row  func(p int) int
+			ptr  []int32
+		}{
+			{"forward", f.fwdRuns, 2, func(p int) int { return int(f.fwdRows[p]) }, f.lptr},
+			{"backward", f.bwdRuns, 3, func(p int) int { return int(f.col[f.uptr[p]]) }, f.uptr},
+		}
+		for _, sw := range sweeps {
+			covered := 0
+			for _, run := range sw.runs {
+				if run.w != sw.w || run.step != sh[0]-1 || run.step+run.off[run.w-2] != run.off[run.w-1] {
+					t.Fatalf("%dx%d %s: run %+v carries nothing", sh[0], sh[1], sw.name, run)
+				}
+				for p := run.r0; p < run.r1; p++ {
+					r := sw.row(p)
+					if r != sw.row(run.r0)+(p-run.r0)*run.step {
+						t.Fatalf("%dx%d %s: position %d is row %d, off run %+v", sh[0], sh[1], sw.name, p, r, run)
+					}
+					for j, c := range f.col[sw.ptr[p]:sw.ptr[p+1]] {
+						if int(c)-r != run.off[j] {
+							t.Fatalf("%dx%d %s: row %d entry %d at offset %d, run says %d", sh[0], sh[1], sw.name, r, j, int(c)-r, run.off[j])
+						}
+					}
+				}
+				covered += run.r1 - run.r0
+			}
+			if share := float64(covered) / float64(a.Rows); share < 0.9 {
+				t.Errorf("%dx%d %s: runs cover %.3f of the positions, want >= 0.9", sh[0], sh[1], sw.name, share)
+			}
+		}
+		for _, run := range f.fwdRuns {
+			for p := run.r0; p < run.r1; p++ {
+				if p > run.r0 {
+					f.fwdRows[p] = 0
+				}
+				for k := f.lptr[p]; k < f.lptr[p+1]; k++ {
+					f.col[k] = 0
+				}
+			}
+		}
+		for _, run := range f.bwdRuns {
+			for k := f.uptr[run.r0] + 1; k < f.uptr[run.r1]; k++ {
+				f.col[k] = 0
+			}
+		}
+		got := NewVector(a.Rows)
+		f.Solve(got, b, nil)
+		checkSame(t, 0, fmt.Sprintf("%dx%d Solve on runs", sh[0], sh[1]), got, want)
+	}
+}
+
+// TestBiCGStabNonFiniteStops: a NaN in b, or a +Inf in the matrix, ends a
+// solve with either preconditioner as a breakdown within two iterations
+// instead of running all 4n, and ILU(0) reports an infinite pivot as a
+// breakdown (BiCGStabILU then falls back to the line factor).
+func TestBiCGStabNonFiniteStops(t *testing.T) {
+	withInf := func(r, c int) *CSR {
+		a := advDiff2D(31, 31, 1)
+		for k := a.RowPtr[r]; k < a.RowPtr[r+1]; k++ {
+			if a.ColIdx[k] == c {
+				a.Val[k] = math.Inf(1)
+			}
+		}
+		return a
+	}
+	if _, err := NewILU0(withInf(200, 200), nil); err == nil {
+		t.Error("ILU(0) accepted an infinite pivot")
+	}
+	good := advDiff2D(31, 31, 1)
+	ones := NewVector(good.Rows)
+	ones.Fill(1)
+	nanB := ones.Clone()
+	nanB[100] = math.NaN()
+	for _, c := range []struct {
+		name string
+		a    *CSR
+		b    Vector
+	}{
+		{"NaN in b", good, nanB},
+		{"+Inf pivot", withInf(200, 200), ones},
+		{"+Inf coupling", withInf(200, 201), ones},
+	} {
+		for _, s := range []struct {
+			name  string
+			solve func(a *CSR, x, b Vector, tol float64, maxIter int, ops *Ops) (SolveStats, error)
+		}{{"lines", BiCGStab}, {"ILU", BiCGStabILU}} {
+			st, err := s.solve(c.a, NewVector(c.a.Rows), c.b, 1e-8, 0, nil)
+			if !errors.Is(err, ErrBreakdown) || st.Iterations > 2 {
+				t.Errorf("%s, %s: %d iterations, err %v; want a breakdown within 2", c.name, s.name, st.Iterations, err)
+			}
+		}
+	}
 }

@@ -82,9 +82,10 @@ func BenchmarkShiftedUpdateHeld(b *testing.B) {
 }
 
 // kernelShapes are the interior dimensions the kernel benchmarks sweep: the
-// level-5 square, a mid-family rectangle, and the two anisotropic ends of a
-// family (long diagonal runs, and 3-wide rows with no runs at all).
-var kernelShapes = [][2]int{{127, 127}, {63, 31}, {511, 3}, {3, 511}}
+// level-5 square, a mid-family rectangle, the two anisotropic ends of a
+// family (long diagonal runs, and 3-wide rows with no runs at all), and the
+// two aspect ratios of the family-wide workload's largest grids.
+var kernelShapes = [][2]int{{127, 127}, {63, 31}, {511, 3}, {3, 511}, {255, 63}, {63, 255}}
 
 // benchShapes runs fn as one sub-benchmark per kernel shape (its name the
 // shape plus suffix) on the shifted stencil operator and reports its time per

@@ -3,12 +3,11 @@ package linalg
 import "fmt"
 
 // ParMinPhase is the one serial/parallel cut-over: the smallest problem
-// dimension (phase length, SpMV rows, ILU level width)
-// worth waking the team for. Below it the caller runs the same kernel over
-// the whole range itself — bit-for-bit the same result, so tests lower it
-// to exercise the team on small problems. Calibrate replaces the default
-// with the host's measured break-even (and pushes it out of reach on hosts
-// that cannot run team members in parallel).
+// dimension (phase length, SpMV rows) worth waking the team for. Below it
+// the caller runs the same kernel over the whole range itself — bit-for-bit
+// the same result, so tests lower it to exercise the team on small problems.
+// Calibrate replaces the default with the host's measured break-even (and
+// pushes it out of reach on hosts that cannot run team members in parallel).
 var ParMinPhase = defParMinPhase
 
 // phaseOp selects one step of a fused-phase micro-program.

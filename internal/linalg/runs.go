@@ -1,15 +1,18 @@
 package linalg
 
-// A rowRun is a maximal block of consecutive rows [r0, r1) that all store w
-// entries at the same column offsets off[:w] from the row index — the
-// diagonals of a stencil operator. Inside a run the CSR arrays carry no
-// information beyond the values: row r's entries sit at
+// A rowRun is a maximal block of consecutive positions [r0, r1) of a row
+// sequence whose rows step by a constant and all store w entries at the
+// same column offsets off[:w] from their row — the diagonals of a stencil
+// operator. Inside a run the index arrays carry no information beyond the
+// values. A CSR's sequence is its rows (step 1): row r's entries sit at
 // Val[RowPtr[r0]+(r-r0)*w:][:w] and multiply x[r+off[0]], x[r+off[1]], …,
-// so SpMV streams Val against w shifted views of x without loading a
-// column index.
+// so SpMV streams Val against w shifted views of x without loading a column
+// index. ILU(0)'s sweeps run along their level schedules (ilu.go), where a
+// grid level's rows step by the grid width minus one.
 type rowRun struct {
 	r0, r1 int
 	w      int
+	step   int
 	off    [maxRunWidth]int
 }
 
@@ -24,54 +27,76 @@ const (
 	minRunRows = 4
 )
 
-// runEnd returns the end of the maximal block of rows starting at r that
-// share row r's width and column offsets.
-func (m *CSR) runEnd(r int) int {
-	w := m.RowPtr[r+1] - m.RowPtr[r]
-	e := r + 1
-	for ; e < m.Rows && m.RowPtr[e+1]-m.RowPtr[e] == w; e++ {
-		prev, cur := m.ColIdx[m.RowPtr[e-1]:m.RowPtr[e]], m.ColIdx[m.RowPtr[e]:m.RowPtr[e+1]]
-		for j, c := range cur {
-			if c != prev[j]+1 {
-				return e
-			}
-		}
-	}
-	return e
+// findRuns returns the diagonal runs of m's rows that have an unrolled
+// SpMV kernel.
+func findRuns(m *CSR) []rowRun {
+	return seqRuns(nil, m.RowPtr, m.ColIdx, func(run rowRun) bool { return run.w >= minRunWidth })
 }
 
-// findRuns analyses m's pattern once, in O(nnz): it returns the blocks of
-// at least minRunRows rows whose width has an unrolled kernel, in row
-// order. The table is counted first and allocated at its exact size.
-func findRuns(m *CSR) []rowRun {
-	keep := func(r, e int) bool {
-		w := m.RowPtr[r+1] - m.RowPtr[r]
-		return e-r >= minRunRows && w >= minRunWidth && w <= maxRunWidth
+// seqRuns analyses a sequence of rows in O(nnz), once per pattern:
+// position p is row rows[p] (p itself if rows is nil) with stored columns
+// col[ptr[p]:ptr[p+1]]. It returns, in order, the maximal blocks of at
+// least minRunRows positions whose rows step by a constant, whose entries
+// sit at the same offsets from their row, at most maxRunWidth of them, and
+// that keep accepts. The table is counted first and allocated at its exact
+// size.
+func seqRuns[I int | int32](rows, ptr, col []I, keep func(run rowRun) bool) []rowRun {
+	n := len(ptr) - 1
+	runAt := func(p int) (run rowRun, ok bool) {
+		r, e, step := rowAt(rows, p), p+1, 0
+		if e < n {
+			step = rowAt(rows, e) - r
+		}
+	grow:
+		for ; e < n && rowAt(rows, e)-rowAt(rows, e-1) == step; e++ {
+			prev, cur := col[ptr[e-1]:ptr[e]], col[ptr[e]:ptr[e+1]]
+			if len(cur) != len(prev) {
+				break
+			}
+			for j, c := range cur {
+				if int(c) != int(prev[j])+step {
+					break grow
+				}
+			}
+		}
+		run = rowRun{r0: p, r1: e, w: int(ptr[p+1] - ptr[p]), step: step}
+		if e-p < minRunRows || run.w > maxRunWidth {
+			return run, false
+		}
+		for j, c := range col[ptr[p]:ptr[p+1]] {
+			run.off[j] = int(c) - r
+		}
+		return run, keep(run)
 	}
 	count := 0
-	for r := 0; r < m.Rows; {
-		e := m.runEnd(r)
-		if keep(r, e) {
+	for p := 0; p < n; {
+		run, ok := runAt(p)
+		if ok {
 			count++
 		}
-		r = e
+		p = run.r1
 	}
 	if count == 0 {
 		return nil
 	}
 	runs := make([]rowRun, 0, count)
-	for r := 0; r < m.Rows; {
-		e := m.runEnd(r)
-		if keep(r, e) {
-			run := rowRun{r0: r, r1: e, w: m.RowPtr[r+1] - m.RowPtr[r]}
-			for j, c := range m.ColIdx[m.RowPtr[r]:m.RowPtr[r+1]] {
-				run.off[j] = c - r
-			}
+	for p := 0; p < n; {
+		run, ok := runAt(p)
+		if ok {
 			runs = append(runs, run)
 		}
-		r = e
+		p = run.r1
 	}
 	return runs
+}
+
+// rowAt returns the row at position p of a sequence: rows[p], or p itself
+// if rows is nil.
+func rowAt[I int | int32](rows []I, p int) int {
+	if rows == nil {
+		return p
+	}
+	return int(rows[p])
 }
 
 // The mulRun kernels compute y[r] = sum_j v[(r-r0)*w+j]*x[r+o[j]] for rows

@@ -58,9 +58,10 @@ func (ws *Workspace) BiCGStabLines(a *CSR, x, b Vector, tol float64, maxIter int
 // phase S forms s and its norm, M^-1 gives sHat, phase At multiplies it and
 // reduces both dots of t; phase X updates x and r, reduces the residual
 // norm and — one dispatch early — the next iteration's rho, charged only
-// once an iteration consumes it. The preconditioners keep their own
-// execution: the level-scheduled triangular solves their dispatch pattern,
-// the line sweeps the caller.
+// once an iteration consumes it. Both preconditioners run on the caller.
+// A breakdown test fails on NaN as well as on a collapse, and a non-finite
+// norm of b or of the residual is a breakdown too, so a non-finite operand
+// ends the solve rather than iterating to maxIter.
 //
 //vetsparse:allocfree
 func (ws *Workspace) bicgstab(a *CSR, f *ILU0, x, b Vector, tol float64, maxIter int, key float64, ops *Ops) (SolveStats, error) {
@@ -94,7 +95,11 @@ func (ws *Workspace) bicgstab(a *CSR, f *ILU0, x, b Vector, tol float64, maxIter
 		return SolveStats{}, nil
 	}
 	ops.Add(2 * nn)
-	if rn := math.Sqrt(ws.phInit.Fold(1)); rn/bNorm <= tol {
+	rn := math.Sqrt(ws.phInit.Fold(1))
+	if !finite(bNorm) || !finite(rn) {
+		return SolveStats{Residual: math.NaN()}, ErrBreakdown
+	}
+	if rn/bNorm <= tol {
 		return SolveStats{Residual: rn / bNorm}, nil
 	}
 
@@ -107,7 +112,7 @@ func (ws *Workspace) bicgstab(a *CSR, f *ILU0, x, b Vector, tol float64, maxIter
 			rhoNew = ws.phInit.Fold(1)
 		}
 		ops.Add(2 * nn)
-		if math.Abs(rhoNew) < 1e-300 {
+		if !(math.Abs(rhoNew) >= 1e-300) {
 			return SolveStats{Iterations: it}, ErrBreakdown
 		}
 		sc[scBeta] = (rhoNew / rho) * (alpha / omega)
@@ -121,7 +126,7 @@ func (ws *Workspace) bicgstab(a *CSR, f *ILU0, x, b Vector, tol float64, maxIter
 		tm.RunPhase(&ws.phAv)
 		ops.Add(ws.phAv.Flops())
 		den := ws.phAv.Fold(0)
-		if math.Abs(den) < 1e-300 {
+		if !(math.Abs(den) >= 1e-300) {
 			return SolveStats{Iterations: it}, ErrBreakdown
 		}
 		alpha = rho / den
@@ -141,17 +146,18 @@ func (ws *Workspace) bicgstab(a *CSR, f *ILU0, x, b Vector, tol float64, maxIter
 		tm.RunPhase(&ws.phAt)
 		ops.Add(ws.phAt.Flops())
 		tt := ws.phAt.Fold(0)
-		if tt == 0 {
+		if !(tt > 0) { // a sum of squares: zero or NaN
 			return SolveStats{Iterations: it}, ErrBreakdown
 		}
 		omega = ws.phAt.Fold(1) / tt
 		sc[scOmega] = omega
 		tm.RunPhase(&ws.phX)
 		ops.Add(ws.phX.Flops() - 2*nn)
-		if rn := math.Sqrt(ws.phX.Fold(0)); rn/bNorm <= tol {
+		rn = math.Sqrt(ws.phX.Fold(0))
+		if rn/bNorm <= tol {
 			return SolveStats{Iterations: it, Residual: rn / bNorm}, nil
 		}
-		if math.Abs(omega) < 1e-300 {
+		if !finite(rn) || !(math.Abs(omega) >= 1e-300) {
 			return SolveStats{Iterations: it}, ErrBreakdown
 		}
 	}
@@ -164,11 +170,14 @@ func (ws *Workspace) bicgstab(a *CSR, f *ILU0, x, b Vector, tol float64, maxIter
 //vetsparse:allocfree
 func (ws *Workspace) precondition(f *ILU0, dst, src Vector, ops *Ops) {
 	if f != nil {
-		f.SolveWith(ws.team, dst, src, ops)
+		f.Solve(dst, src, ops)
 		return
 	}
 	ws.lines.solve(dst, src, ops)
 }
+
+// finite reports whether v is neither infinite nor NaN.
+func finite(v float64) bool { return v-v == 0 }
 
 // SolveTridiag solves a tridiagonal system in place with the Thomas
 // algorithm: sub (length n, sub[0] unused), diag (length n), super (length

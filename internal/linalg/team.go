@@ -37,8 +37,6 @@ type kernelOp int
 
 const (
 	opMulVec kernelOp = iota
-	opILUFwd
-	opILUBwd
 	opRun
 	opPhase
 )
@@ -57,14 +55,14 @@ const spinBudget = 4096
 // created once and reused for every kernel dispatch, that parallelize the
 // hot subsolve kernels by fixed index ranges. All vector work — fused
 // elementwise ops, SpMV steps, dot/norm reductions — reaches the team as a
-// Phase program through RunPhase; beside it stand only the standalone SpMV,
-// the generic Run, and the level-by-level dispatches behind ILU0.SolveWith.
+// Phase program through RunPhase; beside it stand only the standalone SpMV
+// and the generic Run.
 //
 // Determinism: every kernel either computes each output element
-// independently of the range it arrives in (elementwise ops, SpMV,
-// triangular-solve rows) or reduces through the fixed-chunk ordered fold of
-// redChunk (dots, norms), so the results are bit-for-bit identical at any
-// team size and any GOMAXPROCS.
+// independently of the range it arrives in (elementwise ops, SpMV) or
+// reduces through the fixed-chunk ordered fold of redChunk (dots, norms),
+// so the results are bit-for-bit identical at any team size and any
+// GOMAXPROCS.
 //
 // A nil *Team is valid everywhere and runs every kernel over its whole
 // range on the caller, as does a team of size one. A Team is owned by one
@@ -97,7 +95,6 @@ type Team struct {
 	// Kernel dispatch arguments, set by the public methods before kick.
 	op    kernelOp
 	m     *CSR
-	f     *ILU0
 	ph    *Phase
 	x, y  Vector
 	split [MaxTeam + 1]int
@@ -299,10 +296,6 @@ func (t *Team) exec(w int) {
 	switch t.op {
 	case opMulVec:
 		t.m.mulVecRange(t.y, t.x, nil, nil, nil, nil, lo, hi)
-	case opILUFwd:
-		t.f.forwardRows(t.x, t.y, lo, hi)
-	case opILUBwd:
-		t.f.backwardRows(t.x, lo, hi)
 	case opRun:
 		t.runFn(lo, hi)
 	case opPhase:
@@ -317,15 +310,9 @@ func (t *Team) exec(w int) {
 // splitEven partitions [0, n) into t.n contiguous worker ranges.
 //
 //vetsparse:allocfree
-func (t *Team) splitEven(n int) { t.splitRange(0, n) }
-
-// splitRange partitions [lo, hi) into t.n contiguous worker ranges.
-//
-//vetsparse:allocfree
-func (t *Team) splitRange(lo, hi int) {
-	n := hi - lo
+func (t *Team) splitEven(n int) {
 	for w := 0; w <= t.n; w++ {
-		t.split[w] = lo + w*n/t.n
+		t.split[w] = w * n / t.n
 	}
 }
 

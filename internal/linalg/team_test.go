@@ -209,33 +209,6 @@ func TestSerialReductionUnchangedBelowOneChunk(t *testing.T) {
 	}
 }
 
-// TestILUSolveWithMatchesSolve checks the level-scheduled parallel
-// triangular solve against the serial natural-order solve, bit for bit.
-func TestILUSolveWithMatchesSolve(t *testing.T) {
-	lowerParMin(t)
-	rng := rand.New(rand.NewSource(5))
-	a := gridOperator(40) // 1600 rows, plenty of levels
-	f, err := NewILU0(a, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := randVec(rng, a.Rows)
-	want := NewVector(a.Rows)
-	var serOps Ops
-	f.Solve(want, b, &serOps)
-	for _, size := range teamSizes {
-		tm := NewTeam(size)
-		got := NewVector(a.Rows)
-		var parOps Ops
-		f.SolveWith(tm, got, b, &parOps)
-		tm.Close()
-		checkSame(t, size, "ILU0.SolveWith", got, want)
-		if parOps.Flops != serOps.Flops {
-			t.Errorf("size %d: SolveWith flops %d != Solve flops %d", size, parOps.Flops, serOps.Flops)
-		}
-	}
-}
-
 // TestTeamRun covers the generic range-split entry point used by the
 // prolongation.
 func TestTeamRun(t *testing.T) {
