@@ -37,7 +37,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/linalg"
 	"repro/internal/serve"
 )
 
@@ -73,7 +72,6 @@ func serveFlags(fs *flag.FlagSet) func() (serve.Config, error) {
 		boMax     = fs.Duration("backoff-max", core.DefaultBackoffMax, "delay ceiling of the retry backoff")
 		faults    = fs.String("faults", "", "worker fault injection spec, e.g. 'seed=42,panic=0.2,hang=0.1,corrupt=0.1'; every solve then runs its own worker pool instead of the batcher")
 
-		batchTeam  = fs.Int("batch-team", 1, "size of the persistent team each executor owns")
 		cacheN     = fs.Int("cache-entries", 64, "solver-cache entry bound")
 		cacheBytes = fs.Int64("cache-bytes", 256<<20, "solver-cache approximate byte budget")
 	)
@@ -84,7 +82,7 @@ func serveFlags(fs *flag.FlagSet) func() (serve.Config, error) {
 			BreakerThreshold: *brkN, BreakerCooldown: *brkCool,
 			Attempts: *attempts, Retries: *retries, FailureBudget: *budget,
 			WorkerDeadline: *wdl, DefaultDeadline: *ddl, MaxLevel: *maxLevel,
-			BatchTeam: *batchTeam, CacheEntries: *cacheN, CacheBytes: *cacheBytes,
+			CacheEntries: *cacheN, CacheBytes: *cacheBytes,
 			Backoff: core.NewBackoff(*boSeed, *boBase, *boMax),
 		}
 		if *faults != "" {
@@ -114,10 +112,6 @@ func runServe(args []string) int {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-
-	// Same setup-path calibration as the batch command: measure the team
-	// dispatch cost once, before any solve runs.
-	linalg.Calibrate()
 
 	srv := serve.NewServer(cfg)
 	srv.Start()
@@ -194,7 +188,6 @@ func runLoadtest(args []string) int {
 			fmt.Fprintln(os.Stderr, err)
 			return 2
 		}
-		linalg.Calibrate()
 		srv = serve.NewServer(cfg)
 		srv.Start()
 		ln, err := net.Listen("tcp", "127.0.0.1:0")

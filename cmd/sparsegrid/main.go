@@ -35,34 +35,43 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/linalg"
 	"repro/internal/obs"
 	"repro/internal/solver"
 )
 
-func main() { os.Exit(run()) }
+func main() { os.Exit(run(os.Args[1:])) }
 
-// run is main's body; returning (rather than os.Exit-ing) lets the profile
-// defers flush even on error exits.
-func run() int {
+// run is main's body on the given arguments; returning (rather than
+// os.Exit-ing) lets the profile defers flush even on error exits.
+func run(args []string) int {
+	fs := flag.NewFlagSet("sparsegrid", flag.ContinueOnError)
 	var (
-		root     = flag.Int("root", 2, "refinement level of the coarsest grid (argv[1])")
-		level    = flag.Int("level", 3, "additional refinement above the root level (argv[2])")
-		tol      = flag.Float64("tol", 1e-3, "tolerance of the integrator (argv[3])")
-		mode     = flag.String("mode", "both", "seq, conc, or both")
-		faults   = flag.String("faults", "", "worker fault injection spec, e.g. 'seed=42,panic=0.2,panicpre=0.1,hang=0.1,corrupt=0.1,hangfor=2s' (concurrent mode)")
-		retries  = flag.Int("retries", 2, "per-job retry budget of the concurrent mode")
-		ddl      = flag.Duration("worker-deadline", 10*time.Second, "how long the master waits for one worker before abandoning it (0 = forever)")
-		backoff  = flag.Duration("retry-backoff", 0, "base delay of the seeded exponential retry backoff (0 = retry immediately)")
-		budget   = flag.Int("failure-budget", 0, "total failed worker attempts tolerated per concurrent run (0 = unlimited)")
-		traceOut = flag.String("trace", "", "write the run's events as a paper-style (§6) chronological trace to this file ('-' = stdout)")
-		timeline = flag.String("timeline", "", "write the run's events as a JSON-lines timeline to this file ('-' = stdout)")
-		metrics  = flag.String("metrics", "", "write the per-run metrics summary (event totals, counters, histograms) to this file ('-' = stdout)")
-		cpw      = flag.Int("cores-per-worker", 0, "intra-grid team size per subsolve (0 = auto: sequential uses GOMAXPROCS, concurrent splits GOMAXPROCS by grid cost); output is bit-identical at any setting")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file (pprof worker labels attribute samples per grid)")
-		memProf  = flag.String("memprofile", "", "write an allocation profile to this file at exit")
+		root     = fs.Int("root", 2, "refinement level of the coarsest grid (argv[1])")
+		level    = fs.Int("level", 3, "additional refinement above the root level (argv[2])")
+		tol      = fs.Float64("tol", 1e-3, "tolerance of the integrator (argv[3])")
+		mode     = fs.String("mode", "both", "seq, conc, or both")
+		faults   = fs.String("faults", "", "worker fault injection spec, e.g. 'seed=42,panic=0.2,panicpre=0.1,hang=0.1,corrupt=0.1,hangfor=2s' (concurrent mode)")
+		retries  = fs.Int("retries", 2, "per-job retry budget of the concurrent mode")
+		ddl      = fs.Duration("worker-deadline", 10*time.Second, "how long the master waits for one worker before abandoning it (0 = forever)")
+		backoff  = fs.Duration("retry-backoff", 0, "base delay of the seeded exponential retry backoff (0 = retry immediately)")
+		budget   = fs.Int("failure-budget", 0, "total failed worker attempts tolerated per concurrent run (0 = unlimited)")
+		traceOut = fs.String("trace", "", "write the run's events as a paper-style (§6) chronological trace to this file ('-' = stdout)")
+		timeline = fs.String("timeline", "", "write the run's events as a JSON-lines timeline to this file ('-' = stdout)")
+		metrics  = fs.String("metrics", "", "write the per-run metrics summary (event totals, counters, histograms) to this file ('-' = stdout)")
+		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file (pprof worker labels attribute samples per grid)")
+		memProf  = fs.String("memprofile", "", "write an allocation profile to this file at exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	runSeq, runConc := *mode == "seq" || *mode == "both", *mode == "conc" || *mode == "both"
+	if !runSeq && !runConc {
+		fmt.Fprintf(os.Stderr, "sparsegrid: -mode %q: want seq, conc or both\n", *mode)
+		return 2
+	}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -94,12 +103,6 @@ func run() int {
 		}()
 	}
 
-	// Calibrate the intra-grid parallel cut-overs against this host's
-	// measured dispatch cost before any solve starts (setup path only:
-	// solver code itself must stay clock-free). On hosts that cannot run
-	// team members concurrently this sequentializes the team kernels.
-	linalg.Calibrate()
-
 	var rec *obs.Recorder
 	if *traceOut != "" || *timeline != "" || *metrics != "" {
 		rec = obs.NewRecorder(0)
@@ -113,7 +116,6 @@ func run() int {
 		WorkerDeadline: *ddl,
 		Fallback:       true,
 		Obs:            rec,
-		CoresPerWorker: *cpw,
 	}
 	if *backoff > 0 {
 		p.Backoff = core.NewBackoff(1, *backoff, 0)
@@ -132,7 +134,7 @@ func run() int {
 	}
 
 	var seq, conc *solver.Output
-	if *mode == "seq" || *mode == "both" {
+	if runSeq {
 		t0 := time.Now()
 		out, err := solver.Sequential(p)
 		if err != nil {
@@ -142,7 +144,7 @@ func run() int {
 		seq = out
 		report("sequential", out, time.Since(t0))
 	}
-	if *mode == "conc" || *mode == "both" {
+	if runConc {
 		t0 := time.Now()
 		out, err := solver.Concurrent(p)
 		if err != nil {

@@ -1,6 +1,6 @@
 // Package allocfree implements the vetsparse pass guarding the repo's
 // zero-allocation hot paths (DESIGN.md §8, the PR-2 Rosenbrock loop and
-// the PR-4 team kernels): a function annotated
+// the fused phase kernels): a function annotated
 //
 //	//vetsparse:allocfree
 //

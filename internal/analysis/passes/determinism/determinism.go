@@ -1,7 +1,7 @@
 // Package determinism implements the vetsparse pass guarding the repo's
 // bit-for-bit reproducibility invariant (DESIGN.md §8): the numeric stack
 // — linalg, grid, solver, rosenbrock — must produce identical floats for
-// identical inputs at any team size.
+// identical inputs, every reduction folded in fixed chunk order.
 //
 // Three rules:
 //
@@ -16,13 +16,12 @@
 //     SubsolveInto root. Metrics-only clock reads are suppressed at the
 //     call site with //vetsparse:ignore determinism <reason>, which also
 //     keeps them out of the facts.
-//  3. No team-shape-dependent reductions: in a worker-range kernel (a
-//     function whose trailing two int parameters are the [lo, hi) range a
-//     team member owns), accumulating floats across the whole range in a
-//     function-level accumulator makes the partial — and with it the
-//     fold order — depend on the team size. Kernels must fold fixed
-//     1024-element chunks (linalg's redChunk discipline) with chunk-local
-//     accumulators instead.
+//  3. No split-dependent reductions: in a range kernel (a function whose
+//     trailing two int parameters are a [lo, hi) range), accumulating
+//     floats across the whole range in a function-level accumulator makes
+//     the partial — and with it the fold order — depend on where the
+//     range was cut. Kernels must fold fixed 1024-element chunks (linalg's
+//     redChunk discipline) with chunk-local accumulators instead.
 package determinism
 
 import (
@@ -54,7 +53,7 @@ func (*nondetFact) AFact() {}
 
 var Analyzer = &analysis.Analyzer{
 	Name:      "determinism",
-	Doc:       "flag nondeterminism hazards in the numeric stack: map-order-dependent float code, clock/rand reachable from SubsolveInto, team-size-dependent reductions",
+	Doc:       "flag nondeterminism hazards in the numeric stack: map-order-dependent float code, clock/rand reachable from SubsolveInto, split-dependent reductions",
 	FactTypes: []analysis.Fact{(*nondetFact)(nil)},
 	Run:       run,
 }
@@ -319,7 +318,7 @@ func checkRangeAccumulator(pass *analysis.Pass, fn *ast.FuncDecl) {
 					continue
 				}
 				if accumulates(pass.TypesInfo, as, i, id) {
-					pass.Reportf(as.Pos(), "float accumulation across the whole [%s, %s) worker range makes the reduction depend on team size; fold fixed 1024-element chunks into chunk-local partials instead", lo.Name(), hi.Name())
+					pass.Reportf(as.Pos(), "float accumulation across the whole [%s, %s) worker range makes the reduction depend on where the range is cut; fold fixed 1024-element chunks into chunk-local partials instead", lo.Name(), hi.Name())
 				}
 			}
 			return true

@@ -1,7 +1,7 @@
 // Package leaks implements the vetsparse pass requiring a provable
 // termination signal in every goroutine launched under internal/...
-// (DESIGN.md §9): drain-correctness (PR 8's breaker/drain machinery,
-// Team.Close) depends on every worker actually exiting, and a
+// (DESIGN.md §9): drain-correctness (PR 8's breaker/drain machinery)
+// depends on every worker actually exiting, and a
 // fire-and-forget goroutine with no way out outlives Drain silently — the
 // race detector can't see a leak that never touches shared memory.
 //

@@ -14,11 +14,11 @@
 //  2. No double acquire: taking a lock that MUST already be held
 //     self-deadlocks (sync.Mutex does not recurse).
 //  3. No blocking operation under a lock: a channel send/receive, a
-//     select without default, a deadline read (readforms table), a
-//     WaitGroup.Wait, or a team dispatch (Team.RunPhase / kick) while a
-//     lock is MUST-held stalls every other goroutine contending for it —
-//     and deadlocks outright when the unblocking party needs the same
-//     lock. sync.Cond.Wait is exempt: it atomically releases its locker.
+//     select without default, a deadline read (readforms table), or a
+//     WaitGroup.Wait while a lock is MUST-held stalls every other
+//     goroutine contending for it — and deadlocks outright when the
+//     unblocking party needs the same lock. sync.Cond.Wait is exempt: it
+//     atomically releases its locker.
 //  4. Consistent acquisition order: each function exports the lock
 //     classes (Type.field) it may acquire, transitively, as an object
 //     fact; acquiring B while holding A records the edge A→B, edges merge
@@ -461,8 +461,8 @@ func (a *lockAnalysis) lockClass(x ast.Expr) string {
 }
 
 // blockingCall classifies a call as a blocking operation (rule 3):
-// deadline-carrying and bare protocol reads, WaitGroup.Wait, team
-// dispatches. sync.Cond.Wait is exempt — it releases its locker.
+// deadline-carrying and bare protocol reads, WaitGroup.Wait. sync.Cond.Wait
+// is exempt — it releases its locker.
 func (a *lockAnalysis) blockingCall(call *ast.CallExpr) (name, why string) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
@@ -490,11 +490,6 @@ func (a *lockAnalysis) blockingCall(call *ast.CallExpr) (name, why string) {
 	}
 	if readforms.Deadline[n] || readforms.Bare[n] != "" {
 		return n, "blocking read " + n
-	}
-	if n == "RunPhase" || n == "kick" {
-		if named := namedOf(recvT); named != nil && named.Obj().Name() == "Team" {
-			return n, "team dispatch " + n
-		}
 	}
 	return "", ""
 }

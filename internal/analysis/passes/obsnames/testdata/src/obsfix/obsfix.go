@@ -26,14 +26,16 @@ func metrics(r *Recorder, gname string) {
 	r.Gauge("core.jobs.outstanding")
 	r.Histogram(attemptUs)
 	r.Histogram("solver.subsolve." + gname + ".us")
-	r.Histogram("solver.subsolve." + gname + ".cores")
 	r.Counter("serve.requests")
 
-	r.Gauge("core.jobs.outstandin")                  // want `metric name "core.jobs.outstandin" is not in the taxonomy`
-	r.Histogram("solver.subsolve." + gname + ".uss") // want `matches no <grid> family`
-	r.Counter("solver.steals")                       // want `metric name "solver.steals" is not in the taxonomy`
-	r.Counter("serve.exec.scales")                   // want `metric name "serve.exec.scales" is not in the taxonomy`
-	r.Counter("serve.batch.steals")                  // want `metric name "serve.batch.steals" is not in the taxonomy`
+	r.Gauge("core.jobs.outstandin")                    // want `metric name "core.jobs.outstandin" is not in the taxonomy`
+	r.Histogram("solver.subsolve." + gname + ".uss")   // want `matches no <grid> family`
+	r.Counter("solver.steals")                         // want `metric name "solver.steals" is not in the taxonomy`
+	r.Counter("serve.exec.scales")                     // want `metric name "serve.exec.scales" is not in the taxonomy`
+	r.Counter("serve.batch.steals")                    // want `metric name "serve.batch.steals" is not in the taxonomy`
+	r.Histogram("linalg.team.imbalance.us")            // want `metric name "linalg.team.imbalance.us" is not in the taxonomy`
+	r.Histogram("linalg.team.phase.us")                // want `metric name "linalg.team.phase.us" is not in the taxonomy`
+	r.Histogram("solver.subsolve." + gname + ".cores") // want `matches no <grid> family`
 
 	dynamic := gname + ".us"
 	r.Counter(dynamic) // wholly dynamic: out of the pass's reach

@@ -110,29 +110,19 @@ func (f *Field) Eval(x, y float64) float64 {
 // grids are dyadic, coinciding points are reproduced exactly.
 func (f *Field) Prolongate(target Grid) *Field {
 	out := NewField(target)
-	f.ProlongateInto(out, nil)
+	f.ProlongateInto(out)
 	return out
 }
 
-// ProlongateInto interpolates f onto out's grid, overwriting out. When t is
-// non-nil the target rows are split across the team; every point is one
-// independent bilinear evaluation, so the values are identical at any team
-// size.
-func (f *Field) ProlongateInto(out *Field, t *linalg.Team) {
+// ProlongateInto interpolates f onto out's grid, overwriting out.
+func (f *Field) ProlongateInto(out *Field) {
 	target := out.G
 	nx, ny := target.NX(), target.NY()
-	rows := func(iy0, iy1 int) {
-		for iy := iy0; iy < iy1; iy++ {
-			y := target.Y(iy)
-			for ix := 0; ix <= nx; ix++ {
-				out.V[iy*(nx+1)+ix] = f.Eval(target.X(ix), y)
-			}
+	for iy := 0; iy <= ny; iy++ {
+		y := target.Y(iy)
+		for ix := 0; ix <= nx; ix++ {
+			out.V[iy*(nx+1)+ix] = f.Eval(target.X(ix), y)
 		}
-	}
-	if t.Size() > 1 && ny+1 >= 2*t.Size() {
-		t.Run(ny+1, rows)
-	} else {
-		rows(0, ny+1)
 	}
 }
 
@@ -184,27 +174,15 @@ func CombineCoefficient(g Grid, level int) float64 {
 //	u = sum_{l1+l2=level} u_{l1,l2} - sum_{l1+l2=level-1} u_{l1,l2}
 //
 // with every component prolongated (bilinearly) onto target. The fields
-// must be exactly the Family(root, level) grids, in any order.
+// must be exactly the Family(root, level) grids, in any order; they are
+// accumulated in that order, one scratch field holding each prolongation in
+// turn.
 func Combine(fields []*Field, level int, target Grid) *Field {
-	return CombineWith(nil, fields, level, target)
-}
-
-// CombineWith is Combine with the prolongations and accumulation routed
-// through a Team (nil runs serially). One scratch field is reused across
-// the family instead of allocating a prolongation per component; the
-// accumulation order and arithmetic are Combine's exactly, so the result is
-// bit-for-bit identical at any team size.
-func CombineWith(t *linalg.Team, fields []*Field, level int, target Grid) *Field {
 	out := NewField(target)
 	scratch := NewField(target)
-	var c float64
-	var acc linalg.Phase // out += c*scratch
-	acc.Reset(len(out.V))
-	acc.AXPY(out.V, &c, scratch.V)
 	for _, f := range fields {
-		c = CombineCoefficient(f.G, level)
-		f.ProlongateInto(scratch, t)
-		t.RunPhase(&acc)
+		f.ProlongateInto(scratch)
+		out.V.AXPY(CombineCoefficient(f.G, level), scratch.V, nil)
 	}
 	return out
 }

@@ -276,13 +276,13 @@ func checkILU(t *testing.T, name string, f *ILU0, a *CSR, facOps Ops, b Vector) 
 	got := NewVector(a.Rows)
 	var ops Ops
 	f.Solve(got, b, &ops)
-	checkSame(t, 0, name+" Solve", got, want)
+	checkSame(t, name+" Solve", got, want)
 	if want := 2 * int64(a.NNZ()); ops.Flops != want {
 		t.Errorf("%s: Solve counted %d flops, want %d", name, ops.Flops, want)
 	}
 	copy(got, b)
 	f.Solve(got, got, nil)
-	checkSame(t, 0, name+" Solve in place", got, want)
+	checkSame(t, name+" Solve in place", got, want)
 }
 
 // withExtras copies the 5-point operator a of an nx-wide grid and couples
@@ -455,7 +455,7 @@ func TestILURunsCoverStencil(t *testing.T) {
 		}
 		got := NewVector(a.Rows)
 		f.Solve(got, b, nil)
-		checkSame(t, 0, fmt.Sprintf("%dx%d Solve on runs", sh[0], sh[1]), got, want)
+		checkSame(t, fmt.Sprintf("%dx%d Solve on runs", sh[0], sh[1]), got, want)
 	}
 }
 

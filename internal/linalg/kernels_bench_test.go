@@ -116,7 +116,7 @@ func BenchmarkMulVec(b *testing.B) {
 			p.mulVecDot(a, y, x, [...]Vector{nil, x, x}[dots], [...]Vector{nil, nil, y}[dots])
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				p.exec(0, a.Rows)
+				p.Run()
 			}
 		})
 	}

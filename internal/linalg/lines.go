@@ -145,12 +145,12 @@ func (lf *lineFactor) factor(a *CSR, ops *Ops) {
 
 // solve applies the factor, x = T^-1 b (x and b distinct): the forward
 // sweep y_r = b_r - w_r*y_{r-d}, then the backward sweep
-// x_r = (y_r - u_r*x_{r+d})*inv_r, on the caller at any team size. Lines
-// at offset stride interleave in row order by themselves, and so does a
-// pattern that is no rectangle; the offset-1 lines of a rectangle are swept
-// one position of every line at a time, so that consecutive updates are
-// independent rather than each waiting on the one before. Both orders
-// compute every row by the same expression from the same operands.
+// x_r = (y_r - u_r*x_{r+d})*inv_r. Lines at offset stride interleave in row
+// order by themselves, and so does a pattern that is no rectangle; the
+// offset-1 lines of a rectangle are swept one position of every line at a
+// time, so that consecutive updates are independent rather than each
+// waiting on the one before. Both orders compute every row by the same
+// expression from the same operands.
 //
 //vetsparse:allocfree
 func (lf *lineFactor) solve(x, b Vector, ops *Ops) {

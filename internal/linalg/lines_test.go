@@ -102,26 +102,19 @@ var goldenJacobi = []golden{
 
 // TestLineFactorWithoutCouplingsIsJacobi: where a matrix has no line
 // couplings the line-preconditioned BiCGStab is the Jacobi-preconditioned
-// one it replaced, bit for bit, with a team and without.
+// one it replaced, bit for bit.
 func TestLineFactorWithoutCouplingsIsJacobi(t *testing.T) {
-	lowerParMin(t)
 	rng := rand.New(rand.NewSource(23))
-	tm := NewTeam(3)
-	defer tm.Close()
 	for gi, n := range phaseTestSizes() {
 		a, b, g := zeroLines(n), randVec(rng, n), goldenJacobi[gi]
-		for _, team := range []*Team{nil, tm} {
-			ws := NewWorkspace()
-			ws.SetTeam(team)
-			x := NewVector(n)
-			st, err := ws.BiCGStab(a, x, b, 1e-10, 300, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := vectorSHA(x); got != g.sha || st.Iterations != g.iters || math.Float64bits(st.Residual) != g.residual {
-				t.Errorf("n=%d team=%d: %d iterations, residual %#x, digest %s; Jacobi %d, %#x, %s",
-					n, team.Size(), st.Iterations, math.Float64bits(st.Residual), got, g.iters, g.residual, g.sha)
-			}
+		x := NewVector(n)
+		st, err := NewWorkspace().BiCGStab(a, x, b, 1e-10, 300, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := vectorSHA(x); got != g.sha || st.Iterations != g.iters || math.Float64bits(st.Residual) != g.residual {
+			t.Errorf("n=%d: %d iterations, residual %#x, digest %s; Jacobi %d, %#x, %s",
+				n, st.Iterations, math.Float64bits(st.Residual), got, g.iters, g.residual, g.sha)
 		}
 	}
 }
@@ -150,14 +143,14 @@ func TestLineSweepOrderBitIdentical(t *testing.T) {
 		natural.analyse(a)
 		natural.lines = 1
 		natural.factor(a, nil)
-		checkSame(t, 1, name+" multipliers", inter.w, natural.w)
-		checkSame(t, 1, name+" inverted pivots", inter.inv, natural.inv)
-		checkSame(t, 1, name+" upper entries", inter.u, natural.u)
+		checkSame(t, name+" multipliers", inter.w, natural.w)
+		checkSame(t, name+" inverted pivots", inter.inv, natural.inv)
+		checkSame(t, name+" upper entries", inter.u, natural.u)
 		b := randVec(rng, a.Rows)
 		xi, xn := NewVector(a.Rows), NewVector(a.Rows)
 		inter.solve(xi, b, nil)
 		natural.solve(xn, b, nil)
-		checkSame(t, 1, name+" sweeps", xi, xn)
+		checkSame(t, name+" sweeps", xi, xn)
 
 		ws := NewWorkspace()
 		ws.lines.analyse(a)
@@ -169,7 +162,7 @@ func TestLineSweepOrderBitIdentical(t *testing.T) {
 		if errN != nil || errI != nil || stN != stI {
 			t.Fatalf("%s: natural order %+v %v, interleaved %+v %v", name, stN, errN, stI, errI)
 		}
-		checkSame(t, 1, name+" BiCGStab", y, x)
+		checkSame(t, name+" BiCGStab", y, x)
 	}
 }
 
@@ -252,13 +245,13 @@ func TestLineFactorCache(t *testing.T) {
 	if f := factorFlops(a, 1); f != 0 {
 		t.Errorf("repeated key refactored (%d flops)", f)
 	}
-	checkSame(t, 1, "repeated key", lf.inv, kept)
+	checkSame(t, "repeated key", lf.inv, kept)
 	if f := factorFlops(a, 2); f != 4*n {
 		t.Errorf("new key charged %d flops, want %d", f, 4*n)
 	}
 	var fresh lineFactor
 	fresh.factor(a, nil)
-	checkSame(t, 1, "new key", lf.inv, fresh.inv)
+	checkSame(t, "new key", lf.inv, fresh.inv)
 	if f := factorFlops(other, 2); f != 4*n {
 		t.Errorf("another matrix under the same key charged %d flops, want %d", f, 4*n)
 	}
@@ -303,8 +296,8 @@ func TestLineFactorCache(t *testing.T) {
 		t.Errorf("key 5, 5, NaN: %+v %+v %+v, %d %d %d flops; want one answer, the repeat %d flops cheaper",
 			sts[0], sts[1], sts[2], ops[0].Flops, ops[1].Flops, ops[2].Flops, 4*n)
 	}
-	checkSame(t, 1, "repeated key solve", xs[1], xs[0])
-	checkSame(t, 1, "NaN key solve", xs[2], xs[0])
+	checkSame(t, "repeated key solve", xs[1], xs[0])
+	checkSame(t, "NaN key solve", xs[2], xs[0])
 
 	// BiCGStabILU's fallback keeps its line factor under the ILU key: once
 	// the zero pivot is cached, a solve after the values moved is the keyed
@@ -339,6 +332,6 @@ func TestLineFactorCache(t *testing.T) {
 			t.Errorf("round %d: ILU fallback %+v %v, %d flops; keyed line solve %+v %v, %d flops",
 				round, sti, erri, oi.Flops, stl, errl, ol.Flops)
 		}
-		checkSame(t, 1, fmt.Sprintf("ILU fallback, round %d", round), xi, xl)
+		checkSame(t, fmt.Sprintf("ILU fallback, round %d", round), xi, xl)
 	}
 }

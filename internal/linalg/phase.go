@@ -1,14 +1,15 @@
 package linalg
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
-// ParMinPhase is the one serial/parallel cut-over: the smallest problem
-// dimension (phase length, SpMV rows) worth waking the team for. Below it
-// the caller runs the same kernel over the whole range itself — bit-for-bit
-// the same result, so tests lower it to exercise the team on small problems.
-// Calibrate replaces the default with the host's measured break-even (and
-// pushes it out of reach on hosts that cannot run team members in parallel).
-var ParMinPhase = defParMinPhase
+// redChunk is the fixed reduction chunk: dot products and norms are summed
+// as per-chunk partials folded in chunk order, so the association of every
+// sum depends only on the vector length. Vectors shorter than one chunk
+// reduce to the classic single running sum.
+const redChunk = 1024
 
 // phaseOp selects one step of a fused-phase micro-program.
 type phaseOp uint8
@@ -29,7 +30,7 @@ const (
 
 // phaseStep is one op of a micro-program. Operands are bound at build
 // time; scalar operands are bound as pointers so the caller can update
-// them between dispatches without rebuilding the plan.
+// them between runs without rebuilding the plan.
 type phaseStep struct {
 	op   phaseOp
 	dst  Vector
@@ -41,28 +42,21 @@ type phaseStep struct {
 }
 
 // Phase is a fused kernel micro-program: a short sequence of vector ops,
-// SpMV steps and chunked reductions that one Team dispatch executes end to
-// end, instead of paying a wake/park round-trip per op. Workers own
-// chunk-aligned index ranges, so an elementwise step and a following
-// reduction read exactly the elements the same worker just wrote. A phase
-// holds no synchronization point: the one step that reads outside its own
-// range, SpMV reading the whole input vector, may only read a vector no
-// earlier step of the phase writes (mulVecDot panics on a plan that would),
-// so every cross-range read crosses a dispatch boundary.
+// SpMV steps and chunked reductions that Run executes end to end on the
+// caller. A phase holds no synchronization point: the one step that reads
+// outside its own element, SpMV reading the whole input vector, may only
+// read a vector no earlier step of the phase writes (mulVecDot panics on a
+// plan that would).
 //
-// Determinism is structural: one interpreter, exec, holds the only copy of
-// every step's arithmetic. A team worker runs it over its chunk-aligned
-// range; a nil, closed or single team, or a phase below ParMinPhase, runs
-// the same function over [0, n). Elementwise steps compute each element
-// independently of the range it arrives in, and reductions — steps of their
-// own or riding the step that writes their operand — fill the fixed
-// redChunk partials Vector.Dot folds in chunk order, each chunk from a
-// fresh +0, so any split of the range produces the same bits.
+// Determinism is structural: one interpreter, Run, holds the only copy of
+// every step's arithmetic. Elementwise steps compute each element from the
+// same index of their operands, and reductions — steps of their own or
+// riding the step that writes their operand — fill the fixed redChunk
+// partials Vector.Dot folds in chunk order, each chunk from a fresh +0.
 //
 // A Phase is built with Reset and builder calls (backing arrays are reused,
-// so rebuilding allocates nothing), dispatched many times, and rebound to
-// other operands in place (rebind). It is owned by one goroutine and one
-// Team at a time.
+// so rebuilding allocates nothing), run many times, and rebound to other
+// operands in place (rebind). It is owned by one goroutine.
 type Phase struct {
 	steps []phaseStep
 	n     int
@@ -161,12 +155,9 @@ func (p *Phase) ScaleTo(dst Vector, a *float64, x Vector) {
 	p.flops += int64(p.n)
 }
 
-// MulVec appends y = m*x. m must be square of the phase dimension; the
-// rows are split exactly like the vector elements (chunk-aligned), so
-// later reductions over y read what the same worker wrote. A row's dot
-// product reads the whole of x, so x must not be a vector an earlier step
-// of the phase writes: the product reads its input across ranges, and only
-// a dispatch boundary orders that read after every worker's write.
+// MulVec appends y = m*x. m must be square of the phase dimension. A row's
+// dot product reads the whole of x, so x must not be a vector an earlier
+// step of the phase writes.
 func (p *Phase) MulVec(m *CSR, y, x Vector) { p.mulVecDot(m, y, x, nil, nil) }
 
 // mulVecDot appends y = m*x fused with the reductions <y, u0> into slot 0
@@ -218,7 +209,7 @@ func (p *Phase) xrStep(x Vector, alpha *float64, ph Vector, omega *float64, sh, 
 }
 
 // Dot appends the chunked partial fill of a·b into reduction slot 0 or 1;
-// the caller reads the result with Fold after the dispatch.
+// the caller reads the result with Fold after the run.
 func (p *Phase) Dot(slot int, a, b Vector) {
 	p.steps = append(p.steps, phaseStep{op: phDot, slot: p.checkSlot(slot), x: p.check(a), y: p.check(b)})
 	p.flops += 2 * int64(p.n)
@@ -233,8 +224,7 @@ func (p *Phase) WRMS(slot int, v, ref Vector, atol, rtol *float64) {
 }
 
 // Fold returns the ordered chunk fold of a reduction slot — exactly the
-// sum the serial Vector.Dot / WRMSNorm accumulates, independent of which
-// worker filled which chunk.
+// sum the serial Vector.Dot / WRMSNorm accumulates.
 //
 //vetsparse:allocfree
 func (p *Phase) Fold(slot int) float64 {
@@ -245,47 +235,46 @@ func (p *Phase) Fold(slot int) float64 {
 	return s
 }
 
-// exec interprets the program over [lo, hi), one worker's range or the
-// whole. lo must be chunk-aligned; reductions fill exactly the chunks the
-// range covers, so the union over a team is every chunk, each written once.
+// Run interprets the program over [0, n) on the caller; reductions fill
+// every chunk's partial, each written once.
 //
 //vetsparse:allocfree
-func (p *Phase) exec(lo, hi int) {
+func (p *Phase) Run() {
 	for si := range p.steps {
 		st := &p.steps[si]
 		switch st.op {
 		case phCopy:
-			copy(st.dst[lo:hi], st.x[lo:hi])
+			copy(st.dst, st.x)
 		case phSub:
-			subRange(st.dst, st.x, st.y, lo, hi)
+			subRange(st.dst, st.x, st.y)
 		case phAXPY:
-			axpyRange(st.dst, *st.a, st.x, lo, hi)
+			axpyRange(st.dst, *st.a, st.x)
 		case phAXPYTo:
-			axpyToRange(st.dst, st.y, *st.a, st.x, lo, hi)
+			axpyToRange(st.dst, st.y, *st.a, st.x)
 		case phScaleTo:
-			scaleToRange(st.dst, *st.a, st.x, lo, hi)
+			scaleToRange(st.dst, *st.a, st.x)
 		case phSpMV:
-			st.m.mulVecRange(st.dst, st.x, st.ex[0], st.ex[1], p.part[0], p.part[1], lo, hi)
+			st.m.mulVecRange(st.dst, st.x, st.ex[0], st.ex[1], p.part[0], p.part[1], 0, p.n)
 		case phDot:
-			dotChunks(p.part[st.slot], st.x, st.y, lo, hi)
+			dotChunks(p.part[st.slot], st.x, st.y)
 		case phWRMS:
-			wrmsChunks(p.part[st.slot], st.x, st.y, *st.a, *st.b, lo, hi)
+			wrmsChunks(p.part[st.slot], st.x, st.y, *st.a, *st.b)
 		case phDir:
-			dirRange(st.dst, st.x, st.y, *st.a, *st.b, lo, hi)
+			dirRange(st.dst, st.x, st.y, *st.a, *st.b)
 		case phSStep:
-			sStepChunks(p.part[0], st.dst, st.x, *st.a, st.y, lo, hi)
+			sStepChunks(p.part[0], st.dst, st.x, *st.a, st.y)
 		case phXR:
-			xrChunks(p.part[0], p.part[1], st.dst, *st.a, st.x, *st.b, st.y, st.ex[0], st.ex[1], st.ex[2], st.ex[3], lo, hi)
+			xrChunks(p.part[0], p.part[1], st.dst, *st.a, st.x, *st.b, st.y, st.ex[0], st.ex[1], st.ex[2], st.ex[3])
 		}
 	}
 }
 
-// The elementwise range kernels. Each cuts its operands to [lo, hi) once,
+// The elementwise kernels. Each cuts its operands to dst's length once,
 // which lets the compiler drop the per-element bounds checks. They are out
 // of line and the ones an iteration runs are unrolled by four, for the same
 // reason: a loop of a handful of instructions is bound by instruction fetch,
 // not arithmetic, and on the benchmark host it runs 1.7x slower when the
-// linker happens to lay it across a 64-byte line. Inlined into exec's two
+// linker happens to lay it across a 64-byte line. Inlined into Run's two
 // kilobytes of switch, every one of them shared the placement of that one
 // body — 15 % of a whole solve on systems of a hundred unknowns, decided by
 // an unrelated edit. Four elements a trip pay the straddle once per four
@@ -294,9 +283,8 @@ func (p *Phase) exec(lo, hi int) {
 
 //go:noinline
 //vetsparse:allocfree
-func dirRange(pv, r, v Vector, beta, omega float64, lo, hi int) {
-	pv = pv[lo:hi]
-	r, v = r[lo:hi][:len(pv)], v[lo:hi][:len(pv)]
+func dirRange(pv, r, v Vector, beta, omega float64) {
+	r, v = r[:len(pv)], v[:len(pv)]
 	i := 0
 	for ; i+4 <= len(pv); i += 4 {
 		p, r, v := pv[i:i+4:i+4], r[i:i+4:i+4], v[i:i+4:i+4]
@@ -310,9 +298,8 @@ func dirRange(pv, r, v Vector, beta, omega float64, lo, hi int) {
 
 //go:noinline
 //vetsparse:allocfree
-func subRange(dst, a, b Vector, lo, hi int) {
-	dst = dst[lo:hi]
-	a, b = a[lo:hi][:len(dst)], b[lo:hi][:len(dst)]
+func subRange(dst, a, b Vector) {
+	a, b = a[:len(dst)], b[:len(dst)]
 	for i := range dst {
 		dst[i] = a[i] - b[i]
 	}
@@ -320,9 +307,8 @@ func subRange(dst, a, b Vector, lo, hi int) {
 
 //go:noinline
 //vetsparse:allocfree
-func axpyRange(y Vector, a float64, x Vector, lo, hi int) {
-	y = y[lo:hi]
-	x = x[lo:hi][:len(y)]
+func axpyRange(y Vector, a float64, x Vector) {
+	x = x[:len(y)]
 	i := 0
 	for ; i+4 <= len(y); i += 4 {
 		o, x := y[i:i+4:i+4], x[i:i+4:i+4]
@@ -335,9 +321,8 @@ func axpyRange(y Vector, a float64, x Vector, lo, hi int) {
 
 //go:noinline
 //vetsparse:allocfree
-func axpyToRange(dst, y Vector, a float64, x Vector, lo, hi int) {
-	dst = dst[lo:hi]
-	y, x = y[lo:hi][:len(dst)], x[lo:hi][:len(dst)]
+func axpyToRange(dst, y Vector, a float64, x Vector) {
+	y, x = y[:len(dst)], x[:len(dst)]
 	i := 0
 	for ; i+4 <= len(dst); i += 4 {
 		o, y, x := dst[i:i+4:i+4], y[i:i+4:i+4], x[i:i+4:i+4]
@@ -350,28 +335,63 @@ func axpyToRange(dst, y Vector, a float64, x Vector, lo, hi int) {
 
 //go:noinline
 //vetsparse:allocfree
-func scaleToRange(dst Vector, a float64, x Vector, lo, hi int) {
-	dst = dst[lo:hi]
-	x = x[lo:hi][:len(dst)]
+func scaleToRange(dst Vector, a float64, x Vector) {
+	x = x[:len(dst)]
 	for i := range dst {
 		dst[i] = a * x[i]
 	}
 }
 
-// The fused reduction kernels. Like dotChunks they fill partial[c] for every
-// chunk that starts in [lo, hi) — lo chunk-aligned — from a fresh +0
-// accumulator fed one product per element in index order, each product of
-// the element the same trip has just written: the bits of the elementwise
-// step followed by dotChunks, in one sweep. The ordered sum's chain of
-// dependent adds bounds these loops, so they are not unrolled.
+// The reduction kernels fill partial[c] for every chunk c of their operands
+// from a fresh +0 accumulator fed one product per element in index order.
+// dotChunks is unrolled by four like the elementwise kernels, with the
+// products still added one by one. The fused ones take each product of the
+// element the same trip has just written: the bits of the elementwise step
+// followed by dotChunks, in one sweep. The ordered sum's chain of dependent
+// adds bounds those loops, so they are not unrolled.
 
 //go:noinline
 //vetsparse:allocfree
-func sStepChunks(partial []float64, sv, rv Vector, a float64, vv Vector, lo, hi int) {
-	for ; lo < hi; lo += redChunk {
-		end := min(lo+redChunk, hi)
-		s := sv[lo:end]
-		r, v := rv[lo:end][:len(s)], vv[lo:end][:len(s)]
+func dotChunks(partial []float64, a, b Vector) {
+	for lo := 0; lo < len(a); lo += redChunk {
+		x := a[lo:min(lo+redChunk, len(a))]
+		y := b[lo:][:len(x)]
+		p := 0.0
+		i := 0
+		for ; i+4 <= len(x); i += 4 {
+			x, y := x[i:i+4:i+4], y[i:i+4:i+4]
+			p += x[0] * y[0]
+			p += x[1] * y[1]
+			p += x[2] * y[2]
+			p += x[3] * y[3]
+		}
+		for ; i < len(x); i++ {
+			p += x[i] * y[i]
+		}
+		partial[lo/redChunk] = p
+	}
+}
+
+//vetsparse:allocfree
+func wrmsChunks(partial []float64, v, ref Vector, atol, rtol float64) {
+	for lo := 0; lo < len(v); lo += redChunk {
+		x := v[lo:min(lo+redChunk, len(v))]
+		r := ref[lo:][:len(x)]
+		p := 0.0
+		for i, xv := range x {
+			e := xv / (atol + rtol*math.Abs(r[i]))
+			p += e * e
+		}
+		partial[lo/redChunk] = p
+	}
+}
+
+//go:noinline
+//vetsparse:allocfree
+func sStepChunks(partial []float64, sv, rv Vector, a float64, vv Vector) {
+	for lo := 0; lo < len(sv); lo += redChunk {
+		s := sv[lo:min(lo+redChunk, len(sv))]
+		r, v := rv[lo:][:len(s)], vv[lo:][:len(s)]
 		p := 0.0
 		for i := range s {
 			e := r[i] + a*v[i]
@@ -384,14 +404,13 @@ func sStepChunks(partial []float64, sv, rv Vector, a float64, vv Vector, lo, hi 
 
 //go:noinline
 //vetsparse:allocfree
-func xrChunks(part0, part1 []float64, xv Vector, alpha float64, phv Vector, omega float64, shv, rv, sv, tv, rtv Vector, lo, hi int) {
+func xrChunks(part0, part1 []float64, xv Vector, alpha float64, phv Vector, omega float64, shv, rv, sv, tv, rtv Vector) {
 	negOmega := -omega
-	for ; lo < hi; lo += redChunk {
-		end := min(lo+redChunk, hi)
-		x := xv[lo:end]
-		ph, sh := phv[lo:end][:len(x)], shv[lo:end][:len(x)]
-		r, s := rv[lo:end][:len(x)], sv[lo:end][:len(x)]
-		t, rt := tv[lo:end][:len(x)], rtv[lo:end][:len(x)]
+	for lo := 0; lo < len(xv); lo += redChunk {
+		x := xv[lo:min(lo+redChunk, len(xv))]
+		ph, sh := phv[lo:][:len(x)], shv[lo:][:len(x)]
+		r, s := rv[lo:][:len(x)], sv[lo:][:len(x)]
+		t, rt := tv[lo:][:len(x)], rtv[lo:][:len(x)]
 		p0, p1 := 0.0, 0.0
 		for i := range x {
 			x[i] += alpha*ph[i] + omega*sh[i]

@@ -88,12 +88,12 @@ type golden struct {
 }
 
 // The ILU digests were recorded at the last commit that still had
-// the separate serial solver loops (the unfused, no-team iteration bodies
-// this package used to carry beside the phase programs), from the no-team
-// run of tridiagOperator(n) against randVec(seed 23) in phaseTestSizes
-// order. They are the reference those loops used to be: the one interpreter
-// must keep reproducing them on every range split. The BiCGStab digests are
-// of fivePointOperator(n), recorded from the no-team run when the line
+// the separate serial solver loops (the unfused iteration bodies this
+// package used to carry beside the phase programs), from the serial run of
+// tridiagOperator(n) against randVec(seed 23) in phaseTestSizes order. They
+// are the reference those loops used to be: the one interpreter must keep
+// reproducing them. The BiCGStab digests are of fivePointOperator(n),
+// recorded from the serial run when the line
 // factor replaced the Jacobi diagonal: on the tridiagonal the line factor
 // is exact, BiCGStab converges in one iteration, and a golden that never
 // iterates pins no iteration body. They pin the preconditioner with it.
@@ -125,14 +125,10 @@ func vectorSHA(v Vector) string {
 }
 
 // testGolden is the shared body of the golden-digest tests: for every
-// chunk-boundary size it solves with no team, a closed team, and teams of
-// 1-4 on both sides of the cut-over, and demands the recorded fingerprint —
-// bitwise solution, iteration count, residual bits and exact flop charge —
-// from every one of them: the full determinism contract of the phase layer.
+// chunk-boundary size it solves once and demands the recorded fingerprint —
+// bitwise solution, iteration count, residual bits and exact flop charge.
 func testGolden(t *testing.T, op func(int) *CSR, solve goldenSolver, want []golden) {
 	t.Helper()
-	saved := ParMinPhase
-	t.Cleanup(func() { ParMinPhase = saved })
 	rng := rand.New(rand.NewSource(23))
 	for gi, n := range phaseTestSizes() {
 		a := op(n)
@@ -141,36 +137,22 @@ func testGolden(t *testing.T, op func(int) *CSR, solve goldenSolver, want []gold
 		if g.n != n {
 			t.Fatalf("golden row %d is for n=%d, sweep has n=%d", gi, g.n, n)
 		}
-		check := func(label string, tm *Team) {
-			ws := NewWorkspace()
-			ws.SetTeam(tm)
-			x := NewVector(n)
-			stats, err, flops := solve(ws, a, x, b)
-			if err != nil {
-				t.Fatalf("%s: solve failed: %v", label, err)
-			}
-			if got := vectorSHA(x); got != g.sha {
-				t.Errorf("%s: solution digest %s, golden %s", label, got, g.sha)
-			}
-			if stats.Iterations != g.iters {
-				t.Errorf("%s: %d iterations, golden %d", label, stats.Iterations, g.iters)
-			}
-			if got := math.Float64bits(stats.Residual); got != g.residual {
-				t.Errorf("%s: residual bits %#x, golden %#x", label, got, g.residual)
-			}
-			if flops != g.flops {
-				t.Errorf("%s: %d flops, golden %d", label, flops, g.flops)
-			}
+		x := NewVector(n)
+		stats, err, flops := solve(NewWorkspace(), a, x, b)
+		if err != nil {
+			t.Fatalf("n=%d: solve failed: %v", n, err)
 		}
-		for _, cut := range []int{1, 1 << 30} {
-			ParMinPhase = cut
-			check(fmt.Sprintf("n=%d cut=%d nil team", n, cut), nil)
-			for _, size := range teamSizes {
-				tm := NewTeam(size)
-				check(fmt.Sprintf("n=%d cut=%d team=%d", n, cut, size), tm)
-				tm.Close()
-				check(fmt.Sprintf("n=%d cut=%d closed team (was %d)", n, cut, size), tm)
-			}
+		if got := vectorSHA(x); got != g.sha {
+			t.Errorf("n=%d: solution digest %s, golden %s", n, got, g.sha)
+		}
+		if stats.Iterations != g.iters {
+			t.Errorf("n=%d: %d iterations, golden %d", n, stats.Iterations, g.iters)
+		}
+		if got := math.Float64bits(stats.Residual); got != g.residual {
+			t.Errorf("n=%d: residual bits %#x, golden %#x", n, got, g.residual)
+		}
+		if flops != g.flops {
+			t.Errorf("n=%d: %d flops, golden %d", n, flops, g.flops)
 		}
 	}
 }
@@ -349,42 +331,28 @@ func fusedCases(rng *rand.Rand, n int, zero bool) []fusedCase {
 // TestBitIdentityFusedSteps pins every fused step — the direction, s and x/r
 // steps of BiCGStab and the SpMV that reduces as it writes — to the unfused
 // step sequence it replaced, Float64bits for Float64bits, vectors, folds and
-// flop charge alike: at every chunk-boundary length, on nil teams and teams
-// of 1-4 on both sides of the cut-over, on random data and on the -0 probe,
-// with the aliased operands the solvers bind (y reduced against itself, s
-// written over r or v).
+// flop charge alike: at every chunk-boundary length, on random data and on
+// the -0 probe, with the aliased operands the solvers bind (y reduced
+// against itself, s written over r or v).
 func TestBitIdentityFusedSteps(t *testing.T) {
-	saved := ParMinPhase
-	t.Cleanup(func() { ParMinPhase = saved })
 	rng := rand.New(rand.NewSource(19))
 	for _, n := range append([]int{1, 2*redChunk + 1}, phaseTestSizes()...) {
 		for _, zero := range []bool{false, true} {
 			for _, c := range fusedCases(rng, n, zero) {
 				want, wantPart := c.ref()
-				run := func(label string, tm *Team) {
-					var p Phase
-					p.Reset(n)
-					got := c.build(&p)
-					tm.RunPhase(&p)
-					for i := range want {
-						checkSame(t, tm.Size(), fmt.Sprintf("%s output %d", label, i), got[i], want[i])
-					}
-					for s, got := range c.part(&p) {
-						checkSame(t, tm.Size(), fmt.Sprintf("%s partials %d", label, s), got, wantPart[s])
-					}
-					if p.Flops() != c.flops {
-						t.Errorf("%s: charges %d flops, want %d", label, p.Flops(), c.flops)
-					}
+				label := fmt.Sprintf("%s n=%d zero=%v", c.name, n, zero)
+				var p Phase
+				p.Reset(n)
+				got := c.build(&p)
+				p.Run()
+				for i := range want {
+					checkSame(t, fmt.Sprintf("%s output %d", label, i), got[i], want[i])
 				}
-				for _, cut := range []int{1, 1 << 30} {
-					ParMinPhase = cut
-					label := fmt.Sprintf("%s n=%d zero=%v cut=%d", c.name, n, zero, cut)
-					run(label+" nil team", nil)
-					for _, size := range teamSizes {
-						tm := NewTeam(size)
-						run(fmt.Sprintf("%s team=%d", label, size), tm)
-						tm.Close()
-					}
+				for s, got := range c.part(&p) {
+					checkSame(t, fmt.Sprintf("%s partials %d", label, s), got, wantPart[s])
+				}
+				if p.Flops() != c.flops {
+					t.Errorf("%s: charges %d flops, want %d", label, p.Flops(), c.flops)
 				}
 			}
 		}
@@ -460,7 +428,7 @@ func TestPlansReboundNotRebuilt(t *testing.T) {
 			if err != nil || ferr != nil {
 				t.Fatalf("%s: solve failed: %v / fresh %v", s.name, err, ferr)
 			}
-			checkSame(t, 1, s.name, got, fx)
+			checkSame(t, s.name, got, fx)
 			if st != fst || flops != fflops {
 				t.Errorf("%s: stats %+v / %d flops, fresh workspace %+v / %d", s.name, st, flops, fst, fflops)
 			}
@@ -527,12 +495,11 @@ func TestMulVecInputWrittenInPhasePanics(t *testing.T) {
 	})
 }
 
-// TestPhaseSerialFallback pins the whole-range interpretation RunPhase uses
-// below the cut-over (and on nil teams): reductions must reproduce the
+// TestPhaseSerialFallback pins a mixed phase — an elementwise step and two
+// reductions — run over the whole range: reductions must reproduce the
 // chunk-ordered fold at exact chunk-boundary lengths.
 func TestPhaseSerialFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
-	var tm *Team // nil team: the caller interprets the whole range
 	for _, n := range []int{1, redChunk - 1, redChunk, redChunk + 1, 2*redChunk + 5} {
 		x := randVec(rng, n)
 		y := randVec(rng, n)
@@ -544,12 +511,12 @@ func TestPhaseSerialFallback(t *testing.T) {
 		p.AXPYTo(dst, y, &alpha, x)
 		p.Dot(0, x, y)
 		p.WRMS(1, x, y, &atol, &rtol)
-		tm.RunPhase(&p)
+		p.Run()
 		want := NewVector(n)
 		for i := range want {
 			want[i] = y[i] + alpha*x[i]
 		}
-		checkSame(t, 1, fmt.Sprintf("serial phase AXPYTo n=%d", n), dst, want)
+		checkSame(t, fmt.Sprintf("serial phase AXPYTo n=%d", n), dst, want)
 		if got, wantDot := p.Fold(0), x.Dot(y, nil); got != wantDot {
 			t.Errorf("n=%d: phase Dot fold = %v, want %v", n, got, wantDot)
 		}
@@ -562,111 +529,32 @@ func TestPhaseSerialFallback(t *testing.T) {
 
 // TestFusedPhaseAllocFree asserts the solver bodies — prologue phases, the
 // fused iteration steps and the one-step plans bound on the spot — stay off
-// the heap once the workspace is warm, with a team and without: a plan is
-// rebound in place when only x and b change (each preconditioner runs twice,
-// on two pairs), and a phase dispatch passes everything through the Team
-// fields.
+// the heap once the workspace is warm: a plan is rebound in place when only
+// x and b change (each preconditioner runs twice, on two pairs).
 func TestFusedPhaseAllocFree(t *testing.T) {
-	lowerParMin(t)
 	rng := rand.New(rand.NewSource(31))
 	const n = 8192
 	a := tridiagOperator(n)
 	bs := [2]Vector{randVec(rng, n), randVec(rng, n)}
 	xs := [2]Vector{NewVector(n), NewVector(n)}
-	tm := NewTeam(4)
-	defer tm.Close()
-	for _, team := range []*Team{tm, nil} {
-		ws := NewWorkspace()
-		ws.SetTeam(team)
-		solve := func() {
-			for i := 0; i < 4; i++ {
-				x, b := xs[i&1], bs[i&1]
-				x.Fill(0)
-				var err error
-				if i < 2 {
-					_, err = ws.BiCGStab(a, x, b, 1e-10, 300, nil)
-				} else {
-					_, err = ws.BiCGStabILU(a, x, b, 1e-10, 300, 0.125, nil)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
+	ws := NewWorkspace()
+	solve := func() {
+		for i := 0; i < 4; i++ {
+			x, b := xs[i&1], bs[i&1]
+			x.Fill(0)
+			var err error
+			if i < 2 {
+				_, err = ws.BiCGStab(a, x, b, 1e-10, 300, nil)
+			} else {
+				_, err = ws.BiCGStabILU(a, x, b, 1e-10, 300, 0.125, nil)
+			}
+			if err != nil {
+				t.Fatal(err)
 			}
 		}
-		solve() // warm: grows vectors, plan arrays and partials once
-		if allocs := testing.AllocsPerRun(5, solve); allocs != 0 {
-			t.Fatalf("team of %d: warm solves allocate %v per run, want 0", team.Size(), allocs)
-		}
+	}
+	solve() // warm: grows vectors, plan arrays and partials once
+	if allocs := testing.AllocsPerRun(5, solve); allocs != 0 {
+		t.Fatalf("warm solves allocate %v per run, want 0", allocs)
 	}
 }
-
-// TestCalibrateRespectsKnobs checks the calibration contract: a cut-over
-// the caller already moved off its default is never overwritten, an
-// untouched one gets the calibrated value the report names, and a host
-// with fewer than two effective processors is honestly sequentialized.
-func TestCalibrateRespectsKnobs(t *testing.T) {
-	saved := ParMinPhase
-	t.Cleanup(func() { ParMinPhase = saved })
-	ParMinPhase = 7
-	if cal := calibrate(); ParMinPhase != 7 || cal.ParMinPhase != 7 {
-		t.Errorf("calibrate overwrote an explicitly set cut-over: ParMinPhase = %d, report %d, want 7", ParMinPhase, cal.ParMinPhase)
-	}
-	ParMinPhase = defParMinPhase
-	cal := calibrate()
-	if cal.ParMinPhase != ParMinPhase {
-		t.Errorf("calibration report %d disagrees with the in-effect cut-over %d", cal.ParMinPhase, ParMinPhase)
-	}
-	if cal.EffectiveProcs < 2 {
-		if !cal.Sequentialized || cal.ParMinPhase != knobCeiling {
-			t.Errorf("1-proc host must sequentialize: Sequentialized=%v ParMinPhase=%d", cal.Sequentialized, cal.ParMinPhase)
-		}
-	} else {
-		if cal.Sequentialized {
-			t.Errorf("%d-proc host must not sequentialize", cal.EffectiveProcs)
-		}
-		if cal.ParMinPhase < redChunk || cal.ParMinPhase > 1<<20 {
-			t.Errorf("calibrated ParMinPhase = %d outside [one chunk, 1<<20]", cal.ParMinPhase)
-		}
-	}
-	if cal.ElemNs <= 0 {
-		t.Errorf("ElemNs = %v, want > 0", cal.ElemNs)
-	}
-}
-
-// BenchmarkTeamDispatch measures a four-op phase (copy, axpy, axpy into,
-// dot) as one dispatch: a single wake/park round-trip on a team,
-// and the same interpreter over the whole range on the team of one. The
-// cut-over is forced low so the team runs even when a calibrated process
-// would sequentialize.
-func BenchmarkTeamDispatch(b *testing.B) {
-	lowerParMin(b)
-	const n = 1 << 14
-	rng := rand.New(rand.NewSource(37))
-	x := randVec(rng, n)
-	y := randVec(rng, n)
-	d := randVec(rng, n)
-	dst := NewVector(n)
-	alpha := 0.5
-	for _, size := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("fused/team=%d", size), func(b *testing.B) {
-			tm := NewTeam(size)
-			defer tm.Close()
-			var p Phase
-			p.Reset(n)
-			p.Copy(dst, x)
-			p.AXPY(dst, &alpha, y)
-			p.AXPYTo(dst, dst, &alpha, d)
-			p.Dot(0, dst, y)
-			b.ReportAllocs()
-			b.ResetTimer()
-			sink := 0.0
-			for i := 0; i < b.N; i++ {
-				tm.RunPhase(&p)
-				sink += p.Fold(0)
-			}
-			benchSink = sink
-		})
-	}
-}
-
-var benchSink float64

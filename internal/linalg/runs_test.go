@@ -105,9 +105,9 @@ func runCuts(m *CSR) []int {
 }
 
 // checkSpMV compares every way mulVecRange can be asked for m*x with the
-// reference: whole, split in two at every run cut, the strict interior of
-// every run alone, and through teams of 1-4 workers; then the same product
-// with one and two reductions riding along (checkSpMVDots).
+// reference: whole, split in two at every run cut and the strict interior
+// of every run alone; then the same product with one and two reductions
+// riding along (checkSpMVDots).
 func checkSpMV(t *testing.T, name string, m *CSR, x Vector) {
 	t.Helper()
 	want := refMulVec(m, x)
@@ -119,27 +119,20 @@ func checkSpMV(t *testing.T, name string, m *CSR, x Vector) {
 	}
 	poison()
 	m.MulVec(got, x, nil)
-	checkSame(t, 0, name+" MulVec", got, want)
+	checkSame(t, name+" MulVec", got, want)
 	for _, c := range runCuts(m) {
 		poison()
 		m.mulVecRange(got, x, nil, nil, nil, nil, c, m.Rows)
 		m.mulVecRange(got, x, nil, nil, nil, nil, 0, c)
-		checkSame(t, c, name+" split", got, want)
+		checkSame(t, fmt.Sprintf("%s split at %d", name, c), got, want)
 	}
 	for _, run := range m.runs {
 		poison()
 		m.mulVecRange(got, x, nil, nil, nil, nil, run.r0+1, run.r1-1)
-		checkSame(t, run.r0, name+" run interior", got[run.r0+1:run.r1-1], want[run.r0+1:run.r1-1])
+		checkSame(t, fmt.Sprintf("%s run interior at %d", name, run.r0), got[run.r0+1:run.r1-1], want[run.r0+1:run.r1-1])
 		if !math.IsNaN(got[run.r0]) || !math.IsNaN(got[run.r1-1]) {
 			t.Fatalf("%s: range [%d,%d) wrote outside itself", name, run.r0+1, run.r1-1)
 		}
-	}
-	for _, size := range teamSizes {
-		tm := NewTeam(size)
-		poison()
-		tm.MulVec(m, got, x, nil)
-		tm.Close()
-		checkSame(t, size, name+" Team.MulVec", got, want)
 	}
 	checkSpMVDots(t, name, m, x, want)
 }
@@ -152,9 +145,8 @@ func dotOperand(sel int, u, y Vector) Vector {
 
 // checkSpMVDots runs m*x with reductions bound — one against a vector, the
 // output against itself in either slot beside it — over the whole range and
-// over every split at a chunk boundary, which is where a team cuts: run
-// kernels clipped on both sides of the boundary, accumulators restarted at
-// it. Output and partials must be the reference product's and the reference
+// over every split at a chunk boundary: run kernels clipped on both sides
+// of the boundary, accumulators restarted at it. Output and partials must be the reference product's and the reference
 // chunked dots' of it, bit for bit. u is nonzero and negative wherever x is
 // -0, so the -0 pass feeds the accumulators nothing but -0 products.
 func checkSpMVDots(t *testing.T, name string, m *CSR, x, want Vector) {
@@ -179,10 +171,10 @@ func checkSpMVDots(t *testing.T, name string, m *CSR, x, want Vector) {
 			m.mulVecRange(got, x, pick(got, c.s0), pick(got, c.s1), part[0], part[1], cut, m.Rows)
 			m.mulVecRange(got, x, pick(got, c.s0), pick(got, c.s1), part[0], part[1], 0, cut)
 			label := fmt.Sprintf("%s %s cut at %d", name, c.name, cut)
-			checkSame(t, cut, label, got, want)
-			checkSame(t, cut, label+" slot 0", part[0], refDotPartials(want, pick(want, c.s0)))
+			checkSame(t, label, got, want)
+			checkSame(t, label+" slot 0", part[0], refDotPartials(want, pick(want, c.s0)))
 			if c.s1 != 0 {
-				checkSame(t, cut, label+" slot 1", part[1], refDotPartials(want, pick(want, c.s1)))
+				checkSame(t, label+" slot 1", part[1], refDotPartials(want, pick(want, c.s1)))
 			} else if !math.IsInf(part[1][0], 1) {
 				t.Errorf("%s: one reduction wrote slot 1", label)
 			}
@@ -194,7 +186,6 @@ func checkSpMVDots(t *testing.T, name string, m *CSR, x, want Vector) {
 // triple loop, Float64bits for Float64bits, on every pattern class the
 // analysis distinguishes.
 func TestBitIdentitySpMVRuns(t *testing.T) {
-	lowerParMin(t)
 	rng := rand.New(rand.NewSource(14))
 	cases := []struct {
 		name    string
@@ -236,7 +227,6 @@ func TestBitIdentitySpMVRuns(t *testing.T) {
 // once, and Update's rewrites — every value at first and after Invalidate,
 // the inserted diagonal alone on a shift change — keep the run table valid.
 func TestBitIdentitySpMVShifted(t *testing.T) {
-	lowerParMin(t)
 	rng := rand.New(rand.NewSource(15))
 	op := NewShiftedOperator(hollowStencil(rng, 31, 9))
 	if len(op.Matrix().runs) == 0 {
@@ -298,11 +288,11 @@ func TestKernelsAllocFree(t *testing.T) {
 		lf.factor(a, nil) // the pattern analysis, once per matrix
 		kernels := map[string]func(){
 			"MulVec":      func() { a.MulVec(y, x, nil) },
-			"dirRange":    func() { dirRange(y, x, x, 0.5, 0.25, 0, a.Rows) },
-			"sStep":       func() { sStepChunks(part0, y, x, 0.5, x, 0, a.Rows) },
+			"dirRange":    func() { dirRange(y, x, x, 0.5, 0.25) },
+			"sStep":       func() { sStepChunks(part0, y, x, 0.5, x) },
 			"line factor": func() { lf.factor(a, nil) },
 			"line solve":  func() { lf.solve(y, x, nil) },
-			"xrStep":      func() { xrChunks(part0, part1, y, 0.5, x, 0.25, x, z, x, x, x, 0, a.Rows) },
+			"xrStep":      func() { xrChunks(part0, part1, y, 0.5, x, 0.25, x, z, x, x, x) },
 			"Solve":       func() { f.Solve(y, x, nil) },
 			"Refactor":    func() { _ = f.Refactor(a, nil) },
 		}
@@ -310,7 +300,7 @@ func TestKernelsAllocFree(t *testing.T) {
 			var p Phase
 			p.Reset(a.Rows)
 			p.mulVecDot(a, y, x, [...]Vector{nil, x, x}[dots], [...]Vector{nil, nil, y}[dots])
-			kernels[name] = func() { p.exec(0, a.Rows) }
+			kernels[name] = p.Run
 		}
 		for name, fn := range kernels {
 			if n := testing.AllocsPerRun(20, fn); n != 0 {

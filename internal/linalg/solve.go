@@ -52,14 +52,13 @@ func (ws *Workspace) BiCGStabLines(a *CSR, x, b Vector, tol float64, maxIter int
 
 // bicgstab is the one BiCGStab body behind both preconditioners: f is the
 // ILU(0) factorization of a, or nil for the line factor of a under key. An
-// iteration is five team dispatches around two preconditioner
-// applications: phase Pu updates the search direction, M^-1 gives pHat,
-// phase Av multiplies it and reduces the denominator dot as it writes v;
-// phase S forms s and its norm, M^-1 gives sHat, phase At multiplies it and
-// reduces both dots of t; phase X updates x and r, reduces the residual
-// norm and — one dispatch early — the next iteration's rho, charged only
-// once an iteration consumes it. Both preconditioners run on the caller.
-// A breakdown test fails on NaN as well as on a collapse, and a non-finite
+// iteration is five phase runs around two preconditioner applications:
+// phase Pu updates the search direction, M^-1 gives pHat, phase Av
+// multiplies it and reduces the denominator dot as it writes v; phase S
+// forms s and its norm, M^-1 gives sHat, phase At multiplies it and reduces
+// both dots of t; phase X updates x and r, reduces the residual norm and —
+// one run early — the next iteration's rho, charged only once an iteration
+// consumes it. A breakdown test fails on NaN as well as on a collapse, and a non-finite
 // norm of b or of the residual is a breakdown too, so a non-finite operand
 // ends the solve rather than iterating to maxIter.
 //
@@ -80,14 +79,13 @@ func (ws *Workspace) bicgstab(a *CSR, f *ILU0, x, b Vector, tol float64, maxIter
 		ws.lines.factorFor(a, key, ops)
 	}
 	ws.buildBiCGStabPhases(a, x, b)
-	tm := ws.team
 	sc := &ws.sc
 	nn := int64(n)
 
 	// Prologue, one phase: r = b - A x, |b|^2, |r|^2, rTilde = p = r. The
 	// charges are those of MulVec, Sub, Norm2(b), Norm2(r) cut off at each
 	// of the two exits that need no iteration.
-	tm.RunPhase(&ws.phInit)
+	ws.phInit.Run()
 	ops.Add(ws.phInit.Flops() - 2*nn)
 	bNorm := math.Sqrt(ws.phInit.Fold(0))
 	if bNorm == 0 {
@@ -119,11 +117,11 @@ func (ws *Workspace) bicgstab(a *CSR, f *ILU0, x, b Vector, tol float64, maxIter
 		sc[scOmegaPrev] = omega
 		rho = rhoNew
 		if it > 1 { // p = r came with the prologue
-			tm.RunPhase(&ws.phPu)
+			ws.phPu.Run()
 			ops.Add(ws.phPu.Flops())
 		}
 		ws.precondition(f, ws.pHat, ws.p, ops)
-		tm.RunPhase(&ws.phAv)
+		ws.phAv.Run()
 		ops.Add(ws.phAv.Flops())
 		den := ws.phAv.Fold(0)
 		if !(math.Abs(den) >= 1e-300) {
@@ -131,19 +129,19 @@ func (ws *Workspace) bicgstab(a *CSR, f *ILU0, x, b Vector, tol float64, maxIter
 		}
 		alpha = rho / den
 		sc[scAlpha], sc[scNegAlpha] = alpha, -alpha
-		tm.RunPhase(&ws.phS)
+		ws.phS.Run()
 		ops.Add(ws.phS.Flops())
 		if sn := math.Sqrt(ws.phS.Fold(0)); sn/bNorm <= tol {
 			// Converged at the half step: x += alpha*pHat and out.
 			half := &ws.phTmp
 			half.Reset(n)
 			half.AXPY(x, &sc[scAlpha], ws.pHat)
-			tm.RunPhase(half)
+			half.Run()
 			ops.Add(half.Flops())
 			return SolveStats{Iterations: it, Residual: sn / bNorm}, nil
 		}
 		ws.precondition(f, ws.sHat, ws.s, ops)
-		tm.RunPhase(&ws.phAt)
+		ws.phAt.Run()
 		ops.Add(ws.phAt.Flops())
 		tt := ws.phAt.Fold(0)
 		if !(tt > 0) { // a sum of squares: zero or NaN
@@ -151,7 +149,7 @@ func (ws *Workspace) bicgstab(a *CSR, f *ILU0, x, b Vector, tol float64, maxIter
 		}
 		omega = ws.phAt.Fold(1) / tt
 		sc[scOmega] = omega
-		tm.RunPhase(&ws.phX)
+		ws.phX.Run()
 		ops.Add(ws.phX.Flops() - 2*nn)
 		rn = math.Sqrt(ws.phX.Fold(0))
 		if rn/bNorm <= tol {

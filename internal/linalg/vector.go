@@ -76,10 +76,8 @@ func (v Vector) Scale(a float64, ops *Ops) {
 
 // Dot returns the inner product of v and x, summed through the fixed-chunk
 // ordered reduction: per-chunk partials of redChunk elements folded in chunk
-// order. The chunking fixes the association of the sum independently of how
-// many workers compute the chunks, which is what lets a Phase Dot step
-// fold to bit-for-bit this value at any team size. Vectors shorter than
-// one chunk reduce to the classic single running sum.
+// order, the fold a Phase Dot step reproduces bit for bit. Vectors shorter
+// than one chunk reduce to the classic single running sum.
 //
 //vetsparse:allocfree
 func (v Vector) Dot(x Vector, ops *Ops) float64 {

@@ -22,10 +22,6 @@ type Workspace struct {
 	iluValid bool
 	iluErr   error
 
-	// team, when non-nil, parallelizes the solver kernels across its
-	// workers. Results are bit-for-bit identical with any team (or none).
-	team *Team
-
 	// Phase plans of the solver prologue and iteration body. They are
 	// built when their planKey changes; a solve that finds them current
 	// only rebinds the steps naming the caller's x and b.
@@ -60,7 +56,7 @@ func (k *planKey) current(a *CSR, n int, x, b Vector, named ...*Phase) bool {
 }
 
 // Scalar slots the fused plans read through pointers; the solver loops
-// store into them right before each dispatch.
+// store into them right before each run.
 const (
 	scBeta = iota
 	scOmegaPrev
@@ -72,14 +68,6 @@ const (
 
 // NewWorkspace returns an empty workspace.
 func NewWorkspace() *Workspace { return &Workspace{} }
-
-// SetTeam routes the workspace's solver kernels through t (nil restores
-// serial execution). The workspace does not own the team: the caller keeps
-// responsibility for Close.
-func (ws *Workspace) SetTeam(t *Team) { ws.team = t }
-
-// Team returns the team set by SetTeam (nil means serial).
-func (ws *Workspace) Team() *Team { return ws.team }
 
 // grow returns v with length n, reusing its backing array when possible.
 func grow[S ~[]E, E any](v S, n int) S {
@@ -103,7 +91,7 @@ func (ws *Workspace) ensureBiCGStab(n int) {
 
 // buildBiCGStabPhases binds the BiCGStab phases to the workspace vectors and
 // the caller's x and b: the direction step, two products that reduce their
-// dots as they write, the s step and the x/r step, one dispatch each. The
+// dots as they write, the s step and the x/r step, one run each. The
 // preconditioner runs between them, so neither product reads a vector its
 // own phase wrote (the rule mulVecDot checks).
 func (ws *Workspace) buildBiCGStabPhases(a *CSR, x, b Vector) {
@@ -132,7 +120,7 @@ func (ws *Workspace) buildBiCGStabPhases(a *CSR, x, b Vector) {
 	at := &ws.phAt
 	at.Reset(n)
 	at.mulVecDot(a, ws.t, ws.sHat, ws.t, ws.s)
-	xp := &ws.phX // <rTilde, r> is the next iteration's rho, one dispatch early
+	xp := &ws.phX // <rTilde, r> is the next iteration's rho, one run early
 	xp.Reset(n)
 	xp.xrStep(x, &sc[scAlpha], ws.pHat, &sc[scOmega], ws.sHat, ws.r, ws.s, ws.t, ws.rTilde)
 }

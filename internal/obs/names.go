@@ -75,8 +75,6 @@ type MetricDoc struct {
 var MetricDocs = []MetricDoc{
 	{"core.job.attempt.us", "histogram", "dispatch-to-accepted-result latency per job"},
 	{"core.jobs.outstanding", "gauge", "jobs submitted but not yet resolved"},
-	{"linalg.team.imbalance.us", "histogram", "per-dispatch spread between first and last finishing team worker"},
-	{"linalg.team.phase.us", "histogram", "wall-clock cost of one phase dispatch that woke the team (wake, micro-program, park) — iteration bodies, solver prologues and tails, `pde.Disc.F`"},
 	{"serve.requests", "counter", "valid solve requests reaching admission control"},
 	{"serve.shed", "counter", "requests refused by admission control or shed during drain"},
 	{"serve.completed", "counter", "admitted requests finished successfully"},
@@ -95,7 +93,6 @@ var MetricDocs = []MetricDoc{
 	{"serve.cache.evictions", "counter", "solver-cache entries evicted under the entry/byte bounds or dropped after a failed subsolve"},
 	{"serve.cache.entries", "gauge", "solver-cache entries currently parked (checked-out entries excluded)"},
 	{"serve.cache.bytes", "gauge", "approximate bytes held by parked solver-cache entries"},
-	{"solver.subsolve.<grid>.cores", "histogram", "team size used per subsolve of the grid"},
 	{"solver.subsolve.<grid>.us", "histogram", "per-grid subsolve duration, e.g. `solver.subsolve.grid(1,2;root=2).us`"},
 }
 

@@ -48,9 +48,7 @@ func TestKnownMetric(t *testing.T) {
 	for _, name := range []string{
 		"core.job.attempt.us",
 		"core.jobs.outstanding",
-		"linalg.team.imbalance.us",
 		"solver.subsolve.grid(1,2;root=2).us",
-		"solver.subsolve.g.cores",
 	} {
 		if !KnownMetric(name) {
 			t.Errorf("KnownMetric(%q) = false, want true", name)
@@ -60,6 +58,8 @@ func TestKnownMetric(t *testing.T) {
 		"core.job.attempt.usx",
 		"solver.subsolve..us", // empty dynamic segment
 		"solver.subsolve.us",
+		"solver.subsolve.g.cores",
+		"linalg.team.imbalance.us",
 		"bogus",
 		"",
 	} {

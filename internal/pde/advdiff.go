@@ -135,18 +135,7 @@ type Disc struct {
 	// non-reentrant: a Disc must not be shared by concurrent
 	// integrations (each sparse-grid worker builds its own).
 	rhs linalg.Vector
-
-	// team, when non-nil, parallelizes F's SpMV (rosenbrock.TeamSystem).
-	// phF is F's plan, rebound to each call's u and out (its backing array
-	// is reused, so that allocates nothing).
-	team *linalg.Team
-	phF  linalg.Phase
 }
-
-// SetTeam routes F's A*u product through t (nil restores serial execution);
-// results are bit-for-bit identical either way. The boundary/source loop
-// stays on the caller — it evaluates user closures.
-func (d *Disc) SetTeam(t *linalg.Team) { d.team = t }
 
 type sourcePoint struct {
 	row  int
@@ -250,23 +239,15 @@ func (d *Disc) RHS(t float64, b linalg.Vector, ops *linalg.Ops) {
 	ops.Add(int64(2*len(d.links)) + int64(8*len(d.sources)))
 }
 
-// F evaluates the semi-discrete right-hand side out = A*u + b(t) as one
-// phase: the rows of the product and the elements of the sum split alike,
-// so no barrier separates them.
+// F evaluates the semi-discrete right-hand side out = A*u + b(t).
 func (d *Disc) F(t float64, u, out linalg.Vector, ops *linalg.Ops) {
 	if d.rhs == nil {
 		d.rhs = linalg.NewVector(len(out))
 	}
 	d.RHS(t, d.rhs, ops)
-	ph := &d.phF
-	ph.Reset(len(out))
-	ph.MulVec(d.A, out, u)
-	ph.AXPY(out, &one, d.rhs)
-	d.team.RunPhase(ph)
-	ops.Add(ph.Flops())
+	d.A.MulVec(out, u, ops)
+	out.AXPY(1, d.rhs, ops)
 }
-
-var one = 1.0
 
 // InitialInterior samples the initial condition at the interior points.
 func (d *Disc) InitialInterior() linalg.Vector {

@@ -172,23 +172,6 @@ func NewWorkspace() *Workspace { return &Workspace{} }
 // sharing the pool).
 func (w *Workspace) Lin() *linalg.Workspace { return &w.lin }
 
-// SetTeam routes the integration's hot kernels — the stage solves and the
-// stage-combination vector ops — through t (nil restores serial execution).
-// Results are bit-for-bit identical at any team size. The workspace does
-// not own the team; the caller keeps responsibility for Close.
-func (w *Workspace) SetTeam(t *linalg.Team) { w.lin.SetTeam(t) }
-
-// Team returns the team set by SetTeam (nil means serial).
-func (w *Workspace) Team() *linalg.Team { return w.lin.Team() }
-
-// TeamSystem is implemented by systems whose F evaluation can use a Team
-// (e.g. the PDE right-hand side's SpMV); NewStepper hands the workspace's
-// team to such systems automatically.
-type TeamSystem interface {
-	System
-	SetTeam(*linalg.Team)
-}
-
 func growVec(v *linalg.Vector, n int) {
 	if cap(*v) < n {
 		*v = linalg.NewVector(n)
@@ -219,9 +202,7 @@ func (w *Workspace) ensure(n int, jac *linalg.CSR) {
 }
 
 // buildStepPhases (re)binds the stepper's phases to the stage vectors and
-// the caller's solution vector u. All of them are purely elementwise (the
-// WRMS reduction reads only the worker's own chunks), so none reads across
-// worker ranges: one dispatch per group of vector ops.
+// the caller's solution vector u: one phase per group of vector ops.
 func (w *Workspace) buildStepPhases(u linalg.Vector, tol float64) {
 	n := len(u)
 	sc := &w.psc
@@ -250,7 +231,7 @@ func (w *Workspace) buildStepPhases(u linalg.Vector, tol float64) {
 	p.Reset(n)
 	p.Copy(w.u1, u)
 	p.AXPY(w.u1, &sc[pscTau], w.k1)
-	c := &w.phComb // uNew, est, and the WRMS partials in one dispatch
+	c := &w.phComb // uNew, est, and the WRMS partials in one phase
 	c.Reset(n)
 	c.Copy(w.uNew, u)
 	c.AXPY(w.uNew, &sc[psc15Tau], w.k1)
@@ -371,9 +352,6 @@ func NewStepper(sys System, u linalg.Vector, t0, t1 float64, cfg Config) (*Stepp
 	}
 	s.ws.ensure(n, sys.Jacobian())
 	s.ws.buildStepPhases(u, cfg.Tol)
-	if ts, ok := sys.(TeamSystem); ok {
-		ts.SetTeam(s.ws.Team())
-	}
 	return s, nil
 }
 
@@ -418,7 +396,6 @@ func (s *Stepper) Step() error {
 	}
 	ops := &s.st.Ops
 	ws := s.ws
-	tm := ws.Team()
 	u := s.u
 	tau := math.Min(s.h, s.t1-s.t)
 	// M = I - gamma*tau*J, solved as m = M/(gamma*tau) against right-hand
@@ -441,7 +418,7 @@ func (s *Stepper) Step() error {
 	// Stage 1: M k1 = F(t, u).
 	s.sys.F(s.t, u, ws.f1, ops)
 	s.st.FEvals++
-	tm.RunPhase(&ws.phGuess[q])
+	ws.phGuess[q].Run()
 	ops.Add(ws.phGuess[q].Flops())
 	s1, err := s.cfg.solve(ws, m, ws.k1, ws.f1, s.linTol, ws.pcSerial, ops)
 	s.st.LinIters += s1.Iterations
@@ -451,11 +428,11 @@ func (s *Stepper) Step() error {
 
 	// Stage 2: M k2 = F(t+tau, u + tau*k1) - 2 k1.
 	ws.psc[pscTau] = tau
-	tm.RunPhase(&ws.phPrep)
+	ws.phPrep.Run()
 	ops.Add(ws.phPrep.Flops())
 	s.sys.F(s.t+tau, ws.u1, ws.f2, ops)
 	s.st.FEvals++
-	tm.RunPhase(&ws.phRhs2[q])
+	ws.phRhs2[q].Run()
 	ops.Add(ws.phRhs2[q].Flops())
 	s2, err := s.cfg.solve(ws, m, ws.k2, ws.f2, s.linTol, ws.pcSerial, ops)
 	s.st.LinIters += s2.Iterations
@@ -469,12 +446,12 @@ func (s *Stepper) Step() error {
 	// associates 0.5*tau*(...) leftward).
 	ws.psc[psc15Tau] = 1.5 * tau
 	ws.psc[pscHalfTau] = 0.5 * tau
-	tm.RunPhase(&ws.phComb)
+	ws.phComb.Run()
 	ops.Add(ws.phComb.Flops())
 	errNorm := math.Sqrt(ws.phComb.Fold(0) / float64(len(u)))
 	if errNorm <= 1 {
 		// Only an accepted step enters the history, over its oldest entry.
-		tm.RunPhase(&ws.phAccept[s.nHist%predOrder])
+		ws.phAccept[s.nHist%predOrder].Run()
 		s.nHist++
 		s.t += tau
 		s.st.Steps++

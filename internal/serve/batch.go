@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/grid"
-	"repro/internal/linalg"
 	"repro/internal/obs"
 	"repro/internal/solver"
 )
@@ -71,10 +70,10 @@ type subResult struct {
 }
 
 // batcher answers the subsolves of concurrent requests, each question once.
-// It starts no goroutine: the server's executors run the queue, each on the
-// persistent linalg.Team it owns — one with no job, or whose own request
-// waits for results, takes whatever is pending, any request's — and, through
-// the solver cache, on the warm discretization and factorization of the shape.
+// It starts no goroutine: the server's executors run the queue — one with no
+// job, or whose own request waits for results, takes whatever is pending,
+// any request's — through the solver cache, on the warm discretization and
+// factorization of the shape.
 //
 // A subsolve reads and writes data only of its own grid, so its result is a
 // function of its flightKey alone: flights lists the leader of every key
@@ -175,19 +174,19 @@ func (b *batcher) take() *subTask {
 }
 
 // help takes one queued flight, any request's, and runs it on the caller.
-func (b *batcher) help(actor string, team *linalg.Team) {
+func (b *batcher) help(actor string) {
 	if t := b.take(); t != nil {
-		b.runTask(actor, team, t)
+		b.runTask(actor, t)
 	}
 }
 
-// runTask solves the flight t leads on the executor's team, through the
+// runTask solves the flight t leads on the caller, through the
 // signature-keyed cache, and answers every member. The checked-out entry is
-// exclusive, so wiring the team in and out of its workspace is safe; only a
-// solve that succeeded parks it again. A flight is skipped, unsolved, only
-// when every member has given up: an abandoned leader must not cancel a live
-// rider. A panic is the flight's error, not a crash.
-func (b *batcher) runTask(actor string, team *linalg.Team, t *subTask) {
+// exclusive; only a solve that succeeded parks it again. A flight is
+// skipped, unsolved, only when every member has given up: an abandoned
+// leader must not cancel a live rider. A panic is the flight's error, not a
+// crash.
+func (b *batcher) runTask(actor string, t *subTask) {
 	start := b.now()
 	b.hWait.Observe(start.Sub(t.enq).Microseconds())
 	b.mu.Lock()
@@ -213,7 +212,6 @@ func (b *batcher) runTask(actor string, team *linalg.Team, t *subTask) {
 		if p := recover(); p != nil {
 			r.err = fmt.Errorf("serve: batched subsolve of %s panicked: %v", name, p)
 		}
-		e.ws.SetTeam(nil)
 		if r.err != nil {
 			b.cache.drop(e)
 		} else {
@@ -224,8 +222,7 @@ func (b *batcher) runTask(actor string, team *linalg.Team, t *subTask) {
 		b.mu.Unlock()
 		b.answer(t, start, r)
 	}()
-	e.ws.SetTeam(team)
-	r.res, r.err = solver.TimedSubsolveOn(b.rec, actor, e.disc, t.tol, solver.DefaultTEnd, t.sig.lin, e.ws, team.Size())
+	r.res, r.err = solver.TimedSubsolveOn(b.rec, actor, e.disc, t.tol, solver.DefaultTEnd, t.sig.lin, e.ws)
 }
 
 // answer sends the one result (or error) of the flight t led to t and every
@@ -286,7 +283,7 @@ type family struct {
 func newFamily(j *job, p solver.Params) *family {
 	grids := grid.Family(p.Root, p.Level)
 	f := &family{out: make(chan subResult, len(grids))}
-	order, _ := solver.LargestFirst(grids, p.Tol)
+	order := solver.LargestFirst(grids, p.Tol)
 	for _, i := range order {
 		f.tasks = append(f.tasks, &subTask{
 			sig: signature{g: grids[i], lin: j.lin}, idx: i, tol: p.Tol,
@@ -319,13 +316,13 @@ func (f *family) abandon() {
 // solveBatched fans one attempt's grid family f into the batcher unless
 // admission did (a nil f is built here from j and p), runs queued flights on
 // the request's executor until the family's results are in, and recombines them
-// (single-core: cheap relative to the subsolves). A task that rides another
+// (cheap relative to the subsolves). A task that rides another
 // request's flight leaves this executor nothing of its own to run, so it
 // helps with whatever is pending: the pool stays work-conserving. The request
 // times out on its own timer whoever leads its flights. However it returns,
 // the family is abandoned: its tasks still queued are skipped, not solved,
 // unless a live rider waits for them.
-func (s *Server) solveBatched(actor string, team *linalg.Team, j *job, f *family, p solver.Params) (*solver.Output, error) {
+func (s *Server) solveBatched(actor string, j *job, f *family, p solver.Params) (*solver.Output, error) {
 	if f == nil {
 		f = newFamily(j, p)
 	}
@@ -351,7 +348,7 @@ func (s *Server) solveBatched(actor string, team *linalg.Team, j *job, f *family
 			case <-tm.C:
 				return nil, errBatchDeadline
 			case <-s.batch.wake:
-				s.batch.help(actor, team) // a token received is a take owed
+				s.batch.help(actor) // a token received is a take owed
 				continue
 			}
 		}
@@ -361,6 +358,5 @@ func (s *Server) solveBatched(actor string, team *linalg.Team, j *job, f *family
 		results[r.idx] = r.res
 		n++
 	}
-	p.CoresPerWorker = 1
 	return solver.Combine(p, results)
 }

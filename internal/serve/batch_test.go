@@ -318,11 +318,11 @@ func TestBatchQueueOrder(t *testing.T) {
 	s, gate := testPool(Config{Executors: 1})
 	p := solver.Params{Root: 2, Level: 2, Tol: 1e-2, Problem: s.problem}
 	j := &job{id: 1, lin: rosenbrock.BiCGStab, deadline: time.Now().Add(time.Minute)}
-	if _, err := s.solveBatched("caller", nil, j, nil, p); err != nil {
+	if _, err := s.solveBatched("caller", j, nil, p); err != nil {
 		t.Fatal(err)
 	}
 	fam := grid.Family(p.Root, p.Level)
-	order, _ := solver.LargestFirst(fam, p.Tol)
+	order := solver.LargestFirst(fam, p.Tol)
 	var want []string
 	for _, i := range order {
 		want = append(want, fam[i].String())
@@ -505,7 +505,7 @@ func TestBatchLoneRequestFansOut(t *testing.T) {
 		t.Fatalf("subsolves ran on %v, want at least %d executors", by, len(releases))
 	}
 	fam := grid.Family(p.Root, p.Level)
-	order, _ := solver.LargestFirst(fam, p.Tol)
+	order := solver.LargestFirst(fam, p.Tol)
 	var enqueued, want []string
 	for _, e := range s.rec.Events() {
 		if e.Kind == obs.KBatchTask {
@@ -536,7 +536,7 @@ func TestBatchExecutorHelpsForeignRequest(t *testing.T) {
 	pB := solver.Params{Root: 1, Level: 1, Tol: 1e-2, Problem: s.problem}
 	run := func(actor string, id int64, p solver.Params) (*solver.Output, error) {
 		j := &job{id: id, lin: rosenbrock.BiCGStab, deadline: time.Now().Add(time.Minute)}
-		return s.solveBatched(actor, nil, j, nil, p)
+		return s.solveBatched(actor, j, nil, p)
 	}
 
 	release := gate.arm()
@@ -562,7 +562,7 @@ func TestBatchExecutorHelpsForeignRequest(t *testing.T) {
 	s.batch.close()
 
 	famA, famB := grid.Family(pA.Root, pA.Level), grid.Family(pB.Root, pB.Level)
-	orderB, _ := solver.LargestFirst(famB, pB.Tol)
+	orderB := solver.LargestFirst(famB, pB.Tol)
 	by := subsolves(s.rec)
 	wantA := []string{famB[orderB[1]].String(), famB[orderB[2]].String(), famA[0].String()}
 	if got := by["exec-A"]; !slices.Equal(got, wantA) {

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/linalg"
 	"repro/internal/obs"
 	"repro/internal/solver"
 )
@@ -35,14 +34,12 @@ func (s *Server) Start() {
 }
 
 // executor pulls admitted jobs off the queue and runs them to a terminal
-// state; with no job it runs queued flights on the team it owns for life.
+// state; with no job it runs queued flights.
 // During a drain it sheds instead of running, racing the drain loop for the
 // same jobs — each job is dequeued exactly once, so shed exactly once.
 func (s *Server) executor(i int) {
 	defer s.execWG.Done()
 	actor := "exec-" + strconv.Itoa(i)
-	team := linalg.NewTeam(s.cfg.BatchTeam)
-	defer team.Close()
 	for {
 		select {
 		case <-s.quit:
@@ -53,9 +50,9 @@ func (s *Server) executor(i int) {
 				s.shedQueued(j)
 				continue
 			}
-			s.runJob(actor, team, j)
+			s.runJob(actor, j)
 		case <-s.batch.wake:
-			s.batch.help(actor, team)
+			s.batch.help(actor)
 		}
 	}
 }
@@ -64,7 +61,7 @@ func (s *Server) executor(i int) {
 // attempt gets the remaining deadline and failure budget, failed attempts
 // are retried under backoff while attempts, budget, and deadline all
 // still allow, and the first terminal condition wins.
-func (s *Server) runJob(actor string, team *linalg.Team, j *job) {
+func (s *Server) runJob(actor string, j *job) {
 	s.hWait.Observe(s.now().Sub(j.admitted).Microseconds())
 
 	fam := j.fam // fanned out at admission
@@ -109,7 +106,7 @@ func (s *Server) runJob(actor string, team *linalg.Team, j *job) {
 			params.Fallback = attempt >= s.cfg.Attempts
 			out, err = solver.Concurrent(params)
 		} else {
-			out, err = s.solveBatched(actor, team, j, fam, params)
+			out, err = s.solveBatched(actor, j, fam, params)
 			fam = nil // a later attempt fans out afresh
 		}
 		if err == nil {

@@ -174,8 +174,8 @@ func TestDrainUnderLoad(t *testing.T) {
 	}
 	checkLedger(t, s)
 
-	// No goroutine leaks: executors joined with their teams closed, client
-	// keep-alive connections released.
+	// No goroutine leaks: executors joined, client keep-alive connections
+	// released.
 	http.DefaultClient.CloseIdleConnections()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {

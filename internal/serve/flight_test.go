@@ -198,7 +198,7 @@ func TestCoalescedAnswerBitIdentical(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		go func() {
 			j := &job{id: int64(i + 1), lin: p.Solver, deadline: time.Now().Add(time.Minute)}
-			out, err := s.solveBatched("exec-"+string(rune('A'+i)), nil, j, nil, p)
+			out, err := s.solveBatched("exec-"+string(rune('A'+i)), j, nil, p)
 			done <- reply{out, err}
 		}()
 	}
@@ -468,7 +468,7 @@ func TestTwoTolerancesTwoFlights(t *testing.T) {
 	tols := []float64{1e-2, 1e-3}
 	run := func(id int64, tol float64) (*solver.Output, error) {
 		j := &job{id: id, lin: rosenbrock.BiCGStab, deadline: time.Now().Add(time.Minute)}
-		return s.solveBatched("exec-"+string(rune('A'+id)), nil, j, nil, solver.Params{Root: 2, Level: 2, Tol: tol, Problem: s.problem})
+		return s.solveBatched("exec-"+string(rune('A'+id)), j, nil, solver.Params{Root: 2, Level: 2, Tol: tol, Problem: s.problem})
 	}
 	check := func(what string, tol float64, out *solver.Output) {
 		t.Helper()
@@ -676,7 +676,7 @@ func TestCoalescedQueuedShedByDrain(t *testing.T) {
 	if r := recvReply(t, "request B", doneB); r.resp.Status != StatusShed || r.resp.Reason != shedDraining {
 		t.Fatalf("B: %q/%q, want shed/draining", r.resp.Status, r.resp.Reason)
 	}
-	go s.runJob("exec-A", nil, jA)
+	go s.runJob("exec-A", jA)
 	waitFor(t, "A's runner to take B's flights", func() bool { return queuedFlights(s) == 0 })
 	release()
 	sameAnswer(t, "request A", recvReply(t, "request A", doneA).resp, ref)
@@ -714,11 +714,11 @@ func TestCoalescedQueuedPastDeadline(t *testing.T) {
 	rec := s.rec
 	waitFor(t, "B's family fanned out at admission", func() bool { return rec.Counter("serve.batch.tasks").Value() == int64(1+famB) })
 	clock.Advance(deadline)
-	s.runJob("exec-B", nil, <-s.queue) // B fanned out after its job was queued
+	s.runJob("exec-B", <-s.queue) // B fanned out after its job was queued
 	if r := recvReply(t, "request B", doneB); r.code != http.StatusGatewayTimeout || r.resp.Status != StatusFailed || r.resp.Reason != failDeadline {
 		t.Fatalf("B: %d %q/%q, want 504 failed/deadline", r.code, r.resp.Status, r.resp.Reason)
 	}
-	go s.runJob("exec-A", nil, jA)
+	go s.runJob("exec-A", jA)
 	waitFor(t, "A's runner to take B's flights", func() bool { return queuedFlights(s) == 0 })
 	release()
 	sameAnswer(t, "request A", recvReply(t, "request A", doneA).resp, ref)
@@ -752,11 +752,11 @@ func TestCoalescedRiderExpires(t *testing.T) {
 	rec := s.rec
 	waitFor(t, "B riding A's flights", func() bool { return rec.Counter("serve.batch.coalesced").Value() == pairFam })
 	clock.Advance(100 * time.Millisecond)
-	s.runJob("exec-B", nil, <-s.queue) // B fanned out after its job was queued
+	s.runJob("exec-B", <-s.queue) // B fanned out after its job was queued
 	if r := recvReply(t, "request B", doneB); r.code != http.StatusGatewayTimeout || r.resp.Reason != failDeadline {
 		t.Fatalf("B: %d %q/%q, want 504 failed/deadline", r.code, r.resp.Status, r.resp.Reason)
 	}
-	go s.runJob("exec-A", nil, jA)
+	go s.runJob("exec-A", jA)
 	release()
 	sameAnswer(t, "request A", recvReply(t, "request A", doneA).resp, ref)
 	drainPool(t, s)

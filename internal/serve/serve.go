@@ -2,9 +2,8 @@
 // stdlib-net/http JSON job API that accepts solve requests from many
 // concurrent clients. There is one production solve path: a request's grid
 // family goes through the cross-request batcher and is solved by the
-// executors, one pool of goroutines that each own a persistent linalg.Team
-// and share warm (Disc, Workspace) pairs through the signature-keyed solver
-// cache — the paper's {perpetual} task instances. The one exception can be
+// executors, one pool of goroutines that share warm (Disc, Workspace)
+// pairs through the signature-keyed solver cache — the paper's {perpetual} task instances. The one exception can be
 // read off the Config: a server with Faults set runs each request as its own
 // solver.Concurrent over a core.Pool, the only place a core.FaultInjector
 // has workers to fail. Robustness is the headline, in four layers:
@@ -127,9 +126,6 @@ type Config struct {
 	BatchWindow time.Duration
 	// Deprecated: BatchWorkers is ignored; it stays while benchmark/ names it.
 	BatchWorkers int
-	// BatchTeam is the size of the linalg.Team each executor owns (default 1:
-	// more executors amortize better than intra-solve fan-out on small grids).
-	BatchTeam int
 	// CacheEntries bounds the solver cache (warm Disc+Workspace pairs).
 	CacheEntries int
 	// CacheBytes is the approximate byte budget of the solver cache, and with
@@ -175,9 +171,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxLevel <= 0 {
 		c.MaxLevel = 6
-	}
-	if c.BatchTeam <= 0 {
-		c.BatchTeam = 1
 	}
 	if c.CacheEntries <= 0 {
 		c.CacheEntries = 64

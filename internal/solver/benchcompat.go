@@ -1,7 +1,8 @@
 package solver
 
 // The identifiers benchmark/ still names from the deleted work-stealing
-// schedules. Delete with the benchmark's steal and elastic rows.
+// schedules and intra-grid teams. Delete with the benchmark's steal and
+// elastic rows and its CoresPerWorker settings.
 
 // Deprecated: Schedule is accepted and ignored; every value runs the pool.
 type Schedule int
@@ -18,6 +19,8 @@ type SchedStats struct{ Steals, Donations, Resizes int }
 type compatParams struct {
 	Schedule  Schedule // Deprecated: ignored.
 	StealSeed int64    // Deprecated: ignored.
+
+	CoresPerWorker int // Deprecated: ignored; every kernel runs on its caller.
 }
 
 type compatOutput struct {

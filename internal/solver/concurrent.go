@@ -3,7 +3,6 @@ package solver
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 
 	"repro/internal/core"
@@ -23,8 +22,6 @@ type Job struct {
 	Tol  float64
 	TEnd float64
 	Lin  rosenbrock.LinearSolver
-	// Cores sizes the worker's intra-grid linalg.Team (0 or 1 = serial).
-	Cores int
 }
 
 // jobResult is the unit a worker writes back through the KK stream to the
@@ -36,15 +33,15 @@ type jobResult struct {
 
 // LargestFirst returns the order in which to start the subsolves of fam —
 // indices into it, the most expensive grid by the workmodel's cost first,
-// ties in family order — and the weights it sorted by. Whoever runs a family
+// ties in family order. Whoever runs a family
 // on fewer cores than it has grids waits for its makespan: started first, the
 // critical-path grid runs from t=0, where the family order would start it
 // wherever the nested loop put it. The order is no part of the answer:
 // results are placed by index and combined in family order.
-func LargestFirst(fam []grid.Grid, tol float64) (order []int, weights []float64) {
+func LargestFirst(fam []grid.Grid, tol float64) []int {
 	model := workmodel.Paper()
-	weights = make([]float64, len(fam))
-	order = make([]int, len(fam))
+	weights := make([]float64, len(fam))
+	order := make([]int, len(fam))
 	for i, g := range fam {
 		weights[i] = model.GridWork(g, tol)
 		order[i] = i
@@ -52,7 +49,7 @@ func LargestFirst(fam []grid.Grid, tol float64) (order []int, weights []float64)
 	sort.SliceStable(order, func(a, b int) bool {
 		return weights[order[a]] > weights[order[b]]
 	})
-	return order, weights
+	return order
 }
 
 // Concurrent runs the restructured application: the master performs all
@@ -77,22 +74,10 @@ func Concurrent(p Params) (*Output, error) {
 	for i, g := range fam {
 		index[g] = i
 	}
-	// The workmodel weights drive both decisions below: the submission order
-	// (LargestFirst) and — when no explicit CoresPerWorker is set — the split
-	// of GOMAXPROCS across the workers proportional to grid cost, so the
-	// finest grids get the most cores. Neither affects the output: results are
-	// recorded by grid and combined in family order, and kernels are
-	// deterministic at any team size.
-	order, weights := LargestFirst(fam, p.Tol)
-	var cores []int
-	if p.CoresPerWorker > 0 {
-		cores = make([]int, len(fam))
-		for i := range cores {
-			cores[i] = p.CoresPerWorker
-		}
-	} else {
-		cores = workmodel.Allocate(runtime.GOMAXPROCS(0), weights)
-	}
+	// The workmodel weights set the submission order (LargestFirst), which
+	// does not affect the output: results are recorded by grid and combined
+	// in family order.
+	order := LargestFirst(fam, p.Tol)
 	results := make([]Result, len(fam))
 	var masterErr error
 	fallbacks := 0
@@ -141,7 +126,7 @@ func Concurrent(p Params) (*Output, error) {
 		// jobs whose worker was lost.
 		pool := m.NewPool()
 		for _, i := range order {
-			pool.Submit(Job{Grid: fam[i], Prob: p.Problem, Tol: p.Tol, TEnd: p.TEnd, Lin: p.Solver, Cores: cores[i]})
+			pool.Submit(Job{Grid: fam[i], Prob: p.Problem, Tol: p.Tol, TEnd: p.TEnd, Lin: p.Solver})
 		}
 		// Step 3f: collect results (they arrive in completion order).
 		for range fam {
@@ -160,7 +145,7 @@ func Concurrent(p Params) (*Output, error) {
 					if p.Obs != nil {
 						p.Obs.Emit(obs.KFallback, "Master", job.Grid.String(), int64(jf.ID), int64(jf.Attempts))
 					}
-					res, serr := timedSubsolve(p.Obs, "Master", job.Grid, job.Prob, job.Tol, job.TEnd, job.Lin, nil, 1)
+					res, serr := timedSubsolve(p.Obs, "Master", job.Grid, job.Prob, job.Tol, job.TEnd, job.Lin, nil)
 					record(jobResult{res: res, err: serr})
 					continue
 				}
@@ -175,16 +160,12 @@ func Concurrent(p Params) (*Output, error) {
 	}, func(w *core.Worker) {
 		// Worker steps 1-3; death_worker (step 4) is raised by the
 		// protocol wrapper when this function returns. Each worker owns
-		// its integrator workspace and its intra-grid team — solver
-		// buffers are never shared across goroutines. The deferred Close
-		// also runs when a fault injector panics the body mid-job.
+		// its integrator workspace — solver buffers are never shared
+		// across goroutines.
 		ws := rosenbrock.NewWorkspace()
 		//vetsparse:ignore deadlines worker-side read: the master's deadline expiry abandons the worker and closes its port, which unsticks this read
 		job := w.Read().(Job)
-		team := p.newTeam(job.Cores)
-		defer team.Close()
-		ws.SetTeam(team)
-		res, err := timedSubsolve(p.Obs, w.Process().Name(), job.Grid, job.Prob, job.Tol, job.TEnd, job.Lin, ws, team.Size())
+		res, err := timedSubsolve(p.Obs, w.Process().Name(), job.Grid, job.Prob, job.Tol, job.TEnd, job.Lin, ws)
 		w.Write(jobResult{res: res, err: err})
 	}, policy)
 
@@ -192,11 +173,8 @@ func Concurrent(p Params) (*Output, error) {
 		return nil, masterErr
 	}
 	// Step 5: the master's final computation — the prolongation
-	// (combination) work, on a master-owned team now that the workers are
-	// gone.
-	team := p.newTeam(p.teamSize())
-	defer team.Close()
-	out, err := combine(p, results, team)
+	// (combination) work.
+	out, err := combine(p, results)
 	if err != nil {
 		return nil, err
 	}

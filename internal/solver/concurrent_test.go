@@ -121,9 +121,9 @@ func TestLargestFirst(t *testing.T) {
 			return wantW[want[a]] > wantW[want[b]]
 		})
 
-		order, weights := LargestFirst(fam, tc.tol)
-		if !slices.Equal(order, want) || !slices.Equal(weights, wantW) {
-			t.Fatalf("root %d level %d tol %g: order %v weights %v, the inline sort gave %v and %v", tc.root, tc.level, tc.tol, order, weights, want, wantW)
+		order := LargestFirst(fam, tc.tol)
+		if !slices.Equal(order, want) {
+			t.Fatalf("root %d level %d tol %g: order %v, the inline sort gave %v", tc.root, tc.level, tc.tol, order, want)
 		}
 		seen := make([]bool, len(fam))
 		for k, i := range order {
@@ -131,14 +131,14 @@ func TestLargestFirst(t *testing.T) {
 				t.Fatalf("root %d level %d: index %d twice in %v", tc.root, tc.level, i, order)
 			}
 			seen[i] = true
-			if k > 0 && weights[order[k-1]] < weights[i] {
-				t.Fatalf("root %d level %d: %v is not descending in %v", tc.root, tc.level, order, weights)
+			if k > 0 && wantW[order[k-1]] < wantW[i] {
+				t.Fatalf("root %d level %d: %v is not descending in %v", tc.root, tc.level, order, wantW)
 			}
 		}
 	}
 	// The shape of serve-hot: the fine diagonal's most anisotropic grid leads,
 	// the coarse diagonal — which the family order starts with — comes last.
-	if order, _ := LargestFirst(grid.Family(2, 3), 1e-3); !slices.Equal(order, []int{6, 5, 3, 4, 2, 1, 0}) {
+	if order := LargestFirst(grid.Family(2, 3), 1e-3); !slices.Equal(order, []int{6, 5, 3, 4, 2, 1, 0}) {
 		t.Fatalf("root 2 level 3: order %v", order)
 	}
 }

@@ -17,7 +17,7 @@ const overSolved = 1e-8
 
 var allSolvers = []rosenbrock.LinearSolver{rosenbrock.BiCGStab, rosenbrock.ILU}
 
-// familyWithLinTol is Sequential(cores=1) with the stage solves forced to
+// familyWithLinTol is Sequential with the stage solves forced to
 // linTol: the same grids in the same order through the same combination,
 // reaching the integrator with an explicit LinTol where SubsolveOn passes
 // none.
@@ -35,7 +35,7 @@ func familyWithLinTol(t *testing.T, p Params, linTol float64) *Output {
 		}
 		results = append(results, Result{Grid: g, U: u, Stats: st})
 	}
-	out, err := combine(p, results, nil)
+	out, err := combine(p, results)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestInnerToleranceRule(t *testing.T) {
 		for _, lin := range allSolvers {
 			tol, lin := tol, lin
 			t.Run(fmt.Sprintf("%v/tol=%g", lin, tol), func(t *testing.T) {
-				p := Params{Root: 2, Level: 3, Tol: tol, Solver: lin, CoresPerWorker: 1}
+				p := Params{Root: 2, Level: 3, Tol: tol, Solver: lin}
 				got, err := Sequential(p)
 				if err != nil {
 					t.Fatal(err)
@@ -110,7 +110,7 @@ func TestPreconditionerRefreshRule(t *testing.T) {
 		lin         rosenbrock.LinearSolver
 	}{{4, 2, rosenbrock.ILU}, {2, 4, rosenbrock.BiCGStab}} {
 		for _, tol := range []float64{1e-3, 1e-4} {
-			out, err := Sequential(Params{Root: c.root, Level: c.level, Tol: tol, Solver: c.lin, CoresPerWorker: 1})
+			out, err := Sequential(Params{Root: c.root, Level: c.level, Tol: tol, Solver: c.lin})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -177,7 +177,7 @@ func TestManufacturedOracle(t *testing.T) {
 
 			prev := 0.0
 			for level := 1; level <= 4; level++ {
-				p := Params{Root: 2, Level: level, Tol: tol, Solver: lin, Problem: prob, TEnd: tEnd, CoresPerWorker: 1}
+				p := Params{Root: 2, Level: level, Tol: tol, Solver: lin, Problem: prob, TEnd: tEnd}
 				got, err := Sequential(p)
 				if err != nil {
 					t.Fatal(err)

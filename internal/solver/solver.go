@@ -22,7 +22,6 @@ package solver
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"time"
 
 	"repro/internal/core"
@@ -56,14 +55,6 @@ type Params struct {
 	// Solver selects the inner linear solver of the Rosenbrock stages;
 	// the zero value is BiCGStab.
 	Solver rosenbrock.LinearSolver
-
-	// CoresPerWorker fixes the size of the intra-grid linalg.Team each
-	// subsolve runs its kernels on. 0 (the default) auto-allocates: the
-	// sequential driver uses all of GOMAXPROCS, and the concurrent driver
-	// splits GOMAXPROCS across the family's workers proportional to the
-	// workmodel grid cost, so the finest grids get the most cores. Results
-	// are bit-for-bit identical at any setting.
-	CoresPerWorker int
 
 	// Retries is the per-job retry budget of the concurrent driver: a job
 	// whose worker fails (panic, deadline, corrupt result) is resubmitted
@@ -121,38 +112,7 @@ func (p Params) Validate() error {
 	if math.IsNaN(p.Tol) || math.IsInf(p.Tol, 1) || p.Tol <= 0 {
 		return fmt.Errorf("solver: tolerance %g must be a finite positive number", p.Tol)
 	}
-	if p.CoresPerWorker < 0 {
-		return fmt.Errorf("solver: cores per worker %d < 0", p.CoresPerWorker)
-	}
 	return nil
-}
-
-// teamSize resolves the intra-grid core budget of a single actor: an
-// explicit CoresPerWorker wins, otherwise all of GOMAXPROCS.
-func (p Params) teamSize() int {
-	if p.CoresPerWorker > 0 {
-		return p.CoresPerWorker
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// imbalanceHistName is the metric fed with per-dispatch team load imbalance.
-const imbalanceHistName = "linalg.team.imbalance.us"
-
-// phaseHistName is the metric fed with the wall-clock of every fused-phase
-// dispatch.
-const phaseHistName = "linalg.team.phase.us"
-
-// newTeam creates a linalg.Team of the given size, wired to the run's
-// imbalance histogram and phase metrics when observability is on. Callers
-// own Close.
-func (p Params) newTeam(size int) *linalg.Team {
-	team := linalg.NewTeam(size)
-	if p.Obs != nil {
-		team.SetObserver(p.Obs.Histogram(imbalanceHistName))
-		team.SetPhaseObserver(p.Obs.Histogram(phaseHistName))
-	}
-	return team
 }
 
 // EvalGrid returns the uniform grid the combination is evaluated on.
@@ -202,7 +162,7 @@ func SubsolveInto(g grid.Grid, p *pde.Problem, tol, tEnd float64, lin rosenbrock
 // assembled matrices, the stage-matrix pattern, and the factor buffers of
 // a (grid, solver) signature warm across requests. d must not be shared by
 // concurrent integrations. Output is bit-for-bit identical to a fresh
-// SubsolveInto at any team size.
+// SubsolveInto.
 func SubsolveOn(d *pde.Disc, tol, tEnd float64, lin rosenbrock.LinearSolver, ws *rosenbrock.Workspace) (Result, error) {
 	u := d.InitialInterior()
 	stats, err := rosenbrock.Integrate(d, u, 0, tEnd, rosenbrock.Config{Tol: tol, Solver: lin, Work: ws})
@@ -214,29 +174,27 @@ func SubsolveOn(d *pde.Disc, tol, tEnd float64, lin rosenbrock.LinearSolver, ws 
 
 // timedSubsolve is SubsolveInto instrumented for observability: it brackets
 // the call with subsolve_begin/subsolve_end events and feeds the per-grid
-// duration histogram "solver.subsolve.<grid>.us" plus the core-budget
-// histogram "solver.subsolve.<grid>.cores". With rec == nil it is exactly
-// SubsolveInto — no timestamps, no allocation.
-func timedSubsolve(rec *obs.Recorder, actor string, g grid.Grid, p *pde.Problem, tol, tEnd float64, lin rosenbrock.LinearSolver, ws *rosenbrock.Workspace, cores int) (Result, error) {
+// duration histogram "solver.subsolve.<grid>.us". With rec == nil it is
+// exactly SubsolveInto — no timestamps, no allocation.
+func timedSubsolve(rec *obs.Recorder, actor string, g grid.Grid, p *pde.Problem, tol, tEnd float64, lin rosenbrock.LinearSolver, ws *rosenbrock.Workspace) (Result, error) {
 	if rec == nil {
 		return SubsolveInto(g, p, tol, tEnd, lin, ws)
 	}
-	return TimedSubsolveOn(rec, actor, pde.NewDisc(g, p), tol, tEnd, lin, ws, cores)
+	return TimedSubsolveOn(rec, actor, pde.NewDisc(g, p), tol, tEnd, lin, ws)
 }
 
 // TimedSubsolveOn is SubsolveOn with the same observability bracket as the
-// solver drivers: subsolve begin/end events plus the per-grid duration and
-// core-budget histograms. The serve executors use it so batched
-// subsolves appear in traces and metrics exactly like pool-dispatched
-// ones. With rec == nil it is exactly SubsolveOn.
-func TimedSubsolveOn(rec *obs.Recorder, actor string, d *pde.Disc, tol, tEnd float64, lin rosenbrock.LinearSolver, ws *rosenbrock.Workspace, cores int) (Result, error) {
+// solver drivers: subsolve begin/end events plus the per-grid duration
+// histogram. The serve executors use it so batched subsolves appear in
+// traces and metrics exactly like pool-dispatched ones. With rec == nil it
+// is exactly SubsolveOn.
+func TimedSubsolveOn(rec *obs.Recorder, actor string, d *pde.Disc, tol, tEnd float64, lin rosenbrock.LinearSolver, ws *rosenbrock.Workspace) (Result, error) {
 	if rec == nil {
 		return SubsolveOn(d, tol, tEnd, lin, ws)
 	}
 	g := d.G
 	gname := g.String()
 	rec.Emit(obs.KSubsolveBegin, actor, gname, int64(g.L1), int64(g.L2))
-	rec.Histogram("solver.subsolve." + gname + ".cores").Observe(int64(cores))
 	t0 := time.Now()
 	res, err := SubsolveOn(d, tol, tEnd, lin, ws)
 	rec.Histogram("solver.subsolve." + gname + ".us").ObserveSince(t0)
@@ -278,12 +236,10 @@ type Output struct {
 }
 
 // combine prolongates the per-grid solutions and applies the combination
-// formula, optionally routing the prolongation and accumulation kernels
-// through tm. Results must be in Family order so that summation order — and
+// formula. Results must be in Family order so that summation order — and
 // therefore floating-point rounding — is identical between the sequential
-// and concurrent versions (and, by CombineWith's construction, at any team
-// size).
-func combine(p Params, results []Result, tm *linalg.Team) (*Output, error) {
+// and concurrent versions.
+func combine(p Params, results []Result) (*Output, error) {
 	p = p.withDefaults()
 	fam := grid.Family(p.Root, p.Level)
 	if len(results) != len(fam) {
@@ -298,7 +254,7 @@ func combine(p Params, results []Result, tm *linalg.Team) (*Output, error) {
 		fields = append(fields, pde.FieldFromInterior(r.Grid, p.Problem, r.U, p.TEnd))
 		out.TotalFlops += r.Stats.Ops.Flops
 	}
-	out.Combined = grid.CombineWith(tm, fields, p.Level, p.EvalGrid())
+	out.Combined = grid.Combine(fields, p.Level, p.EvalGrid())
 	out.Results = results
 	return out, nil
 }
@@ -307,16 +263,13 @@ func combine(p Params, results []Result, tm *linalg.Team) (*Output, error) {
 // evaluation grid and applies the combination formula, exactly as the
 // drivers do after their subsolves. It exists for callers that obtained
 // the Results outside this package — the serve layer's cross-request
-// batcher — and is bit-for-bit identical to the drivers' combination at
-// any CoresPerWorker.
+// batcher — and is bit-for-bit identical to the drivers' combination.
 func Combine(p Params, results []Result) (*Output, error) {
 	p = p.withDefaults()
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	team := p.newTeam(p.teamSize())
-	defer team.Close()
-	return combine(p, results, team)
+	return combine(p, results)
 }
 
 // Sequential runs the legacy program unchanged: the nested loop calls
@@ -328,20 +281,15 @@ func Sequential(p Params) (*Output, error) {
 		return nil, err
 	}
 	// One workspace serves the whole family: grid i+1 reuses (and grows)
-	// the solver buffers grid i allocated. One team serves every subsolve
-	// and the final combination.
-	cores := p.teamSize()
-	team := p.newTeam(cores)
-	defer team.Close()
+	// the solver buffers grid i allocated.
 	ws := rosenbrock.NewWorkspace()
-	ws.SetTeam(team)
 	var results []Result
 	for _, g := range grid.Family(p.Root, p.Level) {
-		r, err := timedSubsolve(p.Obs, "Sequential", g, p.Problem, p.Tol, p.TEnd, p.Solver, ws, cores)
+		r, err := timedSubsolve(p.Obs, "Sequential", g, p.Problem, p.Tol, p.TEnd, p.Solver, ws)
 		if err != nil {
 			return nil, err
 		}
 		results = append(results, r)
 	}
-	return combine(p, results, team)
+	return combine(p, results)
 }

@@ -37,7 +37,6 @@ package workmodel
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/grid"
 )
@@ -136,63 +135,4 @@ func (m Model) SequentialMc(root, level int, tol float64) float64 {
 // the paper's "st" column when run at 1200 MHz.
 func (m Model) SequentialSeconds(root, level int, tol, mhz float64) float64 {
 	return m.SequentialMc(root, level, tol) / mhz
-}
-
-// Allocate splits a core budget across jobs proportional to their work
-// weights (largest-remainder apportionment): every job gets at least one
-// core, the surplus goes to the heaviest grids first. Deterministic —
-// remainder ties break toward the lower index. A budget at or below the
-// job count degenerates to one core each.
-func Allocate(budget int, weights []float64) []int {
-	n := len(weights)
-	out := make([]int, n)
-	if n == 0 {
-		return out
-	}
-	for i := range out {
-		out[i] = 1
-	}
-	extra := budget - n
-	if extra <= 0 {
-		return out
-	}
-	total := 0.0
-	for _, w := range weights {
-		if w > 0 {
-			total += w
-		}
-	}
-	if total == 0 {
-		// No usable weights: round-robin the surplus.
-		for i := 0; i < extra; i++ {
-			out[i%n]++
-		}
-		return out
-	}
-	type frac struct {
-		i int
-		r float64
-	}
-	fr := make([]frac, 0, n)
-	used := 0
-	for i, w := range weights {
-		if w < 0 {
-			w = 0
-		}
-		share := float64(extra) * w / total
-		k := int(share)
-		out[i] += k
-		used += k
-		fr = append(fr, frac{i, share - float64(k)})
-	}
-	sort.Slice(fr, func(a, b int) bool {
-		if fr[a].r != fr[b].r {
-			return fr[a].r > fr[b].r
-		}
-		return fr[a].i < fr[b].i
-	})
-	for k := 0; k < extra-used; k++ {
-		out[fr[k%len(fr)].i]++
-	}
-	return out
 }

@@ -127,44 +127,3 @@ func TestPropSequentialIsSumOfParts(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestAllocate(t *testing.T) {
-	cases := []struct {
-		budget  int
-		weights []float64
-		want    []int
-	}{
-		{8, []float64{1, 1, 1, 1}, []int{2, 2, 2, 2}},
-		{4, []float64{10, 1, 1, 1}, []int{1, 1, 1, 1}}, // budget == n: one each
-		{2, []float64{10, 1, 1, 1}, []int{1, 1, 1, 1}}, // budget < n: still one each
-		{10, []float64{6, 2, 1, 1}, []int{5, 2, 2, 1}}, // heaviest gets the surplus
-		{7, []float64{0, 0, 0}, []int{3, 2, 2}},        // zero weights: round-robin
-		{6, []float64{-1, 1, -1}, []int{1, 4, 1}},      // negatives treated as zero
-		{0, nil, []int{}},
-	}
-	for _, c := range cases {
-		got := Allocate(c.budget, c.weights)
-		if len(got) != len(c.want) {
-			t.Errorf("Allocate(%d, %v) = %v, want %v", c.budget, c.weights, got, c.want)
-			continue
-		}
-		sum := 0
-		for i := range got {
-			sum += got[i]
-			if got[i] != c.want[i] {
-				t.Errorf("Allocate(%d, %v) = %v, want %v", c.budget, c.weights, got, c.want)
-			}
-		}
-		if n := len(c.weights); n > 0 && c.budget >= n && sum != c.budget {
-			t.Errorf("Allocate(%d, %v) hands out %d cores, want the whole budget", c.budget, c.weights, sum)
-		}
-	}
-	// Determinism: equal weights with a remainder must tie-break by index.
-	a := Allocate(5, []float64{1, 1, 1})
-	b := Allocate(5, []float64{1, 1, 1})
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("Allocate not deterministic: %v vs %v", a, b)
-		}
-	}
-}

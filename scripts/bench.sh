@@ -13,17 +13,9 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-hostcpus="$(nproc 2>/dev/null || echo 1)"
-if [ "$hostcpus" -le 1 ]; then
-    echo "WARNING: this host exposes only 1 CPU — the >1-core benchmark rows" >&2
-    echo "WARNING: measure dispatch overhead, not scaling; calibration will" >&2
-    echo "WARNING: sequentialize the team kernels. Use a multi-core runner" >&2
-    echo "WARNING: (CI pins GOMAXPROCS=4) for real strong-scaling numbers." >&2
-fi
-
-echo "## linalg kernels (assembly vs in-place update; SpMV alone and with one and two fused reductions, and ILU solve, per shape; one four-op phase at team sizes 1, 2, 4)"
+echo "## linalg kernels (assembly vs in-place update; SpMV alone and with one and two fused reductions, and ILU solve, per shape)"
 go test -run XXX \
-    -bench 'BenchmarkShifted|BenchmarkMulVec|BenchmarkILUSolve|BenchmarkBuilderBuild|BenchmarkTeamDispatch' \
+    -bench 'BenchmarkShifted|BenchmarkMulVec|BenchmarkILUSolve|BenchmarkBuilderBuild' \
     -benchmem "$@" ./internal/linalg/
 
 echo
