@@ -278,7 +278,7 @@ func isFloat(t types.Type) bool {
 // function body that receives += / -= (or s = s + x) inside a loop over the
 // range: a for whose header references both range parameters, or a range
 // over a slice cut to them (x := v[lo:hi]; for i := range x — the
-// bounds-check-free spelling of the phase interpreter's steps).
+// bounds-check-free spelling of linalg's kernels).
 // Chunk-local accumulators — the redChunk discipline — live inside the
 // loop and are untouched.
 func checkRangeAccumulator(pass *analysis.Pass, fn *ast.FuncDecl) {

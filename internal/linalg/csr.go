@@ -151,45 +151,48 @@ func (m *CSR) MulVec(y, x Vector, ops *Ops) {
 	if len(x) != m.Cols || len(y) != m.Rows {
 		panic(fmt.Sprintf("linalg: mulvec dims %dx%d with x[%d], y[%d]", m.Rows, m.Cols, len(x), len(y)))
 	}
-	m.mulVecRange(y, x, nil, nil, nil, nil, 0, m.Rows)
+	a := spmv{y: y, x: x}
+	m.mulVecSpan(&a, 0, m.Rows)
 	ops.Add(2 * int64(m.NNZ()))
 }
 
-// mulVecRange computes y[r] = (A*x)[r] for rows r in [r0, r1). Each output
-// row is an independent serial dot product accumulated left to right over
-// the row's stored entries, so any row partitioning yields exactly MulVec's
-// values. With u0 (and u1) bound it also reduces <y, u0> (and <y, u1>) in
-// the sweep that writes the rows: part0 and part1 receive the partials
-// dotChunks would fill, each chunk's accumulator restarted from +0 and fed
-// the products in row order. r0 must then be chunk-aligned; a u may be y.
+// mulVecDot computes y = m*x for a square m and, in the sweep that writes
+// y, returns <y, u0> and <y, u1> (u1 nil: d1 is 0 and not charged; either
+// u may be y). Each output row is a serial dot product accumulated left to
+// right over the row's stored entries, so y is MulVec's; the dots are
+// dotChunks', one mulVecSpan per chunk, each chunk's accumulators restarted
+// from +0 and fed the products in row order.
 //
 //vetsparse:allocfree
-func (m *CSR) mulVecRange(y, x, u0, u1 Vector, part0, part1 []float64, r0, r1 int) {
+func (m *CSR) mulVecDot(y, x, u0, u1 Vector, ops *Ops) (d0, d1 float64) {
 	a := spmv{y: y, x: x, u0: u0, u1: u1}
-	if u0 == nil {
-		m.mulVecSpan(&a, r0, r1)
-		return
-	}
 	if u1 == nil { // the kernels carry both accumulators or none; this one's is dropped
 		a.u1 = y
 	}
-	for ; r0 < r1; r0 += redChunk {
-		p0, p1 := m.mulVecSpan(&a, r0, min(r0+redChunk, r1))
-		part0[r0/redChunk] = p0
+	for r0 := 0; r0 < m.Rows; r0 += redChunk {
+		p0, p1 := m.mulVecSpan(&a, r0, min(r0+redChunk, m.Rows))
+		d0 += p0
 		if u1 != nil {
-			part1[r0/redChunk] = p1
+			d1 += p1
 		}
 	}
+	flops := 2*int64(m.NNZ()) + 2*int64(m.Rows)
+	if u1 != nil {
+		flops += 2 * int64(m.Rows)
+	}
+	ops.Add(flops)
+	return d0, d1
 }
 
-// spmv holds the operands of one mulVecRange call, handed down to the row
-// kernels by reference: a thin grid makes a kernel call every few rows.
+// spmv holds the operands of one product, handed down to the row kernels
+// by reference: a thin grid makes a kernel call every few rows.
 type spmv struct{ y, x, u0, u1 Vector }
 
-// mulVecSpan is mulVecRange over rows that share their reduction
-// accumulators (one chunk, or with a nil u0 any range and none); it returns
-// them. Rows inside a diagonal run take the index-free run kernels, clipped
-// to the span; the rows between runs take the indexed row loop.
+// mulVecSpan computes y[r] = (A*x)[r] for rows r in [r0, r1) that share
+// their reduction accumulators (one chunk, or with a nil u0 any range and
+// none); it returns them. Rows inside a diagonal run take the index-free
+// run kernels, clipped to the span; the rows between runs take the indexed
+// row loop.
 //
 //vetsparse:allocfree
 func (m *CSR) mulVecSpan(a *spmv, r0, r1 int) (p0, p1 float64) {

@@ -102,7 +102,7 @@ func benchShapes(b *testing.B, suffix string, fn func(b *testing.B, a *CSR)) {
 }
 
 // BenchmarkMulVec times the product alone and with one and two reductions
-// riding along — <y, x>, then <y, y> beside it — as BiCGStab binds them.
+// riding along — <y, x>, then <y, y> beside it — as BiCGStab passes them.
 func BenchmarkMulVec(b *testing.B) {
 	for dots, suffix := range []string{"", "+dot", "+2dots"} {
 		benchShapes(b, suffix, func(b *testing.B, a *CSR) {
@@ -111,12 +111,14 @@ func BenchmarkMulVec(b *testing.B) {
 			for i := range x {
 				x[i] = float64(i%13) - 6
 			}
-			var p Phase
-			p.Reset(a.Rows)
-			p.mulVecDot(a, y, x, [...]Vector{nil, x, x}[dots], [...]Vector{nil, nil, y}[dots])
+			u0, u1 := [...]Vector{nil, x, x}[dots], [...]Vector{nil, nil, y}[dots]
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				p.Run()
+				if u0 == nil {
+					a.MulVec(y, x, nil)
+				} else {
+					a.mulVecDot(y, x, u0, u1, nil)
+				}
 			}
 		})
 	}

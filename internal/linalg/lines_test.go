@@ -88,7 +88,7 @@ func zeroLines(n int) *CSR {
 }
 
 // goldenJacobi are the iteration counts, residual bits and solution digests
-// of BiCGStab on zeroLines(n) against randVec(seed 23) in phaseTestSizes
+// of BiCGStab on zeroLines(n) against randVec(seed 23) in goldenSizes
 // order, recorded at the last commit whose BiCGStab was preconditioned by
 // the Jacobi diagonal. Flops are not compared: the line factor charges its
 // recurrences.
@@ -105,7 +105,7 @@ var goldenJacobi = []golden{
 // one it replaced, bit for bit.
 func TestLineFactorWithoutCouplingsIsJacobi(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	for gi, n := range phaseTestSizes() {
+	for gi, n := range goldenSizes() {
 		a, b, g := zeroLines(n), randVec(rng, n), goldenJacobi[gi]
 		x := NewVector(n)
 		st, err := NewWorkspace().BiCGStab(a, x, b, 1e-10, 300, nil)

@@ -104,7 +104,7 @@ func runCuts(m *CSR) []int {
 	return cuts
 }
 
-// checkSpMV compares every way mulVecRange can be asked for m*x with the
+// checkSpMV compares every way mulVecSpan can be asked for m*x with the
 // reference: whole, split in two at every run cut and the strict interior
 // of every run alone; then the same product with one and two reductions
 // riding along (checkSpMVDots).
@@ -122,13 +122,13 @@ func checkSpMV(t *testing.T, name string, m *CSR, x Vector) {
 	checkSame(t, name+" MulVec", got, want)
 	for _, c := range runCuts(m) {
 		poison()
-		m.mulVecRange(got, x, nil, nil, nil, nil, c, m.Rows)
-		m.mulVecRange(got, x, nil, nil, nil, nil, 0, c)
+		m.mulVecSpan(&spmv{y: got, x: x}, c, m.Rows)
+		m.mulVecSpan(&spmv{y: got, x: x}, 0, c)
 		checkSame(t, fmt.Sprintf("%s split at %d", name, c), got, want)
 	}
 	for _, run := range m.runs {
 		poison()
-		m.mulVecRange(got, x, nil, nil, nil, nil, run.r0+1, run.r1-1)
+		m.mulVecSpan(&spmv{y: got, x: x}, run.r0+1, run.r1-1)
 		checkSame(t, fmt.Sprintf("%s run interior at %d", name, run.r0), got[run.r0+1:run.r1-1], want[run.r0+1:run.r1-1])
 		if !math.IsNaN(got[run.r0]) || !math.IsNaN(got[run.r1-1]) {
 			t.Fatalf("%s: range [%d,%d) wrote outside itself", name, run.r0+1, run.r1-1)
@@ -144,40 +144,55 @@ func dotOperand(sel int, u, y Vector) Vector {
 }
 
 // checkSpMVDots runs m*x with reductions bound — one against a vector, the
-// output against itself in either slot beside it — over the whole range and
-// over every split at a chunk boundary: run kernels clipped on both sides
-// of the boundary, accumulators restarted at it. Output and partials must be the reference product's and the reference
-// chunked dots' of it, bit for bit. u is nonzero and negative wherever x is
-// -0, so the -0 pass feeds the accumulators nothing but -0 products.
+// output against itself in either slot beside it — through mulVecDot, and
+// chunk by chunk through mulVecSpan, last chunk first: run kernels clipped
+// on both sides of every chunk boundary, accumulators restarted at it.
+// Output, each chunk's partials and the returned dots must be the reference
+// product's, the reference chunked dots' of it and their in-order fold, bit
+// for bit. u is nonzero and negative wherever x is -0, so the -0 pass feeds
+// the accumulators nothing but -0 products.
 func checkSpMVDots(t *testing.T, name string, m *CSR, x, want Vector) {
 	t.Helper()
 	u := NewVector(m.Rows)
 	for i := range u {
 		u[i] = -1 - math.Abs(x[i%len(x)])
 	}
-	nch := (m.Rows + redChunk - 1) / redChunk
 	for _, c := range []struct {
 		name   string
 		s0, s1 int // 0: not bound, 1: against u, 2: against the output
 	}{{"<y,u>", 1, 0}, {"<y,y>", 2, 0}, {"<y,u>,<y,y>", 1, 2}, {"<y,y>,<y,u>", 2, 1}} {
 		got := NewVector(m.Rows)
 		pick := func(y Vector, sel int) Vector { return dotOperand(sel, u, y) }
-		for cut := 0; cut < m.Rows; cut += redChunk {
+		poison := func() {
 			for i := range got {
 				got[i] = math.NaN()
 			}
-			part := [2][]float64{make([]float64, nch), make([]float64, nch)}
-			part[1][0] = math.Inf(1) // a slot not bound must be left alone
-			m.mulVecRange(got, x, pick(got, c.s0), pick(got, c.s1), part[0], part[1], cut, m.Rows)
-			m.mulVecRange(got, x, pick(got, c.s0), pick(got, c.s1), part[0], part[1], 0, cut)
-			label := fmt.Sprintf("%s %s cut at %d", name, c.name, cut)
-			checkSame(t, label, got, want)
-			checkSame(t, label+" slot 0", part[0], refDotPartials(want, pick(want, c.s0)))
-			if c.s1 != 0 {
-				checkSame(t, label+" slot 1", part[1], refDotPartials(want, pick(want, c.s1)))
-			} else if !math.IsInf(part[1][0], 1) {
-				t.Errorf("%s: one reduction wrote slot 1", label)
-			}
+		}
+		want0, want1 := refDotPartials(want, pick(want, c.s0)), []float64(nil)
+		if c.s1 != 0 {
+			want1 = refDotPartials(want, pick(want, c.s1))
+		}
+		poison()
+		d0, d1 := m.mulVecDot(got, x, pick(got, c.s0), pick(got, c.s1), nil)
+		label := fmt.Sprintf("%s %s", name, c.name)
+		checkSame(t, label, got, want)
+		checkSame(t, label+" dots", Vector{d0, d1}, Vector{refFold(want0), refFold(want1)})
+
+		poison()
+		a := spmv{y: got, x: x, u0: pick(got, c.s0), u1: pick(got, c.s1)}
+		if a.u1 == nil {
+			a.u1 = got
+		}
+		part0, part1 := make(Vector, len(want0)), make(Vector, len(want0))
+		for ch := len(want0) - 1; ch >= 0; ch-- {
+			r0 := ch * redChunk
+			part0[ch], part1[ch] = m.mulVecSpan(&a, r0, min(r0+redChunk, m.Rows))
+		}
+		label += " chunk by chunk"
+		checkSame(t, label, got, want)
+		checkSame(t, label+" partials 0", part0, want0)
+		if c.s1 != 0 {
+			checkSame(t, label+" partials 1", part1, want1)
 		}
 	}
 }
@@ -271,7 +286,7 @@ func TestRunTableCoversPattern(t *testing.T) {
 
 // TestKernelsAllocFree asserts the steady-state kernels allocate nothing, on
 // every shape and in every binding the kernel benchmarks time: the product
-// alone and with one and two reductions riding along as a serial phase, the
+// alone and with one and two reductions riding along (mulVecDot), the
 // line factor and solve, and the ILU solve and refactor.
 func TestKernelsAllocFree(t *testing.T) {
 	for _, sh := range kernelShapes {
@@ -282,26 +297,20 @@ func TestKernelsAllocFree(t *testing.T) {
 		}
 		x, y, z := NewVector(a.Rows), NewVector(a.Rows), NewVector(a.Rows)
 		x.Fill(1)
-		nch := (a.Rows + redChunk - 1) / redChunk
-		part0, part1 := make([]float64, nch), make([]float64, nch)
 		var lf lineFactor
 		lf.factor(a, nil) // the pattern analysis, once per matrix
 		kernels := map[string]func(){
 			"MulVec":      func() { a.MulVec(y, x, nil) },
-			"dirRange":    func() { dirRange(y, x, x, 0.5, 0.25) },
-			"sStep":       func() { sStepChunks(part0, y, x, 0.5, x) },
+			"dirRange":    func() { dirRange(y, x, x, 0.5, 0.25, nil) },
+			"sStep":       func() { sStepChunks(y, x, 0.5, x, nil) },
 			"line factor": func() { lf.factor(a, nil) },
 			"line solve":  func() { lf.solve(y, x, nil) },
-			"xrStep":      func() { xrChunks(part0, part1, y, 0.5, x, 0.25, x, z, x, x, x) },
+			"xrStep":      func() { xrChunks(y, 0.5, x, 0.25, x, z, x, x, x, nil) },
 			"Solve":       func() { f.Solve(y, x, nil) },
 			"Refactor":    func() { _ = f.Refactor(a, nil) },
 		}
-		for dots, name := range []string{"phase MulVec", "phase MulVec+dot", "phase MulVec+2dots"} {
-			var p Phase
-			p.Reset(a.Rows)
-			p.mulVecDot(a, y, x, [...]Vector{nil, x, x}[dots], [...]Vector{nil, nil, y}[dots])
-			kernels[name] = p.Run
-		}
+		kernels["mulVecDot"] = func() { a.mulVecDot(y, x, x, nil, nil) }
+		kernels["mulVecDot 2 dots"] = func() { a.mulVecDot(y, x, x, y, nil) }
 		for name, fn := range kernels {
 			if n := testing.AllocsPerRun(20, fn); n != 0 {
 				t.Errorf("%dx%d: %s allocates %v per call, want 0", sh[0], sh[1], name, n)

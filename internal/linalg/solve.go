@@ -52,15 +52,15 @@ func (ws *Workspace) BiCGStabLines(a *CSR, x, b Vector, tol float64, maxIter int
 
 // bicgstab is the one BiCGStab body behind both preconditioners: f is the
 // ILU(0) factorization of a, or nil for the line factor of a under key. An
-// iteration is five phase runs around two preconditioner applications:
-// phase Pu updates the search direction, M^-1 gives pHat, phase Av
-// multiplies it and reduces the denominator dot as it writes v; phase S
-// forms s and its norm, M^-1 gives sHat, phase At multiplies it and reduces
-// both dots of t; phase X updates x and r, reduces the residual norm and —
-// one run early — the next iteration's rho, charged only once an iteration
-// consumes it. A breakdown test fails on NaN as well as on a collapse, and a non-finite
-// norm of b or of the residual is a breakdown too, so a non-finite operand
-// ends the solve rather than iterating to maxIter.
+// iteration is five kernel calls around two preconditioner applications:
+// the direction step, M^-1 gives pHat, the product A*pHat that reduces the
+// denominator dot as it writes v; the s step with its norm, M^-1 gives
+// sHat, the product A*sHat that reduces both dots of t; the x/r step, which
+// reduces the residual norm and — one call early — the next iteration's
+// rho, charged only once an iteration consumes it. A breakdown test fails
+// on NaN as well as on a collapse, and a non-finite norm of b or of the
+// residual is a breakdown too, so a non-finite operand ends the solve
+// rather than iterating to maxIter.
 //
 //vetsparse:allocfree
 func (ws *Workspace) bicgstab(a *CSR, f *ILU0, x, b Vector, tol float64, maxIter int, key float64, ops *Ops) (SolveStats, error) {
@@ -78,22 +78,20 @@ func (ws *Workspace) bicgstab(a *CSR, f *ILU0, x, b Vector, tol float64, maxIter
 	if f == nil {
 		ws.lines.factorFor(a, key, ops)
 	}
-	ws.buildBiCGStabPhases(a, x, b)
-	sc := &ws.sc
-	nn := int64(n)
+	r, rTilde, p, v, s, t, pHat, sHat := ws.r, ws.rTilde, ws.p, ws.v, ws.s, ws.t, ws.pHat, ws.sHat
 
-	// Prologue, one phase: r = b - A x, |b|^2, |r|^2, rTilde = p = r. The
-	// charges are those of MulVec, Sub, Norm2(b), Norm2(r) cut off at each
-	// of the two exits that need no iteration.
-	ws.phInit.Run()
-	ops.Add(ws.phInit.Flops() - 2*nn)
-	bNorm := math.Sqrt(ws.phInit.Fold(0))
+	// Prologue: r = b - A x, |b|, |r|, rTilde = p = r.
+	a.MulVec(r, x, ops)
+	r.Sub(b, r, ops)
+	bNorm := math.Sqrt(dotChunks(b, b, ops))
 	if bNorm == 0 {
 		x.Fill(0)
 		return SolveStats{}, nil
 	}
-	ops.Add(2 * nn)
-	rn := math.Sqrt(ws.phInit.Fold(1))
+	rhoNew := dotChunks(r, r, ops) // rTilde = r: also the first <rTilde, r>, bit for bit
+	rn := math.Sqrt(rhoNew)
+	copy(rTilde, r)
+	copy(p, r)
 	if !finite(bNorm) || !finite(rn) {
 		return SolveStats{Residual: math.NaN()}, ErrBreakdown
 	}
@@ -103,55 +101,35 @@ func (ws *Workspace) bicgstab(a *CSR, f *ILU0, x, b Vector, tol float64, maxIter
 
 	rho, alpha, omega := 1.0, 1.0, 1.0
 	for it := 1; it <= maxIter; it++ {
-		rhoNew := ws.phX.Fold(1)
-		if it == 1 {
-			// rTilde is a copy of r, so <rTilde, r> is bit for bit the
-			// prologue's <r, r>.
-			rhoNew = ws.phInit.Fold(1)
-		}
-		ops.Add(2 * nn)
+		ops.Add(2 * int64(n)) // <rTilde, r>, reduced by the previous call
 		if !(math.Abs(rhoNew) >= 1e-300) {
 			return SolveStats{Iterations: it}, ErrBreakdown
 		}
-		sc[scBeta] = (rhoNew / rho) * (alpha / omega)
-		sc[scOmegaPrev] = omega
+		beta := (rhoNew / rho) * (alpha / omega)
 		rho = rhoNew
 		if it > 1 { // p = r came with the prologue
-			ws.phPu.Run()
-			ops.Add(ws.phPu.Flops())
+			dirRange(p, r, v, beta, omega, ops)
 		}
-		ws.precondition(f, ws.pHat, ws.p, ops)
-		ws.phAv.Run()
-		ops.Add(ws.phAv.Flops())
-		den := ws.phAv.Fold(0)
+		ws.precondition(f, pHat, p, ops)
+		den, _ := a.mulVecDot(v, pHat, rTilde, nil, ops)
 		if !(math.Abs(den) >= 1e-300) {
 			return SolveStats{Iterations: it}, ErrBreakdown
 		}
 		alpha = rho / den
-		sc[scAlpha], sc[scNegAlpha] = alpha, -alpha
-		ws.phS.Run()
-		ops.Add(ws.phS.Flops())
-		if sn := math.Sqrt(ws.phS.Fold(0)); sn/bNorm <= tol {
+		if sn := math.Sqrt(sStepChunks(s, r, -alpha, v, ops)); sn/bNorm <= tol {
 			// Converged at the half step: x += alpha*pHat and out.
-			half := &ws.phTmp
-			half.Reset(n)
-			half.AXPY(x, &sc[scAlpha], ws.pHat)
-			half.Run()
-			ops.Add(half.Flops())
+			x.AXPY(alpha, pHat, ops)
 			return SolveStats{Iterations: it, Residual: sn / bNorm}, nil
 		}
-		ws.precondition(f, ws.sHat, ws.s, ops)
-		ws.phAt.Run()
-		ops.Add(ws.phAt.Flops())
-		tt := ws.phAt.Fold(0)
+		ws.precondition(f, sHat, s, ops)
+		tt, ts := a.mulVecDot(t, sHat, t, s, ops)
 		if !(tt > 0) { // a sum of squares: zero or NaN
 			return SolveStats{Iterations: it}, ErrBreakdown
 		}
-		omega = ws.phAt.Fold(1) / tt
-		sc[scOmega] = omega
-		ws.phX.Run()
-		ops.Add(ws.phX.Flops() - 2*nn)
-		rn = math.Sqrt(ws.phX.Fold(0))
+		omega = ts / tt
+		var rr float64
+		rr, rhoNew = xrChunks(x, alpha, pHat, omega, sHat, r, s, t, rTilde, ops)
+		rn = math.Sqrt(rr)
 		if rn/bNorm <= tol {
 			return SolveStats{Iterations: it, Residual: rn / bNorm}, nil
 		}

@@ -53,31 +53,57 @@ func (v Vector) Fill(s float64) {
 
 // AXPY computes v += a*x.
 //
+//go:noinline
 //vetsparse:allocfree
 func (v Vector) AXPY(a float64, x Vector, ops *Ops) {
 	if len(v) != len(x) {
 		panic(fmt.Sprintf("linalg: axpy length mismatch %d != %d", len(v), len(x)))
 	}
-	for i := range v {
+	x = x[:len(v)]
+	i := 0
+	for ; i+4 <= len(v); i += 4 {
+		o, x := v[i:i+4:i+4], x[i:i+4:i+4]
+		o[0], o[1], o[2], o[3] = o[0]+a*x[0], o[1]+a*x[1], o[2]+a*x[2], o[3]+a*x[3]
+	}
+	for ; i < len(v); i++ {
 		v[i] += a * x[i]
 	}
 	ops.Add(2 * int64(len(v)))
 }
 
-// Scale computes v *= a.
+// SetAXPY computes v = y + a*x (v may alias y or x).
 //
+//go:noinline
 //vetsparse:allocfree
-func (v Vector) Scale(a float64, ops *Ops) {
+func (v Vector) SetAXPY(y Vector, a float64, x Vector, ops *Ops) {
+	y, x = y[:len(v)], x[:len(v)]
+	i := 0
+	for ; i+4 <= len(v); i += 4 {
+		o, y, x := v[i:i+4:i+4], y[i:i+4:i+4], x[i:i+4:i+4]
+		o[0], o[1], o[2], o[3] = y[0]+a*x[0], y[1]+a*x[1], y[2]+a*x[2], y[3]+a*x[3]
+	}
+	for ; i < len(v); i++ {
+		v[i] = y[i] + a*x[i]
+	}
+	ops.Add(2 * int64(len(v)))
+}
+
+// SetScaled computes v = a*x (v may be x: in place, v *= a).
+//
+//go:noinline
+//vetsparse:allocfree
+func (v Vector) SetScaled(a float64, x Vector, ops *Ops) {
+	x = x[:len(v)]
 	for i := range v {
-		v[i] *= a
+		v[i] = a * x[i]
 	}
 	ops.Add(int64(len(v)))
 }
 
 // Dot returns the inner product of v and x, summed through the fixed-chunk
 // ordered reduction: per-chunk partials of redChunk elements folded in chunk
-// order, the fold a Phase Dot step reproduces bit for bit. Vectors shorter
-// than one chunk reduce to the classic single running sum.
+// order, the sum BiCGStab's reducing kernels reproduce bit for bit. Vectors
+// shorter than one chunk reduce to the classic single running sum.
 //
 //vetsparse:allocfree
 func (v Vector) Dot(x Vector, ops *Ops) float64 {
@@ -121,9 +147,8 @@ func (v Vector) NormInf() float64 {
 }
 
 // WRMSNorm returns the weighted root-mean-square norm used by the step-size
-// controller: sqrt(mean((v_i / (atol + rtol*|ref_i|))^2)). Like Dot it sums
-// through the fixed-chunk ordered reduction so a Phase WRMS step matches
-// it bit-for-bit.
+// controller: sqrt(mean((v_i / (atol + rtol*|ref_i|))^2)), summed like Dot
+// through the fixed-chunk ordered reduction.
 //
 //vetsparse:allocfree
 func (v Vector) WRMSNorm(ref Vector, atol, rtol float64, ops *Ops) float64 {
@@ -148,10 +173,12 @@ func (v Vector) WRMSNorm(ref Vector, atol, rtol float64, ops *Ops) float64 {
 	return math.Sqrt(s / float64(len(v)))
 }
 
-// Sub computes v = a - b component-wise.
+// Sub computes v = a - b component-wise (v may alias either operand).
 //
+//go:noinline
 //vetsparse:allocfree
 func (v Vector) Sub(a, b Vector, ops *Ops) {
+	a, b = a[:len(v)], b[:len(v)]
 	for i := range v {
 		v[i] = a[i] - b[i]
 	}

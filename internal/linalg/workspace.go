@@ -21,50 +21,7 @@ type Workspace struct {
 	iluKey   float64
 	iluValid bool
 	iluErr   error
-
-	// Phase plans of the solver prologue and iteration body. They are
-	// built when their planKey changes; a solve that finds them current
-	// only rebinds the steps naming the caller's x and b.
-	phInit, phPu, phAv Phase // prologue, direction update, A*pHat with its dot
-	phS, phAt, phX     Phase // s step, A*sHat with its dots, x/r step
-	phTmp              Phase // the half-step tail, bound on the spot and run at once
-	bicg               planKey
-	sc                 [scCount]float64
 }
-
-// planKey is what the plans were built for: the matrix (by identity — a
-// ShiftedOperator rewrites values in place) and the dimension. Every other
-// bound vector changes only together with n.
-type planKey struct {
-	a  *CSR
-	n  int
-	xb [2]Vector // the caller's x and b the plans name now
-}
-
-// current reports whether the plans built under k serve (a, n); if so it
-// points the steps of the given phases that name the previous solve's x and
-// b at this one's. Otherwise it records the new key and the caller builds.
-func (k *planKey) current(a *CSR, n int, x, b Vector, named ...*Phase) bool {
-	hit := k.a == a && k.n == n
-	if hit && n > 0 {
-		for _, ph := range named {
-			ph.rebind(k.xb, [2]Vector{x, b})
-		}
-	}
-	*k = planKey{a: a, n: n, xb: [2]Vector{x, b}}
-	return hit
-}
-
-// Scalar slots the fused plans read through pointers; the solver loops
-// store into them right before each run.
-const (
-	scBeta = iota
-	scOmegaPrev
-	scNegAlpha
-	scAlpha
-	scOmega
-	scCount
-)
 
 // NewWorkspace returns an empty workspace.
 func NewWorkspace() *Workspace { return &Workspace{} }
@@ -87,42 +44,6 @@ func (ws *Workspace) ensureBiCGStab(n int) {
 	ws.t = grow(ws.t, n)
 	ws.pHat = grow(ws.pHat, n)
 	ws.sHat = grow(ws.sHat, n)
-}
-
-// buildBiCGStabPhases binds the BiCGStab phases to the workspace vectors and
-// the caller's x and b: the direction step, two products that reduce their
-// dots as they write, the s step and the x/r step, one run each. The
-// preconditioner runs between them, so neither product reads a vector its
-// own phase wrote (the rule mulVecDot checks).
-func (ws *Workspace) buildBiCGStabPhases(a *CSR, x, b Vector) {
-	n := len(ws.r)
-	if ws.bicg.current(a, n, x, b, &ws.phInit, &ws.phX) {
-		return
-	}
-	sc := &ws.sc
-	in := &ws.phInit // r = b - A x, |b|^2, |r|^2, rTilde = p = r
-	in.Reset(n)
-	in.MulVec(a, ws.r, x)
-	in.Sub(ws.r, b, ws.r)
-	in.Dot(0, b, b)
-	in.Dot(1, ws.r, ws.r)
-	in.Copy(ws.rTilde, ws.r)
-	in.Copy(ws.p, ws.r)
-	pu := &ws.phPu
-	pu.Reset(n)
-	pu.dirStep(ws.p, ws.r, ws.v, &sc[scBeta], &sc[scOmegaPrev])
-	av := &ws.phAv
-	av.Reset(n)
-	av.mulVecDot(a, ws.v, ws.pHat, ws.rTilde, nil)
-	sp := &ws.phS
-	sp.Reset(n)
-	sp.sStep(ws.s, ws.r, &sc[scNegAlpha], ws.v)
-	at := &ws.phAt
-	at.Reset(n)
-	at.mulVecDot(a, ws.t, ws.sHat, ws.t, ws.s)
-	xp := &ws.phX // <rTilde, r> is the next iteration's rho, one run early
-	xp.Reset(n)
-	xp.xrStep(x, &sc[scAlpha], ws.pHat, &sc[scOmega], ws.sHat, ws.r, ws.s, ws.t, ws.rTilde)
 }
 
 // ILUFor returns the ILU(0) factorization of a, reusing the cached factors

@@ -126,7 +126,7 @@ type Workspace struct {
 	f1, f2, k1, k2, u1, est, uNew linalg.Vector
 
 	// hist is a ring of the last predOrder accepted steps' k1 and k2, the
-	// predictor's nodes; phAccept[j] writes slot j.
+	// predictor's nodes.
 	hist [predOrder][2]linalg.Vector
 
 	// op is the cached stage matrix (1/s)*I - J; rebuilt only when the
@@ -137,33 +137,7 @@ type Workspace struct {
 	// workspace: the factor caches' key, never reused, so no run sees
 	// another's factors.
 	pcSerial float64
-
-	// Phase plans of the stepper's own vector work (stage-1 initial guess
-	// and scaled right-hand side, stage-2 preparation, the same for stage 2,
-	// the stage combination + WRMS error norm, and the accepted-step copy),
-	// rebuilt by NewStepper after ensure may have re-sliced the vectors they
-	// bind. phGuess[q] and phRhs2[q] predict from the ring's first q slots;
-	// phAccept[j] records into slot j. psc holds the scalars the plans read
-	// through pointers.
-	phGuess, phRhs2 [predOrder + 1]linalg.Phase
-	phAccept        [predOrder]linalg.Phase
-	phPrep, phComb  linalg.Phase
-	psc             [pscCount]float64
 }
-
-// Scalar slots of the stepper's fused phases; pscW+j is ring slot j's
-// predictor weight.
-const (
-	pscTau = iota
-	psc15Tau
-	pscHalfTau
-	pscOne
-	pscNeg2
-	pscTol
-	pscSigma
-	pscW
-	pscCount = pscW + predOrder
-)
 
 // NewWorkspace returns an empty workspace.
 func NewWorkspace() *Workspace { return &Workspace{} }
@@ -199,61 +173,6 @@ func (w *Workspace) ensure(n int, jac *linalg.CSR) {
 		w.op = linalg.NewShiftedOperator(jac)
 	}
 	w.op.Invalidate()
-}
-
-// buildStepPhases (re)binds the stepper's phases to the stage vectors and
-// the caller's solution vector u: one phase per group of vector ops.
-func (w *Workspace) buildStepPhases(u linalg.Vector, tol float64) {
-	n := len(u)
-	sc := &w.psc
-	sc[pscOne] = 1
-	sc[pscNeg2] = -2
-	sc[pscTol] = tol
-	for q := range w.phGuess {
-		g := &w.phGuess[q] // k1 = stage-1 initial guess; f1 *= sigma
-		g.Reset(n)
-		w.predict(g, q, 0, w.k1, w.f1)
-		g.ScaleTo(w.f1, &sc[pscSigma], w.f1)
-		r := &w.phRhs2[q] // f2 -= 2*k1; k2 = stage-2 initial guess; f2 *= sigma
-		r.Reset(n)
-		r.AXPY(w.f2, &sc[pscNeg2], w.k1)
-		w.predict(r, q, 1, w.k2, w.f2)
-		r.ScaleTo(w.f2, &sc[pscSigma], w.f2)
-	}
-	for j := range w.phAccept {
-		a := &w.phAccept[j] // u = uNew; ring slot j = (k1, k2)
-		a.Reset(n)
-		a.Copy(u, w.uNew)
-		a.Copy(w.hist[j][0], w.k1)
-		a.Copy(w.hist[j][1], w.k2)
-	}
-	p := &w.phPrep // u1 = u + tau*k1
-	p.Reset(n)
-	p.Copy(w.u1, u)
-	p.AXPY(w.u1, &sc[pscTau], w.k1)
-	c := &w.phComb // uNew, est, and the WRMS partials in one phase
-	c.Reset(n)
-	c.Copy(w.uNew, u)
-	c.AXPY(w.uNew, &sc[psc15Tau], w.k1)
-	c.AXPY(w.uNew, &sc[pscHalfTau], w.k2)
-	c.AXPYTo(w.est, w.k1, &sc[pscOne], w.k2)
-	c.ScaleTo(w.est, &sc[pscHalfTau], w.est)
-	c.WRMS(0, w.est, u, &sc[pscTol], &sc[pscTol])
-}
-
-// predict appends k = the initial guess of stage st (0: k1, 1: k2) from the
-// ring's first q slots, each times its weight: sum_j psc[pscW+j]*hist[j][st].
-// With q = 0 the guess is the unscaled right-hand side rhs, the explicit
-// value that M ~ I for a small gamma*tau makes a fair start.
-func (w *Workspace) predict(p *linalg.Phase, q, st int, k, rhs linalg.Vector) {
-	if q == 0 {
-		p.Copy(k, rhs)
-		return
-	}
-	p.ScaleTo(k, &w.psc[pscW], w.hist[0][st])
-	for j := 1; j < q; j++ {
-		p.AXPY(k, &w.psc[pscW+j], w.hist[j][st])
-	}
 }
 
 // solve dispatches one stage system to the configured preconditioner,
@@ -302,8 +221,10 @@ type Stepper struct {
 
 	// nHist counts the accepted steps recorded in the workspace's ring, the
 	// i-th (from 0) into slot i mod predOrder. It starts at zero with the
-	// Stepper, so no run reads a slot another run wrote.
+	// Stepper, so no run reads a slot another run wrote. wt[j] is ring
+	// slot j's predictor weight for the step under way.
 	nHist int
+	wt    [predOrder]float64
 
 	ws *Workspace
 	st Stats
@@ -329,6 +250,12 @@ func NewStepper(sys System, u linalg.Vector, t0, t1 float64, cfg Config) (*Stepp
 	if math.IsNaN(cfg.LinTol) || math.IsInf(cfg.LinTol, 1) || cfg.LinTol < 0 {
 		return nil, fmt.Errorf("rosenbrock: LinTol %g must be finite and not negative", cfg.LinTol)
 	}
+	if math.IsNaN(cfg.H0) || math.IsInf(cfg.H0, 1) {
+		return nil, fmt.Errorf("rosenbrock: H0 %g must be finite", cfg.H0)
+	}
+	if math.IsNaN(cfg.HMin) || math.IsInf(cfg.HMin, 1) {
+		return nil, fmt.Errorf("rosenbrock: HMin %g must be finite", cfg.HMin)
+	}
 	span := t1 - t0
 	s.h = cfg.H0
 	if s.h <= 0 {
@@ -351,7 +278,6 @@ func NewStepper(sys System, u linalg.Vector, t0, t1 float64, cfg Config) (*Stepp
 		s.ws = NewWorkspace()
 	}
 	s.ws.ensure(n, sys.Jacobian())
-	s.ws.buildStepPhases(u, cfg.Tol)
 	return s, nil
 }
 
@@ -364,10 +290,10 @@ func (s *Stepper) T() float64 { return s.t }
 // Stats returns the cost statistics accumulated so far.
 func (s *Stepper) Stats() Stats { return s.st }
 
-// predictWeights writes the order-q extrapolation's weights into the ring
-// slots' scalars. The abscissa is the step number: the step a back, in slot
-// (nHist-a) mod predOrder, gets the Lagrange basis at the next step number
-// over the q before it, (-1)^(a+1)*C(q, a) — the rows (1), (2, -1),
+// predictWeights writes the order-q extrapolation's weights into wt. The
+// abscissa is the step number: the step a back, in slot (nHist-a) mod
+// predOrder, gets the Lagrange basis at the next step number over the q
+// before it, (-1)^(a+1)*C(q, a) — the rows (1), (2, -1),
 // (3, -3, 1), (4, -6, 4, -1), all exact (DESIGN.md §17).
 //
 //vetsparse:allocfree
@@ -375,8 +301,26 @@ func (s *Stepper) predictWeights(q int) {
 	c := 1.0
 	for a := 1; a <= q; a++ {
 		c = c * float64(q-a+1) / float64(a)
-		s.ws.psc[pscW+(s.nHist-a)%predOrder] = c
+		s.wt[(s.nHist-a)%predOrder] = c
 		c = -c
+	}
+}
+
+// predict writes k = the initial guess of stage st (0: k1, 1: k2) from the
+// ring's first q slots, each times its weight: sum_j wt[j]*hist[j][st].
+// With q = 0 the guess is the unscaled right-hand side rhs, the explicit
+// value that M ~ I for a small gamma*tau makes a fair start.
+//
+//vetsparse:allocfree
+func (s *Stepper) predict(q, st int, k, rhs linalg.Vector) {
+	if q == 0 {
+		copy(k, rhs)
+		return
+	}
+	hist, ops := &s.ws.hist, &s.st.Ops
+	k.SetScaled(s.wt[0], hist[0][st], ops)
+	for j := 1; j < q; j++ {
+		k.AXPY(s.wt[j], hist[j][st], ops)
 	}
 }
 
@@ -403,7 +347,7 @@ func (s *Stepper) Step() error {
 	// alone. The preconditioner follows only once the shift has drifted.
 	shift := Gamma * tau
 	m := ws.op.Update(shift, ops)
-	ws.psc[pscSigma] = 1 / shift
+	sigma := 1 / shift
 	if !(math.Abs(shift/s.pcShift-1) <= refreshShift) {
 		s.pcShift = shift
 		ws.pcSerial++
@@ -415,25 +359,25 @@ func (s *Stepper) Step() error {
 	q := min(s.nHist, predOrder)
 	s.predictWeights(q)
 
-	// Stage 1: M k1 = F(t, u).
+	// Stage 1: M k1 = F(t, u), from the predicted k1, against sigma*f1.
 	s.sys.F(s.t, u, ws.f1, ops)
 	s.st.FEvals++
-	ws.phGuess[q].Run()
-	ops.Add(ws.phGuess[q].Flops())
+	s.predict(q, 0, ws.k1, ws.f1)
+	ws.f1.SetScaled(sigma, ws.f1, ops)
 	s1, err := s.cfg.solve(ws, m, ws.k1, ws.f1, s.linTol, ws.pcSerial, ops)
 	s.st.LinIters += s1.Iterations
 	if err != nil {
 		return fmt.Errorf("rosenbrock: stage 1 at t=%g tau=%g: %w", s.t, tau, err)
 	}
 
-	// Stage 2: M k2 = F(t+tau, u + tau*k1) - 2 k1.
-	ws.psc[pscTau] = tau
-	ws.phPrep.Run()
-	ops.Add(ws.phPrep.Flops())
+	// Stage 2: M k2 = F(t+tau, u + tau*k1) - 2 k1, likewise.
+	copy(ws.u1, u)
+	ws.u1.AXPY(tau, ws.k1, ops)
 	s.sys.F(s.t+tau, ws.u1, ws.f2, ops)
 	s.st.FEvals++
-	ws.phRhs2[q].Run()
-	ops.Add(ws.phRhs2[q].Flops())
+	ws.f2.AXPY(-2, ws.k1, ops)
+	s.predict(q, 1, ws.k2, ws.f2)
+	ws.f2.SetScaled(sigma, ws.f2, ops)
 	s2, err := s.cfg.solve(ws, m, ws.k2, ws.f2, s.linTol, ws.pcSerial, ops)
 	s.st.LinIters += s2.Iterations
 	if err != nil {
@@ -444,14 +388,18 @@ func (s *Stepper) Step() error {
 	// u_{n+1} = u + 1.5 tau k1 + 0.5 tau k2; est = (0.5 tau)(k1 + 1*k2),
 	// bit-identical to the direct expression (1*x is exact, and Go
 	// associates 0.5*tau*(...) leftward).
-	ws.psc[psc15Tau] = 1.5 * tau
-	ws.psc[pscHalfTau] = 0.5 * tau
-	ws.phComb.Run()
-	ops.Add(ws.phComb.Flops())
-	errNorm := math.Sqrt(ws.phComb.Fold(0) / float64(len(u)))
+	copy(ws.uNew, u)
+	ws.uNew.AXPY(1.5*tau, ws.k1, ops)
+	ws.uNew.AXPY(0.5*tau, ws.k2, ops)
+	ws.est.SetAXPY(ws.k1, 1, ws.k2, ops)
+	ws.est.SetScaled(0.5*tau, ws.est, ops)
+	errNorm := ws.est.WRMSNorm(u, s.cfg.Tol, s.cfg.Tol, ops)
 	if errNorm <= 1 {
 		// Only an accepted step enters the history, over its oldest entry.
-		ws.phAccept[s.nHist%predOrder].Run()
+		slot := &ws.hist[s.nHist%predOrder]
+		copy(u, ws.uNew)
+		copy(slot[0], ws.k1)
+		copy(slot[1], ws.k2)
 		s.nHist++
 		s.t += tau
 		s.st.Steps++

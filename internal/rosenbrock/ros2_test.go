@@ -3,6 +3,7 @@ package rosenbrock
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/grid"
@@ -177,27 +178,44 @@ func TestInvalidArguments(t *testing.T) {
 	// NaN Tol makes the error norm, then the step size, NaN, and surfaces
 	// one or two steps in as a stage solve that "did not converge"; an
 	// infinite Tol or LinTol accepts any step or any iterate and returns an
-	// answer; a negative LinTol silently meant the default. MaxSteps bounds
-	// whatever a missing check lets run.
+	// answer; a negative LinTol silently meant the default. The step sizes
+	// likewise: a NaN H0 surfaced as a BiCGStab breakdown, a NaN HMin
+	// turned the underflow guard off, and an infinite HMin took one step
+	// before reporting an underflow. MaxSteps bounds whatever a missing
+	// check lets run.
 	for _, c := range []struct {
-		name        string
+		name, field string
 		tol, linTol float64
+		h0, hMin    float64
 	}{
-		{"zero Tol", 0, 0},
-		{"negative Tol", -1e-3, 0},
-		{"NaN Tol", math.NaN(), 0},
-		{"NaN Tol, explicit LinTol", math.NaN(), 1e-8}, // solves converge, the controller sees NaN
-		{"+Inf Tol", math.Inf(1), 0},
-		{"-Inf Tol", math.Inf(-1), 0},
-		{"NaN LinTol", 1e-3, math.NaN()},
-		{"+Inf LinTol", 1e-3, math.Inf(1)},
-		{"negative LinTol", 1e-3, -1e-8},
+		{"zero Tol", "Tol", 0, 0, 0, 0},
+		{"negative Tol", "Tol", -1e-3, 0, 0, 0},
+		{"NaN Tol", "Tol", math.NaN(), 0, 0, 0},
+		{"NaN Tol, explicit LinTol", "Tol", math.NaN(), 1e-8, 0, 0}, // solves converge, the controller sees NaN
+		{"+Inf Tol", "Tol", math.Inf(1), 0, 0, 0},
+		{"-Inf Tol", "Tol", math.Inf(-1), 0, 0, 0},
+		{"NaN LinTol", "LinTol", 1e-3, math.NaN(), 0, 0},
+		{"+Inf LinTol", "LinTol", 1e-3, math.Inf(1), 0, 0},
+		{"negative LinTol", "LinTol", 1e-3, -1e-8, 0, 0},
+		{"NaN H0", "H0", 1e-3, 0, math.NaN(), 0},
+		{"+Inf H0", "H0", 1e-3, 0, math.Inf(1), 0},
+		{"NaN HMin", "HMin", 1e-3, 0, 0, math.NaN()},
+		{"+Inf HMin", "HMin", 1e-3, 0, 0, math.Inf(1)},
 	} {
-		st, err := Integrate(sys, linalg.Vector{1}, 0, 1, Config{Tol: c.tol, LinTol: c.linTol, MaxSteps: 20})
+		cfg := Config{Tol: c.tol, LinTol: c.linTol, H0: c.h0, HMin: c.hMin, MaxSteps: 20}
+		st, err := Integrate(sys, linalg.Vector{1}, 0, 1, cfg)
 		if err == nil {
 			t.Errorf("%s accepted", c.name)
 		} else if st.FEvals != 0 {
 			t.Errorf("%s: refused only after %d evaluations (%v), want before the first", c.name, st.FEvals, err)
+		} else if !strings.Contains(err.Error(), c.field+" ") {
+			t.Errorf("%s: error %q does not name %s", c.name, err, c.field)
+		}
+	}
+	// Values <= 0 still pick the defaults.
+	for _, h := range []float64{0, -1, math.Inf(-1)} {
+		if _, err := Integrate(sys, linalg.Vector{1}, 0, 1, Config{Tol: 1e-3, H0: h, HMin: h}); err != nil {
+			t.Errorf("H0 = HMin = %g: %v", h, err)
 		}
 	}
 }
@@ -375,7 +393,7 @@ func TestPredictorWeights(t *testing.T) {
 		s.nHist = n
 		q := min(n, predOrder)
 		s.predictWeights(q)
-		w := s.ws.psc[pscW : pscW+q]
+		w := s.wt[:q]
 		step := make([]float64, q) // the step number slot j holds: the last i < n with i mod predOrder = j
 		for j := range step {
 			step[j] = float64(n - 1 - (n-1-j)%predOrder)
