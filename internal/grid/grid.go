@@ -114,16 +114,49 @@ func (f *Field) Prolongate(target Grid) *Field {
 	return out
 }
 
-// ProlongateInto interpolates f onto out's grid, overwriting out.
+// ProlongateInto interpolates f onto out's grid, overwriting out: every
+// point gets Eval's value bit for bit. The source cell and the weight Eval
+// computes for a coordinate depend on that coordinate alone, so they are
+// tabled once per target column and once per target row, and each point
+// evaluates Eval's bilinear expression from two source rows.
 func (f *Field) ProlongateInto(out *Field) {
 	target := out.G
 	nx, ny := target.NX(), target.NY()
-	for iy := 0; iy <= ny; iy++ {
-		y := target.Y(iy)
-		for ix := 0; ix <= nx; ix++ {
-			out.V[iy*(nx+1)+ix] = f.Eval(target.X(ix), y)
+	cols := taps(nx, f.G.NX(), target.X)
+	rows := taps(ny, f.G.NY(), target.Y)
+	stride := f.G.NX() + 1
+	for iy, ry := range rows {
+		ty := ry.t
+		src0, src1 := f.V[ry.i*stride:][:stride], f.V[(ry.i+1)*stride:][:stride]
+		dst := out.V[iy*(nx+1):][:nx+1]
+		for ix, cx := range cols {
+			tx, i := cx.t, cx.i
+			v00, v10, v01, v11 := src0[i], src0[i+1], src1[i], src1[i+1]
+			dst[ix] = (1-tx)*(1-ty)*v00 + tx*(1-ty)*v10 + (1-tx)*ty*v01 + tx*ty*v11
 		}
 	}
+}
+
+// A tap is where Eval reads one coordinate: the source cell i and the
+// coordinate's offset t in it.
+type tap struct {
+	i int
+	t float64
+}
+
+// taps returns Eval's tap of each of a target axis's n+1 coordinates
+// coord(0..n) on a source axis of src cells, by Eval's expressions.
+func taps(n, src int, coord func(int) float64) []tap {
+	out := make([]tap, n+1)
+	for j := range out {
+		fc := coord(j) * float64(src)
+		i := int(fc)
+		if i >= src {
+			i = src - 1
+		}
+		out[j] = tap{i, fc - float64(i)}
+	}
+	return out
 }
 
 // MaxDiff returns the maximum absolute pointwise difference between two

@@ -1,9 +1,6 @@
 package linalg
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // CSR is a sparse matrix in compressed sparse row format.
 type CSR struct {
@@ -17,6 +14,38 @@ type CSR struct {
 	// the pattern (ShiftedOperator.Update rewrites Val only) invalidates it.
 	// A nil table is valid: every row then takes the indexed row loop.
 	runs []rowRun
+}
+
+// NewCSR returns the rows x cols matrix whose arrays a caller has filled at
+// their exact size, the form Build produces: rowPtr of length rows+1 rising
+// from 0 to len(val), and colIdx as long as val with each row's columns
+// strictly ascending inside [0, cols). It keeps the arrays, checks the
+// pattern and finds its diagonal runs, so an assembly that knows its
+// pattern skips Builder's entry buffer.
+func NewCSR(rows, cols int, rowPtr, colIdx []int, val []float64) (*CSR, error) {
+	if rows < 0 || cols < 0 || len(rowPtr) != rows+1 || len(colIdx) != len(val) {
+		return nil, fmt.Errorf("linalg: csr %dx%d with %d row pointers, %d columns, %d values", rows, cols, len(rowPtr), len(colIdx), len(val))
+	}
+	if rowPtr[0] != 0 || rowPtr[rows] != len(val) {
+		return nil, fmt.Errorf("linalg: csr row pointers span [%d, %d), want [0, %d)", rowPtr[0], rowPtr[rows], len(val))
+	}
+	for r := 0; r < rows; r++ {
+		if rowPtr[r+1] < rowPtr[r] {
+			return nil, fmt.Errorf("linalg: csr row %d ends at %d before it starts at %d", r, rowPtr[r+1], rowPtr[r])
+		}
+	}
+	for r := 0; r < rows; r++ {
+		prev := -1
+		for _, c := range colIdx[rowPtr[r]:rowPtr[r+1]] {
+			if c <= prev || c >= cols {
+				return nil, fmt.Errorf("linalg: csr row %d: column %d after %d, want ascending in [0, %d)", r, c, prev, cols)
+			}
+			prev = c
+		}
+	}
+	m := &CSR{Rows: rows, Cols: cols, RowPtr: rowPtr, ColIdx: colIdx, Val: val}
+	m.runs = findRuns(m)
+	return m, nil
 }
 
 // Builder assembles a sparse matrix by accumulating (row, col, value)
@@ -43,9 +72,6 @@ func (b *Builder) Add(r, c int, v float64) {
 	}
 	b.entries = append(b.entries, entry{r, c, v})
 }
-
-// Grow makes room for n more Add calls, as strings.Builder.Grow does.
-func (b *Builder) Grow(n int) { b.entries = slices.Grow(b.entries, n) }
 
 // Build sorts, merges and converts the accumulated entries to CSR. The
 // sort is a two-pass LSD radix over (column, row) using counting buckets —

@@ -7,8 +7,9 @@ package linalg
 const redChunk = 1024
 
 // The kernels BiCGStab and the Rosenbrock step call: the fused BiCGStab
-// steps below, the reducing product (CSR.mulVecDot) and the elementwise
-// Vector methods (AXPY, Sub, SetScaled, SetAXPY). Each cuts its operands to
+// steps below, the reducing product (CSR.mulVecDot), the elementwise
+// Vector methods (AXPY, Sub, SetScaled, SetAXPY, SetLinComb) and the
+// step's reducing update (SetAXPBYWRMS). Each cuts its operands to
 // dst's length once, which lets the compiler drop the per-element bounds
 // checks. They are out of line and the ones an iteration runs are unrolled
 // by four, for the same reason: a loop of a handful of instructions is

@@ -100,7 +100,6 @@ func TestBuildSortedMatchesShuffled(t *testing.T) {
 	}
 	build := func(es []entry) *CSR {
 		b := NewBuilder(n, n)
-		b.Grow(len(es))
 		for _, e := range es {
 			b.Add(e.r, e.c, e.v)
 		}

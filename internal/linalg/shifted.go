@@ -3,21 +3,23 @@ package linalg
 // ShiftedOperator maintains the Rosenbrock stage matrix of a fixed square A
 // across many values of the shift s = gamma*tau, in the scaled form
 // M/s = (1/s)*I - A (Hairer & Wanner, Solving ODEs II, §IV.7). M = I - s*A
-// shares A's sparsity pattern (plus any structurally missing diagonal
-// entries), so the merged pattern is built once; with the shift factored out
-// the off-diagonals -a_ij do not depend on s either, so they are written once
-// and a step-size change rewrites only the n diagonal entries. The system
-// M k = f is (M/s) k = f/s: the same solution, and for every iterate the same
-// relative residual.
+// has A's sparsity pattern plus any structurally missing diagonal entries.
+// When A stores every diagonal, M shares A's row pointers, column indices
+// and run table; otherwise the merged pattern is built once. With the shift
+// factored out the off-diagonals -a_ij do not depend on s either, so they
+// are written once and a step-size change rewrites only the n diagonal
+// entries. The system M k = f is (M/s) k = f/s: the same solution, and for
+// every iterate the same relative residual.
 //
 // The operator assumes A's values do not change between Update calls (the
 // paper's problem is linear, so J is constant); call Invalidate after
-// mutating A.
+// mutating A. A's pattern must not change at all.
 type ShiftedOperator struct {
 	a, m *CSR
 
 	// apos[p] is the index into a.Val feeding m.Val[p], or -1 for a
-	// diagonal entry that is structurally missing in A.
+	// diagonal entry that is structurally missing in A. It is nil when m
+	// shares A's pattern, where m.Val[p] is fed by a.Val[p].
 	apos []int
 	// diag[r] is the index of row r's diagonal entry in m.Val, and nd[r]
 	// is -a_rr (0 where A stores none), copied with the off-diagonals.
@@ -28,33 +30,44 @@ type ShiftedOperator struct {
 	valid bool
 }
 
-// NewShiftedOperator builds the merged pattern of I and A once. The
-// returned operator's matrix holds no meaningful values until Update is
-// called.
-func NewShiftedOperator(a *CSR) *ShiftedOperator {
+// NewShiftedOperator binds the stage matrix to A: on A's own pattern when
+// every row stores its diagonal, on the merged pattern of I and A, built
+// once, otherwise. The returned operator's matrix holds no meaningful
+// values until Update is called.
+func NewShiftedOperator(a *CSR) *ShiftedOperator { return newShifted(a, true) }
+
+// newShifted is NewShiftedOperator; share false builds the merged pattern
+// even for an A that stores every diagonal.
+func newShifted(a *CSR, share bool) *ShiftedOperator {
 	if a.Rows != a.Cols {
 		panic("linalg: ShiftedOperator needs a square matrix")
 	}
 	n := a.Rows
 	o := &ShiftedOperator{a: a, diag: make([]int, n), nd: make([]float64, n)}
-	m := &CSR{Rows: n, Cols: n, RowPtr: make([]int, n+1)}
-	// First pass: count entries per row (A's row plus one for a missing
-	// diagonal) to size the arrays exactly.
-	nnz := 0
+	// First pass: find each row's diagonal, and count entries per row (A's
+	// row plus one for a missing diagonal) to size the merged arrays exactly.
+	nnz, missing := 0, false
 	for r := 0; r < n; r++ {
 		rowN := a.RowPtr[r+1] - a.RowPtr[r]
 		hasDiag := false
 		for k := a.RowPtr[r]; k < a.RowPtr[r+1]; k++ {
 			if a.ColIdx[k] == r {
+				o.diag[r] = k
 				hasDiag = true
 				break
 			}
 		}
 		if !hasDiag {
 			rowN++
+			missing = true
 		}
 		nnz += rowN
 	}
+	if share && !missing {
+		o.m = &CSR{Rows: n, Cols: n, RowPtr: a.RowPtr, ColIdx: a.ColIdx, Val: make([]float64, len(a.Val)), runs: a.runs}
+		return o
+	}
+	m := &CSR{Rows: n, Cols: n, RowPtr: make([]int, n+1)}
 	m.ColIdx = make([]int, 0, nnz)
 	m.Val = make([]float64, nnz)
 	o.apos = make([]int, 0, nnz)
@@ -118,6 +131,11 @@ func (o *ShiftedOperator) Update(s float64, ops *Ops) *CSR {
 	}
 	val := o.m.Val
 	if !o.valid {
+		if o.apos == nil {
+			for p, v := range o.a.Val[:len(val)] {
+				val[p] = -v
+			}
+		}
 		for p, k := range o.apos {
 			val[p] = 0
 			if k >= 0 {

@@ -88,6 +88,92 @@ func (v Vector) SetAXPY(y Vector, a float64, x Vector, ops *Ops) {
 	ops.Add(2 * int64(len(v)))
 }
 
+// SetLinComb computes v = w[0]*x[0] + w[1]*x[1] + … in one sweep, summed
+// left to right: bit for bit SetScaled(w[0], x[0]) followed by one AXPY per
+// further term, and charged as they are. v may alias x[0] but no later
+// term. Two to four terms are unrolled; one is SetScaled, and more take
+// the multi-pass chain.
+//
+//go:noinline
+//vetsparse:allocfree
+func (v Vector) SetLinComb(w []float64, x []Vector, ops *Ops) {
+	if len(w) != len(x) || len(w) == 0 {
+		panic(fmt.Sprintf("linalg: lincomb of %d weights and %d vectors", len(w), len(x)))
+	}
+	n := len(v)
+	i := 0
+	switch len(w) {
+	case 2:
+		w0, w1, x0, x1 := w[0], w[1], x[0][:n], x[1][:n]
+		for ; i+4 <= n; i += 4 {
+			o, a, b := v[i:i+4:i+4], x0[i:i+4:i+4], x1[i:i+4:i+4]
+			o[0], o[1], o[2], o[3] = w0*a[0]+w1*b[0], w0*a[1]+w1*b[1], w0*a[2]+w1*b[2], w0*a[3]+w1*b[3]
+		}
+		for ; i < n; i++ {
+			v[i] = w0*x0[i] + w1*x1[i]
+		}
+	case 3:
+		w0, w1, w2, x0, x1, x2 := w[0], w[1], w[2], x[0][:n], x[1][:n], x[2][:n]
+		for ; i+4 <= n; i += 4 {
+			o, a, b, c := v[i:i+4:i+4], x0[i:i+4:i+4], x1[i:i+4:i+4], x2[i:i+4:i+4]
+			o[0], o[1] = w0*a[0]+w1*b[0]+w2*c[0], w0*a[1]+w1*b[1]+w2*c[1]
+			o[2], o[3] = w0*a[2]+w1*b[2]+w2*c[2], w0*a[3]+w1*b[3]+w2*c[3]
+		}
+		for ; i < n; i++ {
+			v[i] = w0*x0[i] + w1*x1[i] + w2*x2[i]
+		}
+	case 4:
+		w0, w1, w2, w3, x0, x1, x2, x3 := w[0], w[1], w[2], w[3], x[0][:n], x[1][:n], x[2][:n], x[3][:n]
+		for ; i+4 <= n; i += 4 {
+			o, a, b, c, d := v[i:i+4:i+4], x0[i:i+4:i+4], x1[i:i+4:i+4], x2[i:i+4:i+4], x3[i:i+4:i+4]
+			o[0], o[1] = w0*a[0]+w1*b[0]+w2*c[0]+w3*d[0], w0*a[1]+w1*b[1]+w2*c[1]+w3*d[1]
+			o[2], o[3] = w0*a[2]+w1*b[2]+w2*c[2]+w3*d[2], w0*a[3]+w1*b[3]+w2*c[3]+w3*d[3]
+		}
+		for ; i < n; i++ {
+			v[i] = w0*x0[i] + w1*x1[i] + w2*x2[i] + w3*x3[i]
+		}
+	default:
+		v.SetScaled(w[0], x[0], ops)
+		for j := 1; j < len(w); j++ {
+			v.AXPY(w[j], x[j], ops)
+		}
+		return
+	}
+	ops.Add(int64(2*len(w)-1) * int64(n))
+}
+
+// SetAXPBYWRMS computes v = y + a*x + b*z and, in the same chunk-ordered
+// sweep, returns the WRMS norm of c*(x + 1*z) against y: bit for bit
+// copy(v, y), v.AXPY(a, x), v.AXPY(b, z), e.SetAXPY(x, 1, z),
+// e.SetScaled(c, e) and e.WRMSNorm(y, atol, rtol), and charged as those
+// five kernels are, without the vector e. v may alias y. The Rosenbrock
+// step writes its candidate solution and its embedded error estimate with
+// it.
+//
+//go:noinline
+//vetsparse:allocfree
+func (v Vector) SetAXPBYWRMS(y Vector, a float64, x Vector, b float64, z Vector, c, atol, rtol float64, ops *Ops) float64 {
+	n := len(v)
+	if n == 0 {
+		return 0
+	}
+	y, x, z = y[:n], x[:n], z[:n]
+	s := 0.0
+	for lo := 0; lo < n; lo += redChunk {
+		hi := min(lo+redChunk, n)
+		p := 0.0
+		for i := lo; i < hi; i++ {
+			yi, xi, zi := y[i], x[i], z[i]
+			v[i] = yi + a*xi + b*zi
+			e := c * (xi + zi) / (atol + rtol*math.Abs(yi))
+			p += e * e
+		}
+		s += p
+	}
+	ops.Add(12 * int64(n))
+	return math.Sqrt(s / float64(n))
+}
+
 // SetScaled computes v = a*x (v may be x: in place, v *= a).
 //
 //go:noinline

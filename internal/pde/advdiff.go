@@ -130,10 +130,10 @@ type Disc struct {
 	links   []boundaryLink
 	sources []sourcePoint
 
-	// rhs is the scratch vector F uses for b(t), allocated once so the
-	// integrator's hot loop stays allocation-free. It makes F
-	// non-reentrant: a Disc must not be shared by concurrent
-	// integrations (each sparse-grid worker builds its own).
+	// rhs is the scratch vector F uses for b(t) when the problem has a
+	// source, allocated once so the integrator's hot loop stays
+	// allocation-free. It makes F non-reentrant: a Disc must not be shared
+	// by concurrent integrations (each sparse-grid worker builds its own).
 	rhs linalg.Vector
 }
 
@@ -152,8 +152,14 @@ func NewDisc(g grid.Grid, p *Problem) *Disc {
 	}
 	hx, hy := g.Hx(), g.Hy()
 	d := &Disc{G: g, P: p, links: make([]boundaryLink, 0, 2*(mx+my)), sources: make([]sourcePoint, 0, mx*my)}
-	b := linalg.NewBuilder(mx*my, mx*my)
-	b.Grow(5*mx*my - 2*mx - 2*my)
+	// The stencil's pattern is known, so A's arrays are filled at their
+	// exact size, row by row, with no entry buffer between.
+	n, nnz := mx*my, 5*mx*my-2*mx-2*my
+	rowPtr, colIdx, val := make([]int, n+1), make([]int, 0, nnz), make([]float64, 0, nnz)
+	add := func(c int, v float64) {
+		colIdx = append(colIdx, c)
+		val = append(val, v)
+	}
 
 	// Stencil coefficients. Upwind advection: for a1 > 0 the x-derivative
 	// uses (u_i - u_{i-1})/hx, contributing -a1/hx to the diagonal and
@@ -183,21 +189,22 @@ func NewDisc(g grid.Grid, p *Problem) *Disc {
 		for ix := 1; ix <= mx; ix++ {
 			row := (iy-1)*mx + (ix - 1) // interior index
 			d.sources = append(d.sources, sourcePoint{row: row, x: g.X(ix), y: g.Y(iy)})
-			// The row's entries in ascending column order — south, west,
-			// diagonal, east, north — so Build finds them sorted.
+			// The row's entries in ascending column order: south, west,
+			// diagonal, east, north.
 			if iy > 1 {
-				b.Add(row, row-mx, sc)
+				add(row-mx, sc)
 			}
 			if ix > 1 {
-				b.Add(row, row-1, wc)
+				add(row-1, wc)
 			}
-			b.Add(row, row, diag)
+			add(row, diag)
 			if ix < mx {
-				b.Add(row, row+1, ec)
+				add(row+1, ec)
 			}
 			if iy < my {
-				b.Add(row, row+mx, nc)
+				add(row+mx, nc)
 			}
+			rowPtr[row+1] = len(val)
 			// Neighbours on the boundary, in the order RHS sums them.
 			if ix == 1 && wc != 0 {
 				d.links = append(d.links, boundaryLink{row, g.X(ix - 1), g.Y(iy), wc})
@@ -213,8 +220,14 @@ func NewDisc(g grid.Grid, p *Problem) *Disc {
 			}
 		}
 	}
-	d.A = b.Build()
-	d.rhs = linalg.NewVector(mx * my)
+	a, err := linalg.NewCSR(n, n, rowPtr, colIdx, val)
+	if err != nil {
+		panic(err)
+	}
+	d.A = a
+	if p.Source != nil {
+		d.rhs = linalg.NewVector(n)
+	}
 	return d
 }
 
@@ -239,14 +252,35 @@ func (d *Disc) RHS(t float64, b linalg.Vector, ops *linalg.Ops) {
 	ops.Add(int64(2*len(d.links)) + int64(8*len(d.sources)))
 }
 
-// F evaluates the semi-discrete right-hand side out = A*u + b(t).
+// F evaluates the semi-discrete right-hand side out = A*u + b(t). With a
+// source, b(t) is assembled into a scratch vector by RHS and added. Without
+// one, b(t) is zero but on the rows linked to the boundary, and F adds it
+// there alone: each such row (its links are adjacent, as both assemblies
+// append them) gets 1*(its links summed from +0 in RHS order), the bits
+// RHS and the AXPY would give it. Every other row keeps the product, which
+// is what out + 1*0 would give unless out were -0, and no row of the
+// product is: each starts from +0, and under round to nearest a sum is -0
+// only if both addends are. The flop charge is the full-length path's.
 func (d *Disc) F(t float64, u, out linalg.Vector, ops *linalg.Ops) {
-	if d.rhs == nil {
-		d.rhs = linalg.NewVector(len(out))
+	if d.P.Source != nil {
+		if d.rhs == nil {
+			d.rhs = linalg.NewVector(len(out))
+		}
+		d.RHS(t, d.rhs, ops)
+		d.A.MulVec(out, u, ops)
+		out.AXPY(1, d.rhs, ops)
+		return
 	}
-	d.RHS(t, d.rhs, ops)
 	d.A.MulVec(out, u, ops)
-	out.AXPY(1, d.rhs, ops)
+	links := d.links
+	for i := 0; i < len(links); {
+		row, b := links[i].row, 0.0
+		for ; i < len(links) && links[i].row == row; i++ {
+			b += links[i].coef * d.P.boundary(links[i].x, links[i].y, t)
+		}
+		out[row] += 1 * b
+	}
+	ops.Add(int64(2*len(links)) + int64(8*len(d.sources)) + 2*int64(len(out)))
 }
 
 // InitialInterior samples the initial condition at the interior points.

@@ -110,6 +110,8 @@ func NewVarDisc(g grid.Grid, p *VarProblem) *Disc {
 		}
 	}
 	d.A = b.Build()
-	d.rhs = linalg.NewVector(mx * my)
+	if p.Source != nil {
+		d.rhs = linalg.NewVector(mx * my)
+	}
 	return d
 }

@@ -123,10 +123,11 @@ func (s LinearSolver) String() string {
 type Workspace struct {
 	lin linalg.Workspace
 
-	f1, f2, k1, k2, u1, est, uNew linalg.Vector
+	f1, f2, k1, k2, u1, uNew linalg.Vector
 
 	// hist is a ring of the last predOrder accepted steps' k1 and k2, the
-	// predictor's nodes.
+	// predictor's nodes. An accepted step swaps its k1 and k2 into the
+	// ring, so their buffers move between the ring and the stage vectors.
 	hist [predOrder][2]linalg.Vector
 
 	// op is the cached stage matrix (1/s)*I - J; rebuilt only when the
@@ -163,7 +164,6 @@ func (w *Workspace) ensure(n int, jac *linalg.CSR) {
 	growVec(&w.k1, n)
 	growVec(&w.k2, n)
 	growVec(&w.u1, n)
-	growVec(&w.est, n)
 	growVec(&w.uNew, n)
 	for j := range w.hist {
 		growVec(&w.hist[j][0], n)
@@ -237,6 +237,12 @@ func NewStepper(sys System, u linalg.Vector, t0, t1 float64, cfg Config) (*Stepp
 	if len(u) != n {
 		panic(fmt.Sprintf("rosenbrock: u has %d entries for system of %d", len(u), n))
 	}
+	if math.IsNaN(t0) || math.IsInf(t0, 0) {
+		return nil, fmt.Errorf("rosenbrock: t0 %g must be finite", t0)
+	}
+	if math.IsNaN(t1) || math.IsInf(t1, 0) {
+		return nil, fmt.Errorf("rosenbrock: t1 %g must be finite", t1)
+	}
 	if t1 < t0 {
 		return nil, fmt.Errorf("rosenbrock: t1 %g < t0 %g", t1, t0)
 	}
@@ -307,9 +313,10 @@ func (s *Stepper) predictWeights(q int) {
 }
 
 // predict writes k = the initial guess of stage st (0: k1, 1: k2) from the
-// ring's first q slots, each times its weight: sum_j wt[j]*hist[j][st].
-// With q = 0 the guess is the unscaled right-hand side rhs, the explicit
-// value that M ~ I for a small gamma*tau makes a fair start.
+// ring's first q slots, each times its weight: sum_j wt[j]*hist[j][st],
+// summed left to right in one sweep. With q = 0 the guess is the unscaled
+// right-hand side rhs, the explicit value that M ~ I for a small gamma*tau
+// makes a fair start.
 //
 //vetsparse:allocfree
 func (s *Stepper) predict(q, st int, k, rhs linalg.Vector) {
@@ -317,11 +324,11 @@ func (s *Stepper) predict(q, st int, k, rhs linalg.Vector) {
 		copy(k, rhs)
 		return
 	}
-	hist, ops := &s.ws.hist, &s.st.Ops
-	k.SetScaled(s.wt[0], hist[0][st], ops)
-	for j := 1; j < q; j++ {
-		k.AXPY(s.wt[j], hist[j][st], ops)
+	var nodes [predOrder]linalg.Vector
+	for j := range q {
+		nodes[j] = s.ws.hist[j][st]
 	}
+	k.SetLinComb(s.wt[:q], nodes[:q], &s.st.Ops)
 }
 
 // Step attempts one time step: both ROS2 stages, the embedded error
@@ -371,8 +378,7 @@ func (s *Stepper) Step() error {
 	}
 
 	// Stage 2: M k2 = F(t+tau, u + tau*k1) - 2 k1, likewise.
-	copy(ws.u1, u)
-	ws.u1.AXPY(tau, ws.k1, ops)
+	ws.u1.SetAXPY(u, tau, ws.k1, ops)
 	s.sys.F(s.t+tau, ws.u1, ws.f2, ops)
 	s.st.FEvals++
 	ws.f2.AXPY(-2, ws.k1, ops)
@@ -384,22 +390,19 @@ func (s *Stepper) Step() error {
 		return fmt.Errorf("rosenbrock: stage 2 at t=%g tau=%g: %w", s.t, tau, err)
 	}
 
-	// Candidate solution and embedded error estimate:
-	// u_{n+1} = u + 1.5 tau k1 + 0.5 tau k2; est = (0.5 tau)(k1 + 1*k2),
-	// bit-identical to the direct expression (1*x is exact, and Go
-	// associates 0.5*tau*(...) leftward).
-	copy(ws.uNew, u)
-	ws.uNew.AXPY(1.5*tau, ws.k1, ops)
-	ws.uNew.AXPY(0.5*tau, ws.k2, ops)
-	ws.est.SetAXPY(ws.k1, 1, ws.k2, ops)
-	ws.est.SetScaled(0.5*tau, ws.est, ops)
-	errNorm := ws.est.WRMSNorm(u, s.cfg.Tol, s.cfg.Tol, ops)
+	// Candidate solution and the WRMS norm of the embedded error estimate,
+	// in one sweep: u_{n+1} = u + 1.5 tau k1 + 0.5 tau k2 and
+	// est = (0.5 tau)(k1 + 1*k2), bit-identical to the direct expression
+	// (1*x is exact, and Go associates 0.5*tau*(...) leftward).
+	errNorm := ws.uNew.SetAXPBYWRMS(u, 1.5*tau, ws.k1, 0.5*tau, ws.k2, 0.5*tau, s.cfg.Tol, s.cfg.Tol, ops)
 	if errNorm <= 1 {
-		// Only an accepted step enters the history, over its oldest entry.
+		// Only an accepted step enters the history, over its oldest entry:
+		// its k1 and k2 swap places with that entry's, which the next
+		// step's predictions overwrite.
 		slot := &ws.hist[s.nHist%predOrder]
 		copy(u, ws.uNew)
-		copy(slot[0], ws.k1)
-		copy(slot[1], ws.k2)
+		ws.k1, slot[0] = slot[0], ws.k1
+		ws.k2, slot[1] = slot[1], ws.k2
 		s.nHist++
 		s.t += tau
 		s.st.Steps++

@@ -212,6 +212,28 @@ func TestInvalidArguments(t *testing.T) {
 			t.Errorf("%s: error %q does not name %s", c.name, err, c.field)
 		}
 	}
+	// The span likewise: a NaN or infinite t0 or t1 ran, and the first
+	// stage broke down (or, for t0 = t1 = +Inf, returned as if done).
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name, field string
+		t0, t1      float64
+	}{
+		{"NaN t0", "t0", nan, 1},
+		{"-Inf t0", "t0", -inf, 1},
+		{"+Inf t0 and t1", "t0", inf, inf},
+		{"NaN t1", "t1", 0, nan},
+		{"+Inf t1", "t1", 0, inf},
+	} {
+		st, err := Integrate(sys, linalg.Vector{1}, c.t0, c.t1, Config{Tol: 1e-3, MaxSteps: 20})
+		if err == nil {
+			t.Errorf("%s accepted", c.name)
+		} else if st.FEvals != 0 {
+			t.Errorf("%s: refused only after %d evaluations (%v), want before the first", c.name, st.FEvals, err)
+		} else if !strings.Contains(err.Error(), c.field+" ") {
+			t.Errorf("%s: error %q does not name %s", c.name, err, c.field)
+		}
+	}
 	// Values <= 0 still pick the defaults.
 	for _, h := range []float64{0, -1, math.Inf(-1)} {
 		if _, err := Integrate(sys, linalg.Vector{1}, 0, 1, Config{Tol: 1e-3, H0: h, HMin: h}); err != nil {
@@ -418,8 +440,11 @@ func TestPredictorWeights(t *testing.T) {
 
 // TestPredictorSkipsRejectedAttempts: a rejected attempt leaves the
 // predictor's ring and count as they were, both before the first accepted
-// step (H0 the whole span) and with a full ring; an accepted one writes its
-// k1 and k2 over the oldest slot. A run that takes a rejected attempt and
+// step (H0 the whole span) and with a full ring; an accepted one swaps its
+// own k1 and k2 — the buffers its stages were solved into — into the oldest
+// slot, leaves every other slot bit for bit as it was, and takes the slot's
+// old buffers as its stage vectors, so no buffer is held twice. A run that
+// takes a rejected attempt and
 // then resumes at the step size it had is bit for bit the run that never
 // took it, once each attempt factors at its own shift: both runs reset
 // pcShift before every attempt, or the factor a rejected attempt computed
@@ -454,6 +479,8 @@ func TestPredictorSkipsRejectedAttempts(t *testing.T) {
 	step := func(s *Stepper) (accepted bool) {
 		t.Helper()
 		before, n, rej := snapshot(s), s.nHist, s.st.Rejected
+		j := n % predOrder
+		k1, k2, old := &s.ws.k1[0], &s.ws.k2[0], s.ws.hist[j]
 		s.pcShift = math.NaN()
 		if err := s.Step(); err != nil {
 			t.Fatal(err)
@@ -467,9 +494,17 @@ func TestPredictorSkipsRejectedAttempts(t *testing.T) {
 			}
 			return false
 		}
-		j := n % predOrder
-		if s.nHist != n+1 || !same(s.ws.hist[j][0], s.ws.k1) || !same(s.ws.hist[j][1], s.ws.k2) {
+		slot := s.ws.hist[j]
+		if s.nHist != n+1 || &slot[0][0] != k1 || &slot[1][0] != k2 {
 			t.Fatalf("accepted step %d: count %d, slot %d does not hold its k1 and k2", n, s.nHist, j)
+		}
+		if &s.ws.k1[0] != &old[0][0] || &s.ws.k2[0] != &old[1][0] {
+			t.Fatalf("accepted step %d: the stage vectors are not slot %d's old buffers", n, j)
+		}
+		for i := range before {
+			if i/2 != j && !same(before[i], after[i]) {
+				t.Fatalf("accepted step %d changed slot %d, not its own %d", n, i/2, j)
+			}
 		}
 		return true
 	}

@@ -112,6 +112,12 @@ func (p Params) Validate() error {
 	if math.IsNaN(p.Tol) || math.IsInf(p.Tol, 1) || p.Tol <= 0 {
 		return fmt.Errorf("solver: tolerance %g must be a finite positive number", p.Tol)
 	}
+	if math.IsNaN(p.TEnd) || math.IsInf(p.TEnd, 0) || p.TEnd < 0 {
+		return fmt.Errorf("solver: TEnd %g must be finite and not negative", p.TEnd)
+	}
+	if p.EvalCap < 0 {
+		return fmt.Errorf("solver: EvalCap %d < 0", p.EvalCap)
+	}
 	return nil
 }
 

@@ -2,6 +2,7 @@ package solver
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/grid"
@@ -10,20 +11,41 @@ import (
 )
 
 func TestParamsValidate(t *testing.T) {
+	// field, where set, is the name the error must give. A negative EvalCap
+	// used to solve to a one-point field of maximum 0 with a nil error, and
+	// a NaN or infinite TEnd to fail deep in the first subsolve as a
+	// BiCGStab breakdown.
 	cases := []struct {
-		p  Params
-		ok bool
+		p     Params
+		ok    bool
+		field string
 	}{
-		{Params{Root: 2, Level: 3, Tol: 1e-3}, true},
-		{Params{Root: 0, Level: 3, Tol: 1e-3}, false},
-		{Params{Root: 2, Level: -1, Tol: 1e-3}, false},
-		{Params{Root: 2, Level: 3, Tol: 0}, false},
-		{Params{Root: 2, Level: 3, Tol: math.NaN()}, false},
-		{Params{Root: 2, Level: 3, Tol: math.Inf(1)}, false},
+		{Params{Root: 2, Level: 3, Tol: 1e-3}, true, ""},
+		{Params{Root: 2, Level: 3, Tol: 1e-3, TEnd: 0.1, EvalCap: 2}, true, ""},
+		{Params{Root: 0, Level: 3, Tol: 1e-3}, false, ""},
+		{Params{Root: 2, Level: -1, Tol: 1e-3}, false, ""},
+		{Params{Root: 2, Level: 3, Tol: 0}, false, ""},
+		{Params{Root: 2, Level: 3, Tol: math.NaN()}, false, ""},
+		{Params{Root: 2, Level: 3, Tol: math.Inf(1)}, false, ""},
+		{Params{Root: 2, Level: 2, Tol: 1e-3, EvalCap: -4}, false, "EvalCap"},
+		{Params{Root: 2, Level: 2, Tol: 1e-3, TEnd: math.NaN()}, false, "TEnd"},
+		{Params{Root: 2, Level: 2, Tol: 1e-3, TEnd: math.Inf(1)}, false, "TEnd"},
+		{Params{Root: 2, Level: 2, Tol: 1e-3, TEnd: math.Inf(-1)}, false, "TEnd"},
+		{Params{Root: 2, Level: 2, Tol: 1e-3, TEnd: -0.1}, false, "TEnd"},
 	}
 	for _, c := range cases {
-		if err := c.p.Validate(); (err == nil) != c.ok {
+		err := c.p.Validate()
+		if (err == nil) != c.ok {
 			t.Errorf("Validate(%+v) = %v, want ok=%v", c.p, err, c.ok)
+		} else if err != nil && !strings.Contains(err.Error(), c.field+" ") {
+			t.Errorf("Validate(%+v) = %q, does not name %s", c.p, err, c.field)
+		}
+		if c.field == "" {
+			continue
+		}
+		// Sequential refuses them before the first subsolve.
+		if out, err := Sequential(c.p); err == nil || out != nil {
+			t.Errorf("Sequential with bad %s: output %t, error %v; want no output and an error", c.field, out != nil, err)
 		}
 	}
 }
