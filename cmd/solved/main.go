@@ -2,10 +2,9 @@
 // server that accepts solve jobs (POST /solve), admission-controls them
 // per tenant, solves them through the cross-request batcher and the solver
 // cache on one pool of executors, and retries failed attempts under a
-// seeded backoff and failure budget within the request's deadline. With
-// -faults each request instead runs its own worker pool, the one the faults
-// are injected into. GET /metrics and GET /healthz expose the live counters
-// and drain state.
+// seeded backoff within the request's deadline. -faults injects faults into
+// the batched flights the executors run. GET /metrics and GET /healthz
+// expose the live counters and drain state.
 //
 //	solved -addr :8080 -queue 64 -executors 2 -tenant-rate 5 -max-inflight 4
 //	curl -XPOST -H 'X-Tenant: alice' -H 'X-Deadline-Ms: 5000' \
@@ -62,15 +61,12 @@ func serveFlags(fs *flag.FlagSet) func() (serve.Config, error) {
 		brkN      = fs.Int("breaker-threshold", 3, "consecutive failed requests tripping a tenant's circuit breaker (0 = breaker off)")
 		brkCool   = fs.Duration("breaker-cooldown", 5*time.Second, "how long a tripped breaker stays open before a half-open probe")
 		attempts  = fs.Int("attempts", 2, "solve attempts per request; attempts after the first are paced by the backoff")
-		retries   = fs.Int("retries", 2, "per-job worker retry budget inside each attempt (with -faults only)")
-		budget    = fs.Int("failure-budget", 8, "failed worker attempts tolerated per request across attempts (0 = unlimited)")
-		wdl       = fs.Duration("worker-deadline", 10*time.Second, "per-worker deadline inside a solve, capped by the request deadline (with -faults only)")
 		ddl       = fs.Duration("default-deadline", 30*time.Second, "request deadline when the client sends none")
 		maxLevel  = fs.Int("max-level", 6, "largest refinement level the service accepts")
 		boSeed    = fs.Int64("backoff-seed", 1, "seed of the retry backoff jitter")
 		boBase    = fs.Duration("backoff-base", core.DefaultBackoffBase, "base delay of the exponential retry backoff")
 		boMax     = fs.Duration("backoff-max", core.DefaultBackoffMax, "delay ceiling of the retry backoff")
-		faults    = fs.String("faults", "", "worker fault injection spec, e.g. 'seed=42,panic=0.2,hang=0.1,corrupt=0.1'; every solve then runs its own worker pool instead of the batcher")
+		faults    = fs.String("faults", "", "fault injection spec, e.g. 'seed=42,panic=0.2,hang=0.1,corrupt=0.1,hangfor=100ms'; one fault is drawn for every batched flight an executor runs")
 
 		cacheN     = fs.Int("cache-entries", 64, "solver-cache entry bound")
 		cacheBytes = fs.Int64("cache-bytes", 256<<20, "solver-cache approximate byte budget")
@@ -80,8 +76,7 @@ func serveFlags(fs *flag.FlagSet) func() (serve.Config, error) {
 			QueueDepth: *queue, Executors: *executors,
 			TenantRate: *rate, TenantBurst: *burst, MaxInflight: *inflight,
 			BreakerThreshold: *brkN, BreakerCooldown: *brkCool,
-			Attempts: *attempts, Retries: *retries, FailureBudget: *budget,
-			WorkerDeadline: *wdl, DefaultDeadline: *ddl, MaxLevel: *maxLevel,
+			Attempts: *attempts, DefaultDeadline: *ddl, MaxLevel: *maxLevel,
 			CacheEntries: *cacheN, CacheBytes: *cacheBytes,
 			Backoff: core.NewBackoff(*boSeed, *boBase, *boMax),
 		}

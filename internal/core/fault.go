@@ -58,9 +58,10 @@ type InjectedFault struct{ Kind FaultKind }
 // Error formats the injected fault as a failure cause.
 func (f InjectedFault) Error() string { return "core: injected fault: " + f.Kind.String() }
 
-// FaultInjector deterministically assigns a fault to every worker attempt.
-// Draws happen in the coordinator goroutine in worker-creation order, so a
-// given seed (or plan) always produces the same fault sequence. Two modes:
+// FaultInjector deterministically assigns a fault to every attempt it is
+// asked about: a core.Pool worker's, in worker-creation order, or a serve
+// flight's, in the order the executors run them. A given seed (or plan)
+// always produces the same fault sequence. Two modes:
 //
 //   - plan mode: an explicit FaultKind per creation index, clean afterwards
 //     (deterministic protocol tests);
@@ -119,7 +120,9 @@ func PlanFaults(hangFor time.Duration, kinds ...FaultKind) *FaultInjector {
 //
 //	seed=42,panic=0.3,panicpre=0.1,hang=0.2,corrupt=0.1,hangfor=2s
 //
-// Unknown keys are errors; omitted probabilities default to zero.
+// Unknown keys are errors, and so are a probability that is NaN or outside
+// [0, 1] and a negative hangfor; omitted probabilities default to zero and
+// an omitted (or zero) hangfor to DefaultHangFor.
 func ParseFaultSpec(spec string) (*FaultInjector, error) {
 	var (
 		seed                       int64
@@ -156,15 +159,30 @@ func ParseFaultSpec(spec string) (*FaultInjector, error) {
 			return nil, fmt.Errorf("core: fault spec %q: %v", spec, err)
 		}
 	}
+	for _, p := range []struct {
+		key string
+		v   float64
+	}{{"panicpre", pPre}, {"panic", pPanic}, {"hang", pHang}, {"corrupt", pCorr}} {
+		if !(p.v >= 0 && p.v <= 1) { // NaN fails both
+			return nil, fmt.Errorf("core: fault spec %q: %s=%v is not a probability in [0, 1]", spec, p.key, p.v)
+		}
+	}
+	if hangFor < 0 {
+		return nil, fmt.Errorf("core: fault spec %q: hangfor=%v is negative", spec, hangFor)
+	}
 	if pPre+pPanic+pHang+pCorr > 1 {
 		return nil, fmt.Errorf("core: fault spec %q: probabilities sum to more than 1", spec)
 	}
 	return NewFaultInjector(seed, pPre, pPanic, pHang, pCorr, hangFor), nil
 }
 
-// draw assigns the fault of the next worker attempt. Called from the
-// coordinator goroutine only, in creation order.
-func (fi *FaultInjector) draw() FaultKind {
+// Draw assigns the fault of the next attempt: a worker's, drawn by the
+// coordinator in creation order, or a batched flight's, drawn by the serve
+// executor that runs it. A nil injector draws FaultNone and counts nothing.
+func (fi *FaultInjector) Draw() FaultKind {
+	if fi == nil {
+		return FaultNone
+	}
 	fi.mu.Lock()
 	defer fi.mu.Unlock()
 	k := FaultNone

@@ -242,7 +242,7 @@ func TestInjectorDeterministicDraws(t *testing.T) {
 	a := NewFaultInjector(42, 0.1, 0.2, 0.2, 0.2, time.Second)
 	b := NewFaultInjector(42, 0.1, 0.2, 0.2, 0.2, time.Second)
 	for i := 0; i < 200; i++ {
-		if ka, kb := a.draw(), b.draw(); ka != kb {
+		if ka, kb := a.Draw(), b.Draw(); ka != kb {
 			t.Fatalf("draw %d: %v != %v", i, ka, kb)
 		}
 	}
@@ -256,11 +256,51 @@ func TestParseFaultSpec(t *testing.T) {
 	if fi.HangFor() != 250*time.Millisecond {
 		t.Fatalf("hangFor = %v", fi.HangFor())
 	}
-	for _, bad := range []string{"panic", "frob=1", "panic=x", "panic=0.9,hang=0.9"} {
+	for _, bad := range badFaultSpecs {
 		if _, err := ParseFaultSpec(bad); err == nil {
 			t.Errorf("spec %q accepted", bad)
 		}
 	}
+}
+
+// badFaultSpecs are specs ParseFaultSpec must refuse. A negative
+// probability could otherwise offset one above 1 (every attempt hangs), a
+// NaN would silently inject nothing, and a negative hangfor would become
+// the default.
+var badFaultSpecs = []string{
+	"panic", "frob=1", "panic=x", "panic=0.9,hang=0.9",
+	"panic=-1,hang=2", "hang=-0.5,corrupt=1.5", "panic=NaN", "hangfor=-3s",
+}
+
+// FuzzParseFaultSpec: whatever the spec, ParseFaultSpec either refuses it
+// or returns an injector whose probabilities are each in [0, 1], sum to at
+// most 1, and whose hangs last a positive time.
+func FuzzParseFaultSpec(f *testing.F) {
+	f.Add("seed=7, panic=0.25, panicpre=0.1, hang=0.2, corrupt=0.05, hangfor=250ms")
+	f.Add("seed=42,panic=0.2,hang=0.1,corrupt=0.1,hangfor=100ms")
+	for _, bad := range badFaultSpecs {
+		f.Add(bad)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		fi, err := ParseFaultSpec(spec)
+		if err != nil {
+			return
+		}
+		ps := []float64{fi.pPre, fi.pPanic, fi.pHang, fi.pCorr}
+		sum := 0.0
+		for _, p := range ps {
+			if !(p >= 0 && p <= 1) {
+				t.Fatalf("spec %q: probability %v outside [0, 1] (%v)", spec, p, ps)
+			}
+			sum += p
+		}
+		if sum > 1 {
+			t.Fatalf("spec %q: probabilities %v sum to %v", spec, ps, sum)
+		}
+		if fi.HangFor() <= 0 {
+			t.Fatalf("spec %q: hangfor %v", spec, fi.HangFor())
+		}
+	})
 }
 
 func TestZeroPolicyPoolBehavesLikePlainProtocol(t *testing.T) {

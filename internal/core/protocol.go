@@ -358,7 +358,7 @@ func createWorkerPool(coord *manifold.Process, master *manifold.Process, workerF
 			fault := FaultNone
 			var hangFor time.Duration
 			if inj := st.policy.Injector; inj != nil {
-				fault = inj.draw()
+				fault = inj.Draw()
 				hangFor = inj.HangFor()
 			}
 			name := fmt.Sprintf("Worker-%d", now+1)

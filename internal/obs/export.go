@@ -76,7 +76,7 @@ func (e Event) Message() string {
 	case KServeComplete:
 		return fmt.Sprintf("request %d completed after %d attempts", e.A, e.B)
 	case KServeFail:
-		return fmt.Sprintf("request %d failed (%s) with %d worker failures", e.A, e.Aux, e.B)
+		return fmt.Sprintf("request %d failed (%s) with %d failed attempts", e.A, e.Aux, e.B)
 	case KBreakerTrip:
 		return fmt.Sprintf("breaker open for tenant %s after %d consecutive failures", e.Aux, e.A)
 	case KBreakerProbe:

@@ -78,7 +78,7 @@ var MetricDocs = []MetricDoc{
 	{"serve.requests", "counter", "valid solve requests reaching admission control"},
 	{"serve.shed", "counter", "requests refused by admission control or shed during drain"},
 	{"serve.completed", "counter", "admitted requests finished successfully"},
-	{"serve.failed", "counter", "admitted requests ending in permanent failure (budget, deadline, error)"},
+	{"serve.failed", "counter", "admitted requests ending in permanent failure (deadline, error)"},
 	{"serve.retries", "counter", "serve-level solve attempts retried after a backoff pause"},
 	{"serve.queue.depth", "gauge", "jobs admitted and waiting for an executor"},
 	{"serve.inflight", "gauge", "requests admitted but not yet terminal"},

@@ -138,8 +138,8 @@ const (
 	// the request ID, B the attempts used.
 	KServeComplete
 	// KServeFail marks an admitted request ending in permanent failure
-	// (failure budget spent, deadline passed, or solver error); Aux is the
-	// reason, A the request ID, B the failed worker attempts charged.
+	// (deadline passed, or every attempt failed); Aux is the reason, A the
+	// request ID, B the failed attempts.
 	KServeFail
 	// KBreakerTrip marks a tenant circuit breaker opening after its
 	// consecutive-failure threshold; Aux is the tenant, A the failures.

@@ -83,31 +83,30 @@ func TestInflightCap(t *testing.T) {
 
 func TestBreakerTripHalfOpenRetrip(t *testing.T) {
 	clock := newFakeClock()
-	// The single-grid job under Retries=1 and FailureBudget=1 spends two
-	// scripted panics per budget-failed request. The four-panic plan walks
-	// the breaker through its whole state machine: request 1 trips it,
-	// the first half-open probe budget-fails and re-trips it, the second
-	// probe runs fault-free (plan spent) and closes it.
+	// The single-grid job under Attempts=1 fails on one scripted panic in
+	// its one flight. The two-panic plan walks the breaker through its whole
+	// state machine: request 1 trips it, the first half-open probe fails and
+	// re-trips it, the second probe runs fault-free (plan spent) and closes
+	// it.
 	s, ts := newTestServer(t, Config{
-		QueueDepth: 4, Executors: 1,
-		Attempts: 1, Retries: 1, FailureBudget: 1,
+		QueueDepth: 4, Executors: 1, Attempts: 1,
 		BreakerThreshold: 1, BreakerCooldown: 10 * time.Second,
 		Now:    clock.Now,
-		Faults: core.PlanFaults(0, core.FaultPanic, core.FaultPanic, core.FaultPanic, core.FaultPanic),
+		Faults: core.PlanFaults(0, core.FaultPanic, core.FaultPanic),
 	})
 	s.Start()
 	defer s.Drain(time.Minute)
 
 	req := SolveRequest{Tenant: "alice", Root: 1, Level: 0, Tol: 1e-2}
 
-	// Request 1: both worker attempts panic, the budget is exhausted, the
-	// request fails permanently and the breaker trips.
+	// Request 1: its one attempt panics, the request fails permanently and
+	// the breaker trips.
 	code, sr, _ := postSolve(t, ts.URL, req, nil)
-	if code != http.StatusInternalServerError || sr.Status != StatusFailed || sr.Reason != failBudget {
-		t.Fatalf("budget exhaustion: %d %q/%q, want 500 failed/budget", code, sr.Status, sr.Reason)
+	if code != http.StatusInternalServerError || sr.Status != StatusFailed || sr.Reason != failError {
+		t.Fatalf("failed attempt: %d %q/%q, want 500 failed/error", code, sr.Status, sr.Reason)
 	}
-	if sr.Failures != 2 {
-		t.Fatalf("failures charged = %d, want 2 (retry + budget overflow)", sr.Failures)
+	if sr.Failures != 1 {
+		t.Fatalf("failures charged = %d, want 1", sr.Failures)
 	}
 
 	// Request 2: breaker open — shed with the cooldown as Retry-After.
@@ -119,12 +118,12 @@ func TestBreakerTripHalfOpenRetrip(t *testing.T) {
 		t.Fatalf("open-breaker Retry-After = %q, want within the 10s cooldown", hdr.Get("Retry-After"))
 	}
 
-	// Cooldown over: the half-open probe is admitted, budget-fails on
-	// panics 3 and 4, and re-trips the breaker.
+	// Cooldown over: the half-open probe is admitted, fails on panic 2,
+	// and re-trips the breaker.
 	clock.Advance(10 * time.Second)
 	code, sr, _ = postSolve(t, ts.URL, req, nil)
-	if code != http.StatusInternalServerError || sr.Reason != failBudget {
-		t.Fatalf("failing probe: %d %q/%q, want 500 failed/budget", code, sr.Status, sr.Reason)
+	if code != http.StatusInternalServerError || sr.Reason != failError {
+		t.Fatalf("failing probe: %d %q/%q, want 500 failed/error", code, sr.Status, sr.Reason)
 	}
 	if code, sr, _ := postSolve(t, ts.URL, req, nil); code != http.StatusTooManyRequests || sr.Reason != shedBreaker {
 		t.Fatalf("after failed probe: %d %q/%q, want 429 shed/breaker", code, sr.Status, sr.Reason)

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/grid"
 	"repro/internal/obs"
 	"repro/internal/solver"
@@ -85,9 +86,10 @@ type subResult struct {
 // the oldest flight at once, so a task waits only while every executor is
 // busy, and no timer is involved.
 type batcher struct {
-	now   func() time.Time
-	rec   *obs.Recorder
-	cache *solverCache
+	now    func() time.Time
+	rec    *obs.Recorder
+	cache  *solverCache
+	faults *core.FaultInjector // nil: none drawn
 
 	// wake holds at most one token: a flight is queued. Whoever receives it
 	// calls take, which leaves it again while more are.
@@ -103,11 +105,12 @@ type batcher struct {
 	hWait              *obs.Histogram
 }
 
-func newBatcher(rec *obs.Recorder, cache *solverCache, now func() time.Time) *batcher {
+func newBatcher(rec *obs.Recorder, cache *solverCache, faults *core.FaultInjector, now func() time.Time) *batcher {
 	return &batcher{
 		now:     now,
 		rec:     rec,
 		cache:   cache,
+		faults:  faults,
 		wake:    make(chan struct{}, 1),
 		flights: make(map[flightKey]*subTask),
 		names:   make(map[signature]string),
@@ -186,6 +189,12 @@ func (b *batcher) help(actor string) {
 // skipped, unsolved, only when every member has given up: an abandoned
 // leader must not cancel a live rider. A panic is the flight's error, not a
 // crash.
+//
+// A flight that runs draws one fault from b.faults, after the checkout, so an
+// injected fault fails the flight the way a real one does: a panic through
+// the same recover, corruption as the rejected result, both dropping the
+// entry; a hang stalls the executor for HangFor and then solves — a slow
+// node, since an executor cannot abandon the subsolve it runs.
 func (b *batcher) runTask(actor string, t *subTask) {
 	start := b.now()
 	b.hWait.Observe(start.Sub(t.enq).Microseconds())
@@ -222,6 +231,15 @@ func (b *batcher) runTask(actor string, t *subTask) {
 		b.mu.Unlock()
 		b.answer(t, start, r)
 	}()
+	switch k := b.faults.Draw(); k {
+	case core.FaultPanic, core.FaultPanicPreRead:
+		panic(core.InjectedFault{Kind: k})
+	case core.FaultHang:
+		time.Sleep(b.faults.HangFor())
+	case core.FaultCorrupt:
+		r.err = core.InjectedFault{Kind: k}
+		return
+	}
 	r.res, r.err = solver.TimedSubsolveOn(b.rec, actor, e.disc, t.tol, solver.DefaultTEnd, t.sig.lin, e.ws)
 }
 
@@ -306,12 +324,8 @@ func (f *family) fanOut(b *batcher) error {
 	return f.err
 }
 
-// abandon sets the family's abandoned flag; a nil family has none.
-func (f *family) abandon() {
-	if f != nil {
-		f.abandoned.Store(true)
-	}
-}
+// abandon sets the family's abandoned flag.
+func (f *family) abandon() { f.abandoned.Store(true) }
 
 // solveBatched fans one attempt's grid family f into the batcher unless
 // admission did (a nil f is built here from j and p), runs queued flights on

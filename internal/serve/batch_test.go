@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/grid"
 	"repro/internal/obs"
 	"repro/internal/pde"
@@ -362,7 +363,7 @@ func TestBatchQueueOrder(t *testing.T) {
 // next task of that signature must miss, assemble afresh and return the first
 // solve's answer bit for bit.
 func TestBatchFailedTaskDropsEntry(t *testing.T) {
-	s := NewServer(Config{BatchWindow: time.Hour, Executors: 1})
+	s := NewServer(Config{Executors: 1})
 	rec := s.rec
 	var poison atomic.Bool
 	initial := s.problem.Initial
@@ -422,21 +423,14 @@ func TestBatchFailedTaskDropsEntry(t *testing.T) {
 	checkBatchLedger(t, s)
 }
 
-// TestBatchPanicBecomesTaskError: a subsolve that panics — here through the
-// problem's initial condition, on a warm entry — fails its task, not the
-// process. The entry it ran on is dropped (an eviction, Aux "failed"), the
-// request goes round runJob's attempt loop, and the retry misses, assembles
-// afresh and answers bit-identically to the sequential program.
+// TestBatchPanicBecomesTaskError: a flight that panics — here a planned
+// fault, on a warm entry — fails its task, not the process. The entry it
+// ran on is dropped (an eviction, Aux "failed"), the request goes round
+// runJob's attempt loop, and the retry misses, assembles afresh and answers
+// bit-identically to the sequential program.
 func TestBatchPanicBecomesTaskError(t *testing.T) {
-	s, ts := newTestServer(t, Config{BatchWindow: time.Hour, Executors: 1, Attempts: 2})
-	var boom atomic.Bool
-	initial := s.problem.Initial
-	s.problem.Initial = func(x, y float64) float64 {
-		if boom.CompareAndSwap(true, false) {
-			panic("injected subsolve panic")
-		}
-		return initial(x, y)
-	}
+	// The warm-up's one flight runs clean, the next one panics.
+	s, ts := newTestServer(t, Config{Executors: 1, Attempts: 2, Faults: core.PlanFaults(0, core.FaultNone, core.FaultPanic)})
 	s.Start()
 	p := solver.Params{Root: 1, Level: 0, Tol: 1e-2, Problem: pde.PaperProblem()}
 	ref, err := solver.Sequential(p)
@@ -447,7 +441,6 @@ func TestBatchPanicBecomesTaskError(t *testing.T) {
 
 	_, warm, _ := postSolve(t, ts.URL, req, nil)
 	sameAnswer(t, "warm-up", warm, ref)
-	boom.Store(true)
 	_, resp, _ := postSolve(t, ts.URL, req, nil)
 	sameAnswer(t, "request whose first attempt panicked", resp, ref)
 	if resp.Attempts != 2 || resp.Failures != 1 {
@@ -471,7 +464,7 @@ func TestBatchPanicBecomesTaskError(t *testing.T) {
 // happen — none of them sleeps while a batch is pending. The family enters
 // the queue, which executors take oldest first, in solver.LargestFirst order.
 func TestBatchLoneRequestFansOut(t *testing.T) {
-	s, ts := newTestServer(t, Config{BatchWindow: time.Hour, Executors: 4})
+	s, ts := newTestServer(t, Config{Executors: 4})
 	gate := gateProblem(s.problem)
 	s.Start()
 	p := solver.Params{Root: 1, Level: 3, Tol: 1e-2, Problem: pde.PaperProblem()}
@@ -531,7 +524,7 @@ func TestBatchLoneRequestFansOut(t *testing.T) {
 // then B's third, and only then its own. Both requests get the sequential
 // program's answer bit for bit.
 func TestBatchExecutorHelpsForeignRequest(t *testing.T) {
-	s, gate := testPool(Config{BatchWindow: time.Hour})
+	s, gate := testPool(Config{})
 	pA := solver.Params{Root: 2, Level: 0, Tol: 1e-2, Problem: s.problem}
 	pB := solver.Params{Root: 1, Level: 1, Tol: 1e-2, Problem: s.problem}
 	run := func(actor string, id int64, p solver.Params) (*solver.Output, error) {
@@ -598,7 +591,7 @@ func TestBatchExecutorHelpsForeignRequest(t *testing.T) {
 // executor from solving them for nobody. Skipped tasks stay in the ledger.
 func TestBatchDeadlineWhileHelping(t *testing.T) {
 	frozen := time.Now()
-	s, ts := newTestServer(t, Config{BatchWindow: time.Hour, Executors: 1, Attempts: 1, Now: func() time.Time { return frozen }})
+	s, ts := newTestServer(t, Config{Executors: 1, Attempts: 1, Now: func() time.Time { return frozen }})
 	gate := gateProblem(s.problem)
 	s.Start()
 	const deadline = 100 * time.Millisecond

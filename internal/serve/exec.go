@@ -6,20 +6,16 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/solver"
 )
 
 // Failure reasons of StatusFailed outcomes.
 const (
-	// failBudget marks a request that exhausted its failure budget; it is
-	// the outcome that counts against the tenant's circuit breaker.
-	failBudget = "budget"
 	// failDeadline marks a request whose deadline expired before an attempt
 	// could complete.
 	failDeadline = "deadline"
-	// failError marks a permanent solve error (all attempts consumed).
+	// failError marks a request whose every attempt failed.
 	failError = "error"
 )
 
@@ -57,95 +53,42 @@ func (s *Server) executor(i int) {
 	}
 }
 
-// runJob drives one admitted job through the retry loop: each solve
-// attempt gets the remaining deadline and failure budget, failed attempts
-// are retried under backoff while attempts, budget, and deadline all
+// runJob drives one admitted job through the retry loop: each attempt
+// solves the family through the batcher within the remaining deadline, a
+// failed attempt is retried under backoff while attempts and deadline both
 // still allow, and the first terminal condition wins.
 func (s *Server) runJob(actor string, j *job) {
 	s.hWait.Observe(s.now().Sub(j.admitted).Microseconds())
 
+	p := solver.Params{
+		Root: j.req.Root, Level: j.req.Level, Tol: j.req.Tol,
+		Solver: j.lin, Problem: s.problem, Obs: s.rec,
+	}
 	fam := j.fam // fanned out at admission
-	var (
-		failures  int // failed worker attempts charged to this request
-		retries   int // pool-level resubmissions across attempts
-		fallbacks int // master-local recoveries across attempts
-	)
+	failures := 0
 	for attempt := 1; ; attempt++ {
-		remaining := j.deadline.Sub(s.now())
-		if remaining <= 0 {
-			s.finishFailed(j, failDeadline, http.StatusGatewayTimeout, attempt-1, failures, retries, fallbacks)
+		if !s.now().Before(j.deadline) {
+			s.finishFailed(j, failDeadline, http.StatusGatewayTimeout, attempt-1, failures)
 			return
 		}
-		budget := 0 // unlimited
-		if s.cfg.FailureBudget > 0 {
-			budget = s.cfg.FailureBudget - failures
-			if budget <= 0 {
-				s.finishFailed(j, failBudget, http.StatusInternalServerError, attempt-1, failures, retries, fallbacks)
-				return
-			}
-		}
-		wd := s.cfg.WorkerDeadline
-		if remaining < wd {
-			wd = remaining
-		}
-		params := solver.Params{
-			Root: j.req.Root, Level: j.req.Level, Tol: j.req.Tol,
-			Solver: j.lin, Problem: s.problem,
-			Retries: s.cfg.Retries, FailureBudget: budget,
-			WorkerDeadline: wd, Backoff: s.cfg.Backoff,
-			Faults: s.cfg.Faults, Obs: s.rec,
-		}
-		var (
-			out *solver.Output
-			err error
-		)
-		if s.cfg.Faults != nil {
-			// The batcher has no worker pool to inject faults into, and the
-			// fault suite's contract is per-request pools. Only the final
-			// attempt turns on the master-local fallback, the last resort.
-			params.Fallback = attempt >= s.cfg.Attempts
-			out, err = solver.Concurrent(params)
-		} else {
-			out, err = s.solveBatched(actor, j, fam, params)
-			fam = nil // a later attempt fans out afresh
-		}
+		out, err := s.solveBatched(actor, j, fam, p)
+		fam = nil // a later attempt fans out afresh
 		if err == nil {
-			failures += out.Faults.Failures
-			retries += out.Faults.Retries
-			fallbacks += out.Faults.Fallbacks
-			s.finishSolved(j, out, attempt, failures, retries, fallbacks)
+			s.finishSolved(j, out, attempt, failures)
 			return
 		}
-
 		if errors.Is(err, errBatchDeadline) {
-			s.finishFailed(j, failDeadline, http.StatusGatewayTimeout, attempt, failures, retries, fallbacks)
+			s.finishFailed(j, failDeadline, http.StatusGatewayTimeout, attempt, failures)
 			return
 		}
-		var be core.BudgetExhausted
-		if errors.As(err, &be) {
-			// The attempt spent everything it was given; the request's
-			// cumulative budget is gone with it.
-			failures += be.Failures
-			s.finishFailed(j, failBudget, http.StatusInternalServerError, attempt, failures, retries, fallbacks)
-			return
-		}
-		var jf *core.JobFailed
-		if errors.As(err, &jf) {
-			failures += jf.Attempts
-		} else {
-			failures++
-		}
-		if s.cfg.FailureBudget > 0 && failures >= s.cfg.FailureBudget {
-			s.finishFailed(j, failBudget, http.StatusInternalServerError, attempt, failures, retries, fallbacks)
-			return
-		}
+		failures++
 		if attempt >= s.cfg.Attempts {
-			s.finishFailed(j, failError, http.StatusInternalServerError, attempt, failures, retries, fallbacks)
+			s.finishFailed(j, failError, http.StatusInternalServerError, attempt, failures)
 			return
 		}
 		delay := s.cfg.Backoff.Delay(attempt)
 		if s.now().Add(delay).After(j.deadline) {
-			s.finishFailed(j, failDeadline, http.StatusGatewayTimeout, attempt, failures, retries, fallbacks)
+			s.finishFailed(j, failDeadline, http.StatusGatewayTimeout, attempt, failures)
 			return
 		}
 		s.cRetries.Inc()
@@ -158,24 +101,24 @@ func (s *Server) runJob(actor string, j *job) {
 
 // finishSolved settles a successful attempt. Exactly one counter, one
 // event, one done delivery.
-func (s *Server) finishSolved(j *job, out *solver.Output, attempts, failures, retries, fallbacks int) {
+func (s *Server) finishSolved(j *job, out *solver.Output, attempts, failures int) {
 	s.cCompleted.Inc()
 	s.rec.Emit(obs.KServeComplete, j.tenant, "", j.id, int64(attempts))
 	s.settle(j, false, outcome{
 		status: StatusCompleted, httpStatus: http.StatusOK, out: out,
-		attempts: attempts, failures: failures, retries: retries, fallbacks: fallbacks,
+		attempts: attempts, failures: failures,
 	})
 }
 
-// finishFailed settles a permanent failure. Budget exhaustion and solve
-// errors count against the tenant's circuit breaker; a deadline expiry
+// finishFailed settles a permanent failure. A request whose attempts all
+// failed counts against the tenant's circuit breaker; a deadline expiry
 // does not — a tight client deadline is not tenant misbehavior.
-func (s *Server) finishFailed(j *job, reason string, httpStatus, attempts, failures, retries, fallbacks int) {
+func (s *Server) finishFailed(j *job, reason string, httpStatus, attempts, failures int) {
 	s.cFailed.Inc()
 	s.rec.Emit(obs.KServeFail, j.tenant, reason, j.id, int64(failures))
 	s.settle(j, reason != failDeadline, outcome{
 		status: StatusFailed, httpStatus: httpStatus, reason: reason,
-		attempts: attempts, failures: failures, retries: retries, fallbacks: fallbacks,
+		attempts: attempts, failures: failures,
 	})
 }
 
@@ -199,11 +142,11 @@ func (s *Server) shedQueued(j *job) {
 // settle is the single exit of every run job: abandonment of its first
 // family, breaker accounting, latency histogram, inflight bookkeeping, and
 // the exactly-once done delivery.
-func (s *Server) settle(j *job, budgetFailure bool, oc outcome) {
+func (s *Server) settle(j *job, failed bool, oc outcome) {
 	j.fam.abandon() // its flights are listed before any executor owns the job
 	oc.elapsed = s.now().Sub(j.admitted)
 	s.hRequest.Observe(oc.elapsed.Microseconds())
-	s.tenants.settle(j.tenant, budgetFailure)
+	s.tenants.settle(j.tenant, failed)
 	s.gInflight.Add(-1)
 	s.jobsWG.Done()
 	j.done <- oc

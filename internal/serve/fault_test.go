@@ -8,63 +8,69 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/pde"
+	"repro/internal/solver"
 )
 
+// TestRetryLadderRecovers: every fault kind lands in the batched flight an
+// executor runs. A panic, before the read or after it, and a corrupt result
+// fail the request's first attempt; the serve layer retries after backoff,
+// the fault-free second attempt completes, and the answer is the sequential
+// program's bit for bit. A hang fails nothing: the executor stalls for
+// HangFor and then solves, a slow node. No pool job is ever dispatched.
 func TestRetryLadderRecovers(t *testing.T) {
-	// Attempt 1 runs strict: the scripted panic exhausts the job's pool
-	// retries (zero) and fails the whole attempt. The serve layer retries
-	// after backoff; attempt 2 is fault-free and completes.
-	s, ts := newTestServer(t, Config{
-		QueueDepth: 2, Executors: 1,
-		Attempts: 2, Retries: 0,
-		Faults: core.PlanFaults(0, core.FaultPanic),
-	})
-	s.Start()
-	defer s.Drain(time.Minute)
+	p := solver.Params{Root: 1, Level: 0, Tol: 1e-2, Problem: pde.PaperProblem()}
+	ref, err := solver.Sequential(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const hang = 50 * time.Millisecond
+	for _, tc := range []struct {
+		kind     core.FaultKind
+		attempts int
+	}{
+		{core.FaultPanic, 2},
+		{core.FaultPanicPreRead, 2},
+		{core.FaultCorrupt, 2},
+		{core.FaultHang, 1},
+	} {
+		t.Run(tc.kind.String(), func(t *testing.T) {
+			faults := core.PlanFaults(hang, tc.kind)
+			s, ts := newTestServer(t, Config{QueueDepth: 2, Executors: 1, Attempts: 2, Faults: faults})
+			s.Start()
+			defer s.Drain(time.Minute)
 
-	code, sr, _ := postSolve(t, ts.URL, SolveRequest{Root: 1, Level: 0, Tol: 1e-2}, nil)
-	if code != http.StatusOK || sr.Status != StatusCompleted {
-		t.Fatalf("status %d %q, want 200 completed", code, sr.Status)
+			start := time.Now()
+			code, sr, _ := postSolve(t, ts.URL, SolveRequest{Root: p.Root, Level: p.Level, Tol: p.Tol}, nil)
+			if code != http.StatusOK {
+				t.Fatalf("status %d %q, want 200 completed", code, sr.Status)
+			}
+			sameAnswer(t, "request after a "+tc.kind.String()+" fault", sr, ref)
+			failed := tc.attempts - 1
+			if sr.Attempts != tc.attempts || sr.Failures != failed {
+				t.Fatalf("attempts=%d failures=%d, want %d and %d", sr.Attempts, sr.Failures, tc.attempts, failed)
+			}
+			if tc.kind == core.FaultHang && time.Since(start) < hang {
+				t.Fatalf("request took %v, want the %v stall", time.Since(start), hang)
+			}
+			rec := s.rec
+			if got := rec.Counter("serve.retries").Value(); got != int64(failed) {
+				t.Fatalf("serve.retries = %d, want %d", got, failed)
+			}
+			// One grid, one flight an attempt, one draw a flight; a failed
+			// flight's entry is dropped, not parked.
+			if drawn, injected := faults.Drawn(), faults.Injected(); drawn != tc.attempts || injected != 1 {
+				t.Fatalf("%d faults drawn, %d injected, want %d and 1", drawn, injected, tc.attempts)
+			}
+			if got := failedDrops(rec); got != failed {
+				t.Fatalf("%d entries dropped as failed, want %d", got, failed)
+			}
+			if tasks, jobs := rec.Counter("serve.batch.tasks").Value(), rec.KindCount(obs.KJobDispatch); tasks != int64(tc.attempts) || jobs != 0 {
+				t.Fatalf("serve.batch.tasks = %d and %d job.dispatch events, want %d and 0", tasks, jobs, tc.attempts)
+			}
+			checkLedger(t, s)
+		})
 	}
-	if sr.Attempts != 2 || sr.Failures != 1 {
-		t.Fatalf("attempts=%d failures=%d, want 2 attempts with 1 charged failure", sr.Attempts, sr.Failures)
-	}
-	if got := s.rec.KindCount(obs.KServeRetry); got != 1 {
-		t.Fatalf("serve.retry events = %d, want 1", got)
-	}
-	if got := s.rec.Counter("serve.retries").Value(); got != 1 {
-		t.Fatalf("serve.retries counter = %d, want 1", got)
-	}
-	// Faults selects the per-request pool, the one place they can be injected.
-	if jobs, tasks := s.rec.KindCount(obs.KJobDispatch), s.rec.KindCount(obs.KBatchTask); jobs == 0 || tasks != 0 {
-		t.Fatalf("%d job.dispatch and %d serve.batch.task events, want pool jobs and no batched task", jobs, tasks)
-	}
-	checkLedger(t, s)
-}
-
-func TestBudgetExhaustionBeatsRemainingAttempts(t *testing.T) {
-	// Two scripted panics blow the per-request budget inside attempt 1;
-	// even with a serve-level attempt left, budget exhaustion is terminal
-	// — no retry, one failed request, exact failure accounting.
-	s, ts := newTestServer(t, Config{
-		QueueDepth: 2, Executors: 1,
-		Attempts: 2, Retries: 1, FailureBudget: 1,
-		Faults: core.PlanFaults(0, core.FaultPanic, core.FaultPanic),
-	})
-	s.Start()
-	defer s.Drain(time.Minute)
-
-	code, sr, _ := postSolve(t, ts.URL, SolveRequest{Root: 1, Level: 0, Tol: 1e-2}, nil)
-	if code != http.StatusInternalServerError || sr.Status != StatusFailed || sr.Reason != failBudget {
-		t.Fatalf("status %d %q/%q, want 500 failed/budget", code, sr.Status, sr.Reason)
-	}
-	if sr.Failures != 2 || sr.Attempts != 1 {
-		t.Fatalf("failures=%d attempts=%d, want 2 failures in 1 attempt", sr.Failures, sr.Attempts)
-	}
-	if got := s.rec.Counter("serve.retries").Value(); got != 0 {
-		t.Fatalf("serve.retries = %d: budget exhaustion must not be retried", got)
-	}
-	checkLedger(t, s)
 }
 
 func TestDeadlineExpiredBeforeRun(t *testing.T) {
@@ -97,33 +103,48 @@ func TestDeadlineExpiredBeforeRun(t *testing.T) {
 	checkLedger(t, s)
 }
 
-func TestHangAbandonedWithinRequestDeadline(t *testing.T) {
-	// The worker hangs for 5s but the request's 400ms deadline caps the
-	// pool's worker deadline, so the master abandons the hung worker at
-	// ~400ms and the final-attempt fallback completes the request — the
-	// deadline propagated HTTP → envelope → pool → manifold read.
-	s, ts := newTestServer(t, Config{
-		QueueDepth: 2, Executors: 1,
-		Attempts: 1, Retries: 0,
-		Faults: core.PlanFaults(5*time.Second, core.FaultHang),
-	})
+// TestHangPastRequestDeadline: a flight that hangs past its request's
+// deadline stalls its executor, which cannot abandon a subsolve it runs, and
+// the request ends failed/deadline once the hang is over. The family's other
+// flights are skipped unsolved, and the stalled executor then serves the
+// next request.
+func TestHangPastRequestDeadline(t *testing.T) {
+	const hang = 600 * time.Millisecond
+	faults := core.PlanFaults(hang, core.FaultHang)
+	s, ts := newTestServer(t, Config{QueueDepth: 2, Executors: 1, Attempts: 2, Faults: faults})
 	s.Start()
 	defer s.Drain(time.Minute)
 
+	p := solver.Params{Root: 1, Level: 1, Tol: 1e-2, Problem: pde.PaperProblem()}
+	req := SolveRequest{Root: p.Root, Level: p.Level, Tol: p.Tol, DeadlineMs: 200}
 	start := time.Now()
-	code, sr, _ := postSolve(t, ts.URL, SolveRequest{Root: 1, Level: 0, Tol: 1e-2, DeadlineMs: 400}, nil)
-	elapsed := time.Since(start)
-	if code != http.StatusOK || sr.Status != StatusCompleted {
-		t.Fatalf("status %d %q, want 200 completed via fallback", code, sr.Status)
+	code, sr, _ := postSolve(t, ts.URL, req, nil)
+	if elapsed := time.Since(start); elapsed < hang {
+		t.Fatalf("answered after %v, within the %v hang its only executor was stalled in", elapsed, hang)
 	}
-	if sr.Failures < 1 {
-		t.Fatalf("failures = %d, want >= 1 (the abandoned hang)", sr.Failures)
+	if code != http.StatusGatewayTimeout || sr.Status != StatusFailed || sr.Reason != failDeadline {
+		t.Fatalf("status %d %q/%q, want 504 failed/deadline", code, sr.Status, sr.Reason)
 	}
-	if elapsed >= 3*time.Second {
-		t.Fatalf("request took %v: the master waited out the hang instead of abandoning at the deadline", elapsed)
+	// The executor may take the flight before the job (attempts 0: the
+	// deadline passed before the first) or from inside it (attempts 1);
+	// either way no attempt failed.
+	if sr.Failures != 0 {
+		t.Fatalf("failures = %d, want 0: an expired deadline is no failed attempt", sr.Failures)
 	}
-	if got := s.rec.KindCount(obs.KDeadlineExpired); got < 1 {
-		t.Fatal("no deadline.expired event: the request deadline never reached the manifold read")
+	if got := s.rec.KindCount(obs.KSubsolveBegin); got != 1 {
+		t.Fatalf("%d subsolves, want 1: the hung flight solves, its siblings are skipped", got)
+	}
+	checkLedger(t, s)
+
+	ref, err := solver.Sequential(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.DeadlineMs = 0
+	_, sr, _ = postSolve(t, ts.URL, req, nil)
+	sameAnswer(t, "request after the hang", sr, ref)
+	if got := faults.Injected(); got != 1 {
+		t.Fatalf("%d faults injected, want the one hang", got)
 	}
 	checkLedger(t, s)
 }
@@ -194,8 +215,8 @@ func TestExactAccountingUnderChaos(t *testing.T) {
 	s, ts := newTestServer(t, Config{
 		QueueDepth: 4, Executors: 2,
 		MaxInflight: 2,
-		Attempts:    2, Retries: 1, FailureBudget: 4,
-		Faults: core.NewFaultInjector(42, 0.1, 0.25, 0.1, 0.15, 300*time.Millisecond),
+		Attempts:    2,
+		Faults:      core.NewFaultInjector(42, 0.1, 0.25, 0.1, 0.15, 300*time.Millisecond),
 	})
 	s.Start()
 
@@ -243,6 +264,10 @@ func TestExactAccountingUnderChaos(t *testing.T) {
 	terminal := rec.KindCount(obs.KServeComplete) + rec.KindCount(obs.KServeFail)
 	if accepted != terminal {
 		t.Fatalf("%d accepted requests but %d terminal events", accepted, terminal)
+	}
+	// The faults landed in batched flights: no pool ran.
+	if injected, jobs := s.cfg.Faults.Injected(), rec.KindCount(obs.KJobDispatch); injected == 0 || jobs != 0 {
+		t.Fatalf("%d faults injected, %d job.dispatch events, want some and none", injected, jobs)
 	}
 	checkLedger(t, s)
 }

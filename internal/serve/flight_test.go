@@ -69,7 +69,7 @@ const pairFam = 2*2 + 1
 // until the helper pays the take it owes. It returns the drained server.
 func coalescedPair(t *testing.T, lin rosenbrock.LinearSolver, names [2]string) *Server {
 	t.Helper()
-	s, ts := newTestServer(t, Config{BatchWindow: time.Hour, Executors: 2, Attempts: 1})
+	s, ts := newTestServer(t, Config{Executors: 2, Attempts: 1})
 	gate := gateProblem(s.problem)
 	p := solver.Params{Root: 1, Level: 2, Tol: 1e-2, Solver: lin, Problem: pde.PaperProblem()}
 	ref, err := solver.Sequential(p)
@@ -184,7 +184,7 @@ func TestCoalescedDeprecatedSolverName(t *testing.T) {
 // combined field, and the two share every per-grid solution's storage —
 // nothing downstream of the batcher writes it.
 func TestCoalescedAnswerBitIdentical(t *testing.T) {
-	s, gate := testPool(Config{BatchWindow: time.Hour})
+	s, gate := testPool(Config{})
 	p := solver.Params{Root: 2, Level: 2, Tol: 1e-3, Solver: rosenbrock.ILU, Problem: s.problem}
 	fam := len(grid.Family(p.Root, p.Level))
 
@@ -238,7 +238,7 @@ func TestCoalescedAnswerBitIdentical(t *testing.T) {
 // the one for another linear solver are solved for themselves; the exact
 // repeat rides.
 func TestCoalesceKey(t *testing.T) {
-	s, _ := testPool(Config{BatchWindow: time.Hour, Executors: 1})
+	s, _ := testPool(Config{Executors: 1})
 	sig := testSigs(1)[0]
 	other := signature{g: sig.g, lin: rosenbrock.ILU}
 	outs := make([]chan subResult, 4)
@@ -291,7 +291,7 @@ func TestCoalescedLiveness(t *testing.T) {
 	var clock atomic.Int64 // injected time, ns after base
 	base := time.Now()
 	now := func() time.Time { return base.Add(time.Duration(clock.Load())) }
-	s, gate := testPool(Config{BatchWindow: time.Hour, Executors: 1, Now: now})
+	s, gate := testPool(Config{Executors: 1, Now: now})
 	sigs := testSigs(2)
 	sig := sigs[0]
 	// pair enqueues a leader and, with the given deadline, its rider.
@@ -362,19 +362,11 @@ func TestCoalescedLiveness(t *testing.T) {
 }
 
 // TestCoalescedPanicFansOut: a flight's failure is every member's. The one
-// subsolve of a leader and two riders panics (the hook of
-// TestBatchPanicBecomesTaskError): all three get the error, the entry it ran
-// on is dropped once, and the same question asked again is solved afresh.
+// flight of a leader and two riders panics (a planned fault): all three get
+// the error, the entry it ran on is dropped once, and the same question
+// asked again is solved afresh.
 func TestCoalescedPanicFansOut(t *testing.T) {
-	s := NewServer(Config{BatchWindow: time.Hour, Executors: 1})
-	var boom atomic.Bool
-	initial := s.problem.Initial
-	s.problem.Initial = func(x, y float64) float64 {
-		if boom.CompareAndSwap(true, false) {
-			panic("injected subsolve panic")
-		}
-		return initial(x, y)
-	}
+	s := NewServer(Config{Executors: 1, Faults: core.PlanFaults(0, core.FaultPanic)})
 	sig := testSigs(1)[0]
 	out := make(chan subResult, 3)
 	for i := 0; i < 3; i++ {
@@ -382,7 +374,6 @@ func TestCoalescedPanicFansOut(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	boom.Store(true)
 	s.Start()
 	seen := 0
 	for i := 0; i < 3; i++ {
@@ -406,8 +397,8 @@ func TestCoalescedPanicFansOut(t *testing.T) {
 	if drops, misses, entries := failedDrops(rec), rec.Counter("serve.cache.misses").Value(), rec.Gauge("serve.cache.entries").Value(); drops != 1 || misses != 2 || entries != 1 {
 		t.Fatalf("%d entries dropped as failed, %d misses, %d parked, want 1, 2 and 1", drops, misses, entries)
 	}
-	if got := rec.KindCount(obs.KSubsolveBegin); got != 2 {
-		t.Fatalf("%d subsolves, want 2: the panicked one and the retry", got)
+	if got := rec.KindCount(obs.KSubsolveBegin); got != 1 {
+		t.Fatalf("%d subsolves, want 1: the panicked flight never began one, the retry did", got)
 	}
 	checkBatchLedger(t, s)
 	checkIdle(t, s)
@@ -417,7 +408,7 @@ func TestCoalescedPanicFansOut(t *testing.T) {
 // their leader, each with errBatcherClosed; a flight already taken is run to
 // the end and its rider answered with it; nothing is enqueued afterwards.
 func TestCoalescedClose(t *testing.T) {
-	s, gate := testPool(Config{BatchWindow: time.Hour, Executors: 1})
+	s, gate := testPool(Config{Executors: 1})
 	s.Start()
 	sigs := testSigs(2)
 	release := gate.arm()
@@ -767,20 +758,40 @@ func TestCoalescedRiderExpires(t *testing.T) {
 	checkBatchLedger(t, s)
 }
 
-// TestCoalescedNothingWithFaults: a server with Faults set solves each
-// request on its own pool, so admission fans nothing into the batcher.
-func TestCoalescedNothingWithFaults(t *testing.T) {
-	s, ts := newTestServer(t, Config{Executors: 1, Faults: core.PlanFaults(0)})
-	done := post(ts, SolveRequest{Root: 1, Level: 1, Tol: 1e-2})
+// TestFaultedServerBatches: a server with Faults set batches like any
+// other. Three identical requests, admitted before the executor starts, make
+// one flight of a leader and two riders. Its planned panic fails each
+// member's first attempt once, and the retries answer all three bit for bit
+// as the sequential program does. No pool job is dispatched.
+func TestFaultedServerBatches(t *testing.T) {
+	s, ts := newTestServer(t, Config{Executors: 1, Attempts: 2, Faults: core.PlanFaults(0, core.FaultPanic)})
+	p := solver.Params{Root: 1, Level: 0, Tol: 1e-2, Problem: pde.PaperProblem()}
+	ref, err := solver.Sequential(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := SolveRequest{Root: p.Root, Level: p.Level, Tol: p.Tol}
+	var dones []<-chan postReply
+	for i := 0; i < 3; i++ {
+		dones = append(dones, post(ts, req))
+	}
 	rec := s.rec
-	waitFor(t, "request admitted", func() bool { return rec.KindCount(obs.KServeAccept) == 1 })
+	waitFor(t, "one flight, two riders", func() bool { return rec.Counter("serve.batch.coalesced").Value() == 2 })
 	s.Start()
-	if r := recvReply(t, "request", done); r.resp.Status != StatusCompleted {
-		t.Fatalf("status %q (%s), want completed", r.resp.Status, r.resp.Reason)
+	for _, done := range dones {
+		r := recvReply(t, "request", done).resp
+		sameAnswer(t, "request whose flight panicked", r, ref)
+		if r.Attempts != 2 || r.Failures != 1 {
+			t.Fatalf("attempts=%d failures=%d, want 2 and 1: the flight's panic is each member's failed attempt", r.Attempts, r.Failures)
+		}
 	}
 	drainPool(t, s)
-	if tasks, events := rec.Counter("serve.batch.tasks").Value(), rec.KindCount(obs.KBatchTask); tasks != 0 || events != 0 {
-		t.Fatalf("serve.batch.tasks = %d, %d %v events, want none on the fault path", tasks, events, obs.KBatchTask)
+	if tasks, jobs := rec.Counter("serve.batch.tasks").Value(), rec.KindCount(obs.KJobDispatch); tasks == 0 || jobs != 0 {
+		t.Fatalf("serve.batch.tasks = %d, %d job.dispatch events, want batched tasks and no pool job", tasks, jobs)
+	}
+	if retries, drops := rec.Counter("serve.retries").Value(), failedDrops(rec); retries != 3 || drops != 1 {
+		t.Fatalf("serve.retries = %d, %d entries dropped as failed, want 3 and 1", retries, drops)
 	}
 	checkLedger(t, s)
+	checkBatchLedger(t, s)
 }

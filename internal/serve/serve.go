@@ -3,24 +3,21 @@
 // concurrent clients. There is one production solve path: a request's grid
 // family goes through the cross-request batcher and is solved by the
 // executors, one pool of goroutines that share warm (Disc, Workspace)
-// pairs through the signature-keyed solver cache — the paper's {perpetual} task instances. The one exception can be
-// read off the Config: a server with Faults set runs each request as its own
-// solver.Concurrent over a core.Pool, the only place a core.FaultInjector
-// has workers to fail. Robustness is the headline, in four layers:
+// pairs through the signature-keyed solver cache — the paper's {perpetual}
+// task instances. Injected faults (Config.Faults) land on that path too, in
+// the flights the executors run. Robustness is the headline, in four layers:
 //
 //   - Admission control: a bounded job queue, a per-request memory bound,
 //     per-tenant token-bucket quotas and max-inflight caps, and 429/503
 //     responses carrying a Retry-After hint whenever a request is shed.
 //   - Deadline propagation: a request deadline (X-Deadline-Ms header or
 //     deadline_ms body field) flows into the job envelope. A batched task
-//     past it is answered unsolved; on the fault-injected path it caps the
-//     per-worker deadline of core.Pool and through it bounds every
-//     manifold.Port.ReadUntil — a timed-out request abandons its subsolves
-//     instead of orphaning them.
-//   - Retry with backoff and failure budgets: failed solve attempts are
-//     retried under a seeded jittered exponential core.Backoff within the
-//     request's deadline and failure budget, and a per-tenant circuit
-//     breaker trips on budget exhaustion and half-opens on a timer.
+//     past it is answered unsolved, and a timed-out request abandons its
+//     subsolves instead of orphaning them.
+//   - Retry with backoff: failed solve attempts are retried under a seeded
+//     jittered exponential core.Backoff within the request's deadline and
+//     attempt cap, and a per-tenant circuit breaker trips on failed
+//     requests and half-opens on a timer.
 //   - Drain: Drain (SIGTERM) stops admission, sheds queued jobs, completes
 //     inflight ones within a deadline, and leaves the obs recorder ready
 //     to flush.
@@ -100,22 +97,10 @@ type Config struct {
 	// half-opening for a single probe.
 	BreakerCooldown time.Duration
 
-	// Attempts is the serve-level solve attempts per request (>= 1);
-	// attempts after the first are paced by Backoff.
+	// Attempts is the solve attempts per request (>= 1); attempts after
+	// the first are paced by Backoff. A request whose every attempt failed
+	// counts against the tenant's breaker.
 	Attempts int
-	// Retries is the per-job worker retry budget inside each solve attempt.
-	// It acts on the fault-injected path only (Faults set): batched subsolves
-	// have no per-task retry, a failed one fails the attempt.
-	Retries int
-	// FailureBudget caps failed worker attempts per request, cumulative
-	// across solve attempts; exhausting it fails the request and counts
-	// against the tenant's breaker. 0 means unlimited.
-	FailureBudget int
-	// WorkerDeadline bounds any single worker inside a solve; the
-	// remaining request deadline caps it further. Like Retries it acts on
-	// the fault-injected path only: an executor cannot abandon a subsolve
-	// it is running itself.
-	WorkerDeadline time.Duration
 	// DefaultDeadline applies when a request carries no deadline.
 	DefaultDeadline time.Duration
 	// MaxLevel rejects requests refined beyond what the service is sized
@@ -133,12 +118,11 @@ type Config struct {
 	// could never hold is refused with 400 (gridBytes).
 	CacheBytes int64
 
-	// Backoff paces serve-level retries and, passed through to the solver,
-	// pool-level job resubmissions. Nil gets a seeded default.
+	// Backoff paces the retries of failed attempts. Nil gets a seeded
+	// default.
 	Backoff *core.Backoff
-	// Faults, when non-nil, injects worker faults into every solve, and so
-	// selects the per-request solver.Concurrent path, whose pool workers
-	// are what it fails — the -faults server flag and the fault suite.
+	// Faults, when non-nil, draws one fault for every flight an executor
+	// runs (batcher.runTask) — the -faults server flag and the fault suite.
 	Faults *core.FaultInjector
 	// Obs receives the service's events and metrics; nil allocates a
 	// recorder (a long-running service wants its /metrics live).
@@ -162,9 +146,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Attempts < 1 {
 		c.Attempts = 2
-	}
-	if c.WorkerDeadline <= 0 {
-		c.WorkerDeadline = 10 * time.Second
 	}
 	if c.DefaultDeadline <= 0 {
 		c.DefaultDeadline = 30 * time.Second
@@ -218,7 +199,7 @@ type SolveResponse struct {
 	// Status is one of completed, shed, failed.
 	Status string `json:"status"`
 	// Reason qualifies shed and failed statuses (quota, queue-full,
-	// breaker, inflight, draining; budget, deadline, error).
+	// breaker, inflight, draining; deadline, error).
 	Reason string `json:"reason,omitempty"`
 	// Tenant echoes the quota bucket the request was accounted to.
 	Tenant string `json:"tenant"`
@@ -228,14 +209,10 @@ type SolveResponse struct {
 	MaxU float64 `json:"max_u,omitempty"`
 	// Flops is the floating-point work of all subsolves.
 	Flops int64 `json:"flops,omitempty"`
-	// Attempts is the serve-level solve attempts consumed.
+	// Attempts is the solve attempts consumed.
 	Attempts int `json:"attempts,omitempty"`
-	// Failures is the failed worker attempts charged to the request.
+	// Failures is the attempts that failed.
 	Failures int `json:"failures,omitempty"`
-	// Retries is the pool-level job resubmissions across attempts.
-	Retries int `json:"retries,omitempty"`
-	// Fallbacks is the master-local recomputations across attempts.
-	Fallbacks int `json:"fallbacks,omitempty"`
 	// ElapsedMs is admission-to-terminal latency in milliseconds.
 	ElapsedMs float64 `json:"elapsed_ms,omitempty"`
 	// RetryAfterMs duplicates the Retry-After header for JSON clients.
@@ -251,7 +228,7 @@ type job struct {
 	deadline time.Time
 	admitted time.Time
 	done     chan outcome
-	fam      *family // the first attempt's, fanned out at admission; nil with Faults
+	fam      *family // the first attempt's, fanned out at admission
 }
 
 // outcome is the single terminal result of an admitted job, delivered on
@@ -264,8 +241,6 @@ type outcome struct {
 	out        *solver.Output
 	attempts   int
 	failures   int
-	retries    int
-	fallbacks  int
 	elapsed    time.Duration
 }
 
@@ -319,7 +294,7 @@ func NewServer(cfg Config) *Server {
 		hWait:      rec.Histogram("serve.queue.wait.us"),
 	}
 	s.tenants = newTenants(cfg, s.now, rec)
-	s.batch = newBatcher(rec, newSolverCache(cfg, rec, s.problem), s.now)
+	s.batch = newBatcher(rec, newSolverCache(cfg, rec, s.problem), cfg.Faults, s.now)
 	return s
 }
 
@@ -421,9 +396,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		deadline: now.Add(deadline), admitted: now,
 		done: make(chan outcome, 1),
 	}
-	if s.cfg.Faults == nil {
-		j.fam = newFamily(j, solver.Params{Root: req.Root, Level: req.Level, Tol: req.Tol})
-	}
+	j.fam = newFamily(j, solver.Params{Root: req.Root, Level: req.Level, Tol: req.Tol})
 	fam := j.fam // read before the send: from then on j is its executor's
 	s.jobsWG.Add(1)
 	select {
@@ -442,9 +415,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Join the flights now; an error (batcher closed) is the executor's to report.
-	if fam != nil {
-		_ = fam.fanOut(s.batch)
-	}
+	_ = fam.fanOut(s.batch)
 	oc := <-j.done
 	writeOutcome(w, j, oc)
 }
@@ -485,8 +456,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func writeOutcome(w http.ResponseWriter, j *job, oc outcome) {
 	resp := SolveResponse{
 		ID: j.id, Status: oc.status, Reason: oc.reason, Tenant: j.tenant,
-		Attempts: oc.attempts, Failures: oc.failures, Retries: oc.retries,
-		Fallbacks: oc.fallbacks, ElapsedMs: float64(oc.elapsed.Microseconds()) / 1e3,
+		Attempts: oc.attempts, Failures: oc.failures,
+		ElapsedMs:    float64(oc.elapsed.Microseconds()) / 1e3,
 		RetryAfterMs: oc.retryAfter.Milliseconds(),
 	}
 	if oc.out != nil {

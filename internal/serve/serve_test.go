@@ -165,7 +165,7 @@ func TestSolveEndToEnd(t *testing.T) {
 	if hits := s.rec.Counter("serve.cache.hits").Value(); hits != int64(len(ref.Results)) {
 		t.Fatalf("serve.cache.hits = %d after a repeated request, want %d", hits, len(ref.Results))
 	}
-	// A server without Faults runs no per-request pool.
+	// Every subsolve is a batched task; no pool job is dispatched.
 	if tasks, jobs := s.rec.KindCount(obs.KBatchTask), s.rec.KindCount(obs.KJobDispatch); tasks != uint64(2*len(ref.Results)) || jobs != 0 {
 		t.Fatalf("%d serve.batch.task and %d job.dispatch events, want %d and 0", tasks, jobs, 2*len(ref.Results))
 	}

@@ -10,10 +10,10 @@ import (
 
 // tenant is the per-tenant admission state: a token bucket bounding the
 // request rate, an inflight counter bounding concurrency, and a circuit
-// breaker that stops admitting a tenant whose requests keep exhausting
-// their failure budgets. All fields are guarded by the registry's mutex —
-// tenant decisions are cheap and serialized on purpose, so quota,
-// inflight, and breaker transitions are atomic with respect to each other.
+// breaker that stops admitting a tenant whose requests keep failing. All
+// fields are guarded by the registry's mutex — tenant decisions are cheap
+// and serialized on purpose, so quota, inflight, and breaker transitions
+// are atomic with respect to each other.
 type tenant struct {
 	name string
 
@@ -150,10 +150,10 @@ func (ts *tenants) release(name string) {
 }
 
 // settle records the terminal outcome of an admitted request: it frees the
-// inflight slot and advances the breaker. budgetFailure marks outcomes
-// that should count against the breaker (failure-budget exhaustion and
-// other permanent failures); successes reset it.
-func (ts *tenants) settle(name string, budgetFailure bool) {
+// inflight slot and advances the breaker. failed marks outcomes that count
+// against the breaker (a request whose every attempt failed); successes
+// reset it.
+func (ts *tenants) settle(name string, failed bool) {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	t := ts.get(name)
@@ -164,7 +164,7 @@ func (ts *tenants) settle(name string, budgetFailure bool) {
 		return
 	}
 	now := ts.now()
-	if budgetFailure {
+	if failed {
 		t.consecFails++
 		if t.breaker == breakerHalfOpen || t.consecFails >= ts.threshold {
 			t.breaker = breakerOpen

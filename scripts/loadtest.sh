@@ -11,5 +11,5 @@ exec go run ./cmd/solved loadtest -self \
     -clients 8 -requests 6 -burst 3 -tenants 3 -seed 42 \
     -queue 8 -executors 2 \
     -tenant-rate 100 -tenant-burst 6 -max-inflight 4 \
-    -retries 1 -failure-budget 6 -breaker-threshold 3 \
+    -breaker-threshold 3 \
     "$@"
