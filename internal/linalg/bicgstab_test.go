@@ -391,9 +391,11 @@ func TestWorkspaceReuse(t *testing.T) {
 	// What a ShiftedOperator does between solves: new values behind the same
 	// pointer, so anything still holding the previous diagonal would show.
 	rescale := func() {
-		for i := range a1.Val {
-			a1.Val[i] *= 2
-		}
+		a1.setVals(func(val []float64) {
+			for i := range val {
+				val[i] *= 2
+			}
+		})
 	}
 	seq := []solve{
 		{"bicgstab n2 grows the vectors", bicgstabSolver, a2, xbig, big, nil},

@@ -2,26 +2,34 @@ package linalg
 
 import "fmt"
 
-// CSR is a sparse matrix in compressed sparse row format.
+// CSR is a sparse matrix in compressed sparse row format. Its arrays are
+// private: after construction a stored value changes only in
+// ShiftedOperator.Update and in setVals, which keep st true.
 type CSR struct {
 	Rows, Cols int
-	RowPtr     []int
-	ColIdx     []int
-	Val        []float64
+	rowPtr     []int
+	colIdx     []int
+	val        []float64
 
 	// runs is the diagonal-run table of the sparsity pattern, sorted by
-	// row (see rowRun). The constructors fill it once; nothing that keeps
-	// the pattern (ShiftedOperator.Update rewrites Val only) invalidates it.
+	// row (see rowRun). The constructors fill it once, for a matrix that is
+	// not a stencil: a stencil's SpMV reads no table, so its runs are nil
+	// until setVals takes it off the stencil path. Nothing that keeps the
+	// pattern (ShiftedOperator.Update rewrites val only) invalidates it.
 	// A nil table is valid: every row then takes the indexed row loop.
 	runs []rowRun
+	// st is set when the matrix is a uniform 5-point grid operator; its
+	// SpMV then reads the five coefficients, not val (see stencil).
+	st stencil
 }
 
 // NewCSR returns the rows x cols matrix whose arrays a caller has filled at
 // their exact size, the form Build produces: rowPtr of length rows+1 rising
 // from 0 to len(val), and colIdx as long as val with each row's columns
 // strictly ascending inside [0, cols). It keeps the arrays, checks the
-// pattern and finds its diagonal runs, so an assembly that knows its
-// pattern skips Builder's entry buffer.
+// pattern and finds its stencil or else its diagonal runs, so an assembly
+// that knows its pattern skips Builder's entry buffer. The matrix owns the
+// arrays from then on: the caller must not write them.
 func NewCSR(rows, cols int, rowPtr, colIdx []int, val []float64) (*CSR, error) {
 	if rows < 0 || cols < 0 || len(rowPtr) != rows+1 || len(colIdx) != len(val) {
 		return nil, fmt.Errorf("linalg: csr %dx%d with %d row pointers, %d columns, %d values", rows, cols, len(rowPtr), len(colIdx), len(val))
@@ -34,17 +42,22 @@ func NewCSR(rows, cols int, rowPtr, colIdx []int, val []float64) (*CSR, error) {
 			return nil, fmt.Errorf("linalg: csr row %d ends at %d before it starts at %d", r, rowPtr[r+1], rowPtr[r])
 		}
 	}
+	sc := newStencilScan(rows, cols, rowPtr, colIdx)
 	for r := 0; r < rows; r++ {
 		prev := -1
-		for _, c := range colIdx[rowPtr[r]:rowPtr[r+1]] {
+		row := colIdx[rowPtr[r]:rowPtr[r+1]]
+		for _, c := range row {
 			if c <= prev || c >= cols {
 				return nil, fmt.Errorf("linalg: csr row %d: column %d after %d, want ascending in [0, %d)", r, c, prev, cols)
 			}
 			prev = c
 		}
+		sc.row(row, val[rowPtr[r]:rowPtr[r+1]])
 	}
-	m := &CSR{Rows: rows, Cols: cols, RowPtr: rowPtr, ColIdx: colIdx, Val: val}
-	m.runs = findRuns(m)
+	m := &CSR{Rows: rows, Cols: cols, rowPtr: rowPtr, colIdx: colIdx, val: val, st: sc.st}
+	if m.st.mx == 0 {
+		m.runs = findRuns(m)
+	}
 	return m, nil
 }
 
@@ -82,15 +95,15 @@ func (b *Builder) Build() *CSR {
 	if !rowMajor(b.entries) {
 		b.entries = countingSort(b.entries, b.rows, b.cols)
 	}
-	m := &CSR{Rows: b.rows, Cols: b.cols, RowPtr: make([]int, b.rows+1)}
+	m := &CSR{Rows: b.rows, Cols: b.cols, rowPtr: make([]int, b.rows+1)}
 	nnz := 0
 	for i, e := range b.entries {
 		if i == 0 || e.r != b.entries[i-1].r || e.c != b.entries[i-1].c {
 			nnz++
 		}
 	}
-	m.ColIdx = make([]int, 0, nnz)
-	m.Val = make([]float64, 0, nnz)
+	m.colIdx = make([]int, 0, nnz)
+	m.val = make([]float64, 0, nnz)
 	for i := 0; i < len(b.entries); {
 		e := b.entries[i]
 		v := e.v
@@ -99,17 +112,21 @@ func (b *Builder) Build() *CSR {
 			v += b.entries[j].v
 			j++
 		}
-		m.ColIdx = append(m.ColIdx, e.c)
-		m.Val = append(m.Val, v)
-		m.RowPtr[e.r+1] = len(m.Val)
+		m.colIdx = append(m.colIdx, e.c)
+		m.val = append(m.val, v)
+		m.rowPtr[e.r+1] = len(m.val)
 		i = j
 	}
+	sc := newStencilScan(b.rows, b.cols, m.rowPtr, m.colIdx) // row 0's pointers are final
 	for r := 1; r <= b.rows; r++ {
-		if m.RowPtr[r] == 0 {
-			m.RowPtr[r] = m.RowPtr[r-1]
+		if m.rowPtr[r] == 0 {
+			m.rowPtr[r] = m.rowPtr[r-1]
 		}
+		sc.row(m.colIdx[m.rowPtr[r-1]:m.rowPtr[r]], m.val[m.rowPtr[r-1]:m.rowPtr[r]])
 	}
-	m.runs = findRuns(m)
+	if m.st = sc.st; m.st.mx == 0 {
+		m.runs = findRuns(m)
+	}
 	return m
 }
 
@@ -168,7 +185,7 @@ func maxInt(a, b int) int {
 }
 
 // NNZ returns the number of stored entries.
-func (m *CSR) NNZ() int { return len(m.Val) }
+func (m *CSR) NNZ() int { return len(m.val) }
 
 // MulVec computes y = A*x.
 //
@@ -216,12 +233,16 @@ type spmv struct{ y, x, u0, u1 Vector }
 
 // mulVecSpan computes y[r] = (A*x)[r] for rows r in [r0, r1) that share
 // their reduction accumulators (one chunk, or with a nil u0 any range and
-// none); it returns them. Rows inside a diagonal run take the index-free
-// run kernels, clipped to the span; the rows between runs take the indexed
-// row loop.
+// none); it returns them. A stencil operator takes mulStencil, which reads
+// no val. Otherwise rows inside a diagonal run take the index-free run
+// kernels, clipped to the span; the rows between runs take the indexed row
+// loop.
 //
 //vetsparse:allocfree
 func (m *CSR) mulVecSpan(a *spmv, r0, r1 int) (p0, p1 float64) {
+	if m.st.mx > 0 {
+		return mulStencil(a, &m.st, p0, p1, r0, r1)
+	}
 	// First run that ends after r0 (runs are sorted and disjoint).
 	lo, hi := 0, len(m.runs)
 	for lo < hi {
@@ -243,7 +264,7 @@ func (m *CSR) mulVecSpan(a *spmv, r0, r1 int) (p0, p1 float64) {
 		if e > r1 {
 			e = r1
 		}
-		v := m.Val[m.RowPtr[r]:][:(e-r)*run.w]
+		v := m.val[m.rowPtr[r]:][:(e-r)*run.w]
 		switch run.w {
 		case 3:
 			p0, p1 = mulRun3(a, v, &run.off, p0, p1, r, e)
@@ -267,9 +288,9 @@ func (m *CSR) mulVecSpan(a *spmv, r0, r1 int) (p0, p1 float64) {
 //
 //vetsparse:allocfree
 func (m *CSR) mulVecRows(a *spmv, p0, p1 float64, r0, r1 int) (float64, float64) {
-	ptr := m.RowPtr[r0 : r1+1]
-	val := m.Val
-	col := m.ColIdx[:len(val)]
+	ptr := m.rowPtr[r0 : r1+1]
+	val := m.val
+	col := m.colIdx[:len(val)]
 	x, y := a.x, a.y[r0:r1]
 	u0, u1 := a.u0, a.u1
 	if u0 != nil {
@@ -310,21 +331,28 @@ func (m *CSR) mulVecRows(a *spmv, p0, p1 float64, r0, r1 int) (float64, float64)
 func (m *CSR) Diagonal(d Vector) {
 	for r := 0; r < m.Rows; r++ {
 		d[r] = 0
-		for k := m.RowPtr[r]; k < m.RowPtr[r+1]; k++ {
-			if m.ColIdx[k] == r {
-				d[r] = m.Val[k]
+		for k := m.rowPtr[r]; k < m.rowPtr[r+1]; k++ {
+			if m.colIdx[k] == r {
+				d[r] = m.val[k]
 				break
 			}
 		}
 	}
 }
 
+// AppendRow appends row r's column indices, ascending, and its values to
+// cols and vals: copies, which leave the matrix as it is.
+func (m *CSR) AppendRow(r int, cols []int, vals []float64) ([]int, []float64) {
+	lo, hi := m.rowPtr[r], m.rowPtr[r+1]
+	return append(cols, m.colIdx[lo:hi]...), append(vals, m.val[lo:hi]...)
+}
+
 // At returns the (r, c) entry (zero if not stored). Intended for tests;
 // O(row nnz).
 func (m *CSR) At(r, c int) float64 {
-	for k := m.RowPtr[r]; k < m.RowPtr[r+1]; k++ {
-		if m.ColIdx[k] == c {
-			return m.Val[k]
+	for k := m.rowPtr[r]; k < m.rowPtr[r+1]; k++ {
+		if m.colIdx[k] == c {
+			return m.val[k]
 		}
 	}
 	return 0
@@ -342,9 +370,9 @@ func (m *CSR) ShiftedScaled(s float64) *CSR {
 	b := NewBuilder(m.Rows, m.Cols)
 	for r := 0; r < m.Rows; r++ {
 		hasDiag := false
-		for k := m.RowPtr[r]; k < m.RowPtr[r+1]; k++ {
-			c := m.ColIdx[k]
-			v := -s * m.Val[k]
+		for k := m.rowPtr[r]; k < m.rowPtr[r+1]; k++ {
+			c := m.colIdx[k]
+			v := -s * m.val[k]
 			if c == r {
 				v += 1
 				hasDiag = true

@@ -103,15 +103,17 @@ func TestFusedKernelsMatchPasses(t *testing.T) {
 }
 
 // TestNewCSRChecksPattern: NewCSR keeps the arrays it is given, finds the
-// run table Build would, and refuses a pattern Build could not have made.
+// stencil Build would or, off the stencil path, the run table, and refuses
+// a pattern Build could not have made.
 func TestNewCSRChecksPattern(t *testing.T) {
-	want := gridOperator(9)
-	got, err := NewCSR(want.Rows, want.Cols, append([]int(nil), want.RowPtr...), append([]int(nil), want.ColIdx...), append([]float64(nil), want.Val...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) || len(got.runs) == 0 {
-		t.Fatalf("NewCSR of Build's arrays differs from Build's matrix (runs %d against %d)", len(got.runs), len(want.runs))
+	for _, c := range []struct {
+		want *CSR
+		mx   int // the stencil's grid width; 0: none, and a run table
+	}{{gridOperator(9), 9}, {offStencil(gridOperator(9)), 0}} {
+		got := viaNewCSR(t, c.want)
+		if !reflect.DeepEqual(got, c.want) || got.st.mx != c.mx || (len(got.runs) == 0) != (c.mx > 0) {
+			t.Fatalf("NewCSR of Build's arrays differs from Build's matrix (runs %d against %d, stencil %+v against %+v)", len(got.runs), len(c.want.runs), got.st, c.want.st)
+		}
 	}
 	val := Vector{1, 2, 3}
 	for _, c := range []struct {
@@ -144,21 +146,21 @@ func TestNewCSRChecksPattern(t *testing.T) {
 func TestShiftedOperatorSharesPattern(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	zeros := gridOperator(6) // stored signed zeros: -(+0) is -0, 0-(+0) is not
-	zeros.Val[1], zeros.Val[2], zeros.Val[7] = 0, math.Copysign(0, -1), 0
+	zeros.setVals(func(val []float64) { val[1], val[2], val[7] = 0, math.Copysign(0, -1), 0 })
 	for _, a := range []*CSR{gridOperator(12), laplace1D(40), randomSquare(rng, 30, 0.15, 1), zeros} {
 		shared, merged := NewShiftedOperator(a), newShifted(a, false)
 		m := shared.Matrix()
-		if shared.apos != nil || &m.RowPtr[0] != &a.RowPtr[0] || &m.ColIdx[0] != &a.ColIdx[0] || &m.Val[0] == &a.Val[0] {
+		if shared.apos != nil || &m.rowPtr[0] != &a.rowPtr[0] || &m.colIdx[0] != &a.colIdx[0] || &m.val[0] == &a.val[0] {
 			t.Fatal("a full diagonal does not share A's pattern, or shares its values")
 		}
-		if merged.apos == nil || &merged.Matrix().RowPtr[0] == &a.RowPtr[0] {
+		if merged.apos == nil || &merged.Matrix().rowPtr[0] == &a.rowPtr[0] {
 			t.Fatal("newShifted(a, false) shares the pattern")
 		}
 		check := func(what string) {
 			t.Helper()
 			mm := merged.Matrix()
 			sameCSR(t, mm, m)
-			checkSame(t, what, m.Val, mm.Val)
+			checkSame(t, what, m.val, mm.val)
 			if !reflect.DeepEqual(m.runs, mm.runs) {
 				t.Fatalf("%s: shared runs %v, merged %v", what, m.runs, mm.runs)
 			}
@@ -172,9 +174,11 @@ func TestShiftedOperatorSharesPattern(t *testing.T) {
 				t.Fatalf("s=%g: shared flops %d, merged %d", s, so.Flops, mo.Flops)
 			}
 		}
-		for i := range a.Val {
-			a.Val[i] *= -1.5
-		}
+		a.setVals(func(val []float64) {
+			for i := range val {
+				val[i] *= -1.5
+			}
+		})
 		shared.Invalidate()
 		merged.Invalidate()
 		shared.Update(1e-4, nil)

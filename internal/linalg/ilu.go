@@ -59,7 +59,7 @@ func NewILU0(a *CSR, ops *Ops) (*ILU0, error) {
 	if a.Rows != a.Cols {
 		return nil, errors.New("linalg: ILU0 needs a square matrix")
 	}
-	if len(a.Val) > math.MaxInt32 {
+	if len(a.val) > math.MaxInt32 {
 		return nil, errors.New("linalg: ILU0 matrix too large for 32-bit factor indices")
 	}
 	f := &ILU0{n: a.Rows}
@@ -91,13 +91,13 @@ func (f *ILU0) buildLevels(a *CSR) (diag []int, bwdRows []int32, err error) {
 	maxL := int32(0)
 	for i := 0; i < n; i++ {
 		l := int32(0)
-		k, end := a.RowPtr[i], a.RowPtr[i+1]
-		for ; k < end && a.ColIdx[k] < i; k++ {
-			if d := lev[a.ColIdx[k]] + 1; d > l {
+		k, end := a.rowPtr[i], a.rowPtr[i+1]
+		for ; k < end && a.colIdx[k] < i; k++ {
+			if d := lev[a.colIdx[k]] + 1; d > l {
 				l = d
 			}
 		}
-		if k == end || a.ColIdx[k] != i {
+		if k == end || a.colIdx[k] != i {
 			return nil, nil, fmt.Errorf("linalg: ILU0 row %d has no diagonal entry", i)
 		}
 		diag[i] = k
@@ -112,7 +112,7 @@ func (f *ILU0) buildLevels(a *CSR) (diag []int, bwdRows []int32, err error) {
 	maxL = 0
 	for i := n - 1; i >= 0; i-- {
 		l := int32(0)
-		for _, c := range a.ColIdx[diag[i]+1 : a.RowPtr[i+1]] {
+		for _, c := range a.colIdx[diag[i]+1 : a.rowPtr[i+1]] {
 			if d := lev[c] + 1; d > l {
 				l = d
 			}
@@ -148,7 +148,7 @@ func bucketByLevel(lev []int32, nlev int) []int32 {
 // pointers and the row-to-position maps, and sizes val. Every array is
 // allocated once at its exact size.
 func (f *ILU0) pack(a *CSR, diag []int, bwdRows []int32) {
-	n, nnz := f.n, len(a.Val)
+	n, nnz := f.n, len(a.val)
 	f.val = make([]float64, nnz)
 	f.col = make([]int32, nnz)
 	f.lptr = make([]int32, n+1)
@@ -159,25 +159,25 @@ func (f *ILU0) pack(a *CSR, diag []int, bwdRows []int32) {
 	for p, i := range f.fwdRows {
 		f.fwdPos[i] = int32(p)
 		f.lptr[p] = k
-		k += int32(diag[i] - a.RowPtr[i])
+		k += int32(diag[i] - a.rowPtr[i])
 	}
 	f.lptr[n] = k
 	for p, i := range bwdRows {
 		f.bwdPos[i] = int32(p)
 		f.uptr[p] = k
-		k += int32(a.RowPtr[i+1] - diag[i])
+		k += int32(a.rowPtr[i+1] - diag[i])
 	}
 	f.uptr[n] = k
 	// Fill in row order, as Refactor does the values: the reads stream
 	// through a and the writes advance one cursor per level.
-	col, acol := f.col, a.ColIdx[:nnz]
+	col, acol := f.col, a.colIdx[:nnz]
 	for i, d := range diag {
 		kl, ku := f.lptr[f.fwdPos[i]], f.uptr[f.bwdPos[i]]
-		for k := a.RowPtr[i]; k < d; k++ {
+		for k := a.rowPtr[i]; k < d; k++ {
 			col[kl] = int32(acol[k])
 			kl++
 		}
-		for k := d; k < a.RowPtr[i+1]; k++ { // sorted columns put the diagonal first
+		for k := d; k < a.rowPtr[i+1]; k++ { // sorted columns put the diagonal first
 			col[ku] = int32(acol[k])
 			ku++
 		}
@@ -204,12 +204,12 @@ func (f *ILU0) findRuns(bwdRows []int32) {
 //
 //vetsparse:allocfree
 func (f *ILU0) Refactor(a *CSR, ops *Ops) error {
-	if a.Rows != f.n || a.Cols != f.n || len(a.Val) != len(f.val) {
+	if a.Rows != f.n || a.Cols != f.n || len(a.val) != len(f.val) {
 		return errors.New("linalg: ILU0 refactor pattern mismatch")
 	}
 	// Scatter a's values into schedule order: a row's lower entries lead
 	// its CSR row, its diagonal and upper entries end it.
-	val, aval := f.val, a.Val
+	val, aval := f.val, a.val
 	k := 0
 	for i, fp := range f.fwdPos {
 		for kl, end := f.lptr[fp], f.lptr[fp+1]; kl < end; kl++ {

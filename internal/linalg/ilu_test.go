@@ -208,32 +208,32 @@ type refILU0 struct {
 }
 
 func newRefILU0(a *CSR) (*refILU0, error) {
-	f := &refILU0{a: a, val: append([]float64(nil), a.Val...), diag: make([]int, a.Rows)}
+	f := &refILU0{a: a, val: append([]float64(nil), a.val...), diag: make([]int, a.Rows)}
 	colPos := make([]int, a.Rows)
 	for i := range colPos {
 		colPos[i] = -1
 	}
 	for i := 0; i < a.Rows; i++ {
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			colPos[a.ColIdx[k]] = k
-			if a.ColIdx[k] == i {
+		for k := a.rowPtr[i]; k < a.rowPtr[i+1]; k++ {
+			colPos[a.colIdx[k]] = k
+			if a.colIdx[k] == i {
 				f.diag[i] = k
 			}
 		}
-		for k := a.RowPtr[i]; a.ColIdx[k] < i; k++ {
-			j := a.ColIdx[k]
+		for k := a.rowPtr[i]; a.colIdx[k] < i; k++ {
+			j := a.colIdx[k]
 			lij := f.val[k] / f.val[f.diag[j]]
 			f.val[k] = lij
 			f.flops++
-			for kk := f.diag[j] + 1; kk < a.RowPtr[j+1]; kk++ {
-				if p := colPos[a.ColIdx[kk]]; p >= 0 {
+			for kk := f.diag[j] + 1; kk < a.rowPtr[j+1]; kk++ {
+				if p := colPos[a.colIdx[kk]]; p >= 0 {
 					f.val[p] -= lij * f.val[kk]
 					f.flops += 2
 				}
 			}
 		}
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			colPos[a.ColIdx[k]] = -1
+		for k := a.rowPtr[i]; k < a.rowPtr[i+1]; k++ {
+			colPos[a.colIdx[k]] = -1
 		}
 		if f.val[f.diag[i]] == 0 {
 			return nil, ErrBreakdown
@@ -246,15 +246,15 @@ func (f *refILU0) solve(x, b Vector) {
 	a := f.a
 	for i := 0; i < a.Rows; i++ {
 		s := b[i]
-		for k := a.RowPtr[i]; k < f.diag[i]; k++ {
-			s -= f.val[k] * x[a.ColIdx[k]]
+		for k := a.rowPtr[i]; k < f.diag[i]; k++ {
+			s -= f.val[k] * x[a.colIdx[k]]
 		}
 		x[i] = s
 	}
 	for i := a.Rows - 1; i >= 0; i-- {
 		s := x[i]
-		for k := f.diag[i] + 1; k < a.RowPtr[i+1]; k++ {
-			s -= f.val[k] * x[a.ColIdx[k]]
+		for k := f.diag[i] + 1; k < a.rowPtr[i+1]; k++ {
+			s -= f.val[k] * x[a.colIdx[k]]
 		}
 		x[i] = s / f.val[f.diag[i]]
 	}
@@ -292,8 +292,8 @@ func checkILU(t *testing.T, name string, f *ILU0, a *CSR, facOps Ops, b Vector) 
 func withExtras(a *CSR, nx int) *CSR {
 	b := NewBuilder(a.Rows, a.Cols)
 	for r := 0; r < a.Rows; r++ {
-		for k := a.RowPtr[r]; k < a.RowPtr[r+1]; k++ {
-			b.Add(r, a.ColIdx[k], a.Val[k])
+		for k := a.rowPtr[r]; k < a.rowPtr[r+1]; k++ {
+			b.Add(r, a.colIdx[k], a.val[k])
 		}
 		if r%37 == 5 && r >= 2*nx {
 			b.Add(r, r-2*nx, -0.5)
@@ -313,13 +313,15 @@ func withExtras(a *CSR, nx int) *CSR {
 func TestBitIdentityILUPacked(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	dominant := randomPattern(rng, 200)
-	for r := 0; r < dominant.Rows; r++ {
-		for k := dominant.RowPtr[r]; k < dominant.RowPtr[r+1]; k++ {
-			if dominant.ColIdx[k] == r {
-				dominant.Val[k] += 20 // strictly dominant: no zero pivot
+	dominant.setVals(func(val []float64) {
+		for r := 0; r < dominant.Rows; r++ {
+			for k := dominant.rowPtr[r]; k < dominant.rowPtr[r+1]; k++ {
+				if dominant.colIdx[k] == r {
+					val[k] += 20 // strictly dominant: no zero pivot
+				}
 			}
 		}
-	}
+	})
 	for _, c := range []struct {
 		name string
 		a    *CSR
@@ -345,9 +347,11 @@ func TestBitIdentityILUPacked(t *testing.T) {
 		}
 		checkILU(t, name, f, a, ops, b)
 		for round := 1; round <= 3; round++ {
-			for i := range a.Val {
-				a.Val[i] *= 1 + 0.01*rng.Float64()
-			}
+			a.setVals(func(val []float64) {
+				for i := range val {
+					val[i] *= 1 + 0.01*rng.Float64()
+				}
+			})
 			ops = Ops{}
 			if err := f.Refactor(a, &ops); err != nil {
 				t.Fatalf("%s refactor %d: %v", name, round, err)
@@ -466,11 +470,13 @@ func TestILURunsCoverStencil(t *testing.T) {
 func TestBiCGStabNonFiniteStops(t *testing.T) {
 	withInf := func(r, c int) *CSR {
 		a := advDiff2D(31, 31, 1)
-		for k := a.RowPtr[r]; k < a.RowPtr[r+1]; k++ {
-			if a.ColIdx[k] == c {
-				a.Val[k] = math.Inf(1)
+		a.setVals(func(val []float64) {
+			for k := a.rowPtr[r]; k < a.rowPtr[r+1]; k++ {
+				if a.colIdx[k] == c {
+					val[k] = math.Inf(1)
+				}
 			}
-		}
+		})
 		return a
 	}
 	if _, err := NewILU0(withInf(200, 200), nil); err == nil {

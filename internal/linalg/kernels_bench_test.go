@@ -88,11 +88,15 @@ func BenchmarkShiftedUpdateHeld(b *testing.B) {
 var kernelShapes = [][2]int{{127, 127}, {63, 31}, {511, 3}, {3, 511}, {255, 63}, {63, 255}}
 
 // benchShapes runs fn as one sub-benchmark per kernel shape (its name the
-// shape plus suffix) on the shifted stencil operator and reports its time per
-// stored entry.
-func benchShapes(b *testing.B, suffix string, fn func(b *testing.B, a *CSR)) {
+// shape plus suffix) on the shifted stencil operator, or with off set on the
+// same operator nudged off the stencil path (offStencil), and reports its
+// time per stored entry.
+func benchShapes(b *testing.B, suffix string, off bool, fn func(b *testing.B, a *CSR)) {
 	for _, sh := range kernelShapes {
 		a := advDiff2D(sh[0], sh[1], 1)
+		if off {
+			offStencil(a)
+		}
 		b.Run(fmt.Sprintf("%dx%d%s", sh[0], sh[1], suffix), func(b *testing.B) {
 			b.ReportAllocs()
 			fn(b, a)
@@ -102,10 +106,13 @@ func benchShapes(b *testing.B, suffix string, fn func(b *testing.B, a *CSR)) {
 }
 
 // BenchmarkMulVec times the product alone and with one and two reductions
-// riding along — <y, x>, then <y, y> beside it — as BiCGStab passes them.
+// riding along — <y, x>, then <y, y> beside it — as BiCGStab passes them:
+// through the stencil kernel, and (suffix -runs) through the run kernels
+// and the row loop that a non-uniform operator takes.
 func BenchmarkMulVec(b *testing.B) {
-	for dots, suffix := range []string{"", "+dot", "+2dots"} {
-		benchShapes(b, suffix, func(b *testing.B, a *CSR) {
+	for i, suffix := range []string{"", "+dot", "+2dots", "-runs", "-runs+dot", "-runs+2dots"} {
+		dots := i % 3
+		benchShapes(b, suffix, i >= 3, func(b *testing.B, a *CSR) {
 			x := NewVector(a.Cols)
 			y := NewVector(a.Rows)
 			for i := range x {
@@ -125,7 +132,7 @@ func BenchmarkMulVec(b *testing.B) {
 }
 
 func BenchmarkILUSolve(b *testing.B) {
-	benchShapes(b, "", func(b *testing.B, a *CSR) {
+	benchShapes(b, "", false, func(b *testing.B, a *CSR) {
 		f, err := NewILU0(a, nil)
 		if err != nil {
 			b.Fatal(err)

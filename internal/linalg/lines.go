@@ -18,7 +18,7 @@ type lineFactor struct {
 	key    float64  // the key the factors were computed under; NaN: none
 	stride int      // largest column offset above the diagonal; 1: the two offsets coincide
 	lines  int      // interleave step of the offset-1 sweeps: the stride on a rectangle of decoupled lines, else 1
-	dg     []int    // index in src.Val of row r's diagonal, -1 if not stored
+	dg     []int    // index in src.val of row r's diagonal, -1 if not stored
 	lo, up [2][]int // per offset (1, stride): index of row r's entry in column r-d / r+d, -1 if not stored
 
 	d, step   int    // this solve's offset and interleave step
@@ -42,8 +42,8 @@ func (lf *lineFactor) analyse(a *CSR) {
 	n := a.Rows
 	lf.src, lf.stride, lf.lines = a, 1, 1
 	for r := 0; r < n; r++ {
-		if k := a.RowPtr[r+1] - 1; k >= a.RowPtr[r] {
-			lf.stride = max(lf.stride, a.ColIdx[k]-r)
+		if k := a.rowPtr[r+1] - 1; k >= a.rowPtr[r] {
+			lf.stride = max(lf.stride, a.colIdx[k]-r)
 		}
 	}
 	lf.dg = grow(lf.dg, n)
@@ -52,8 +52,8 @@ func (lf *lineFactor) analyse(a *CSR) {
 	}
 	for r := 0; r < n; r++ {
 		lf.dg[r], lf.lo[0][r], lf.up[0][r], lf.lo[1][r], lf.up[1][r] = -1, -1, -1, -1, -1
-		for k := a.RowPtr[r]; k < a.RowPtr[r+1]; k++ {
-			switch a.ColIdx[k] - r { // with stride 1, offset 1 takes the entries
+		for k := a.rowPtr[r]; k < a.rowPtr[r+1]; k++ {
+			switch a.colIdx[k] - r { // with stride 1, offset 1 takes the entries
 			case 0:
 				lf.dg[r] = k
 			case -1:
@@ -102,7 +102,7 @@ func (lf *lineFactor) factor(a *CSR, ops *Ops) {
 	if lf.src != a {
 		lf.analyse(a)
 	}
-	n, val, k := a.Rows, a.Val, 0
+	n, val, k := a.Rows, a.val, 0
 	if lf.stride > 1 {
 		s0, s1 := 0.0, 0.0
 		for r := 0; r < n; r++ {

@@ -181,11 +181,13 @@ func TestLineFactorZeroDiagonal(t *testing.T) {
 		}
 	}
 	dented := advDiff2D(12, 9, 1) // one zero on an otherwise dominant diagonal, first on its x-line
-	for k := dented.RowPtr[36]; k < dented.RowPtr[37]; k++ {
-		if dented.ColIdx[k] == 36 {
-			dented.Val[k] = 0
+	dented.setVals(func(val []float64) {
+		for k := dented.rowPtr[36]; k < dented.rowPtr[37]; k++ {
+			if dented.colIdx[k] == 36 {
+				val[k] = 0
+			}
 		}
-	}
+	})
 	for _, c := range []struct {
 		name string
 		a    *CSR
@@ -239,9 +241,11 @@ func TestLineFactorCache(t *testing.T) {
 		t.Fatalf("first factorization charged %d flops, want %d", f, 4*n)
 	}
 	kept := lf.inv.Clone()
-	for i := range a.Val { // new values behind the same pointer, as a step writes them
-		a.Val[i] *= 1.25
-	}
+	a.setVals(func(val []float64) { // new values behind the same pointer, as a step writes them
+		for i := range val {
+			val[i] *= 1.25
+		}
+	})
 	if f := factorFlops(a, 1); f != 0 {
 		t.Errorf("repeated key refactored (%d flops)", f)
 	}
@@ -262,16 +266,16 @@ func TestLineFactorCache(t *testing.T) {
 	}
 
 	dented := advDiff2D(12, 9, 1) // row 36's zero diagonal breaks its x-line
-	k := dented.RowPtr[36]
-	for dented.ColIdx[k] != 36 {
+	k := dented.rowPtr[36]
+	for dented.colIdx[k] != 36 {
 		k++
 	}
-	d36 := dented.Val[k]
-	dented.Val[k] = 0
+	d36 := dented.val[k]
+	dented.setVals(func(val []float64) { val[k] = 0 })
 	if factorFlops(dented, 3); !lf.diag {
 		t.Fatal("premise: a zero pivot must fall back to the diagonal")
 	}
-	dented.Val[k] = d36
+	dented.setVals(func(val []float64) { val[k] = d36 })
 	if f := factorFlops(dented, 3); f != 0 || !lf.diag {
 		t.Errorf("the fallback was not kept under its key: %d flops, diagonal-only %v", f, lf.diag)
 	}
@@ -319,9 +323,12 @@ func TestLineFactorCache(t *testing.T) {
 	zb := Vector{1, -0.5, 0.25, 2}
 	for round := 0; round < 2; round++ {
 		if round == 1 {
-			for i := range zi.Val {
-				zi.Val[i] *= 1.25
-				zl.Val[i] *= 1.25
+			for _, z := range []*CSR{zi, zl} {
+				z.setVals(func(val []float64) {
+					for i := range val {
+						val[i] *= 1.25
+					}
+				})
 			}
 		}
 		xi, xl := NewVector(4), NewVector(4)

@@ -5,8 +5,8 @@ package linalg
 // same column offsets off[:w] from their row — the diagonals of a stencil
 // operator. Inside a run the index arrays carry no information beyond the
 // values. A CSR's sequence is its rows (step 1): row r's entries sit at
-// Val[RowPtr[r0]+(r-r0)*w:][:w] and multiply x[r+off[0]], x[r+off[1]], …,
-// so SpMV streams Val against w shifted views of x without loading a column
+// val[rowPtr[r0]+(r-r0)*w:][:w] and multiply x[r+off[0]], x[r+off[1]], …,
+// so SpMV streams val against w shifted views of x without loading a column
 // index. ILU(0)'s sweeps run along their level schedules (ilu.go), where a
 // grid level's rows step by the grid width minus one.
 type rowRun struct {
@@ -30,7 +30,7 @@ const (
 // findRuns returns the diagonal runs of m's rows that have an unrolled
 // SpMV kernel.
 func findRuns(m *CSR) []rowRun {
-	return seqRuns(nil, m.RowPtr, m.ColIdx, func(run rowRun) bool { return run.w >= minRunWidth })
+	return seqRuns(nil, m.rowPtr, m.colIdx, func(run rowRun) bool { return run.w >= minRunWidth })
 }
 
 // seqRuns analyses a sequence of rows in O(nnz), once per pattern:

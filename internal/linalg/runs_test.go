@@ -14,8 +14,8 @@ func refMulVec(m *CSR, x Vector) Vector {
 	y := NewVector(m.Rows)
 	for r := 0; r < m.Rows; r++ {
 		s := 0.0
-		for k := m.RowPtr[r]; k < m.RowPtr[r+1]; k++ {
-			s += m.Val[k] * x[m.ColIdx[k]]
+		for k := m.rowPtr[r]; k < m.rowPtr[r+1]; k++ {
+			s += m.val[k] * x[m.colIdx[k]]
 		}
 		y[r] = s
 	}
@@ -55,11 +55,11 @@ func banded(rng *rand.Rand, n, half int) *CSR {
 func withWideRow(rng *rand.Rand, m *CSR, r int) *CSR {
 	b := NewBuilder(m.Rows, m.Cols)
 	for i := 0; i < m.Rows; i++ {
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			b.Add(i, m.ColIdx[k], m.Val[k])
+		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
+			b.Add(i, m.colIdx[k], m.val[k])
 		}
 	}
-	for c, w := 0, m.RowPtr[r+1]-m.RowPtr[r]; w < 9; c += 2 {
+	for c, w := 0, m.rowPtr[r+1]-m.rowPtr[r]; w < 9; c += 2 {
 		if m.At(r, c) == 0 {
 			b.Add(r, c, rng.NormFloat64())
 			w++
@@ -91,6 +91,15 @@ func hollowStencil(rng *rand.Rand, nx, ny int) *CSR {
 		}
 	}
 	return b.Build()
+}
+
+// offStencil nudges one stored value of m by an ulp through setVals, so a
+// uniform grid operator leaves the stencil path and multiplies through its
+// run table and row loop, as a non-uniform operator does; it returns m.
+func offStencil(m *CSR) *CSR {
+	k := len(m.val) / 2
+	m.setVals(func(val []float64) { val[k] = math.Nextafter(val[k], math.Inf(1)) })
+	return m
 }
 
 // runCuts returns the row boundaries worth splitting m at: the first,
@@ -199,7 +208,9 @@ func checkSpMVDots(t *testing.T, name string, m *CSR, x, want Vector) {
 
 // TestBitIdentitySpMVRuns pins the diagonal-run SpMV to the reference
 // triple loop, Float64bits for Float64bits, on every pattern class the
-// analysis distinguishes.
+// analysis distinguishes. The grid operators are nudged off the stencil
+// path (offStencil), so they exercise the run kernels and the row loop,
+// not mulStencil.
 func TestBitIdentitySpMVRuns(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	cases := []struct {
@@ -207,33 +218,39 @@ func TestBitIdentitySpMVRuns(t *testing.T) {
 		m       *CSR
 		hasRuns bool
 	}{
-		{"3x511", advDiff2D(3, 511, 0.5), false}, // every row 3, 4 or 5 wide through the row loop
-		{"1x300", advDiff2D(1, 300, 0.5), true},  // 2- and 3-wide rows: a tridiagonal run
-		{"2x700", advDiff2D(2, 700, 0.5), false}, // 3- and 4-wide rows, no two alike in a row
-		{"511x3", advDiff2D(511, 3, 0.5), true},
-		{"7x255", advDiff2D(7, 255, 0.5), true},
-		{"63x31", advDiff2D(63, 31, 0.5), true},
-		{"127x127", advDiff2D(127, 127, 0.5), true},
+		{"3x511", offStencil(advDiff2D(3, 511, 0.5)), false}, // every row 3, 4 or 5 wide through the row loop
+		{"1x300", advDiff2D(1, 300, 0.5), true},              // 2- and 3-wide rows: a tridiagonal run
+		{"2x700", offStencil(advDiff2D(2, 700, 0.5)), false}, // 3- and 4-wide rows, no two alike in a row
+		{"511x3", offStencil(advDiff2D(511, 3, 0.5)), true},
+		{"7x255", offStencil(advDiff2D(7, 255, 0.5)), true},
+		{"63x31", offStencil(advDiff2D(63, 31, 0.5)), true},
+		{"127x127", offStencil(advDiff2D(127, 127, 0.5)), true},
 		{"tridiagonal", laplace1D(40), true},
 		{"random", randomPattern(rng, 300), false},
 		{"7-wide band", banded(rng, 64, 3), false},
 		{"wide row inside a run", withWideRow(rng, advDiff2D(15, 9, 0.5), 67), true},
 	}
 	for _, c := range cases {
-		if got := len(c.m.runs) > 0; got != c.hasRuns {
-			t.Fatalf("%s: has runs = %v, want %v", c.name, got, c.hasRuns)
+		if got := len(c.m.runs) > 0; got != c.hasRuns || c.m.st.mx != 0 {
+			t.Fatalf("%s: has runs = %v, want %v; stencil %+v, want none", c.name, got, c.hasRuns, c.m.st)
 		}
 		checkSpMV(t, c.name, c.m, randVec(rng, c.m.Cols))
 		// All products -0: the sum is +0 only if each row still starts from
 		// a +0 accumulator.
 		negZero := NewVector(c.m.Cols)
 		negZero.Fill(math.Copysign(0, -1))
-		abs := *c.m
-		abs.Val = append([]float64(nil), c.m.Val...)
-		for i, v := range abs.Val {
-			abs.Val[i] = math.Abs(v)
+		absVal := make([]float64, len(c.m.val))
+		for i, v := range c.m.val {
+			absVal[i] = math.Abs(v)
 		}
-		checkSpMV(t, c.name+" -0", &abs, negZero)
+		abs, err := NewCSR(c.m.Rows, c.m.Cols, c.m.rowPtr, c.m.colIdx, absVal)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if abs.st.mx != 0 {
+			t.Fatalf("%s -0: taken for a stencil %+v", c.name, abs.st)
+		}
+		checkSpMV(t, c.name+" -0", abs, negZero)
 	}
 }
 
@@ -260,7 +277,7 @@ func TestBitIdentitySpMVShifted(t *testing.T) {
 // disjoint, long enough, of an unrolled width, and every row inside one has
 // exactly the run's offsets.
 func TestRunTableCoversPattern(t *testing.T) {
-	m := advDiff2D(15, 9, 0.5)
+	m := offStencil(advDiff2D(15, 9, 0.5))
 	if len(m.runs) != 9 {
 		t.Fatalf("15x9 stencil: %d runs, want one per grid line (9)", len(m.runs))
 	}
@@ -271,7 +288,7 @@ func TestRunTableCoversPattern(t *testing.T) {
 		}
 		prev = run.r1
 		for r := run.r0; r < run.r1; r++ {
-			cols := m.ColIdx[m.RowPtr[r]:m.RowPtr[r+1]]
+			cols := m.colIdx[m.rowPtr[r]:m.rowPtr[r+1]]
 			if len(cols) != run.w {
 				t.Fatalf("row %d width %d in run %+v", r, len(cols), run)
 			}
@@ -286,11 +303,12 @@ func TestRunTableCoversPattern(t *testing.T) {
 
 // TestKernelsAllocFree asserts the steady-state kernels allocate nothing, on
 // every shape and in every binding the kernel benchmarks time: the product
-// alone and with one and two reductions riding along (mulVecDot), the
-// line factor and solve, and the ILU solve and refactor.
+// alone and with one and two reductions riding along (mulVecDot), on the
+// stencil path and off it, the line factor and solve, and the ILU solve and
+// refactor.
 func TestKernelsAllocFree(t *testing.T) {
 	for _, sh := range kernelShapes {
-		a := advDiff2D(sh[0], sh[1], 1)
+		a, off := advDiff2D(sh[0], sh[1], 1), offStencil(advDiff2D(sh[0], sh[1], 1))
 		f, err := NewILU0(a, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -311,6 +329,8 @@ func TestKernelsAllocFree(t *testing.T) {
 		}
 		kernels["mulVecDot"] = func() { a.mulVecDot(y, x, x, nil, nil) }
 		kernels["mulVecDot 2 dots"] = func() { a.mulVecDot(y, x, x, y, nil) }
+		kernels["MulVec off the stencil"] = func() { off.MulVec(y, x, nil) }
+		kernels["mulVecDot 2 dots off the stencil"] = func() { off.mulVecDot(y, x, x, y, nil) }
 		for name, fn := range kernels {
 			if n := testing.AllocsPerRun(20, fn); n != 0 {
 				t.Errorf("%dx%d: %s allocates %v per call, want 0", sh[0], sh[1], name, n)

@@ -13,15 +13,18 @@ package linalg
 //
 // The operator assumes A's values do not change between Update calls (the
 // paper's problem is linear, so J is constant); call Invalidate after
-// mutating A. A's pattern must not change at all.
+// A's values are rewritten (setVals). A's pattern must not change at all.
+// When A is a stencil operator (see stencil) so is the matrix, and Update
+// writes its five coefficients with the expressions it writes its values
+// with: -c for each off-diagonal, 1/s + (-c_C) for the diagonal.
 type ShiftedOperator struct {
 	a, m *CSR
 
-	// apos[p] is the index into a.Val feeding m.Val[p], or -1 for a
+	// apos[p] is the index into a.val feeding m.val[p], or -1 for a
 	// diagonal entry that is structurally missing in A. It is nil when m
-	// shares A's pattern, where m.Val[p] is fed by a.Val[p].
+	// shares A's pattern, where m.val[p] is fed by a.val[p].
 	apos []int
-	// diag[r] is the index of row r's diagonal entry in m.Val, and nd[r]
+	// diag[r] is the index of row r's diagonal entry in m.val, and nd[r]
 	// is -a_rr (0 where A stores none), copied with the off-diagonals.
 	diag []int
 	nd   []float64
@@ -48,10 +51,10 @@ func newShifted(a *CSR, share bool) *ShiftedOperator {
 	// row plus one for a missing diagonal) to size the merged arrays exactly.
 	nnz, missing := 0, false
 	for r := 0; r < n; r++ {
-		rowN := a.RowPtr[r+1] - a.RowPtr[r]
+		rowN := a.rowPtr[r+1] - a.rowPtr[r]
 		hasDiag := false
-		for k := a.RowPtr[r]; k < a.RowPtr[r+1]; k++ {
-			if a.ColIdx[k] == r {
+		for k := a.rowPtr[r]; k < a.rowPtr[r+1]; k++ {
+			if a.colIdx[k] == r {
 				o.diag[r] = k
 				hasDiag = true
 				break
@@ -64,41 +67,46 @@ func newShifted(a *CSR, share bool) *ShiftedOperator {
 		nnz += rowN
 	}
 	if share && !missing {
-		o.m = &CSR{Rows: n, Cols: n, RowPtr: a.RowPtr, ColIdx: a.ColIdx, Val: make([]float64, len(a.Val)), runs: a.runs}
+		o.m = &CSR{Rows: n, Cols: n, rowPtr: a.rowPtr, colIdx: a.colIdx, val: make([]float64, len(a.val)), runs: a.runs}
 		return o
 	}
-	m := &CSR{Rows: n, Cols: n, RowPtr: make([]int, n+1)}
-	m.ColIdx = make([]int, 0, nnz)
-	m.Val = make([]float64, nnz)
+	m := &CSR{Rows: n, Cols: n, rowPtr: make([]int, n+1)}
+	m.colIdx = make([]int, 0, nnz)
+	m.val = make([]float64, nnz)
 	o.apos = make([]int, 0, nnz)
 	// Second pass: merge the (sorted) row of A with the diagonal.
 	for r := 0; r < n; r++ {
 		hasDiag := false
-		for k := a.RowPtr[r]; k < a.RowPtr[r+1]; k++ {
-			c := a.ColIdx[k]
+		for k := a.rowPtr[r]; k < a.rowPtr[r+1]; k++ {
+			c := a.colIdx[k]
 			if !hasDiag && c > r {
 				// Insert the structurally missing diagonal before the
 				// first super-diagonal entry.
-				o.diag[r] = len(m.ColIdx)
-				m.ColIdx = append(m.ColIdx, r)
+				o.diag[r] = len(m.colIdx)
+				m.colIdx = append(m.colIdx, r)
 				o.apos = append(o.apos, -1)
 				hasDiag = true
 			}
 			if c == r {
-				o.diag[r] = len(m.ColIdx)
+				o.diag[r] = len(m.colIdx)
 				hasDiag = true
 			}
-			m.ColIdx = append(m.ColIdx, c)
+			m.colIdx = append(m.colIdx, c)
 			o.apos = append(o.apos, k)
 		}
 		if !hasDiag {
-			o.diag[r] = len(m.ColIdx)
-			m.ColIdx = append(m.ColIdx, r)
+			o.diag[r] = len(m.colIdx)
+			m.colIdx = append(m.colIdx, r)
 			o.apos = append(o.apos, -1)
 		}
-		m.RowPtr[r+1] = len(m.ColIdx)
+		m.rowPtr[r+1] = len(m.colIdx)
 	}
-	m.runs = findRuns(m)
+	// A stencil A stores every diagonal, so the merged pattern is its own
+	// and m is a stencil too; should setVals later take A off the path,
+	// m's rows take the row loop.
+	if a.st.mx == 0 {
+		m.runs = findRuns(m)
+	}
 	o.m = m
 	return o
 }
@@ -129,26 +137,36 @@ func (o *ShiftedOperator) Update(s float64, ops *Ops) *CSR {
 	if o.valid && s == o.s {
 		return o.m
 	}
-	val := o.m.Val
+	val, st := o.m.val, &o.m.st
 	if !o.valid {
 		if o.apos == nil {
-			for p, v := range o.a.Val[:len(val)] {
+			for p, v := range o.a.val[:len(val)] {
 				val[p] = -v
 			}
+			o.m.runs = o.a.runs // setVals may have found A's since
 		}
 		for p, k := range o.apos {
 			val[p] = 0
 			if k >= 0 {
-				val[p] = -o.a.Val[k]
+				val[p] = -o.a.val[k]
 			}
 		}
 		for r, p := range o.diag {
 			o.nd[r] = val[p]
 		}
+		// A stencil A stores every diagonal, so m has its pattern, and
+		// each of m's diagonals holds the negated one of A's.
+		*st = o.a.st
+		for d, c := range st.c {
+			st.c[d] = -c
+		}
 	}
 	sigma := 1 / s
 	for r, p := range o.diag {
 		val[p] = sigma + o.nd[r]
+	}
+	if st.mx > 0 { // every nd[r] is -c_C: the diagonal's one value
+		st.c[stC] = sigma + o.nd[0]
 	}
 	ops.Add(int64(len(o.diag)))
 	o.s, o.valid = s, true

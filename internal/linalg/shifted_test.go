@@ -33,24 +33,24 @@ func sameCSR(t *testing.T, want, got *CSR) {
 	if want.Rows != got.Rows || want.Cols != got.Cols {
 		t.Fatalf("dims: want %dx%d, got %dx%d", want.Rows, want.Cols, got.Rows, got.Cols)
 	}
-	if len(want.Val) != len(got.Val) {
-		t.Fatalf("nnz: want %d, got %d", len(want.Val), len(got.Val))
+	if len(want.val) != len(got.val) {
+		t.Fatalf("nnz: want %d, got %d", len(want.val), len(got.val))
 	}
-	for i := range want.RowPtr {
-		if want.RowPtr[i] != got.RowPtr[i] {
-			t.Fatalf("RowPtr[%d]: want %d, got %d", i, want.RowPtr[i], got.RowPtr[i])
+	for i := range want.rowPtr {
+		if want.rowPtr[i] != got.rowPtr[i] {
+			t.Fatalf("RowPtr[%d]: want %d, got %d", i, want.rowPtr[i], got.rowPtr[i])
 		}
 	}
-	for i := range want.ColIdx {
-		if want.ColIdx[i] != got.ColIdx[i] {
-			t.Fatalf("ColIdx[%d]: want %d, got %d", i, want.ColIdx[i], got.ColIdx[i])
+	for i := range want.colIdx {
+		if want.colIdx[i] != got.colIdx[i] {
+			t.Fatalf("ColIdx[%d]: want %d, got %d", i, want.colIdx[i], got.colIdx[i])
 		}
 	}
-	for i := range want.Val {
+	for i := range want.val {
 		// Bit-identical, not just close: the in-place update must perform
 		// exactly the arithmetic of the contract.
-		if want.Val[i] != got.Val[i] {
-			t.Fatalf("Val[%d]: want %v, got %v (bit mismatch)", i, want.Val[i], got.Val[i])
+		if want.val[i] != got.val[i] {
+			t.Fatalf("Val[%d]: want %v, got %v (bit mismatch)", i, want.val[i], got.val[i])
 		}
 	}
 }
@@ -59,15 +59,17 @@ func sameCSR(t *testing.T, want, got *CSR) {
 // off-diagonals -a_ij, and the diagonal 1/s - a_ii (1/s where a stores none).
 func scaledWant(a *CSR, s float64) *CSR {
 	want := a.ShiftedScaled(s)
-	for r := 0; r < want.Rows; r++ {
-		for p := want.RowPtr[r]; p < want.RowPtr[r+1]; p++ {
-			c := want.ColIdx[p]
-			want.Val[p] = -a.At(r, c)
-			if c == r {
-				want.Val[p] = 1/s - a.At(r, r)
+	want.setVals(func(val []float64) {
+		for r := 0; r < want.Rows; r++ {
+			for p := want.rowPtr[r]; p < want.rowPtr[r+1]; p++ {
+				c := want.colIdx[p]
+				val[p] = -a.At(r, c)
+				if c == r {
+					val[p] = 1/s - a.At(r, r)
+				}
 			}
 		}
-	}
+	})
 	return want
 }
 
@@ -86,8 +88,8 @@ func TestShiftedOperatorMatchesShiftedScaled(t *testing.T) {
 			got := op.Update(s, nil)
 			sameCSR(t, scaledWant(a, s), got)
 			unscaled := a.ShiftedScaled(s)
-			for p, v := range unscaled.Val {
-				if sv := s * got.Val[p]; math.Abs(sv-v) > 1e-15*(1+math.Abs(v)) {
+			for p, v := range unscaled.val {
+				if sv := s * got.val[p]; math.Abs(sv-v) > 1e-15*(1+math.Abs(v)) {
 					t.Fatalf("s=%g: s*Val[%d] = %v, ShiftedScaled %v", s, p, sv, v)
 				}
 			}
@@ -150,9 +152,11 @@ func TestShiftedOperatorOps(t *testing.T) {
 	if ops.Flops != 2*n {
 		t.Fatalf("second shift: flops = %d, want %d", ops.Flops, 2*n)
 	}
-	for i := range a.Val {
-		a.Val[i] *= 1.5
-	}
+	a.setVals(func(val []float64) {
+		for i := range val {
+			val[i] *= 1.5
+		}
+	})
 	op.Invalidate()
 	var warm, fresh Ops
 	got := op.Update(0.5, &warm)

@@ -70,8 +70,9 @@ var onePassGrids = []grid.Grid{
 
 // TestNewDiscMatchesBuilder compares NewDisc's exact-size CSR with the
 // Builder assembly field by field: dimensions, row pointers, columns, the
-// values bit for bit and the run table, for upwinding either way and for
-// pure advection, whose zero couplings stay stored entries.
+// values bit for bit, the run table and the stencil state, for upwinding
+// either way and for pure advection, whose zero couplings stay stored
+// entries.
 func TestNewDiscMatchesBuilder(t *testing.T) {
 	problems := []*Problem{
 		PaperProblem(),
@@ -82,20 +83,33 @@ func TestNewDiscMatchesBuilder(t *testing.T) {
 		for pi, p := range problems {
 			got, want := NewDisc(g, p).A, builderA(g, p)
 			name := fmt.Sprintf("%v problem %d", g, pi)
-			if got.Rows != want.Rows || got.Cols != want.Cols || !reflect.DeepEqual(got.RowPtr, want.RowPtr) || !reflect.DeepEqual(got.ColIdx, want.ColIdx) {
-				t.Fatalf("%s: pattern differs from the Builder's", name)
+			if got.Rows != want.Rows || got.Cols != want.Cols || got.NNZ() != want.NNZ() {
+				t.Fatalf("%s: %dx%d with %d values, the Builder's %dx%d with %d", name, got.Rows, got.Cols, got.NNZ(), want.Rows, want.Cols, want.NNZ())
 			}
-			if len(got.Val) != len(want.Val) || cap(got.Val) != len(got.Val) || cap(got.ColIdx) != len(got.ColIdx) {
-				t.Fatalf("%s: %d values (cap %d), the Builder's %d", name, len(got.Val), cap(got.Val), len(want.Val))
-			}
-			for i := range want.Val {
-				if math.Float64bits(got.Val[i]) != math.Float64bits(want.Val[i]) {
-					t.Fatalf("%s: Val[%d] = %v, the Builder's %v", name, i, got.Val[i], want.Val[i])
+			var gotCols, wantCols []int
+			var gotVals, wantVals []float64
+			for r := 0; r < want.Rows; r++ {
+				gotCols, gotVals = got.AppendRow(r, gotCols[:0], gotVals[:0])
+				wantCols, wantVals = want.AppendRow(r, wantCols[:0], wantVals[:0])
+				if !reflect.DeepEqual(gotCols, wantCols) {
+					t.Fatalf("%s: row %d stores columns %v, the Builder's %v", name, r, gotCols, wantCols)
+				}
+				for i := range wantVals {
+					if math.Float64bits(gotVals[i]) != math.Float64bits(wantVals[i]) {
+						t.Fatalf("%s: row %d value %d = %v, the Builder's %v", name, r, i, gotVals[i], wantVals[i])
+					}
 				}
 			}
-			// DeepEqual reaches the unexported run table too.
+			// The arrays are private; reflect reads their capacities.
+			arrays := reflect.ValueOf(got).Elem()
+			vals, cols := arrays.FieldByName("val"), arrays.FieldByName("colIdx")
+			if vals.Cap() != vals.Len() || cols.Cap() != cols.Len() {
+				t.Fatalf("%s: %d values (cap %d), %d columns (cap %d)", name, vals.Len(), vals.Cap(), cols.Len(), cols.Cap())
+			}
+			// DeepEqual reaches the unexported row pointers, run table and
+			// stencil state too.
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: run table differs from the Builder's", name)
+				t.Fatalf("%s: row pointers, run table or stencil differ from the Builder's", name)
 			}
 		}
 	}

@@ -24,9 +24,10 @@ func TestVarDiscMatchesConstantForConstantField(t *testing.T) {
 	if dc.A.NNZ() != dv.A.NNZ() {
 		t.Fatalf("nnz %d vs %d", dc.A.NNZ(), dv.A.NNZ())
 	}
+	var cols []int
 	for r := 0; r < dc.A.Rows; r++ {
-		for k := dc.A.RowPtr[r]; k < dc.A.RowPtr[r+1]; k++ {
-			c := dc.A.ColIdx[k]
+		cols, _ = dc.A.AppendRow(r, cols[:0], nil)
+		for _, c := range cols {
 			if math.Abs(dc.A.At(r, c)-dv.A.At(r, c)) > 1e-13 {
 				t.Fatalf("entry (%d,%d): %g vs %g", r, c, dc.A.At(r, c), dv.A.At(r, c))
 			}

@@ -288,19 +288,25 @@ func (b *batcher) close() {
 // pool has fewer executors than the family has grids, so the request waits
 // for the family's makespan — their result channel and the flag that abandons
 // them all. Its fan-out runs once, by the admitting handler or by the
-// executor that dequeues the job, whichever gets there first.
+// executor that dequeues the job, whichever gets there first. results and
+// landed, indexed by grid, hold every result of the request's attempts so
+// far that has been read off out: a retry's family fans out only the grids
+// that have not landed.
 type family struct {
 	tasks     []*subTask
 	out       chan subResult
 	abandoned atomic.Bool
 	once      sync.Once
 	err       error // of the fan-out; read after once
+
+	results []solver.Result
+	landed  []bool
 }
 
-// newFamily builds the family of one attempt of j's request, of shape p.
+// newFamily builds the family of the first attempt of j's request, of shape p.
 func newFamily(j *job, p solver.Params) *family {
 	grids := grid.Family(p.Root, p.Level)
-	f := &family{out: make(chan subResult, len(grids))}
+	f := &family{out: make(chan subResult, len(grids)), results: make([]solver.Result, len(grids)), landed: make([]bool, len(grids))}
 	order := solver.LargestFirst(grids, p.Tol)
 	for _, i := range order {
 		f.tasks = append(f.tasks, &subTask{
@@ -309,6 +315,41 @@ func newFamily(j *job, p solver.Params) *family {
 		})
 	}
 	return f
+}
+
+// retry builds the family of the attempt after f's. It keeps every result
+// that has landed — also those that came in after f's attempt failed, from
+// flights other executors were running — and asks again, in f's order,
+// only for the grids still missing. A subsolve's result is a function of
+// its flightKey, so a kept result is the one the retry would compute. The
+// new family holds its own copies of the results.
+func (f *family) retry() *family {
+	for late := true; late; {
+		select {
+		case r := <-f.out:
+			if r.err == nil {
+				f.results[r.idx], f.landed[r.idx] = r.res, true
+			}
+		default:
+			late = false
+		}
+	}
+	missing := 0
+	for _, ok := range f.landed {
+		if !ok {
+			missing++
+		}
+	}
+	next := &family{out: make(chan subResult, missing), results: slices.Clone(f.results), landed: slices.Clone(f.landed)}
+	for _, t := range f.tasks {
+		if !f.landed[t.idx] {
+			next.tasks = append(next.tasks, &subTask{
+				sig: t.sig, idx: t.idx, tol: t.tol,
+				reqID: t.reqID, deadline: t.deadline, abandoned: &next.abandoned, out: next.out,
+			})
+		}
+	}
+	return next
 }
 
 // fanOut enqueues the family on its first call; every call reports the
@@ -329,8 +370,9 @@ func (f *family) abandon() { f.abandoned.Store(true) }
 
 // solveBatched fans one attempt's grid family f into the batcher unless
 // admission did (a nil f is built here from j and p), runs queued flights on
-// the request's executor until the family's results are in, and recombines them
-// (cheap relative to the subsolves). A task that rides another
+// the request's executor until the family's results are in, and recombines
+// them with those of earlier attempts (cheap relative to the subsolves). The
+// results that land before a failure stay in f for the retry. A task that rides another
 // request's flight leaves this executor nothing of its own to run, so it
 // helps with whatever is pending: the pool stays work-conserving. The request
 // times out on its own timer whoever leads its flights. However it returns,
@@ -346,7 +388,6 @@ func (s *Server) solveBatched(actor string, j *job, f *family, p solver.Params) 
 	}
 	tm := time.NewTimer(j.deadline.Sub(s.now()))
 	defer tm.Stop()
-	results := make([]solver.Result, len(f.tasks))
 	for n := 0; n < len(f.tasks); {
 		// Collect what is ready, else sleep until a result, the deadline or a
 		// queued flight to run. No timer is seen from inside a subsolve: the
@@ -369,8 +410,8 @@ func (s *Server) solveBatched(actor string, j *job, f *family, p solver.Params) 
 		if r.err != nil {
 			return nil, r.err
 		}
-		results[r.idx] = r.res
+		f.results[r.idx], f.landed[r.idx] = r.res, true
 		n++
 	}
-	return solver.Combine(p, results)
+	return solver.Combine(p, f.results)
 }

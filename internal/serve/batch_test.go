@@ -458,6 +458,72 @@ func TestBatchPanicBecomesTaskError(t *testing.T) {
 	checkBatchLedger(t, s)
 }
 
+// TestRetryAsksOnlyForMissingGrids: a retry keeps the results that landed
+// before its attempt failed. The first two flights of a 3-grid family run
+// clean and the third panics; the retry enqueues that one grid alone — four
+// tasks in all, not six, and each grid integrated once — and the answer is
+// the sequential program's bit for bit.
+func TestRetryAsksOnlyForMissingGrids(t *testing.T) {
+	s, ts := newTestServer(t, Config{Executors: 1, Attempts: 2, Faults: core.PlanFaults(0, core.FaultNone, core.FaultNone, core.FaultPanic)})
+	s.Start()
+	p := solver.Params{Root: 1, Level: 1, Tol: 1e-2, Problem: pde.PaperProblem()}
+	ref, err := solver.Sequential(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fam := len(grid.Family(p.Root, p.Level))
+	if fam != 3 {
+		t.Fatalf("premise: a family of %d grids, want 3", fam)
+	}
+	_, resp, _ := postSolve(t, ts.URL, SolveRequest{Root: p.Root, Level: p.Level, Tol: p.Tol}, nil)
+	sameAnswer(t, "request whose last flight panicked", resp, ref)
+	if resp.Attempts != 2 || resp.Failures != 1 {
+		t.Fatalf("attempts=%d failures=%d, want 2 and 1", resp.Attempts, resp.Failures)
+	}
+	drainPool(t, s)
+	if tasks := s.rec.Counter("serve.batch.tasks").Value(); tasks != int64(fam)+1 {
+		t.Fatalf("serve.batch.tasks = %d, want %d: the retry asks again for the failed grid alone", tasks, fam+1)
+	}
+	if got := s.rec.KindCount(obs.KSubsolveBegin); got != uint64(fam) {
+		t.Fatalf("%d subsolves, want %d: each grid integrated once (the panic strikes before its subsolve begins)", got, fam)
+	}
+	checkLedger(t, s)
+	checkBatchLedger(t, s)
+}
+
+// TestRetryKeepsLateResults: results that reach a family after its attempt
+// failed — flights other executors were still running — are kept by the
+// retry too. Of a 3-grid family, the largest grid's result and the
+// smallest's error come in late; the retry asks for the two grids that
+// have no result, in the first attempt's order, and owns its copies.
+func TestRetryKeepsLateResults(t *testing.T) {
+	p := solver.Params{Root: 1, Level: 1, Tol: 1e-2}
+	f := newFamily(&job{id: 7, lin: rosenbrock.BiCGStab}, p)
+	if len(f.tasks) != 3 {
+		t.Fatalf("premise: a family of %d grids, want 3", len(f.tasks))
+	}
+	first, last := f.tasks[0].idx, f.tasks[2].idx
+	f.out <- subResult{idx: first, res: solver.Result{Grid: f.tasks[0].sig.g}}
+	f.out <- subResult{idx: last, err: errBatchAbandoned}
+	next := f.retry()
+	var asked []int
+	for _, tk := range next.tasks {
+		asked = append(asked, tk.idx)
+		if tk.out == nil || tk.abandoned != &next.abandoned || tk.reqID != 7 {
+			t.Fatalf("retry task %+v not bound to its family", tk)
+		}
+	}
+	if want := []int{f.tasks[1].idx, last}; !slices.Equal(asked, want) {
+		t.Fatalf("retry asks for grids %v, want %v", asked, want)
+	}
+	if !next.landed[first] || next.results[first].Grid != f.tasks[0].sig.g || cap(next.out) != 2 {
+		t.Fatalf("retry lost the late result: landed %v, out room %d", next.landed, cap(next.out))
+	}
+	if &next.results[0] == &f.results[0] {
+		t.Fatal("the retry shares its results with the family it follows")
+	}
+}
+
 // TestBatchLoneRequestFansOut: one request alone on a pool of four is run
 // by all of it. Its seven subsolves stop in the gate until three are in
 // flight at once, which only executors with no job of their own can make

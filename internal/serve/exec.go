@@ -56,7 +56,8 @@ func (s *Server) executor(i int) {
 // runJob drives one admitted job through the retry loop: each attempt
 // solves the family through the batcher within the remaining deadline, a
 // failed attempt is retried under backoff while attempts and deadline both
-// still allow, and the first terminal condition wins.
+// still allow — asking only for the grids whose results have not landed —
+// and the first terminal condition wins.
 func (s *Server) runJob(actor string, j *job) {
 	s.hWait.Observe(s.now().Sub(j.admitted).Microseconds())
 
@@ -71,8 +72,10 @@ func (s *Server) runJob(actor string, j *job) {
 			s.finishFailed(j, failDeadline, http.StatusGatewayTimeout, attempt-1, failures)
 			return
 		}
+		if attempt > 1 {
+			fam = fam.retry()
+		}
 		out, err := s.solveBatched(actor, j, fam, p)
-		fam = nil // a later attempt fans out afresh
 		if err == nil {
 			s.finishSolved(j, out, attempt, failures)
 			return

@@ -30,7 +30,9 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"runtime"
@@ -320,51 +322,9 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	var req SolveRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
-		return
-	}
-	if h := r.Header.Get("X-Tenant"); h != "" {
-		req.Tenant = h
-	}
-	if req.Tenant == "" {
-		req.Tenant = "anon"
-	}
-	if h := r.Header.Get("X-Deadline-Ms"); h != "" {
-		ms, err := strconv.ParseInt(h, 10, 64)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "bad X-Deadline-Ms header")
-			return
-		}
-		req.DeadlineMs = ms
-	}
-	// A negative deadline has passed on arrival, and one beyond a
-	// time.Duration would wrap to an arbitrary one.
-	if req.DeadlineMs < 0 || req.DeadlineMs > math.MaxInt64/int64(time.Millisecond) {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("deadline of %d ms out of range", req.DeadlineMs))
-		return
-	}
-	if req.Tol == 0 {
-		req.Tol = 1e-3
-	}
-	lin, err := parseSolver(req.Solver)
+	req, lin, err := decodeRequest(http.MaxBytesReader(w, r.Body, maxBodyBytes), r.Header, &s.cfg)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if req.Level > s.cfg.MaxLevel {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("level %d beyond service cap %d", req.Level, s.cfg.MaxLevel))
-		return
-	}
-	if perr := (solver.Params{Root: req.Root, Level: req.Level, Tol: req.Tol}).Validate(); perr != nil {
-		httpError(w, http.StatusBadRequest, perr.Error())
-		return
-	}
-	// An entry the cache could never hold is not a request this service is
-	// sized for.
-	if gridBytes(req.Root, req.Level) > s.cfg.CacheBytes {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("root %d level %d: largest grid beyond the service's %d-byte solver cache", req.Root, req.Level, s.cfg.CacheBytes))
 		return
 	}
 
@@ -486,6 +446,62 @@ func httpError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, 0, struct {
 		Error string `json:"error"`
 	}{msg})
+}
+
+// decodeRequest reads one /solve request before admission: the body must
+// hold a single JSON object of SolveRequest's fields and nothing after it,
+// and the X-Tenant and X-Deadline-Ms headers override the body's. It fills
+// the defaults and refuses, with the reason, what the service does not
+// admit: a deadline that has passed or would wrap, an unknown solver, a
+// level beyond cfg.MaxLevel, parameters Params.Validate refuses and a
+// largest grid beyond the solver cache.
+func decodeRequest(body io.Reader, hdr http.Header, cfg *Config) (SolveRequest, rosenbrock.LinearSolver, error) {
+	var req SolveRequest
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return req, 0, fmt.Errorf("bad request body: %v", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return req, 0, errors.New("bad request body: data after the request object")
+	}
+	if h := hdr.Get("X-Tenant"); h != "" {
+		req.Tenant = h
+	}
+	if req.Tenant == "" {
+		req.Tenant = "anon"
+	}
+	if h := hdr.Get("X-Deadline-Ms"); h != "" {
+		ms, err := strconv.ParseInt(h, 10, 64)
+		if err != nil {
+			return req, 0, errors.New("bad X-Deadline-Ms header")
+		}
+		req.DeadlineMs = ms
+	}
+	// A negative deadline has passed on arrival, and one beyond a
+	// time.Duration would wrap to an arbitrary one.
+	if req.DeadlineMs < 0 || req.DeadlineMs > math.MaxInt64/int64(time.Millisecond) {
+		return req, 0, fmt.Errorf("deadline of %d ms out of range", req.DeadlineMs)
+	}
+	if req.Tol == 0 {
+		req.Tol = 1e-3
+	}
+	lin, err := parseSolver(req.Solver)
+	if err != nil {
+		return req, 0, err
+	}
+	if req.Level > cfg.MaxLevel {
+		return req, 0, fmt.Errorf("level %d beyond service cap %d", req.Level, cfg.MaxLevel)
+	}
+	if err := (solver.Params{Root: req.Root, Level: req.Level, Tol: req.Tol}).Validate(); err != nil {
+		return req, 0, err
+	}
+	// An entry the cache could never hold is not a request this service is
+	// sized for.
+	if gridBytes(req.Root, req.Level) > cfg.CacheBytes {
+		return req, 0, fmt.Errorf("root %d level %d: largest grid beyond the service's %d-byte solver cache", req.Root, req.Level, cfg.CacheBytes)
+	}
+	return req, lin, nil
 }
 
 // parseSolver maps the request's solver name onto the Rosenbrock inner

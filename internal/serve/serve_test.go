@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -172,6 +173,81 @@ func TestSolveEndToEnd(t *testing.T) {
 	checkLedger(t, s)
 }
 
+// badRequests are /solve requests refused with a 400 before admission.
+var badRequests = []struct {
+	name  string
+	small bool // sent to the server with the small solver cache
+	body  string
+	hdr   map[string]string
+	want  int
+}{
+	{"bad json", false, "{", nil, http.StatusBadRequest},
+	// A misspelt field is not dropped: level 3 must not become level 0.
+	{"unknown field", false, `{"root":2,"levle":3}`, nil, http.StatusBadRequest},
+	{"trailing junk", false, `{"root":2,"level":1} trailing junk`, nil, http.StatusBadRequest},
+	{"second object", false, `{"root":2,"level":1}{"root":9}`, nil, http.StatusBadRequest},
+	{"bad root", false, `{"root":0,"level":1}`, nil, http.StatusBadRequest},
+	{"bad solver", false, `{"root":1,"level":1,"solver":"cholesky"}`, nil, http.StatusBadRequest},
+	{"level beyond cap", false, `{"root":1,"level":4}`, nil, http.StatusBadRequest},
+	{"bad deadline header", false, `{"root":1,"level":1}`, map[string]string{"X-Deadline-Ms": "soon"}, http.StatusBadRequest},
+	// Past on arrival, and (MaxInt64/1e6 + 1 ms) beyond what a time.Duration holds.
+	{"negative deadline", false, `{"root":1,"level":1,"deadline_ms":-1}`, nil, http.StatusBadRequest},
+	{"negative deadline header", false, `{"root":1,"level":1}`, map[string]string{"X-Deadline-Ms": "-1"}, http.StatusBadRequest},
+	{"deadline wraps", false, `{"root":1,"level":1,"deadline_ms":9223372036855}`, nil, http.StatusBadRequest},
+	{"deadline header wraps", false, `{"root":1,"level":1}`, map[string]string{"X-Deadline-Ms": "9223372036855"}, http.StatusBadRequest},
+	// One 8191² grid: some 42 GB by entryBytes' own estimate.
+	{"oversized root", false, `{"root":13,"level":0}`, nil, http.StatusBadRequest},
+	{"root wraps the grid dimensions", false, `{"root":64,"level":0}`, nil, http.StatusBadRequest},
+	{"1 MiB body", false, `{"root":1,"level":1,"tenant":"` + strings.Repeat("a", 1<<20) + `"}`, nil, http.StatusBadRequest},
+	// The bound follows the budget: TestSolveEndToEnd solves this shape
+	// under the default one.
+	{"shape beyond a small cache", true, `{"root":1,"level":1}`, nil, http.StatusBadRequest},
+}
+
+// FuzzSolveRequest: whatever the body and headers, decodeRequest either
+// refuses the request or returns one the service admits — parameters that
+// Params.Validate accepts, a level within MaxLevel, a largest grid the
+// solver cache can hold, a deadline in range, a known solver and a tenant.
+// The seeds are badRequests (bodies within maxBodyBytes) and valid requests.
+func FuzzSolveRequest(f *testing.F) {
+	for _, tc := range badRequests {
+		if len(tc.body) <= maxBodyBytes {
+			f.Add(tc.body, tc.hdr["X-Tenant"], tc.hdr["X-Deadline-Ms"])
+		}
+	}
+	f.Add(`{"root":2,"level":3,"tol":1e-3}`, "", "")
+	f.Add(`{"tenant":"a","root":1,"level":2,"tol":0.5,"solver":"ILU","deadline_ms":250}`+"\n", "b", "100")
+	cfg := Config{MaxLevel: 3}.withDefaults()
+	f.Fuzz(func(t *testing.T, body, tenant, deadline string) {
+		hdr := http.Header{}
+		if tenant != "" {
+			hdr.Set("X-Tenant", tenant)
+		}
+		if deadline != "" {
+			hdr.Set("X-Deadline-Ms", deadline)
+		}
+		req, lin, err := decodeRequest(strings.NewReader(body), hdr, &cfg)
+		if err != nil {
+			return
+		}
+		if err := (solver.Params{Root: req.Root, Level: req.Level, Tol: req.Tol}).Validate(); err != nil {
+			t.Fatalf("%q: admitted %+v, which Validate refuses: %v", body, req, err)
+		}
+		if req.Level > cfg.MaxLevel || gridBytes(req.Root, req.Level) > cfg.CacheBytes {
+			t.Fatalf("%q: admitted %+v beyond level %d or the %d-byte cache", body, req, cfg.MaxLevel, cfg.CacheBytes)
+		}
+		if req.DeadlineMs < 0 || req.DeadlineMs > math.MaxInt64/int64(time.Millisecond) {
+			t.Fatalf("%q: admitted a deadline of %d ms", body, req.DeadlineMs)
+		}
+		if want, err := parseSolver(req.Solver); err != nil || want != lin {
+			t.Fatalf("%q: admitted solver %q as %v (parseSolver: %v, %v)", body, req.Solver, lin, want, err)
+		}
+		if req.Tenant == "" {
+			t.Fatalf("%q: admitted without a tenant", body)
+		}
+	})
+}
+
 func TestRequestValidation(t *testing.T) {
 	// Neither server is started: a refusal needs no executor, and a hostile
 	// request that slipped through would sit in the queue, where the accept
@@ -181,34 +257,13 @@ func TestRequestValidation(t *testing.T) {
 	small, tsSmall := newTestServer(t, Config{CacheBytes: 4 << 10})
 	defer small.Drain(time.Minute)
 
-	cases := []struct {
-		name string
-		url  string
-		body string
-		hdr  map[string]string
-		want int
-	}{
-		{"bad json", ts.URL, "{", nil, http.StatusBadRequest},
-		{"bad root", ts.URL, `{"root":0,"level":1}`, nil, http.StatusBadRequest},
-		{"bad solver", ts.URL, `{"root":1,"level":1,"solver":"cholesky"}`, nil, http.StatusBadRequest},
-		{"level beyond cap", ts.URL, `{"root":1,"level":4}`, nil, http.StatusBadRequest},
-		{"bad deadline header", ts.URL, `{"root":1,"level":1}`, map[string]string{"X-Deadline-Ms": "soon"}, http.StatusBadRequest},
-		// Past on arrival, and (MaxInt64/1e6 + 1 ms) beyond what a time.Duration holds.
-		{"negative deadline", ts.URL, `{"root":1,"level":1,"deadline_ms":-1}`, nil, http.StatusBadRequest},
-		{"negative deadline header", ts.URL, `{"root":1,"level":1}`, map[string]string{"X-Deadline-Ms": "-1"}, http.StatusBadRequest},
-		{"deadline wraps", ts.URL, `{"root":1,"level":1,"deadline_ms":9223372036855}`, nil, http.StatusBadRequest},
-		{"deadline header wraps", ts.URL, `{"root":1,"level":1}`, map[string]string{"X-Deadline-Ms": "9223372036855"}, http.StatusBadRequest},
-		// One 8191² grid: some 42 GB by entryBytes' own estimate.
-		{"oversized root", ts.URL, `{"root":13,"level":0}`, nil, http.StatusBadRequest},
-		{"root wraps the grid dimensions", ts.URL, `{"root":64,"level":0}`, nil, http.StatusBadRequest},
-		{"1 MiB body", ts.URL, `{"root":1,"level":1,"tenant":"` + strings.Repeat("a", 1<<20) + `"}`, nil, http.StatusBadRequest},
-		// The bound follows the budget: TestSolveEndToEnd solves this shape
-		// under the default one.
-		{"shape beyond a small cache", tsSmall.URL, `{"root":1,"level":1}`, nil, http.StatusBadRequest},
-	}
 	client := &http.Client{Timeout: 5 * time.Second} // an admitted request is never answered here
-	for _, tc := range cases {
-		hreq, _ := http.NewRequest(http.MethodPost, tc.url+"/solve", strings.NewReader(tc.body))
+	for _, tc := range badRequests {
+		url := ts.URL
+		if tc.small {
+			url = tsSmall.URL
+		}
+		hreq, _ := http.NewRequest(http.MethodPost, url+"/solve", strings.NewReader(tc.body))
 		for k, v := range tc.hdr {
 			hreq.Header.Set(k, v)
 		}
