@@ -11,13 +11,6 @@ type CSR struct {
 	colIdx     []int
 	val        []float64
 
-	// runs is the diagonal-run table of the sparsity pattern, sorted by
-	// row (see rowRun). The constructors fill it once, for a matrix that is
-	// not a stencil: a stencil's SpMV reads no table, so its runs are nil
-	// until setVals takes it off the stencil path. Nothing that keeps the
-	// pattern (ShiftedOperator.Update rewrites val only) invalidates it.
-	// A nil table is valid: every row then takes the indexed row loop.
-	runs []rowRun
 	// st is set when the matrix is a uniform 5-point grid operator; its
 	// SpMV then reads the five coefficients, not val (see stencil).
 	st stencil
@@ -27,9 +20,9 @@ type CSR struct {
 // their exact size, the form Build produces: rowPtr of length rows+1 rising
 // from 0 to len(val), and colIdx as long as val with each row's columns
 // strictly ascending inside [0, cols). It keeps the arrays, checks the
-// pattern and finds its stencil or else its diagonal runs, so an assembly
-// that knows its pattern skips Builder's entry buffer. The matrix owns the
-// arrays from then on: the caller must not write them.
+// pattern and finds its stencil, so an assembly that knows its pattern
+// skips Builder's entry buffer. The matrix owns the arrays from then on:
+// the caller must not write them.
 func NewCSR(rows, cols int, rowPtr, colIdx []int, val []float64) (*CSR, error) {
 	if rows < 0 || cols < 0 || len(rowPtr) != rows+1 || len(colIdx) != len(val) {
 		return nil, fmt.Errorf("linalg: csr %dx%d with %d row pointers, %d columns, %d values", rows, cols, len(rowPtr), len(colIdx), len(val))
@@ -54,11 +47,7 @@ func NewCSR(rows, cols int, rowPtr, colIdx []int, val []float64) (*CSR, error) {
 		}
 		sc.row(row, val[rowPtr[r]:rowPtr[r+1]])
 	}
-	m := &CSR{Rows: rows, Cols: cols, rowPtr: rowPtr, colIdx: colIdx, val: val, st: sc.st}
-	if m.st.mx == 0 {
-		m.runs = findRuns(m)
-	}
-	return m, nil
+	return &CSR{Rows: rows, Cols: cols, rowPtr: rowPtr, colIdx: colIdx, val: val, st: sc.st}, nil
 }
 
 // Builder assembles a sparse matrix by accumulating (row, col, value)
@@ -124,9 +113,7 @@ func (b *Builder) Build() *CSR {
 		}
 		sc.row(m.colIdx[m.rowPtr[r-1]:m.rowPtr[r]], m.val[m.rowPtr[r-1]:m.rowPtr[r]])
 	}
-	if m.st = sc.st; m.st.mx == 0 {
-		m.runs = findRuns(m)
-	}
+	m.st = sc.st
 	return m
 }
 
@@ -234,57 +221,22 @@ type spmv struct{ y, x, u0, u1 Vector }
 // mulVecSpan computes y[r] = (A*x)[r] for rows r in [r0, r1) that share
 // their reduction accumulators (one chunk, or with a nil u0 any range and
 // none); it returns them. A stencil operator takes mulStencil, which reads
-// no val. Otherwise rows inside a diagonal run take the index-free run
-// kernels, clipped to the span; the rows between runs take the indexed row
-// loop.
+// no val; any other matrix takes the indexed row loop.
 //
 //vetsparse:allocfree
 func (m *CSR) mulVecSpan(a *spmv, r0, r1 int) (p0, p1 float64) {
 	if m.st.mx > 0 {
 		return mulStencil(a, &m.st, p0, p1, r0, r1)
 	}
-	// First run that ends after r0 (runs are sorted and disjoint).
-	lo, hi := 0, len(m.runs)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if m.runs[mid].r1 <= r0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	r := r0
-	for i := lo; i < len(m.runs) && m.runs[i].r0 < r1; i++ {
-		run := &m.runs[i]
-		if run.r0 > r {
-			p0, p1 = m.mulVecRows(a, p0, p1, r, run.r0)
-			r = run.r0
-		}
-		e := run.r1
-		if e > r1 {
-			e = r1
-		}
-		v := m.val[m.rowPtr[r]:][:(e-r)*run.w]
-		switch run.w {
-		case 3:
-			p0, p1 = mulRun3(a, v, &run.off, p0, p1, r, e)
-		case 4:
-			p0, p1 = mulRun4(a, v, &run.off, p0, p1, r, e)
-		default:
-			p0, p1 = mulRun5(a, v, &run.off, p0, p1, r, e)
-		}
-		r = e
-	}
-	if r < r1 {
-		p0, p1 = m.mulVecRows(a, p0, p1, r, r1)
-	}
-	return p0, p1
+	return m.mulVecRows(a, p0, p1, r0, r1)
 }
 
-// mulVecRows is the general row loop of mulVecSpan: one indexed gather per
-// stored entry. Rows of a width that has a run kernel are unrolled the same
-// way — thin grids (3 x 511) are all such rows and have no runs — so only
-// other widths pay the inner loop's branch per entry.
+// mulVecRows is the row loop of mulVecSpan: one indexed gather per stored
+// entry. Rows 3, 4 or 5 wide — a non-uniform 5-point operator's, and all
+// but the two ends of a one-line or one-column grid — are unrolled, so only
+// other widths pay the inner loop's branch per entry. With reductions bound
+// the dots <y, u0> and <y, u1> ride along in p0 and p1, one product a row
+// in row order (a u that is y reads the row just stored).
 //
 //vetsparse:allocfree
 func (m *CSR) mulVecRows(a *spmv, p0, p1 float64, r0, r1 int) (float64, float64) {

@@ -103,16 +103,16 @@ func TestFusedKernelsMatchPasses(t *testing.T) {
 }
 
 // TestNewCSRChecksPattern: NewCSR keeps the arrays it is given, finds the
-// stencil Build would or, off the stencil path, the run table, and refuses
-// a pattern Build could not have made.
+// stencil Build would or none off the stencil path, and refuses a pattern
+// Build could not have made.
 func TestNewCSRChecksPattern(t *testing.T) {
 	for _, c := range []struct {
 		want *CSR
-		mx   int // the stencil's grid width; 0: none, and a run table
+		mx   int // the stencil's grid width; 0: none
 	}{{gridOperator(9), 9}, {offStencil(gridOperator(9)), 0}} {
 		got := viaNewCSR(t, c.want)
-		if !reflect.DeepEqual(got, c.want) || got.st.mx != c.mx || (len(got.runs) == 0) != (c.mx > 0) {
-			t.Fatalf("NewCSR of Build's arrays differs from Build's matrix (runs %d against %d, stencil %+v against %+v)", len(got.runs), len(c.want.runs), got.st, c.want.st)
+		if !reflect.DeepEqual(got, c.want) || got.st.mx != c.mx {
+			t.Fatalf("NewCSR of Build's arrays differs from Build's matrix (stencil %+v against %+v)", got.st, c.want.st)
 		}
 	}
 	val := Vector{1, 2, 3}
@@ -138,11 +138,11 @@ func TestNewCSRChecksPattern(t *testing.T) {
 }
 
 // TestShiftedOperatorSharesPattern: an A that stores every diagonal lends
-// the stage matrix its row pointers, column indices and run table, and the
-// shared operator's matrix is the merged one's bit for bit — values,
-// pattern and runs — across shift changes, a repeated shift, and an
-// in-place rescale of A followed by Invalidate, flops included. An A that
-// misses a diagonal keeps the merged pattern.
+// the stage matrix its row pointers and column indices, and the shared
+// operator's matrix is the merged one's bit for bit — values and pattern —
+// across shift changes, a repeated shift, and an in-place rescale of A
+// followed by Invalidate, flops included. An A that misses a diagonal keeps
+// the merged pattern.
 func TestShiftedOperatorSharesPattern(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	zeros := gridOperator(6) // stored signed zeros: -(+0) is -0, 0-(+0) is not
@@ -161,9 +161,6 @@ func TestShiftedOperatorSharesPattern(t *testing.T) {
 			mm := merged.Matrix()
 			sameCSR(t, mm, m)
 			checkSame(t, what, m.val, mm.val)
-			if !reflect.DeepEqual(m.runs, mm.runs) {
-				t.Fatalf("%s: shared runs %v, merged %v", what, m.runs, mm.runs)
-			}
 		}
 		for _, s := range []float64{0.25, 0.25, -3, 1e-4} {
 			var so, mo Ops

@@ -68,7 +68,7 @@ func NewILU0(a *CSR, ops *Ops) (*ILU0, error) {
 		return nil, err
 	}
 	f.pack(a, diag, bwdRows)
-	f.findRuns(bwdRows)
+	f.sweepRuns(bwdRows)
 	f.colPos = make([]int32, f.n)
 	for i := range f.colPos {
 		f.colPos[i] = -1
@@ -184,10 +184,10 @@ func (f *ILU0) pack(a *CSR, diag []int, bwdRows []int32) {
 	}
 }
 
-// findRuns finds the runs of both sweeps on the packed pattern: forward
+// sweepRuns finds the runs of both sweeps on the packed pattern: forward
 // positions of two L entries, backward positions of a diagonal and two
 // upper entries, the last entry one step beyond the one before it.
-func (f *ILU0) findRuns(bwdRows []int32) {
+func (f *ILU0) sweepRuns(bwdRows []int32) {
 	carries := func(w int) func(run rowRun) bool {
 		return func(run rowRun) bool { return run.w == w && run.step+run.off[w-2] == run.off[w-1] }
 	}

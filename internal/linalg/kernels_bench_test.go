@@ -83,8 +83,8 @@ func BenchmarkShiftedUpdateHeld(b *testing.B) {
 
 // kernelShapes are the interior dimensions the kernel benchmarks sweep: the
 // level-5 square, a mid-family rectangle, the two anisotropic ends of a
-// family (long diagonal runs, and 3-wide rows with no runs at all), and the
-// two aspect ratios of the family-wide workload's largest grids.
+// family (long grid lines, and lines three points long), and the two aspect
+// ratios of the family-wide workload's largest grids.
 var kernelShapes = [][2]int{{127, 127}, {63, 31}, {511, 3}, {3, 511}, {255, 63}, {63, 255}}
 
 // benchShapes runs fn as one sub-benchmark per kernel shape (its name the
@@ -107,10 +107,10 @@ func benchShapes(b *testing.B, suffix string, off bool, fn func(b *testing.B, a 
 
 // BenchmarkMulVec times the product alone and with one and two reductions
 // riding along — <y, x>, then <y, y> beside it — as BiCGStab passes them:
-// through the stencil kernel, and (suffix -runs) through the run kernels
-// and the row loop that a non-uniform operator takes.
+// through the stencil kernel, and (suffix -rows) through the row loop that
+// a non-uniform operator takes.
 func BenchmarkMulVec(b *testing.B) {
-	for i, suffix := range []string{"", "+dot", "+2dots", "-runs", "-runs+dot", "-runs+2dots"} {
+	for i, suffix := range []string{"", "+dot", "+2dots", "-rows", "-rows+dot", "-rows+2dots"} {
 		dots := i % 3
 		benchShapes(b, suffix, i >= 3, func(b *testing.B, a *CSR) {
 			x := NewVector(a.Cols)

@@ -85,7 +85,7 @@ func TestBuilderEmptyRows(t *testing.T) {
 
 // TestBuildSortedMatchesShuffled checks Build's fast path: entries added in
 // row-major order, which skip the sort, must give the matrix the same
-// entries added in any order give — values, pattern and run table.
+// entries added in any order give — values, pattern and stencil state.
 func TestBuildSortedMatchesShuffled(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const nx, n = 9, 63

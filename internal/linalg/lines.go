@@ -10,9 +10,9 @@ import "math"
 // one direction far more strongly than the other; a line solve takes that
 // coupling exactly where a diagonal sees none of it.
 //
-// The pattern is analysed once per matrix identity, like the run table.
-// The direction and the factors are computed from the values and cached
-// under the caller's key, the way ILUFor caches ILU(0) (factorFor).
+// The pattern is analysed once per matrix identity, like ILU(0)'s level
+// schedule. The direction and the factors are computed from the values and
+// cached under the caller's key, the way ILUFor caches ILU(0) (factorFor).
 type lineFactor struct {
 	src    *CSR
 	key    float64  // the key the factors were computed under; NaN: none

@@ -4,8 +4,8 @@ package linalg
 // across many values of the shift s = gamma*tau, in the scaled form
 // M/s = (1/s)*I - A (Hairer & Wanner, Solving ODEs II, §IV.7). M = I - s*A
 // has A's sparsity pattern plus any structurally missing diagonal entries.
-// When A stores every diagonal, M shares A's row pointers, column indices
-// and run table; otherwise the merged pattern is built once. With the shift
+// When A stores every diagonal, M shares A's row pointers and column
+// indices; otherwise the merged pattern is built once. With the shift
 // factored out the off-diagonals -a_ij do not depend on s either, so they
 // are written once and a step-size change rewrites only the n diagonal
 // entries. The system M k = f is (M/s) k = f/s: the same solution, and for
@@ -67,7 +67,7 @@ func newShifted(a *CSR, share bool) *ShiftedOperator {
 		nnz += rowN
 	}
 	if share && !missing {
-		o.m = &CSR{Rows: n, Cols: n, rowPtr: a.rowPtr, colIdx: a.colIdx, val: make([]float64, len(a.val)), runs: a.runs}
+		o.m = &CSR{Rows: n, Cols: n, rowPtr: a.rowPtr, colIdx: a.colIdx, val: make([]float64, len(a.val))}
 		return o
 	}
 	m := &CSR{Rows: n, Cols: n, rowPtr: make([]int, n+1)}
@@ -100,12 +100,6 @@ func newShifted(a *CSR, share bool) *ShiftedOperator {
 			o.apos = append(o.apos, -1)
 		}
 		m.rowPtr[r+1] = len(m.colIdx)
-	}
-	// A stencil A stores every diagonal, so the merged pattern is its own
-	// and m is a stencil too; should setVals later take A off the path,
-	// m's rows take the row loop.
-	if a.st.mx == 0 {
-		m.runs = findRuns(m)
 	}
 	o.m = m
 	return o
@@ -143,7 +137,6 @@ func (o *ShiftedOperator) Update(s float64, ops *Ops) *CSR {
 			for p, v := range o.a.val[:len(val)] {
 				val[p] = -v
 			}
-			o.m.runs = o.a.runs // setVals may have found A's since
 		}
 		for p, k := range o.apos {
 			val[p] = 0

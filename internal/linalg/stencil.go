@@ -92,21 +92,18 @@ func stencilOf(m *CSR) stencil {
 
 // setVals is the one way to change a stored value after construction
 // besides ShiftedOperator.Update: f rewrites m's values in place (the
-// pattern stays), and m's stencil is found afresh from them; a matrix the
-// values take off the stencil path gets its run table.
+// pattern stays), and m's stencil is found afresh from them.
 func (m *CSR) setVals(f func(val []float64)) {
 	f(m.val)
-	if m.st = stencilOf(m); m.st.mx == 0 && m.runs == nil {
-		m.runs = findRuns(m)
-	}
+	m.st = stencilOf(m)
 }
 
 // mulStencil computes rows [r0, r1) of y = A*x for a stencil operator with
 // the coefficients of st, and returns the dots <y, u0> and <y, u1> of the
-// rows fed in row order into p0 and p1 (a nil u0: neither), like the
-// mulRun kernels. Each row is the row loop's sum over the entries it
-// stores, in storage order: 0.0 + c_S*x_S, then + c_W*x_W, + c_C*x_C,
-// + c_E*x_E, + c_N*x_N, each term where the neighbour is in the grid. The
+// rows fed in row order into p0 and p1 (a nil u0: neither), like the row
+// loop. Each row is the row loop's sum over the entries it stores, in
+// storage order: 0.0 + c_S*x_S, then + c_W*x_W, + c_C*x_C, + c_E*x_E,
+// + c_N*x_N, each term where the neighbour is in the grid. The
 // span takes up to three stretches: rows of the first line (no south), of
 // the middle lines, of the last line (no north). Each stretch slices its
 // operands once, relative to its first row; inside a line the rows between

@@ -16,7 +16,7 @@ func mustParse(t *testing.T, src string) *Program {
 	return p
 }
 
-func readTestdata(t *testing.T, name string) string {
+func readTestdata(t testing.TB, name string) string {
 	t.Helper()
 	b, err := os.ReadFile(filepath.Join("testdata", name))
 	if err != nil {
@@ -304,4 +304,31 @@ func TestDeclString(t *testing.T) {
 	if !strings.Contains(s, "manifold Worker(event) atomic") {
 		t.Fatalf("String() = %q", s)
 	}
+}
+
+// FuzzParse: whatever the source, Lex and Parse return without panicking,
+// a lexing error is Parse's error too, a lexed stream ends in its one EOF
+// token, and Check answers a parsed program, with or without errors,
+// without panicking.
+func FuzzParse(f *testing.F) {
+	f.Add(readTestdata(f, "mainprog.m"))
+	f.Add(readTestdata(f, "protocolMW.m"))
+	f.Fuzz(func(t *testing.T, src string) {
+		toks, lexErr := Lex("fuzz.m", src)
+		prog, err := Parse("fuzz.m", src)
+		if lexErr != nil {
+			if err == nil || err.Error() != lexErr.Error() {
+				t.Fatalf("Lex fails with %v, Parse with %v", lexErr, err)
+			}
+			return
+		}
+		for i, tok := range toks {
+			if (tok.Kind == EOF) != (i == len(toks)-1) {
+				t.Fatalf("token %d of %d is %v", i, len(toks), tok)
+			}
+		}
+		if err == nil {
+			_, _ = Check(prog)
+		}
+	})
 }

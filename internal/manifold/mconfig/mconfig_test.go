@@ -52,15 +52,18 @@ func TestLiteralHostInLocus(t *testing.T) {
 	}
 }
 
+// badConfigs are CONFIG files Parse must refuse.
+var badConfigs = []string{
+	"{host only_two}",
+	"{host a x} {host a y}",
+	"{locus t $missing}",
+	"{locus t}",
+	"{banana 1 2}",
+	"no braces here",
+}
+
 func TestParseErrors(t *testing.T) {
-	for _, src := range []string{
-		"{host only_two}",
-		"{host a x} {host a y}",
-		"{locus t $missing}",
-		"{locus t}",
-		"{banana 1 2}",
-		"no braces here",
-	} {
+	for _, src := range badConfigs {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("Parse(%q) succeeded", src)
 		}
@@ -104,4 +107,35 @@ func TestPlacerUnknownTask(t *testing.T) {
 	if _, err := c.Placer("ghost"); err == nil || !strings.Contains(err.Error(), "no locus") {
 		t.Fatalf("err = %v", err)
 	}
+}
+
+// FuzzParseConfig: whatever the file, Parse either refuses it or returns a
+// configuration whose host names come in declaration order, one a
+// variable, and whose every locus names at least one machine, which its
+// placer hands out round-robin.
+func FuzzParseConfig(f *testing.F) {
+	f.Add(PaperConfig())
+	for _, bad := range badConfigs {
+		f.Add(bad)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		c, err := Parse(src)
+		if err != nil {
+			return
+		}
+		if n := len(c.HostNames()); n != len(c.Hosts) {
+			t.Fatalf("%q: %d host names for %d variables", src, n, len(c.Hosts))
+		}
+		for task, locus := range c.Loci {
+			p, err := c.Placer(task)
+			if err != nil || len(locus) == 0 {
+				t.Fatalf("%q: locus %s = %v: %v", src, task, locus, err)
+			}
+			for i := 0; i < 2*len(locus); i++ {
+				if h := p.Next(); h != locus[i%len(locus)] {
+					t.Fatalf("%q: placement %d of %s on %s, want %s", src, i, task, h, locus[i%len(locus)])
+				}
+			}
+		}
+	})
 }

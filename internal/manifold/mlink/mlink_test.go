@@ -46,16 +46,19 @@ func TestRuleForOverlays(t *testing.T) {
 	}
 }
 
+// badMlinks are MLINK files Parse must refuse.
+var badMlinks = []string{
+	"{nottask x}",
+	"{task}",
+	"{task t {load zero}}",
+	"{task t {load 0}}",
+	"{task t {weight OnlyName}}",
+	"{task t {mystery 1}}",
+	"{task t",
+}
+
 func TestParseErrors(t *testing.T) {
-	for _, src := range []string{
-		"{nottask x}",
-		"{task}",
-		"{task t {load zero}}",
-		"{task t {load 0}}",
-		"{task t {weight OnlyName}}",
-		"{task t {mystery 1}}",
-		"{task t",
-	} {
+	for _, src := range badMlinks {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("Parse(%q) succeeded", src)
 		}
@@ -203,4 +206,42 @@ func TestPropBundlerCapacity(t *testing.T) {
 	if err := quick.Check(fn, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzParseMlink: whatever the file, Parse either refuses it or returns
+// rules that each have a name, a load of 0 (unlimited) or more and weights
+// of 0 or more; and a bundler for every rule's task places a process and
+// takes it back out without error.
+func FuzzParseMlink(f *testing.F) {
+	f.Add(mconfig.PaperMlink())
+	for _, bad := range badMlinks {
+		f.Add(bad)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		file, err := Parse(src)
+		if err != nil {
+			return
+		}
+		for _, r := range file.Rules {
+			if r.Name == "" || r.Load < 0 {
+				t.Fatalf("%q: rule %+v", src, r)
+			}
+			for m, w := range r.Weights {
+				if w < 0 {
+					t.Fatalf("%q: rule %s weighs %s %d", src, r.Name, m, w)
+				}
+			}
+			b := NewBundler(file, r.Name)
+			if b.Rule().Name != r.Name {
+				t.Fatalf("%q: bundler for %s holds the rule of %s", src, r.Name, b.Rule().Name)
+			}
+			inst, fresh := b.Place("Worker")
+			if !fresh || b.Forks() != 1 {
+				t.Fatalf("%q: the first process of %s joined instance %d (forks %d)", src, r.Name, inst.ID, b.Forks())
+			}
+			if err := b.Leave(inst, "Worker"); err != nil {
+				t.Fatalf("%q: %v", src, err)
+			}
+		}
+	})
 }

@@ -70,9 +70,8 @@ var onePassGrids = []grid.Grid{
 
 // TestNewDiscMatchesBuilder compares NewDisc's exact-size CSR with the
 // Builder assembly field by field: dimensions, row pointers, columns, the
-// values bit for bit, the run table and the stencil state, for upwinding
-// either way and for pure advection, whose zero couplings stay stored
-// entries.
+// values bit for bit and the stencil state, for upwinding either way and
+// for pure advection, whose zero couplings stay stored entries.
 func TestNewDiscMatchesBuilder(t *testing.T) {
 	problems := []*Problem{
 		PaperProblem(),
@@ -106,10 +105,10 @@ func TestNewDiscMatchesBuilder(t *testing.T) {
 			if vals.Cap() != vals.Len() || cols.Cap() != cols.Len() {
 				t.Fatalf("%s: %d values (cap %d), %d columns (cap %d)", name, vals.Len(), vals.Cap(), cols.Len(), cols.Cap())
 			}
-			// DeepEqual reaches the unexported row pointers, run table and
-			// stencil state too.
+			// DeepEqual reaches the unexported row pointers and stencil
+			// state too.
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: row pointers, run table or stencil differ from the Builder's", name)
+				t.Fatalf("%s: row pointers or stencil differ from the Builder's", name)
 			}
 		}
 	}
