@@ -1,27 +1,22 @@
-// Command vetsparse is the repo's custom static-analysis gate: seven
-// go/analysis-style passes that machine-check the invariants PRs 1–9
-// established — deterministic numerics (determinism), zero-allocation hot
-// loops (allocfree), exact master/worker protocol accounting (protocol),
-// a single observability name taxonomy (obsnames), and the flow-sensitive
-// concurrency trio: lockset discipline (locks), goroutine termination
-// (leaks), and request-deadline propagation (deadlines). See LINTS.md for
-// each pass's invariant, diagnostics, and suppression conventions.
+// Command vetsparse is the repo's custom static-analysis gate: six
+// go/analysis-style passes that machine-check the repo's invariants —
+// deterministic numerics (determinism), zero-allocation hot loops
+// (allocfree), exact master/worker protocol accounting (protocol), a
+// single observability name taxonomy (obsnames), and the flow-sensitive
+// concurrency pair: lockset discipline (locks) and goroutine termination
+// (leaks). It analyzes the named packages with their tests. See LINTS.md
+// for each pass's invariant, diagnostics, and suppression conventions.
 //
-// Run standalone:
+// Run it from the module root:
 //
 //	go run ./cmd/vetsparse ./...
 //	go run ./cmd/vetsparse -json ./...   # one JSON object per diagnostic line
-//
-// or as a vet tool, which shares go vet's caching and package loading:
-//
-//	go build -o /tmp/vetsparse ./cmd/vetsparse
-//	go vet -vettool=/tmp/vetsparse ./...
+//	go run ./cmd/vetsparse -locks ./...  # only the named passes
 package main
 
 import (
 	"repro/internal/analysis"
 	"repro/internal/analysis/passes/allocfree"
-	"repro/internal/analysis/passes/deadlines"
 	"repro/internal/analysis/passes/determinism"
 	"repro/internal/analysis/passes/leaks"
 	"repro/internal/analysis/passes/locks"
@@ -37,6 +32,5 @@ func main() {
 		obsnames.Analyzer,
 		locks.Analyzer,
 		leaks.Analyzer,
-		deadlines.Analyzer,
 	)
 }

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/passes/allocfree"
-	"repro/internal/analysis/passes/deadlines"
 	"repro/internal/analysis/passes/determinism"
 	"repro/internal/analysis/passes/leaks"
 	"repro/internal/analysis/passes/locks"
@@ -23,15 +22,14 @@ func allAnalyzers() []*analysis.Analyzer {
 		obsnames.Analyzer,
 		locks.Analyzer,
 		leaks.Analyzer,
-		deadlines.Analyzer,
 	}
 }
 
 // TestSelfClean runs the full vetsparse suite over the repository itself —
 // the same invariant CI enforces with `go run ./cmd/vetsparse ./...`.
-// Every existing hot path, protocol site, lockset, goroutine, and deadline
-// chain must satisfy the analyzers (with any justified //vetsparse:ignore
-// suppressions in place).
+// Every existing hot path, protocol site, lockset and goroutine, in the
+// test files too, must satisfy the analyzers (with any justified
+// //vetsparse:ignore suppressions in place).
 func TestSelfClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module; skipped in -short")
@@ -47,9 +45,9 @@ func TestSelfClean(t *testing.T) {
 }
 
 // TestSelfJSON runs the suite in -json mode over the repo: the exit count
-// must still be zero, every line must decode, and the suppressed findings
-// hidden by the tree's //vetsparse:ignore directives must be present and
-// marked — that audit trail is why -json exists.
+// must still be zero, every line must decode, and every finding a
+// //vetsparse:ignore directive hides must be present and marked — that
+// audit trail is why -json exists.
 func TestSelfJSON(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module; skipped in -short")
@@ -63,11 +61,10 @@ func TestSelfJSON(t *testing.T) {
 		t.Fatalf("vetsparse -json counted %d unsuppressed finding(s):\n%s", count, out.String())
 	}
 	// Any object that does appear must be a suppressed finding: the count
-	// above says no live ones exist. (Chain-cutting ignores — the deadlines
-	// pass consumes its directives during reachability — produce no
-	// diagnostic at all, so an empty stream is also legal here; the
-	// directive-interplay tests in internal/analysis pin the marked-
-	// suppressed behavior on a synthetic package.)
+	// above says no live ones exist. (An empty stream is also legal here,
+	// as a tree may carry no directive at all; the directive-interplay
+	// tests in internal/analysis pin the marked-suppressed behavior on a
+	// synthetic package.)
 	dec := json.NewDecoder(&out)
 	for dec.More() {
 		var d struct {

@@ -2,19 +2,19 @@
 // of the golang.org/x/tools/go/analysis driver surface that the vetsparse
 // suite needs. The repo's invariants — bit-for-bit deterministic
 // reductions, zero-allocation hot loops, exact death_worker rendezvous
-// accounting, checked deadline reads, a single observability taxonomy —
-// were bought by PRs 1-4 and are enforced by example-based tests; the
-// passes built on this package check them mechanically from the code, in
-// the spirit of Arbab et al.'s verifiable protocol work.
+// accounting, a single observability taxonomy — are enforced by
+// example-based tests; the passes built on this package check them
+// mechanically from the code, in the spirit of Arbab et al.'s verifiable
+// protocol work.
 //
 // The API deliberately mirrors x/tools (Analyzer, Pass, Diagnostic, object
 // facts) so the passes read like standard go/analysis passes and could be
 // ported to the real framework by changing one import, but everything here
-// builds with the standard library only: the container has no module
-// proxy, so golang.org/x/tools cannot be fetched. Two drivers share the
-// passes: a standalone loader (checker.go, load.go) used by
-// `go run ./cmd/vetsparse ./...`, and the `go vet -vettool` unitchecker
-// protocol (unitchecker.go).
+// builds with the standard library only, so the module takes no
+// third-party dependency. Main (`go run ./cmd/vetsparse ./...`) runs the
+// passes: it loads the packages and their tests with `go list` (load.go)
+// and analyzes them in one process (checker.go), facts held in memory
+// (facts.go).
 package analysis
 
 import (
@@ -32,9 +32,8 @@ type Analyzer struct {
 	Name string
 	// Doc is the help text; the first line is the one-line summary.
 	Doc string
-	// FactTypes lists the fact value types the pass exports and imports;
-	// each must be a pointer type registered here so the drivers can
-	// (de)serialize facts across package boundaries.
+	// FactTypes lists the fact value types the pass exports and imports,
+	// each a pointer type, as x/tools declares them.
 	FactTypes []Fact
 	// Run executes the pass on one package.
 	Run func(*Pass) (any, error)
@@ -46,7 +45,7 @@ func (a *Analyzer) String() string { return a.Name }
 // pass that analyzed the defining package and importable wherever the
 // object is used — how bottom-up properties (e.g. "this function can reach
 // time.Now") propagate across package boundaries in dependency order.
-// Implementations must be pointer types with gob-encodable fields.
+// Implementations must be pointer types.
 type Fact interface {
 	// AFact marks the type as a fact; it is never called.
 	AFact()
@@ -101,7 +100,7 @@ type Diagnostic struct {
 }
 
 // Validate checks the analyzer set for driver use: non-empty distinct
-// names, a Run function, and pointer-typed facts.
+// names and a Run function.
 func Validate(analyzers []*Analyzer) error {
 	seen := make(map[string]bool)
 	for _, a := range analyzers {

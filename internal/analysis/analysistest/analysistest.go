@@ -120,7 +120,7 @@ func (l *loader) load(path string) (*analysis.Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	pkg := &analysis.Package{PkgPath: path, Dir: dir, Files: files, Types: tpkg, Info: info}
+	pkg := &analysis.Package{PkgPath: path, Files: files, Types: tpkg, Info: info}
 	l.pkgs[path] = pkg
 	l.order = append(l.order, &fixturePkg{Package: pkg})
 	return pkg, nil

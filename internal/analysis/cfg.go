@@ -6,13 +6,12 @@ import (
 	"go/types"
 )
 
-// This file gives the flow-sensitive passes (locks, leaks, deadlines) a
-// per-function control-flow graph over the AST. The repo's earlier passes
-// are syntax-directed — they inspect one construct at a time — but the
-// PR 7-9 concurrency surface (locksets held across paths, goroutine
-// termination, deadline threading) is a property of *paths*, so the
-// coordination invariants need blocks and edges: if/else splits, loop back
-// edges, select and switch fans, defer-at-exit, goto resolution.
+// This file gives the flow-sensitive locks pass a per-function
+// control-flow graph over the AST. The other passes are syntax-directed —
+// they inspect one construct at a time — but a lock held across paths is
+// a property of *paths*, so the lockset invariants need blocks and edges:
+// if/else splits, loop back edges, select and switch fans, defer-at-exit,
+// goto resolution.
 //
 // The graph is deliberately AST-level, not SSA: every statement (and the
 // condition expressions that guard branches) lands in exactly one Block in

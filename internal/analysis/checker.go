@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"go/token"
 	"io"
+	"os"
 	"sort"
+	"strings"
 )
 
 // result collects one package's diagnostics for one analyzer, including
@@ -20,13 +22,20 @@ type result struct {
 // matched diagnostics suppressed rather than dropping them — plain output
 // and the exit status skip them, -json reports them. The malformed-
 // directive diagnostics from the ignore scan itself are attributed to the
-// pseudo-pass "directive".
+// pseudo-pass "directive". From a test variant only findings in _test.go
+// files are kept: its other files are the plain package's, already
+// reported.
 func runPackage(pkg *Package, analyzers []*Analyzer, fset *token.FileSet, facts *FactSet) ([]result, error) {
 	var results []result
+	keep := func(pos token.Pos) bool {
+		return pkg.ForTest == "" || strings.HasSuffix(fset.Position(pos).Filename, "_test.go")
+	}
 
 	var directiveDiags []Diagnostic
 	ignores := NewIgnores(fset, pkg.Files, func(d Diagnostic) {
-		directiveDiags = append(directiveDiags, d)
+		if keep(d.Pos) {
+			directiveDiags = append(directiveDiags, d)
+		}
 	})
 	if len(directiveDiags) > 0 {
 		results = append(results, result{analyzer: "directive", diags: directiveDiags})
@@ -36,13 +45,17 @@ func runPackage(pkg *Package, analyzers []*Analyzer, fset *token.FileSet, facts 
 		var diags []Diagnostic
 		imp, exp := facts.bind(a)
 		pass := &Pass{
-			Analyzer:         a,
-			Fset:             fset,
-			Files:            pkg.Files,
-			Pkg:              pkg.Types,
-			TypesInfo:        pkg.Info,
-			Ignores:          ignores,
-			Report:           func(d Diagnostic) { diags = append(diags, d) },
+			Analyzer:  a,
+			Fset:      fset,
+			Files:     pkg.Files,
+			Pkg:       pkg.Types,
+			TypesInfo: pkg.Info,
+			Ignores:   ignores,
+			Report: func(d Diagnostic) {
+				if keep(d.Pos) {
+					diags = append(diags, d)
+				}
+			},
 			ImportObjectFact: imp,
 			ExportObjectFact: exp,
 		}
@@ -158,8 +171,8 @@ func printJSON(w io.Writer, fset *token.FileSet, results []result) int {
 	return count
 }
 
-// Run loads the packages matched by patterns (plus module dependencies),
-// runs the analyzers over each in dependency order sharing one fact store,
+// Run loads the packages matched by patterns with their tests (plus
+// module dependencies), runs the analyzers over each in dependency order sharing one fact store,
 // and prints unsuppressed diagnostics to w. It returns the unsuppressed
 // diagnostic count.
 func Run(w io.Writer, patterns []string, analyzers []*Analyzer) (int, error) {
@@ -192,4 +205,80 @@ func run(w io.Writer, patterns []string, analyzers []*Analyzer, print func(io.Wr
 		count += print(w, fset, results)
 	}
 	return count, nil
+}
+
+// Main is the entry point of cmd/vetsparse: it parses the flags (-json,
+// -help, and -<pass> to run only the named passes), analyzes the packages
+// the patterns match, and exits nonzero iff diagnostics were reported.
+func Main(progname string, analyzers ...*Analyzer) {
+	if err := Validate(analyzers); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+
+	args := os.Args[1:]
+	enabled := analyzers
+	jsonOut := false
+	var rest []string
+	for _, arg := range args {
+		switch {
+		case arg == "-h" || arg == "-help" || arg == "--help":
+			usage(progname, analyzers)
+			os.Exit(0)
+		case arg == "-json" || arg == "--json":
+			jsonOut = true
+		case strings.HasPrefix(arg, "-"):
+			name, val, hasVal := strings.Cut(strings.TrimLeft(arg, "-"), "=")
+			var found *Analyzer
+			for _, a := range analyzers {
+				if a.Name == name {
+					found = a
+					break
+				}
+			}
+			if found == nil {
+				fmt.Fprintf(os.Stderr, "%s: unknown flag %s\n", progname, arg)
+				usage(progname, analyzers)
+				os.Exit(2)
+			}
+			if hasVal && (val == "false" || val == "0") {
+				continue // -pass=false: ignore (default set already minimal)
+			}
+			if len(enabled) == len(analyzers) {
+				enabled = nil // first -name flag switches to explicit selection
+			}
+			enabled = append(enabled, found)
+		default:
+			rest = append(rest, arg)
+		}
+	}
+
+	if len(rest) == 0 {
+		usage(progname, analyzers)
+		os.Exit(2)
+	}
+	runner := Run
+	if jsonOut {
+		runner = RunJSON
+	}
+	n, err := runner(os.Stdout, rest, enabled)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", progname, err)
+		os.Exit(1)
+	}
+	if n > 0 {
+		os.Exit(1)
+	}
+}
+
+func usage(progname string, analyzers []*Analyzer) {
+	fmt.Fprintf(os.Stderr, "%s checks the repo's coordination invariants statically.\n\n", progname)
+	fmt.Fprintf(os.Stderr, "Usage:\n  %s [-json] [-pass ...] package...  # -json: one diagnostic object per line, suppressed included\n\nPackages are analyzed with their tests.\n\nRegistered analyzers:\n", progname)
+	for _, a := range analyzers {
+		doc := a.Doc
+		if i := strings.IndexByte(doc, '\n'); i >= 0 {
+			doc = doc[:i]
+		}
+		fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, doc)
+	}
 }

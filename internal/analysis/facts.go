@@ -1,25 +1,20 @@
 package analysis
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"go/types"
-	"os"
-	"sort"
-	"sync"
+	"reflect"
 )
 
-// FactSet is the cross-package fact store shared by a driver run. Facts
-// are keyed by (analyzer, object) where the object key is the qualified
-// name of the package-level object — stable across processes, so the same
-// encoding serves the in-process standalone driver and the .vetx files of
-// the `go vet -vettool` protocol. Only package-level functions, methods,
-// variables and types can carry facts, which is all the vetsparse passes
-// need.
+// FactSet is the cross-package fact store of one run. Facts are
+// keyed by (analyzer, object), the object by its qualified name
+// (ObjectKey), so a fact exported while analyzing one package reaches
+// every later package that uses the object, test variants included, each
+// of which type-checks its own copy of the object. Only package-level
+// functions, methods, variables and types can carry facts, which is all
+// the vetsparse passes need.
 type FactSet struct {
-	mu sync.Mutex
-	m  map[factKey][]byte // gob-encoded fact value
+	m map[factKey]Fact
 }
 
 type factKey struct {
@@ -29,12 +24,13 @@ type factKey struct {
 
 // NewFactSet returns an empty fact store.
 func NewFactSet() *FactSet {
-	return &FactSet{m: make(map[factKey][]byte)}
+	return &FactSet{m: make(map[factKey]Fact)}
 }
 
-// ObjectKey returns the cross-process identity of a package-level object:
-// the method's FullName for funcs ("pkg/path.(*T).M"), otherwise
-// "pkg/path.Name". Objects without a package (builtins) have no key.
+// ObjectKey returns the identity of a package-level object across
+// type-checked copies of its package: the method's FullName for funcs
+// ("pkg/path.(*T).M"), otherwise "pkg/path.Name". Objects without a
+// package (builtins) have no key.
 func ObjectKey(obj types.Object) (string, bool) {
 	if obj == nil || obj.Pkg() == nil {
 		return "", false
@@ -48,107 +44,27 @@ func ObjectKey(obj types.Object) (string, bool) {
 	return obj.Pkg().Path() + "." + obj.Name(), true
 }
 
-// export stores fact for obj under the analyzer's namespace.
-func (s *FactSet) export(analyzer string, obj types.Object, fact Fact) error {
-	key, ok := ObjectKey(obj)
-	if !ok {
-		return fmt.Errorf("analysis: object %v cannot carry facts", obj)
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(fact); err != nil {
-		return fmt.Errorf("analysis: encoding fact for %s: %v", key, err)
-	}
-	s.mu.Lock()
-	s.m[factKey{analyzer, key}] = buf.Bytes()
-	s.mu.Unlock()
-	return nil
-}
-
-// imports copies the stored fact for obj into fact, reporting whether one
-// existed.
-func (s *FactSet) imports(analyzer string, obj types.Object, fact Fact) bool {
-	key, ok := ObjectKey(obj)
-	if !ok {
-		return false
-	}
-	s.mu.Lock()
-	data, ok := s.m[factKey{analyzer, key}]
-	s.mu.Unlock()
-	if !ok {
-		return false
-	}
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(fact); err != nil {
-		return false
-	}
-	return true
-}
-
-// bind returns the Pass hooks for one analyzer over this store.
+// bind returns the Pass hooks for one analyzer over this store. An
+// exported fact is kept as given and must not be changed after export;
+// an import copies it into the caller's value of the same type.
 func (s *FactSet) bind(a *Analyzer) (imp func(types.Object, Fact) bool, exp func(types.Object, Fact)) {
-	imp = func(obj types.Object, f Fact) bool { return s.imports(a.Name, obj, f) }
-	exp = func(obj types.Object, f Fact) {
-		if err := s.export(a.Name, obj, f); err != nil {
-			panic(err)
+	imp = func(obj types.Object, f Fact) bool {
+		key, ok := ObjectKey(obj)
+		if !ok {
+			return false
 		}
+		stored, ok := s.m[factKey{a.Name, key}]
+		if ok {
+			reflect.ValueOf(f).Elem().Set(reflect.ValueOf(stored).Elem())
+		}
+		return ok
+	}
+	exp = func(obj types.Object, f Fact) {
+		key, ok := ObjectKey(obj)
+		if !ok {
+			panic(fmt.Errorf("analysis: object %v cannot carry facts", obj))
+		}
+		s.m[factKey{a.Name, key}] = f
 	}
 	return imp, exp
-}
-
-// factEntry is the serialized form of one fact for .vetx files.
-type factEntry struct {
-	Analyzer string
-	Object   string
-	Data     []byte
-}
-
-// Encode serializes the store (sorted, so output is deterministic).
-func (s *FactSet) Encode() ([]byte, error) {
-	s.mu.Lock()
-	entries := make([]factEntry, 0, len(s.m))
-	for k, v := range s.m {
-		entries = append(entries, factEntry{Analyzer: k.analyzer, Object: k.object, Data: v})
-	}
-	s.mu.Unlock()
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].Analyzer != entries[j].Analyzer {
-			return entries[i].Analyzer < entries[j].Analyzer
-		}
-		return entries[i].Object < entries[j].Object
-	})
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(entries); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// Merge decodes serialized facts into the store (imported-package .vetx
-// files in unitchecker mode).
-func (s *FactSet) Merge(data []byte) error {
-	if len(data) == 0 {
-		return nil
-	}
-	var entries []factEntry
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&entries); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, e := range entries {
-		s.m[factKey{e.Analyzer, e.Object}] = e.Data
-	}
-	return nil
-}
-
-// MergeFile is Merge over a file's contents; a missing file is not an
-// error (no facts were exported for that package).
-func (s *FactSet) MergeFile(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return err
-	}
-	return s.Merge(data)
 }

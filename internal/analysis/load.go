@@ -17,10 +17,14 @@ import (
 
 // Package is one loaded, type-checked package ready for analysis.
 type Package struct {
-	// PkgPath is the import path.
+	// PkgPath is the package's ID in `go list -test` terms: the import
+	// path, or for a test variant "path [path.test]".
 	PkgPath string
-	// Dir is the package directory.
-	Dir string
+	// ForTest is set on a test variant: the import path of the package
+	// whose test binary it belongs to. Its non-test files were already
+	// analyzed as the plain package, so only its findings in _test.go
+	// files are reported.
+	ForTest string
 	// Files are the parsed compiled Go files, comments included.
 	Files []*ast.File
 	// Types is the type-checked package.
@@ -32,18 +36,24 @@ type Package struct {
 // listedPackage is the subset of `go list -json` output the loader needs.
 type listedPackage struct {
 	ImportPath string
+	ForTest    string
 	Dir        string
 	GoFiles    []string
+	ImportMap  map[string]string
 	Standard   bool
 	Error      *struct{ Err string }
 }
 
-// Load resolves the patterns with `go list -deps -json` and type-checks
-// every non-standard package from source, dependencies first, so analyzer
-// facts can flow bottom-up exactly as they do under `go vet`. Standard
-// library imports resolve through the compiler's export data.
+// Load resolves the patterns with `go list -deps -test -json` and
+// type-checks every non-standard package from source, dependencies first,
+// so analyzer facts flow bottom-up. The matched packages' test variants
+// come too: the package recompiled with its in-package _test.go files, and
+// the external _test package. Each resolves its imports through its own
+// ImportMap, so an external test sees the variant it is compiled against.
+// The generated test mains are skipped. Standard library imports resolve
+// through the compiler's export data.
 func Load(fset *token.FileSet, patterns []string) ([]*Package, error) {
-	args := append([]string{"list", "-deps", "-json=ImportPath,Dir,GoFiles,Standard,Error"}, patterns...)
+	args := append([]string{"list", "-deps", "-test", "-json=ImportPath,ForTest,Dir,GoFiles,ImportMap,Standard,Error"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Stderr = os.Stderr
 	out, err := cmd.Output()
@@ -52,8 +62,11 @@ func Load(fset *token.FileSet, patterns []string) ([]*Package, error) {
 	}
 
 	dec := json.NewDecoder(strings.NewReader(string(out)))
-	byPath := make(map[string]*types.Package)
-	imp := newModuleImporter(fset, byPath)
+	base := moduleImporter{
+		checked: make(map[string]*types.Package),
+		gc:      importer.ForCompiler(fset, "gc", nil),
+		source:  importer.ForCompiler(fset, "source", nil),
+	}
 	var pkgs []*Package
 	for {
 		var lp listedPackage
@@ -62,20 +75,24 @@ func Load(fset *token.FileSet, patterns []string) ([]*Package, error) {
 		} else if err != nil {
 			return nil, fmt.Errorf("analysis: decoding go list output: %v", err)
 		}
-		if lp.Standard || lp.ImportPath == "unsafe" {
-			continue
+		if lp.Standard || lp.ImportPath == "unsafe" || strings.HasSuffix(lp.ImportPath, ".test") {
+			continue // the standard library, and the test mains go test generates
 		}
 		if lp.Error != nil {
 			return nil, fmt.Errorf("analysis: %s: %s", lp.ImportPath, lp.Error.Err)
 		}
 		if len(lp.GoFiles) == 0 {
-			continue // test-only package: nothing to analyze
+			continue // test-only package: its test variant carries the files
 		}
-		pkg, err := typeCheckDir(fset, lp.ImportPath, lp.Dir, lp.GoFiles, imp)
+		imp := base
+		imp.importMap = lp.ImportMap
+		path, _, _ := strings.Cut(lp.ImportPath, " ") // "p [p.test]" is package p
+		pkg, err := typeCheckDir(fset, path, lp.Dir, lp.GoFiles, &imp)
 		if err != nil {
 			return nil, err
 		}
-		byPath[lp.ImportPath] = pkg.Types
+		pkg.PkgPath, pkg.ForTest = lp.ImportPath, lp.ForTest
+		base.checked[lp.ImportPath] = pkg.Types
 		// Dependencies are analyzed too (facts flow bottom-up) and their
 		// diagnostics are reported: a violated invariant in a dependency
 		// is a finding wherever the driver was pointed.
@@ -98,16 +115,13 @@ func typeCheckDir(fset *token.FileSet, path, dir string, goFiles []string, imp t
 		}
 		files = append(files, f)
 	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("analysis: package %s has no Go files", path)
-	}
 	info := NewTypesInfo()
 	conf := types.Config{Importer: imp}
 	tpkg, err := conf.Check(path, fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("analysis: type-checking %s: %v", path, err)
 	}
-	return &Package{PkgPath: path, Dir: dir, Files: files, Types: tpkg, Info: info}, nil
+	return &Package{PkgPath: path, Files: files, Types: tpkg, Info: info}, nil
 }
 
 // NewTypesInfo returns a types.Info with every result map allocated, as
@@ -123,28 +137,24 @@ func NewTypesInfo() *types.Info {
 	}
 }
 
-// moduleImporter resolves module-internal imports from the packages
-// already type-checked this run (go list -deps guarantees dependency
-// order) and everything else through the gc export-data importer, falling
-// back to type-checking the standard library from source if export data is
-// unavailable.
+// moduleImporter resolves one package's imports: module packages from
+// those already type-checked this run (go list -deps guarantees dependency
+// order), keyed through the package's ImportMap, and everything else
+// through the gc export-data importer, falling back to type-checking the
+// standard library from source if export data is unavailable.
 type moduleImporter struct {
-	byPath map[string]*types.Package
-	gc     types.Importer
-	source types.Importer
-}
-
-func newModuleImporter(fset *token.FileSet, byPath map[string]*types.Package) *moduleImporter {
-	return &moduleImporter{
-		byPath: byPath,
-		gc:     importer.ForCompiler(fset, "gc", nil),
-		source: importer.ForCompiler(fset, "source", nil),
-	}
+	checked   map[string]*types.Package // by go list ImportPath
+	importMap map[string]string         // import path -> ImportPath, where they differ
+	gc        types.Importer
+	source    types.Importer
 }
 
 // Import implements types.Importer.
 func (m *moduleImporter) Import(path string) (*types.Package, error) {
-	if p, ok := m.byPath[path]; ok {
+	if id, ok := m.importMap[path]; ok {
+		path = id
+	}
+	if p, ok := m.checked[path]; ok {
 		return p, nil
 	}
 	p, err := m.gc.Import(path)

@@ -488,7 +488,7 @@ func (a *lockAnalysis) blockingCall(call *ast.CallExpr) (name, why string) {
 	if isSyncType(recvT, "WaitGroup") && n == "Wait" {
 		return n, "WaitGroup.Wait"
 	}
-	if readforms.Deadline[n] || readforms.Bare[n] != "" {
+	if readforms.Deadline[n] || readforms.Bare[n] {
 		return n, "blocking read " + n
 	}
 	return "", ""

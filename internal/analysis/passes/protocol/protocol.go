@@ -37,9 +37,8 @@ var Analyzer = &analysis.Analyzer{
 var scopedPkgs = map[string]bool{"core": true, "manifold": true}
 
 // The deadline-read method table lives in readforms.Deadline, shared with
-// the deadlines and locks passes: this pass grew its own copy by hand
-// once and missed the PR 7 *Until forms, the blind spot that motivated
-// unifying the table (ISSUE 10 satellite).
+// the locks pass: this pass grew its own copy by hand once and missed the
+// *Until forms, the blind spot that motivated one table.
 
 // eventCalls are the method names accepted as handling an envelope that a
 // select branch would otherwise drop: observability emission or the

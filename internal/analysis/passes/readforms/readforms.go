@@ -1,9 +1,9 @@
 // Package readforms is the single source of truth for the repo's blocking
-// read vocabulary, shared by the protocol, deadlines, and locks passes.
-// PR 7 added the absolute-deadline forms (ReadUntil/ReadResultUntil) next
-// to the PR 2 relative forms (ReadWithin/ReadResultWithin/WaitWithin), and
-// the protocol pass grew its table by hand — the kind of drift this
-// package ends: one table, three passes, one regression fixture suite.
+// read vocabulary, shared by the protocol and locks passes. The
+// absolute-deadline forms (ReadUntil/ReadResultUntil) came after the
+// relative ones (ReadWithin/ReadResultWithin/WaitWithin), and a table
+// grown by hand in one pass missed them — the kind of drift this package
+// ends: one table, two passes, one regression fixture suite.
 package readforms
 
 // Deadline maps the deadline-carrying read/wait method names — the forms
@@ -19,21 +19,13 @@ var Deadline = map[string]bool{
 	"WaitWithin":       true,
 }
 
-// Bare maps each bare (deadline-free) blocking read on the manifold/core
-// protocol surface to its deadline-carrying replacement. The deadlines
-// pass reports these when they are reachable from a serve handler or the
-// pool's collect loop, where a request deadline exists and must be
-// threaded through.
-var Bare = map[string]string{
-	"Read":       "ReadUntil",
-	"MustRead":   "ReadUntil",
-	"ReadResult": "ReadResultUntil",
-	"Wait":       "WaitWithin",
-	"Terminated": "WaitWithin",
+// Bare holds the bare (deadline-free) blocking reads on the manifold/core
+// protocol surface. The locks pass reports any of these, or a Deadline
+// form, made while a lock may be held.
+var Bare = map[string]bool{
+	"Read":       true,
+	"MustRead":   true,
+	"ReadResult": true,
+	"Wait":       true,
+	"Terminated": true,
 }
-
-// BarePackages are the package names whose methods the Bare table applies
-// to — the protocol layers (by name, so fixtures can reproduce them).
-// sync.WaitGroup.Wait and friends are deliberately outside: they are
-// completion joins, not protocol reads.
-var BarePackages = map[string]bool{"manifold": true, "core": true}

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"testing"
 	"time"
+
+	"repro/internal/manifold"
 )
 
 // doubler is the worker computation used throughout: read one int, double
@@ -25,11 +27,19 @@ func rejectCorrupt(u any) error {
 
 // runPool drives one pool of n doubling jobs under the policy and returns
 // the sorted successful results, the per-job errors, and the run stats.
-func runPool(t *testing.T, n int, policy Policy) ([]int, []error, Stats) {
+// It also checks the rendezvous ledger (DESIGN.md §7) from outside the
+// coordinator: once every process of the run but the named hung workers
+// has returned, death_worker was raised exactly once per worker created.
+// Stats.Deaths cannot show a second raise, because the rendezvous stops
+// counting at Workers.
+func runPool(t *testing.T, n int, policy Policy, hung ...string) ([]int, []error, Stats) {
 	t.Helper()
 	var got []int
 	var errs []error
+	var ledger *manifold.Process
 	stats := RunPolicy(func(m *Master) {
+		ledger = m.p.Env().NewProcess("Ledger", nil)
+		ledger.Observe(EvDeathWorker)
 		pool := m.NewPool()
 		for i := 0; i < n; i++ {
 			pool.Submit(i)
@@ -46,7 +56,31 @@ func runPool(t *testing.T, n int, policy Policy) ([]int, []error, Stats) {
 		m.Finished()
 	}, doubler, policy)
 	sort.Ints(got)
+	if raises := deathRaises(ledger, hung); raises != stats.Workers {
+		t.Errorf("death_worker raised %d times for %d workers (stats %+v)", raises, stats.Workers, stats)
+	}
 	return got, errs, stats
+}
+
+// deathRaises waits for every process of ledger's run except ledger itself
+// and the hung ones, then counts the death_worker occurrences ledger saw.
+func deathRaises(ledger *manifold.Process, hung []string) int {
+	skip := map[string]bool{ledger.Name(): true}
+	for _, name := range hung {
+		skip[name] = true
+	}
+	for _, p := range ledger.Env().Processes() {
+		if !skip[p.Name()] {
+			p.Terminated()
+		}
+	}
+	n := 0
+	for _, occ := range ledger.Memory().Pending() {
+		if occ.Event == EvDeathWorker {
+			n++
+		}
+	}
+	return n
 }
 
 func wantDoubles(t *testing.T, got []int, n int) {
@@ -92,7 +126,7 @@ func TestHangPastDeadlineAbandonedAndRetried(t *testing.T) {
 		Injector:       PlanFaults(3*time.Second, FaultHang),
 	}
 	start := time.Now()
-	got, errs, stats := runPool(t, 1, policy)
+	got, errs, stats := runPool(t, 1, policy, "Worker-1")
 	if elapsed := time.Since(start); elapsed >= 3*time.Second {
 		t.Fatalf("run took %v: master waited out the hang instead of abandoning", elapsed)
 	}

@@ -258,7 +258,6 @@ func (pl *Pool) read() (manifold.Unit, error) {
 		}
 	}
 	if nearest.IsZero() {
-		//vetsparse:ignore deadlines no outstanding job carries a deadline here, so there is none to thread; deadline-free pools wait unbounded by design
 		return pl.m.ReadResult(), nil
 	}
 	return pl.m.ReadResultUntil(nearest)

@@ -70,7 +70,6 @@ func (m *Master) CreatePool() {
 // the worker with its job.
 func (m *Master) CreateWorker() *manifold.Process {
 	m.p.Raise(EvCreateWorker)
-	//vetsparse:ignore deadlines synchronous handshake: the coordinator wires the worker ref in direct response to the raise just above, with no unbounded wait
 	ref := m.p.Input().MustRead().(*manifold.Process)
 	ref.Activate()
 	return ref
@@ -124,7 +123,6 @@ func (m *Master) abandon(w *manifold.Process) {
 // 3g-3h).
 func (m *Master) Rendezvous() {
 	m.p.Raise(EvRendezvous)
-	//vetsparse:ignore deadlines synchronous handshake: the coordinator answers the rendezvous raise just above immediately; there is no unbounded wait to bound
 	m.p.Wait(manifold.On(EvARendezvous))
 }
 

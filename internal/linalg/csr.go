@@ -277,21 +277,6 @@ func (m *CSR) mulVecRows(a *spmv, p0, p1 float64, r0, r1 int) (float64, float64)
 	return p0, p1
 }
 
-// Diagonal extracts the main diagonal into d (missing entries are zero).
-//
-//vetsparse:allocfree
-func (m *CSR) Diagonal(d Vector) {
-	for r := 0; r < m.Rows; r++ {
-		d[r] = 0
-		for k := m.rowPtr[r]; k < m.rowPtr[r+1]; k++ {
-			if m.colIdx[k] == r {
-				d[r] = m.val[k]
-				break
-			}
-		}
-	}
-}
-
 // AppendRow appends row r's column indices, ascending, and its values to
 // cols and vals: copies, which leave the matrix as it is.
 func (m *CSR) AppendRow(r int, cols []int, vals []float64) ([]int, []float64) {

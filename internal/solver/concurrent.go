@@ -118,7 +118,6 @@ func Concurrent(p Params) (*Output, error) {
 		results[i] = r.res
 	}
 
-	//vetsparse:ignore deadlines RunPolicy's coordination joins (Terminated/Wait) are bounded by pool deadline expiry and worker abandonment, not the request deadline
 	stats := core.RunPolicy(func(m *core.Master) {
 		// Step 2: initialization work happened in the caller (parameter
 		// validation, family layout). Step 3: one pool for all grids of
@@ -163,7 +162,6 @@ func Concurrent(p Params) (*Output, error) {
 		// its integrator workspace — solver buffers are never shared
 		// across goroutines.
 		ws := rosenbrock.NewWorkspace()
-		//vetsparse:ignore deadlines worker-side read: the master's deadline expiry abandons the worker and closes its port, which unsticks this read
 		job := w.Read().(Job)
 		res, err := timedSubsolve(p.Obs, w.Process().Name(), job.Grid, job.Prob, job.Tol, job.TEnd, job.Lin, ws)
 		w.Write(jobResult{res: res, err: err})
