@@ -136,7 +136,18 @@ func (s *lockset) mustHeld() []string {
 type funcSummary struct {
 	acquires map[string]bool
 	edges    map[string]token.Pos // edge "A→B" → the local Lock position that created it
-	callees  map[*types.Func]bool // package-local static callees
+	// calls holds, per package-local static call, the lock classes that
+	// may be held there. A callee's acquire set is complete only once
+	// propagate has closed it (the callee may be declared later, or call
+	// such a function), so the held→acquired edges of the call are added
+	// there, not when the call is analyzed.
+	calls map[localCall]map[string]bool
+}
+
+// localCall is one call site of a package-local function.
+type localCall struct {
+	callee *types.Func
+	pos    token.Pos
 }
 
 func run(pass *analysis.Pass) (any, error) {
@@ -156,7 +167,7 @@ func run(pass *analysis.Pass) (any, error) {
 				continue
 			}
 			obj, _ := pass.TypesInfo.Defs[fn.Name].(*types.Func)
-			sum := &funcSummary{acquires: map[string]bool{}, edges: map[string]token.Pos{}, callees: map[*types.Func]bool{}}
+			sum := &funcSummary{acquires: map[string]bool{}, edges: map[string]token.Pos{}, calls: map[localCall]map[string]bool{}}
 			if obj != nil {
 				a.summaries[obj] = sum
 			}
@@ -338,12 +349,20 @@ func (a *lockAnalysis) transfer(n ast.Node, s *lockset, sum *funcSummary, report
 			}
 			// Callee summaries: acquisitions inside callees create order
 			// edges under any held lock, and propagate into this
-			// function's transitive acquire set.
+			// function's transitive acquire set — a package-local
+			// callee's in propagate, from the classes recorded here.
 			if callee := calleeFunc(a.pass.TypesInfo, m); callee != nil {
 				if callee.Pkg() == a.pass.Pkg {
-					sum.callees[callee] = true
-					if cs := a.summaries[callee]; cs != nil {
-						a.mergeCalleeLocked(s, sum, cs.acquires, m.Pos())
+					site := localCall{callee, m.Pos()}
+					held := sum.calls[site]
+					if held == nil {
+						held = map[string]bool{}
+						sum.calls[site] = held
+					}
+					for key, class := range s.class {
+						if s.may[key] && class != "" {
+							held[class] = true
+						}
 					}
 				} else {
 					var fact lockFact
@@ -513,13 +532,15 @@ func namedOf(t types.Type) *types.Named {
 }
 
 // propagate closes the per-function summaries over package-local calls
-// (so a helper's acquisitions count for its callers) and exports facts.
+// (so a helper's acquisitions count for its callers, and each call site
+// gets an order edge from every class held there to every class the
+// callee may acquire) and exports facts.
 func (a *lockAnalysis) propagate() {
 	for changed := true; changed; {
 		changed = false
 		for _, sum := range a.summaries {
-			for callee := range sum.callees {
-				cs := a.summaries[callee]
+			for site, held := range sum.calls {
+				cs := a.summaries[site.callee]
 				if cs == nil {
 					continue
 				}
@@ -527,6 +548,22 @@ func (a *lockAnalysis) propagate() {
 					if !sum.acquires[c] {
 						sum.acquires[c] = true
 						changed = true
+					}
+					for h := range held {
+						if h == c {
+							continue
+						}
+						// A new edge propagates; an edge already known
+						// keeps the earliest call site, so the position
+						// a cycle is reported at does not depend on map
+						// order.
+						edge := h + "→" + c
+						if pos, ok := sum.edges[edge]; !ok {
+							sum.edges[edge] = site.pos
+							changed = true
+						} else if pos == token.NoPos || site.pos < pos {
+							sum.edges[edge] = site.pos
+						}
 					}
 				}
 				for e := range cs.edges {

@@ -222,3 +222,39 @@ func calleeEdge(r *registry, s *lockdep.Store) {
 	lockdep.Bump(s)
 	r.mu.Unlock()
 }
+
+// Port and Stream close a cycle only through methods declared after their
+// callers: Port.Write calls Stream.forward under pt.mu, and Stream.Break
+// calls Port.detach under s.mu. The edges come from the callees' acquire
+// sets, which are complete only after the whole package is summarized.
+type Port struct {
+	mu sync.Mutex
+	s  *Stream
+}
+
+type Stream struct {
+	mu sync.Mutex
+	pt *Port
+}
+
+func (pt *Port) Write() {
+	pt.mu.Lock()
+	pt.s.forward() // want `lock acquisition order cycle: locksfix\.Port\.mu → locksfix\.Stream\.mu → locksfix\.Port\.mu`
+	pt.mu.Unlock()
+}
+
+func (s *Stream) Break() {
+	s.mu.Lock()
+	s.pt.detach()
+	s.mu.Unlock()
+}
+
+func (s *Stream) forward() {
+	s.mu.Lock()
+	s.mu.Unlock()
+}
+
+func (pt *Port) detach() {
+	pt.mu.Lock()
+	pt.mu.Unlock()
+}

@@ -4,7 +4,7 @@ import "fmt"
 
 // CSR is a sparse matrix in compressed sparse row format. Its arrays are
 // private: after construction a stored value changes only in
-// ShiftedOperator.Update and in setVals, which keep st true.
+// ShiftedOperator.Update and in setVals, which keep st and masks true.
 type CSR struct {
 	Rows, Cols int
 	rowPtr     []int
@@ -12,8 +12,10 @@ type CSR struct {
 	val        []float64
 
 	// st is set when the matrix is a uniform 5-point grid operator; its
-	// SpMV then reads the five coefficients, not val (see stencil).
-	st stencil
+	// SpMV then reads the five coefficients, not val (see stencil), and
+	// on amd64 the lane masks of its width, laneMasks(st.mx).
+	st    stencil
+	masks []uint64
 }
 
 // NewCSR returns the rows x cols matrix whose arrays a caller has filled at
@@ -47,7 +49,7 @@ func NewCSR(rows, cols int, rowPtr, colIdx []int, val []float64) (*CSR, error) {
 		}
 		sc.row(row, val[rowPtr[r]:rowPtr[r+1]])
 	}
-	return &CSR{Rows: rows, Cols: cols, rowPtr: rowPtr, colIdx: colIdx, val: val, st: sc.st}, nil
+	return &CSR{Rows: rows, Cols: cols, rowPtr: rowPtr, colIdx: colIdx, val: val, st: sc.st, masks: laneMasks(sc.st.mx)}, nil
 }
 
 // Builder assembles a sparse matrix by accumulating (row, col, value)
@@ -113,7 +115,7 @@ func (b *Builder) Build() *CSR {
 		}
 		sc.row(m.colIdx[m.rowPtr[r-1]:m.rowPtr[r]], m.val[m.rowPtr[r-1]:m.rowPtr[r]])
 	}
-	m.st = sc.st
+	m.st, m.masks = sc.st, laneMasks(sc.st.mx)
 	return m
 }
 
@@ -226,6 +228,9 @@ type spmv struct{ y, x, u0, u1 Vector }
 //vetsparse:allocfree
 func (m *CSR) mulVecSpan(a *spmv, r0, r1 int) (p0, p1 float64) {
 	if m.st.mx > 0 {
+		if stencilLanes {
+			return mulStencilLanes(a, m, p0, p1, r0, r1)
+		}
 		return mulStencil(a, &m.st, p0, p1, r0, r1)
 	}
 	return m.mulVecRows(a, p0, p1, r0, r1)

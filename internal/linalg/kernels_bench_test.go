@@ -107,27 +107,35 @@ func benchShapes(b *testing.B, suffix string, off bool, fn func(b *testing.B, a 
 
 // BenchmarkMulVec times the product alone and with one and two reductions
 // riding along — <y, x>, then <y, y> beside it — as BiCGStab passes them:
-// through the stencil kernel, and (suffix -rows) through the row loop that
-// a non-uniform operator takes.
+// through the stencil kernel the host runs (four lanes where it has AVX2),
+// through the Go stencil kernel (suffix -go), and through the row loop that
+// a non-uniform operator takes (suffix -rows).
 func BenchmarkMulVec(b *testing.B) {
-	for i, suffix := range []string{"", "+dot", "+2dots", "-rows", "-rows+dot", "-rows+2dots"} {
-		dots := i % 3
-		benchShapes(b, suffix, i >= 3, func(b *testing.B, a *CSR) {
-			x := NewVector(a.Cols)
-			y := NewVector(a.Rows)
-			for i := range x {
-				x[i] = float64(i%13) - 6
-			}
-			u0, u1 := [...]Vector{nil, x, x}[dots], [...]Vector{nil, nil, y}[dots]
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if u0 == nil {
-					a.MulVec(y, x, nil)
-				} else {
-					a.mulVecDot(y, x, u0, u1, nil)
+	for _, kernel := range []struct {
+		suffix        string
+		goKernel, off bool
+	}{{"", false, false}, {"-go", true, false}, {"-rows", false, true}} {
+		for dots, suffix := range []string{"", "+dot", "+2dots"} {
+			benchShapes(b, kernel.suffix+suffix, kernel.off, func(b *testing.B, a *CSR) {
+				if kernel.goKernel {
+					goStencilKernel(b)
 				}
-			}
-		})
+				x := NewVector(a.Cols)
+				y := NewVector(a.Rows)
+				for i := range x {
+					x[i] = float64(i%13) - 6
+				}
+				u0, u1 := [...]Vector{nil, x, x}[dots], [...]Vector{nil, nil, y}[dots]
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if u0 == nil {
+						a.MulVec(y, x, nil)
+					} else {
+						a.mulVecDot(y, x, u0, u1, nil)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -147,9 +147,10 @@ func (o *ShiftedOperator) Update(s float64, ops *Ops) *CSR {
 		for r, p := range o.diag {
 			o.nd[r] = val[p]
 		}
-		// A stencil A stores every diagonal, so m has its pattern, and
-		// each of m's diagonals holds the negated one of A's.
-		*st = o.a.st
+		// A stencil A stores every diagonal, so m has its pattern (and
+		// lane masks), and each of m's diagonals holds the negated one
+		// of A's.
+		*st, o.m.masks = o.a.st, o.a.masks
 		for d, c := range st.c {
 			st.c[d] = -c
 		}

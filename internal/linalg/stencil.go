@@ -92,10 +92,12 @@ func stencilOf(m *CSR) stencil {
 
 // setVals is the one way to change a stored value after construction
 // besides ShiftedOperator.Update: f rewrites m's values in place (the
-// pattern stays), and m's stencil is found afresh from them.
+// pattern stays), and m's stencil and lane masks are found afresh from
+// them.
 func (m *CSR) setVals(f func(val []float64)) {
 	f(m.val)
 	m.st = stencilOf(m)
+	m.masks = laneMasks(m.st.mx)
 }
 
 // mulStencil computes rows [r0, r1) of y = A*x for a stencil operator with

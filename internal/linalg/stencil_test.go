@@ -101,7 +101,12 @@ func checkStencilSpans(t *testing.T, name string, m *CSR, x Vector) {
 // The stage matrix of a ShiftedOperator is a stencil after Update at either
 // of two shifts, equal to a freshly built (1/s)*I - A, and setVals moves a
 // matrix off the path and back as its values stop and start being uniform.
+// It runs once per kernel the host has: the four lanes and the Go kernel.
 func TestBitIdentitySpMVStencil(t *testing.T) {
+	eachStencilKernel(t, bitIdentitySpMVStencil)
+}
+
+func bitIdentitySpMVStencil(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	for _, sh := range [][2]int{{2, 2}, {2, 5}, {3, 3}, {3, 511}, {511, 3}, {7, 255}, {127, 127}, {63, 255}} {
 		mx, my := sh[0], sh[1]
@@ -180,4 +185,24 @@ func TestBitIdentitySpMVStencil(t *testing.T) {
 		t.Fatalf("setVals of a uniform diagonal found %+v, want %+v", m.st, want)
 	}
 	checkSpMV(t, "rewritten centres", m, probeVec(rng, m.Cols))
+}
+
+// eachStencilKernel runs f as a subtest per stencil SpMV kernel the host
+// has: "lanes" where it has the four-lane kernel, and "go".
+func eachStencilKernel(t *testing.T, f func(t *testing.T)) {
+	if stencilLanes {
+		t.Run("lanes", f)
+	}
+	t.Run("go", func(t *testing.T) {
+		goStencilKernel(t)
+		f(t)
+	})
+}
+
+// goStencilKernel makes every stencil SpMV take the Go kernel, mulStencil,
+// until tb ends.
+func goStencilKernel(tb testing.TB) {
+	was := stencilLanes
+	stencilLanes = false
+	tb.Cleanup(func() { stencilLanes = was })
 }
