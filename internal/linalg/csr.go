@@ -228,7 +228,7 @@ type spmv struct{ y, x, u0, u1 Vector }
 //vetsparse:allocfree
 func (m *CSR) mulVecSpan(a *spmv, r0, r1 int) (p0, p1 float64) {
 	if m.st.mx > 0 {
-		if stencilLanes {
+		if useLanes {
 			return mulStencilLanes(a, m, p0, p1, r0, r1)
 		}
 		return mulStencil(a, &m.st, p0, p1, r0, r1)

@@ -19,7 +19,10 @@ const redChunk = 1024
 // that caller — once 15 % of a whole solve on systems of a hundred
 // unknowns. Four elements a trip pay the straddle once per four and make
 // the placement irrelevant; each element is still computed by the same
-// expression, so the bits are too. Each kernel charges its own flops.
+// expression, so the bits are too. Each kernel charges its own flops. Where
+// useLanes is set, all but dotChunks and sStepChunks hand their loop to a
+// lane twin (kernels_amd64.go), and the loops here are the portable path
+// and the reference.
 
 // dirRange is the BiCGStab direction step pv = r + beta*(pv - omega*v).
 //
@@ -27,6 +30,11 @@ const redChunk = 1024
 //vetsparse:allocfree
 func dirRange(pv, r, v Vector, beta, omega float64, ops *Ops) {
 	r, v = r[:len(pv)], v[:len(pv)]
+	ops.Add(4 * int64(len(pv)))
+	if useLanes && len(pv) > 0 {
+		dirRangeLanes(&pv[0], &r[0], &v[0], len(pv), beta, omega)
+		return
+	}
 	i := 0
 	for ; i+4 <= len(pv); i += 4 {
 		p, r, v := pv[i:i+4:i+4], r[i:i+4:i+4], v[i:i+4:i+4]
@@ -36,7 +44,6 @@ func dirRange(pv, r, v Vector, beta, omega float64, ops *Ops) {
 	for ; i < len(pv); i++ {
 		pv[i] = r[i] + beta*(pv[i]-omega*v[i])
 	}
-	ops.Add(4 * int64(len(pv)))
 }
 
 // The reducing kernels sum each chunk of redChunk elements from a fresh +0
@@ -111,6 +118,12 @@ func xrChunks(xv Vector, alpha float64, phv Vector, omega float64, shv, rv, sv, 
 		ph, sh := phv[lo:][:len(x)], shv[lo:][:len(x)]
 		r, s := rv[lo:][:len(x)], sv[lo:][:len(x)]
 		t, rt := tv[lo:][:len(x)], rtv[lo:][:len(x)]
+		if useLanes {
+			p0, p1 := xrLanes(&x[0], &ph[0], &sh[0], &r[0], &s[0], &t[0], &rt[0], len(x), alpha, omega, negOmega)
+			rr += p0
+			rtr += p1
+			continue
+		}
 		p0, p1 := 0.0, 0.0
 		for i := range x {
 			x[i] += alpha*ph[i] + omega*sh[i]

@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -118,7 +119,7 @@ func BenchmarkMulVec(b *testing.B) {
 		for dots, suffix := range []string{"", "+dot", "+2dots"} {
 			benchShapes(b, kernel.suffix+suffix, kernel.off, func(b *testing.B, a *CSR) {
 				if kernel.goKernel {
-					goStencilKernel(b)
+					goKernels(b)
 				}
 				x := NewVector(a.Cols)
 				y := NewVector(a.Rows)
@@ -135,6 +136,87 @@ func BenchmarkMulVec(b *testing.B) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// lineShapes are kernelShapes and the rest of a root-2 family's anisotropic
+// grids: lines 31, 15 and 7 points long and their transposes.
+var lineShapes = append(kernelShapes[:len(kernelShapes):len(kernelShapes)], [2]int{31, 63}, [2]int{15, 127}, [2]int{127, 15}, [2]int{7, 255}, [2]int{255, 7})
+
+// kernelSuffixes names the two kernel sets the kernel benchmarks run: the
+// lanes where the host has them (no suffix), and the Go kernels ("-go").
+var kernelSuffixes = []string{"", "-go"}
+
+// BenchmarkLineSolve times the line factor's solve on the stage matrix of
+// each lineShapes grid, with its lanes and in Go (suffix -go), per row.
+func BenchmarkLineSolve(b *testing.B) {
+	for _, suffix := range kernelSuffixes {
+		for _, sh := range lineShapes {
+			a := advDiff2D(sh[0], sh[1], 1)
+			var lf lineFactor
+			lf.factor(a, nil)
+			x, rhs := NewVector(a.Rows), NewVector(a.Rows)
+			for i := range rhs {
+				rhs[i] = float64(i%13) - 6
+			}
+			b.Run(fmt.Sprintf("%dx%d%s", sh[0], sh[1], suffix), func(b *testing.B) {
+				if suffix != "" {
+					goKernels(b)
+				}
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					lf.solve(x, rhs, nil)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(a.Rows), "ns/row")
+			})
+		}
+	}
+}
+
+// BenchmarkVectorKernels times each vector lane case without aliasing, and
+// dotChunks and sStepChunks, which have no lanes, at the lengths of the
+// lineShapes grids, with the lanes and in Go (suffix -go), per element.
+func BenchmarkVectorKernels(b *testing.B) {
+	seen := map[int]bool{}
+	var lengths []int
+	for _, sh := range lineShapes {
+		if n := sh[0] * sh[1]; !seen[n] {
+			seen[n] = true
+			lengths = append(lengths, n)
+		}
+	}
+	cases := []vectorCase{
+		{"dotChunks", func(v []Vector, c [4]float64) []float64 { return []float64{dotChunks(v[0], v[1], nil)} }},
+		{"sStepChunks", func(v []Vector, c [4]float64) []float64 { return []float64{sStepChunks(v[0], v[1], c[0], v[2], nil)} }},
+	}
+	for _, vc := range vectorCases {
+		if !strings.Contains(vc.name, "=") {
+			cases = append(cases, vc)
+		}
+	}
+	c := [4]float64{0.71, -1.3, 0.37, 2.5e-2}
+	for _, vc := range cases {
+		for _, suffix := range kernelSuffixes {
+			for _, n := range lengths {
+				ops := make([]Vector, vectorOperands)
+				for j := range ops {
+					ops[j] = NewVector(n)
+					for i := range ops[j] {
+						ops[j][i] = float64((i+j)%13) - 6
+					}
+				}
+				b.Run(fmt.Sprintf("%s/%d%s", strings.ReplaceAll(vc.name, " ", ""), n, suffix), func(b *testing.B) {
+					if suffix != "" {
+						goKernels(b)
+					}
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						vc.run(ops, c)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/elem")
+				})
+			}
 		}
 	}
 }

@@ -67,7 +67,7 @@ func laneRun(lanes bool, buf Vector, g, n int, f func(y Vector) (float64, float6
 	for i := range buf {
 		buf[i] = math.Float64frombits(0x7ff8dead0000beef)
 	}
-	stencilLanes = lanes
+	useLanes = lanes
 	return f(buf[g : g+n : g+n])
 }
 
@@ -81,10 +81,10 @@ func laneRun(lanes bool, buf Vector, g, n int, f func(y Vector) (float64, float6
 // one), and the same beyond its ends, where a row of the first or last
 // line would find its missing south or north neighbour.
 func TestStencilLanesMatchGo(t *testing.T) {
-	if !stencilLanes {
+	if !useLanes {
 		t.Skip("no four-lane stencil kernel on this host")
 	}
-	defer func() { stencilLanes = true }()
+	defer func() { useLanes = true }()
 	rng := rand.New(rand.NewSource(50))
 	for _, mx := range laneWidths {
 		for _, my := range laneHeights {
@@ -141,4 +141,48 @@ func TestStencilLanesMatchGo(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzStencilLanes compares the four-lane stencil SpMV with the Go kernel
+// on an mx x my stencil (mx, my 2 to 64) over a span between the rows r0
+// and r1, in dot mode 0 to 3 (laneOperands), with x drawn from seed and a
+// probe at column at of every line. The seeds are TestStencilLanesMatchGo's
+// grids.
+func FuzzStencilLanes(f *testing.F) {
+	if !useLanes {
+		f.Skip("no four-lane stencil kernel on this host")
+	}
+	for _, mx := range laneWidths {
+		for _, my := range laneHeights {
+			f.Add(uint8(mx), uint8(my), uint16(1), uint16(mx*my), uint8(mx%4), int64(mx*my), uint8(mx), uint8(my))
+		}
+	}
+	f.Fuzz(func(t *testing.T, mx, my uint8, r0, r1 uint16, mode uint8, seed int64, probe, at uint8) {
+		defer func() { useLanes = true }()
+		m := stencilOperator(2+int(mx)%63, 2+int(my)%63, stencilCoeffs)
+		n, g := m.Rows, m.st.mx+4
+		s0, s1 := int(r0)%n, int(r1)%n+1 // a span of at least one row, as mulVecSpan is called with
+		if s0 >= s1 {
+			s0, s1 = s1-1, s0+1
+		}
+		rng := rand.New(rand.NewSource(seed))
+		x, u, v := randVec(rng, n), randVec(rng, n), randVec(rng, n)
+		p := vectorProbes[int(probe)%len(vectorProbes)]
+		for r := int(at) % m.st.mx; r < n; r += m.st.mx {
+			x[r] = p
+		}
+		var bufs [2]Vector
+		var dots [2][2]float64
+		for k, lanes := range []bool{true, false} {
+			bufs[k] = NewVector(n + 2*g)
+			dots[k][0], dots[k][1] = laneRun(lanes, bufs[k], g, n, func(y Vector) (float64, float64) {
+				u0, u1 := laneOperands(int(mode)%4, y, u, v)
+				return m.mulVecSpan(&spmv{y: y, x: x, u0: u0, u1: u1}, s0, s1)
+			})
+		}
+		checkSameBits(t, fmt.Sprintf("%dx%d span [%d,%d) mode %d", m.st.mx, m.st.my, s0, s1, mode%4), bufs[0], bufs[1])
+		if !sameFloat(dots[0][0], dots[1][0]) || !sameFloat(dots[0][1], dots[1][1]) {
+			t.Fatalf("dots %v, the Go kernel's %v", dots[0], dots[1])
+		}
+	})
 }

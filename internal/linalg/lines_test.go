@@ -133,7 +133,7 @@ func TestLineSweepOrderBitIdentical(t *testing.T) {
 		{advDiff2D(511, 3, 1), 511}, {advDiff2D(63, 31, 1), 63}, {advDiff2D(40, 40, 1), 40}, {fivePointOperator(1024), 32},
 		{fivePointOperator(1025), 1}, {advDiff2D(3, 511, 1), 1}, {tridiagOperator(500), 1}, {randomPattern(rng, 300), 1},
 	} {
-		a := c.a
+		a := generalPath(c.a) // a stencil's one-line factor has one order (TestLineFactorStencilMatchesRows)
 		name := fmt.Sprintf("%d rows, step %d", a.Rows, c.step)
 		var inter, natural lineFactor
 		inter.factor(a, nil)

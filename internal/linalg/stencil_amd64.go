@@ -1,10 +1,12 @@
 package linalg
 
-// stencilLanes selects mulStencilLanes, the four-lane kernel of
-// stencil_amd64.s, for every stencil SpMV: true where the CPU has AVX2 and
-// the OS saves the YMM registers, found once at start. Tests clear it to
-// run the Go kernel, mulStencil, on such a host; nothing else writes it.
-var stencilLanes = haveAVX2()
+// useLanes selects the four-lane kernels for every call that has one: the
+// stencil SpMV (mulStencilLanes, stencil_amd64.s), the line sweeps
+// (lines_amd64.s) and the vector kernels (kernels_amd64.s). It is true
+// where the CPU has AVX2 and the OS saves the YMM registers, found once at
+// start. Tests clear it to run the Go kernels, which are the reference, on
+// such a host; nothing else writes it.
+var useLanes = haveAVX2()
 
 // haveAVX2 reports AVX2 usable: CPUID leaf 7 says AVX2, leaf 1 AVX and
 // OSXSAVE, and XCR0 has the XMM and YMM state bits set.

@@ -2,8 +2,8 @@
 
 package linalg
 
-// stencilLanes is false off amd64: every stencil multiplies in Go.
-var stencilLanes = false
+// useLanes is false off amd64: every kernel runs in Go.
+var useLanes = false
 
 // laneMasks is nil: no kernel reads lane masks.
 func laneMasks(mx int) []uint64 { return nil }

@@ -103,7 +103,7 @@ func checkStencilSpans(t *testing.T, name string, m *CSR, x Vector) {
 // matrix off the path and back as its values stop and start being uniform.
 // It runs once per kernel the host has: the four lanes and the Go kernel.
 func TestBitIdentitySpMVStencil(t *testing.T) {
-	eachStencilKernel(t, bitIdentitySpMVStencil)
+	eachKernel(t, bitIdentitySpMVStencil)
 }
 
 func bitIdentitySpMVStencil(t *testing.T) {
@@ -187,22 +187,22 @@ func bitIdentitySpMVStencil(t *testing.T) {
 	checkSpMV(t, "rewritten centres", m, probeVec(rng, m.Cols))
 }
 
-// eachStencilKernel runs f as a subtest per stencil SpMV kernel the host
-// has: "lanes" where it has the four-lane kernel, and "go".
-func eachStencilKernel(t *testing.T, f func(t *testing.T)) {
-	if stencilLanes {
+// eachKernel runs f as a subtest per kernel set the host has: "lanes"
+// where it has the four-lane kernels, and "go".
+func eachKernel(t *testing.T, f func(t *testing.T)) {
+	if useLanes {
 		t.Run("lanes", f)
 	}
 	t.Run("go", func(t *testing.T) {
-		goStencilKernel(t)
+		goKernels(t)
 		f(t)
 	})
 }
 
-// goStencilKernel makes every stencil SpMV take the Go kernel, mulStencil,
-// until tb ends.
-func goStencilKernel(tb testing.TB) {
-	was := stencilLanes
-	stencilLanes = false
-	tb.Cleanup(func() { stencilLanes = was })
+// goKernels makes every kernel with a lane twin take its Go kernel until
+// tb ends.
+func goKernels(tb testing.TB) {
+	was := useLanes
+	useLanes = false
+	tb.Cleanup(func() { useLanes = was })
 }

@@ -60,6 +60,11 @@ func (v Vector) AXPY(a float64, x Vector, ops *Ops) {
 		panic(fmt.Sprintf("linalg: axpy length mismatch %d != %d", len(v), len(x)))
 	}
 	x = x[:len(v)]
+	ops.Add(2 * int64(len(v)))
+	if useLanes && len(v) > 0 {
+		axpyLanes(&v[0], &x[0], len(v), a)
+		return
+	}
 	i := 0
 	for ; i+4 <= len(v); i += 4 {
 		o, x := v[i:i+4:i+4], x[i:i+4:i+4]
@@ -68,7 +73,6 @@ func (v Vector) AXPY(a float64, x Vector, ops *Ops) {
 	for ; i < len(v); i++ {
 		v[i] += a * x[i]
 	}
-	ops.Add(2 * int64(len(v)))
 }
 
 // SetAXPY computes v = y + a*x (v may alias y or x).
@@ -77,6 +81,11 @@ func (v Vector) AXPY(a float64, x Vector, ops *Ops) {
 //vetsparse:allocfree
 func (v Vector) SetAXPY(y Vector, a float64, x Vector, ops *Ops) {
 	y, x = y[:len(v)], x[:len(v)]
+	ops.Add(2 * int64(len(v)))
+	if useLanes && len(v) > 0 {
+		setAXPYLanes(&v[0], &y[0], &x[0], len(v), a)
+		return
+	}
 	i := 0
 	for ; i+4 <= len(v); i += 4 {
 		o, y, x := v[i:i+4:i+4], y[i:i+4:i+4], x[i:i+4:i+4]
@@ -85,7 +94,6 @@ func (v Vector) SetAXPY(y Vector, a float64, x Vector, ops *Ops) {
 	for ; i < len(v); i++ {
 		v[i] = y[i] + a*x[i]
 	}
-	ops.Add(2 * int64(len(v)))
 }
 
 // SetLinComb computes v = w[0]*x[0] + w[1]*x[1] + … in one sweep, summed
@@ -101,6 +109,16 @@ func (v Vector) SetLinComb(w []float64, x []Vector, ops *Ops) {
 		panic(fmt.Sprintf("linalg: lincomb of %d weights and %d vectors", len(w), len(x)))
 	}
 	n := len(v)
+	if terms := len(w); useLanes && terms <= 4 && terms >= 2 && n > 0 {
+		var wl [4]float64
+		var xl [4]*float64
+		for j := range w {
+			wl[j], xl[j] = w[j], &x[j][:n][0]
+		}
+		linCombLanes(&v[0], &wl, &xl, terms, n)
+		ops.Add(int64(2*terms-1) * int64(n))
+		return
+	}
 	i := 0
 	switch len(w) {
 	case 2:
@@ -158,7 +176,15 @@ func (v Vector) SetAXPBYWRMS(y Vector, a float64, x Vector, b float64, z Vector,
 		return 0
 	}
 	y, x, z = y[:n], x[:n], z[:n]
+	ops.Add(12 * int64(n))
 	s := 0.0
+	if useLanes {
+		for lo := 0; lo < n; lo += redChunk {
+			k := min(redChunk, n-lo)
+			s += axpbyWRMSLanes(&v[lo], &y[lo], &x[lo], &z[lo], k, a, b, c, atol, rtol)
+		}
+		return math.Sqrt(s / float64(n))
+	}
 	for lo := 0; lo < n; lo += redChunk {
 		hi := min(lo+redChunk, n)
 		p := 0.0
@@ -170,7 +196,6 @@ func (v Vector) SetAXPBYWRMS(y Vector, a float64, x Vector, b float64, z Vector,
 		}
 		s += p
 	}
-	ops.Add(12 * int64(n))
 	return math.Sqrt(s / float64(n))
 }
 
@@ -180,10 +205,19 @@ func (v Vector) SetAXPBYWRMS(y Vector, a float64, x Vector, b float64, z Vector,
 //vetsparse:allocfree
 func (v Vector) SetScaled(a float64, x Vector, ops *Ops) {
 	x = x[:len(v)]
-	for i := range v {
+	ops.Add(int64(len(v)))
+	if useLanes && len(v) > 0 {
+		setScaledLanes(&v[0], &x[0], len(v), a)
+		return
+	}
+	i := 0
+	for ; i+4 <= len(v); i += 4 {
+		o, x := v[i:i+4:i+4], x[i:i+4:i+4]
+		o[0], o[1], o[2], o[3] = a*x[0], a*x[1], a*x[2], a*x[3]
+	}
+	for ; i < len(v); i++ {
 		v[i] = a * x[i]
 	}
-	ops.Add(int64(len(v)))
 }
 
 // Dot returns the inner product of v and x, summed through the fixed-chunk
@@ -265,8 +299,17 @@ func (v Vector) WRMSNorm(ref Vector, atol, rtol float64, ops *Ops) float64 {
 //vetsparse:allocfree
 func (v Vector) Sub(a, b Vector, ops *Ops) {
 	a, b = a[:len(v)], b[:len(v)]
-	for i := range v {
+	ops.Add(int64(len(v)))
+	if useLanes && len(v) > 0 {
+		subLanes(&v[0], &a[0], &b[0], len(v))
+		return
+	}
+	i := 0
+	for ; i+4 <= len(v); i += 4 {
+		o, a, b := v[i:i+4:i+4], a[i:i+4:i+4], b[i:i+4:i+4]
+		o[0], o[1], o[2], o[3] = a[0]-b[0], a[1]-b[1], a[2]-b[2], a[3]-b[3]
+	}
+	for ; i < len(v); i++ {
 		v[i] = a[i] - b[i]
 	}
-	ops.Add(int64(len(v)))
 }
